@@ -17,20 +17,16 @@ from .experiments import (
     repeat_consensus,
 )
 from .stats import Summary, fit_power_law, summarize
-from .sweeps import Sweep, SweepResult, quick_sweep
 from .tables import format_table
 
 __all__ = [
     "ConsensusRun",
     "Summary",
-    "Sweep",
-    "SweepResult",
     "broadcast_stack",
     "build_consensus_stack",
     "fit_power_law",
     "format_table",
     "repeat_consensus",
-    "quick_sweep",
     "run_broadcast",
     "run_consensus",
     "summarize",

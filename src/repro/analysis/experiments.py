@@ -34,19 +34,14 @@ from ..adversary.behaviors import (
 from ..core.broadcast import BroadcastLayer, RbcDelivery
 from ..core.coin import CoinScheme, DealerCoin, LocalCoin, ShareCoinProvider
 from ..core.consensus import BrachaConsensus
-from ..errors import (
-    AgreementViolation,
-    ConfigError,
-    IntegrityViolation,
-    LivenessFailure,
-    ValidityViolation,
-)
+from ..errors import ConfigError, EventBudgetExceeded
+from ..outcome import NodeReport, build_result
 from ..params import ProtocolParams, for_system
 from ..sim.process import Process, ProtocolModule
 from ..sim.rng import derive_seed
 from ..sim.runner import Simulation
 from ..sim.scheduler import Scheduler
-from ..types import Bit, Decision, ProcessId, RunResult
+from ..types import Bit, ProcessId, RunResult
 
 FaultSpec = Union[str, Mapping[str, Any]]
 ProposalSpec = Union[None, int, Sequence[int], Mapping[int, int]]
@@ -322,173 +317,30 @@ def run_consensus(
     else:
         raise ConfigError(f"unknown stop condition {stop!r}")
 
-    from ..errors import EventBudgetExceeded
-
-    budget_exhausted = False
+    failures = []
     try:
         sim.run(until=until, max_steps=max_steps)
     except EventBudgetExceeded:
         if check:
             raise
-        budget_exhausted = True
+        failures.append("event budget exhausted (possible livelock)")
 
-    result = collect_result(run)
-    if budget_exhausted:
-        result.violations.append("event budget exhausted (possible livelock)")
-    verify_result(run, result, check=check)
-    return result
-
-
-def fill_common_meta(
-    result: RunResult,
-    proposals: Mapping[ProcessId, Any],
-    faulty: Any,
-    sent_by_kind: Mapping[str, int],
-) -> None:
-    """The per-run ``meta`` keys every fabric's collector records —
-    one writer, so the analysis/table code can rely on the shape."""
-    result.meta["proposals"] = dict(proposals)
-    result.meta["faulty"] = sorted(faulty)
-    result.meta["messages_by_kind"] = dict(sent_by_kind)
-    result.meta["decision_rounds"] = {
-        pid: d.round for pid, d in result.decisions.items()
-    }
-
-
-def collect_result(run: ConsensusRun) -> RunResult:
-    """Extract a :class:`~repro.types.RunResult` from a finished run."""
-    sim = run.sim
-    result = RunResult(
-        steps=sim.steps,
-        messages_sent=sim.metrics.sent,
-        messages_delivered=sim.metrics.delivered,
-        virtual_time=sim.now,
+    reports = []
+    for pid in range(n):
+        module = run.consensus.get(pid)
+        if module is None:
+            reports.append(NodeReport.from_modules(pid, None, sim.metrics))
+        else:
+            reports.append(NodeReport.from_modules(
+                pid, [module], sim.metrics,
+                module_decisions=int(module.decided),
+            ))
+    return build_result(
+        reports, correct=run.consensus, faulty=run.behaviors,
+        proposals=run.proposals, params=run.params, check=check,
+        elapsed=sim.now, failures=failures,
+        messages_by_kind=sim.metrics.sent_by_kind,
     )
-    coin_flips = 0
-    for pid, consensus in run.consensus.items():
-        if consensus.decided:
-            assert consensus.decision is not None
-            result.decisions[pid] = Decision(
-                pid, consensus.decision, consensus.decision_round, sim.now
-            )
-        if consensus.halted:
-            result.halted.add(pid)
-        result.rounds = max(result.rounds, consensus.stats["rounds"])
-        coin_flips += consensus.stats["coin_flips"]
-    result.meta["coin_flips"] = coin_flips
-    fill_common_meta(result, run.proposals, run.behaviors, sim.metrics.sent_by_kind)
-    return result
-
-
-def verify_result(run: ConsensusRun, result: RunResult, check: bool = True) -> None:
-    """Apply the paper's safety properties; raise or record violations."""
-    verify_outcome(run.proposals, run.consensus, result, check=check)
-
-
-def verify_outcome(
-    proposals: Mapping[ProcessId, Bit],
-    consensus_by_pid: Mapping[ProcessId, Any],
-    result: RunResult,
-    check: bool = True,
-) -> None:
-    """Safety-check a finished execution, however it was driven.
-
-    ``consensus_by_pid`` maps each *correct* pid to its decision-bearing
-    module; the simulator harness and the asyncio runtime cluster both
-    funnel their outcomes through here, so the two worlds are held to
-    the identical agreement/validity/integrity/liveness standard.
-    """
-    correct = sorted(consensus_by_pid)
-    correct_proposals = {proposals[pid] for pid in correct}
-
-    def fail(exc_cls, message: str) -> None:
-        result.violations.append(message)
-        if check:
-            raise exc_cls(message)
-
-    values = {d.value for d in result.decisions.values()}
-    if len(values) > 1:
-        fail(AgreementViolation, f"correct processes decided {sorted(values)}")
-    for pid, decision in result.decisions.items():
-        if decision.value not in correct_proposals:
-            fail(
-                ValidityViolation,
-                f"p{pid} decided {decision.value}, proposed by no correct process",
-            )
-    for pid in correct:
-        flags = consensus_by_pid[pid].invariant_flags
-        if flags:
-            fail(IntegrityViolation, f"p{pid}: {'; '.join(flags)}")
-    if len(result.decisions) < len(correct):
-        missing = sorted(set(correct) - set(result.decisions))
-        fail(LivenessFailure, f"processes never decided: {missing}")
-
-
-def verify_instance_outcomes(
-    proposals: Mapping[ProcessId, Bit],
-    stacks: Mapping[ProcessId, Sequence[Any]],
-    instances: int,
-    result: RunResult,
-    check: bool = True,
-) -> None:
-    """Hold every instance beyond the first to the same
-    :func:`verify_outcome` standard instance 0 already passed —
-    agreement, validity, integrity, and liveness per instance.
-
-    ``stacks`` maps each correct pid to its per-instance decision
-    modules; used by every fabric that batches parallel instances.
-    """
-    for i in range(1, instances):
-        instance_result = RunResult(
-            decisions={
-                pid: Decision(
-                    pid, modules[i].decision, modules[i].decision_round, 0.0
-                )
-                for pid, modules in stacks.items()
-                if modules[i].decided
-            }
-        )
-        verify_outcome(
-            proposals,
-            {pid: modules[i] for pid, modules in stacks.items()},
-            instance_result,
-            check=check,
-        )
-        result.violations.extend(
-            f"instance {i}: {violation}"
-            for violation in instance_result.violations
-        )
-
-
-def verify_acs_outcome(
-    outputs: Mapping[ProcessId, Any],
-    params: Any,
-    result: RunResult,
-    check: bool = True,
-) -> None:
-    """Safety-check a finished ACS execution, however it was driven.
-
-    ``outputs`` maps each finished correct pid to its
-    :class:`~repro.app.acs.AcsOutput`; all fabrics funnel their ACS
-    outcomes through here, checking agreement (identical subsets) and
-    the ``n − t`` minimum subset size.
-    """
-
-    def fail(message: str) -> None:
-        result.violations.append(message)
-        if check:
-            raise AgreementViolation(message)
-
-    distinct = {out.proposals for out in outputs.values()}
-    if len(distinct) > 1:
-        fail(f"ACS outputs diverge: {distinct}")
-    for out in outputs.values():
-        if len(out.proposals) < params.step_quorum:
-            fail(
-                f"ACS output has {len(out.proposals)} elements, "
-                f"need >= {params.step_quorum}"
-            )
-        break
 
 
 def repeat_consensus(trials: int, seed: int = 0, **kwargs: Any) -> list[RunResult]:

@@ -19,7 +19,7 @@ Three layers, bottom-up:
 from .broadcast import BroadcastLayer, RbcDelivery, RbcMessage
 from .coin import CoinScheme, CoinSource, DealerCoin, LocalCoin, ShareCoinProvider
 from .consensus import BrachaConsensus, DecideMsg, DecisionEvent, HaltEvent
-from .effects import Broadcast, Decide, Note, Outbox, Send, parse_batching
+from ..sim.effects import Broadcast, Decide, Note, Outbox, Send, parse_batching
 from .validation import StepValidator, justify_step
 
 __all__ = [

@@ -25,7 +25,7 @@ from .bundle import (
     load_manifest,
     scenario_hash,
 )
-from .orchestrator import MpOrchestrator, run_mp, run_mp_sync
+from .orchestrator import MpOrchestrator, run_mp_sync
 
 __all__ = [
     "BundleKeyRing",
@@ -36,7 +36,6 @@ __all__ = [
     "deal",
     "load_bundle",
     "load_manifest",
-    "run_mp",
     "run_mp_sync",
     "scenario_hash",
 ]

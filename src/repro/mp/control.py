@@ -9,7 +9,8 @@ node → orchestrator
                   a WAL-recovered respawn adds ``recovered: true`` and
                   its ``attempt`` number
     ``done``      the node's stop predicate (decided/halted) holds
-    ``result``    the full readout, sent in answer to ``stop``
+    ``result``    the node's :meth:`~repro.outcome.NodeReport.to_dict`
+                  readout (plus captured ``events``), in answer to ``stop``
     ``crash``     the node is dying; carries the error text
     ``recovered`` WAL replay finished; carries ``replayed`` (record
                   count) and ``replay_ms``

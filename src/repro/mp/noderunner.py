@@ -48,6 +48,7 @@ from ..recovery.wal import WalWriter, read_wal, replay, validate_header
 from ..obs import Observer
 from ..obs.observer import DEFAULT_RING_CAPACITY, parse_observe
 from ..obs.sinks import RingSink
+from ..outcome import NodeReport
 from ..runtime.node import Node, NodeNetwork
 from ..runtime.tcp import TcpTransport
 from ..sim.effects import CausalStamper
@@ -132,6 +133,7 @@ class NodeRunner:
         self._clock: Optional[WallClock] = None
         self._zero = time.monotonic()
         self._decide_time: Optional[float] = None
+        self._decide_count = 0
         self._stopped = asyncio.Event()
         self._satisfied = asyncio.Event()  # the scenario's stop predicate
 
@@ -267,6 +269,7 @@ class NodeRunner:
     # -- progress ------------------------------------------------------------
 
     def _on_decide(self, effect: Any) -> None:
+        self._decide_count += 1
         if self._decide_time is None:
             self._decide_time = time.monotonic() - self._zero
         if self.observer is not None:
@@ -287,72 +290,15 @@ class NodeRunner:
 
     # -- readout -------------------------------------------------------------
 
-    def result_payload(self) -> Dict[str, Any]:
-        """Everything the orchestrator needs to assemble a ``RunResult``."""
-        node, network = self.node, self.network
-        out: Dict[str, Any] = {
-            "type": "result",
-            "node": self.pid,
-            "correct": self.modules is not None,
-            "decide_time": self._decide_time,
-            "counters": {
-                "sent": network.metrics.sent,
-                "delivered": node.messages_delivered,
-                "activations": node.activations,
-                "frames_sent": node.frames_sent,
-                "wire_messages_sent": node.wire_messages_sent,
-                "rejected": self._tcp.rejected,
-            },
-            "sent_by_kind": dict(network.metrics.sent_by_kind),
-            "decisions": None,
-            "acs": None,
-            "invariant_flags": [],
-            "halted": False,
-            "rounds": 0,
-            "coin_flips": 0,
-        }
-        if self.modules is not None:
-            if self.scenario.protocol == "acs":
-                acs = self.modules[0]
-                if acs.done:
-                    out["acs"] = {
-                        "proposals": [list(pair) for pair in acs.output.proposals]
-                    }
-            else:
-                out["decisions"] = [
-                    {
-                        "decided": m.decided,
-                        "value": m.decision,
-                        "round": m.decision_round,
-                    }
-                    for m in self.modules
-                ]
-                out["invariant_flags"] = [
-                    list(m.invariant_flags) for m in self.modules
-                ]
-                out["halted"] = self.plan.halted(self.modules)
-                out["rounds"] = max(m.stats["rounds"] for m in self.modules)
-                out["coin_flips"] = sum(
-                    m.stats["coin_flips"] for m in self.modules
-                )
-        if self._policy is not None:
-            out["netem"] = self._policy.totals().as_dict()
-            out["netem_per_link"] = self._policy.per_link()
-        if isinstance(self.transport, ReliableLink):
-            link = self.transport
-            out["link"] = {
-                "retransmitted": link.retransmitted,
-                "abandoned": link.abandoned,
-                "duplicates_filtered": link.duplicates_filtered,
-                "acks_sent": link.acks_sent,
-                "retransmitted_by_dest": {
-                    str(dest): count
-                    for dest, count in link.retransmitted_by_dest.items()
-                },
-            }
-        if self.observer is not None:
-            out["events"] = [e.to_dict() for e in self.observer.events()]
-        return out
+    def report(self) -> NodeReport:
+        """This node's readout — ``report().to_dict()`` is the ``result``
+        control message."""
+        return NodeReport.from_modules(
+            self.pid, self.modules, self.network.metrics,
+            decide_time=self._decide_time,
+            module_decisions=self._decide_count,
+            node=self.node, transport=self.transport, policy=self._policy,
+        )
 
     async def shutdown(self, task: Optional[asyncio.Task]) -> None:
         if self._wal_writer is not None:
@@ -458,8 +404,15 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
                 side.cancel()
             await asyncio.gather(*side_tasks, return_exceptions=True)
         if message is not None:  # a real 'stop', not an orphaning EOF
+            result = runner.report().to_dict()
+            if runner.observer is not None:
+                # The captured ring rides along for the orchestrator's
+                # merged event stream; it is not part of the report.
+                result["events"] = [
+                    e.to_dict() for e in runner.observer.events()
+                ]
             async with send_lock:
-                await send_msg(writer, runner.result_payload())
+                await send_msg(writer, result)
         return 0
     except Exception as exc:
         if writer is not None:
@@ -498,9 +451,7 @@ async def _run_standalone(runner: NodeRunner, linger: float) -> int:
             return 1
         # Keep serving peers that are still catching up before exiting.
         await asyncio.sleep(linger)
-        payload = runner.result_payload()
-        payload.pop("events", None)  # stdout stays human-sized
-        print(_json.dumps(payload, sort_keys=True))
+        print(_json.dumps(runner.report().to_dict(), sort_keys=True))
         return 0
     finally:
         await runner.shutdown(task)

@@ -5,20 +5,17 @@ The orchestrator is the multi-process analogue of
 into a scratch directory (:mod:`repro.mp.bundle`), spawns one
 ``repro node`` subprocess per pid, holds them at a start barrier on the
 control channel (:mod:`repro.mp.control`), waits for every correct
-node's stop condition, then collects each node's reported readout and
-assembles the same verified :class:`~repro.types.RunResult` — metrics
-snapshot, observe stream, netem totals — the other fabrics return.
+node's stop condition, then hands each node's ``result`` message (a
+:class:`~repro.outcome.NodeReport`) to the
+:func:`~repro.outcome.build_result` every fabric shares.  The builder
+is told the correct set, so a Byzantine node's report only adds
+counters and a correct node whose ``result`` never arrives within
+:data:`RESULT_TIMEOUT` is a named failure, not a smaller quorum.
 
-Because every node is a real OS process, crash faults become real: a
-fault spec ``{"kind": "kill", "after": S}`` makes the orchestrator
-SIGKILL that node's process ``S`` seconds after the start barrier, and
-the run succeeds iff the surviving correct majority still decides.
-
-Verification runs over the *reported* outcomes of correct nodes only
-(the same trust boundary the in-process cluster has: a Byzantine node's
-modules are never consulted), through the identical
-:func:`~repro.analysis.experiments.verify_outcome` /
-:func:`verify_acs_outcome` checks every other fabric uses.
+Every node is a real OS process, so crash faults are real: a fault spec
+``{"kind": "kill", "after": S}`` SIGKILLs that node ``S`` seconds after
+the start barrier, and the run succeeds iff the surviving correct
+majority still decides.
 """
 
 from __future__ import annotations
@@ -30,23 +27,17 @@ import socket
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
-from ..analysis.experiments import (
-    fill_common_meta,
-    verify_acs_outcome,
-    verify_instance_outcomes,
-    verify_outcome,
-)
-from ..app.acs import AcsOutput
-from ..errors import ConfigError, LivenessFailure, ReproError
+from ..errors import ConfigError, ReproError
 from ..obs import MetricsRegistry, Observer
 from ..obs.events import Event
+from ..outcome import NodeReport, build_result
 from ..recovery.supervisor import RestartPolicy
 from ..recovery.wal import parse_recovery, wal_filename
 from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
-from ..types import Decision, ProcessId, RunResult
+from ..types import ProcessId, RunResult
 from .bundle import deal
 from .control import MAX_CONTROL_LINE, read_msg, send_msg
 
@@ -66,19 +57,6 @@ PING_TIMEOUT = 2.0
 #: unresponsive — a hung node must surface as a named harness failure,
 #: not as the scenario's full liveness timeout.
 PING_RETRIES = 3
-
-
-class _Reported:
-    """A decision-module shim over one reported instance outcome, shaped
-    for :func:`verify_outcome` (``decided``/``decision``/
-    ``decision_round``/``invariant_flags``)."""
-
-    def __init__(self, decided: bool, value: Any, round_: Any,
-                 flags: List[str]):
-        self.decided = decided
-        self.decision = value
-        self.decision_round = round_
-        self.invariant_flags = list(flags)
 
 
 def _reserve_ports(host: str, n: int) -> List[int]:
@@ -161,7 +139,8 @@ class MpOrchestrator:
 
         self.procs: Dict[ProcessId, asyncio.subprocess.Process] = {}
         self.writers: Dict[ProcessId, asyncio.StreamWriter] = {}
-        self.results: Dict[ProcessId, Dict[str, Any]] = {}
+        self.results: Dict[ProcessId, NodeReport] = {}
+        self.node_events: List[Dict[str, Any]] = []
         self.done: Dict[ProcessId, Optional[float]] = {}
         self.crashes: Dict[ProcessId, str] = {}
         self.unexpected_exits: Dict[ProcessId, int] = {}
@@ -174,7 +153,6 @@ class MpOrchestrator:
         self._pongs: Dict[ProcessId, int] = {}
         self._spawn_cmd: Dict[ProcessId, List[str]] = {}
         self._env: Dict[str, str] = {}
-        self._result_events: Dict[ProcessId, asyncio.Event] = {}
         self._wake = asyncio.Event()
         self._hello = asyncio.Event()
         self._stopping = False
@@ -221,8 +199,12 @@ class MpOrchestrator:
             if kind == "done":
                 self.done[pid] = message.get("decide_time")
             elif kind == "result":
-                self.results[pid] = message
-                self._result_events.setdefault(pid, asyncio.Event()).set()
+                try:
+                    self.results[pid] = NodeReport.from_dict(message)
+                except ReproError as exc:
+                    self.crashes.setdefault(pid, f"bad control message: {exc}")
+                    break
+                self.node_events.extend(message.get("events", ()))
             elif kind == "crash":
                 self.crashes[pid] = str(message.get("error", "unknown"))
             elif kind == "recovered":
@@ -314,9 +296,7 @@ class MpOrchestrator:
             timed_out = not await self._wait_for_completion()
             elapsed = time.monotonic() - self._zero
             await self._stop_nodes()
-            result = self._collect(elapsed, timed_out)
-            self._verify(result, timed_out)
-            return result
+            return self._result(elapsed, timed_out)
         finally:
             await self._teardown()
             if self.keep_scratch:
@@ -503,28 +483,25 @@ class MpOrchestrator:
                 )
 
     async def _stop_nodes(self) -> None:
+        """Ask every live node for its result; wait RESULT_TIMEOUT at most."""
         self._stopping = True
-        live = [
-            pid for pid, proc in self.procs.items() if proc.returncode is None
-        ]
-        for pid in live:
+        asked: Set[ProcessId] = set()
+        for pid, proc in self.procs.items():
             writer = self.writers.get(pid)
-            if writer is None or writer.is_closing():
-                continue
-            self._result_events.setdefault(pid, asyncio.Event())
+            if proc.returncode is None and writer and not writer.is_closing():
+                try:
+                    await send_msg(writer, {"type": "stop"})
+                except (ConnectionError, OSError):
+                    continue
+                asked.add(pid)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + RESULT_TIMEOUT
+        while not asked <= set(self.results) and loop.time() < deadline:
+            self._wake.clear()
             try:
-                await send_msg(writer, {"type": "stop"})
-            except (ConnectionError, OSError):
-                continue
-        waiters = [
-            self._result_events[pid].wait()
-            for pid in live if pid in self._result_events
-        ]
-        if waiters:
-            await asyncio.wait(
-                [asyncio.ensure_future(w) for w in waiters],
-                timeout=RESULT_TIMEOUT,
-            )
+                await asyncio.wait_for(self._wake.wait(), deadline - loop.time())
+            except asyncio.TimeoutError:
+                break
 
     async def _stderr_tail(self, pids: List[ProcessId]) -> str:
         parts = []
@@ -564,95 +541,27 @@ class MpOrchestrator:
 
     # -- result assembly -----------------------------------------------------
 
-    def _collect(self, elapsed: float, timed_out: bool) -> RunResult:
+    def _result(self, elapsed: float, timed_out: bool) -> RunResult:
+        """Build the result, adding what only this fabric knows."""
         scenario = self.scenario
-        result = RunResult(virtual_time=elapsed)
-        registry = MetricsRegistry()
-        sent_by_kind: Dict[str, int] = {}
-        frames_sent = wire_messages = frames_rejected = 0
-        module_decisions = coin_flips = 0
-        decision_times: Dict[ProcessId, float] = {}
-        netem_totals: Dict[str, Any] = {}
-        netem_per_link: Dict[str, Dict[str, int]] = {}
-        instance_decisions: Dict[ProcessId, List[Any]] = {}
-        events: List[Event] = []
-
-        for pid, report in sorted(self.results.items()):
-            counters = report.get("counters", {})
-            result.messages_sent += counters.get("sent", 0)
-            result.messages_delivered += counters.get("delivered", 0)
-            result.steps += counters.get("activations", 0)
-            frames_sent += counters.get("frames_sent", 0)
-            wire_messages += counters.get("wire_messages_sent", 0)
-            frames_rejected += counters.get("rejected", 0)
-            for kind, count in report.get("sent_by_kind", {}).items():
-                sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
-            for name, value in (report.get("netem") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    netem_totals[name] = netem_totals.get(name, 0) + value
-            for link_name, stats in (report.get("netem_per_link") or {}).items():
-                slot = netem_per_link.setdefault(link_name, {})
-                for name, value in stats.items():
-                    slot[name] = slot.get(name, 0) + value
-            link = report.get("link")
-            if link is not None:
-                for name in ("retransmitted", "abandoned",
-                             "duplicates_filtered", "acks_sent"):
-                    netem_totals[name] = (
-                        netem_totals.get(name, 0) + link.get(name, 0)
-                    )
-                for dest, count in link.get(
-                        "retransmitted_by_dest", {}).items():
-                    slot = netem_per_link.setdefault(f"{pid}->{dest}", {})
-                    slot["retransmitted"] = (
-                        slot.get("retransmitted", 0) + count
-                    )
-            for data in report.get("events", ()):
-                events.append(Event.from_dict(data))
-
-            if not report.get("correct"):
-                continue
-            coin_flips += report.get("coin_flips", 0)
-            decide_time = report.get("decide_time")
-            if decide_time is not None:
-                decision_times[pid] = float(decide_time)
-            if scenario.protocol == "acs":
-                acs = report.get("acs")
-                if acs is not None:
-                    output = AcsOutput(0, tuple(
-                        (int(p), payload) for p, payload in acs["proposals"]
-                    ))
-                    result.decisions[pid] = Decision(
-                        pid, output.pids, 0, decision_times.get(pid, elapsed)
-                    )
-                continue
-            decisions = report.get("decisions") or []
-            if decisions and decisions[0]["decided"]:
-                result.decisions[pid] = Decision(
-                    pid, decisions[0]["value"], decisions[0]["round"],
-                    decision_times.get(pid, elapsed),
-                )
-            instance_decisions[pid] = [d["value"] for d in decisions]
-            module_decisions += sum(1 for d in decisions if d["decided"])
-            if report.get("halted"):
-                result.halted.add(pid)
-            result.rounds = max(result.rounds, report.get("rounds", 0))
-
+        failures = []
         if timed_out:
-            result.violations.append("timeout (possible livelock)")
-        result.meta["transport"] = "mp"
-        result.meta["protocol"] = scenario.protocol
-        result.meta["instances"] = scenario.instances
-        result.meta["batching"] = scenario.batching
-        result.meta["coin_flips"] = coin_flips
-        fill_common_meta(result, self.proposals, self.faulty, sent_by_kind)
-        result.meta["decision_latency"] = dict(decision_times)
+            failures.append(
+                f"timeout after {scenario.timeout}s; nodes still undecided: "
+                f"{sorted(self.correct - set(self.done))}"
+            )
+        registry = MetricsRegistry()
+        meta: Dict[str, Any] = {
+            "transport": "mp", "protocol": scenario.protocol,
+            "instances": scenario.instances, "batching": scenario.batching,
+            "codec": scenario.codec,
+        }
         if self.kills:
-            result.meta["killed"] = sorted(self.kills)
+            meta["killed"] = sorted(self.kills)
         if self.recovery_mode == "wal":
-            result.meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
+            meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
         if self.restarts:
-            result.meta["restarted"] = sorted(self.restarts)
+            meta["restarted"] = sorted(self.restarts)
             registry.count("restarts", sum(self.restart_attempts.values()))
             registry.count("recovery_replayed", sum(
                 int(msg.get("replayed") or 0)
@@ -663,107 +572,27 @@ class MpOrchestrator:
                     "recovery_time", max(self.recovery_times.values())
                 )
         if self.keep_scratch:
-            result.meta["scratch_dir"] = self._scratch_dir
-        if scenario.instances > 1:
-            result.meta["instance_decisions"] = instance_decisions
-
-        registry.count("frames_sent", frames_sent)
-        registry.count("wire_messages_sent", wire_messages)
-        registry.count("frames_rejected", frames_rejected)
-        registry.count("messages_sent", result.messages_sent)
-        registry.count("messages_delivered", result.messages_delivered)
-        registry.count("decisions", len(result.decisions))
-        registry.count("module_decisions", module_decisions)
-        registry.gauge(
-            "messages_per_frame",
-            wire_messages / frames_sent if frames_sent else 0.0,
-        )
-        for latency in decision_times.values():
-            registry.observe("decision_latency", latency)
-        if scenario.netem_config() is not None:
-            for name, value in netem_totals.items():
-                registry.count(f"netem_{name}", int(value))
-            result.meta["netem"] = netem_totals
-            result.meta["netem_per_link"] = netem_per_link
-        result.metrics = registry.snapshot()
-
-        if self.observer is not None and events:
-            # Replay the per-node streams into the run's sink on one
-            # merged timeline (original node-relative timestamps).
+            meta["scratch_dir"] = self._scratch_dir
+        if self.observer is not None:
+            # One merged timeline, original node-relative timestamps.
+            events = [Event.from_dict(data) for data in self.node_events]
             events.sort(key=lambda e: (e.time, -1 if e.node is None else e.node))
             for event in events:
                 self.observer.sink.emit(event)
-        return result
-
-    def _verify(self, result: RunResult, timed_out: bool) -> None:
-        scenario, check = self.scenario, self.check
-        if timed_out and check:
-            missing = sorted(self.correct - set(self.done))
-            raise LivenessFailure(
-                f"timeout after {scenario.timeout}s; "
-                f"nodes still undecided: {missing}"
-            )
-        reported = {
-            pid: report for pid, report in self.results.items()
-            if pid in self.correct
-        }
-        if scenario.protocol == "acs":
-            outputs = {
-                pid: AcsOutput(0, tuple(
-                    (int(p), payload)
-                    for p, payload in report["acs"]["proposals"]
-                ))
-                for pid, report in reported.items()
-                if report.get("acs") is not None
-            }
-            verify_acs_outcome(outputs, self.params, result, check=check)
-            missing = sorted(self.correct - set(outputs))
-            if missing and not timed_out:
-                message = f"ACS never completed at: {missing}"
-                result.violations.append(message)
-                if check:
-                    raise LivenessFailure(message)
-            return
-        stacks = {
-            pid: [
-                _Reported(d["decided"], d["value"], d["round"], flags)
-                for d, flags in zip(
-                    report.get("decisions") or [],
-                    report.get("invariant_flags") or [],
-                )
-            ]
-            for pid, report in reported.items()
-        }
-        stacks = {pid: mods for pid, mods in stacks.items() if mods}
-        verify_outcome(
-            self.proposals,
-            {pid: mods[0] for pid, mods in stacks.items()},
-            result,
-            check=check,
+        return build_result(
+            self.results.values(), correct=self.correct, faulty=self.faulty,
+            proposals=self.proposals, params=self.params, check=self.check,
+            elapsed=elapsed, registry=registry, meta=meta, failures=failures,
         )
-        if scenario.instances > 1:
-            verify_instance_outcomes(
-                self.proposals, stacks, scenario.instances, result,
-                check=check,
-            )
-
-
-async def run_mp(scenario: Scenario, check: bool = True,
-                 observer: Optional[Observer] = None,
-                 keep_scratch: bool = False) -> RunResult:
-    """Execute one ``fabric: "mp"`` scenario; return a verified result."""
-    return await MpOrchestrator(
-        scenario, check=check, observer=observer, keep_scratch=keep_scratch,
-    ).run()
 
 
 def run_mp_sync(scenario: Scenario, check: bool = True,
                 observer: Optional[Observer] = None,
                 keep_scratch: bool = False) -> RunResult:
-    """Blocking wrapper around :func:`run_mp` (scenario runner, CLI)."""
-    return asyncio.run(run_mp(
+    """Execute one ``fabric: "mp"`` scenario; return a verified result."""
+    return asyncio.run(MpOrchestrator(
         scenario, check=check, observer=observer, keep_scratch=keep_scratch,
-    ))
+    ).run())
 
 
-__all__ = ["BOOT_TIMEOUT", "MpOrchestrator", "run_mp", "run_mp_sync"]
+__all__ = ["BOOT_TIMEOUT", "MpOrchestrator", "run_mp_sync"]

@@ -1,9 +1,10 @@
 """Typed run metrics: counters, gauges, and fixed-bucket histograms.
 
 The registry replaces the ad-hoc ``RunResult.meta[...]`` accounting the
-runtime cluster used to smuggle: every fabric's collector now builds one
-:class:`MetricsRegistry`, records into named counters/gauges/histograms,
-and attaches a single typed :class:`MetricsSnapshot` to the result
+runtime cluster used to smuggle: the one result builder
+(:func:`repro.outcome.build_result`) records every run into one
+:class:`MetricsRegistry` — named counters/gauges/histograms — and
+attaches a single typed :class:`MetricsSnapshot` to the result
 (``RunResult.metrics``).  Tables, grids, and the CLI read the snapshot
 through one shape instead of hunting for per-fabric meta keys.
 

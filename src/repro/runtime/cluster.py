@@ -14,35 +14,30 @@ The driver can run *many* consensus instances per node in one execution
 layer exactly as the ACS application does, which is the batching shape
 later scaling work builds on.
 
-Results come back as the same :class:`~repro.types.RunResult` the
-simulator produces (message counters aggregated across the per-node
-:class:`~repro.sim.metrics.Metrics`), and pass through the same safety
-verification (:func:`repro.analysis.experiments.verify_outcome`), so
-sim and runtime executions are directly comparable in tables and
-benchmarks.
+Results come back through the run spine every fabric shares
+(:mod:`repro.outcome`): each node is read out into a
+:class:`~repro.outcome.NodeReport` and
+:func:`~repro.outcome.build_result` sums the counters and applies the
+safety and liveness checks, so sim and runtime executions are directly
+comparable in tables and benchmarks.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import shutil
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..adversary.behaviors import ByzantineBehavior
-from ..analysis.experiments import (
-    FaultSpec,
-    ProposalSpec,
-    fill_common_meta,
-    verify_acs_outcome,
-    verify_instance_outcomes,
-    verify_outcome,
-)
+from ..analysis.experiments import FaultSpec, ProposalSpec
 from ..core.coin import CoinScheme
-from ..errors import ConfigError, LivenessFailure
+from ..errors import ConfigError
 from ..net.auth import KeyRing
 from ..obs import MetricsRegistry, Observer, build_profiler
+from ..outcome import NodeReport, build_result
 from ..netem import (
     LinkPolicy,
     NetemConfig,
@@ -56,7 +51,7 @@ from ..recovery.wal import WalWriter, parse_recovery, wal_filename
 from ..sim.effects import parse_batching
 from ..sim.process import Process
 from ..stacks import PROTOCOLS, ProtocolPlan, build_plan_behavior
-from ..types import Decision, ProcessId, RunResult
+from ..types import ProcessId, RunResult
 from .codec import WIRE_CODECS
 from .node import Node, NodeNetwork
 from .tcp import TcpTransport
@@ -139,6 +134,7 @@ class Cluster:
         if self.netem is not None:
             self.netem.validate_pids(n)
         self.recovery_mode, self.wal_dir = parse_recovery(recovery)
+        self._owns_wal_dir = False
         self.plan = ProtocolPlan(protocol, self.params, coin, seed, instances)
         self.proposals: Dict[ProcessId, Any] = self.plan.default_proposals(proposals)
 
@@ -153,6 +149,7 @@ class Cluster:
         self._clock: Optional[Clock] = None
         self._progress = asyncio.Event()
         self._decision_times: Dict[ProcessId, float] = {}
+        self._decide_counts: Dict[ProcessId, int] = {}
         self._zero = 0.0
         self._started = False
         self.observer = observer
@@ -226,7 +223,10 @@ class Cluster:
         refused rather than replayed into nonsense.
         """
         if self.wal_dir is None:
+            # ``recovery: "wal"`` names no directory: log into a temp dir
+            # shutdown() removes.  ``wal:DIR`` files are the caller's.
             self.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
+            self._owns_wal_dir = True
         for pid in self.stacks:
             writer = WalWriter.open(
                 os.path.join(self.wal_dir, wal_filename(pid)),
@@ -312,7 +312,7 @@ class Cluster:
 
     def _handle_decide(self, pid: ProcessId, effect: Any) -> None:
         """A module surfaced a Decide effect: count it, emit the event."""
-        self.registry.count("module_decisions")
+        self._decide_counts[pid] = self._decide_counts.get(pid, 0) + 1
         if self.observer is not None:
             self.observer.emit(
                 "decide", node=pid, instance=effect.module,
@@ -373,31 +373,40 @@ class Cluster:
         # a timeout; surface the real exception instead.
         self._crash_check()
 
-        result = self._collect(timed_out)
-        if timed_out and check:
+        failures = []
+        if timed_out:
             missing = sorted(
                 pid for pid, modules in self.stacks.items()
                 if not self.plan.decided(modules)
             )
-            raise LivenessFailure(
+            failures.append(
                 f"timeout after {timeout}s; nodes still undecided: {missing}"
             )
-        if self.protocol == "acs":
-            self._verify_acs(result, check=check)
-        else:
-            verify_outcome(
-                self.proposals,
-                {pid: modules[0] for pid, modules in self.stacks.items()},
-                result,
-                check=check,
+        reports = [
+            NodeReport.from_modules(
+                pid, self.stacks.get(pid), node.network.metrics,
+                decide_time=self._decision_times.get(pid),
+                module_decisions=self._decide_counts.get(pid, 0),
+                node=node, transport=self.transports[pid], policy=self._policy,
             )
-            if self.instances > 1:
-                self._verify_instances(result, check=check)
-        return result
-
-    def _verify_instances(self, result: RunResult, check: bool) -> None:
-        verify_instance_outcomes(
-            self.proposals, self.stacks, self.instances, result, check=check
+            for pid, node in self.nodes.items()
+        ]
+        meta: Dict[str, Any] = {
+            "transport": self.transport_kind, "protocol": self.protocol,
+            "instances": self.instances, "batching": self.batching,
+            "codec": self.codec,
+        }
+        if self.recovery_mode == "wal":
+            meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
+            self.registry.count(
+                "wal_records",
+                sum(w.next_seq for w in self._wal_writers.values()),
+            )
+        return build_result(
+            reports, correct=self.stacks, faulty=self.behaviors,
+            proposals=self.proposals, params=self.params, check=check,
+            elapsed=time.monotonic() - self._zero, registry=self.registry,
+            meta=meta, failures=failures,
         )
 
     def _crash_check(self) -> None:
@@ -409,6 +418,8 @@ class Cluster:
         """Close transports, netem machinery, WALs, and all node tasks."""
         for writer in self._wal_writers.values():
             writer.close()
+        if self._owns_wal_dir:
+            shutil.rmtree(self.wal_dir, ignore_errors=True)
         await asyncio.gather(
             *(t.close() for t in self.transports.values()), return_exceptions=True
         )
@@ -425,121 +436,6 @@ class Cluster:
 
     async def __aexit__(self, *_exc: Any) -> None:
         await self.shutdown()
-
-    # -- result assembly -----------------------------------------------------
-
-    def _collect(self, timed_out: bool) -> RunResult:
-        elapsed = time.monotonic() - self._zero
-        result = RunResult(virtual_time=elapsed)
-        sent_by_kind: Dict[str, int] = {}
-        frames_sent = 0
-        wire_messages = 0
-        for pid, node in self.nodes.items():
-            metrics = node.network.metrics
-            result.messages_sent += metrics.sent
-            for kind, count in metrics.sent_by_kind.items():
-                sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
-            result.steps += node.activations
-            result.messages_delivered += node.messages_delivered
-            frames_sent += node.frames_sent
-            wire_messages += node.wire_messages_sent
-
-        instance_decisions: Dict[ProcessId, List[Any]] = {}
-        for pid, modules in self.stacks.items():
-            if self.protocol == "acs":
-                acs = modules[0]
-                if acs.done:
-                    result.decisions[pid] = Decision(
-                        pid, acs.output.pids, 0,
-                        self._decision_times.get(pid, elapsed),
-                    )
-                continue
-            if modules[0].decided:
-                result.decisions[pid] = Decision(
-                    pid, modules[0].decision, modules[0].decision_round,
-                    self._decision_times.get(pid, elapsed),
-                )
-            instance_decisions[pid] = [m.decision for m in modules]
-            if self.plan.halted(modules):
-                result.halted.add(pid)
-            result.rounds = max(
-                result.rounds, max(m.stats["rounds"] for m in modules)
-            )
-
-        if timed_out:
-            result.violations.append("timeout (possible livelock)")
-        result.meta["transport"] = self.transport_kind
-        result.meta["protocol"] = self.protocol
-        result.meta["instances"] = self.instances
-        result.meta["batching"] = self.batching
-        result.meta["codec"] = self.codec
-        if self.recovery_mode == "wal":
-            result.meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
-            self.registry.count(
-                "wal_records",
-                sum(w.next_seq for w in self._wal_writers.values()),
-            )
-
-        # Framing/wire accounting lives on the metrics registry only;
-        # read it via ``result.metrics`` (the back-compat meta mirror
-        # was removed after one release).
-        registry = self.registry
-        registry.count("frames_sent", frames_sent)
-        registry.count("wire_messages_sent", wire_messages)
-        registry.count("messages_sent", result.messages_sent)
-        registry.count("messages_delivered", result.messages_delivered)
-        registry.count("decisions", len(result.decisions))
-        registry.gauge(
-            "messages_per_frame",
-            wire_messages / frames_sent if frames_sent else 0.0,
-        )
-        for latency in self._decision_times.values():
-            registry.observe("decision_latency", latency)
-
-        fill_common_meta(result, self.proposals, self.behaviors, sent_by_kind)
-        result.meta["decision_latency"] = dict(self._decision_times)
-        if self.instances > 1:
-            result.meta["instance_decisions"] = instance_decisions
-        if self.transport_kind == "tcp":
-            frames_rejected = sum(
-                getattr(t, "rejected", 0) for t in self.transports.values()
-            )
-            registry.count("frames_rejected", frames_rejected)
-        if self._policy is not None:
-            self._collect_netem(result)
-        result.metrics = registry.snapshot()
-        return result
-
-    def _collect_netem(self, result: RunResult) -> None:
-        """Netem totals and per-link counters for the run report."""
-        totals = self._policy.totals().as_dict()
-        per_link = self._policy.per_link()
-        totals.update(
-            retransmitted=0, abandoned=0, duplicates_filtered=0, acks_sent=0
-        )
-        for pid, t in self.transports.items():
-            if not isinstance(t, ReliableLink):
-                continue
-            totals["retransmitted"] += t.retransmitted
-            totals["abandoned"] += t.abandoned
-            totals["duplicates_filtered"] += t.duplicates_filtered
-            totals["acks_sent"] += t.acks_sent
-            for dest, count in t.retransmitted_by_dest.items():
-                link = per_link.setdefault(f"{pid}->{dest}", {})
-                link["retransmitted"] = link.get("retransmitted", 0) + count
-        for name, value in totals.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.registry.count(f"netem_{name}", int(value))
-        result.meta["netem"] = totals
-        result.meta["netem_per_link"] = per_link
-
-    def _verify_acs(self, result: RunResult, check: bool) -> None:
-        outputs = {
-            pid: modules[0].output
-            for pid, modules in self.stacks.items()
-            if modules[0].done
-        }
-        verify_acs_outcome(outputs, self.params, result, check=check)
 
 
 # ---------------------------------------------------------------------------

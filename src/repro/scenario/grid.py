@@ -18,8 +18,7 @@ size, coin scheme, fault tables, schedulers, even the execution fabric::
 Per-cell trial seeds derive from the grid seed and the cell's
 configuration, so adding a dimension does not reshuffle existing cells.
 This module also hosts the aggregation types (:class:`Cell`,
-:class:`SweepResult`, :data:`METRICS`) shared with the legacy
-:class:`repro.analysis.sweeps.Sweep` wrapper.
+:class:`SweepResult`, :data:`METRICS`).
 """
 
 from __future__ import annotations
@@ -48,12 +47,9 @@ METRICS = {
     "steps": lambda r: float(r.steps),
     "virtual_time": lambda r: float(r.virtual_time),
     "coin_flips": lambda r: float(r.meta.get("coin_flips", 0)),
-    "frames_sent": lambda r: float(
-        r.metrics.counter("frames_sent") if r.metrics is not None else 0
-    ),
+    "frames_sent": lambda r: float(r.metrics.counter("frames_sent")),
     "messages_per_frame": lambda r: float(
         r.metrics.gauges.get("messages_per_frame", 0.0)
-        if r.metrics is not None else 0.0
     ),
     "netem_frames": lambda r: float(r.meta.get("netem", {}).get("frames", 0)),
     "netem_dropped": lambda r: float(r.meta.get("netem", {}).get("dropped", 0)),
@@ -64,26 +60,13 @@ METRICS = {
     "retransmitted": lambda r: float(
         r.meta.get("netem", {}).get("retransmitted", 0)
     ),
-    # Typed-snapshot metrics (RunResult.metrics); zero when the run's
-    # collector attached no snapshot.
-    "decisions": lambda r: float(
-        r.metrics.counter("decisions") if r.metrics is not None else 0
-    ),
-    "decision_latency_p50": lambda r: float(
-        r.metrics.quantile("decision_latency", "p50")
-        if r.metrics is not None else 0.0
-    ),
-    "decision_latency_p95": lambda r: float(
-        r.metrics.quantile("decision_latency", "p95")
-        if r.metrics is not None else 0.0
-    ),
-    "decision_latency_p99": lambda r: float(
-        r.metrics.quantile("decision_latency", "p99")
-        if r.metrics is not None else 0.0
-    ),
+    # Typed-snapshot metrics (every built RunResult carries a snapshot).
+    "decisions": lambda r: float(r.metrics.counter("decisions")),
+    "decision_latency_p50": lambda r: r.metrics.quantile("decision_latency", "p50"),
+    "decision_latency_p95": lambda r: r.metrics.quantile("decision_latency", "p95"),
+    "decision_latency_p99": lambda r: r.metrics.quantile("decision_latency", "p99"),
     "decision_latency_max": lambda r: float(
         r.metrics.histogram("decision_latency").get("max", 0.0)
-        if r.metrics is not None else 0.0
     ),
 }
 

@@ -7,14 +7,16 @@ fabric it names:
 * ``sim`` — the deterministic discrete-event simulator, with the
   scenario's scheduler as the network adversary;
 * ``local`` — the asyncio runtime over in-process queues;
-* ``tcp`` — the asyncio runtime over authenticated JSON-over-TCP;
+* ``tcp`` — the asyncio runtime over authenticated TCP (``codec``
+  selects the JSON or the binary wire format);
 * ``mp`` — one OS process per node over the same TCP transport,
   bootstrapped by a trusted-setup dealer (:mod:`repro.mp`).
 
-All three build their per-process stacks through the same
-:class:`~repro.stacks.ProtocolPlan` and funnel their outcomes through
-the same verifiers (:func:`~repro.analysis.experiments.verify_outcome`
-and friends), so one scenario is directly comparable across fabrics::
+All four build their per-process stacks through the same
+:class:`~repro.stacks.ProtocolPlan` and end in the same run spine
+(:mod:`repro.outcome`: per-node :class:`~repro.outcome.NodeReport` →
+:func:`~repro.outcome.build_result`), so one scenario is directly
+comparable across fabrics::
 
     from repro.scenario import Scenario, run
 
@@ -28,19 +30,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError, EventBudgetExceeded
-from ..analysis.experiments import (
-    fill_common_meta,
-    verify_acs_outcome,
-    verify_instance_outcomes,
-    verify_outcome,
-)
 from ..obs import MetricsRegistry, Observer, build_observer, build_profiler
+from ..outcome import NodeReport, build_result
 from ..recovery.restart import RestartBehavior
 from ..sim.process import Process
 from ..sim.rng import derive_seed
 from ..sim.runner import Simulation
 from ..stacks import ProtocolPlan, build_plan_behavior
-from ..types import Decision, ProcessId, RunResult
+from ..types import ProcessId, RunResult
 from .spec import Scenario
 
 
@@ -126,13 +123,13 @@ def _run_sim(
     decide_times: Dict[ProcessId, float] = {}
     # A recovery replay re-fires Decide effects the pre-crash execution
     # already reported; count/emit each (node, module) decision once.
-    decided_modules: set = set()
+    decided_modules: Dict[ProcessId, set] = {}
 
     def _on_decide(pid: ProcessId, effect: Any) -> None:
-        if (pid, effect.module) in decided_modules:
+        seen = decided_modules.setdefault(pid, set())
+        if effect.module in seen:
             return
-        decided_modules.add((pid, effect.module))
-        registry.count("module_decisions")
+        seen.add(effect.module)
         decide_times.setdefault(pid, sim.now)
         if observer is not None:
             observer.emit(
@@ -203,122 +200,55 @@ def _run_sim(
     else:  # "quiescent" — drain every message
         until = None
 
-    budget_exhausted = False
+    failures: List[str] = []
     try:
         sim.run(until=until, max_steps=scenario.max_steps)
     except EventBudgetExceeded:
         if check:
             raise
-        budget_exhausted = True
+        failures.append("event budget exhausted (possible livelock)")
 
-    result = RunResult(
-        steps=sim.steps,
-        messages_sent=sim.metrics.sent,
-        messages_delivered=sim.metrics.delivered,
-        virtual_time=sim.now,
-    )
-    if budget_exhausted:
-        result.violations.append("event budget exhausted (possible livelock)")
-
-    # Merge recovered restart nodes into the correct-node readout.  A
-    # node still down when the run ends has no modules to read: that is
-    # a liveness failure (a correct node was expected back).
-    readout: Dict[ProcessId, List[Any]] = dict(stacks)
-    still_down = []
-    for pid, node in restart_nodes.items():
-        if node.down_now:
-            still_down.append(pid)
-        else:
-            readout[pid] = node.modules
+    # A restart node still down when the run ends has no modules to read
+    # and files no report: a correct node was expected back.
+    still_down = sorted(p for p, r in restart_nodes.items() if r.down_now)
     if still_down:
-        from ..errors import LivenessFailure
-
-        message = (
-            f"restart nodes never recovered: {sorted(still_down)} "
+        failures.append(
+            f"restart nodes never recovered: {still_down} "
             "(no traffic arrived after the down window)"
         )
-        result.violations.append(message)
-        if check:
-            raise LivenessFailure(message)
-
-    coin_flips = 0
-    for pid, modules in readout.items():
-        if scenario.protocol == "acs":
-            acs = modules[0]
-            if acs.done:
-                result.decisions[pid] = Decision(pid, acs.output.pids, 0, sim.now)
-            continue
-        head = modules[0]
-        if head.decided:
-            result.decisions[pid] = Decision(
-                pid, head.decision, head.decision_round, sim.now
-            )
-        if plan.halted(modules):
-            result.halted.add(pid)
-        result.rounds = max(result.rounds, max(m.stats["rounds"] for m in modules))
-        coin_flips += sum(m.stats["coin_flips"] for m in modules)
-
-    result.meta["coin_flips"] = coin_flips
-    result.meta["protocol"] = scenario.protocol
-    result.meta["instances"] = scenario.instances
-    result.meta["batching"] = scenario.batching
-    fill_common_meta(result, proposals, behaviors, sim.metrics.sent_by_kind)
-
-    registry.count("messages_sent", result.messages_sent)
-    registry.count("messages_delivered", result.messages_delivered)
-    registry.count("decisions", len(result.decisions))
-    registry.gauge("virtual_time", result.virtual_time)
-    for latency in decide_times.values():
-        registry.observe("decision_latency", latency)
-    if restart_nodes:
-        result.meta["restarted"] = sorted(restart_nodes)
-        registry.count(
-            "restarts", sum(r.restarts for r in restart_nodes.values())
+    readout: Dict[ProcessId, List[Any]] = dict(stacks)
+    readout.update(
+        (p, r.modules) for p, r in restart_nodes.items() if not r.down_now
+    )
+    reports = [
+        NodeReport.from_modules(
+            pid, readout.get(pid), sim.metrics,
+            decide_time=decide_times.get(pid),
+            module_decisions=len(decided_modules.get(pid, ())),
         )
+        for pid in range(scenario.n) if pid not in still_down
+    ]
+
+    meta: Dict[str, Any] = {
+        "protocol": scenario.protocol, "instances": scenario.instances,
+        "batching": scenario.batching, "codec": scenario.codec,
+    }
+    if restart_nodes:
+        nodes = restart_nodes.values()
+        meta["restarted"] = sorted(restart_nodes)
+        registry.count("restarts", sum(r.restarts for r in nodes))
+        registry.count("recovery_replayed", sum(r.replayed for r in nodes))
         recovered = [
-            r.recovery_time for r in restart_nodes.values()
-            if r.recovery_time is not None
+            r.recovery_time for r in nodes if r.recovery_time is not None
         ]
         if recovered:
             registry.gauge("recovery_time", max(recovered))
-        registry.count(
-            "recovery_replayed",
-            sum(r.replayed for r in restart_nodes.values()),
-        )
-    result.metrics = registry.snapshot()
-
-    if scenario.protocol == "acs":
-        outputs = {
-            pid: modules[0].output
-            for pid, modules in readout.items() if modules[0].done
-        }
-        verify_acs_outcome(outputs, params, result, check=check)
-        _check_acs_liveness(readout, result, check)
-    else:
-        verify_outcome(
-            proposals,
-            {pid: modules[0] for pid, modules in readout.items()},
-            result,
-            check=check,
-        )
-        if scenario.instances > 1:
-            verify_instance_outcomes(
-                proposals, readout, scenario.instances, result, check=check
-            )
-    return result
-
-
-def _check_acs_liveness(
-    stacks: Dict[ProcessId, List[Any]], result: RunResult, check: bool
-) -> None:
-    missing = sorted(pid for pid, modules in stacks.items() if not modules[0].done)
-    if missing:
-        from ..errors import LivenessFailure
-
-        message = f"ACS never completed at: {missing}"
-        result.violations.append(message)
-        if check:
-            raise LivenessFailure(message)
+    return build_result(
+        reports, correct=set(stacks) | set(restart_nodes), faulty=behaviors,
+        proposals=proposals, params=params, check=check, elapsed=sim.now,
+        registry=registry, meta=meta, failures=failures,
+        messages_by_kind=sim.metrics.sent_by_kind,
+    )
 
 
 # ---------------------------------------------------------------------------

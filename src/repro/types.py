@@ -104,7 +104,8 @@ class Decision:
 
 @dataclass
 class RunResult:
-    """Outcome of one simulated protocol run (filled by the harness).
+    """Outcome of one protocol run on any fabric (filled by
+    :func:`repro.outcome.build_result`).
 
     Attributes:
         decisions: decisions of the *correct* processes, keyed by pid.
@@ -114,11 +115,12 @@ class RunResult:
         messages_delivered: total messages delivered to processes.
         virtual_time: virtual time at quiescence/stop.
         halted: pids of correct processes that halted outright.
-        violations: safety violations detected (harness-dependent).
-        meta: free-form per-run data (coin flips, per-type counts, ...).
+        violations: safety and liveness violations detected.
+        meta: per-run data (coin flips, per-type counts, ...; the key
+            table is in docs/scenarios.md).
         metrics: typed metrics snapshot
-            (:class:`repro.obs.MetricsSnapshot`) when the collecting
-            harness built one; ``None`` otherwise.
+            (:class:`repro.obs.MetricsSnapshot`); ``None`` only on a
+            hand-built result.
     """
 
     decisions: dict = field(default_factory=dict)

@@ -1,9 +1,13 @@
 """Cluster driver tests: configuration guards, apps, metrics shape."""
 
+import os
+import tempfile
+
 import pytest
 
 from repro.errors import ConfigError, LivenessFailure
 from repro.runtime import Cluster, run_cluster_sync
+from repro.scenario import get_scenario, run
 
 
 def test_acs_over_local_transport():
@@ -79,3 +83,23 @@ def test_stop_halted_drains_decide_amplification():
         4, proposals=0, seed=9, transport="local", stop="halted"
     )
     assert result.halted == {0, 1, 2, 3}
+
+
+class TestWalDirLifetime:
+    """``recovery: "wal"`` logs into a temp dir the cluster creates and
+    removes; ``wal:DIR`` files belong to the caller and stay."""
+
+    def test_cluster_made_wal_dir_is_removed_on_shutdown(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        result = run(get_scenario("recovery-local"), recovery="wal")
+        assert result.metrics.counter("wal_records") > 0
+        assert result.meta["recovery"]["dir"].startswith(str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_named_wal_dir_keeps_its_files(self, tmp_path):
+        logs = tmp_path / "logs"
+        run(get_scenario("recovery-local"), recovery=f"wal:{logs}")
+        assert sorted(os.listdir(logs)) == [f"wal-{p}.jsonl" for p in range(4)]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, EventBudgetExceeded
 from repro.scenario import Scenario, ScenarioGrid, get_scenario
+from repro.scenario.grid import METRICS
 
 
 class TestExpansion:
@@ -73,8 +74,8 @@ class TestExecution:
         assert "mean" in result.table(metric="messages")
 
     def test_grid_can_sweep_the_fabric(self):
-        """The axis Sweep never had: the same cell config measured on the
-        simulator and on the asyncio runtime."""
+        """The same cell config measured on the simulator and on the
+        asyncio runtime."""
         grid = ScenarioGrid(Scenario(proposals=1), trials=1, seed=3)
         grid.add("fabric", ["sim", "local"])
         result = grid.run()
@@ -106,23 +107,55 @@ class TestExecution:
                 == wide.cell(n=4).metric("steps").mean)
 
 
-class TestSweepCompatibility:
-    """The legacy Sweep surface must route through the scenario grid."""
+class TestAggregation:
+    """Cells, summaries, lookups and tables over one executed grid."""
 
-    def test_data_only_sweep_matches_scenario_grid(self):
-        from repro.analysis.sweeps import Sweep
+    @pytest.fixture(scope="class")
+    def result(self):
+        grid = ScenarioGrid(Scenario(), trials=3, seed=5)
+        grid.add("n", [4, 7]).add("coin", ["local", "dealer"])
+        return grid.run()
 
-        legacy = Sweep(trials=2, seed=11).add("n", [4]).run()
-        modern = ScenarioGrid(Scenario(), trials=2, seed=11).add("n", [4]).run()
-        assert (legacy.cell(n=4).metric("steps").mean
-                == modern.cell(n=4).metric("steps").mean)
+    def test_full_grid(self, result):
+        assert len(result.cells) == 4
+        assert all(len(c.results) == 3 for c in result.cells)
+        assert result.dimensions == ("n", "coin")
 
-    def test_callable_configs_fall_back_to_legacy_engine(self):
-        from repro.analysis.experiments import ablation_stack
-        from repro.analysis.sweeps import Sweep
+    def test_metric_summaries(self, result):
+        cell = result.cell(n=4, coin="local")
+        assert cell.metric("rounds").mean >= 1.0
+        assert cell.metric("messages").mean > 0
 
-        sweep = Sweep(trials=1, seed=2, base={"stack": ablation_stack()})
-        sweep.add("n", [4])
-        grid = sweep.run()
-        assert len(grid.cells) == 1
-        assert grid.cell(n=4).results[0].all_decided
+    def test_unknown_metric_rejected(self, result):
+        with pytest.raises(ConfigError):
+            result.cells[0].metric("latency_in_fortnights")
+
+    def test_metrics_registry_complete(self):
+        for name in ("rounds", "messages", "steps", "coin_flips"):
+            assert name in METRICS
+
+    def test_cell_lookup(self, result):
+        assert result.cell(n=7, coin="dealer").label == {"n": 7, "coin": "dealer"}
+        with pytest.raises(ConfigError):
+            result.cell(n=99)
+
+    def test_best_cell(self, result):
+        assert result.best("messages").label["n"] == 4  # smaller systems send less
+
+    def test_table_renders(self, result):
+        text = result.table(metric="rounds")
+        assert "rounds mean" in text
+        assert text.count("\n") >= 5
+
+
+class TestFailures:
+    def test_failures_raise_by_default(self):
+        grid = ScenarioGrid(Scenario(max_steps=5), trials=1, seed=1).add("n", [4])
+        with pytest.raises(EventBudgetExceeded):
+            grid.run()
+
+    def test_table_with_empty_cell(self):
+        grid = ScenarioGrid(
+            Scenario(max_steps=5), trials=1, seed=1, tolerate_failures=True
+        ).add("n", [4])
+        assert "-" in grid.run().table()
