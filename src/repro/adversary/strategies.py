@@ -151,11 +151,11 @@ class PartitionScheduler(Scheduler):
                 return env, self._advance()
             if self.pending:
                 self._maybe_heal()  # both sides quiet: merge
-        items = list(self.pending)
-        if not items:
+        pending = self.pending
+        if not pending:
             return None
         self._delivered += 1
-        env = items[self.rng.randrange(len(items))]
+        env = pending.at(self.rng.randrange(len(pending)))
         return env, self._advance()
 
 

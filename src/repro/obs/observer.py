@@ -64,15 +64,6 @@ def parse_observe(spec: Any) -> Tuple[str, Any]:
         path = spec[len("jsonl:"):]
         if not path:
             raise ConfigError("observe 'jsonl:PATH' needs a non-empty path")
-        # Validate the destination now, at Scenario validation time: a
-        # missing parent directory should be a ConfigError before the
-        # run, not an OSError traceback out of the sink mid-run.
-        parent = os.path.dirname(path)
-        if parent and not os.path.isdir(parent):
-            raise ConfigError(
-                f"observe 'jsonl:{path}': directory {parent!r} does not "
-                "exist — create it before the run"
-            )
         return ("jsonl", path)
     raise ConfigError(
         f"unknown observe spec {spec!r}; choose from {list(OBSERVE_MODES)}"
@@ -155,12 +146,25 @@ class Observer:
 
 
 def build_observer(spec: Any) -> Optional[Observer]:
-    """Build the observer selected by an observe spec (``None`` = off)."""
+    """Build the observer selected by an observe spec (``None`` = off).
+
+    A ``jsonl`` path whose parent directory is missing raises
+    :class:`~repro.errors.ConfigError` here, when the run opens its
+    sink and before any message moves — not at spec-parse time, which
+    would tie building a :class:`~repro.scenario.spec.Scenario` (and
+    importing the catalog) to the caller's working directory.
+    """
     mode, arg = parse_observe(spec)
     if mode == "off":
         return None
     if mode == "ring":
         return Observer(RingSink(capacity=arg))
+    parent = os.path.dirname(arg)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(
+            f"observe 'jsonl:{arg}': directory {parent!r} does not "
+            "exist — create it before the run"
+        )
     return Observer(JsonlSink(arg))
 
 

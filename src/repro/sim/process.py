@@ -280,8 +280,15 @@ class Process:
             # by a Byzantine process inventing protocol tags) is ignored,
             # exactly as an unknown message type would be in a real system.
             return
-        with self.buffered():
+        # One activation window, as in buffered(), without the generator
+        # context manager: this runs once per delivered message.
+        self._depth += 1
+        try:
             module.on_message(sender, inner)
+        finally:
+            self._depth -= 1
+            if self._depth == 0:
+                self.flush_outbox()
 
     def __repr__(self) -> str:
         tag = " halted" if self.halted else ""

@@ -12,8 +12,8 @@ Built-in benign schedulers:
   messages.  This is the fair scheduler under which expected-round claims
   are measured.
 * :class:`RandomDelayScheduler` — each message independently draws an
-  exponential latency; delivery order follows latency.  Produces
-  meaningful virtual-time latency numbers.
+  exponential latency; delivery order follows latency (a heap-backed
+  event list).  Produces meaningful virtual-time latency numbers.
 * :class:`FifoScheduler` — random across links, FIFO within each link
   (the standard "FIFO reliable links" assumption).
 * :class:`RoundRobinScheduler` — deterministically cycles destinations;
@@ -26,6 +26,7 @@ live in :mod:`repro.adversary.strategies` and subclass :class:`Scheduler`.
 from __future__ import annotations
 
 import abc
+import heapq
 import random
 from typing import Optional, Tuple
 
@@ -79,10 +80,10 @@ class RandomScheduler(Scheduler):
     """
 
     def choose(self) -> Optional[Tuple[Envelope, float]]:
-        items = list(self.pending)
-        if not items:
+        pending = self.pending
+        if not pending:
             return None
-        env = items[self.rng.randrange(len(items))]
+        env = pending.at(self.rng.randrange(len(pending)))
         return env, self._advance()
 
 
@@ -131,6 +132,11 @@ class RandomDelayScheduler(Scheduler):
     virtual clock is the usual event-list clock of a network simulator and
     latency measurements (e.g. decision time in "network delays") are
     meaningful.
+
+    The event list is a heap of ``(due, send order, envelope)`` filled
+    in :meth:`on_send`; on equal due times the earliest-sent message
+    wins.  Entries whose envelope left the pending set some other way
+    are dropped when they surface (lazy deletion).
     """
 
     def __init__(self, mean_delay: float = 1.0, min_delay: float = 0.01):
@@ -139,21 +145,32 @@ class RandomDelayScheduler(Scheduler):
             raise SimulationError("mean_delay must be positive")
         self.mean_delay = mean_delay
         self.min_delay = min_delay
-        self._due: dict[int, float] = {}
+        self._heap: list[Tuple[float, int, Envelope]] = []
+        self._sent = 0
+
+    def _push(self, due: float, env: Envelope) -> None:
+        self._sent += 1
+        heapq.heappush(self._heap, (due, self._sent, env))
 
     def on_send(self, env: Envelope) -> None:
         latency = self.min_delay + self.rng.expovariate(1.0 / self.mean_delay)
-        self._due[env.uid] = max(self.now, env.send_time) + latency
+        self._push(max(self.now, env.send_time) + latency, env)
+
+    def _adopt_unannounced(self) -> None:
+        """Envelopes that entered the pending set without :meth:`on_send`
+        are due at their send time."""
+        known = {env.uid for _due, _order, env in self._heap}
+        for env in self.pending:
+            if env.uid not in known:
+                self._push(env.send_time, env)
 
     def choose(self) -> Optional[Tuple[Envelope, float]]:
-        best: Optional[Envelope] = None
-        best_due = float("inf")
-        for env in self.pending:
-            due = self._due.get(env.uid, env.send_time)
-            if due < best_due:
-                best, best_due = env, due
-        if best is None:
-            return None
-        self._due.pop(best.uid, None)
-        self.now = max(self.now, best_due)
-        return best, self.now
+        pending, heap = self.pending, self._heap
+        while pending:
+            if len(heap) < len(pending):
+                self._adopt_unannounced()
+            due, _order, env = heapq.heappop(heap)
+            if env in pending:
+                self.now = max(self.now, due)
+                return env, self.now
+        return None

@@ -18,7 +18,7 @@ Three layers of guarantees:
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import Event, load_events, parse_observe
+from repro.obs import Event, build_observer, load_events, parse_observe
 from repro.obs.causality import (
     build_dag,
     critical_path_stats,
@@ -340,13 +340,26 @@ def test_round_timing_limit_truncates_by_time_not_merge_order():
 
 def test_observe_jsonl_rejects_a_missing_parent_directory(tmp_path):
     missing = tmp_path / "does-not-exist" / "trace.jsonl"
+    # Describing the run touches no file system (the catalog is built at
+    # import time, from any cwd) ...
+    assert parse_observe(f"jsonl:{missing}") == ("jsonl", str(missing))
+    scenario = Scenario(protocol="bracha", n=4, proposals=1,
+                        observe=f"jsonl:{missing}")
+    # ... opening the sink does, before any message moves.
     with pytest.raises(ConfigError, match="does not exist"):
-        parse_observe(f"jsonl:{missing}")
-    with pytest.raises(ConfigError, match="does not exist"):
-        Scenario(protocol="bracha", n=4, proposals=1,
-                 observe=f"jsonl:{missing}")
+        build_observer(scenario.observe)
+    for fabric in ("sim", "local"):
+        with pytest.raises(ConfigError, match="does not exist"):
+            run(scenario, fabric=fabric)
+    assert not missing.parent.exists()
+    with pytest.raises(ConfigError, match="non-empty path"):
+        Scenario(protocol="bracha", n=4, proposals=1, observe="jsonl:")
 
 
-def test_observe_jsonl_accepts_parentless_and_existing_parents(tmp_path):
-    parse_observe("jsonl:trace.jsonl")  # cwd-relative, no parent to check
-    parse_observe(f"jsonl:{tmp_path / 'trace.jsonl'}")
+def test_observe_jsonl_accepts_parentless_and_existing_parents(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for spec in ("jsonl:trace.jsonl", f"jsonl:{tmp_path / 'sub' / 't.jsonl'}"):
+        assert build_observer(spec).close()["sink"] == "jsonl"

@@ -1,7 +1,12 @@
 """The scenario catalog: shape, round-tripping, and freshness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.scenario import CATALOG, Scenario, catalog_names, get_scenario, run
 from repro.errors import ConfigError
 from repro.stacks import PROTOCOLS
@@ -38,6 +43,20 @@ class TestShape:
     def test_lookup(self):
         assert get_scenario("acs-batch").protocol == "acs"
         assert catalog_names() == list(CATALOG)
+
+    def test_import_does_not_depend_on_the_working_directory(self, tmp_path):
+        """The catalog is built at import time; an entry that names a
+        relative path (partition-heal's trace under benchmarks/out/)
+        must not make ``import repro`` fail where that path is absent."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import repro, repro.scenario as s; print(*s.catalog_names())"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == catalog_names()
         with pytest.raises(ConfigError):
             get_scenario("nope")
 

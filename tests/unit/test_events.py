@@ -1,6 +1,7 @@
 """PendingSet: the in-flight message structure schedulers query."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import PendingSet
@@ -34,7 +35,7 @@ class TestBasics:
     def test_duplicate_uid_rejected(self):
         pending = PendingSet()
         pending.add(env(1))
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="duplicate envelope uid 1"):
             pending.add(env(1))
 
     def test_remove(self):
@@ -45,7 +46,9 @@ class TestBasics:
         assert not pending
 
     def test_remove_unknown_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError, match="removing unknown envelope uid 9"
+        ):
             PendingSet().remove(env(9))
 
     def test_iteration_is_insertion_ordered(self):
@@ -60,6 +63,41 @@ class TestBasics:
         pending.add(env(2))
         oldest = pending.peek_oldest()
         assert oldest is not None and oldest.uid == 5
+
+    def test_rank_fetch_follows_insertion_order(self):
+        pending = PendingSet()
+        for uid in (3, 1, 2):
+            pending.add(env(uid))
+        assert [pending.at(k).uid for k in range(3)] == [3, 1, 2]
+        pending.remove(env(1))
+        assert [pending.at(k).uid for k in range(2)] == [3, 2]
+
+    @pytest.mark.parametrize("rank", [-1, 2, 10])
+    def test_rank_out_of_range_rejected(self, rank):
+        pending = PendingSet()
+        pending.add(env(1))
+        pending.add(env(2))
+        with pytest.raises(IndexError):
+            pending.at(rank)
+
+    def test_rank_fetch_on_empty_rejected(self):
+        with pytest.raises(IndexError):
+            PendingSet().at(0)
+
+    def test_tombstones_are_compacted(self):
+        """The slot list never holds more than 2 P + 32 entries, so the
+        whole-set passes stay O(P) however long the run."""
+        pending = PendingSet()
+        envelopes = [env(uid) for uid in range(500)]
+        for e in envelopes:
+            pending.add(e)
+        for e in envelopes[:-3]:
+            pending.remove(e)
+            assert len(pending._slots) <= 2 * len(pending) + 32
+        assert [e.uid for e in pending] == [497, 498, 499]
+        assert pending.at(2).uid == 499
+        pending.add(env(7))  # a uid that was live before compaction
+        assert [e.uid for e in pending] == [497, 498, 499, 7]
 
 
 class TestQueries:
@@ -93,3 +131,75 @@ class TestQueries:
         snap = pending.snapshot()
         pending.remove(pending.peek_oldest())
         assert [e.uid for e in snap] == [1, 2, 3, 4]
+
+
+OPS = ("add", "add_burst", "remove", "remove_burst", "remove_unknown",
+       "bad_rank", "queries")
+
+
+class TestAgainstListModel:
+    """Random operation sequences against a plain insertion-ordered list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(OPS), st.integers(0, 5000)), max_size=80,
+    ))
+    def test_matches_reference(self, ops):
+        pending, model = PendingSet(), []
+        fresh = iter(range(10**6, 0, -1))  # descending: uid order != age
+
+        def add(uid):
+            e = env(uid, source=uid % 3, dest=(uid // 3) % 3)
+            pending.add(e)
+            model.append(e)
+
+        def remove(index):
+            pending.remove(model.pop(index % len(model)))
+
+        for _ in range(64):  # one large remove_burst from here compacts
+            add(next(fresh))
+        for op, arg in ops:
+            if op == "add":
+                if any(e.uid == arg for e in model):
+                    with pytest.raises(SimulationError, match="duplicate"):
+                        pending.add(env(arg))
+                else:
+                    add(arg)
+            elif op == "add_burst":
+                for _ in range(arg % 60):
+                    add(next(fresh))
+            elif op == "remove":
+                if model:
+                    remove(arg)
+            elif op == "remove_burst":  # enough tombstones to compact
+                for k in range(min(len(model), arg % 90)):
+                    remove(arg * (k + 1))
+            elif op == "remove_unknown":
+                with pytest.raises(SimulationError, match="unknown"):
+                    pending.remove(env(-1))
+            elif op == "bad_rank":
+                for rank in (-1, len(model), len(model) + arg):
+                    with pytest.raises(IndexError):
+                        pending.at(rank)
+            else:
+                link = (arg % 3, (arg // 3) % 3)
+                assert list(pending.snapshot()) == model
+                assert pending.filter(lambda e: e.uid % 2 == 0) == [
+                    e for e in model if e.uid % 2 == 0
+                ]
+                assert pending.to_dest(link[1]) == [
+                    e for e in model if e.dest == link[1]
+                ]
+                assert pending.between(*link) == [
+                    e for e in model if (e.source, e.dest) == link
+                ]
+                heads = {}
+                for e in model:
+                    heads.setdefault((e.source, e.dest), e)
+                assert pending.oldest_per_link() == list(heads.values())
+            assert len(pending) == len(model)
+            assert bool(pending) == bool(model)
+            assert list(pending) == model
+            assert pending.peek_oldest() is (model[0] if model else None)
+            assert all(e in pending for e in model)
+            assert [pending.at(k) for k in range(len(model))] == model

@@ -6,7 +6,7 @@ from repro.errors import EventBudgetExceeded, SimulationError
 from repro.params import ProtocolParams
 from repro.sim.process import Process, ProtocolModule
 from repro.sim.runner import Simulation
-from repro.sim.scheduler import RoundRobinScheduler
+from repro.sim.scheduler import RoundRobinScheduler, Scheduler
 
 
 class Echoer(ProtocolModule):
@@ -118,6 +118,27 @@ class TestSimulationLoop:
         with pytest.raises(EventBudgetExceeded) as info:
             sim.run(max_steps=500)
         assert info.value.steps >= 500
+
+    def test_scheduler_choice_must_be_pending(self):
+        class Replayer(Scheduler):
+            """Keeps choosing the first envelope it ever saw."""
+
+            first = None
+
+            def on_send(self, env):
+                if self.first is None:
+                    self.first = env
+
+            def choose(self):
+                return self.first, self._advance()
+
+        sim, modules = two_process_sim(scheduler=Replayer())
+        sim.start()
+        sim.network.send(0, 1, ("echo", "ping"))
+        assert sim.step()  # delivers the ping; the pong is now pending
+        with pytest.raises(SimulationError, match="not pending"):
+            sim.step()
+        assert modules[1].got == [(0, "ping")]
 
     def test_double_start_rejected(self):
         sim, _ = two_process_sim()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.adversary import PartitionScheduler
 from repro.errors import SimulationError
 from repro.sim.events import PendingSet
 from repro.sim.scheduler import (
@@ -148,3 +149,119 @@ class TestRandomDelayScheduler:
             return last
 
         assert final_time(10.0) > final_time(0.1)
+
+    def test_equal_due_times_deliver_in_send_order(self):
+        class ConstantLatency(random.Random):
+            def expovariate(self, lambd):
+                return 1.0
+
+        scheduler = RandomDelayScheduler()
+        pending = PendingSet()
+        scheduler.attach(ConstantLatency(0), pending)
+        feed(scheduler, pending, [env(uid) for uid in (5, 3, 9, 1)])
+        assert drain(scheduler, pending) == [5, 3, 9, 1]
+
+    def test_unannounced_envelope_is_due_at_its_send_time(self):
+        scheduler, pending = make(RandomDelayScheduler(), seed=8)
+        feed(scheduler, pending, [env(1, send_time=5.0), env(2, send_time=5.0)])
+        pending.add(env(3, send_time=0.5))  # no on_send
+        chosen, time = scheduler.choose()
+        assert (chosen.uid, time) == (3, 0.5)
+        pending.remove(chosen)
+        assert sorted(drain(scheduler, pending)) == [1, 2]
+
+    def test_envelopes_removed_elsewhere_are_skipped(self):
+        scheduler, pending = make(RandomDelayScheduler(), seed=8)
+        envelopes = [env(i) for i in range(1, 11)]
+        feed(scheduler, pending, envelopes)
+        for gone in envelopes[::2]:
+            pending.remove(gone)
+        assert sorted(drain(scheduler, pending)) == [2, 4, 6, 8, 10]
+        assert scheduler.choose() is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_min_scan_reference(self, seed):
+        """The heap event list picks what the full scan it replaced
+        picked — same envelope, same clock — under interleaved sends."""
+
+        class ScanReference(RandomDelayScheduler):
+            def __init__(self):
+                super().__init__()
+                self._due = {}
+
+            def on_send(self, e):
+                latency = self.min_delay + self.rng.expovariate(
+                    1.0 / self.mean_delay
+                )
+                self._due[e.uid] = max(self.now, e.send_time) + latency
+
+            def choose(self):
+                best, best_due = None, float("inf")
+                for e in self.pending:
+                    due = self._due.get(e.uid, e.send_time)
+                    if due < best_due:
+                        best, best_due = e, due
+                if best is None:
+                    return None
+                self._due.pop(best.uid, None)
+                self.now = max(self.now, best_due)
+                return best, self.now
+
+        def trace(scheduler):
+            scheduler, pending = make(scheduler, seed=seed)
+            script = random.Random(seed + 100)
+            uid, out = 0, []
+            for _ in range(300):
+                if not pending or script.random() < 0.55:
+                    uid += 1
+                    feed(scheduler, pending, [env(uid, send_time=scheduler.now)])
+                else:
+                    chosen, time = scheduler.choose()
+                    pending.remove(chosen)
+                    out.append((chosen.uid, time))
+            return out + [(u, None) for u in drain(scheduler, pending)]
+
+        assert trace(RandomDelayScheduler()) == trace(ScanReference())
+
+
+class _NoScanPendingSet(PendingSet):
+    """A pending set on which every whole-set pass is an error."""
+
+    def _scanned(self, *args):
+        raise AssertionError("the scheduler scanned the pending set")
+
+    __iter__ = filter = snapshot = _scanned
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randrange_calls = 0
+
+    def randrange(self, *args):
+        self.randrange_calls += 1
+        return super().randrange(*args)
+
+
+class TestUniformPickersDoNotScan:
+    """Complexity guard without a clock: the two "uniform over
+    everything pending" pickers fetch one rank and draw one number."""
+
+    @pytest.mark.parametrize("build", [
+        RandomScheduler,
+        lambda: PartitionScheduler([0, 1], heal_after=0),  # healed at once
+    ])
+    def test_one_randrange_and_no_scan_per_choice(self, build):
+        scheduler, pending = build(), _NoScanPendingSet()
+        rng = _CountingRandom(4)
+        scheduler.attach(rng, pending)
+        envelopes = [env(uid, source=uid % 4, dest=uid % 3) for uid in range(1, 61)]
+        feed(scheduler, pending, envelopes)
+        order = drain(scheduler, pending)
+        assert rng.randrange_calls == len(envelopes)
+
+        reference, items = random.Random(4), list(envelopes)
+        expected = [
+            items.pop(reference.randrange(len(items))).uid for _ in envelopes
+        ]
+        assert order == expected
