@@ -10,9 +10,9 @@ messages — and the retransmission layer's timer-wheel scan cost at
 1 000 pending frames.
 
 Floors committed in ``benchmarks/floors.json`` hold the headline
-numbers: ≥2× frame-encode speedup and ≥30% wire-byte reduction over the
-JSON codec, plus a ceiling on the idle timer-wheel sweep.  Run with
-``--smoke`` for the CI-sized subset.
+numbers: ≥3.5× frame-encode and ≥2× frame-decode speedup and ≥30%
+wire-byte reduction over the JSON codec, plus a ceiling on the idle
+timer-wheel sweep.  Run with ``--smoke`` for the CI-sized subset.
 """
 
 import asyncio

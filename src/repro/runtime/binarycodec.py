@@ -22,12 +22,16 @@ handshake; the transport's wire-format version byte
 (:data:`repro.runtime.tcp.WIRE_VERSION`) guards against skew.
 
 Decoding never trusts the input: every length is checked against the
-remaining buffer, varints are capped at 10 bytes, unknown tags and
-registry ids raise, and message constructors re-run their validation —
-all failure modes surface as :class:`~repro.runtime.codec.CodecError`,
-exactly like the JSON codec, so transports drop garbage identically.
-Decoding reads from a :class:`memoryview` and only materializes the
-leaf values, which is what makes the TCP receive path zero-copy.
+remaining buffer, varints are capped at 10 bytes, containers nest at
+most :data:`MAX_NESTING` deep, unknown tags and registry ids raise, and
+message constructors re-run their validation — all failure modes
+surface as :class:`~repro.runtime.codec.CodecError`, exactly like the
+JSON codec, so transports drop garbage identically.  The nesting cap
+holds on the way out too: ``dumps`` of a deeper value is a
+:class:`~repro.runtime.codec.CodecError`, never a ``RecursionError``.
+Decoding indexes the frame's ``bytes`` in place from an offset
+(``loads(frame, start)``) and only materializes the leaf values, so the
+TCP receive path never copies or slices out the frame body.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import struct
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from . import codec
 from .codec import CodecError
 
-__all__ = ["dumps", "loads", "registry_tables"]
+__all__ = ["MAX_NESTING", "dumps", "loads", "registry_tables"]
 
 # Type tags (one byte on the wire).
 _T_NONE = 0x00
@@ -67,51 +71,16 @@ _INT64_MIN = -(1 << 63)
 #: zigzagged 64-bit value; an 11th continuation byte is an attack.
 _VARINT_MAX_BYTES = 10
 
+#: Containers (tuples, lists, dicts, messages) may nest this deep, in
+#: both directions.  Real payloads stay under ten levels (batch, routed
+#: tuple, message, instance id, value).  The cap keeps the encoder's
+#: recursive walk far below the interpreter's stack limit; the decoder
+#: is a loop and holds its container stack to the same depth, so a frame
+#: of 200 000 nested tuples is a :class:`CodecError`, never a
+#: ``RecursionError``, and both directions accept the same values.
+MAX_NESTING = 64
 
-# -- registry id tables ------------------------------------------------------
-#
-# Both sides assign ids by sorted class name over the shared codec
-# registries.  The tables are cached and rebuilt whenever a registration
-# is added (protocols may register message types after import).
-
-_tables_key: Tuple[int, int] = (-1, -1)
-_msg_ids: Dict[Type[Any], Tuple[int, Tuple[str, ...]]] = {}
-_msg_types: List[Tuple[Type[Any], Tuple[str, ...]]] = []
-_enum_ids: Dict[Type[enum.Enum], int] = {}
-_enum_types: List[Type[enum.Enum]] = []
-
-
-def registry_tables() -> Tuple[
-    Dict[Type[Any], Tuple[int, Tuple[str, ...]]],
-    List[Tuple[Type[Any], Tuple[str, ...]]],
-    Dict[Type[enum.Enum], int],
-    List[Type[enum.Enum]],
-]:
-    """The (message-id, message-type, enum-id, enum-type) tables, current
-    as of the codec registries right now."""
-    global _tables_key, _msg_ids, _msg_types, _enum_ids, _enum_types
-    key = (len(codec._MESSAGES), len(codec._ENUMS))
-    if key != _tables_key:
-        msg_types: List[Tuple[Type[Any], Tuple[str, ...]]] = []
-        msg_ids: Dict[Type[Any], Tuple[int, Tuple[str, ...]]] = {}
-        for index, name in enumerate(sorted(codec._MESSAGES)):
-            cls = codec._MESSAGES[name]
-            fields = tuple(f.name for f in dataclasses.fields(cls))
-            msg_types.append((cls, fields))
-            msg_ids[cls] = (index, fields)
-        enum_types: List[Type[enum.Enum]] = []
-        enum_ids: Dict[Type[enum.Enum], int] = {}
-        for index, name in enumerate(sorted(codec._ENUMS)):
-            cls = codec._ENUMS[name]
-            enum_types.append(cls)
-            enum_ids[cls] = index
-        _msg_ids, _msg_types = msg_ids, msg_types
-        _enum_ids, _enum_types = enum_ids, enum_types
-        _tables_key = key
-    return _msg_ids, _msg_types, _enum_ids, _enum_types
-
-
-# -- encoding ----------------------------------------------------------------
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING}"
 
 
 def _pack_varint(out: bytearray, value: int) -> None:
@@ -121,23 +90,84 @@ def _pack_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-def _pack(out: bytearray, obj: Any,
-          msg_ids: Dict[Type[Any], Tuple[int, Tuple[str, ...]]],
-          enum_ids: Dict[Type[enum.Enum], int]) -> None:
-    # Dispatch order mirrors codec.encode: enums before ints (IntEnum
-    # members *are* ints and must keep their identity), bools before
-    # ints (bool is an int subclass), dataclasses before dicts.
+# -- registry id tables ------------------------------------------------------
+#
+# Both sides assign ids by sorted class name over the shared codec
+# registries.  The tables are cached and rebuilt whenever a registration
+# is added (protocols may register message types after import).  They
+# hold everything that depends only on the registries, precomputed: the
+# encoder appends a ready-made ``tag + id`` prefix per message class and
+# a ready-made blob per enum member; the decoder looks an enum member up
+# by the raw name bytes, so neither side re-derives per value what is
+# fixed per type.
+
+#: class -> (``_T_MSG`` + varint id, field names) for a registered
+#: message, or ``({member name: _T_ENUM + id + name blob}, None)`` for a
+#: registered enum — one lookup dispatches both.
+_PackTable = Dict[type, Tuple[Any, Optional[Tuple[str, ...]]]]
+#: message id -> (class, field names).
+_MsgTypes = List[Tuple[Type[Any], Tuple[str, ...]]]
+#: enum id -> (class, {member name as UTF-8 bytes: member}).
+_EnumMembers = List[Tuple[Type[enum.Enum], Dict[bytes, enum.Enum]]]
+
+_tables_key: Tuple[int, int] = (-1, -1)
+_pack_table: _PackTable = {}
+_msg_types: _MsgTypes = []
+_enum_members: _EnumMembers = []
+
+
+def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
+    """The (pack table, message types by id, enum member tables by id)
+    triple, current as of the codec registries right now."""
+    global _tables_key, _pack_table, _msg_types, _enum_members
+    key = (len(codec._MESSAGES), len(codec._ENUMS))
+    if key != _tables_key:
+        pack_table: _PackTable = {}
+        msg_types: _MsgTypes = []
+        for index, name in enumerate(sorted(codec._MESSAGES)):
+            cls = codec._MESSAGES[name]
+            fields = tuple(f.name for f in dataclasses.fields(cls))
+            msg_types.append((cls, fields))
+            prefix = bytearray([_T_MSG])
+            _pack_varint(prefix, index)
+            pack_table[cls] = (bytes(prefix), fields)
+        enum_members: _EnumMembers = []
+        for index, name in enumerate(sorted(codec._ENUMS)):
+            enum_cls = codec._ENUMS[name]
+            # __members__ includes aliases, exactly what ``cls[name]``
+            # accepts; only canonical names are ever encoded.
+            enum_members.append((enum_cls, {
+                member_name.encode("utf-8"): member
+                for member_name, member in enum_cls.__members__.items()
+            }))
+            blobs = {}
+            for member in enum_cls:
+                blob = bytearray([_T_ENUM])
+                _pack_varint(blob, index)
+                raw = member.name.encode("utf-8")
+                _pack_varint(blob, len(raw))
+                blobs[member.name] = bytes(blob + raw)
+            pack_table[enum_cls] = (blobs, None)
+        _pack_table, _msg_types, _enum_members = pack_table, msg_types, enum_members
+        _tables_key = key
+    return _pack_table, _msg_types, _enum_members
+
+
+# -- encoding ----------------------------------------------------------------
+
+
+def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
+    # ``depth`` counts the containers (tuple, list, dict, message)
+    # enclosing ``obj``.  Dispatch is on the exact class, most frequent
+    # first, so an IntEnum member or a bool never takes the int branch
+    # and a dataclass never the dict branch; subclasses of the scalar
+    # types reach the slow path at the bottom.
     cls = obj.__class__
-    entry = msg_ids.get(cls)
-    if entry is not None:
-        msg_id, fields = entry
-        out.append(_T_MSG)
-        _pack_varint(out, msg_id)
-        for name in fields:
-            _pack(out, getattr(obj, name), msg_ids, enum_ids)
-        return
     if cls is int:
-        if _INT64_MIN <= obj <= _INT64_MAX:
+        if 0 <= obj <= 0x3F:  # one-byte zigzag varint
+            out.append(_T_INT)
+            out.append(obj << 1)
+        elif _INT64_MIN <= obj <= _INT64_MAX:
             out.append(_T_INT)
             _pack_varint(out, (obj << 1) ^ (obj >> 63) if obj < 0 else obj << 1)
         else:
@@ -151,14 +181,36 @@ def _pack(out: bytearray, obj: Any,
     if cls is str:
         raw = obj.encode("utf-8")
         out.append(_T_STR)
-        _pack_varint(out, len(raw))
+        if len(raw) <= 0x7F:
+            out.append(len(raw))
+        else:
+            _pack_varint(out, len(raw))
         out += raw
         return
-    if cls is tuple:
-        out.append(_T_TUPLE)
-        _pack_varint(out, len(obj))
+    entry = table.get(cls)
+    if entry is not None:
+        prefix, fields = entry
+        if fields is None:  # a registered enum: one precomputed blob
+            out += prefix[obj._name_]
+            return
+        if depth >= MAX_NESTING:
+            raise CodecError(_TOO_DEEP)
+        out += prefix
+        depth += 1
+        for name in fields:
+            _pack(out, getattr(obj, name), depth, table)
+        return
+    if cls is tuple or cls is list:
+        if depth >= MAX_NESTING:
+            raise CodecError(_TOO_DEEP)
+        out.append(_T_TUPLE if cls is tuple else _T_LIST)
+        if len(obj) <= 0x7F:
+            out.append(len(obj))
+        else:
+            _pack_varint(out, len(obj))
+        depth += 1
         for item in obj:
-            _pack(out, item, msg_ids, enum_ids)
+            _pack(out, item, depth, table)
         return
     if obj is None:
         out.append(_T_NONE)
@@ -178,30 +230,19 @@ def _pack(out: bytearray, obj: Any,
         _pack_varint(out, len(obj))
         out += obj
         return
-    if cls is list:
-        out.append(_T_LIST)
-        _pack_varint(out, len(obj))
-        for item in obj:
-            _pack(out, item, msg_ids, enum_ids)
-        return
     if cls is dict:
         if any(not isinstance(k, str) for k in obj):
             raise CodecError("only string-keyed dicts are encodable")
+        if depth >= MAX_NESTING:
+            raise CodecError(_TOO_DEEP)
         out.append(_T_DICT)
         _pack_varint(out, len(obj))
+        depth += 1
         for key in sorted(obj):
             raw = key.encode("utf-8")
             _pack_varint(out, len(raw))
             out += raw
-            _pack(out, obj[key], msg_ids, enum_ids)
-        return
-    enum_id = enum_ids.get(cls)
-    if enum_id is not None:
-        out.append(_T_ENUM)
-        _pack_varint(out, enum_id)
-        raw = obj.name.encode("utf-8")
-        _pack_varint(out, len(raw))
-        out += raw
+            _pack(out, obj[key], depth, table)
         return
     # Slow path: subclasses of the scalar types, plus the loud failures.
     if isinstance(obj, enum.Enum):
@@ -212,7 +253,7 @@ def _pack(out: bytearray, obj: Any,
         out.append(_T_TRUE if obj else _T_FALSE)
         return
     if isinstance(obj, int):
-        _pack(out, int(obj), msg_ids, enum_ids)
+        _pack(out, int(obj), depth, table)
         return
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         raise CodecError(
@@ -223,16 +264,15 @@ def _pack(out: bytearray, obj: Any,
 
 def dumps(obj: Any) -> bytes:
     """Encode a payload to compact binary bytes."""
-    msg_ids, _, enum_ids, _ = registry_tables()
     out = bytearray()
-    _pack(out, obj, msg_ids, enum_ids)
+    _pack(out, obj, 0, registry_tables()[0])
     return bytes(out)
 
 
 # -- decoding ----------------------------------------------------------------
 
 
-def _unpack_varint(buf: memoryview, pos: int, end: int) -> Tuple[int, int]:
+def _unpack_varint(buf: bytes, pos: int, end: int) -> Tuple[int, int]:
     value = 0
     shift = 0
     for count in range(_VARINT_MAX_BYTES):
@@ -247,125 +287,215 @@ def _unpack_varint(buf: memoryview, pos: int, end: int) -> Tuple[int, int]:
     raise CodecError("over-length varint (more than 10 bytes)")
 
 
-def _unpack(buf: memoryview, pos: int, end: int,
-            msg_types: List[Tuple[Type[Any], Tuple[str, ...]]],
-            enum_types: List[Type[enum.Enum]]) -> Tuple[Any, int]:
-    if pos >= end:
-        raise CodecError("truncated frame: expected a value tag")
-    tag = buf[pos]
-    pos += 1
-    if tag == _T_MSG:
-        msg_id, pos = _unpack_varint(buf, pos, end)
-        if msg_id >= len(msg_types):
-            raise CodecError(f"unknown message id {msg_id}")
-        cls, fields = msg_types[msg_id]
-        values = []
-        for _ in fields:
-            value, pos = _unpack(buf, pos, end, msg_types, enum_types)
-            values.append(value)
-        try:
-            return cls(*values), pos
-        except CodecError:
-            raise
-        except Exception as exc:  # constructor validation rejected it
-            raise CodecError(
-                f"rejected {cls.__name__} payload: {exc}"
-            ) from exc
-    if tag == _T_INT:
-        raw, pos = _unpack_varint(buf, pos, end)
-        return (raw >> 1) ^ -(raw & 1), pos
-    if tag == _T_STR:
-        length, pos = _unpack_varint(buf, pos, end)
-        if pos + length > end:
-            raise CodecError("truncated string")
-        try:
-            return str(buf[pos:pos + length], "utf-8"), pos + length
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad UTF-8 in string: {exc}") from exc
-    if tag == _T_TUPLE or tag == _T_LIST:
-        count, pos = _unpack_varint(buf, pos, end)
-        if count > end - pos:  # every item needs at least one byte
-            raise CodecError("container count exceeds frame size")
-        items = []
-        for _ in range(count):
-            value, pos = _unpack(buf, pos, end, msg_types, enum_types)
-            items.append(value)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_FLOAT:
-        if pos + 8 > end:
-            raise CodecError("truncated float")
-        return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
-    if tag == _T_BYTES:
-        length, pos = _unpack_varint(buf, pos, end)
-        if pos + length > end:
-            raise CodecError("truncated bytes")
-        return bytes(buf[pos:pos + length]), pos + length
-    if tag == _T_DICT:
-        count, pos = _unpack_varint(buf, pos, end)
-        if count > end - pos:
-            raise CodecError("container count exceeds frame size")
-        table: Dict[str, Any] = {}
-        for _ in range(count):
-            length, pos = _unpack_varint(buf, pos, end)
-            if pos + length > end:
-                raise CodecError("truncated dict key")
-            try:
-                key = str(buf[pos:pos + length], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"bad UTF-8 in dict key: {exc}") from exc
-            pos += length
-            table[key], pos = _unpack(buf, pos, end, msg_types, enum_types)
-        return table, pos
-    if tag == _T_ENUM:
-        enum_id, pos = _unpack_varint(buf, pos, end)
-        if enum_id >= len(enum_types):
-            raise CodecError(f"unknown enum id {enum_id}")
-        length, pos = _unpack_varint(buf, pos, end)
-        if pos + length > end:
-            raise CodecError("truncated enum member name")
-        try:
-            name = str(buf[pos:pos + length], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad UTF-8 in enum member: {exc}") from exc
-        try:
-            return enum_types[enum_id][name], pos + length
-        except KeyError:
-            raise CodecError(
-                f"unknown member {name!r} of enum "
-                f"{enum_types[enum_id].__name__}"
-            ) from None
-    if tag == _T_BIGINT:
-        if pos >= end:
-            raise CodecError("truncated bigint sign")
-        sign = buf[pos]
-        if sign > 1:
-            raise CodecError(f"bad bigint sign byte {sign}")
-        pos += 1
-        length, pos = _unpack_varint(buf, pos, end)
-        if pos + length > end:
-            raise CodecError("truncated bigint")
-        value = int.from_bytes(buf[pos:pos + length], "big")
-        return (-value if sign else value), pos + length
-    raise CodecError(f"unknown type tag 0x{tag:02x}")
+def _dict_key(buf: bytes, pos: int, end: int) -> Tuple[str, int]:
+    """One dict key: an untagged length-prefixed UTF-8 string."""
+    length, pos = _unpack_varint(buf, pos, end)
+    stop = pos + length
+    if stop > end:
+        raise CodecError("truncated dict key")
+    try:
+        return buf[pos:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"bad UTF-8 in dict key: {exc}") from exc
 
 
-def loads(raw: Any) -> Any:
-    """Decode binary bytes (or a memoryview) back into a payload.
+def _unpack(buf: bytes, pos: int, end: int,
+            msg_types: _MsgTypes, enum_members: _EnumMembers) -> Tuple[Any, int]:
+    """Decode the one value starting at ``buf[pos]``; ``(value, next pos)``.
 
-    A :class:`memoryview` input is decoded in place — container
-    structure and scalars materialize, the buffer is never copied.
+    A loop over the values of the frame in wire order, with an explicit
+    stack of the containers still open — no Python call per value and no
+    recursion.  ``items``/``remaining``/``build`` describe the innermost
+    open container: the values read so far, how many are still due, and
+    what they become (``tuple``, ``list``, ``dict`` — keys and values
+    alternating in ``items`` — or a message class); the outermost
+    "container" is the one-value result slot (``build is None``).
+
+    ``buf`` is indexed in place (``bytes`` indexing is the cheapest byte
+    read CPython has); only leaf values are sliced out.  The varint
+    reads on the hot tags spell out the one-byte case — nearly every id,
+    count and length on this wire — and call :func:`_unpack_varint` for
+    the rest.
     """
-    buf = raw if isinstance(raw, memoryview) else memoryview(raw)
-    _, msg_types, _, enum_types = registry_tables()
-    value, pos = _unpack(buf, 0, len(buf), msg_types, enum_types)
-    if pos != len(buf):
+    stack: List[Tuple[List[Any], int, Any]] = []
+    items: List[Any] = []
+    remaining = 1
+    build: Any = None
+    while True:
+        while not remaining:
+            # The innermost container is complete: build it and hand it
+            # to the enclosing one.
+            if build is None:
+                return items[0], pos
+            if build is tuple:
+                value = tuple(items)
+            elif build is list:
+                value = items
+            elif build is dict:
+                value = dict(zip(items[::2], items[1::2]))
+            else:
+                try:
+                    value = build(*items)
+                except CodecError:
+                    raise
+                except Exception as exc:  # constructor validation rejected it
+                    raise CodecError(
+                        f"rejected {build.__name__} payload: {exc}"
+                    ) from exc
+            items, remaining, build = stack.pop()
+            items.append(value)
+            remaining -= 1
+        if build is dict:
+            key, pos = _dict_key(buf, pos, end)
+            items.append(key)
+        if pos >= end:
+            raise CodecError("truncated frame: expected a value tag")
+        tag = buf[pos]
+        pos += 1
+        if tag == _T_INT:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            raw = buf[pos]
+            pos += 1
+            if raw > 0x7F:
+                raw, pos = _unpack_varint(buf, pos - 1, end)
+            value = (raw >> 1) ^ -(raw & 1)
+        elif tag == _T_STR:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            length = buf[pos]
+            pos += 1
+            if length > 0x7F:
+                length, pos = _unpack_varint(buf, pos - 1, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated string")
+            try:
+                value = buf[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CodecError(f"bad UTF-8 in string: {exc}") from exc
+            pos = stop
+        elif tag == _T_TUPLE or tag == _T_LIST:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            count = buf[pos]
+            pos += 1
+            if count > 0x7F:
+                count, pos = _unpack_varint(buf, pos - 1, end)
+            if count > end - pos:  # every item needs at least one byte
+                raise CodecError("container count exceeds frame size")
+            if len(stack) >= MAX_NESTING:
+                raise CodecError(_TOO_DEEP)
+            stack.append((items, remaining, build))
+            items, remaining = [], count
+            build = tuple if tag == _T_TUPLE else list
+            continue
+        elif tag == _T_MSG:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            msg_id = buf[pos]
+            pos += 1
+            if msg_id > 0x7F:
+                msg_id, pos = _unpack_varint(buf, pos - 1, end)
+            if msg_id >= len(msg_types):
+                raise CodecError(f"unknown message id {msg_id}")
+            if len(stack) >= MAX_NESTING:
+                raise CodecError(_TOO_DEEP)
+            stack.append((items, remaining, build))
+            build, fields = msg_types[msg_id]
+            items, remaining = [], len(fields)
+            continue
+        elif tag == _T_ENUM:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            enum_id = buf[pos]
+            pos += 1
+            if enum_id > 0x7F:
+                enum_id, pos = _unpack_varint(buf, pos - 1, end)
+            if enum_id >= len(enum_members):
+                raise CodecError(f"unknown enum id {enum_id}")
+            if pos >= end:
+                raise CodecError("truncated varint")
+            length = buf[pos]
+            pos += 1
+            if length > 0x7F:
+                length, pos = _unpack_varint(buf, pos - 1, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated enum member name")
+            enum_cls, members = enum_members[enum_id]
+            value = members.get(buf[pos:stop])
+            if value is None:
+                try:
+                    name = buf[pos:stop].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CodecError(f"bad UTF-8 in enum member: {exc}") from exc
+                raise CodecError(
+                    f"unknown member {name!r} of enum {enum_cls.__name__}"
+                )
+            pos = stop
+        elif tag == _T_NONE:
+            value = None
+        elif tag == _T_TRUE:
+            value = True
+        elif tag == _T_FALSE:
+            value = False
+        elif tag == _T_FLOAT:
+            if pos + 8 > end:
+                raise CodecError("truncated float")
+            value = _DOUBLE.unpack_from(buf, pos)[0]
+            pos += 8
+        elif tag == _T_BYTES:
+            length, pos = _unpack_varint(buf, pos, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated bytes")
+            value = buf[pos:stop]
+            pos = stop
+        elif tag == _T_DICT:
+            count, pos = _unpack_varint(buf, pos, end)
+            if count > end - pos:
+                raise CodecError("container count exceeds frame size")
+            if len(stack) >= MAX_NESTING:
+                raise CodecError(_TOO_DEEP)
+            stack.append((items, remaining, build))
+            items, remaining, build = [], count, dict
+            continue
+        elif tag == _T_BIGINT:
+            if pos >= end:
+                raise CodecError("truncated bigint sign")
+            sign = buf[pos]
+            if sign > 1:
+                raise CodecError(f"bad bigint sign byte {sign}")
+            length, pos = _unpack_varint(buf, pos + 1, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated bigint")
+            value = int.from_bytes(buf[pos:stop], "big")
+            if sign:
+                value = -value
+            pos = stop
+        else:
+            raise CodecError(f"unknown type tag 0x{tag:02x}")
+        items.append(value)
+        remaining -= 1
+
+
+def loads(raw: Any, start: int = 0) -> Any:
+    """Decode the binary value occupying ``raw[start:]`` back into a payload.
+
+    ``raw`` is indexed in place from ``start`` — a transport hands over
+    its whole frame plus the body offset, so the body is never sliced
+    out or copied; only the decoded leaf values materialize.  Anything
+    that is not ``bytes`` (a ``memoryview``, a ``bytearray``) is copied
+    to ``bytes`` once first.
+    """
+    buf = raw if raw.__class__ is bytes else bytes(raw)
+    end = len(buf)
+    _, msg_types, enum_members = registry_tables()
+    value, pos = _unpack(buf, start, end, msg_types, enum_members)
+    if pos != end:
         raise CodecError(
-            f"{len(buf) - pos} trailing bytes after the decoded value"
+            f"{end - pos} trailing bytes after the decoded value"
         )
     return value

@@ -117,9 +117,10 @@ class WireBatch:
 
     The batched message pipeline (``batching`` scenario field) coalesces
     everything a node queued for a destination during one pump iteration
-    into a single ``WireBatch`` payload: one codec pass, one MAC, one
-    length-prefixed TCP write — and one netem/:class:`~repro.netem.reliable.ReliableLink`
-    wire-frame, so link conditions and retransmission keep their
+    into a single ``WireBatch`` payload: one MAC, one length-prefixed
+    TCP write, one codec pass (shared by every destination the node
+    queued the same message objects for — a broadcast) — and one
+    netem/:class:`~repro.netem.reliable.ReliableLink` wire-frame, so link conditions and retransmission keep their
     per-frame semantics unchanged.  The receiving node unpacks the batch
     and delivers the inner messages in order.
 

@@ -18,9 +18,13 @@ scheduler.
 **Batching.**  The flush is where the batched message pipeline lives:
 with ``batching="flush"`` (or ``"size:N"``) everything queued for one
 destination during a pump iteration is coalesced into a single
-:class:`~repro.runtime.codec.WireBatch` payload — one codec pass, one
-MAC, one length-prefixed TCP write per destination instead of one per
-message.  Inbound batches are unpacked here too, and the whole batch is
+:class:`~repro.runtime.codec.WireBatch` payload — one MAC and one
+length-prefixed TCP write per destination instead of one per message.
+Every message of Bracha's protocol is a broadcast, so the destinations'
+batches are usually the *same* messages: destinations whose batch holds
+the same payload objects share one ``WireBatch`` object, which the TCP
+transport packs once (one codec pass per broadcast, not per
+destination).  Inbound batches are unpacked here too, and the whole batch is
 delivered before the next flush, so replies to a burst coalesce in
 turn.  ``frames_sent`` / ``wire_messages_sent`` / ``messages_delivered``
 count the effect; per-link order is preserved, and the protocols are
@@ -283,6 +287,15 @@ class Node:
         groups: Dict[ProcessId, List[Any]] = {}
         for dest, payload in queued:
             groups.setdefault(dest, []).append(payload)
+        # A broadcast queued the same payload object for every
+        # destination, so their chunks are the same objects in the same
+        # order: such chunks share one WireBatch, and a transport that
+        # packs per payload object encodes it once.  Keyed by identity
+        # (``queued`` keeps every payload alive for the whole flush):
+        # an equivocator's equal-looking but distinct messages, or
+        # anything under ``observe`` (each send has its own Stamped id),
+        # never share.
+        batches: Dict[Tuple[int, ...], WireBatch] = {}
         for dest, payloads in groups.items():
             for i in range(0, len(payloads), self.batch_limit):
                 chunk = payloads[i:i + self.batch_limit]
@@ -295,8 +308,12 @@ class Node:
                     )
                 if len(chunk) == 1:
                     await self.transport.send(dest, chunk[0])
-                else:
-                    await self.transport.send(dest, WireBatch(tuple(chunk)))
+                    continue
+                key = tuple(map(id, chunk))
+                batch = batches.get(key)
+                if batch is None:
+                    batch = batches[key] = WireBatch(tuple(chunk))
+                await self.transport.send(dest, batch)
 
 
 __all__ = ["Node", "NodeNetwork"]

@@ -18,11 +18,14 @@ A JSON body always starts with ``{`` (0x7B) and a binary frame with the
 0xB1 magic, so the receive path dispatches on the first byte; the
 version byte pins the binary layout so a future format change (or a
 corrupted header) is rejected instead of misparsed.  Binary receive is
-zero-copy: the frame is sliced with :class:`memoryview`, the MAC is
-verified by feeding the body view straight to the HMAC, and
-:mod:`repro.runtime.binarycodec` decodes from the view — no
-intermediate ``bytes`` copies between the socket read and the decoded
-payload.
+zero-copy: the MAC is verified by feeding a :class:`memoryview` of the
+body straight to the HMAC, and :mod:`repro.runtime.binarycodec` decodes
+the frame's own ``bytes`` from the body offset — no intermediate copy
+between the socket read and the decoded payload.  Binary send packs a
+payload *object* once: every message of Bracha's protocol is a
+broadcast, so the node hands the same payload object to ``send`` once
+per destination, and only the header and the MAC — the parts that name
+the link — are redone for each (see :meth:`TcpTransport._pack`).
 
 The MAC comes from :mod:`repro.net.auth` — the same pairwise-key
 machinery the link-layer tests exercise — computed over the canonical
@@ -91,6 +94,7 @@ WIRE_VERSION = 1
 
 _BIN_HEADER = struct.Struct(">BBII")  # magic, version, src, dst
 _MAC_LEN = 32  # HMAC-SHA256
+_BIN_BODY_AT = _BIN_HEADER.size + _MAC_LEN  # offset of the binary body
 
 
 def encode_json_frame(auth: Authenticator, dest: ProcessId, payload: Any) -> bytes:
@@ -106,7 +110,11 @@ def encode_json_frame(auth: Authenticator, dest: ProcessId, payload: Any) -> byt
 
 def encode_binary_frame(auth: Authenticator, dest: ProcessId, payload: Any) -> bytes:
     """One compact binary wire frame body (codec pass + MAC), sans length prefix."""
-    body = binarycodec.dumps(payload)
+    return _binary_frame(auth, dest, binarycodec.dumps(payload))
+
+
+def _binary_frame(auth: Authenticator, dest: ProcessId, body: bytes) -> bytes:
+    """The per-link part of a binary frame: header + MAC around a packed body."""
     return (
         _BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, auth.pid, dest)
         + auth.tag_bytes(dest, body)
@@ -173,8 +181,12 @@ class TcpTransport(InboxTransport):
         self.dropped = 0
         #: Optional :class:`~repro.obs.profile.SpanProfiler`: times the
         #: per-frame codec+MAC work (span ``tcp_encode``) when the run
-        #: has ``profile: on``.
+        #: has ``profile: on``.  For a frame whose body is shared with
+        #: the previous one the span covers header + MAC only.
         self.profiler: Optional[Any] = None
+        #: The last payload object packed on the binary wire and its
+        #: body (see :meth:`_pack`).
+        self._packed: Optional[Tuple[Any, bytes]] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -273,7 +285,7 @@ class TcpTransport(InboxTransport):
             # else's.  It never touches the netem policy: a process's
             # channel to itself is not network.
             if self.wire == "binary":
-                self._push(self.pid, binarycodec.loads(binarycodec.dumps(payload)))
+                self._push(self.pid, binarycodec.loads(self._pack(payload)))
             else:
                 self._push(self.pid, codec.loads(codec.dumps(payload)))
             return
@@ -294,17 +306,43 @@ class TcpTransport(InboxTransport):
             return
         await self._transmit(dest, self._encode_body(dest, payload))
 
+    def _pack(self, payload: Any) -> bytes:
+        """The binary body of ``payload``, packed once per payload *object*.
+
+        A broadcast reaches this transport as consecutive sends of one
+        object — the same routed message with ``batching: off``, the
+        same :class:`~repro.runtime.codec.WireBatch` from the node's
+        flush otherwise — self-delivery included.  Remembering the last
+        object packed (by identity, with a strong reference, so the id
+        cannot be reused) turns those n codec passes into one.  Equal
+        but distinct objects are packed again: an equivocating sender
+        hands over different objects per destination and gets different
+        bytes on each link.  Payloads are immutable wire values; nothing
+        mutates one between two sends.
+        """
+        packed = self._packed
+        if packed is None or packed[0] is not payload:
+            packed = self._packed = (payload, binarycodec.dumps(payload))
+        return packed[1]
+
     def _encode_body(self, dest: ProcessId, payload: Any) -> bytes:
         """Codec + MAC for one frame, timed when a profiler is attached."""
-        encode = (
-            encode_binary_frame if self.wire == "binary" else encode_json_frame
-        )
         profiler = self.profiler
-        if profiler is None:
-            return encode(self._auth, dest, payload)
-        started = profiler.start()
-        body = encode(self._auth, dest, payload)
-        profiler.stop("tcp_encode", started)
+        started = profiler.start() if profiler is not None else 0.0
+        if self.wire == "binary":
+            body = _binary_frame(self._auth, dest, self._pack(payload))
+        else:
+            body = encode_json_frame(self._auth, dest, payload)
+        if profiler is not None:
+            profiler.stop("tcp_encode", started)
+        if len(body) > MAX_FRAME:
+            # The receiver drops the connection on an over-cap length
+            # prefix; without this the link would just go silent.
+            raise ReproError(
+                f"node {self.pid}: frame for node {dest} is {len(body)} bytes, "
+                f"over the {MAX_FRAME}-byte frame cap (MAX_FRAME) — send "
+                "smaller payloads or lower the batching 'size:N'"
+            )
         return body
 
     async def _transmit(self, dest: ProcessId, body: bytes) -> None:
@@ -377,7 +415,7 @@ class TcpTransport(InboxTransport):
         if first == 0x7B:  # "{"
             self._ingest_json(frame)
         elif first == BINARY_MAGIC:
-            self._ingest_binary(memoryview(frame))
+            self._ingest_binary(frame)
         else:
             self.rejected += 1
 
@@ -410,12 +448,12 @@ class TcpTransport(InboxTransport):
         self.accepted += 1
         self._push(src, payload)
 
-    def _ingest_binary(self, frame: memoryview) -> None:
-        """Zero-copy binary ingest: header, MAC, and body are memoryview
-        slices of the one frame buffer; the HMAC is fed the body view and
-        the codec decodes from it — nothing is copied until the decoded
-        leaf values materialize."""
-        if len(frame) < _BIN_HEADER.size + _MAC_LEN + 1:
+    def _ingest_binary(self, frame: bytes) -> None:
+        """Zero-copy binary ingest: the HMAC is fed a memoryview of the
+        body and the codec indexes the frame in place from the body
+        offset — nothing is copied until the decoded leaf values
+        materialize."""
+        if len(frame) < _BIN_BODY_AT + 1:
             self.rejected += 1
             return
         _magic, version, src, dst = _BIN_HEADER.unpack_from(frame, 0)
@@ -425,17 +463,18 @@ class TcpTransport(InboxTransport):
         if not (0 <= src < self.n and dst == self.pid):
             self.rejected += 1
             return
-        mac = frame[_BIN_HEADER.size:_BIN_HEADER.size + _MAC_LEN]
-        body = frame[_BIN_HEADER.size + _MAC_LEN:]
-        if not self._auth.verify_bytes(src, body, mac):
+        view = memoryview(frame)
+        if not self._auth.verify_bytes(
+            src, view[_BIN_BODY_AT:], view[_BIN_HEADER.size:_BIN_BODY_AT]
+        ):
             self.rejected += 1
             return
         if self.wire != "binary":
             self._codec_mismatch(src, "binary")
             return
         try:
-            payload = binarycodec.loads(body)
-        except (codec.CodecError, RecursionError):
+            payload = binarycodec.loads(frame, _BIN_BODY_AT)
+        except codec.CodecError:
             self.rejected += 1
             return
         self.accepted += 1

@@ -133,6 +133,79 @@ def test_container_count_cannot_exceed_frame_size():
         binarycodec.loads(bytes(bomb))
 
 
+def _nested_tuples(levels):
+    """``levels`` tuples inside one another around a ``None`` — built and
+    (with the trashcan) torn down without recursion, unlike its codec."""
+    value = None
+    for _ in range(levels):
+        value = (value,)
+    return value
+
+
+def _nested_frame(levels):
+    return bytes([binarycodec._T_TUPLE, 1]) * levels + bytes([binarycodec._T_NONE])
+
+
+@pytest.mark.parametrize("levels", [1, binarycodec.MAX_NESTING])
+def test_nesting_up_to_the_cap_round_trips(levels):
+    frame = binarycodec.dumps(_nested_tuples(levels))
+    assert frame == _nested_frame(levels)
+    assert binarycodec.loads(frame) == _nested_tuples(levels)
+
+
+@pytest.mark.parametrize(
+    "levels", [binarycodec.MAX_NESTING + 1, 5000, 200_000]
+)
+def test_nesting_past_the_cap_is_a_named_error_both_ways(levels):
+    # 5000 levels overflowed the interpreter stack (RecursionError) before
+    # the cap; 200 000 is a 400 kB frame, well under the transports' cap.
+    with pytest.raises(CodecError, match="nesting deeper than 64"):
+        binarycodec.loads(_nested_frame(levels))
+    with pytest.raises(CodecError, match="nesting deeper than 64"):
+        binarycodec.dumps(_nested_tuples(levels))
+
+
+def test_the_nesting_cap_counts_every_container_kind():
+    cap = binarycodec.MAX_NESTING
+    # A message, a list and a dict each take one level, like a tuple.
+    for wrap in (lambda v: Stamped("1:1", v), lambda v: [v], lambda v: {"k": v}):
+        fits = wrap(_nested_tuples(cap - 1))
+        assert binarycodec.loads(binarycodec.dumps(fits)) == fits
+        with pytest.raises(CodecError, match="nesting deeper"):
+            binarycodec.dumps(wrap(_nested_tuples(cap)))
+        body = binarycodec.dumps(wrap(None))[:-1]  # the wrapper, value cut off
+        with pytest.raises(CodecError, match="nesting deeper"):
+            binarycodec.loads(body + _nested_frame(cap))
+    # Leaves do not count: the cap bounds containers, not values.
+    deepest = _nested_tuples(cap - 1)
+    assert binarycodec.loads(binarycodec.dumps((deepest, 7, "x"))) == (deepest, 7, "x")
+
+
+def test_local_fabric_round_trip_reports_deep_nesting_by_name():
+    # LocalHub.dispatch runs dumps/loads on every payload and catches
+    # nothing: the error a caller sees must be the codec's own.
+    import asyncio
+
+    from repro.runtime.transport import LocalHub
+
+    async def scenario():
+        hub = LocalHub(2, codec_check=True, wire="binary")
+        with pytest.raises(CodecError, match="nesting deeper"):
+            await hub.endpoint(0).send(1, _nested_tuples(5000))
+
+    asyncio.run(scenario())
+
+
+def test_loads_decodes_in_place_from_an_offset():
+    body = binarycodec.dumps(("mod", RbcMessage("r", 1, Phase.ECHO, 0)))
+    frame = b"\xb1\x01" + b"\x00" * 40 + body
+    assert binarycodec.loads(frame, 42) == ("mod", RbcMessage("r", 1, Phase.ECHO, 0))
+    with pytest.raises(CodecError, match="trailing"):
+        binarycodec.loads(frame + b"\x00", 42)
+    with pytest.raises(CodecError, match="truncated"):
+        binarycodec.loads(frame, len(frame))
+
+
 def test_unknown_tags_and_ids_are_rejected():
     with pytest.raises(CodecError):
         binarycodec.loads(b"\xfe")  # unassigned type tag

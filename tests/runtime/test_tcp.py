@@ -413,6 +413,11 @@ def test_binary_garbage_frames_never_kill_the_serve_task():
         bomb = bytearray([binarycodec._T_TUPLE])
         binarycodec._pack_varint(bomb, 1 << 20)
         bad_bodies.append(bytes(bomb) + b"\x00")
+        #    ... and a nesting bomb: 200 000 tuples inside one another
+        #    (a RecursionError before the codec's nesting cap)
+        bad_bodies.append(
+            bytes([binarycodec._T_TUPLE, 1]) * 200_000 + b"\x00"
+        )
         for body in bad_bodies:
             corpus.append(
                 _BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, 0, 1)
@@ -450,6 +455,72 @@ def test_binary_garbage_frames_never_kill_the_serve_task():
             assert (sender, payload) == (0, ("mod", StepValue(1)))
             assert b.rejected == len(corpus)
             writer.close()
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+# -- the sender-side frame cap -------------------------------------------------
+
+
+def test_oversized_outbound_frame_fails_loudly_at_the_sender():
+    # Before the check the sender wrote the frame, the *receiver* dropped
+    # the connection on the length prefix, and the link went silent.
+    from repro.errors import ReproError
+    from repro.runtime.codec import WireBatch
+    from repro.runtime.tcp import MAX_FRAME
+
+    big = WireBatch(tuple(("mod", bytes(20_000)) for _ in range(64)))
+
+    async def scenario(wire):
+        ring = KeyRing(2, master_secret=b"test-setup")
+        a = TcpTransport(0, 2, ring, wire=wire)
+        b = TcpTransport(1, 2, ring, wire=wire)
+        await a.start()
+        await b.start()
+        peers = {0: a.address, 1: b.address}
+        a.set_peers(peers)
+        b.set_peers(peers)
+        try:
+            with pytest.raises(ReproError, match=rf"\d+ bytes.*{MAX_FRAME}-byte"):
+                await a.send(1, big)
+            # Nothing was written: the link is intact and still carries
+            # the next frame.
+            await a.send(1, ("mod", StepValue(1)))
+            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
+            assert (sender, payload) == (0, ("mod", StepValue(1)))
+            assert (b.rejected, a.dropped) == (0, 0)
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario("binary"))
+    asyncio.run(scenario("json"))
+
+
+def test_a_frame_of_exactly_max_frame_still_passes():
+    from repro.errors import ReproError
+    from repro.runtime.tcp import MAX_FRAME, encode_binary_frame
+
+    async def scenario():
+        a, b = _binary_pair()
+        await a.start()
+        await b.start()
+        peers = {0: a.address, 1: b.address}
+        a.set_peers(peers)
+        b.set_peers(peers)
+        try:
+            overhead = len(encode_binary_frame(a._auth, 1, bytes(70_000))) - 70_000
+            payload = bytes(MAX_FRAME - overhead)
+            assert len(encode_binary_frame(a._auth, 1, payload)) == MAX_FRAME
+            await a.send(1, payload)
+            sender, received = await asyncio.wait_for(b.recv(), 5.0)
+            assert (sender, received) == (0, payload)
+            with pytest.raises(ReproError, match="frame cap"):
+                await a.send(1, payload + b"\x00")
+            assert b.rejected == 0
         finally:
             await a.close()
             await b.close()
