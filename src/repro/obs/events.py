@@ -6,7 +6,8 @@ start on the runtime fabrics), *who* (node pid), *where in the protocol*
 (instance/module tag and round, when extractable), *what* (kind), and a
 JSON-safe detail.
 
-The schema is deliberately flat and JSON-friendly: every event
+The schema is deliberately flat and JSON-friendly — the record is a
+six-field ``NamedTuple``, one tuple allocation per event — and every event
 serializes to one line of JSONL (:meth:`Event.to_dict`), loads back
 losslessly (:meth:`Event.from_dict`), and projects to a *logical* key
 (:meth:`Event.logical`) that strips time so event streams can be
@@ -38,16 +39,19 @@ kind                  emitted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 #: Stable field order for the JSONL encoding — one writer, one shape.
 _FIELDS = ("t", "kind", "node", "inst", "round", "detail")
 
 
-@dataclass(frozen=True)
-class Event:
-    """One structured observability record."""
+class Event(NamedTuple):
+    """One structured observability record.
+
+    A ``NamedTuple``: immutable, compared field by field, built by
+    keyword or — on the emission path — positionally in field order at
+    the cost of one tuple allocation.
+    """
 
     time: float
     kind: str
@@ -71,13 +75,31 @@ class Event:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Event":
+        """Rebuild an event from its :meth:`to_dict` mapping.
+
+        A ``t`` that is not a number, or a ``node``/``round`` that is
+        not an integer, raises :class:`ValueError` naming the field —
+        :func:`~repro.obs.sinks.load_events` turns it into a
+        ``ConfigError`` with the line number.
+        """
+        time = data.get("t", 0.0)
+        if isinstance(time, bool) or not isinstance(time, (int, float)):
+            raise ValueError(f"event time 't' must be a number, got {time!r}")
+        for key in ("node", "round"):
+            value = data.get(key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(
+                    f"event {key!r} must be an integer, got {value!r}"
+                )
         return cls(
-            time=float(data.get("t", 0.0)),
-            kind=str(data.get("kind", "")),
-            node=data.get("node"),
-            instance=data.get("inst"),
-            round=data.get("round"),
-            detail=data.get("detail"),
+            float(time),
+            str(data.get("kind", "")),
+            data.get("node"),
+            data.get("inst"),
+            data.get("round"),
+            data.get("detail"),
         )
 
     def logical(self) -> Tuple[Any, ...]:
@@ -103,7 +125,11 @@ def round_time(value: float) -> float:
     return round(value, 6)
 
 
-def classify_payload(payload: Any) -> Tuple[Optional[str], Optional[int], str]:
+#: ``(instance, round, detail)`` — what :func:`classify_payload` returns.
+Classified = Tuple[Optional[str], Optional[int], str]
+
+
+def classify_payload(payload: Any) -> Classified:
     """Best-effort ``(instance, round, detail)`` extraction from a payload.
 
     Wire payloads are routed tuples ``(module_id, inner)``; the inner
@@ -112,6 +138,12 @@ def classify_payload(payload: Any) -> Tuple[Optional[str], Optional[int], str]:
     ``(module_id, round, step, originator)`` (Bracha's consensus steps).
     Extraction is observational only — unknown shapes degrade to
     ``(None, None, repr(payload))``, never to an error.
+
+    The ``repr`` is the cost (the whole message rendered), so this runs
+    once per payload *object*, not once per event:
+    :meth:`~repro.obs.observer.Observer.message` remembers the last
+    object it classified and fabrics that keep the object until
+    delivery hand the result back.
     """
     instance: Optional[str] = None
     round_: Optional[int] = None
@@ -138,4 +170,4 @@ def classify_payload(payload: Any) -> Tuple[Optional[str], Optional[int], str]:
     return instance, round_, repr(inner)
 
 
-__all__ = ["Event", "classify_payload", "round_time"]
+__all__ = ["Classified", "Event", "classify_payload", "round_time"]

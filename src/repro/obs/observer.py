@@ -24,7 +24,7 @@ import os
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import ConfigError
-from .events import Event, classify_payload
+from .events import Classified, Event, classify_payload
 from .sinks import JsonlSink, RingSink
 
 #: The validated observe modes of the Scenario field.
@@ -70,6 +70,10 @@ def parse_observe(spec: Any) -> Tuple[str, Any]:
     )
 
 
+#: What the memo holds before the first classification (no payload is it).
+_NO_PAYLOAD = object()
+
+
 class Observer:
     """Event emission hub for one run.
 
@@ -82,6 +86,12 @@ class Observer:
     def __init__(self, sink: Any):
         self.sink = sink
         self._clock: Callable[[], float] = lambda: 0.0
+        #: The last payload object classified and its classification:
+        #: one entry, compared with ``is``.  Holding the payload itself
+        #: (not its ``id``) keeps it alive, so a new object can never
+        #: be mistaken for it at a reused address.
+        self._last_payload: Any = _NO_PAYLOAD
+        self._last_classified: Classified = (None, None, "")
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -101,12 +111,8 @@ class Observer:
         time: Optional[float] = None,
     ) -> None:
         self.sink.emit(Event(
-            time=self._clock() if time is None else time,
-            kind=kind,
-            node=node,
-            instance=instance,
-            round=round,
-            detail=detail,
+            self._clock() if time is None else time,
+            kind, node, instance, round, detail,
         ))
 
     def message(
@@ -116,7 +122,8 @@ class Observer:
         payload: Any,
         time: Optional[float] = None,
         mid: Optional[str] = None,
-    ) -> None:
+        classified: Optional[Classified] = None,
+    ) -> Classified:
         """Emit a ``send``/``deliver`` event, classifying the payload.
 
         ``mid`` is the causal message id assigned by the fabric's
@@ -124,14 +131,29 @@ class Observer:
         event detail becomes ``{"msg": mid, "payload": <repr>}`` so a
         ``deliver`` can be correlated with the ``send`` that caused it
         (:mod:`repro.obs.causality`).
+
+        A payload *object* is classified once: consecutive calls with
+        the same object (the n sends a ``Broadcast`` expands to) reuse
+        the last classification, and the classification is returned so
+        a fabric that still holds the object at delivery can hand it
+        back as ``classified`` instead of having it derived again.
+        Sharing is by identity only — an equal but distinct object is
+        classified on its own.
         """
-        instance, round_, detail = classify_payload(payload)
-        if mid is not None:
-            detail = {"msg": mid, "payload": detail}
+        if classified is None:
+            if payload is self._last_payload:
+                classified = self._last_classified
+            else:
+                classified = classify_payload(payload)
+                self._last_payload = payload
+                self._last_classified = classified
+        instance, round_, detail = classified
         self.emit(
-            kind, node=node, instance=instance, round=round_,
-            detail=detail, time=time,
+            kind, node, instance, round_,
+            detail if mid is None else {"msg": mid, "payload": detail},
+            time,
         )
+        return classified
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -84,8 +84,7 @@ class JsonlSink:
     def emit(self, event: Event) -> None:
         if self._stream is None:
             return
-        self._stream.write(json.dumps(event.to_dict(), sort_keys=True))
-        self._stream.write("\n")
+        self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         self.total += 1
 
     def close(self) -> None:
@@ -121,7 +120,12 @@ def load_events(path: Union[str, Any]) -> List[Event]:
                     raise ConfigError(
                         f"{path}:{lineno}: not an event record: {line[:80]!r}"
                     )
-                events.append(Event.from_dict(data))
+                try:
+                    events.append(Event.from_dict(data))
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}:{lineno}: not an event record: {exc}"
+                    ) from exc
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
     return events

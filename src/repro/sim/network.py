@@ -13,7 +13,7 @@ itself guarantees nothing about ordering, matching the paper's model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Protocol
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
@@ -76,10 +76,13 @@ class Network:
         self.observer: Optional[Any] = None
         #: Causal message ids for send/deliver correlation.  Stamping
         #: happens only under an observer; the uid side table carries
-        #: each in-flight message's id to its deliver event without the
-        #: envelope (or the protocol payload) ever changing shape.
+        #: each in-flight message's id — and the classification of its
+        #: payload made at ``send`` — to its deliver event without the
+        #: envelope (or the protocol payload) ever changing shape.  One
+        #: entry per pending envelope: added at ``send``, popped at
+        #: ``deliver``.
         self.stamper = CausalStamper()
-        self._mids: Dict[int, str] = {}
+        self._mids: Dict[int, Tuple[str, Any]] = {}
         self._uid = 0
         self._now_fn: Callable[[], float] = lambda: 0.0
         self._on_send: Optional[Callable[[Envelope], None]] = None
@@ -139,10 +142,10 @@ class Network:
         self.trace.send(env.send_time, env)
         if self.observer is not None:
             mid = self.stamper.stamp(source)
-            self._mids[env.uid] = mid
-            self.observer.message(
+            classified = self.observer.message(
                 "send", source, payload, time=env.send_time, mid=mid
             )
+            self._mids[env.uid] = (mid, classified)
         if self._on_send is not None:
             self._on_send(env)
 
@@ -152,9 +155,11 @@ class Network:
         self.metrics.record_delivery(env.dest, env.payload)
         self.trace.deliver(time, env)
         if self.observer is not None:
+            # Sent before the observer was attached: no id, classify now.
+            mid, classified = self._mids.pop(env.uid, (None, None))
             self.observer.message(
                 "deliver", env.dest, env.payload, time=time,
-                mid=self._mids.pop(env.uid, None),
+                mid=mid, classified=classified,
             )
         target = self.processes.get(env.dest)
         if target is not None:

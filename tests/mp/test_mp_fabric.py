@@ -90,7 +90,7 @@ class TestMpFaults:
     def test_loss_retransmission_crosses_process_boundaries(self):
         result = run(Scenario(
             protocol="bracha", n=4, proposals=1, fabric="mp", seed=25,
-            link={"loss": 0.1, "rto": 0.05},
+            link={"loss": 0.1, "rto": 0.01},
         ))
         assert result.decided_values == {1}
         assert len(result.decisions) == 4

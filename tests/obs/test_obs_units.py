@@ -151,6 +151,24 @@ def test_jsonl_sink_round_trips_and_creates_directories(tmp_path):
     assert sink.summary()["events"] == 2
 
 
+def test_jsonl_sink_writes_each_event_as_one_whole_line():
+    class Stream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    stream = Stream()
+    sink = JsonlSink("unused.jsonl", stream=stream)
+    sink.emit(Event(time=0.5, kind="send", node=1, detail="m"))
+    sink.emit(Event(time=0.75, kind="decide", node=1, detail=1))
+    assert stream.writes == [
+        '{"detail": "m", "kind": "send", "node": 1, "t": 0.5}\n',
+        '{"detail": 1, "kind": "decide", "node": 1, "t": 0.75}\n',
+    ]
+
+
 def test_load_events_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"kind": "send", "t": 1.0}\nnot json\n')
@@ -161,6 +179,37 @@ def test_load_events_rejects_garbage(tmp_path):
         load_events(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_events(tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize("record, complaint", [
+    ('{"kind": "send", "t": "abc"}', "'t' must be a number, got 'abc'"),
+    ('{"kind": "send", "t": null}', "'t' must be a number, got None"),
+    ('{"kind": "send", "t": true}', "'t' must be a number, got True"),
+    ('{"kind": "send", "t": 1.0, "node": "p3"}', "'node' must be an integer"),
+    ('{"kind": "send", "t": 1.0, "round": 1.5}', "'round' must be an integer"),
+])
+def test_load_events_names_the_line_of_a_mistyped_field(
+    tmp_path, record, complaint
+):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"kind": "send", "t": 1.0}\n\n' + record + "\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_events(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}:3: not an event record")
+    assert complaint in message
+
+
+def test_load_events_names_a_truncated_last_line(tmp_path):
+    path = tmp_path / "cut.jsonl"
+    whole = json.dumps(Event(time=1.0, kind="send", node=0).to_dict())
+    path.write_text(whole + "\n" + whole[: len(whole) // 2])
+    with pytest.raises(ConfigError, match=r"cut\.jsonl:2: invalid trace line"):
+        load_events(path)
+
+
+def test_event_from_dict_accepts_integer_times():
+    assert Event.from_dict({"kind": "send", "t": 3}) == Event(time=3.0, kind="send")
 
 
 def test_render_events_limit():
