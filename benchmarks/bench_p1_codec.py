@@ -1,18 +1,21 @@
-"""P1 — Fast wire path: binary codec vs tagged JSON, retransmit wheel.
+"""P1 — The wire path: binary frame cost, retransmit wheel.
 
-The binary wire codec (``repro.runtime.binarycodec``) replaces the
-tagged-JSON envelope with struct-packed frames: a 10-byte header, the
-HMAC over raw body bytes (no canonical-JSON re-serialization), and a
-compact type-tagged value encoding with varint lengths.  This benchmark
-quantifies the wire-path effect on the workload the batching pipeline
-produces — a :class:`~repro.runtime.codec.WireBatch` of routed protocol
-messages — and the retransmission layer's timer-wheel scan cost at
-1 000 pending frames.
+The wire format (``repro.runtime.tcp`` framing around
+``repro.runtime.binarycodec``) is struct-packed: a 10-byte header, the
+HMAC over raw body bytes, and a compact type-tagged value encoding with
+varint lengths.  This benchmark measures what one frame costs on the
+workload the batching pipeline produces — a
+:class:`~repro.runtime.codec.WireBatch` of routed protocol messages —
+and the retransmission layer's timer-wheel scan cost at 1 000 pending
+frames.
 
 Floors committed in ``benchmarks/floors.json`` hold the headline
-numbers: ≥3.5× frame-encode and ≥2× frame-decode speedup and ≥30%
-wire-byte reduction over the JSON codec, plus a ceiling on the idle
-timer-wheel sweep.  Run with ``--smoke`` for the CI-sized subset.
+numbers as absolute ceilings: frame encode and frame ingest µs, bytes
+per frame, the batched tcp run end to end, and the idle timer-wheel
+sweep.  (The rows were ratios over the JSON wire format until that
+format was removed; the last measured ratios — encode 5.4x, decode
+3.1x, bytes −78% — are in docs/performance.md.)  Run with ``--smoke``
+for the CI-sized subset.
 """
 
 import asyncio
@@ -24,7 +27,7 @@ from repro.analysis.tables import format_table
 from repro.core.broadcast import RbcMessage
 from repro.net.auth import KeyRing
 from repro.runtime.codec import WireBatch
-from repro.runtime.tcp import TcpTransport, encode_binary_frame, encode_json_frame
+from repro.runtime.tcp import TcpTransport, encode_binary_frame
 from repro.scenario import Scenario, run
 from repro.types import Phase
 
@@ -51,82 +54,53 @@ def test_p1_codec_wire_path(benchmark, table_sink, bench_sink, smoke):
     ring = KeyRing(2, master_secret=b"bench-p1")
 
     def experiment():
-        sender = TcpTransport(0, 2, ring, wire="json")
-        receiver_json = TcpTransport(1, 2, ring, wire="json")
-        receiver_bin = TcpTransport(1, 2, ring, wire="binary")
-        auth = sender._auth
+        auth = ring.authenticator(0)
+        receiver = TcpTransport(1, 2, ring)
+        frame = encode_binary_frame(auth, 1, payload)
 
-        json_frame = encode_json_frame(auth, 1, payload)
-        bin_frame = encode_binary_frame(auth, 1, payload)
-
-        encode_json_us = _time_us(lambda: encode_json_frame(auth, 1, payload), reps)
-        encode_bin_us = _time_us(lambda: encode_binary_frame(auth, 1, payload), reps)
+        encode_us = _time_us(lambda: encode_binary_frame(auth, 1, payload), reps)
         # The receive path (MAC verify + decode), driven synchronously:
         # _ingest is the exact per-frame work the serve task performs.
-        decode_json_us = _time_us(lambda: receiver_json._ingest(json_frame), reps)
-        decode_bin_us = _time_us(lambda: receiver_bin._ingest(bin_frame), reps)
-        assert receiver_json.accepted == reps and receiver_json.rejected == 0
-        assert receiver_bin.accepted == reps and receiver_bin.rejected == 0
+        decode_us = _time_us(lambda: receiver._ingest(frame), reps)
+        assert receiver.accepted == reps and receiver.rejected == 0
 
-        # End-to-end: the batched pipeline over real sockets, per codec.
-        e2e_ms = {}
-        for codec_name in ("json", "binary"):
-            start = time.perf_counter()
-            result = run(Scenario(
-                protocol="bracha", n=4, proposals=1, instances=4,
-                fabric="tcp", batching="flush", codec=codec_name,
-                seed=900, timeout=120.0,
-            ))
-            e2e_ms[codec_name] = (time.perf_counter() - start) * 1000.0
-            assert result.decided_values == {1}
+        # End-to-end: the batched pipeline over real sockets.
+        start = time.perf_counter()
+        result = run(Scenario(
+            protocol="bracha", n=4, proposals=1, instances=4,
+            fabric="tcp", batching="flush", seed=900, timeout=120.0,
+        ))
+        e2e_ms = (time.perf_counter() - start) * 1000.0
+        assert result.decided_values == {1}
 
         return {
-            "encode_json_us": encode_json_us,
-            "encode_bin_us": encode_bin_us,
-            "decode_json_us": decode_json_us,
-            "decode_bin_us": decode_bin_us,
-            "bytes_json": len(json_frame),
-            "bytes_bin": len(bin_frame),
-            "e2e_json_ms": e2e_ms["json"],
-            "e2e_bin_ms": e2e_ms["binary"],
+            "encode_us": encode_us,
+            "decode_us": decode_us,
+            "bytes": len(frame),
+            "e2e_ms": e2e_ms,
         }
 
     m = run_once(benchmark, experiment)
-    encode_speedup = m["encode_json_us"] / m["encode_bin_us"]
-    decode_speedup = m["decode_json_us"] / m["decode_bin_us"]
-    reduction_pct = 100.0 * (1.0 - m["bytes_bin"] / m["bytes_json"])
 
     table_sink(
         "p1_codec",
         format_table(
-            ["codec", "encode us/frame", "decode us/frame", "bytes/frame",
+            ["encode us/frame", "decode us/frame", "bytes/frame",
              "e2e ms (tcp, batched)"],
-            [
-                ["json", round(m["encode_json_us"], 2),
-                 round(m["decode_json_us"], 2), m["bytes_json"],
-                 round(m["e2e_json_ms"], 1)],
-                ["binary", round(m["encode_bin_us"], 2),
-                 round(m["decode_bin_us"], 2), m["bytes_bin"],
-                 round(m["e2e_bin_ms"], 1)],
-            ],
-            title="P1. Wire codecs on the batched-pipeline frame "
+            [[round(m["encode_us"], 2), round(m["decode_us"], 2), m["bytes"],
+              round(m["e2e_ms"], 1)]],
+            title="P1. The wire format on the batched-pipeline frame "
                   "(WireBatch of 16 Bracha messages, MAC included)",
         ),
     )
 
-    # The acceptance bounds of the fast-wire-path PR.
-    assert encode_speedup >= 2.0, f"encode speedup {encode_speedup:.2f}x < 2x"
-    assert reduction_pct >= 30.0, f"byte reduction {reduction_pct:.1f}% < 30%"
-
     bench_sink(
         "p1_codec",
         {
-            "encode_speedup_x": round(encode_speedup, 2),
-            "decode_speedup_x": round(decode_speedup, 2),
-            "wire_bytes_reduction_pct": round(reduction_pct, 1),
-            "bin_bytes_per_frame": m["bytes_bin"],
-            "json_bytes_per_frame": m["bytes_json"],
-            "e2e_binary_tcp_ms": round(m["e2e_bin_ms"], 1),
+            "encode_bin_us": round(m["encode_us"], 2),
+            "decode_bin_us": round(m["decode_us"], 2),
+            "bin_bytes_per_frame": m["bytes"],
+            "e2e_binary_tcp_ms": round(m["e2e_ms"], 1),
         },
         meta={"reps": reps, "batch_messages": 16},
     )

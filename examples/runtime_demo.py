@@ -6,7 +6,7 @@ silent fault — and executes the *same object* under
 
 1. the discrete-event simulator,
 2. the asyncio in-process transport,
-3. authenticated JSON-over-TCP on localhost,
+3. authenticated binary frames over TCP on localhost,
 
 printing the decision and cost of each — same protocol modules, same
 safety checks, three very different notions of "the network".

@@ -9,7 +9,7 @@ fault behaviors, baseline protocols (Ben-Or 1983, Rabin-style common
 coin, an MMR-2014-style ABA), applications (asynchronous common
 subset, replicated log), and an asyncio runtime that executes the same
 protocol stacks concurrently over in-process queues or authenticated
-JSON-over-TCP (:mod:`repro.runtime`).
+binary frames on TCP (:mod:`repro.runtime`).
 
 Experiments are declarative (:mod:`repro.scenario`): a frozen
 :class:`Scenario` captures protocol, faults, network conditions, and

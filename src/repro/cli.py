@@ -94,8 +94,6 @@ def _print_result(scenario: Scenario, result: Any) -> None:
     print(f"protocol  : {scenario.protocol} (coin: {scenario.coin_name}, "
           f"instances: {scenario.instances})")
     print(f"faults    : {scenario.faults_dict() or 'none'}")
-    if scenario.codec != "json":
-        print(f"codec     : {scenario.codec}")
     if scenario.scheduler != "random":
         print(f"scheduler : {scenario.scheduler} {scenario.scheduler_args_dict()}")
     if scenario.link or scenario.partitions:
@@ -309,7 +307,6 @@ def cmd_run_net(args: argparse.Namespace) -> int:
         seed=args.seed,
         instances=args.instances,
         batching=args.batching,
-        codec=args.codec,
         host=args.host,
         base_port=args.base_port,
         timeout=args.timeout,
@@ -547,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_net.add_argument("--protocol", choices=list(PROTOCOLS), default="bracha")
     run_net.add_argument("--transport", choices=["local", "tcp", "mp"],
                          default="local",
-                         help="in-process asyncio queues, JSON-over-TCP with "
-                              "MACs, or one OS process per node (mp)")
+                         help="in-process asyncio queues, binary frames over "
+                              "TCP with MACs, or one OS process per node (mp)")
     run_net.add_argument("--coin", choices=["local", "dealer", "shares"], default=None)
     run_net.add_argument("--proposals", default=None,
                          help="'0'/'1' for unanimity or an n-bit string like 0110")
@@ -556,9 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="e.g. 3:silent 2:two_faced")
     run_net.add_argument("--instances", type=int, default=1,
                          help="parallel consensus instances per node")
-    run_net.add_argument("--codec", choices=["json", "binary"], default="json",
-                         help="wire codec for the runtime fabrics "
-                              "(binary: compact struct-packed frames)")
     run_net.add_argument("--batching", default="off", metavar="MODE",
                          help="wire-frame coalescing: off, flush, or size:N "
                               "(one MAC'd frame carries every message queued "

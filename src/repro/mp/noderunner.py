@@ -152,7 +152,6 @@ class NodeRunner:
         self._tcp = TcpTransport(
             self.pid, self.params.n, self.bundle.keyring(self.params.n),
             host=host, port=port, policy=self._policy, clock=self._clock,
-            wire=self.scenario.codec,
         )
         await self._tcp.start()
 

@@ -10,8 +10,8 @@ the baselines, ACS) concurrently:
 * :class:`~repro.runtime.transport.Transport` — per-node async message
   endpoint.  :class:`~repro.runtime.transport.LocalHub` provides
   in-process ``asyncio`` queue transports;
-  :class:`~repro.runtime.tcp.TcpTransport` speaks length-prefixed JSON
-  over TCP with :mod:`repro.net.auth` MAC authentication.
+  :class:`~repro.runtime.tcp.TcpTransport` speaks length-prefixed
+  binary frames over TCP with :mod:`repro.net.auth` MAC authentication.
 * :class:`~repro.runtime.node.Node` — adapts the sim-facing
   ``deliver(sender, payload)`` / ``start()`` protocol interface onto an
   async inbox, so modules remain synchronous state machines.

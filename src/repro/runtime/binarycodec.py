@@ -1,11 +1,11 @@
-"""Compact binary wire codec for protocol messages.
+"""The binary wire codec for protocol messages.
 
-The tagged-JSON codec (:mod:`repro.runtime.codec`) is the readable
-reference wire format, but it pays for that readability on every frame:
-field names travel with every message, bytes ride as hex text, and the
-canonical form is serialized with ``json.dumps(sort_keys=True)``.  This
-module is the fast path the ``codec: binary`` scenario field selects —
-a msgpack-style value encoding over the *same* message/enum registries:
+The simulator hands Python objects between processes by reference; a
+real transport needs bytes.  This is the one encoding the runtime
+fabrics put on a link — a msgpack-style value encoding over the
+message/enum registries of :mod:`repro.runtime.codec` (whose tagged
+JSON stays as the WAL's value format, where field names and hex bytes
+buy readability instead of costing frame size):
 
 * one type-tag byte per value;
 * ints as zigzag LEB128 varints (seqs, pids, rounds are tiny on the
@@ -25,9 +25,9 @@ Decoding never trusts the input: every length is checked against the
 remaining buffer, varints are capped at 10 bytes, containers nest at
 most :data:`MAX_NESTING` deep, unknown tags and registry ids raise, and
 message constructors re-run their validation — all failure modes
-surface as :class:`~repro.runtime.codec.CodecError`, exactly like the
-JSON codec, so transports drop garbage identically.  The nesting cap
-holds on the way out too: ``dumps`` of a deeper value is a
+surface as :class:`~repro.runtime.codec.CodecError`, which the
+transport counts and drops.  The nesting cap holds on the way out
+too: ``dumps`` of a deeper value is a
 :class:`~repro.runtime.codec.CodecError`, never a ``RecursionError``.
 Decoding indexes the frame's ``bytes`` in place from an offset
 (``loads(frame, start)``) and only materializes the leaf values, so the

@@ -7,7 +7,8 @@ coin schemes, and the same Byzantine behaviors — but each process lives
 on its own :class:`~repro.runtime.node.Node` with a private
 :class:`~repro.runtime.node.NodeNetwork`, pumped concurrently over a
 real :class:`~repro.runtime.transport.Transport` ("local" asyncio
-queues or authenticated "tcp").
+queues or authenticated "tcp"), both carrying the one binary wire
+format.
 
 The driver can run *many* consensus instances per node in one execution
 (``instances > 1``): Bracha instances share one reliable-broadcast
@@ -52,7 +53,6 @@ from ..sim.effects import parse_batching
 from ..sim.process import Process
 from ..stacks import PROTOCOLS, ProtocolPlan, build_plan_behavior
 from ..types import ProcessId, RunResult
-from .codec import WIRE_CODECS
 from .node import Node, NodeNetwork
 from .tcp import TcpTransport
 from .transport import LocalHub, Transport
@@ -86,7 +86,6 @@ class Cluster:
         instances: int = 1,
         host: str = "127.0.0.1",
         base_port: int = 0,
-        codec_check: bool = False,
         allow_excess_faults: bool = False,
         link: Optional[Mapping[str, Any]] = None,
         partitions: Optional[Any] = None,
@@ -95,7 +94,6 @@ class Cluster:
         observer: Optional[Observer] = None,
         recovery: str = "off",
         profile: str = "off",
-        codec: str = "json",
     ):
         self.params = for_system(n, t)
         self.protocol = protocol
@@ -106,15 +104,6 @@ class Cluster:
         parse_batching(batching)  # validate early; nodes parse again
         self.host = host
         self.base_port = base_port
-        if codec not in WIRE_CODECS:
-            raise ConfigError(
-                f"unknown wire codec {codec!r}; choose from {list(WIRE_CODECS)}"
-            )
-        self.codec = codec
-        # The local fabric has no sockets; a binary-codec run round-trips
-        # every payload through the binary wire format instead, so the
-        # codec selection is exercised (not ignored) in-process too.
-        self.codec_check = codec_check or codec == "binary"
         self.faults = dict(faults or {})
         for pid in self.faults:
             if not 0 <= pid < n:
@@ -261,10 +250,7 @@ class Cluster:
                 n, self.netem, seed=self.seed, observer=self.observer
             )
         if self.transport_kind == "local":
-            self._hub = LocalHub(
-                n, codec_check=self.codec_check,
-                policy=self._policy, clock=self._clock, wire=self.codec,
-            )
+            self._hub = LocalHub(n, policy=self._policy, clock=self._clock)
             self.transports = {pid: self._hub.endpoint(pid) for pid in range(n)}
         else:
             ring = KeyRing(n, master_secret=f"cluster-setup-{self.seed}".encode())
@@ -273,7 +259,7 @@ class Cluster:
                 port = 0 if self.base_port == 0 else self.base_port + pid
                 endpoints[pid] = TcpTransport(
                     pid, n, ring, host=self.host, port=port,
-                    policy=self._policy, clock=self._clock, wire=self.codec,
+                    policy=self._policy, clock=self._clock,
                 )
                 endpoints[pid].profiler = self.profiler
             for t in endpoints.values():
@@ -394,7 +380,7 @@ class Cluster:
         meta: Dict[str, Any] = {
             "transport": self.transport_kind, "protocol": self.protocol,
             "instances": self.instances, "batching": self.batching,
-            "codec": self.codec,
+            "codec": "binary",
         }
         if self.recovery_mode == "wal":
             meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}

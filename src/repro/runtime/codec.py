@@ -1,11 +1,13 @@
-"""JSON wire codec for protocol messages.
+"""Tagged-JSON value format for protocol messages, and the wire registry.
 
-The simulator hands Python objects between processes by reference; a real
-transport needs bytes.  Protocol payloads are deliberately *plain data*
-(frozen dataclasses of ints, strings, bytes, tuples and enums — see
-:mod:`repro.types`), so a small tagged-JSON encoding covers all of them
-without pickling (pickle over the network would hand Byzantine peers a
-remote-code-execution primitive).
+Protocol payloads are deliberately *plain data* (frozen dataclasses of
+ints, strings, bytes, tuples and enums — see :mod:`repro.types`), so a
+small tagged-JSON encoding covers all of them without pickling (pickle
+would hand whoever writes the bytes a remote-code-execution primitive).
+It is the WAL's on-disk value format (:mod:`repro.recovery.wal`) and the
+readable rendering of a message; the wire itself is binary
+(:mod:`repro.runtime.binarycodec`, framed by :mod:`repro.runtime.tcp`),
+which shares the registry below.
 
 Encoding rules:
 
@@ -21,54 +23,30 @@ Encoding rules:
 
 Every message dataclass in the library is registered below; downstream
 protocols register their own via :func:`register_message`.  Unknown tags
-or malformed structures raise :class:`CodecError` — the transport drops
-such frames the way a real system drops unparseable packets.
+or malformed structures raise :class:`CodecError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 from typing import Any, Dict, Type
 
 from ..errors import ReproError
 
 __all__ = [
     "CodecError",
-    "CodecMismatchError",
     "Stamped",
-    "WIRE_CODECS",
     "WireBatch",
     "register_message",
     "encode",
     "decode",
-    "dumps",
-    "loads",
-    "canonical",
 ]
 
 
 class CodecError(ReproError):
     """A payload cannot be encoded, or a frame cannot be decoded."""
 
-
-class CodecMismatchError(CodecError):
-    """An authenticated peer is speaking the *other* wire codec.
-
-    Raised out of a node's ``recv`` loop when a frame fails to match the
-    local wire format but authenticates perfectly under the other codec:
-    that is not Byzantine garbage (garbage cannot forge a MAC), it is a
-    misconfigured cluster — the run must fail loudly, naming the
-    ``codec`` scenario field, instead of silently dropping every frame
-    until the liveness timeout.
-    """
-
-
-#: The wire codecs a scenario may select (the ``codec`` field): the
-#: tagged-JSON reference format and the compact binary fast path
-#: (:mod:`repro.runtime.binarycodec`).
-WIRE_CODECS = ("json", "binary")
 
 #: name -> class for dataclasses allowed on the wire.
 _MESSAGES: Dict[str, Type[Any]] = {}
@@ -264,32 +242,6 @@ def decode(data: Any) -> Any:
                 raise CodecError(f"rejected {data[_MSG]} payload: {exc}") from exc
         return {k: decode(v) for k, v in data.items()}
     raise CodecError(f"cannot decode {type(data).__name__}: {data!r}")
-
-
-# -- byte-level helpers ------------------------------------------------------
-
-
-def canonical(encoded: Any) -> str:
-    """Canonical JSON text of an encoded payload (the MAC'd string).
-
-    Sorted keys and tight separators make the text a deterministic
-    function of the payload, so sender and receiver MAC the same bytes.
-    """
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
-
-
-def dumps(obj: Any) -> bytes:
-    """Encode a payload straight to UTF-8 JSON bytes."""
-    return canonical(encode(obj)).encode("utf-8")
-
-
-def loads(raw: bytes) -> Any:
-    """Decode UTF-8 JSON bytes back into a payload."""
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"unparseable frame: {exc}") from exc
-    return decode(data)
 
 
 # -- registry of the library's wire types ------------------------------------

@@ -1,48 +1,32 @@
-"""Length-prefixed frames over TCP, authenticated with pairwise MACs.
+"""Length-prefixed binary frames over TCP, authenticated with pairwise MACs.
 
-Two wire codecs share the 4-byte big-endian length prefix, selected by
-the ``codec`` scenario field (``wire=`` here).  The JSON format, one
-frame per protocol message::
-
-    4 bytes big-endian length | JSON body
-
-    body = {"src": <pid>, "dst": <pid>, "body": <codec-encoded payload>,
-            "mac": "<hex HMAC-SHA256 tag>"}
-
-and the compact binary format (``wire="binary"``)::
+One wire format, one frame per payload::
 
     4 bytes big-endian length | 0xB1 | version | >I src | >I dst
     | 32-byte HMAC-SHA256 tag | binary body
 
-A JSON body always starts with ``{`` (0x7B) and a binary frame with the
-0xB1 magic, so the receive path dispatches on the first byte; the
-version byte pins the binary layout so a future format change (or a
-corrupted header) is rejected instead of misparsed.  Binary receive is
-zero-copy: the MAC is verified by feeding a :class:`memoryview` of the
-body straight to the HMAC, and :mod:`repro.runtime.binarycodec` decodes
-the frame's own ``bytes`` from the body offset — no intermediate copy
-between the socket read and the decoded payload.  Binary send packs a
-payload *object* once: every message of Bracha's protocol is a
-broadcast, so the node hands the same payload object to ``send`` once
-per destination, and only the header and the MAC — the parts that name
-the link — are redone for each (see :meth:`TcpTransport._pack`).
+The magic byte and the version byte pin the layout, so a future format
+change (or a corrupted header) is rejected instead of misparsed.
+Receive is zero-copy: the MAC is verified by feeding a
+:class:`memoryview` of the body straight to the HMAC, and
+:mod:`repro.runtime.binarycodec` decodes the frame's own ``bytes`` from
+the body offset — no intermediate copy between the socket read and the
+decoded payload.  Send packs a payload *object* once: every message of
+Bracha's protocol is a broadcast, so the node hands the same payload
+object to ``send`` once per destination, and only the header and the
+MAC — the parts that name the link — are redone for each (see
+:meth:`TcpTransport._pack`).
 
 The MAC comes from :mod:`repro.net.auth` — the same pairwise-key
-machinery the link-layer tests exercise — computed over the canonical
-JSON text of the encoded payload (JSON) or the raw body bytes (binary),
-with the key of the (claimed source, destination) pair.  The tag
+machinery the link-layer tests exercise — computed over the raw body
+bytes with the key of the (claimed source, destination) pair.  The tag
 already binds source and destination (see
 :meth:`repro.net.auth.Authenticator.tag`), so a frame cannot be
 redirected to another link or claimed by another sender without
 detection.  Tampered, malformed, or misaddressed frames increment
 ``rejected`` and are dropped silently, which is precisely what the
 protocols' authenticated-link assumption permits a real network to do
-to garbage.  One exception fails loudly instead of silently: a frame in
-the *other* codec that nevertheless carries a valid MAC is a correct
-peer on a mismatched ``codec`` setting (garbage cannot forge a MAC), so
-the transport surfaces :class:`~repro.runtime.codec.CodecMismatchError`
-through ``recv`` rather than dropping every frame until the liveness
-timeout expires.
+to garbage.
 
 Duplicates are *not* filtered (there are no sequence numbers): Bracha's
 protocols are idempotent per (sender, message), a property the fuzzer
@@ -57,15 +41,14 @@ need a socket to talk to itself.
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..net.auth import Authenticator, KeyRing
 from ..types import ProcessId
-from . import binarycodec, codec
-from .codec import CodecMismatchError, WIRE_CODECS
+from . import binarycodec
+from .codec import CodecError
 from .transport import InboxTransport
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layer light
@@ -83,38 +66,26 @@ RECONNECT_COOLDOWN = 0.25
 
 _LEN = struct.Struct(">I")
 
-#: First byte of every binary frame; JSON bodies start with ``{`` (0x7B),
-#: so one byte disambiguates the two formats on the receive path.
+#: First byte of every frame.
 BINARY_MAGIC = 0xB1
 
-#: Binary wire-format version.  Bumped on any layout change; a frame
+#: Wire-format version.  Bumped on any layout change; a frame
 #: with the wrong version byte is rejected outright — peers running
 #: different layouts must fail loudly, not misparse each other.
 WIRE_VERSION = 1
 
 _BIN_HEADER = struct.Struct(">BBII")  # magic, version, src, dst
 _MAC_LEN = 32  # HMAC-SHA256
-_BIN_BODY_AT = _BIN_HEADER.size + _MAC_LEN  # offset of the binary body
-
-
-def encode_json_frame(auth: Authenticator, dest: ProcessId, payload: Any) -> bytes:
-    """One tagged-JSON wire frame body (codec pass + MAC), sans length prefix."""
-    encoded = codec.encode(payload)
-    mac = auth.tag(dest, codec.canonical(encoded))
-    return json.dumps(
-        {"src": auth.pid, "dst": dest, "body": encoded, "mac": mac.hex()},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+_BIN_BODY_AT = _BIN_HEADER.size + _MAC_LEN  # offset of the body
 
 
 def encode_binary_frame(auth: Authenticator, dest: ProcessId, payload: Any) -> bytes:
-    """One compact binary wire frame body (codec pass + MAC), sans length prefix."""
+    """One wire frame (codec pass + MAC), sans length prefix."""
     return _binary_frame(auth, dest, binarycodec.dumps(payload))
 
 
 def _binary_frame(auth: Authenticator, dest: ProcessId, body: bytes) -> bytes:
-    """The per-link part of a binary frame: header + MAC around a packed body."""
+    """The per-link part of a frame: header + MAC around a packed body."""
     return (
         _BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, auth.pid, dest)
         + auth.tag_bytes(dest, body)
@@ -136,10 +107,10 @@ class TcpTransport(InboxTransport):
             the policy drops is never written, a delayed frame is
             written by a task sleeping on the clock (so later frames may
             genuinely overtake it on the wire).
-        wire: the frame codec — ``"json"`` (tagged JSON, the readable
-            reference format) or ``"binary"`` (compact binary fast
-            path); every node of a cluster must use the same one, and a
-            mismatch fails loudly (:class:`~repro.runtime.codec.CodecMismatchError`).
+        wire: a validated constant — ``"binary"`` is the only legal
+            value (the JSON wire format was removed).  Kept only because
+            the frozen ``benchmarks/e2e`` drivers still pass it; goes
+            once a benchmark-only PR stops doing so.
     """
 
     def __init__(
@@ -151,18 +122,18 @@ class TcpTransport(InboxTransport):
         port: int = 0,
         policy: Optional["LinkPolicy"] = None,
         clock: Optional["Clock"] = None,
-        wire: str = "json",
+        wire: str = "binary",
     ):
         super().__init__()
         if policy is not None and clock is None:
             raise ReproError("a transport with a link policy needs a clock")
-        if wire not in WIRE_CODECS:
+        if wire != "binary":
             raise ReproError(
-                f"unknown wire codec {wire!r}; choose from {list(WIRE_CODECS)}"
+                f"unknown wire codec {wire!r}: binary is the only wire format "
+                "(the JSON wire format was removed) — drop the 'wire' argument"
             )
         self.pid = pid
         self.n = n
-        self.wire = wire
         self._auth = keyring.authenticator(pid)
         self._host = host
         self._port = port
@@ -184,8 +155,7 @@ class TcpTransport(InboxTransport):
         #: has ``profile: on``.  For a frame whose body is shared with
         #: the previous one the span covers header + MAC only.
         self.profiler: Optional[Any] = None
-        #: The last payload object packed on the binary wire and its
-        #: body (see :meth:`_pack`).
+        #: The last payload object packed and its body (see :meth:`_pack`).
         self._packed: Optional[Tuple[Any, bytes]] = None
 
     @property
@@ -284,10 +254,7 @@ class TcpTransport(InboxTransport):
             # own messages under the same wire constraints as everyone
             # else's.  It never touches the netem policy: a process's
             # channel to itself is not network.
-            if self.wire == "binary":
-                self._push(self.pid, binarycodec.loads(self._pack(payload)))
-            else:
-                self._push(self.pid, codec.loads(codec.dumps(payload)))
+            self._push(self.pid, binarycodec.loads(self._pack(dest, payload)))
             return
         if self.policy is not None:
             verdict = self.policy.plan(self.pid, dest, self.clock.now())
@@ -306,8 +273,8 @@ class TcpTransport(InboxTransport):
             return
         await self._transmit(dest, self._encode_body(dest, payload))
 
-    def _pack(self, payload: Any) -> bytes:
-        """The binary body of ``payload``, packed once per payload *object*.
+    def _pack(self, dest: ProcessId, payload: Any) -> bytes:
+        """The body of ``payload``, packed once per payload *object*.
 
         A broadcast reaches this transport as consecutive sends of one
         object — the same routed message with ``batching: off``, the
@@ -319,31 +286,33 @@ class TcpTransport(InboxTransport):
         hands over different objects per destination and gets different
         bytes on each link.  Payloads are immutable wire values; nothing
         mutates one between two sends.
+
+        The frame cap is checked here, on every call, so it binds the
+        self-delivery exactly as it binds a peer's frame.
         """
         packed = self._packed
         if packed is None or packed[0] is not payload:
             packed = self._packed = (payload, binarycodec.dumps(payload))
-        return packed[1]
+        body = packed[1]
+        size = _BIN_BODY_AT + len(body)
+        if size > MAX_FRAME:
+            # The receiver drops the connection on an over-cap length
+            # prefix; without this the link would just go silent.
+            raise ReproError(
+                f"node {self.pid}: frame for node {dest} is {size} bytes, "
+                f"over the {MAX_FRAME}-byte frame cap (MAX_FRAME) — send "
+                "smaller payloads or lower the batching 'size:N'"
+            )
+        return body
 
     def _encode_body(self, dest: ProcessId, payload: Any) -> bytes:
         """Codec + MAC for one frame, timed when a profiler is attached."""
         profiler = self.profiler
         started = profiler.start() if profiler is not None else 0.0
-        if self.wire == "binary":
-            body = _binary_frame(self._auth, dest, self._pack(payload))
-        else:
-            body = encode_json_frame(self._auth, dest, payload)
+        frame = _binary_frame(self._auth, dest, self._pack(dest, payload))
         if profiler is not None:
             profiler.stop("tcp_encode", started)
-        if len(body) > MAX_FRAME:
-            # The receiver drops the connection on an over-cap length
-            # prefix; without this the link would just go silent.
-            raise ReproError(
-                f"node {self.pid}: frame for node {dest} is {len(body)} bytes, "
-                f"over the {MAX_FRAME}-byte frame cap (MAX_FRAME) — send "
-                "smaller payloads or lower the batching 'size:N'"
-            )
-        return body
+        return frame
 
     async def _transmit(self, dest: ProcessId, body: bytes) -> None:
         # One writer task at a time per destination.  Netem delay tasks,
@@ -399,68 +368,18 @@ class TcpTransport(InboxTransport):
                 self._peer_tasks.discard(task)
 
     def _ingest(self, frame: bytes) -> None:
-        """Authenticate and decode one frame; drop it on any defect.
+        """Authenticate and decode one frame; count and drop it on any defect.
 
-        The first byte picks the parser: ``{`` opens a JSON body, the
-        0xB1 magic a binary frame, anything else is garbage.  Both
-        parsers run regardless of this node's own ``wire`` setting —
-        an *authenticated* frame in the other codec is a codec
-        mismatch, surfaced loudly (see :meth:`_codec_mismatch`), while
-        unauthenticated frames of either shape are dropped silently.
+        Zero-copy: the HMAC is fed a memoryview of the body and the
+        codec indexes the frame in place from the body offset — nothing
+        is copied until the decoded leaf values materialize.
         """
-        if not frame:
-            self.rejected += 1
-            return
-        first = frame[0]
-        if first == 0x7B:  # "{"
-            self._ingest_json(frame)
-        elif first == BINARY_MAGIC:
-            self._ingest_binary(frame)
-        else:
-            self.rejected += 1
-
-    def _ingest_json(self, frame: bytes) -> None:
-        try:
-            body = json.loads(frame.decode("utf-8"))
-            src = body["src"]
-            dst = body["dst"]
-            mac = bytes.fromhex(body["mac"])
-            encoded = body["body"]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError, RecursionError):
-            # RecursionError: a deeply-nested frame (b"[" * k) must be
-            # dropped like any other garbage, not kill the serve task.
-            self.rejected += 1
-            return
-        if not (isinstance(src, int) and 0 <= src < self.n and dst == self.pid):
-            self.rejected += 1
-            return
-        if not self._auth.verify(src, codec.canonical(encoded), mac):
-            self.rejected += 1
-            return
-        if self.wire != "json":
-            self._codec_mismatch(src, "json")
-            return
-        try:
-            payload = codec.decode(encoded)
-        except (codec.CodecError, RecursionError):
-            self.rejected += 1
-            return
-        self.accepted += 1
-        self._push(src, payload)
-
-    def _ingest_binary(self, frame: bytes) -> None:
-        """Zero-copy binary ingest: the HMAC is fed a memoryview of the
-        body and the codec indexes the frame in place from the body
-        offset — nothing is copied until the decoded leaf values
-        materialize."""
         if len(frame) < _BIN_BODY_AT + 1:
             self.rejected += 1
             return
-        _magic, version, src, dst = _BIN_HEADER.unpack_from(frame, 0)
-        if version != WIRE_VERSION:
-            self.rejected += 1
-            return
-        if not (0 <= src < self.n and dst == self.pid):
+        magic, version, src, dst = _BIN_HEADER.unpack_from(frame, 0)
+        if (magic != BINARY_MAGIC or version != WIRE_VERSION
+                or not 0 <= src < self.n or dst != self.pid):
             self.rejected += 1
             return
         view = memoryview(frame)
@@ -469,28 +388,13 @@ class TcpTransport(InboxTransport):
         ):
             self.rejected += 1
             return
-        if self.wire != "binary":
-            self._codec_mismatch(src, "binary")
-            return
         try:
             payload = binarycodec.loads(frame, _BIN_BODY_AT)
-        except codec.CodecError:
+        except CodecError:
             self.rejected += 1
             return
         self.accepted += 1
         self._push(src, payload)
-
-    def _codec_mismatch(self, src: ProcessId, other: str) -> None:
-        """An authenticated frame arrived in the other wire codec: a
-        correct peer is misconfigured (garbage cannot forge a MAC).
-        Raise out of the node's recv loop instead of silently starving."""
-        self._push_error(CodecMismatchError(
-            f"node {self.pid} is running wire codec {self.wire!r} but "
-            f"received an authenticated {other!r} frame from node {src}: "
-            "every node of a cluster must use the same wire format — set "
-            "the same 'codec' scenario field ('json' or 'binary') on "
-            "every node"
-        ))
 
 
 __all__ = [
@@ -499,5 +403,4 @@ __all__ = [
     "TcpTransport",
     "WIRE_VERSION",
     "encode_binary_frame",
-    "encode_json_frame",
 ]

@@ -9,9 +9,10 @@ model of the paper — here the nondeterminism comes from real
 interleaving of tasks or sockets rather than from a seeded scheduler.
 
 :class:`LocalHub` wires ``n`` in-process endpoints over ``asyncio``
-queues — the fastest runtime, used for parity testing against the
-simulator and as the baseline in the transport benchmarks.  The TCP
-implementation lives in :mod:`repro.runtime.tcp`.
+queues — the tcp path minus MAC and socket: every payload still makes
+the :mod:`~repro.runtime.binarycodec` round trip, so in-process runs
+exercise the wire representation and serialization bugs surface in fast
+tests.  The TCP implementation lives in :mod:`repro.runtime.tcp`.
 
 Transports move *wire frames* and never look inside: a payload may be a
 single protocol message or a whole :class:`~repro.runtime.codec.WireBatch`
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..types import ProcessId
-from . import binarycodec, codec
+from . import binarycodec
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the layer light
     from ..netem.clock import Clock
@@ -89,34 +90,16 @@ class InboxTransport(Transport):
     def _push_closed(self) -> None:
         self._inbox.put_nowait(_CLOSED)
 
-    def _push_error(self, exc: Exception) -> None:
-        """Queue an exception for delivery: the next ``recv`` raises it.
-
-        The channel for inbound-path failures that must fail the node
-        loudly (e.g. an authenticated frame in the wrong wire codec)
-        rather than being dropped like Byzantine garbage — the transport
-        runs on the event loop's reader tasks, so raising in place would
-        kill the wrong task.
-        """
-        self._inbox.put_nowait(exc)
-
     async def recv(self) -> Tuple[ProcessId, Any]:
         item = await self._inbox.get()
         if item is _CLOSED:
             raise TransportClosed(f"transport of node {self.pid} closed")
-        if isinstance(item, Exception):
-            raise item
         self.delivered += 1
         return item
 
 
 class LocalTransport(InboxTransport):
-    """In-process endpoint wired to its peers through a :class:`LocalHub`.
-
-    With ``codec_check`` enabled on the hub, every payload makes a full
-    encode/decode round trip, so in-process runs exercise the same wire
-    representation as TCP and serialization bugs surface in fast tests.
-    """
+    """In-process endpoint wired to its peers through a :class:`LocalHub`."""
 
     def __init__(self, hub: "LocalHub", pid: ProcessId):
         super().__init__()
@@ -137,6 +120,10 @@ class LocalTransport(InboxTransport):
 class LocalHub:
     """Shared fabric for ``n`` in-process endpoints.
 
+    Every dispatch round-trips the payload through the wire codec; a
+    payload the codec refuses raises its
+    :class:`~repro.runtime.codec.CodecError` out of ``send``.
+
     With a :class:`~repro.netem.policy.LinkPolicy` (and its clock)
     installed, every dispatch consults the policy: dropped frames
     vanish, delayed/duplicated copies are delivered by tasks sleeping on
@@ -151,22 +138,14 @@ class LocalHub:
     def __init__(
         self,
         n: int,
-        codec_check: bool = False,
         policy: Optional["LinkPolicy"] = None,
         clock: Optional["Clock"] = None,
-        wire: str = "json",
     ):
         if n < 1:
             raise ReproError(f"hub needs at least one node, got n={n}")
         if policy is not None and clock is None:
             raise ReproError("a hub with a link policy needs a clock")
-        if wire not in codec.WIRE_CODECS:
-            raise ReproError(
-                f"unknown wire codec {wire!r}; choose from {list(codec.WIRE_CODECS)}"
-            )
         self.n = n
-        self.codec_check = codec_check
-        self.wire = wire
         self.policy = policy
         self.clock = clock
         self._endpoints: Dict[ProcessId, LocalTransport] = {}
@@ -184,14 +163,7 @@ class LocalHub:
     async def dispatch(self, source: ProcessId, dest: ProcessId, payload: Any) -> None:
         if not 0 <= dest < self.n:
             raise ReproError(f"send to unknown node {dest}")
-        if self.codec_check:
-            # Round-trip through the selected wire format, so in-process
-            # runs surface serialization bugs of the same codec a TCP
-            # run would use.
-            if self.wire == "binary":
-                payload = binarycodec.loads(binarycodec.dumps(payload))
-            else:
-                payload = codec.loads(codec.dumps(payload))
+        payload = binarycodec.loads(binarycodec.dumps(payload))
         if self.policy is not None:
             verdict = self.policy.plan(source, dest, self.clock.now())
             if verdict.dropped:

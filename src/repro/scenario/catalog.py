@@ -120,8 +120,8 @@ _entry(Scenario(
 
 _entry(Scenario(
     name="tcp-loopback",
-    description="Four nodes over authenticated JSON-over-TCP on localhost: "
-                "length-prefixed frames, pairwise HMACs, real sockets.",
+    description="Four nodes over authenticated TCP on localhost: "
+                "length-prefixed binary frames, pairwise HMACs, real sockets.",
     protocol="bracha", n=4, proposals=1, fabric="tcp", seed=23,
 ))
 
@@ -176,13 +176,12 @@ _entry(Scenario(
 
 _entry(Scenario(
     name="batched-binary-tcp",
-    description="The fast wire path end to end: four Bracha instances "
-                "over real sockets with the compact binary codec — "
-                "struct-packed frames, HMAC over raw bytes, zero-copy "
-                "receive — coalesced by the batching pipeline.  Decides "
-                "the same values as the JSON codec on the same seed.",
+    description="The wire path end to end: four Bracha instances over "
+                "real sockets — struct-packed binary frames, HMAC over "
+                "raw bytes, zero-copy receive — coalesced by the "
+                "batching pipeline (one packed body per broadcast).",
     protocol="bracha", n=4, instances=4, proposals=1, fabric="tcp", seed=83,
-    batching="flush", codec="binary",
+    batching="flush",
 ))
 
 # -- multi-process entries (one OS process per node) -------------------------

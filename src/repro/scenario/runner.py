@@ -6,9 +6,9 @@ fabric it names:
 
 * ``sim`` — the deterministic discrete-event simulator, with the
   scenario's scheduler as the network adversary;
-* ``local`` — the asyncio runtime over in-process queues;
-* ``tcp`` — the asyncio runtime over authenticated TCP (``codec``
-  selects the JSON or the binary wire format);
+* ``local`` — the asyncio runtime over in-process queues (every payload
+  still round-trips through the binary wire codec);
+* ``tcp`` — the asyncio runtime over authenticated binary frames on TCP;
 * ``mp`` — one OS process per node over the same TCP transport,
   bootstrapped by a trusted-setup dealer (:mod:`repro.mp`).
 
@@ -285,7 +285,6 @@ def _run_runtime(
         allow_excess_faults=scenario.allow_excess_faults,
         netem=scenario.netem_config(),
         batching=scenario.batching,
-        codec=scenario.codec,
         observer=observer,
         recovery=scenario.recovery,
         profile=scenario.profile,

@@ -35,7 +35,6 @@ from ..netem import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
 from ..params import ProtocolParams, for_system
 from ..recovery.wal import RECOVERY_MODES, parse_recovery
-from ..runtime.codec import WIRE_CODECS
 from ..sim.effects import BATCHING_MODES, parse_batching
 from ..sim.scheduler import (
     FifoScheduler,
@@ -286,7 +285,7 @@ class Scenario:
         partitions: scripted partition windows for the runtime fabrics —
             a list of ``{"start", "stop", "groups"}`` mappings.
         fabric: ``sim`` (discrete-event), ``local`` (asyncio queues),
-            ``tcp`` (authenticated JSON-over-TCP, one interpreter), or
+            ``tcp`` (authenticated binary frames over TCP, one interpreter), or
             ``mp`` (one OS process per node over the same TCP transport,
             bootstrapped by a dealer bundle — see docs/deployment.md).
         instances: parallel consensus instances per process (batching).
@@ -296,16 +295,11 @@ class Scenario:
             On the ``sim`` fabric the knob selects eager vs per-step
             outbox draining, which is provably order-identical: a fixed
             seed decides and traces bit-for-bit the same either way.
-        codec: the wire format on the runtime fabrics — ``json``
-            (tagged JSON, the readable reference format) or ``binary``
-            (the compact binary fast path, see docs/performance.md).
-            Every node uses the selected codec; mixing codecs across a
-            cluster fails loudly with a
-            :class:`~repro.runtime.codec.CodecMismatchError`.  The
-            ``sim`` fabric moves Python objects by reference, so the
-            knob is a no-op there (kept legal so one scenario can be
-            parity-compared across all fabrics); on ``local`` a binary
-            run round-trips every payload through the binary codec.
+        codec: a validated constant — ``binary`` is the only wire
+            format of the runtime fabrics (docs/performance.md) and the
+            only legal value; ``json`` is rejected by name.  Kept only
+            because the frozen ``benchmarks/e2e`` workloads still pass
+            it; goes once a benchmark-only PR stops doing so.
         observe: structured-event capture — ``off`` (default, no
             observer), ``ring``/``ring:N`` (in-memory ring buffer of the
             newest N events, attached to ``meta["obs_events"]``), or
@@ -344,7 +338,7 @@ class Scenario:
     fabric: str = "sim"
     instances: int = 1
     batching: str = "off"
-    codec: str = "json"
+    codec: str = "binary"
     observe: str = "off"
     profile: str = "off"
     recovery: str = "off"
@@ -381,10 +375,11 @@ class Scenario:
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
         parse_batching(self.batching)  # validates off | flush | size:N
-        if self.codec not in WIRE_CODECS:
+        if self.codec != "binary":
             raise ConfigError(
-                f"unknown wire codec {self.codec!r}; "
-                f"choose from {list(WIRE_CODECS)}"
+                f"unknown wire codec {self.codec!r}: binary is the only wire "
+                "format (the JSON wire format was removed) — drop the "
+                "'codec' field"
             )
         parse_observe(self.observe)  # validates off | ring[:N] | jsonl[:PATH]
         if parse_profile(self.profile) != "off" and self.fabric == "mp":
@@ -655,7 +650,6 @@ __all__ = [
     "BATCHING_MODES",
     "COINS",
     "FABRICS",
-    "WIRE_CODECS",
     "FAULT_KIND_FABRICS",
     "OBSERVE_MODES",
     "PROFILE_MODES",

@@ -196,12 +196,12 @@ def test_seen_window_compacts():
 
 
 def test_wire_frames_round_trip_the_codec():
-    from repro.runtime import codec
+    from repro.runtime import binarycodec
 
     frame = LinkFrame(7, ("mod", "payload"))
-    assert codec.loads(codec.dumps(frame)) == frame
+    assert binarycodec.loads(binarycodec.dumps(frame)) == frame
     ack = LinkAck(7)
-    assert codec.loads(codec.dumps(ack)) == ack
+    assert binarycodec.loads(binarycodec.dumps(ack)) == ack
 
 
 def test_malformed_wire_frames_are_rejected():

@@ -16,10 +16,11 @@ real run, not a synthetic one.
 """
 
 import json
+import os
 
 import pytest
 
-from repro.recovery.wal import read_wal, replay, wal_filename
+from repro.recovery.wal import read_wal, replay, validate_header, wal_filename
 from repro.runtime import codec
 from repro.runtime.node import NodeNetwork
 from repro.scenario import Scenario, run
@@ -118,3 +119,28 @@ def test_every_wal_prefix_replays_bit_identically(protocol, tmp_path):
     if protocol != "acs":
         decisions = {m.decision for m in reference.modules}
         assert decisions == result.decided_values
+
+
+# -- the on-disk format across commits ----------------------------------------
+
+#: Node 0's log of ``SCENARIOS[protocol]`` on the ``local`` fabric,
+#: written by commit 69cb50e (both runs decided 1 there).  The tagged-JSON
+#: value format is no longer exercised by any wire test, so these files
+#: are what says a log written before a change still replays after it.
+PARENT_WALS = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("protocol", ["benor", "bracha"])
+def test_a_wal_written_at_the_parent_commit_replays_to_the_same_decision(protocol):
+    header, records = read_wal(os.path.join(
+        PARENT_WALS, f"parent-{protocol}-n4-seed13-wal-0.jsonl"))
+    validate_header(header, run_id="local-13", node=0, seed=13,
+                    protocol=protocol, instances=1)
+    assert records[0]["kind"] == "propose"
+    assert {r["kind"] for r in records[1:]} == {"deliver"}
+
+    harness = _Harness(SCENARIOS[protocol])
+    for record in records:
+        harness.apply(record)
+    assert harness.plan.decided(harness.modules)
+    assert {m.decision for m in harness.modules} == {1}

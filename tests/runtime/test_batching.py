@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigError
-from repro.runtime import codec
+from repro.runtime import binarycodec, codec
 from repro.runtime.cluster import Cluster, run_cluster_sync
 from repro.runtime.codec import WireBatch
 from repro.types import Phase
@@ -19,7 +19,7 @@ class TestWireBatchCodec:
             ("rbc", RbcMessage(("bracha", 1, 1, 0), 0, Phase.ECHO, "v")),
         )
         batch = WireBatch(messages)
-        decoded = codec.loads(codec.dumps(batch))
+        decoded = binarycodec.loads(binarycodec.dumps(batch))
         assert isinstance(decoded, WireBatch)
         assert decoded.messages == messages
         assert len(decoded) == 2
@@ -40,11 +40,9 @@ class TestWireBatchCodec:
     def test_inbound_malformed_batch_dropped_by_decoder(self):
         # A Byzantine peer hand-crafting an empty batch frame: the
         # constructor validation re-runs on decode and rejects it.
-        raw = codec.canonical(
-            {"__msg__": "WireBatch", "fields": {"messages": {"__tuple__": []}}}
-        ).encode()
-        with pytest.raises(codec.CodecError):
-            codec.loads(raw)
+        prefix, _fields = binarycodec.registry_tables()[0][WireBatch]
+        with pytest.raises(codec.CodecError, match="at least one message"):
+            binarycodec.loads(prefix + bytes([binarycodec._T_TUPLE, 0]))
 
 
 def _batched_run(**kwargs):

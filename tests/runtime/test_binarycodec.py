@@ -189,7 +189,7 @@ def test_local_fabric_round_trip_reports_deep_nesting_by_name():
     from repro.runtime.transport import LocalHub
 
     async def scenario():
-        hub = LocalHub(2, codec_check=True, wire="binary")
+        hub = LocalHub(2)
         with pytest.raises(CodecError, match="nesting deeper"):
             await hub.endpoint(0).send(1, _nested_tuples(5000))
 

@@ -1,42 +1,42 @@
-"""Wire-codec tests: every protocol message survives the round trip,
-and hostile frames are rejected rather than half-decoded."""
+"""Tagged-JSON value format tests: the WAL's on-disk encoding.
+
+No wire test exercises :mod:`repro.runtime.codec` any more (the wire is
+binary), so this file keeps it honest on its own: one value of every
+registered message and enum type — the ``CORPUS`` the binary goldens
+pin, not a second list — survives ``encode`` → JSON text → ``decode``,
+and hostile structures are rejected rather than half-decoded.
+"""
+
+import json
 
 import pytest
 
-from repro.baselines.benor import BenOrDecide, PVote, RVote
-from repro.baselines.bv_broadcast import BvValue
-from repro.baselines.mmr14 import AuxMsg, MmrDecide
 from repro.core.broadcast import RbcMessage
-from repro.core.coin import CoinShareMsg
-from repro.core.consensus import DecideMsg
 from repro.crypto.dealer import CoinDealer, SignedShare
-from repro.runtime.codec import CodecError, canonical, decode, dumps, encode, loads
+from repro.runtime.codec import CodecError, decode, encode
 from repro.types import Phase, Step, StepValue
 
-WIRE_MESSAGES = [
-    ("rbc", RbcMessage(("bracha", 3, 2, 1), 1, Phase.ECHO, StepValue(1))),
-    ("rbc", RbcMessage(("acs-prop", 0, 2), 2, Phase.INIT, "req-p2")),
-    ("rbc", RbcMessage(("rbc-exp", 0), 0, Phase.READY, [1, "x", None])),
-    ("bracha", DecideMsg(0)),
-    ("benor", RVote(4, 1)),
-    ("benor", PVote(4, None)),
-    ("benor", BenOrDecide(1)),
-    ("bv", BvValue(2, 0)),
-    ("mmr14", AuxMsg(1, 1)),
-    ("mmr14", MmrDecide(0)),
-    ("coin", CoinShareMsg(5, CoinDealer(4, 1, seed=9).share_for(2, 5))),
-]
+from .test_wire_parity import CORPUS
 
 
-@pytest.mark.parametrize("payload", WIRE_MESSAGES, ids=lambda p: type(p[1]).__name__)
-def test_roundtrip_equality(payload):
-    assert loads(dumps(payload)) == payload
+def _via_json_text(payload):
+    """What a WAL record does to a value: encode, one line of JSON, back."""
+    return decode(json.loads(json.dumps(encode(payload), sort_keys=True)))
+
+
+@pytest.mark.parametrize("row", sorted(CORPUS))
+def test_every_registered_type_round_trips(row):
+    # test_corpus_covers_every_registered_wire_type (test_wire_parity.py)
+    # is what makes "every" true.
+    decoded = _via_json_text(CORPUS[row])
+    assert decoded == CORPUS[row]
+    assert type(decoded) is type(CORPUS[row])
 
 
 def test_roundtrip_preserves_types():
-    module_id, msg = WIRE_MESSAGES[0]
-    decoded_module, decoded = loads(dumps((module_id, msg)))
-    assert decoded_module == module_id
+    msg = RbcMessage(("bracha", 3, 2, 1), 1, Phase.ECHO, StepValue(1))
+    decoded_module, decoded = _via_json_text(("rbc", msg))
+    assert decoded_module == "rbc"
     assert isinstance(decoded, RbcMessage)
     assert isinstance(decoded.instance, tuple), "instances must stay hashable"
     assert isinstance(decoded.value, StepValue)
@@ -46,27 +46,22 @@ def test_roundtrip_preserves_types():
 def test_signed_share_roundtrips_verifiably():
     dealer = CoinDealer(4, 1, seed=3)
     share = dealer.share_for(1, 7)
-    decoded = loads(dumps(share))
+    decoded = _via_json_text(share)
     assert isinstance(decoded, SignedShare)
     assert isinstance(decoded.tag, bytes)
     assert dealer.verify(decoded), "the dealer MAC must survive serialization"
 
 
-def test_canonical_is_deterministic():
-    payload = ("rbc", RbcMessage(("i", 1), 1, Phase.INIT, StepValue(0, decide=False)))
-    assert canonical(encode(payload)) == canonical(encode(payload))
-
-
 def test_step_enum_roundtrip():
-    decoded = loads(dumps((Step.THREE, Step.ONE)))
+    decoded = _via_json_text((Step.THREE, Step.ONE))
     assert decoded == (Step.THREE, Step.ONE)
     # IntEnum == int would make the equality above vacuous; demand the
-    # actual member type survives the wire.
+    # actual member type survives.
     assert all(isinstance(step, Step) for step in decoded)
 
 
 def test_constructor_validation_runs_on_decode():
-    # A StepValue frame claiming bit=7 must be rejected by __post_init__.
+    # A StepValue record claiming bit=7 must be rejected by __post_init__.
     frame = encode(StepValue(1))
     frame["fields"]["bit"] = 7
     with pytest.raises(CodecError):
@@ -76,18 +71,17 @@ def test_constructor_validation_runs_on_decode():
 @pytest.mark.parametrize(
     "garbage",
     [
-        b"not json at all",
-        b'{"__msg__": "NoSuchType", "fields": {}}',
-        b'{"__msg__": "DecideMsg", "fields": {"wrong": 1}}',
-        b'{"__msg__": "DecideMsg", "fields": {"bit": 1}, "extra": 2}',
-        b'{"__enum__": "Phase", "value": "NOPE"}',
-        b'{"__bytes__": "zz"}',
-        b'{"__tuple__": 3}',
+        '{"__msg__": "NoSuchType", "fields": {}}',
+        '{"__msg__": "DecideMsg", "fields": {"wrong": 1}}',
+        '{"__msg__": "DecideMsg", "fields": {"bit": 1}, "extra": 2}',
+        '{"__enum__": "Phase", "value": "NOPE"}',
+        '{"__bytes__": "zz"}',
+        '{"__tuple__": 3}',
     ],
 )
-def test_garbage_frames_raise(garbage):
+def test_garbage_structures_raise(garbage):
     with pytest.raises(CodecError):
-        loads(garbage)
+        decode(json.loads(garbage))
 
 
 def test_unregistered_types_cannot_be_encoded():

@@ -12,7 +12,7 @@ over real transports.  These tests hold it to that:
 * **Property parity** — for split proposals the *value* may legitimately
   depend on the interleaving, but agreement, validity, and integrity
   must hold in both worlds, checked by the same
-  :func:`~repro.analysis.experiments.verify_outcome` code path.
+  :func:`~repro.outcome.build_result` code path.
 """
 
 import pytest
@@ -49,7 +49,7 @@ def test_split_proposals_agree_in_both_worlds(protocol):
         4, proposals=[0, 1, 0, 1], seed=seed,
         stack=None if protocol == "bracha" else _stack(protocol),
     )
-    # run() applies verify_outcome internally: agreement + validity +
+    # run() applies build_result's checks: agreement + validity +
     # integrity + liveness, same checker as the simulator harness.
     run = run_cluster_sync(
         4, protocol=protocol, proposals=[0, 1, 0, 1], seed=seed,
@@ -97,13 +97,3 @@ def test_runtime_with_silent_fault_matches_fault_free_validity():
     )
     assert run.decided_values == {1}
     assert sorted(run.decisions) == [0, 1, 2]
-
-
-def test_codec_checked_local_transport_matches_plain():
-    """Round-tripping every payload through the JSON codec must not
-    change any outcome — catches serialization bugs without sockets."""
-    plain = run_cluster_sync(4, proposals=1, seed=21, transport="local")
-    checked = run_cluster_sync(
-        4, proposals=1, seed=21, transport="local", codec_check=True
-    )
-    assert plain.decided_values == checked.decided_values == {1}

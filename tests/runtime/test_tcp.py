@@ -8,14 +8,20 @@ rejects what it promises to reject.
 """
 
 import asyncio
-import json
+import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.net.auth import KeyRing
-from repro.runtime import TcpTransport, run_cluster_sync
-from repro.runtime.codec import canonical, encode
+from repro.runtime import TcpTransport, binarycodec, run_cluster_sync
+from repro.runtime.codec import WireBatch
+from repro.runtime.tcp import (
+    _BIN_BODY_AT, _BIN_HEADER, _MAC_LEN, BINARY_MAGIC, MAX_FRAME, WIRE_VERSION,
+    encode_binary_frame,
+)
 from repro.types import StepValue
 
 
@@ -88,22 +94,46 @@ def test_authentic_frame_is_delivered():
     asyncio.run(scenario())
 
 
-def _frame(body: dict) -> bytes:
-    raw = json.dumps(body).encode()
+def _prefixed(raw: bytes) -> bytes:
     return struct.pack(">I", len(raw)) + raw
+
+
+def _header(src: int, dst: int, version: int = WIRE_VERSION) -> bytes:
+    return _BIN_HEADER.pack(BINARY_MAGIC, version, src, dst)
+
+
+async def _inject(b, frames, rejected):
+    """Write raw frames at ``b`` and wait until it has rejected that many."""
+    _reader, writer = await asyncio.open_connection(*b.address)
+    for raw in frames:
+        writer.write(_prefixed(raw))
+    await writer.drain()
+    await _wait_for(lambda: b.rejected >= rejected)
+    return writer
+
+
+async def _assert_still_serving(a, b):
+    await a.send(1, ("mod", StepValue(1)))
+    sender, payload = await asyncio.wait_for(b.recv(), 5.0)
+    assert (sender, payload) == (0, ("mod", StepValue(1)))
+
+
+def test_the_wire_argument_is_a_validated_constant():
+    ring = KeyRing(2, master_secret=b"test-setup")
+    TcpTransport(0, 2, ring, wire="binary")  # what benchmarks/e2e passes
+    for wire in ("json", "msgpack"):
+        with pytest.raises(ReproError, match="JSON wire format was removed"):
+            TcpTransport(0, 2, ring, wire=wire)
 
 
 def test_tampered_frame_is_rejected():
     async def scenario():
         a, b = await _connected_pair()
         try:
-            encoded = encode(("mod", StepValue(1)))
-            mac = a._auth.tag(1, canonical(encoded))
-            flipped = encode(("mod", StepValue(0)))  # payload != MAC'd payload
-            reader, writer = await asyncio.open_connection(*b.address)
-            writer.write(_frame({"src": 0, "dst": 1, "body": flipped, "mac": mac.hex()}))
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= 1)
+            # The MAC of one payload around the body of another.
+            mac = a._auth.tag_bytes(1, binarycodec.dumps(("mod", StepValue(1))))
+            flipped = binarycodec.dumps(("mod", StepValue(0)))
+            writer = await _inject(b, [_header(0, 1) + mac + flipped], 1)
             assert b.accepted == 0
             writer.close()
         finally:
@@ -118,12 +148,8 @@ def test_frame_from_wrong_keyring_is_rejected():
         a, b = await _connected_pair()
         mallory = KeyRing(2, master_secret=b"attacker-keys").authenticator(0)
         try:
-            encoded = encode(("mod", StepValue(1)))
-            mac = mallory.tag(1, canonical(encoded))
-            reader, writer = await asyncio.open_connection(*b.address)
-            writer.write(_frame({"src": 0, "dst": 1, "body": encoded, "mac": mac.hex()}))
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= 1)
+            frame = encode_binary_frame(mallory, 1, ("mod", StepValue(1)))
+            writer = await _inject(b, [frame], 1)
             assert b.accepted == 0
             writer.close()
         finally:
@@ -137,16 +163,55 @@ def test_misaddressed_and_malformed_frames_are_rejected():
     async def scenario():
         a, b = await _connected_pair()
         try:
-            reader, writer = await asyncio.open_connection(*b.address)
-            encoded = encode(("mod", StepValue(1)))
-            mac = a._auth.tag(0, canonical(encoded))  # MAC'd for dst=0, sent to 1
-            writer.write(_frame({"src": 0, "dst": 0, "body": encoded, "mac": mac.hex()}))
-            writer.write(_frame({"nonsense": True}))
-            raw = b"totally not json"
-            writer.write(struct.pack(">I", len(raw)) + raw)
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= 3)
+            frames = [
+                # genuinely MAC'd for dst=0, delivered to node 1
+                encode_binary_frame(a._auth, 0, ("mod", StepValue(1))),
+                b"",  # a zero-length frame
+                b"totally not json",
+                b'{"nonsense": true}',
+            ]
+            writer = await _inject(b, frames, len(frames))
             assert b.accepted == 0
+            await _assert_still_serving(a, b)
+            assert b.rejected == len(frames)
+            writer.close()
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+#: ``encode_json_frame(auth0, 1, ("mod", StepValue(1)))`` under the
+#: ``b"test-setup"`` keyring, captured at the last commit that had a
+#: JSON wire format (69cb50e): a frame a not-yet-upgraded *correct* peer
+#: would send, valid MAC and all.
+_PARENT_JSON_FRAME = bytes.fromhex(
+    "7b22626f6479223a7b225f5f7475706c655f5f223a5b226d6f64222c7b225f5f6d73"
+    "675f5f223a225374657056616c7565222c226669656c6473223a7b22626974223a31"
+    "2c22646563696465223a66616c73657d7d5d7d2c22647374223a312c226d6163223a"
+    "2264306363646234393566343630386232396432653433323731656465326130383164"
+    "366265333237393439613437346133356163326339376332316239616263222c2273"
+    "7263223a307d"
+)
+
+
+def test_json_frame_with_a_valid_mac_is_rejected_and_the_link_survives():
+    # The format is gone, not special-cased: what used to raise
+    # CodecMismatchError out of recv() is now one more counted, dropped
+    # frame, and the connection keeps carrying good ones.
+    async def scenario():
+        a, b = await _connected_pair()
+        try:
+            assert _PARENT_JSON_FRAME.startswith(b'{"body":')
+            writer = await _inject(b, [_PARENT_JSON_FRAME], 1)
+            assert (b.accepted, b.rejected) == (0, 1)
+            good = encode_binary_frame(a._auth, 1, ("mod", StepValue(1)))
+            writer.write(_prefixed(good))  # same connection
+            await writer.drain()
+            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
+            assert (sender, payload) == (0, ("mod", StepValue(1)))
+            assert (b.accepted, b.rejected) == (1, 1)
             writer.close()
         finally:
             await a.close()
@@ -171,29 +236,6 @@ def test_sends_to_a_dead_peer_do_not_stall_the_loop():
         assert elapsed < 2.0, f"50 sends to a dead peer took {elapsed:.2f}s"
         assert a.dropped >= 1
         await a.close()
-
-    asyncio.run(scenario())
-
-
-def test_deeply_nested_frame_is_rejected_not_fatal():
-    # A recursion bomb (b"[" * k) must be counted and dropped like any
-    # other garbage; the endpoint keeps serving afterwards.
-    async def scenario():
-        a, b = await _connected_pair()
-        try:
-            reader, writer = await asyncio.open_connection(*b.address)
-            bomb = b"[" * 100_000
-            writer.write(struct.pack(">I", len(bomb)) + bomb)
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= 1)
-            assert b.accepted == 0
-            await a.send(1, ("mod", StepValue(1)))
-            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, payload) == (0, ("mod", StepValue(1)))
-            writer.close()
-        finally:
-            await a.close()
-            await b.close()
 
     asyncio.run(scenario())
 
@@ -224,85 +266,7 @@ def test_concurrent_sends_to_one_peer_are_serialized():
     asyncio.run(scenario())
 
 
-def test_fuzzed_garbage_frames_never_kill_the_serve_task():
-    # Satellite of the netem PR: a Byzantine peer can shove arbitrary
-    # bytes down a connection.  Spray seeded malformed/truncated/bad-MAC
-    # frames through the codec path and assert every one is counted and
-    # dropped while the endpoint keeps serving authentic traffic.
-    import random
-
-    rng = random.Random(0xBEEF)
-
-    def fuzz_frames(a):
-        encoded = encode(("mod", StepValue(1)))
-        good_mac = a._auth.tag(1, canonical(encoded)).hex()
-        corpus = []
-        # 1. random binary garbage of assorted sizes
-        for _ in range(10):
-            corpus.append(rng.randbytes(rng.randrange(1, 200)))
-        # 2. truncated valid JSON bodies
-        body = json.dumps(
-            {"src": 0, "dst": 1, "body": encoded, "mac": good_mac}
-        ).encode()
-        for _ in range(10):
-            corpus.append(body[: rng.randrange(1, len(body) - 1)])
-        # 3. structurally valid JSON with wrong shapes and types
-        corpus.extend(
-            json.dumps(doc).encode()
-            for doc in (
-                [],
-                42,
-                {"src": "zero", "dst": 1, "body": encoded, "mac": good_mac},
-                {"src": 99, "dst": 1, "body": encoded, "mac": good_mac},
-                {"src": 0, "dst": 99, "body": encoded, "mac": good_mac},
-                {"src": 0, "dst": 1, "body": encoded, "mac": "zz-not-hex"},
-                {"src": 0, "dst": 1, "body": encoded},
-                {"src": 0, "dst": 1, "body": {"__msg__": "NoSuchType",
-                                              "fields": {}}, "mac": good_mac},
-            )
-        )
-        # 4. bad MACs: flip one hex digit of a genuine tag
-        for _ in range(10):
-            i = rng.randrange(len(good_mac))
-            flipped = (
-                good_mac[:i]
-                + ("0" if good_mac[i] != "0" else "1")
-                + good_mac[i + 1:]
-            )
-            corpus.append(
-                json.dumps(
-                    {"src": 0, "dst": 1, "body": encoded, "mac": flipped}
-                ).encode()
-            )
-        rng.shuffle(corpus)
-        return corpus
-
-    async def scenario():
-        a, b = await _connected_pair()
-        try:
-            corpus = fuzz_frames(a)
-            reader, writer = await asyncio.open_connection(*b.address)
-            for raw in corpus:
-                writer.write(struct.pack(">I", len(raw)) + raw)
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= len(corpus))
-            assert b.accepted == 0
-            # The endpoint survived every frame: authentic traffic flows.
-            await a.send(1, ("mod", StepValue(1)))
-            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, payload) == (0, ("mod", StepValue(1)))
-            assert b.rejected == len(corpus)
-            writer.close()
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
 def test_oversized_frame_drops_the_connection():
-    from repro.runtime.tcp import MAX_FRAME
-
     async def scenario():
         a, b = await _connected_pair()
         try:
@@ -319,93 +283,30 @@ def test_oversized_frame_drops_the_connection():
     asyncio.run(scenario())
 
 
-# -- the binary wire path -----------------------------------------------------
-
-
-def _binary_pair(ring=None):
-    ring = ring or KeyRing(2, master_secret=b"test-setup")
-    return (TcpTransport(0, 2, ring, wire="binary"),
-            TcpTransport(1, 2, ring, wire="binary"))
-
-
-def test_binary_wire_round_trip_between_peers():
-    async def scenario():
-        a, b = _binary_pair()
-        await a.start()
-        await b.start()
-        peers = {0: a.address, 1: b.address}
-        a.set_peers(peers)
-        b.set_peers(peers)
-        try:
-            payload = ("mod", StepValue(1, decide=True))
-            await a.send(1, payload)
-            sender, received = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, received) == (0, payload)
-            assert b.rejected == 0
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
-def test_mixed_codec_peers_fail_loudly():
-    # An *authenticated* frame in the other wire format is a deployment
-    # error, not Byzantine garbage: the receiving node's recv() must
-    # raise a named error that points at the scenario field to fix.
-    from repro.runtime.codec import CodecMismatchError
-
-    async def scenario():
-        ring = KeyRing(2, master_secret=b"test-setup")
-        a = TcpTransport(0, 2, ring, wire="json")
-        b = TcpTransport(1, 2, ring, wire="binary")
-        await a.start()
-        await b.start()
-        peers = {0: a.address, 1: b.address}
-        a.set_peers(peers)
-        b.set_peers(peers)
-        try:
-            await a.send(1, ("mod", StepValue(1)))
-            with pytest.raises(CodecMismatchError, match="codec"):
-                await asyncio.wait_for(b.recv(), 5.0)
-        finally:
-            await a.close()
-            await b.close()
-
-    asyncio.run(scenario())
-
-
-def test_binary_garbage_frames_never_kill_the_serve_task():
-    # The binary-codec arm of the garbage-fuzz corpus: truncated
-    # headers, bad version bytes, over-length varints, and flipped MACs
-    # must each be counted and dropped — the decoder raises CodecError
-    # inside the transport, never out of the node loop.
-    import random
-
-    from repro.runtime import binarycodec
-    from repro.runtime.tcp import (
-        _BIN_HEADER, _MAC_LEN, BINARY_MAGIC, WIRE_VERSION,
-        encode_binary_frame,
-    )
-
+def test_garbage_frames_never_kill_the_serve_task():
+    # A Byzantine peer can shove arbitrary bytes down a connection:
+    # random garbage, truncated frames, bad version bytes, out-of-range
+    # headers, authenticated bodies the decoder refuses, and flipped
+    # MACs must each be counted and dropped — the decoder raises
+    # CodecError inside the transport, never out of the node loop.
     rng = random.Random(0xB1B1)
 
     def fuzz_frames(a):
         good = encode_binary_frame(a._auth, 1, ("mod", StepValue(1)))
         corpus = []
-        # 1. truncated headers: cut inside the fixed header + MAC region
+        # 1. truncated frames: the fixed cuts inside the header + MAC
+        #    region, and random cuts anywhere
         for cut in (1, 2, _BIN_HEADER.size - 1, _BIN_HEADER.size,
-                    _BIN_HEADER.size + _MAC_LEN - 1,
-                    _BIN_HEADER.size + _MAC_LEN):
+                    _BIN_BODY_AT - 1, _BIN_BODY_AT):
             corpus.append(good[:cut])
+        for _ in range(10):
+            corpus.append(good[: rng.randrange(1, len(good) - 1)])
         # 2. bad wire-format version byte
         for version in (0, WIRE_VERSION + 1, 0xFF):
             corpus.append(bytes([good[0], version]) + good[2:])
         # 3. out-of-range src / dst in the header
-        corpus.append(_BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, 99, 1)
-                      + good[_BIN_HEADER.size:])
-        corpus.append(_BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, 0, 99)
-                      + good[_BIN_HEADER.size:])
+        corpus.append(_header(99, 1) + good[_BIN_HEADER.size:])
+        corpus.append(_header(0, 99) + good[_BIN_HEADER.size:])
         # 4. authenticated bodies that fail the decoder: an over-length
         #    varint and a container bomb, each with a *valid* MAC so the
         #    decode path itself is what rejects them
@@ -419,40 +320,27 @@ def test_binary_garbage_frames_never_kill_the_serve_task():
             bytes([binarycodec._T_TUPLE, 1]) * 200_000 + b"\x00"
         )
         for body in bad_bodies:
-            corpus.append(
-                _BIN_HEADER.pack(BINARY_MAGIC, WIRE_VERSION, 0, 1)
-                + a._auth.tag_bytes(1, body) + body
-            )
+            corpus.append(_header(0, 1) + a._auth.tag_bytes(1, body) + body)
         # 5. flipped MAC bits on an otherwise-genuine frame
         for _ in range(10):
             i = _BIN_HEADER.size + rng.randrange(_MAC_LEN)
             corpus.append(good[:i] + bytes([good[i] ^ 0x01]) + good[i + 1:])
-        # 6. random garbage opening with the binary magic byte
+        # 6. random garbage, with and without the magic byte in front
         for _ in range(10):
             corpus.append(bytes([BINARY_MAGIC])
                           + rng.randbytes(rng.randrange(1, 120)))
+            corpus.append(rng.randbytes(rng.randrange(1, 200)))
         rng.shuffle(corpus)
         return corpus
 
     async def scenario():
-        a, b = _binary_pair()
-        await a.start()
-        await b.start()
-        peers = {0: a.address, 1: b.address}
-        a.set_peers(peers)
-        b.set_peers(peers)
+        a, b = await _connected_pair()
         try:
             corpus = fuzz_frames(a)
-            reader, writer = await asyncio.open_connection(*b.address)
-            for raw in corpus:
-                writer.write(struct.pack(">I", len(raw)) + raw)
-            await writer.drain()
-            await _wait_for(lambda: b.rejected >= len(corpus))
+            writer = await _inject(b, corpus, len(corpus))
             assert b.accepted == 0
             # The endpoint survived every frame: authentic traffic flows.
-            await a.send(1, ("mod", StepValue(1)))
-            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, payload) == (0, ("mod", StepValue(1)))
+            await _assert_still_serving(a, b)
             assert b.rejected == len(corpus)
             writer.close()
         finally:
@@ -462,67 +350,90 @@ def test_binary_garbage_frames_never_kill_the_serve_task():
     asyncio.run(scenario())
 
 
+def _offline_receiver():
+    """Node 1's transport, never started: ``_ingest`` needs no socket."""
+    return TcpTransport(1, 2, KeyRing(2, master_secret=b"test-setup"))
+
+
+_GENUINE = encode_binary_frame(
+    KeyRing(2, master_secret=b"test-setup").authenticator(0), 1,
+    ("mod", StepValue(1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=300),
+    # past the header checks, so the MAC and the decoder see the bytes
+    st.binary(max_size=300).map(lambda tail: _header(0, 1) + tail),
+))
+def test_arbitrary_bytes_never_raise_and_are_never_accepted(frame):
+    b = _offline_receiver()
+    b._ingest(frame)
+    assert (b.accepted, b.rejected) == (0, 1)
+    assert b._inbox.empty()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_one_byte_change_to_a_genuine_frame_is_rejected(data):
+    i = data.draw(st.integers(0, len(_GENUINE) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda v: v != _GENUINE[i]))
+    b = _offline_receiver()
+    b._ingest(_GENUINE[:i] + bytes([byte]) + _GENUINE[i + 1:])
+    assert (b.accepted, b.rejected) == (0, 1)
+    b._ingest(_GENUINE)  # the control: the untouched frame is accepted
+    assert (b.accepted, b.rejected) == (1, 1)
+
+
 # -- the sender-side frame cap -------------------------------------------------
 
 
 def test_oversized_outbound_frame_fails_loudly_at_the_sender():
     # Before the check the sender wrote the frame, the *receiver* dropped
     # the connection on the length prefix, and the link went silent.
-    from repro.errors import ReproError
-    from repro.runtime.codec import WireBatch
-    from repro.runtime.tcp import MAX_FRAME
-
     big = WireBatch(tuple(("mod", bytes(20_000)) for _ in range(64)))
 
-    async def scenario(wire):
-        ring = KeyRing(2, master_secret=b"test-setup")
-        a = TcpTransport(0, 2, ring, wire=wire)
-        b = TcpTransport(1, 2, ring, wire=wire)
-        await a.start()
-        await b.start()
-        peers = {0: a.address, 1: b.address}
-        a.set_peers(peers)
-        b.set_peers(peers)
+    async def scenario():
+        a, b = await _connected_pair()
         try:
             with pytest.raises(ReproError, match=rf"\d+ bytes.*{MAX_FRAME}-byte"):
                 await a.send(1, big)
             # Nothing was written: the link is intact and still carries
             # the next frame.
-            await a.send(1, ("mod", StepValue(1)))
-            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, payload) == (0, ("mod", StepValue(1)))
+            await _assert_still_serving(a, b)
             assert (b.rejected, a.dropped) == (0, 0)
         finally:
             await a.close()
             await b.close()
 
-    asyncio.run(scenario("binary"))
-    asyncio.run(scenario("json"))
+    asyncio.run(scenario())
 
 
-def test_a_frame_of_exactly_max_frame_still_passes():
-    from repro.errors import ReproError
-    from repro.runtime.tcp import MAX_FRAME, encode_binary_frame
+def test_the_frame_cap_binds_self_delivery_exactly_as_a_peer():
+    # Self-delivery used to skip the cap: an oversize batch reached the
+    # sender's own inbox and only then raised for the first peer.
+    overhead = _BIN_BODY_AT + len(binarycodec.dumps(bytes(70_000))) - 70_000
+    at_cap = bytes(MAX_FRAME - overhead)
+    over_cap = at_cap + b"\x00"
 
-    async def scenario():
-        a, b = _binary_pair()
-        await a.start()
-        await b.start()
-        peers = {0: a.address, 1: b.address}
-        a.set_peers(peers)
-        b.set_peers(peers)
+    async def scenario(dest):
+        a, b = await _connected_pair()
         try:
-            overhead = len(encode_binary_frame(a._auth, 1, bytes(70_000))) - 70_000
-            payload = bytes(MAX_FRAME - overhead)
-            assert len(encode_binary_frame(a._auth, 1, payload)) == MAX_FRAME
-            await a.send(1, payload)
-            sender, received = await asyncio.wait_for(b.recv(), 5.0)
-            assert (sender, received) == (0, payload)
-            with pytest.raises(ReproError, match="frame cap"):
-                await a.send(1, payload + b"\x00")
+            assert len(encode_binary_frame(a._auth, dest, at_cap)) == MAX_FRAME
+            await a.send(dest, at_cap)
+            receiver = a if dest == 0 else b
+            sender, received = await asyncio.wait_for(receiver.recv(), 5.0)
+            assert (sender, received) == (0, at_cap)
+            with pytest.raises(ReproError) as excinfo:
+                await a.send(dest, over_cap)
+            assert a._inbox.empty() and b._inbox.empty()
             assert b.rejected == 0
+            return str(excinfo.value).replace(f"for node {dest}", "for node D")
         finally:
             await a.close()
             await b.close()
 
-    asyncio.run(scenario())
+    to_self, to_peer = asyncio.run(scenario(0)), asyncio.run(scenario(1))
+    assert to_self == to_peer
+    assert f"is {MAX_FRAME + 1} bytes, over the {MAX_FRAME}-byte frame cap" in to_self

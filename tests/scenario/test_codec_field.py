@@ -1,82 +1,41 @@
-"""The ``codec`` scenario field: validation, round-trip, decide parity.
+"""The ``codec`` scenario field: a validated constant.
 
-The field selects the wire format of the runtime fabrics (tagged JSON
-or the compact binary codec) and must flow spec → JSON → spec exactly
-like every other field.  The parity tests are the acceptance bar of the
-fast wire path: for a fixed seed, every protocol must decide the same
-values whichever codec carries its messages, on every fabric — the
-codec changes the bytes on the wire, never the protocol's behavior.
+Binary is the only wire format of the runtime fabrics.  The field stays
+only because the frozen ``benchmarks/e2e`` workloads still pass
+``"codec": "binary"``: that must remain legal, everything else —
+``"json"`` above all — must be rejected by name rather than accepted
+and ignored, and the field never appears in a serialized scenario.
+(``meta["codec"] == "binary"`` on every fabric is pinned by
+``test_result_shape.py``.)
 """
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenario import Scenario, run
-from repro.stacks import PROTOCOLS
-
-FABRICS = ["sim", "local", "tcp"]
+from repro.scenario import Scenario
 
 
-# -- field validation and round-trip -----------------------------------------
+def test_codec_defaults_to_binary():
+    assert Scenario(protocol="bracha", n=4, proposals=1).codec == "binary"
 
 
-def test_codec_defaults_to_json():
-    scenario = Scenario(protocol="bracha", n=4, proposals=1)
-    assert scenario.codec == "json"
+@pytest.mark.parametrize("codec", ["json", "msgpack"])
+def test_any_other_codec_is_rejected_by_name(codec):
+    with pytest.raises(
+        ConfigError, match=f"{codec!r}.*JSON wire format was removed.*drop"
+    ):
+        Scenario(protocol="bracha", n=4, proposals=1, codec=codec)
 
 
-def test_unknown_codec_is_rejected_with_the_choices():
-    with pytest.raises(ConfigError, match="codec.*json.*binary"):
-        Scenario(protocol="bracha", n=4, proposals=1, codec="msgpack")
-
-
-def test_codec_round_trips_through_json():
-    binary = Scenario(protocol="bracha", n=4, proposals=1, codec="binary")
-    document = binary.to_dict()
-    assert document["codec"] == "binary"
-    assert Scenario.from_dict(document) == binary
-    # The default is omitted from the document, like every default.
-    default = Scenario(protocol="bracha", n=4, proposals=1)
-    assert "codec" not in default.to_dict()
-    assert Scenario.from_dict(default.to_dict()).codec == "json"
-
-
-def test_from_dict_rejects_an_unknown_codec():
+def test_from_dict_accepts_binary_and_rejects_json():
     document = Scenario(protocol="bracha", n=4, proposals=1).to_dict()
-    document["codec"] = "protobuf"
-    with pytest.raises(ConfigError, match="codec"):
-        Scenario.from_dict(document)
+    explicit = Scenario.from_dict({**document, "codec": "binary"})
+    assert explicit == Scenario.from_dict(document)
+    with pytest.raises(ConfigError, match="'json'.*removed"):
+        Scenario.from_dict({**document, "codec": "json"})
 
 
-# -- decide-stream parity, json vs binary ------------------------------------
+def test_to_dict_omits_the_codec():
+    explicit = Scenario(protocol="bracha", n=4, proposals=1, codec="binary")
+    assert "codec" not in explicit.to_dict()
 
-
-def _scenario(protocol, fabric, codec, seed=11):
-    return Scenario(
-        protocol=protocol,
-        n=4,
-        proposals=None if protocol == "acs" else 1,
-        fabric=fabric,
-        codec=codec,
-        seed=seed,
-        timeout=60.0,
-    )
-
-
-@pytest.mark.parametrize("fabric", FABRICS)
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_decide_parity_json_vs_binary(protocol, fabric):
-    json_result = run(_scenario(protocol, fabric, "json"))
-    binary_result = run(_scenario(protocol, fabric, "binary"))
-    for result in (json_result, binary_result):
-        assert len(result.decisions) == 4, "every node decides"
-        assert len(result.decided_values) == 1, "agreement"
-    if protocol != "acs":
-        # Unanimity pins the outcome through strong validity, so the
-        # decided value is codec- and scheduling-independent.
-        assert json_result.decided_values == binary_result.decided_values == {1}
-
-
-def test_binary_codec_run_reports_its_codec():
-    result = run(_scenario("bracha", "local", "binary"))
-    assert result.meta.get("codec") == "binary"

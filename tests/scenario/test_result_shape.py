@@ -49,7 +49,7 @@ def results():
 def test_meta_keys_differ_only_by_the_documented_set(results, protocol, fabric):
     meta = results[protocol, fabric].meta
     assert set(meta) == COMMON_META | FABRIC_META[fabric]
-    assert meta["codec"] == "json" and meta["protocol"] == protocol
+    assert meta["codec"] == "binary" and meta["protocol"] == protocol
 
 
 @pytest.mark.parametrize("protocol,fabric", RUNS)
