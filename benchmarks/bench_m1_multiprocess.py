@@ -1,15 +1,15 @@
 """M1 — Multi-process fabric: boot, decide, and crash-survival cost.
 
 The mp fabric's claim: the same protocol stacks decide with one real OS
-process per node — dealer bootstrap, subprocess spawn, authenticated
-TCP between processes — at a wall-clock cost dominated by interpreter
-startup, not by the protocol.  Regenerates: end-to-end wall time per
+process per node — dealer bootstrap, one fork server, authenticated
+TCP between processes — at a wall-clock cost dominated by that one
+interpreter boot, not by the protocol.  Regenerates: end-to-end wall time per
 mp decision (the whole lifecycle: deal, spawn, barrier, decide,
 collect) against the in-process tcp fabric on the same scenario, plus
 the cost of a run that loses one process to SIGKILL mid-flight.
 
-Run with ``--smoke`` for the CI-sized subset; mp runs pay ~1s of
-process spawning each, so trials stay small in both modes.
+Run with ``--smoke`` for the CI-sized subset; mp runs pay ~0.25 s of
+zygote boot each, so trials stay small in both modes.
 """
 
 import time

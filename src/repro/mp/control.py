@@ -23,6 +23,9 @@ orchestrator → node
     ``stop``     report your result and exit
     ``ping``     liveness probe; answer with ``pong`` carrying ``seq``
 
+The same framing carries the orchestrator ↔ zygote pipe
+(:mod:`repro.mp.zygote` documents that vocabulary).
+
 The control channel is part of the *harness*, not the protocol: a real
 Byzantine node could lie on it, which is why the orchestrator's
 verification runs the same outcome checks the other fabrics use over
@@ -43,10 +46,15 @@ from ..errors import ReproError
 MAX_CONTROL_LINE = 64 << 20
 
 
-async def send_msg(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:
-    """Write one control message (compact JSON + newline) and drain."""
+def encode_msg(message: Dict[str, Any]) -> bytes:
+    """One control message as its wire line: compact JSON + newline."""
     line = json.dumps(message, separators=(",", ":"), sort_keys=True)
-    writer.write(line.encode("utf-8") + b"\n")
+    return line.encode("utf-8") + b"\n"
+
+
+async def send_msg(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:
+    """Write one control message and drain."""
+    writer.write(encode_msg(message))
     await writer.drain()
 
 
@@ -81,4 +89,5 @@ def parse_endpoint(text: str) -> tuple:
     return host, port
 
 
-__all__ = ["MAX_CONTROL_LINE", "parse_endpoint", "read_msg", "send_msg"]
+__all__ = ["MAX_CONTROL_LINE", "encode_msg", "parse_endpoint", "read_msg",
+           "send_msg"]

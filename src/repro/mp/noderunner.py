@@ -22,6 +22,10 @@ Lifecycle:
 5. on deciding (or halting, per the scenario's stop condition) send
    ``done``; on ``stop`` send the full ``result`` readout and exit.
 
+Under the orchestrator this module is imported once by the run's fork
+server (:mod:`repro.mp.zygote`) and :func:`main` runs in a forked child
+per node; ``repro node`` execs the same code for standalone use.
+
 Without a control endpoint the runner is standalone (manual multi-host
 operation): it proposes as soon as its peers are dialled, prints the
 ``result`` JSON to stdout when its stop condition holds, lingers a
@@ -44,6 +48,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
 from ..netem import LinkPolicy, ReliableLink, WallClock
+from ..netem.reliable import SEQ_EPOCH_SPAN
 from ..recovery.wal import WalWriter, read_wal, replay, validate_header
 from ..obs import Observer
 from ..obs.observer import DEFAULT_RING_CAPACITY, parse_observe
@@ -155,11 +160,11 @@ class NodeRunner:
         )
         await self._tcp.start()
 
-    async def connect(self) -> None:
+    async def connect(self, retry_for: float = CONNECT_RETRY) -> None:
         """Dial every peer (retrying while they boot) and build the node."""
         netem = self.scenario.netem_config()
         self._tcp.set_peers(self.manifest.addresses)
-        await self._tcp.connect(retry_for=CONNECT_RETRY)
+        await self._tcp.connect(retry_for=retry_for)
         if self._clock is not None:
             self._clock.start()
         self.transport = self._tcp
@@ -174,7 +179,7 @@ class NodeRunner:
                 # numbers its peers already filtered: one epoch per
                 # restart attempt keeps every new frame above the old
                 # incarnation's reachable range.
-                seq_base=self.attempt << 20,
+                seq_base=self.attempt * SEQ_EPOCH_SPAN,
             )
             self.transport.start_scan()
 
@@ -362,7 +367,10 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
             raise ReproError(
                 f"node {runner.pid}: expected 'go', got {message!r}"
             )
-        await runner.connect()
+        # Past the barrier every live peer has bound, so a refused dial
+        # is a dead peer (a ``kill`` fault at the barrier): one attempt,
+        # not the boot-time retry budget — the send path redials later.
+        await runner.connect(retry_for=0.0)
         runner.start_clock()
         runner.propose()
         task = asyncio.ensure_future(runner.node.run())

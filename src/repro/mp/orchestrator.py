@@ -2,8 +2,9 @@
 
 The orchestrator is the multi-process analogue of
 :class:`~repro.runtime.cluster.Cluster`: it deals trusted-setup bundles
-into a scratch directory (:mod:`repro.mp.bundle`), spawns one
-``repro node`` subprocess per pid, holds them at a start barrier on the
+into a scratch directory (:mod:`repro.mp.bundle`), execs one fork
+server per run (:mod:`repro.mp.zygote`: import once, fork n) and has it
+fork one node process per pid, holds them at a start barrier on the
 control channel (:mod:`repro.mp.control`), waits for every correct
 node's stop condition, then hands each node's ``result`` message (a
 :class:`~repro.outcome.NodeReport`) to the
@@ -23,11 +24,12 @@ from __future__ import annotations
 import asyncio
 import os
 import shutil
+import signal
 import socket
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError, ReproError
 from ..obs import MetricsRegistry, Observer
@@ -64,7 +66,9 @@ def _reserve_ports(host: str, n: int) -> List[int]:
 
     The sockets close before the node processes bind, so this is
     best-effort (the standard race); simultaneous reservation at least
-    guarantees the n ports are distinct and free *now*.
+    guarantees the n ports are distinct and free *now*.  The caller
+    reserves only once the zygote is ready, so the window is a fork,
+    not an interpreter boot.
     """
     sockets, ports = [], []
     try:
@@ -80,8 +84,14 @@ def _reserve_ports(host: str, n: int) -> List[int]:
     return ports
 
 
+def _last_lines(stderr: bytes) -> str:
+    """The last three lines of a captured stderr, joined for one message."""
+    return " | ".join(
+        stderr.decode("utf-8", "replace").strip().splitlines()[-3:])
+
+
 def _child_env() -> Dict[str, str]:
-    """The subprocess environment, with this repro package importable."""
+    """The zygote's environment, with this repro package importable."""
     import repro
 
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -91,6 +101,43 @@ def _child_env() -> Dict[str, str]:
         pkg_root + os.pathsep + existing if existing else pkg_root
     )
     return env
+
+
+class _NodeProc:
+    """One forked node, with the ``asyncio.subprocess.Process`` surface
+    the orchestrator uses.  The zygote is the parent that reaps it, so
+    the exit status arrives as a message; signals go straight to the
+    pid, so a ``kill`` is a real SIGKILL from outside."""
+
+    def __init__(self, os_pid: int, stderr_path: str):
+        self.os_pid = os_pid
+        self.stderr_path = stderr_path
+        self.returncode: Optional[int] = None
+        self._exited = asyncio.Event()
+
+    def exited(self, rc: int) -> None:
+        self.returncode = rc
+        self._exited.set()
+
+    def kill(self) -> None:
+        if self.returncode is None:
+            try:
+                os.kill(self.os_pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # reaped; its ``exit`` is on the way
+
+    async def wait(self) -> int:
+        await self._exited.wait()
+        return self.returncode
+
+    async def communicate(self) -> Tuple[bytes, bytes]:
+        """(stdout, stderr) once the node is gone; stdout is /dev/null."""
+        await self.wait()
+        try:
+            with open(self.stderr_path, "rb") as handle:
+                return b"", handle.read()
+        except OSError:
+            return b"", b""
 
 
 class MpOrchestrator:
@@ -137,7 +184,7 @@ class MpOrchestrator:
         self.faulty: Set[ProcessId] = set(faults) - set(self.restarts)
         self.correct: Set[ProcessId] = set(range(scenario.n)) - self.faulty
 
-        self.procs: Dict[ProcessId, asyncio.subprocess.Process] = {}
+        self.procs: Dict[ProcessId, _NodeProc] = {}
         self.writers: Dict[ProcessId, asyncio.StreamWriter] = {}
         self.results: Dict[ProcessId, NodeReport] = {}
         self.node_events: List[Dict[str, Any]] = []
@@ -151,8 +198,12 @@ class MpOrchestrator:
         self.recovered: Dict[ProcessId, Dict[str, Any]] = {}
         self._down: Set[ProcessId] = set()  # killed, respawn in flight
         self._pongs: Dict[ProcessId, int] = {}
-        self._spawn_cmd: Dict[ProcessId, List[str]] = {}
-        self._env: Dict[str, str] = {}
+        self._spawn_argv: Dict[ProcessId, List[str]] = {}
+        self._zygote: Optional[asyncio.subprocess.Process] = None
+        self._zygote_reader: Optional[asyncio.Task] = None
+        self._forked: Dict[int, _NodeProc] = {}  # by os pid
+        self._forking: Dict[ProcessId, asyncio.Future] = {}
+        self._zygote_error: Optional[str] = None
         self._wake = asyncio.Event()
         self._hello = asyncio.Event()
         self._stopping = False
@@ -237,6 +288,7 @@ class MpOrchestrator:
         bundle_dir = tempfile.mkdtemp(prefix="repro-mp-")
         self._scratch_dir = bundle_dir
         try:
+            await self._start_zygote()
             if scenario.base_port > 0:
                 ports = [scenario.base_port + pid for pid in range(scenario.n)]
             else:
@@ -252,12 +304,10 @@ class MpOrchestrator:
                 self._serve, scenario.host, 0, limit=MAX_CONTROL_LINE
             )
             chost, cport = self._server.sockets[0].getsockname()[:2]
-            self._env = _child_env()
             if self.recovery_mode == "wal" and self.wal_dir is None:
                 self.wal_dir = os.path.join(bundle_dir, "wal")
             for pid in range(scenario.n):
-                self._spawn_cmd[pid] = [
-                    sys.executable, "-m", "repro", "node",
+                self._spawn_argv[pid] = [
                     "--manifest", manifest_path,
                     "--bundle", bundle_paths[pid],
                     "--control", f"{chost}:{cport}",
@@ -271,14 +321,20 @@ class MpOrchestrator:
                     asyncio.ensure_future(self._monitor(pid, self.procs[pid]))
                 )
 
-            try:
-                await asyncio.wait_for(self._hello.wait(), BOOT_TIMEOUT)
-            except asyncio.TimeoutError:
+            hello = asyncio.ensure_future(self._hello.wait())
+            self._tasks.append(hello)
+            await asyncio.wait(
+                {hello, self._zygote_reader}, timeout=BOOT_TIMEOUT,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if self._zygote_error is not None:
+                raise ReproError(self._zygote_error)
+            if not self._hello.is_set():
                 missing = sorted(set(range(scenario.n)) - set(self.writers))
                 raise ReproError(
                     f"mp boot failed: nodes {missing} never reported in "
                     f"({await self._stderr_tail(missing)})"
-                ) from None
+                )
 
             self._zero = time.monotonic()
             for writer in self.writers.values():
@@ -304,18 +360,93 @@ class MpOrchestrator:
             else:
                 shutil.rmtree(bundle_dir, ignore_errors=True)
 
-    async def _spawn(self, pid: ProcessId,
-                     extra: Optional[List[str]] = None
-                     ) -> asyncio.subprocess.Process:
-        return await asyncio.create_subprocess_exec(
-            *(self._spawn_cmd[pid] + (extra or [])),
-            stdout=asyncio.subprocess.DEVNULL,
-            stderr=asyncio.subprocess.PIPE,
-            env=self._env,
-        )
+    # -- the fork server ------------------------------------------------------
 
-    async def _monitor(self, pid: ProcessId,
-                       proc: asyncio.subprocess.Process) -> None:
+    async def _start_zygote(self) -> None:
+        """Exec the run's one fork server and wait out its import."""
+        path = os.path.join(self._scratch_dir, "zygote.stderr")
+        with open(path, "wb") as stderr:
+            self._zygote = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.mp.zygote",
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+                stderr=stderr, env=_child_env(),
+            )
+        try:
+            message = await asyncio.wait_for(
+                read_msg(self._zygote.stdout), BOOT_TIMEOUT)
+        except asyncio.TimeoutError:
+            message = None
+        if message is None or message.get("type") != "ready":
+            raise ReproError(await self._zygote_failure())
+        self._zygote_reader = asyncio.ensure_future(self._read_zygote())
+        self._tasks.append(self._zygote_reader)
+
+    async def _zygote_failure(self) -> str:
+        try:
+            # EOF nearly always means it is exiting; signalling a process
+            # asyncio has not reaped yet would steal its exit status.
+            rc = await asyncio.wait_for(self._zygote.wait(), 1.0)
+        except asyncio.TimeoutError:
+            self._zygote.kill()  # wedged, or talking nonsense
+            rc = await self._zygote.wait()
+        with open(os.path.join(self._scratch_dir, "zygote.stderr"),
+                  "rb") as handle:
+            tail = _last_lines(handle.read())
+        return f"mp zygote died (rc={rc}): {tail or 'no stderr captured'}"
+
+    async def _read_zygote(self) -> None:
+        """File the zygote's ``spawned`` / ``exit`` lines under their
+        handles.  Teardown cancels this task before it dismisses the
+        zygote, so an EOF seen here is a death — and takes every live
+        node with it."""
+        while True:
+            message = await read_msg(self._zygote.stdout)
+            if message is None:
+                break
+            if message["type"] == "spawned":
+                pid, os_pid = message["node"], message["os_pid"]
+                proc = _NodeProc(os_pid, self._stderr_path(pid))
+                self._forked[os_pid] = proc
+                self._forking.pop(pid).set_result(proc)
+            elif message["type"] == "exit":
+                # The zygote never sends this before the ``spawned``
+                # above, so the handle is always there to take it.
+                self._forked[message["os_pid"]].exited(message["rc"])
+        # Named before any handle reports its exit, so the run fails as
+        # a zygote death and not as the first node it took along.
+        self._zygote_error = await self._zygote_failure()
+        for spawned in self._forking.values():
+            spawned.set_exception(ReproError(self._zygote_error))
+        self._forking.clear()
+        for proc in self._forked.values():
+            if proc.returncode is None:
+                proc.kill()  # orphaned if the zygote was itself killed
+                proc.exited(-signal.SIGKILL)
+        self._wake.set()
+
+    def _stderr_path(self, pid: ProcessId) -> str:
+        """One stderr file per incarnation: ``node-<pid>-<attempt>``."""
+        attempt = self.restart_attempts.get(pid, 0)
+        return os.path.join(self._scratch_dir, f"node-{pid}-{attempt}.stderr")
+
+    async def _spawn(self, pid: ProcessId,
+                     extra: Optional[List[str]] = None) -> _NodeProc:
+        """Have the zygote fork node ``pid`` running
+        ``noderunner.main(argv)``; its handle, once ``spawned`` is in."""
+        spawned = asyncio.get_running_loop().create_future()
+        self._forking[pid] = spawned
+        try:
+            await send_msg(self._zygote.stdin, {
+                "type": "spawn", "node": pid,
+                "argv": self._spawn_argv[pid] + (extra or []),
+                "stderr": self._stderr_path(pid),
+            })
+        except (ConnectionError, OSError):
+            pass  # the reader's EOF fails ``spawned`` with the named error
+        return await spawned
+
+    async def _monitor(self, pid: ProcessId, proc: _NodeProc) -> None:
         rc = await proc.wait()
         if (not self._stopping and pid not in self.kills
                 and pid not in self.restarts):
@@ -465,6 +596,8 @@ class MpOrchestrator:
     def _raise_on_casualties(self) -> None:
         """A *correct* node dying or hanging is a harness failure, never
         a result."""
+        if self._zygote_error is not None:
+            raise ReproError(self._zygote_error)
         for pid, tail in sorted(self.unresponsive.items()):
             if pid in self.correct:
                 raise ReproError(
@@ -497,6 +630,8 @@ class MpOrchestrator:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + RESULT_TIMEOUT
         while not asked <= set(self.results) and loop.time() < deadline:
+            if self._zygote_error is not None:  # the askees died with it
+                raise ReproError(self._zygote_error)
             self._wake.clear()
             try:
                 await asyncio.wait_for(self._wake.wait(), deadline - loop.time())
@@ -513,23 +648,27 @@ class MpOrchestrator:
                 proc.kill()
             try:
                 _out, err = await asyncio.wait_for(proc.communicate(), 5.0)
-            except (asyncio.TimeoutError, ProcessLookupError, ValueError):
+            except asyncio.TimeoutError:
                 continue
             if err:
-                tail = err.decode("utf-8", "replace").strip().splitlines()[-3:]
-                parts.append(f"node {pid}: " + " | ".join(tail))
+                parts.append(f"node {pid}: " + _last_lines(err))
         return "; ".join(parts) or "no stderr captured"
 
     async def _teardown(self) -> None:
         self._stopping = True
         for proc in self.procs.values():
-            if proc.returncode is None:
-                proc.kill()
-        for proc in self.procs.values():
+            proc.kill()
+        if self._zygote is not None:
+            # EOF dismisses the zygote: it SIGKILLs and reaps whatever
+            # is still running (a respawn in flight included) and exits.
+            if self._zygote_reader is not None:
+                self._zygote_reader.cancel()
+            self._zygote.stdin.close()
             try:
-                await asyncio.wait_for(proc.communicate(), 5.0)
-            except (asyncio.TimeoutError, ProcessLookupError, ValueError):
-                pass
+                await asyncio.wait_for(self._zygote.wait(), 5.0)
+            except asyncio.TimeoutError:
+                self._zygote.kill()
+                await self._zygote.wait()
         for writer in self.writers.values():
             writer.close()
         if self._server is not None:

@@ -40,6 +40,7 @@ import asyncio
 import heapq
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..errors import ReproError
 from ..types import ProcessId
 from .clock import Clock
 from .frames import LinkAck, LinkFrame
@@ -50,6 +51,14 @@ if TYPE_CHECKING:
     # reliable -> runtime).  ReliableLink implements the Transport
     # surface structurally instead of by inheritance.
     from ..runtime.transport import Transport
+
+
+#: Sequence numbers one incarnation may use per destination.  A node
+#: respawned for the k-th time starts at ``k * SEQ_EPOCH_SPAN`` (see
+#: ``seq_base``), so a sender that ran past its span would walk into
+#: numbers its own next incarnation will reuse — and its peers' dedup
+#: windows would then drop real frames as duplicates.
+SEQ_EPOCH_SPAN = 1 << 20
 
 
 class _Pending:
@@ -129,9 +138,10 @@ class ReliableLink:
         # A process recovered from a WAL restarts its per-destination
         # counters, but its peers' duplicate filters remember the old
         # sequence space — everything it sends would be dropped as
-        # duplicates.  A recovery boot passes a seq_base far above any
-        # seq the previous incarnation could have reached (an epoch per
-        # restart attempt), so post-recovery frames are always new.
+        # duplicates.  A recovery boot passes a seq_base above any seq
+        # the previous incarnation could have reached (one
+        # SEQ_EPOCH_SPAN per restart attempt; ``send`` refuses to leave
+        # the span), so post-recovery frames are always new.
         self.seq_base = seq_base
         self._next_seq: Dict[ProcessId, int] = {}
         self._pending: Dict[Tuple[ProcessId, int], _Pending] = {}
@@ -200,6 +210,12 @@ class ReliableLink:
             await self.inner.send(dest, payload)
             return
         seq = self._next_seq.get(dest, self.seq_base)
+        if seq >= self.seq_base + SEQ_EPOCH_SPAN:
+            raise ReproError(
+                f"link sequence epoch exhausted: node {self.pid} has sent "
+                f"{SEQ_EPOCH_SPAN} frames to node {dest} in one incarnation, "
+                "and the next seq belongs to a restarted incarnation's range"
+            )
         self._next_seq[dest] = seq + 1
         frame = LinkFrame(seq, payload)
         now = self.clock.now()

@@ -9,6 +9,7 @@ import asyncio
 
 import pytest
 
+from repro.errors import ReproError
 from repro.netem import (
     LinkAck,
     LinkFrame,
@@ -17,6 +18,7 @@ from repro.netem import (
     ReliableLink,
     TickClock,
 )
+from repro.netem import reliable
 from repro.runtime.transport import LocalHub
 
 
@@ -309,5 +311,28 @@ def test_wheel_abandons_at_the_retry_budget():
         assert link.abandoned == 1
         # The wheel is empty too: nothing left to pop, ever.
         assert link._heap == []
+
+    run_async(scenario())
+
+
+def test_a_sender_never_leaves_its_incarnations_sequence_span(monkeypatch):
+    # A respawned node starts at attempt * SEQ_EPOCH_SPAN; walking past
+    # the span would hand out numbers the next incarnation reuses.
+    monkeypatch.setattr(reliable, "SEQ_EPOCH_SPAN", 4)
+
+    async def scenario():
+        inner = _SilentTransport()
+        link = ReliableLink(inner, TickClock(), seq_base=2 * 4)
+        for _ in range(4):
+            await link.send(1, "payload")
+        assert [frame.seq for _dest, frame in inner.sent] == [8, 9, 10, 11]
+        with pytest.raises(ReproError, match="sequence epoch exhausted.*"
+                                             "4 frames to node 1"):
+            await link.send(1, "one too many")
+        assert len(inner.sent) == 4 and link.outstanding == 4
+        # The span is per destination, and self-sends do not consume it.
+        await link.send(2, "payload")
+        await link.send(0, "to self")
+        assert inner.sent[-2][1].seq == 8
 
     run_async(scenario())
