@@ -227,6 +227,11 @@ class MpOrchestrator:
         if not isinstance(pid, int) or not 0 <= pid < self.scenario.n:
             writer.close()
             return
+        superseded = self.writers.get(pid)
+        if superseded is not None:
+            # A respawn's hello: our end of the dead incarnation's
+            # channel is still open, and nothing else will close it.
+            superseded.close()
         self.writers[pid] = writer
         if message.get("recovered") and self._hello.is_set():
             # Re-barrier of one: the run is already going, so a

@@ -108,6 +108,17 @@ class NodeNetwork:
             self.observer.message("send", self.pid, payload, mid=mid)
             self.outbox.append((dest, Stamped(mid, payload)))
 
+    def broadcast(self, source: ProcessId, payload: Any) -> None:
+        """``n`` :meth:`send` calls in pid order; unobserved, the fan-out
+        is counted once and queued in one go."""
+        n = self.params.n
+        if self.observer is not None:  # every send gets its own stamp
+            for dest in range(n):
+                self.send(source, dest, payload)
+            return
+        self.metrics.record_send(self.pid, payload, n)
+        self.outbox.extend([(dest, payload) for dest in range(n)])
+
     def now(self) -> float:
         """Wall-clock seconds since this node booted (measurement only)."""
         return time.monotonic() - self._clock_zero

@@ -184,19 +184,26 @@ def _run_sim(
     for pid, node in restart_nodes.items():
         node.propose(plan, proposals[pid])
 
-    # Restart nodes are *correct* — they must decide/halt like any other
-    # correct node, but their module list is rebuilt on recovery, so the
-    # stop predicate reads it through the behavior, not a snapshot.
-    if scenario.stop == "decided":
-        until = lambda: (  # noqa: E731
-            all(plan.decided(m) for m in stacks.values())
-            and all(r.is_decided(plan) for r in restart_nodes.values())
-        )
-    elif scenario.stop == "halted":
-        until = lambda: (  # noqa: E731
-            all(plan.halted(m) for m in stacks.values())
-            and all(r.is_halted(plan) for r in restart_nodes.values())
-        )
+    # A Process stack's decided/halted flags only ever turn on, so the
+    # stop predicate keeps a watch-list of the stacks not yet done and
+    # tests only its tail: it shrinks as nodes finish instead of being
+    # re-walked every step.  Restart nodes are *correct* — they must
+    # decide/halt like any other correct node — but their module list is
+    # rebuilt on recovery (not monotone), so they are polled in full,
+    # through the behavior rather than a snapshot.
+    if scenario.stop in ("decided", "halted"):
+        if scenario.stop == "decided":
+            stack_done, restart_done = plan.decided, RestartBehavior.is_decided
+        else:
+            stack_done, restart_done = plan.halted, RestartBehavior.is_halted
+        waiting = list(stacks.values())
+
+        def until() -> bool:
+            while waiting and stack_done(waiting[-1]):
+                waiting.pop()
+            return not waiting and all(
+                restart_done(node, plan) for node in restart_nodes.values()
+            )
     else:  # "quiescent" — drain every message
         until = None
 

@@ -56,9 +56,10 @@ class Send:
 class Broadcast:
     """Send ``payload`` to every process, including the sender.
 
-    Expanded at drain time into ``n`` point-to-point sends in pid order
-    — identical to the historical loop, so uids, metrics, and traces do
-    not move.
+    Fanned out at drain time into ``n`` point-to-point messages in pid
+    order — by the fabric network's ``broadcast``, or by a ``send`` loop
+    on a network that has none; the two are indistinguishable in uids,
+    metrics, traces and events.
     """
 
     payload: Any

@@ -30,24 +30,27 @@ def payload_kind(payload: Any) -> str:
 
 @dataclass
 class Metrics:
-    """Counters updated by the network on every send and delivery."""
+    """Counters updated by the network on every send and delivery.
+
+    Kinds are counted where the paper's complexity claims need them — at
+    send; a delivery is counted per destination only.
+    """
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     sent_by_kind: Counter = field(default_factory=Counter)
-    delivered_by_kind: Counter = field(default_factory=Counter)
     sent_by_source: Counter = field(default_factory=Counter)
     delivered_by_dest: Counter = field(default_factory=Counter)
 
-    def record_send(self, source: int, payload: Any) -> None:
-        self.sent += 1
-        self.sent_by_kind[payload_kind(payload)] += 1
-        self.sent_by_source[source] += 1
+    def record_send(self, source: int, payload: Any, count: int = 1) -> None:
+        """Count ``count`` sends of one payload (a broadcast's fan-out)."""
+        self.sent += count
+        self.sent_by_kind[payload_kind(payload)] += count
+        self.sent_by_source[source] += count
 
     def record_delivery(self, dest: int, payload: Any) -> None:
         self.delivered += 1
-        self.delivered_by_kind[payload_kind(payload)] += 1
         self.delivered_by_dest[dest] += 1
 
     def record_drop(self) -> None:
@@ -60,12 +63,10 @@ class Metrics:
             "delivered": self.delivered,
             "dropped": self.dropped,
             "sent_by_kind": dict(self.sent_by_kind),
-            "delivered_by_kind": dict(self.delivered_by_kind),
         }
 
     def reset(self) -> None:
         self.sent = self.delivered = self.dropped = 0
         self.sent_by_kind.clear()
-        self.delivered_by_kind.clear()
         self.sent_by_source.clear()
         self.delivered_by_dest.clear()

@@ -13,7 +13,7 @@ itself guarantees nothing about ordering, matching the paper's model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Protocol, Tuple
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
@@ -41,6 +41,13 @@ class NetworkAPI(Protocol):
     :class:`~repro.runtime.node.NodeNetwork` satisfy this structural
     interface, which is what lets the protocol stacks run unmodified in
     either world.  Protocol code must never rely on anything beyond it.
+
+    The two fabric networks additionally define ``broadcast(source,
+    payload)`` — ``n`` sends in pid order with the shared work done once
+    — which :class:`~repro.sim.process.Process` uses when it is there.
+    It is deliberately not part of this interface: a network that
+    filters or records ``send`` must leave it out (and define no
+    ``__getattr__``) to keep seeing every per-destination message.
     """
 
     rng: SplitRng
@@ -99,9 +106,10 @@ class Network:
         return self._now_fn()
 
     def trace_note(self, pid: Optional[ProcessId], detail: Any) -> None:
-        self.trace.note(self.now(), pid, detail)
+        now = self._now_fn()
+        self.trace.note(now, pid, detail)
         if self.observer is not None:
-            self.observer.emit("note", node=pid, detail=detail, time=self.now())
+            self.observer.emit("note", node=pid, detail=detail, time=now)
 
     # -- registry ---------------------------------------------------------
 
@@ -124,36 +132,62 @@ class Network:
 
     def send(self, source: ProcessId, dest: ProcessId, payload: Any) -> None:
         """Hand a message to the network for asynchronous delivery."""
-        if dest not in self.processes:
-            raise SimulationError(f"send to unknown process {dest}")
-        self._uid += 1
-        env = Envelope(
-            uid=self._uid,
-            source=source,
-            dest=dest,
-            payload=payload,
-            send_time=self.now(),
-        )
-        if self.outbound_filter is not None and not self.outbound_filter(env):
-            self.metrics.record_drop()
-            return
-        self.pending.add(env)
-        self.metrics.record_send(source, payload)
-        self.trace.send(env.send_time, env)
-        if self.observer is not None:
-            mid = self.stamper.stamp(source)
-            classified = self.observer.message(
-                "send", source, payload, time=env.send_time, mid=mid
-            )
-            self._mids[env.uid] = (mid, classified)
-        if self._on_send is not None:
-            self._on_send(env)
+        self._fan_out(source, (dest,), payload)
+
+    def broadcast(self, source: ProcessId, payload: Any) -> None:
+        """Hand one message per registered process (pids ``0..n-1``) to
+        the network: the same envelopes, hooks and events as ``n``
+        :meth:`send` calls in pid order, with the clock read and the
+        send counters paid once.
+        """
+        self._fan_out(source, range(self.n), payload)
+
+    def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
+        """One envelope per destination; what they share is done once."""
+        now = self._now_fn()
+        processes, add = self.processes, self.pending.add
+        outbound_filter, on_send = self.outbound_filter, self._on_send
+        trace = self.trace if self.trace.enabled else None
+        observer = self.observer
+        sent = 0
+        try:
+            for dest in dests:
+                if dest not in processes:
+                    raise SimulationError(f"send to unknown process {dest}")
+                self._uid = uid = self._uid + 1
+                env = Envelope(uid, source, dest, payload, now)
+                if outbound_filter is not None and not outbound_filter(env):
+                    self.metrics.record_drop()
+                    continue
+                add(env)
+                sent += 1
+                if trace is not None:
+                    trace.send(now, env)
+                if observer is not None:
+                    mid = self.stamper.stamp(source)
+                    classified = observer.message(
+                        "send", source, payload, time=now, mid=mid
+                    )
+                    self._mids[uid] = (mid, classified)
+                if on_send is not None:
+                    on_send(env)
+        finally:
+            # Also when a destination is unknown: the counters cover
+            # exactly the envelopes that entered the pending set.
+            if sent:
+                self.metrics.record_send(source, payload, sent)
 
     def deliver(self, env: Envelope, time: float) -> None:
-        """Deliver an in-flight envelope to its destination (runner only)."""
+        """Deliver an in-flight envelope to its destination (runner only).
+
+        One delivery is one step of the run, which is what an enabled
+        trace numbers its records by.
+        """
         self.pending.remove(env)
         self.metrics.record_delivery(env.dest, env.payload)
-        self.trace.deliver(time, env)
+        if self.trace.enabled:
+            self.trace.advance_step()
+            self.trace.deliver(time, env)
         if self.observer is not None:
             # Sent before the observer was attached: no id, classify now.
             mid, classified = self._mids.pop(env.uid, (None, None))

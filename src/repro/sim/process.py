@@ -166,6 +166,12 @@ class Process:
         self.outbox = Outbox()
         self.on_decide: Optional[Callable[[Decide], None]] = None
         self._depth = 0
+        # A fabric network fans a Broadcast out itself, paying the shared
+        # work once; any other network (a shim filtering or recording
+        # ``send``, a test double) is handed every per-destination send.
+        self._broadcast: Callable[[ProcessId, Any], None] = getattr(
+            network, "broadcast", self._send_to_all
+        )
         if register:
             network.register(self)
 
@@ -217,10 +223,7 @@ class Process:
         if type(effect) is Send:
             self.network.send(self.pid, effect.dest, effect.payload)
         elif type(effect) is Broadcast:
-            send = self.network.send
-            pid, payload = self.pid, effect.payload
-            for dest in range(self.params.n):
-                send(pid, dest, payload)
+            self._broadcast(self.pid, effect.payload)
         elif type(effect) is Note:
             self.network.trace_note(self.pid, effect.detail)
         elif type(effect) is Decide:
@@ -232,6 +235,11 @@ class Process:
                 self.network.trace_note(self.pid, ("decide", effect.value))
         else:
             raise SimulationError(f"unknown effect {effect!r}")
+
+    def _send_to_all(self, pid: ProcessId, payload: Any) -> None:
+        send = self.network.send
+        for dest in range(self.params.n):
+            send(pid, dest, payload)
 
     @contextmanager
     def buffered(self) -> Iterator["Process"]:

@@ -67,7 +67,10 @@ class Simulation:
         self.metrics = Metrics()
         self.network = Network(self.rng, self.pending, self.metrics, self.trace)
         self.network.bind_clock(lambda: self.now)
-        self.network.bind_send_hook(self.scheduler.on_send)
+        # ``on_send`` is an optional hook: a scheduler that keeps the base
+        # class's no-op is not called once per message to do nothing.
+        if type(self.scheduler).on_send is not Scheduler.on_send:
+            self.network.bind_send_hook(self.scheduler.on_send)
         self.now: float = 0.0
         self.steps: int = 0
         #: Optional :class:`~repro.obs.profile.SpanProfiler` timing the
@@ -115,9 +118,9 @@ class Simulation:
                 raise SimulationError(
                     f"scheduler chose an envelope that is not pending: {env!r}"
                 )
-        self.now = max(self.now, time)
+        if time > self.now:
+            self.now = time
         self.steps += 1
-        self.trace.advance_step()
         profiler = self.profiler
         if profiler is None:
             self.network.deliver(env, self.now)
@@ -141,13 +144,16 @@ class Simulation:
         """
         if not self._started:
             self.start()
+        step = self._step if self.profiler is None else self.step
         executed = 0
         while True:
             if until is not None and until():
                 return executed
             if executed >= max_steps:
+                if not self.pending:
+                    return executed  # drained on exactly the last step
                 raise EventBudgetExceeded(self.steps)
-            if not self.step():
+            if not step():
                 return executed  # quiescent
             executed += 1
 

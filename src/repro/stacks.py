@@ -180,15 +180,24 @@ class ProtocolPlan:
 
     # -- readouts ------------------------------------------------------------
 
+    # The sim runner polls one of these after every step: plain loops,
+    # not ``all(<genexpr>)``, which builds a generator per call.
+
     def decided(self, modules: List[Any]) -> bool:
         if self.protocol == "acs":
             return modules[0].done
-        return all(m.decided for m in modules)
+        for module in modules:
+            if not module.decided:
+                return False
+        return True
 
     def halted(self, modules: List[Any]) -> bool:
         if self.protocol == "acs":
             return modules[0].done
-        return all(m.halted for m in modules)
+        for module in modules:
+            if not module.halted:
+                return False
+        return True
 
 
 class PlanProposer(ProtocolModule):

@@ -11,8 +11,10 @@ anything.
 """
 
 import asyncio
+import gc
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -87,6 +89,21 @@ class TestMpRestart:
         decides = _logical_decides(result)
         assert decides == _logical_decides(sim)
         assert decides
+
+
+    def test_a_respawn_leaves_no_unclosed_control_channel(self):
+        # The respawned node's hello supersedes the dead incarnation's
+        # control-channel writer; an unclosed one warns from its
+        # finalizer, so collect inside the recording window.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            result = run(RESTART_SCENARIOS["bracha"])
+            gc.collect()
+        assert result.metrics.counters.get("restarts") == 1
+        assert [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ] == []
 
 
 class TestScratchLifecycle:

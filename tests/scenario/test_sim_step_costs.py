@@ -1,0 +1,101 @@
+"""What one simulator step is allowed to cost, and when a run stops.
+
+The sim fabric keeps its books per broadcast and per decision, not per
+destination and per step: a payload is classified for the send counters
+once per applied effect (never at delivery), and the stop predicate
+watches only the stacks that are not yet done.  Neither may move a
+run's outcome — the predicate in particular must turn true on exactly
+the step a poll of every stack would.
+"""
+
+import pytest
+
+import repro.sim.metrics as metrics_module
+from repro.recovery.restart import RestartBehavior
+from repro.scenario import Scenario, run
+from repro.sim.effects import Broadcast, Send
+from repro.sim.process import Process
+from repro.sim.runner import Simulation
+from repro.stacks import ProtocolPlan
+
+
+def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
+    # The benchmark's sim-bracha-n7x8 shape, seed 1001, unobserved.
+    scenario = Scenario(protocol="bracha", n=7, instances=8,
+                        batching="flush", seed=1001)
+    classified = []
+    kind_of = metrics_module.payload_kind
+    monkeypatch.setattr(
+        metrics_module, "payload_kind",
+        lambda payload: classified.append(1) or kind_of(payload))
+    applied = []
+    apply_effect = Process._apply
+
+    def counting_apply(process, effect):
+        if type(effect) in (Send, Broadcast):
+            applied.append(1)
+        apply_effect(process, effect)
+
+    monkeypatch.setattr(Process, "_apply", counting_apply)
+    result = run(scenario)
+    assert result.messages_sent > 6 * len(applied)  # nearly all broadcasts
+    assert 0 < len(classified) <= len(applied)
+    # The per-kind send counters still cover every message.
+    assert sum(result.meta["messages_by_kind"].values()) == result.messages_sent
+
+
+RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}
+
+
+def _full_poll_steps(scenario, monkeypatch):
+    """``steps`` of the same run stopped by a reference predicate that
+    polls every correct stack after every step."""
+    built = {}
+    plans = []
+    build = ProtocolPlan.build
+
+    def recording_build(plan, process):
+        plans.append(plan)
+        built[process] = build(plan, process)
+        return built[process]
+
+    sim_run = Simulation.run
+
+    def full_poll_run(sim, until=None, max_steps=2_000_000):
+        plan = plans[0]
+        done = plan.decided if scenario.stop == "decided" else plan.halted
+        node_done = (RestartBehavior.is_decided if scenario.stop == "decided"
+                     else RestartBehavior.is_halted)
+
+        def reference():
+            for target in sim.network.processes.values():
+                if isinstance(target, RestartBehavior):
+                    if not node_done(target, plan):
+                        return False
+                elif isinstance(target, Process) and not done(built[target]):
+                    return False
+            return True
+
+        assert until is not None
+        return sim_run(sim, until=reference, max_steps=max_steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProtocolPlan, "build", recording_build)
+        patch.setattr(Simulation, "run", full_poll_run)
+        return run(scenario).steps
+
+
+@pytest.mark.parametrize("faults", [{}, RESTART, {3: "silent"}],
+                         ids=["all-correct", "restart-node", "silent-node"])
+@pytest.mark.parametrize("stop", ["decided", "halted"])
+@pytest.mark.parametrize("shape", [
+    {"protocol": "bracha", "instances": 2, "seed": 3},
+    {"protocol": "bracha", "instances": 2, "seed": 11},
+    {"protocol": "acs", "seed": 3},
+], ids=["bracha-x2-s3", "bracha-x2-s11", "acs"])
+def test_the_stop_predicate_fires_on_the_step_a_full_poll_would(
+        shape, stop, faults, monkeypatch):
+    scenario = Scenario(n=4, stop=stop, faults=faults, **shape)
+    result = run(scenario)
+    assert result.steps == _full_poll_steps(scenario, monkeypatch)
+    assert len(result.decisions) == 4 - (faults == {3: "silent"})

@@ -119,6 +119,27 @@ class TestSimulationLoop:
             sim.run(max_steps=500)
         assert info.value.steps >= 500
 
+    def test_budget_counts_only_against_messages_still_in_flight(self):
+        def three_sends():
+            sim, _ = two_process_sim()
+            sim.start()
+            for word in ("a", "b", "c"):  # no replies: exactly 3 steps
+                sim.network.send(0, 1, ("echo", word))
+            return sim
+
+        # Draining on exactly the last budgeted step is quiescence ...
+        sim = three_sends()
+        assert sim.run(max_steps=3) == 3
+        assert sim.quiescent
+        # ... and one step short of that, a message is still pending.
+        sim = three_sends()
+        with pytest.raises(EventBudgetExceeded):
+            sim.run(max_steps=2)
+        assert len(sim.pending) == 1
+        # An unmet predicate with nothing left to deliver is quiescence too.
+        sim = three_sends()
+        assert sim.run(until=lambda: False, max_steps=3) == 3
+
     def test_scheduler_choice_must_be_pending(self):
         class Replayer(Scheduler):
             """Keeps choosing the first envelope it ever saw."""
