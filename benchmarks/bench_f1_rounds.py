@@ -13,9 +13,9 @@ text histogram) and a mean-rounds table over n.
 
 from conftest import run_once
 
-from repro import repeat_consensus
 from repro.analysis.stats import histogram, summarize
 from repro.analysis.tables import format_table
+from repro.scenario import Scenario, repeat
 
 TRIALS = 30
 
@@ -35,10 +35,10 @@ def test_f1_round_distribution(benchmark, table_sink, bench_sink):
         histograms = {}
         for coin in ("local", "dealer"):
             for n in sizes:
-                results = repeat_consensus(
-                    TRIALS, n=n, proposals=[pid % 2 for pid in range(n)],
+                results = repeat(Scenario(
+                    n=n, proposals=[pid % 2 for pid in range(n)],
                     coin=coin, seed=1234 + n, max_steps=5_000_000,
-                )
+                ), TRIALS)
                 rounds = [r.decision_round() for r in results]
                 summary = summarize(rounds)
                 rows.append([
@@ -82,9 +82,9 @@ def test_f1_unanimous_one_round(benchmark, table_sink):
         rows = []
         for coin in ("local", "dealer"):
             for n in (4, 7, 10):
-                results = repeat_consensus(
-                    10, n=n, proposals=1, coin=coin, seed=99 + n,
-                )
+                results = repeat(Scenario(
+                    n=n, proposals=1, coin=coin, seed=99 + n,
+                ), 10)
                 rows.append([coin, n, max(r.decision_round() for r in results)])
         return rows
 

@@ -11,7 +11,6 @@ Gramoli), while Bracha's validation keeps it live under the same attack.
 
 from conftest import run_once
 
-from repro import run_consensus
 from repro.adversary import (
     CoinRushScheduler,
     DelayVictimScheduler,
@@ -19,20 +18,31 @@ from repro.adversary import (
 )
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
-from repro.baselines import run_protocol
 from repro.core.coin import DealerCoin
 from repro.errors import EventBudgetExceeded, LivenessFailure
+from repro.scenario import Scenario, assemble
+from repro.stacks import ProtocolPlan
 
 TRIALS = 6
 N = 4
 
 
+def run_shared_coin(protocol, coin, scheduler, seed, max_steps):
+    """One checked run whose stacks and scheduler share ``coin`` — the
+    live object a coin-rushing adversary watches, so it enters through
+    ``assemble``'s ``plan=`` / ``scheduler=`` rather than as scenario data."""
+    scenario = Scenario(
+        protocol=protocol, n=N, proposals=[0, 1, 0, 1], seed=seed,
+        max_steps=max_steps,
+    )
+    plan = ProtocolPlan.for_scenario(scenario, coin=coin)
+    return assemble(scenario, plan=plan, scheduler=scheduler).run().result()
+
+
 def bracha_steps(scheduler_factory, coin_factory, seed):
     coin = coin_factory(seed)
-    result = run_consensus(
-        n=N, proposals=[0, 1, 0, 1], coin=coin,
-        scheduler=scheduler_factory(coin),
-        seed=seed, max_steps=4_000_000,
+    result = run_shared_coin(
+        "bracha", coin, scheduler_factory(coin), seed, max_steps=4_000_000
     )
     return result.steps
 
@@ -91,10 +101,9 @@ def test_f2_mmr14_liveness_contrast(benchmark, table_sink):
     def attempt(protocol, seed):
         coin = DealerCoin(N, 1, seed=seed)
         try:
-            run_protocol(
-                protocol, n=N, proposals=[0, 1, 0, 1], coin=coin,
-                scheduler=CoinRushScheduler(coin, holdback=400),
-                seed=seed, max_steps=budget,
+            run_shared_coin(
+                protocol, coin, CoinRushScheduler(coin, holdback=400),
+                seed, max_steps=budget,
             )
             return "decided"
         except (EventBudgetExceeded, LivenessFailure):

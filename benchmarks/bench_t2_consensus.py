@@ -8,10 +8,10 @@ maximum faults injected, unanimous and split inputs.
 
 from conftest import run_once
 
-from repro import run_consensus
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
 from repro.params import max_faults
+from repro.scenario import Scenario, run
 
 TRIALS = 8
 
@@ -36,10 +36,10 @@ def test_t2_consensus_matrix(benchmark, table_sink, bench_sink):
             rounds = []
             messages = []
             for seed in range(TRIALS):
-                result = run_consensus(
+                result = run(Scenario(
                     n=n, proposals=proposals, faults=faults,
                     seed=seed * 101 + n, max_steps=4_000_000,
-                )
+                ))
                 rounds.append(result.decision_round())
                 messages.append(result.messages_sent)
             fault_label = "+".join(sorted(set(
@@ -61,7 +61,7 @@ def test_t2_consensus_matrix(benchmark, table_sink, bench_sink):
              "max rounds", "mean msgs"],
             rows,
             title="T2. Consensus at optimal resilience: 0 violations by "
-                  "construction (checked harness); decision rounds and cost",
+                  "construction (checked runner); decision rounds and cost",
         ),
     )
     unanimous = [row for row in rows if row[2] == "unanimous" and row[3] == "none"]

@@ -21,12 +21,11 @@ validation to Ben-Or-style rounds lifts Byzantine resilience from
 
 from conftest import run_once
 
-from repro.adversary import SplitBrainScheduler
 from repro.adversary.benor_attack import attack_success_rate
 from repro.analysis.tables import format_table
-from repro.baselines import run_protocol
 from repro.core.validation import StepValidator
 from repro.params import ProtocolParams
+from repro.scenario import Scenario, run
 from repro.types import Step, StepValue
 
 TRIALS = 20
@@ -95,12 +94,13 @@ def test_t5c_bracha_end_to_end_under_attack(benchmark, table_sink, bench_sink):
     def experiment():
         clean = 0
         for seed in range(TRIALS):
-            result = run_protocol(
-                "bracha", n=4, proposals=[1, 1, 0, 0],
+            result = run(Scenario(
+                protocol="bracha", n=4, proposals=[1, 1, 0, 0],
                 faults={3: "two_faced"},
-                scheduler=SplitBrainScheduler([0, 1], holdback=250),
+                scheduler="split",
+                scheduler_args={"group_a": [0, 1], "holdback": 250},
                 seed=seed, max_steps=3_000_000,
-            )
+            ))
             clean += int(len(result.decided_values) == 1)
         return clean
 

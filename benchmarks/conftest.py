@@ -1,13 +1,14 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one table or figure of the evaluation plan
-(DESIGN.md §3).  The pattern:
+Every benchmark regenerates one table or figure backing a claim of the
+paper (the module docstring of each ``bench_*.py`` names it; the system
+they measure is described in docs/architecture.md).  The pattern:
 
 * the experiment body runs exactly once through
   ``benchmark.pedantic(fn, iterations=1, rounds=1)`` so pytest-benchmark
   reports its wall time without re-running multi-minute sweeps;
 * the resulting rows are printed as a paper-style table *and* written to
-  ``benchmarks/out/<name>.txt`` so EXPERIMENTS.md can quote them.
+  ``benchmarks/out/<name>.txt`` so docs and CHANGES.md can quote them.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ validity hold in every single row — the adversary can only buy delay.
 
 import sys
 
-from repro import run_consensus
 from repro.adversary import (
     CoinRushScheduler,
     DelayVictimScheduler,
     SplitBrainScheduler,
 )
 from repro.core.coin import DealerCoin
+from repro.scenario import Scenario, assemble
+from repro.stacks import ProtocolPlan
 
 
 def main() -> None:
@@ -44,20 +45,22 @@ def main() -> None:
     for label, faults, scheduler_factory in gallery:
         coin = DealerCoin(n, 2, seed=seed)
         scheduler = scheduler_factory(coin) if scheduler_factory else None
-        result = run_consensus(
+        scenario = Scenario(
             n=n,
             proposals=[0, 1, 0, 1, 0, 1, 0],
-            coin=coin,
             faults=faults,
-            scheduler=scheduler,
             seed=seed,
             max_steps=6_000_000,
         )
+        # The coin-rush adversary watches the very coin object the stacks
+        # flip, so coin and scheduler enter as live objects, not as data.
+        plan = ProtocolPlan.for_scenario(scenario, coin=coin)
+        result = assemble(scenario, plan=plan, scheduler=scheduler).run().result()
         decision = result.decided_values.pop()
         print(f"{label:<26} {decision:>8} {result.decision_round():>6} "
               f"{result.steps:>8} {'agreement + validity ok':>22}")
 
-    print("\nEvery row decided one valid bit. The checked harness raised no")
+    print("\nEvery row decided one valid bit. The checked runner raised no")
     print("violation — rerun with any seed; the guarantee is unconditional")
     print("for t < n/3.")
 

@@ -13,8 +13,8 @@ reconstructs each round's bit from authenticated Shamir shares.
 
 import sys
 
-from repro import repeat_consensus
 from repro.analysis.stats import histogram, summarize
+from repro.scenario import Scenario, repeat
 
 
 def main() -> None:
@@ -24,10 +24,10 @@ def main() -> None:
     rows = []
     for coin in ("local", "dealer", "shares"):
         for n in (4, 7):
-            results = repeat_consensus(
-                trials, n=n, proposals=[pid % 2 for pid in range(n)],
+            results = repeat(Scenario(
+                n=n, proposals=[pid % 2 for pid in range(n)],
                 coin=coin, seed=500 + n, max_steps=6_000_000,
-            )
+            ), trials)
             rounds = [r.decision_round() for r in results]
             messages = [r.messages_sent for r in results]
             rows.append((coin, n, summarize(rounds), summarize(messages)))
@@ -39,9 +39,9 @@ def main() -> None:
 
     print("\nround distribution at n=7:")
     for coin in ("local", "dealer"):
-        results = repeat_consensus(
-            trials, n=7, proposals=[0, 1, 0, 1, 0, 1, 0], coin=coin, seed=507,
-        )
+        results = repeat(Scenario(
+            n=7, proposals=[0, 1, 0, 1, 0, 1, 0], coin=coin, seed=507,
+        ), trials)
         hist = histogram([r.decision_round() for r in results])
         bars = "  ".join(f"r{r}:{'#' * c}" for r, c in hist.items())
         print(f"  {coin:>8}  {bars}")

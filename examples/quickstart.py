@@ -10,8 +10,8 @@ round, and where the messages went.
 
 import sys
 
-from repro import run_consensus
 from repro.params import for_system
+from repro.scenario import Scenario, run
 
 
 def main() -> None:
@@ -24,16 +24,16 @@ def main() -> None:
     print(f"inputs: p0=0 p1=1 p2=1, p3 is Byzantine (two-faced)")
     print()
 
-    result = run_consensus(
+    result = run(Scenario(
         n=n,
         proposals=[0, 1, 1, 0],
         faults={3: "two_faced"},
         seed=seed,
-    )
+    ))
 
     decision = result.decided_values.pop()
     print(f"decision: {decision}  (proposed by a correct process: yes — "
-          "the harness checks strong validity)")
+          "the runner checks strong validity)")
     for pid, dec in sorted(result.decisions.items()):
         print(f"  p{pid} decided {dec.value} in round {dec.round}")
     print()

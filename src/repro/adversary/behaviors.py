@@ -329,6 +329,10 @@ class FuzzerBehavior(ByzantineBehavior):
         return ("no-such-module", rng.random())
 
 
+#: Every fault kind :func:`dispatch_behavior` builds, on every fabric.
+BEHAVIOR_KINDS = ("silent", "crash", "two_faced", "fuzzer", "stubborn")
+
+
 def dispatch_behavior(
     pid: ProcessId,
     spec: Any,
@@ -337,8 +341,8 @@ def dispatch_behavior(
     honest_factory: Callable[[Process, Any], None],
     default_proposal: Any,
 ) -> ByzantineBehavior:
-    """Build a behavior from a harness fault spec — the single dispatcher
-    shared by the simulator harness and the asyncio runtime cluster.
+    """Build a behavior from a fault spec — the single dispatcher every
+    fabric shares (through :func:`repro.stacks.build_plan_behavior`).
 
     ``spec`` is a kind string or a mapping with a ``kind`` key plus
     kwargs.  ``honest_factory(process, bit)`` installs a complete honest
@@ -386,7 +390,9 @@ def dispatch_behavior(
         return FuzzerBehavior(pid, network, params, **config)
     if kind == "stubborn":
         return StubbornBidder(pid, network, params, **config)
-    raise ConfigError(f"unknown fault kind {kind!r}")
+    raise ConfigError(
+        f"unknown fault kind {kind!r}; choose from {list(BEHAVIOR_KINDS)}"
+    )
 
 
 def make_behavior(

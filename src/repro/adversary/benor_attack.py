@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..baselines.benor import BenOrConsensus, PVote, RVote
 from ..core.coin import LocalCoin
 from ..params import ProtocolParams
 from ..sim.metrics import Metrics
@@ -98,10 +99,6 @@ def run_benor_equivocation_attack(seed: int = 0) -> AttackReport:
     point that the adversary wins *with constant probability per round*
     and therefore eventually.
     """
-    # Imported here: the baselines package pulls in the experiment
-    # harness, which imports this package — a cycle at module-load time.
-    from ..baselines.benor import BenOrConsensus, PVote, RVote
-
     params = ProtocolParams(4, 1)
     net = _ScriptNet(seed)
     processes: Dict[int, Process] = {}

@@ -1,33 +1,21 @@
-"""Experiment harness: seeded runs, safety checking, aggregation, tables.
+"""Experiment support: the broadcast experiment, aggregation, tables.
 
-:mod:`repro.analysis.experiments` is the single entry point used by the
-test suite, the benchmarks, and the examples: it assembles a full system
-(simulator, network, processes, coin scheme, fault injection), runs it,
-and *checks the paper's safety properties* on the way out — agreement,
-validity, and integrity are asserted by the harness rather than trusted,
-so a regression in any protocol layer fails loudly everywhere.
+Consensus experiments are declared as :class:`~repro.scenario.Scenario`
+values and executed (and safety-checked) by :func:`repro.scenario.run`;
+what lives here is the bare reliable-broadcast experiment
+(:mod:`repro.analysis.experiments`) plus the statistics and table
+helpers the benchmarks format their results with.
 """
 
-from .experiments import (
-    ConsensusRun,
-    broadcast_stack,
-    build_consensus_stack,
-    run_broadcast,
-    run_consensus,
-    repeat_consensus,
-)
+from .experiments import broadcast_stack, run_broadcast
 from .stats import Summary, fit_power_law, summarize
 from .tables import format_table
 
 __all__ = [
-    "ConsensusRun",
     "Summary",
     "broadcast_stack",
-    "build_consensus_stack",
     "fit_power_law",
     "format_table",
-    "repeat_consensus",
     "run_broadcast",
-    "run_consensus",
     "summarize",
 ]

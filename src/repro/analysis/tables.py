@@ -2,7 +2,7 @@
 
 Every benchmark regenerating one of the paper-shaped tables prints its
 rows through :func:`format_table`, so the harness output reads like the
-evaluation section of a systems paper and EXPERIMENTS.md can paste it
+evaluation section of a systems paper and the docs can paste it
 verbatim.
 """
 

@@ -14,15 +14,15 @@
   configuration: Bracha's round structure driven by the dealer-shared
   common coin, giving constant expected rounds.
 
-All baselines run on the same simulator, coin schemes, and fault
-behaviors as the core protocol, and the comparison harness
-(:mod:`repro.baselines.harness`) applies the same safety checks.
+All baselines are scenario protocols (``Scenario(protocol="benor")``,
+``"benor-crash"``, ``"mmr14"``): they run on the same fabrics, coin
+schemes, and fault behaviors as the core protocol, assembled from the
+:data:`repro.stacks.STACKS` registry and held to the same safety checks.
 """
 
 from .benor import BenOrConsensus
 from .benor_crash import BenOrCrashConsensus
 from .bv_broadcast import BinaryValueBroadcast, BvDeliver
-from .harness import DEFAULT_COIN, STACKS, run_protocol
 from .mmr14 import Mmr14Consensus
 from .rabin import rabin_configuration
 
@@ -33,5 +33,4 @@ __all__ = [
     "BvDeliver",
     "Mmr14Consensus",
     "rabin_configuration",
-    "run_protocol",
 ]

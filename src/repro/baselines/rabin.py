@@ -5,9 +5,9 @@ dealer predistributes secret-shared random bits, and any
 quorum-overlapping agreement skeleton driven by that coin decides in a
 constant expected number of rounds.  In this library Rabin's protocol is
 therefore exactly **Bracha's rounds + the dealer coin** — the
-configuration ``run_consensus(..., coin="dealer")`` (oracle coin) or
-``coin="shares"`` (the real shared-coin reconstruction over the
-network, built on :mod:`repro.crypto.shamir`).
+configuration ``Scenario(protocol="bracha", coin="dealer")`` (oracle
+coin) or ``coin="shares"`` (the real shared-coin reconstruction over
+the network, built on :mod:`repro.crypto.shamir`).
 
 This module exists to make that identification explicit and to give the
 benchmark suite a named baseline.
@@ -19,11 +19,11 @@ from typing import Any, Dict
 
 
 def rabin_configuration(distributed_coin: bool = False) -> Dict[str, Any]:
-    """Keyword arguments turning ``run_consensus`` into Rabin's protocol.
+    """:class:`~repro.scenario.Scenario` fields selecting Rabin's protocol.
 
-    >>> from repro import run_consensus
+    >>> from repro.scenario import Scenario, run
     >>> from repro.baselines import rabin_configuration
-    >>> result = run_consensus(n=4, seed=1, **rabin_configuration())
+    >>> result = run(Scenario(n=4, seed=1, **rabin_configuration()))
     >>> len(result.decided_values)
     1
 

@@ -73,7 +73,7 @@ def _setup_secret(seed: int, digest: str) -> bytes:
 def share_dealer_seed(scenario: Scenario) -> int:
     """The dealer seed of the share-based coin (single instance only).
 
-    Mirrors :func:`repro.analysis.experiments.make_coin`:
+    Mirrors :func:`repro.stacks.make_coin`:
     ``derive_seed(instance_seed, "coin")`` of instance 0.
     """
     return derive_seed(instance_coin_seed(scenario.seed, 0), "coin")

@@ -100,10 +100,7 @@ class NodeRunner:
                 protocol=self.scenario.protocol,
                 instances=self.scenario.instances,
             )
-        self.plan = ProtocolPlan(
-            self.scenario.protocol, self.params, self.scenario.coin_name,
-            self.scenario.seed, self.scenario.instances,
-        )
+        self.plan = ProtocolPlan.for_scenario(self.scenario)
         self.proposals = self.plan.default_proposals(self.scenario.proposals)
         faults = self.scenario.faults_dict()
         spec = faults.get(self.pid)

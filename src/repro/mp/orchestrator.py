@@ -163,10 +163,7 @@ class MpOrchestrator:
         # Validates the protocol/coin/instances combination up front and
         # supplies the canonical proposal table; the coins themselves
         # are built (identically) inside each node process.
-        self.plan = ProtocolPlan(
-            scenario.protocol, self.params, scenario.coin_name,
-            scenario.seed, scenario.instances,
-        )
+        self.plan = ProtocolPlan.for_scenario(scenario)
         self.proposals = self.plan.default_proposals(scenario.proposals)
         faults = scenario.faults_dict()
         self.kills: Dict[ProcessId, float] = {}

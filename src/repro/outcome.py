@@ -2,8 +2,7 @@
 
 Every way of executing a protocol — the scenario runner's ``sim``
 fabric, the asyncio :class:`~repro.runtime.cluster.Cluster` (``local``
-and ``tcp``), the multi-process orchestrator (``mp``) and the legacy
-:func:`~repro.analysis.experiments.run_consensus` harness — ends the
+and ``tcp``) and the multi-process orchestrator (``mp``) — ends the
 same way: read each node out into a plain-data :class:`NodeReport`
 (:meth:`NodeReport.from_modules`), hand the reports to
 :func:`build_result`.  The builder sums the counters, fills

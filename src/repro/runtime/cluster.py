@@ -1,7 +1,7 @@
 """Cluster driver: spawn n nodes, run protocols to decision, measure.
 
 :class:`Cluster` assembles the runtime analogue of
-:func:`repro.analysis.experiments.setup_consensus`: the same protocol
+:func:`repro.scenario.assemble`: the same protocol
 stacks (Bracha, Ben-Or and its crash variant, MMR-14, ACS), the same
 coin schemes, and the same Byzantine behaviors — but each process lives
 on its own :class:`~repro.runtime.node.Node` with a private
@@ -33,7 +33,6 @@ import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..adversary.behaviors import ByzantineBehavior
-from ..analysis.experiments import FaultSpec, ProposalSpec
 from ..core.coin import CoinScheme
 from ..errors import ConfigError
 from ..net.auth import KeyRing
@@ -51,7 +50,13 @@ from ..params import for_system
 from ..recovery.wal import WalWriter, parse_recovery, wal_filename
 from ..sim.effects import parse_batching
 from ..sim.process import Process
-from ..stacks import PROTOCOLS, ProtocolPlan, build_plan_behavior
+from ..stacks import (
+    PROTOCOLS,
+    FaultSpec,
+    ProposalSpec,
+    ProtocolPlan,
+    build_plan_behavior,
+)
 from ..types import ProcessId, RunResult
 from .node import Node, NodeNetwork
 from .tcp import TcpTransport

@@ -11,7 +11,9 @@ executing protocol experiments:
   the discrete-event simulator (``sim``), the asyncio runtime over
   in-process queues (``local``), or authenticated TCP (``tcp``), all
   through identical stacks and safety verifiers
-  (:mod:`repro.scenario.runner`);
+  (:mod:`repro.scenario.runner`); :func:`assemble` is the same ``sim``
+  run before it starts — a :class:`SimRun` handle for callers that step
+  the simulator themselves or pass a live coin / scheduler object;
 * :data:`CATALOG` — named, curated scenarios runnable by name from the
   CLI and executed wholesale in CI (:mod:`repro.scenario.catalog`);
 * :class:`ScenarioGrid` — sweep expansion over scenario fields
@@ -40,7 +42,7 @@ from .spec import (
 )
 from .catalog import CATALOG, catalog_names, get_scenario
 from .grid import Cell, METRICS, ScenarioGrid, SweepResult
-from .runner import repeat, run
+from .runner import SimRun, assemble, repeat, run
 
 __all__ = [
     "BATCHING_MODES",
@@ -53,7 +55,9 @@ __all__ = [
     "STOPS",
     "Scenario",
     "ScenarioGrid",
+    "SimRun",
     "SweepResult",
+    "assemble",
     "catalog_names",
     "get_scenario",
     "load_scenario",

@@ -28,8 +28,7 @@ from ..adversary import (
     PartitionScheduler,
     SplitBrainScheduler,
 )
-from ..analysis.experiments import normalize_proposals
-from ..baselines.harness import DEFAULT_COIN
+from ..adversary.behaviors import BEHAVIOR_KINDS
 from ..errors import ConfigError
 from ..netem import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
@@ -42,7 +41,7 @@ from ..sim.scheduler import (
     RoundRobinScheduler,
     Scheduler,
 )
-from ..stacks import PROTOCOLS
+from ..stacks import DEFAULT_COIN, PROTOCOLS, normalize_proposals
 
 FABRICS = ("sim", "local", "tcp", "mp")
 STOPS = ("decided", "halted", "quiescent")
@@ -50,8 +49,8 @@ COINS = ("local", "dealer", "shares")
 
 #: Fault kinds that exist only on some fabrics:
 #: kind -> (supported fabrics, what it does, nearest kind elsewhere).
-#: Behavior kinds (silent/crash/two_faced/fuzzer/stubborn) run everywhere
-#: and are validated by the behavior dispatcher instead.
+#: The behavior kinds (:data:`~repro.adversary.behaviors.BEHAVIOR_KINDS`)
+#: run everywhere; a kind in neither table is rejected at construction.
 FAULT_KIND_FABRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
     "kill": (("mp",), "SIGKILL the node's OS process", "crash"),
     "restart": (
@@ -243,13 +242,9 @@ def _canonical_partitions(partitions: Any) -> Tuple[Tuple[Tuple[str, Any], ...],
 def _canonical_proposals(proposals: Any, n: int) -> Any:
     if proposals is None:
         return None
-    if isinstance(proposals, bool):
-        raise ConfigError(f"proposals must be bits, got {proposals!r}")
-    if isinstance(proposals, int):
-        if proposals not in (0, 1):
-            raise ConfigError(f"scalar proposal must be 0 or 1, got {proposals}")
-        return proposals
     table = normalize_proposals(proposals, n)  # validates coverage and bits
+    if isinstance(proposals, int):
+        return proposals
     return tuple(table[pid] for pid in range(n))
 
 
@@ -374,6 +369,14 @@ class Scenario:
             raise ConfigError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, int) \
+                or self.max_steps < 1:
+            raise ConfigError(
+                f"max_steps must be an integer >= 1, got {self.max_steps!r}"
+            )
+        if isinstance(self.timeout, bool) \
+                or not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
+            raise ConfigError(f"timeout must be a number > 0, got {self.timeout!r}")
         parse_batching(self.batching)  # validates off | flush | size:N
         if self.codec != "binary":
             raise ConfigError(
@@ -420,6 +423,14 @@ class Scenario:
             table = dict(spec)
             kind = table["kind"]
             constraint = FAULT_KIND_FABRICS.get(kind)
+            if constraint is None and kind not in BEHAVIOR_KINDS:
+                # Caught here, not at build time: on 'mp' the build
+                # happens inside the faulty node's own process, whose
+                # death the orchestrator rightly tolerates.
+                raise ConfigError(
+                    f"unknown fault kind {kind!r}; choose from "
+                    f"{sorted(BEHAVIOR_KINDS + tuple(FAULT_KIND_FABRICS))}"
+                )
             if constraint is not None:
                 fabrics, what, nearest = constraint
                 if self.fabric not in fabrics:
@@ -531,7 +542,7 @@ class Scenario:
         return self.coin or DEFAULT_COIN.get(self.protocol, "local")
 
     def faults_dict(self) -> Dict[int, Any]:
-        """Fault table in the harness's native shape: pid → kind or dict."""
+        """Fault table in the dispatcher's shape: pid → kind or dict."""
         out: Dict[int, Any] = {}
         for pid, spec in self.faults:
             table = dict(spec)

@@ -20,28 +20,144 @@ are applied entirely by the driver, never by protocol code.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from .adversary.behaviors import ByzantineBehavior, dispatch_behavior
-from .analysis.experiments import FaultSpec, make_coin, normalize_proposals
 from .app.acs import AcsInstance
 from .baselines.benor import BenOrConsensus
-from .baselines.harness import STACKS
+from .baselines.benor_crash import BenOrCrashConsensus
+from .baselines.bv_broadcast import BinaryValueBroadcast
+from .baselines.mmr14 import Mmr14Consensus
 from .core.broadcast import BroadcastLayer
-from .core.coin import CoinScheme, LocalCoin
+from .core.coin import CoinScheme, DealerCoin, LocalCoin, ShareCoinProvider
 from .core.consensus import BrachaConsensus
 from .errors import ConfigError
 from .params import ProtocolParams
 from .sim.network import NetworkAPI
 from .sim.process import Process, ProtocolModule
 from .sim.rng import derive_seed
-from .types import ProcessId
+from .types import Bit, ProcessId
 
 PROTOCOLS = ("bracha", "benor", "benor-crash", "mmr14", "acs")
 
-#: Builds the per-process protocol stack; returns the decision-bearing
-#: modules (one per instance), or the ACS instance.
-StackBuilder = Callable[[Process], List[Any]]
+#: A fault is a behavior kind (``"silent"``, ``"crash"``, ``"two_faced"``,
+#: ``"fuzzer"``, ``"stubborn"``) or ``{"kind": ..., **kwargs}``.
+FaultSpec = Union[str, Mapping[str, Any]]
+#: ``None`` (split ``pid % 2``), one bit (unanimous), a sequence indexed
+#: by pid, or a pid → bit mapping.
+ProposalSpec = Union[None, int, Sequence[int], Mapping[int, int]]
+#: Builds a single-instance stack on a process; returns the
+#: consensus-like module (anything with ``propose`` / ``decided`` /
+#: ``decision`` / ``halted`` / ``stats`` / ``invariant_flags``).
+StackFactory = Callable[[Process, CoinScheme], Any]
+
+
+# ---------------------------------------------------------------------------
+# Single-instance stack builders
+# ---------------------------------------------------------------------------
+
+
+def ablation_stack(validate: bool = True, amplify_decides: bool = True) -> StackFactory:
+    """The Bracha stack (RBC + coin + consensus), with ablation switches.
+
+    The defaults are the real protocol.  ``validate=False`` removes the
+    justification machinery — the A1 experiment shows a single Byzantine
+    process then breaking strong validity.  ``amplify_decides=False``
+    removes the halting layer — the A2 experiment shows executions that
+    never quiesce.
+    """
+
+    def factory(process: Process, coin_scheme: CoinScheme) -> BrachaConsensus:
+        rbc = BroadcastLayer()
+        process.add_module(rbc)
+        coin_source = coin_scheme.attach(process)
+        consensus = BrachaConsensus(
+            rbc, coin_source, validate=validate, amplify_decides=amplify_decides
+        )
+        process.add_module(consensus)
+        return consensus
+
+    return factory
+
+
+def voting_stack(consensus_class: Callable[[Any], Any]) -> StackFactory:
+    """The Ben-Or shape: bare links + coin, no broadcast layer."""
+
+    def factory(process: Process, coin_scheme: CoinScheme) -> Any:
+        consensus = consensus_class(coin_scheme.attach(process))
+        process.add_module(consensus)
+        return consensus
+
+    return factory
+
+
+def mmr14_stack(process: Process, coin_scheme: CoinScheme) -> Mmr14Consensus:
+    """Install the MMR-14 stack: BV-broadcast + common coin + agreement."""
+    bv = BinaryValueBroadcast()
+    process.add_module(bv)
+    coin_source = coin_scheme.attach(process)
+    consensus = Mmr14Consensus(bv, coin_source)
+    process.add_module(consensus)
+    return consensus
+
+
+#: The single source of single-instance stack builders: every fabric
+#: assembles byte-for-byte the same stack, so measured differences
+#: between protocols are attributable to the protocols.
+STACKS: Dict[str, StackFactory] = {
+    "bracha": ablation_stack(),
+    "benor": voting_stack(BenOrConsensus),
+    "benor-crash": voting_stack(BenOrCrashConsensus),  # t < n/2, benign faults
+    "mmr14": mmr14_stack,
+}
+
+#: Default coin per protocol: Bracha and Ben-Or are defined for local
+#: coins; MMR-14's termination argument requires a common coin.
+DEFAULT_COIN = {
+    "bracha": "local",
+    "benor": "local",
+    "benor-crash": "local",
+    "mmr14": "dealer",
+}
+
+
+# ---------------------------------------------------------------------------
+# Coin and proposal specs
+# ---------------------------------------------------------------------------
+
+
+def make_coin(coin: Union[str, CoinScheme], n: int, t: int, seed: int) -> CoinScheme:
+    """Resolve a coin specification to a scheme instance."""
+    if isinstance(coin, CoinScheme):
+        return coin
+    coin_seed = derive_seed(seed, "coin")
+    if coin == "local":
+        return LocalCoin()
+    if coin == "dealer":
+        return DealerCoin(n, t, coin_seed)
+    if coin == "shares":
+        return ShareCoinProvider(n, t, coin_seed)
+    raise ConfigError(f"unknown coin scheme {coin!r}")
+
+
+def normalize_proposals(proposals: ProposalSpec, n: int) -> Dict[ProcessId, Bit]:
+    """The validated pid → bit table of a proposal spec."""
+    if proposals is None:
+        return {pid: pid % 2 for pid in range(n)}
+    if isinstance(proposals, int):
+        if isinstance(proposals, bool) or proposals not in (0, 1):
+            raise ConfigError(f"scalar proposal must be 0 or 1, got {proposals!r}")
+        return {pid: proposals for pid in range(n)}
+    if isinstance(proposals, Mapping):
+        table = dict(proposals)
+    else:
+        table = dict(enumerate(proposals))
+    for pid in range(n):
+        if pid not in table:
+            raise ConfigError(f"no proposal for pid {pid}")
+        if table[pid] not in (0, 1):
+            raise ConfigError(f"proposal for pid {pid} must be a bit")
+    return {pid: table[pid] for pid in range(n)}
 
 
 def instance_coin_seed(seed: int, index: int) -> int:
@@ -93,6 +209,7 @@ class ProtocolPlan:
         coin: Union[str, CoinScheme],
         seed: int,
         instances: int,
+        stack: Optional[StackFactory] = None,
     ):
         if protocol not in PROTOCOLS:
             raise ConfigError(
@@ -110,9 +227,17 @@ class ProtocolPlan:
                 "the share-based coin supports a single instance; "
                 "use 'local' or 'dealer' for parallel instances and ACS"
             )
+        if stack is None:
+            stack = STACKS.get(protocol)
+        elif instances > 1 or protocol == "acs":
+            raise ConfigError(
+                "a stack factory replaces the single-instance stack; "
+                f"{protocol!r} x{instances} does not build one"
+            )
         self.protocol = protocol
         self.params = params
         self.instances = instances
+        self._stack = stack
         n, t = params.n, params.t
         if protocol == "acs":
             # One coin scheme per ABA index, shared by every node —
@@ -124,6 +249,23 @@ class ProtocolPlan:
             self._coins = [
                 instance_coin(coin, n, t, seed, i) for i in range(instances)
             ]
+
+    @classmethod
+    def for_scenario(
+        cls,
+        scenario: Any,
+        coin: Optional[CoinScheme] = None,
+        stack: Optional[StackFactory] = None,
+    ) -> "ProtocolPlan":
+        """The plan a :class:`~repro.scenario.Scenario` declares.
+
+        ``coin`` (a live scheme object in place of the scenario's coin
+        name) and ``stack`` are what a scenario cannot spell as data.
+        """
+        return cls(
+            scenario.protocol, scenario.params, coin or scenario.coin_name,
+            scenario.seed, scenario.instances, stack=stack,
+        )
 
     # -- builders ------------------------------------------------------------
 
@@ -137,26 +279,20 @@ class ProtocolPlan:
             )
             return [acs]
         if self.instances == 1:
-            # Single instance: the simulator harness's own stack builder,
-            # so every fabric assembles byte-for-byte the same stack.
-            return [STACKS[self.protocol](process, self._coins[0])]
+            return [self._stack(process, self._coins[0])]
+        # bracha instances share one broadcast layer; benor (the only
+        # other multi-instance protocol, guarded above) has none.
+        rbc = None
         if self.protocol == "bracha":
             rbc = BroadcastLayer()
             process.add_module(rbc)
-            modules = []
-            for i in range(self.instances):
-                consensus = BrachaConsensus(
-                    rbc, self._coins[i].attach(process), module_id=f"bracha-{i}"
-                )
-                process.add_module(consensus)
-                modules.append(consensus)
-            return modules
-        # benor (the only other multi-instance protocol, guarded above)
         modules = []
-        for i in range(self.instances):
-            consensus = BenOrConsensus(
-                self._coins[i].attach(process), module_id=f"benor-{i}"
-            )
+        for i, coin in enumerate(self._coins):
+            source, module_id = coin.attach(process), f"{self.protocol}-{i}"
+            if rbc is not None:
+                consensus = BrachaConsensus(rbc, source, module_id=module_id)
+            else:
+                consensus = BenOrConsensus(source, module_id=module_id)
             process.add_module(consensus)
             modules.append(consensus)
         return modules
@@ -172,7 +308,7 @@ class ProtocolPlan:
         """The proposal table every fabric uses for this plan.
 
         ACS proposes per-node request payloads; the binary protocols
-        normalize ``proposals`` through the harness rules.
+        normalize ``proposals`` (:func:`normalize_proposals`).
         """
         if self.protocol == "acs":
             return {pid: f"req-p{pid}" for pid in range(self.params.n)}
@@ -247,12 +383,19 @@ def build_plan_behavior(
 
 
 __all__ = [
+    "DEFAULT_COIN",
+    "FaultSpec",
     "PROTOCOLS",
     "PlanProposer",
+    "ProposalSpec",
     "ProtocolPlan",
-    "StackBuilder",
+    "STACKS",
+    "StackFactory",
+    "ablation_stack",
     "build_plan_behavior",
     "coin_seeds",
     "instance_coin",
     "instance_coin_seed",
+    "make_coin",
+    "normalize_proposals",
 ]

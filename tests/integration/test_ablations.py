@@ -2,78 +2,74 @@
 
 import pytest
 
-from repro import run_consensus
-from repro.analysis.experiments import ablation_stack, setup_consensus
+from repro.errors import EventBudgetExceeded
+from repro.scenario import Scenario, assemble, run
+from repro.stacks import ProtocolPlan, ablation_stack
+
+STUBBORN = {3: {"kind": "stubborn", "bit": 0, "horizon": 16}}
+
+
+def ablated(scenario, **switches):
+    """The scenario assembled on an ablated Bracha stack."""
+    plan = ProtocolPlan.for_scenario(scenario, stack=ablation_stack(**switches))
+    return assemble(scenario, plan=plan)
 
 
 class TestValidationAblation:
     def test_no_validation_still_fine_without_byzantine(self):
         """With only correct processes, validation never fires anyway."""
-        result = run_consensus(
-            n=4, proposals=[0, 1, 0, 1],
-            stack=ablation_stack(validate=False), seed=1,
-        )
+        result = ablated(
+            Scenario(n=4, proposals=[0, 1, 0, 1], seed=1), validate=False
+        ).run().result()
         assert len(result.decided_values) == 1
 
     def test_stubborn_bidder_beats_no_validation(self):
         """At least one seed in a handful must show the validity break."""
         broken = 0
         for seed in range(8):
-            result = run_consensus(
-                n=4, proposals=[1, 1, 1, 0],
-                faults={3: {"kind": "stubborn", "bit": 0, "horizon": 16}},
-                stack=ablation_stack(validate=False),
-                seed=seed, check=False, max_steps=1_200_000,
+            scenario = Scenario(
+                n=4, proposals=[1, 1, 1, 0], faults=STUBBORN,
+                seed=seed, max_steps=1_200_000,
             )
+            result = ablated(scenario, validate=False).run().result(check=False)
             if 0 in result.decided_values:
                 broken += 1
         assert broken >= 1
 
     def test_stubborn_bidder_loses_to_validation(self):
         for seed in range(8):
-            result = run_consensus(
-                n=4, proposals=[1, 1, 1, 0],
-                faults={3: {"kind": "stubborn", "bit": 0, "horizon": 16}},
-                seed=seed,
-            )
+            result = run(Scenario(
+                n=4, proposals=[1, 1, 1, 0], faults=STUBBORN, seed=seed,
+            ))
             assert result.decided_values == {1}
 
 
 class TestHaltingAblation:
     def test_textbook_protocol_decides_but_never_quiesces(self):
-        run = setup_consensus(
-            n=4, proposals=[0, 1, 0, 1],
-            stack=ablation_stack(amplify_decides=False), seed=3,
+        handle = ablated(
+            Scenario(n=4, proposals=[0, 1, 0, 1], seed=3), amplify_decides=False
+        ).run()
+        assert handle.until()  # every correct process decided
+        assert not all(
+            handle.plan.halted(stack) for stack in handle.stacks.values()
         )
-        sim = run.sim
-        sim.start()
-        run.propose_all()
-        sim.run(until=run.all_decided, max_steps=2_000_000)
-        assert run.all_decided()
-        assert not run.all_halted()
         # the tail never drains
-        from repro.errors import EventBudgetExceeded
-
         with pytest.raises(EventBudgetExceeded):
-            sim.run(max_steps=20_000)
+            handle.sim.run(max_steps=20_000)
 
     def test_no_decide_messages_without_amplification(self):
-        run = setup_consensus(
-            n=4, proposals=[0, 1, 0, 1],
-            stack=ablation_stack(amplify_decides=False), seed=5,
-        )
-        sim = run.sim
-        sim.start()
-        run.propose_all()
-        sim.run(until=run.all_decided, max_steps=2_000_000)
-        assert "bracha/DecideMsg" not in sim.metrics.sent_by_kind
+        handle = ablated(
+            Scenario(n=4, proposals=[0, 1, 0, 1], seed=5), amplify_decides=False
+        ).run()
+        assert handle.until()
+        assert "bracha/DecideMsg" not in handle.sim.metrics.sent_by_kind
 
     def test_safety_unaffected_by_either_switch(self):
+        # unanimous: safe even without validation
+        scenario = Scenario(n=4, proposals=1, seed=7)
         for validate in (True, False):
             for amplify in (True, False):
-                result = run_consensus(
-                    n=4, proposals=1,  # unanimous: safe even without validation
-                    stack=ablation_stack(validate=validate, amplify_decides=amplify),
-                    seed=7,
-                )
+                result = ablated(
+                    scenario, validate=validate, amplify_decides=amplify
+                ).run().result()
                 assert result.decided_values == {1}

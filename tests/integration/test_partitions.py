@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro import run_consensus
 from repro.adversary import PartitionScheduler
-from repro.analysis.experiments import setup_consensus
+from repro.scenario import Scenario, assemble, run
+
+
+def partition(group_a, heal_after=10**9):
+    """Scenario fields declaring a split of ``group_a`` from the rest."""
+    return {
+        "scheduler": "partition",
+        "scheduler_args": {"group_a": group_a, "heal_after": heal_after},
+    }
 
 
 class TestPartitionThenHeal:
@@ -12,47 +19,46 @@ class TestPartitionThenHeal:
     def test_decisions_only_after_heal(self, seed):
         """A 2-2 split of n=4 leaves no side with a quorum (3): the run
         must stall until the merge, then decide normally."""
-        scheduler = PartitionScheduler([0, 1], heal_after=10**9)
-        run = setup_consensus(
-            n=4, proposals=[0, 1, 0, 1], scheduler=scheduler, seed=seed
-        )
-        sim = run.sim
-        sim.start()
-        run.propose_all()
+        handle = assemble(Scenario(
+            n=4, proposals=[0, 1, 0, 1], seed=seed, **partition([0, 1])
+        ))
+        sim, scheduler = handle.sim, handle.sim.scheduler
+        handle.start()
 
         # Drive the simulation manually and watch for early decisions.
-        while not run.all_decided():
-            decided_now = any(c.decided for c in run.consensus.values())
+        while not handle.until():
+            decided_now = any(
+                c.decided for stack in handle.stacks.values() for c in stack
+            )
             if decided_now:
                 assert scheduler.healed, "a decision happened inside the split"
             if not sim.step():
                 break
-        assert run.all_decided()
+        assert handle.until()
         assert scheduler.healed
 
     def test_majority_side_can_decide_during_partition(self):
         """A 3-1 split keeps a full quorum on one side: the majority side
         may decide while the minority waits for the merge."""
-        scheduler = PartitionScheduler([0, 1, 2], heal_after=10**9)
-        result = run_consensus(
-            n=4, proposals=[1, 1, 1, 0], scheduler=scheduler, seed=2
-        )
+        result = run(Scenario(
+            n=4, proposals=[1, 1, 1, 0], seed=2, **partition([0, 1, 2])
+        ))
         assert result.decided_values == {1}
 
     def test_agreement_across_the_merge(self):
         """Decisions made by the majority side bind the minority side."""
         for seed in range(5):
-            scheduler = PartitionScheduler([0, 1, 2], heal_after=10**9)
-            result = run_consensus(
-                n=4, proposals=[0, 1, 0, 1], scheduler=scheduler, seed=seed
-            )
+            result = run(Scenario(
+                n=4, proposals=[0, 1, 0, 1], seed=seed, **partition([0, 1, 2])
+            ))
             assert len(result.decided_values) == 1
 
     def test_timed_heal(self):
-        scheduler = PartitionScheduler([0, 1], heal_after=50)
-        result = run_consensus(
-            n=4, proposals=[0, 1, 0, 1], scheduler=scheduler, seed=7
-        )
+        handle = assemble(Scenario(
+            n=4, proposals=[0, 1, 0, 1], seed=7, **partition([0, 1], heal_after=50)
+        ))
+        result = handle.run().result()
+        scheduler = handle.sim.scheduler
         assert scheduler.heal_step is not None
         assert scheduler.heal_step <= 50
         assert len(result.decided_values) == 1
@@ -60,11 +66,10 @@ class TestPartitionThenHeal:
     def test_partition_with_byzantine_member(self):
         """The faulty process sits in the minority partition; the
         majority side must still be safe and live."""
-        scheduler = PartitionScheduler([0, 1, 2], heal_after=10**9)
-        result = run_consensus(
+        result = run(Scenario(
             n=4, proposals=[1, 1, 1, 0], faults={3: "two_faced"},
-            scheduler=scheduler, seed=4,
-        )
+            seed=4, **partition([0, 1, 2]),
+        ))
         assert result.decided_values == {1}
 
 

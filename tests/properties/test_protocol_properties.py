@@ -8,9 +8,8 @@ Examples are kept small (n ≤ 7) so hundreds of executions stay fast.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import run_broadcast, run_consensus
-from repro.adversary import DelayVictimScheduler, SplitBrainScheduler
-from repro.sim.scheduler import FifoScheduler, RandomScheduler
+from repro import run_broadcast
+from repro.scenario import Scenario, run
 
 SLOW = settings(
     max_examples=25,
@@ -38,14 +37,15 @@ def consensus_world(draw):
     return n, proposals, faults, coin, seed, scheduler_name
 
 
-def make_scheduler(name, n):
-    if name == "random":
-        return RandomScheduler()
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "victim":
-        return DelayVictimScheduler([0], holdback=60)
-    return SplitBrainScheduler(list(range(n // 2)), holdback=60)
+def scheduler_fields(name, n):
+    """The ``scheduler`` / ``scheduler_args`` scenario fields for a name."""
+    args = {
+        "random": {},
+        "fifo": {},
+        "victim": {"victims": [0], "holdback": 60},
+        "split": {"group_a": list(range(n // 2)), "holdback": 60},
+    }[name]
+    return {"scheduler": name, "scheduler_args": args}
 
 
 @given(consensus_world())
@@ -54,11 +54,10 @@ def test_agreement_validity_integrity_everywhere(world):
     """The checked harness raises on any violation — reaching the assert
     means agreement, strong validity, integrity, and completion held."""
     n, proposals, faults, coin, seed, scheduler_name = world
-    result = run_consensus(
+    result = run(Scenario(
         n=n, proposals=proposals, faults=faults, coin=coin,
-        scheduler=make_scheduler(scheduler_name, n),
-        seed=seed, max_steps=3_000_000,
-    )
+        seed=seed, max_steps=3_000_000, **scheduler_fields(scheduler_name, n),
+    ))
     assert len(result.decided_values) == 1
     correct = [pid for pid in range(n) if pid not in faults]
     decided = result.decided_values.pop()
@@ -71,11 +70,10 @@ def test_unanimity_always_wins(world):
     """Forcing unanimous correct inputs: the decision must be that bit,
     whatever the faults and scheduling do."""
     n, _proposals, faults, coin, seed, scheduler_name = world
-    result = run_consensus(
+    result = run(Scenario(
         n=n, proposals=1, faults=faults, coin=coin,
-        scheduler=make_scheduler(scheduler_name, n),
-        seed=seed, max_steps=3_000_000,
-    )
+        seed=seed, max_steps=3_000_000, **scheduler_fields(scheduler_name, n),
+    ))
     assert result.decided_values == {1}
 
 
@@ -111,8 +109,8 @@ def test_broadcast_consistency_and_totality(world):
 @settings(max_examples=20, deadline=None)
 def test_deterministic_replay(seed):
     """Same seed ⇒ byte-identical run metrics."""
-    a = run_consensus(n=4, proposals=[0, 1, 1, 0], seed=seed)
-    b = run_consensus(n=4, proposals=[0, 1, 1, 0], seed=seed)
+    a = run(Scenario(n=4, proposals=[0, 1, 1, 0], seed=seed))
+    b = run(Scenario(n=4, proposals=[0, 1, 1, 0], seed=seed))
     assert (a.steps, a.messages_sent, a.decided_values, a.rounds) == (
         b.steps, b.messages_sent, b.decided_values, b.rounds,
     )

@@ -17,8 +17,9 @@ over real transports.  These tests hold it to that:
 
 import pytest
 
-from repro.analysis.experiments import run_consensus
 from repro.runtime import run_cluster_sync
+from repro.scenario import Scenario
+from repro.scenario import run as run_scenario
 
 SEEDS = [0, 1, 2]
 
@@ -27,7 +28,7 @@ SEEDS = [0, 1, 2]
 @pytest.mark.parametrize("bit", [0, 1])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unanimous_decisions_match_the_simulator(protocol, bit, seed):
-    sim = run_consensus(4, proposals=bit, seed=seed, stack=None if protocol == "bracha" else _stack(protocol))
+    sim = run_scenario(Scenario(protocol=protocol, n=4, proposals=bit, seed=seed))
     run = run_cluster_sync(
         4, protocol=protocol, proposals=bit, seed=seed,
         transport="local", timeout=30.0,
@@ -36,21 +37,14 @@ def test_unanimous_decisions_match_the_simulator(protocol, bit, seed):
     assert len(run.decisions) == 4, "every node decides"
 
 
-def _stack(protocol):
-    from repro.baselines.harness import STACKS
-
-    return STACKS[protocol]
-
-
 @pytest.mark.parametrize("protocol", ["bracha", "benor"])
 def test_split_proposals_agree_in_both_worlds(protocol):
     seed = 5
-    sim = run_consensus(
-        4, proposals=[0, 1, 0, 1], seed=seed,
-        stack=None if protocol == "bracha" else _stack(protocol),
+    sim = run_scenario(
+        Scenario(protocol=protocol, n=4, proposals=[0, 1, 0, 1], seed=seed)
     )
     # run() applies build_result's checks: agreement + validity +
-    # integrity + liveness, same checker as the simulator harness.
+    # integrity + liveness, same checker as the sim fabric.
     run = run_cluster_sync(
         4, protocol=protocol, proposals=[0, 1, 0, 1], seed=seed,
         transport="local", timeout=30.0,

@@ -111,6 +111,57 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Scenario(proposals=7)
 
+    @pytest.mark.parametrize("scalar", [2, -1, True, False])
+    def test_non_bit_scalar_proposal_rejected(self, scalar):
+        with pytest.raises(ConfigError, match="scalar proposal must be 0 or 1"):
+            Scenario(proposals=scalar)
+
+    def test_non_bit_scalar_never_reaches_a_cluster_node(self):
+        """``run_cluster_sync(4, proposals=2)`` used to die with a bare
+        ValueError from inside a node."""
+        from repro.runtime import run_cluster_sync
+
+        with pytest.raises(ConfigError, match="scalar proposal must be 0 or 1"):
+            run_cluster_sync(4, proposals=2, transport="local")
+
+    @pytest.mark.parametrize("fabric", ["sim", "local", "tcp", "mp"])
+    def test_unknown_fault_kind_rejected_at_construction(self, fabric):
+        """On ``mp`` the behavior dispatcher runs inside the faulty
+        node's own process, whose death the orchestrator tolerates — the
+        run used to come back clean and verified."""
+        with pytest.raises(ConfigError, match="unknown fault kind 'gremlin'") as exc:
+            Scenario(n=4, fabric=fabric, faults={3: "gremlin"})
+        for kind in ("silent", "crash", "two_faced", "fuzzer", "stubborn",
+                     "kill", "restart"):
+            assert kind in str(exc.value)
+
+    def test_unknown_fault_kind_in_a_scenario_file(self, tmp_path):
+        path = tmp_path / "gremlin.json"
+        path.write_text(json.dumps({"n": 4, "faults": {"3": "gremlin"}}))
+        with pytest.raises(ConfigError, match="unknown fault kind"):
+            load_scenario(path)
+
+    def test_every_dispatcher_kind_is_a_legal_scenario_kind(self):
+        from repro.adversary.behaviors import BEHAVIOR_KINDS
+
+        for kind in BEHAVIOR_KINDS:
+            assert Scenario(n=4, faults={3: kind}).faults_dict() == {3: kind}
+
+    @pytest.mark.parametrize("value", [0, -5, True, 1.5, "100"])
+    def test_max_steps_must_be_a_positive_integer(self, value):
+        with pytest.raises(ConfigError, match="max_steps"):
+            Scenario(max_steps=value)
+
+    @pytest.mark.parametrize("value", [0, -1.0, True, "60"])
+    def test_timeout_must_be_a_positive_number(self, value):
+        with pytest.raises(ConfigError, match="timeout"):
+            Scenario(timeout=value)
+
+    def test_smallest_budgets_accepted(self):
+        s = Scenario(max_steps=1, timeout=0.001)
+        assert s.max_steps == 1 and s.timeout == 0.001
+        assert Scenario(timeout=30).timeout == 30
+
 
 class TestCanonicalization:
     def test_equivalent_specs_compare_equal(self):

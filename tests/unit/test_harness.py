@@ -1,4 +1,6 @@
-"""The experiment harness itself: spec normalization and checking."""
+"""The pieces every run is assembled from and checked by: proposal and
+coin specs (:mod:`repro.stacks`), scenario-level fault validation, and
+the one result checker (:func:`repro.outcome.build_result`)."""
 
 import dataclasses
 import json
@@ -6,12 +8,6 @@ import re
 
 import pytest
 
-from repro.analysis.experiments import (
-    ablation_stack,
-    make_coin,
-    normalize_proposals,
-    setup_consensus,
-)
 from repro.core.coin import DealerCoin, LocalCoin, ShareCoinProvider
 from repro.errors import (
     AgreementViolation,
@@ -23,6 +19,8 @@ from repro.errors import (
 )
 from repro.outcome import InstanceOutcome, NodeReport, build_result
 from repro.params import for_system
+from repro.scenario import Scenario, assemble
+from repro.stacks import make_coin, normalize_proposals
 
 
 class TestNormalizeProposals:
@@ -50,6 +48,13 @@ class TestNormalizeProposals:
         with pytest.raises(ConfigError):
             normalize_proposals([0], 3)
 
+    @pytest.mark.parametrize("scalar", [2, -1, True, False])
+    def test_non_bit_scalar_rejected(self, scalar):
+        """The scalar branch used to skip the bit check: ``2`` became a
+        table of 2s and died as a bare ValueError inside a node."""
+        with pytest.raises(ConfigError, match="scalar proposal must be 0 or 1"):
+            normalize_proposals(scalar, 3)
+
 
 class TestMakeCoin:
     def test_names(self):
@@ -72,40 +77,33 @@ class TestMakeCoin:
 
 
 class TestSetup:
+    """Fault-table validation happens when the scenario is built."""
+
     def test_correct_and_faulty_partition(self):
-        run = setup_consensus(n=4, faults={3: "silent"}, seed=0)
-        assert run.correct_pids == [0, 1, 2]
-        assert sorted(run.behaviors) == [3]
+        handle = assemble(Scenario(n=4, faults={3: "silent"}, seed=0))
+        assert sorted(handle.stacks) == [0, 1, 2]
+        assert sorted(handle.behaviors) == [3]
 
     def test_fault_pid_out_of_range(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={9: "silent"}, seed=0)
+            Scenario(n=4, faults={9: "silent"}, seed=0)
 
     def test_excess_faults_rejected_by_default(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={2: "silent", 3: "silent"}, seed=0)
+            Scenario(n=4, faults={2: "silent", 3: "silent"}, seed=0)
 
     def test_excess_faults_opt_in(self):
-        run = setup_consensus(
+        handle = assemble(Scenario(
             n=4, faults={2: "silent", 3: "silent"}, seed=0,
             allow_excess_faults=True,
-        )
-        assert len(run.behaviors) == 2
+        ))
+        assert len(handle.behaviors) == 2
 
     def test_bad_fault_spec(self):
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={3: {"no_kind": True}}, seed=0)
+            Scenario(n=4, faults={3: {"no_kind": True}}, seed=0)
         with pytest.raises(ConfigError):
-            setup_consensus(n=4, faults={3: "gremlin"}, seed=0)
-
-    def test_ablation_stack_flags(self):
-        run = setup_consensus(n=4, stack=ablation_stack(validate=False), seed=0)
-        from repro.core.validation import PermissiveValidator
-
-        assert all(
-            isinstance(c.validator, PermissiveValidator)
-            for c in run.consensus.values()
-        )
+            Scenario(n=4, faults={3: "gremlin"}, seed=0)
 
 
 def _binary(pid, *values, flags=()):
