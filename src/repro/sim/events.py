@@ -11,94 +11,108 @@ what the uniform-random pickers ask on every delivery.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
 
-#: Compaction threshold: the slot list is rebuilt without its tombstones
-#: once they outnumber the live envelopes by more than this many.
-_COMPACT_SLACK = 32
+#: Envelopes per block.  Measured, not a knob: blocks of 512 lose to the
+#: rank walk from P ~ 30 000 up, 8 192 is best at every size tried
+#: (docs/performance.md, "The PendingSet contract").
+BLOCK = 8192
 
 
 class PendingSet:
     """Insertion-ordered order-statistic set of in-flight
     :class:`~repro.types.Envelope`.
 
-    Envelopes live in an append-only slot list; removal leaves a
-    tombstone (``None``) and a Fenwick tree over the live flags maps a
-    rank to its slot, so :meth:`add`, :meth:`remove`, :meth:`at` and
-    :meth:`peek_oldest` are O(log P) and ``in`` / ``len`` are O(1).  The
-    slot list is compacted when tombstones exceed the live envelopes by
-    ``_COMPACT_SLACK``, so it never holds more than ``2 P + 32`` slots
+    Envelopes live, oldest first, in blocks of at most ``BLOCK``, the
+    insertion sequence number of each in a parallel list per block.
+    :meth:`add` appends to the last block (O(1)), :meth:`at` walks the
+    block lengths (O(P / BLOCK)), :meth:`remove` bisects to the block
+    and the position and deletes there (O(log P) plus a ``memmove``
+    within the block); ``in`` / ``len`` are O(1).  A block left small
+    is folded into its neighbour: adjacent blocks always total more
+    than ``BLOCK / 2``, so there are at most ``4 P / BLOCK + 2`` blocks
     and every whole-set pass (iteration, :meth:`filter`,
-    :meth:`oldest_per_link`, :meth:`snapshot`) stays O(P).  ``uid``
+    :meth:`oldest_per_link`, :meth:`snapshot`) is O(P).  ``uid``
     uniqueness is enforced: the simulator assigns uids, so a duplicate
     indicates a harness bug.
     """
 
     def __init__(self) -> None:
-        self._slots: list[Optional[Envelope]] = []
-        self._slot_of: dict[int, int] = {}
-        #: 1-based Fenwick tree: ``_tree[i]`` counts the live slots in
-        #: ``(i - lowbit(i), i]``; ``_tree[0]`` is unused padding.
-        self._tree: list[int] = [0]
+        self._blocks: list[list[Envelope]] = [[]]
+        self._seqs: list[list[int]] = [[]]
+        #: ``_firsts[b]`` is above every sequence number in block
+        #: ``b - 1`` and at most every one in block ``b``.
+        self._firsts: list[int] = [0]
+        self._seq_of: dict[int, int] = {}
+        self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self._seq_of)
 
     def __bool__(self) -> bool:
-        return bool(self._slot_of)
-
-    def _live(self) -> list[Envelope]:
-        return [env for env in self._slots if env is not None]
+        return bool(self._seq_of)
 
     def __iter__(self) -> Iterator[Envelope]:
         # One copy, so a caller may add or remove while iterating.
-        return iter(self._live())
+        return iter(list(chain.from_iterable(self._blocks)))
 
     def __contains__(self, env: Envelope) -> bool:
-        return env.uid in self._slot_of
+        """uid membership only; :meth:`remove` is what checks that
+        ``env`` is the envelope that was sent."""
+        return env.uid in self._seq_of
 
     def add(self, env: Envelope) -> None:
-        slot_of = self._slot_of
-        if env.uid in slot_of:
+        seq_of = self._seq_of
+        if env.uid in seq_of:
             raise SimulationError(f"duplicate envelope uid {env.uid}")
-        slots, tree = self._slots, self._tree
-        slot_of[env.uid] = len(slots)
-        slots.append(env)
-        # Append one Fenwick node: the new slot plus the already-summed
-        # ranges that tile (i - lowbit(i), i - 1].
-        i = len(slots)
-        floor = i & (i - 1)
-        count = 1
-        j = i - 1
-        while j > floor:
-            count += tree[j]
-            j &= j - 1
-        tree.append(count)
+        seq_of[env.uid] = seq = self._next_seq
+        self._next_seq = seq + 1
+        block = self._blocks[-1]
+        if len(block) < BLOCK:
+            block.append(env)
+            self._seqs[-1].append(seq)
+        else:
+            self._blocks.append([env])
+            self._seqs.append([seq])
+            self._firsts.append(seq)
 
     def remove(self, env: Envelope) -> None:
-        slot = self._slot_of.pop(env.uid, None)
-        if slot is None:
+        """Take out ``env``, which must be (or equal) the pending
+        envelope of its uid: the links are authenticated, so whoever
+        picks the next delivery may reorder, never forge."""
+        seq = self._seq_of.pop(env.uid, None)
+        if seq is None:
             raise SimulationError(f"removing unknown envelope uid {env.uid}")
-        slots, tree = self._slots, self._tree
-        slots[slot] = None
-        size = len(tree)
-        if size - 1 > 2 * len(self._slot_of) + _COMPACT_SLACK:
-            self._compact()
-            return
-        i = slot + 1
-        while i < size:
-            tree[i] -= 1
-            i += i & -i
+        blocks = self._blocks
+        b = bisect_right(self._firsts, seq) - 1
+        block, seqs = blocks[b], self._seqs[b]
+        i = bisect_left(seqs, seq)
+        stored = block[i]
+        if stored is not env and stored != env:
+            self._seq_of[env.uid] = seq
+            raise SimulationError(
+                f"envelope uid {env.uid} is pending as {stored!r}, not {env!r}"
+            )
+        del block[i], seqs[i]
+        if len(blocks) > 1 and 2 * len(block) <= BLOCK:
+            self._fold(b)
 
-    def _compact(self) -> None:
-        """Drop every tombstone; all slots are live afterwards."""
-        slots = self._slots = self._live()
-        self._slot_of = {env.uid: slot for slot, env in enumerate(slots)}
-        # A Fenwick tree over all-ones: node i counts lowbit(i) slots.
-        self._tree = [i & -i for i in range(len(slots) + 1)]
+    def _fold(self, b: int) -> None:
+        """Restore "adjacent blocks total more than ``BLOCK / 2``" after
+        a removal from block ``b``, the only block that shrank."""
+        blocks, seqs, firsts = self._blocks, self._seqs, self._firsts
+        for left in (b, b - 1):
+            if 0 <= left < len(blocks) - 1 and (
+                2 * (len(blocks[left]) + len(blocks[left + 1])) <= BLOCK
+            ):
+                blocks[left] += blocks.pop(left + 1)
+                seqs[left] += seqs.pop(left + 1)
+                del firsts[left + 1]
 
     def at(self, rank: int) -> Envelope:
         """The ``rank``-th oldest pending envelope (0 = oldest).
@@ -106,34 +120,25 @@ class PendingSet:
         ``at(k)`` equals ``list(pending)[k]``; an out-of-range rank
         raises :class:`IndexError`.
         """
-        if not 0 <= rank < len(self._slot_of):
+        if not 0 <= rank < len(self._seq_of):
             raise IndexError(
-                f"rank {rank} out of range for {len(self._slot_of)} pending"
+                f"rank {rank} out of range for {len(self._seq_of)} pending"
             )
-        tree = self._tree
-        size = len(tree)
-        # Descend to the last slot whose prefix holds <= rank live
-        # envelopes; the next slot is the live one of that rank.
-        pos = 0
-        step = 1 << ((size - 1).bit_length() - 1)
-        while step:
-            nxt = pos + step
-            if nxt < size and tree[nxt] <= rank:
-                pos = nxt
-                rank -= tree[nxt]
-            step >>= 1
-        env = self._slots[pos]
-        assert env is not None
-        return env
+        for block in self._blocks:
+            size = len(block)
+            if rank < size:
+                return block[rank]
+            rank -= size
+        raise AssertionError("block lengths disagree with the uid index")
 
     def peek_oldest(self) -> Optional[Envelope]:
         """The first-inserted pending envelope, or None when empty."""
-        return self.at(0) if self._slot_of else None
+        return self.at(0) if self._seq_of else None
 
     def filter(self, predicate: Callable[[Envelope], bool]) -> list[Envelope]:
         """All pending envelopes satisfying ``predicate``, oldest first."""
         return [
-            env for env in self._slots if env is not None and predicate(env)
+            env for block in self._blocks for env in block if predicate(env)
         ]
 
     def to_dest(self, dest: ProcessId) -> list[Envelope]:
@@ -154,9 +159,7 @@ class PendingSet:
         This is the candidate set for FIFO-per-link delivery.
         """
         seen: dict[tuple[ProcessId, ProcessId], Envelope] = {}
-        for env in self._slots:
-            if env is None:
-                continue
+        for env in chain.from_iterable(self._blocks):
             key = (env.source, env.dest)
             if key not in seen:
                 seen[key] = env
@@ -164,4 +167,4 @@ class PendingSet:
 
     def snapshot(self) -> Iterable[Envelope]:
         """A stable copy of the current contents (oldest first)."""
-        return tuple(self._live())
+        return tuple(chain.from_iterable(self._blocks))

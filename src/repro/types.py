@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Tuple
+from typing import Any, Hashable, NamedTuple, Tuple
 
 ProcessId = int
 Bit = int  # 0 or 1
@@ -70,15 +70,13 @@ class StepValue:
         return f"(d,{self.bit})" if self.decide else f"({self.bit})"
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A message in flight between two processes.
 
     ``uid`` is a simulator-assigned unique, monotonically increasing
     identifier used for deterministic tie-breaking; ``send_time`` is the
     virtual time at which the source handed the message to the network.
-    ``auth`` carries the link-layer authentication tag (see
-    :mod:`repro.net.auth`); the simulator itself never inspects payloads.
+    The simulator itself never inspects payloads.
     """
 
     uid: int
@@ -86,7 +84,6 @@ class Envelope:
     dest: ProcessId
     payload: Any
     send_time: float
-    auth: Any = None
 
     def __repr__(self) -> str:
         return f"<#{self.uid} {self.source}->{self.dest} {self.payload!r}>"

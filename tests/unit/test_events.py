@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import events
 from repro.sim.events import PendingSet
 from repro.types import Envelope
 
 
 def env(uid, source=0, dest=1, payload="m"):
     return Envelope(uid=uid, source=source, dest=dest, payload=payload, send_time=0.0)
+
+
+def within_block_bound(pending):
+    """What keeps ``at`` and the whole-set passes cheap however long the
+    run: never more than ``4 P / BLOCK + 2`` blocks."""
+    return len(pending._blocks) <= 4 * len(pending) / events.BLOCK + 2
 
 
 class TestBasics:
@@ -84,20 +91,42 @@ class TestBasics:
         with pytest.raises(IndexError):
             PendingSet().at(0)
 
-    def test_tombstones_are_compacted(self):
-        """The slot list never holds more than 2 P + 32 entries, so the
-        whole-set passes stay O(P) however long the run."""
+    def test_remove_rejects_a_different_envelope_with_a_pending_uid(self):
         pending = PendingSet()
-        envelopes = [env(uid) for uid in range(500)]
+        genuine = env(1)
+        pending.add(genuine)
+        with pytest.raises(SimulationError, match="uid 1 is pending as"):
+            pending.remove(env(1, dest=2))
+        assert list(pending) == [genuine]
+        pending.remove(env(1))  # an equal envelope is the same message
+        assert not pending
+
+    def test_drained_blocks_are_folded(self):
+        pending = PendingSet()
+        envelopes = [env(uid) for uid in range(20_000)]
         for e in envelopes:
             pending.add(e)
         for e in envelopes[:-3]:
             pending.remove(e)
-            assert len(pending._slots) <= 2 * len(pending) + 32
-        assert [e.uid for e in pending] == [497, 498, 499]
-        assert pending.at(2).uid == 499
-        pending.add(env(7))  # a uid that was live before compaction
-        assert [e.uid for e in pending] == [497, 498, 499, 7]
+            assert within_block_bound(pending)
+        assert [e.uid for e in pending] == [19_997, 19_998, 19_999]
+        assert pending.at(2).uid == 19_999
+        pending.add(env(7))  # a uid that was live earlier
+        assert [e.uid for e in pending] == [19_997, 19_998, 19_999, 7]
+
+    def test_one_survivor_per_block_is_folded(self, monkeypatch):
+        monkeypatch.setattr(events, "BLOCK", 64)
+        pending = PendingSet()
+        envelopes = [env(uid) for uid in range(64 * 40)]
+        for e in envelopes:
+            pending.add(e)
+        survivors = envelopes[::64]
+        for e in envelopes:
+            if e.uid % 64:
+                pending.remove(e)
+                assert within_block_bound(pending)
+        assert list(pending) == survivors
+        assert [pending.at(k) for k in range(40)] == survivors
 
 
 class TestQueries:
@@ -135,16 +164,29 @@ class TestQueries:
 
 OPS = ("add", "add_burst", "remove", "remove_burst", "remove_unknown",
        "bad_rank", "queries")
+OP_LISTS = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 5000)), max_size=80,
+)
 
 
 class TestAgainstListModel:
     """Random operation sequences against a plain insertion-ordered list."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sampled_from(OPS), st.integers(0, 5000)), max_size=80,
-    ))
+    @given(OP_LISTS)
     def test_matches_reference(self, ops):
+        self.check(ops)
+
+    @settings(max_examples=200, deadline=None)
+    @given(OP_LISTS)
+    def test_matches_reference_with_blocks_of_four(self, ops):
+        """Blocks open, empty, fold and reopen within the 80 operations."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events, "BLOCK", 4)
+            self.check(ops)
+
+    @staticmethod
+    def check(ops):
         pending, model = PendingSet(), []
         fresh = iter(range(10**6, 0, -1))  # descending: uid order != age
 
@@ -156,7 +198,7 @@ class TestAgainstListModel:
         def remove(index):
             pending.remove(model.pop(index % len(model)))
 
-        for _ in range(64):  # one large remove_burst from here compacts
+        for _ in range(64):
             add(next(fresh))
         for op, arg in ops:
             if op == "add":
@@ -171,7 +213,7 @@ class TestAgainstListModel:
             elif op == "remove":
                 if model:
                     remove(arg)
-            elif op == "remove_burst":  # enough tombstones to compact
+            elif op == "remove_burst":
                 for k in range(min(len(model), arg % 90)):
                     remove(arg * (k + 1))
             elif op == "remove_unknown":
@@ -197,6 +239,7 @@ class TestAgainstListModel:
                 for e in model:
                     heads.setdefault((e.source, e.dest), e)
                 assert pending.oldest_per_link() == list(heads.values())
+            assert within_block_bound(pending)
             assert len(pending) == len(model)
             assert bool(pending) == bool(model)
             assert list(pending) == model

@@ -161,6 +161,27 @@ class TestSimulationLoop:
             sim.step()
         assert modules[1].got == [(0, "ping")]
 
+    def test_scheduler_cannot_forge_a_delivery(self):
+        """The network adversary reorders; the links are authenticated,
+        so a pending uid with another destination or payload is refused."""
+
+        class Forger(Scheduler):
+            def choose(self):
+                env = self.pending.peek_oldest()
+                forged = env._replace(dest=0, payload=("echo", "FORGED"))
+                return forged, self._advance()
+
+        sim, modules = two_process_sim(scheduler=Forger())
+        sim.start()
+        sim.network.send(0, 1, ("echo", "ping"))
+        genuine = sim.pending.peek_oldest()
+        with pytest.raises(SimulationError, match=f"uid {genuine.uid}"):
+            sim.step()
+        assert modules[0].got == modules[1].got == []
+        assert sim.metrics.delivered == 0
+        assert list(sim.pending) == [genuine]
+        assert sim.pending.at(0) is genuine
+
     def test_double_start_rejected(self):
         sim, _ = two_process_sim()
         sim.start()

@@ -79,6 +79,29 @@ class TestEnvelope:
         env = Envelope(uid=7, source=1, dest=3, payload="p", send_time=0.0)
         assert "1->3" in repr(env)
 
+    def test_field_names_and_order(self):
+        assert Envelope._fields == ("uid", "source", "dest", "payload", "send_time")
+        by_keyword = Envelope(uid=7, source=1, dest=3, payload="p", send_time=0.5)
+        assert by_keyword == Envelope(7, 1, 3, "p", 0.5)
+        assert by_keyword.uid == 7 and by_keyword.payload == "p"
+
+    def test_repr(self):
+        env = Envelope(uid=7, source=1, dest=3, payload=("m", "p"), send_time=0.0)
+        assert repr(env) == "<#7 1->3 ('m', 'p')>"
+
+    def test_immutable(self):
+        env = Envelope(uid=7, source=1, dest=3, payload="p", send_time=0.0)
+        with pytest.raises(AttributeError):
+            env.dest = 2
+        with pytest.raises(AttributeError):
+            env.forged = True
+
+    def test_replace_makes_a_new_envelope(self):
+        env = Envelope(uid=7, source=1, dest=3, payload="p", send_time=0.0)
+        moved = env._replace(dest=2)
+        assert moved.dest == 2 and moved.uid == 7
+        assert env.dest == 3 and moved != env
+
 
 class TestRunResult:
     def _result_with(self, decisions):
