@@ -101,7 +101,7 @@ def test_a2_halting_ablation(benchmark, table_sink):
         ).run()
         sim = handle.sim
         stacks = [consensus for (consensus,) in handle.stacks.values()]
-        at_decision = sim.metrics.sent
+        at_decision = sim.network.sent
         rounds_at_decision = max(c.stats["rounds"] for c in stacks)
         try:
             sim.run(max_steps=extra_budget)  # drain or keep spinning
@@ -109,7 +109,7 @@ def test_a2_halting_ablation(benchmark, table_sink):
             pass
         rounds_after = max(c.stats["rounds"] for c in stacks)
         return (
-            sim.metrics.sent - at_decision,
+            sim.network.sent - at_decision,
             rounds_after - rounds_at_decision,
             sim.quiescent,
         )

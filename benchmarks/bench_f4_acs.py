@@ -42,7 +42,7 @@ def run_acs_epoch(n, seed, silent=()):
     outputs = {a.output.proposals for a in instances.values()}
     assert len(outputs) == 1, "ACS agreement violated"
     committed = len(outputs.pop())
-    return committed, sim.metrics.sent, sim.steps
+    return committed, sim.network.sent, sim.steps
 
 
 def test_f4_acs_commit_counts(benchmark, table_sink, bench_sink):
@@ -117,8 +117,8 @@ def test_f4_replicated_log_throughput(benchmark, table_sink):
             commands = [l.committed_commands() for l in logs]
             assert all(c == commands[0] for c in commands), "log divergence"
             rows.append([
-                n, batch, 2, len(commands[0]), sim.metrics.sent,
-                len(commands[0]) / max(1, sim.metrics.sent) * 1000,
+                n, batch, 2, len(commands[0]), sim.network.sent,
+                len(commands[0]) / max(1, sim.network.sent) * 1000,
             ])
         return rows
 

@@ -54,7 +54,7 @@ def main() -> None:
         max_steps=10_000_000,
     )
 
-    print(f"\ncommitted {epochs} epochs with {sim.metrics.sent} messages "
+    print(f"\ncommitted {epochs} epochs with {sim.network.sent} messages "
           f"in {sim.steps} delivery steps\n")
 
     reference = logs[0].committed_commands()

@@ -50,10 +50,8 @@ from typing import Dict, List, Optional, Tuple
 from ..baselines.benor import BenOrConsensus, PVote, RVote
 from ..core.coin import LocalCoin
 from ..params import ProtocolParams
-from ..sim.metrics import Metrics
 from ..sim.process import Process
 from ..sim.rng import SplitRng
-from ..sim.trace import NullTrace
 from ..types import Bit
 
 
@@ -62,8 +60,6 @@ class _ScriptNet:
 
     def __init__(self, seed: int):
         self.rng = SplitRng(seed)
-        self.metrics = Metrics()
-        self.trace = NullTrace()
         self.sent: List[Tuple[int, int, object]] = []
 
     def register(self, process: object) -> None:  # never used here

@@ -59,6 +59,11 @@ def run_broadcast(
     correct processes accepted.
     """
     params = for_system(n, t)
+    outside = sorted({sender, *silent} - set(range(n)))
+    if outside:
+        raise ConfigError(
+            f"sender/silent pids {outside} are outside 0..{n - 1}"
+        )
     fault_pids = set(silent) | ({sender} if equivocate else set())
     if len(fault_pids) > params.t:
         raise ConfigError(f"{len(fault_pids)} faults exceed t={params.t}")
@@ -92,7 +97,7 @@ def run_broadcast(
     report: Dict[str, Any] = {
         "outcomes": outcomes,
         "accepted_values": accepted_values,
-        "messages": sim.metrics.sent,
+        "messages": sim.network.sent,
         "steps": sim.steps,
         "violations": [],
     }

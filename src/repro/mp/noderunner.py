@@ -295,7 +295,8 @@ class NodeRunner:
         """This node's readout — ``report().to_dict()`` is the ``result``
         control message."""
         return NodeReport.from_modules(
-            self.pid, self.modules, self.network.metrics,
+            self.pid, self.modules, self.network.sent_by_kind,
+            delivered=self.node.messages_delivered,
             decide_time=self._decide_time,
             module_decisions=self._decide_count,
             node=self.node, transport=self.transport, policy=self._policy,

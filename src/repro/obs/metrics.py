@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -184,9 +184,6 @@ class MetricsRegistry:
 
     # -- readers -------------------------------------------------------------
 
-    def counter_value(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters=dict(self._counters),
@@ -198,27 +195,9 @@ class MetricsRegistry:
         )
 
 
-def render_snapshot(snapshot: MetricsSnapshot) -> List[str]:
-    """Human-readable lines for a snapshot (CLI result printing)."""
-    lines: List[str] = []
-    for name in sorted(snapshot.counters):
-        lines.append(f"{name} = {snapshot.counters[name]}")
-    for name in sorted(snapshot.gauges):
-        lines.append(f"{name} = {snapshot.gauges[name]:.3f}")
-    for name in sorted(snapshot.histograms):
-        h = snapshot.histograms[name]
-        lines.append(
-            f"{name}: n={int(h.get('count', 0))} "
-            f"p50={h.get('p50', 0.0):.4f} p95={h.get('p95', 0.0):.4f} "
-            f"p99={h.get('p99', 0.0):.4f} max={h.get('max', 0.0):.4f}"
-        )
-    return lines
-
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "render_snapshot",
 ]

@@ -92,8 +92,9 @@ class NodeReport:
         cls,
         pid: ProcessId,
         modules: Optional[Sequence[Any]],
-        metrics: Any,
+        sent_by_kind: Mapping[str, int],
         *,
+        delivered: int = 0,
         decide_time: Optional[float] = None,
         module_decisions: int = 0,
         node: Any = None,
@@ -103,25 +104,22 @@ class NodeReport:
         """Read one node out of its live objects.
 
         ``modules`` is the plan's decision-module list (``None`` for a
-        faulty node); ``metrics`` the :class:`~repro.sim.metrics.Metrics`
-        that counted this pid's sends — the simulator's shared one or a
-        runtime node's own.  ``module_decisions`` is the node's count of
-        Decide effects.  Runtime fabrics add their ``node`` pump, its
+        faulty node); ``sent_by_kind`` and ``delivered`` are what the
+        network tallied for this pid (``Network.sent_by_kind[pid]`` /
+        ``.delivered[pid]`` on the simulator, a runtime node's own
+        table and pump count).  ``module_decisions`` is the node's count
+        of Decide effects.  Runtime fabrics add their ``node`` pump, its
         ``transport`` and the netem ``policy`` (shared or per-process).
         """
         report = cls(
             pid, modules is not None,
             decide_time=decide_time, module_decisions=module_decisions,
-            sent=metrics.sent_by_source[pid],
+            sent=sum(sent_by_kind.values()), sent_by_kind=dict(sent_by_kind),
+            # Without a node pump every delivery is one activation.
+            delivered=delivered, activations=delivered,
         )
-        if node is None:
-            # One shared network: every delivery is one activation, and
-            # kinds are only counted system-wide (see build_result).
-            report.delivered = report.activations = metrics.delivered_by_dest[pid]
-        else:
-            report.delivered = node.messages_delivered
+        if node is not None:
             report.activations = node.activations
-            report.sent_by_kind = dict(metrics.sent_by_kind)
             report.frames_sent = node.frames_sent
             report.wire_messages_sent = node.wire_messages_sent
             report.frames_rejected = getattr(transport, "rejected", 0)
@@ -204,7 +202,6 @@ def build_result(
     registry: Optional[MetricsRegistry] = None,
     meta: Optional[Mapping[str, Any]] = None,
     failures: Sequence[str] = (),
-    messages_by_kind: Optional[Mapping[str, int]] = None,
 ) -> RunResult:
     """Assemble and verify the result of one finished run.
 
@@ -215,8 +212,6 @@ def build_result(
     fabric kept one, ``meta`` the fabric's own descriptive keys and
     ``failures`` liveness failures it already established (a timeout, an
     exhausted step budget), judged like any other violation.
-    ``messages_by_kind`` replaces the sum of per-node kind tables where
-    the network only counts system-wide.
 
     With ``check=True`` the first violated property raises its
     :mod:`repro.errors` class; otherwise every violation is recorded in
@@ -297,9 +292,7 @@ def build_result(
     result.meta["coin_flips"] = sum(r.coin_flips for r in judged)
     result.meta["proposals"] = dict(proposals)
     result.meta["faulty"] = sorted(faulty)
-    result.meta["messages_by_kind"] = dict(
-        kinds if messages_by_kind is None else messages_by_kind
-    )
+    result.meta["messages_by_kind"] = kinds
     result.meta["decision_rounds"] = {
         pid: d.round for pid, d in result.decisions.items()
     }

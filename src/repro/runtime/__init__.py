@@ -18,8 +18,8 @@ the baselines, ACS) concurrently:
 * :class:`~repro.runtime.cluster.Cluster` /
   :func:`~repro.runtime.cluster.run_cluster` — spawns ``n`` nodes
   (optionally with Byzantine behaviors), runs one or many consensus
-  instances to decision, and reports metrics compatible with
-  :mod:`repro.sim.metrics`.
+  instances to decision, and reads every node out into the same
+  :class:`~repro.outcome.NodeReport` the simulator fills.
 
 See ``docs/runtime.md`` for the design and its current limits.
 """

@@ -375,7 +375,8 @@ class Cluster:
             )
         reports = [
             NodeReport.from_modules(
-                pid, self.stacks.get(pid), node.network.metrics,
+                pid, self.stacks.get(pid), node.network.sent_by_kind,
+                delivered=node.messages_delivered,
                 decide_time=self._decision_times.get(pid),
                 module_decisions=self._decide_counts.get(pid, 0),
                 node=node, transport=self.transports[pid], policy=self._policy,

@@ -41,16 +41,15 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..params import ProtocolParams
 from ..sim.effects import CausalStamper, parse_batching
-from ..sim.metrics import Metrics
+from ..sim.network import payload_kind
 from ..sim.process import Process
 from ..sim.rng import SplitRng
-from ..sim.trace import NullTrace
 from ..types import ProcessId
 from .codec import Stamped, WireBatch
 from .transport import Transport, TransportClosed
@@ -70,8 +69,9 @@ class NodeNetwork:
         self.pid = pid
         self.params = params
         self.rng = SplitRng(seed)
-        self.metrics = Metrics()
-        self.trace = NullTrace()
+        #: ``kind -> count`` of this node's sends, as its
+        #: :class:`~repro.outcome.NodeReport` carries it.
+        self.sent_by_kind: Counter = Counter()
         self.processes: dict[ProcessId, Any] = {}
         self.outbox: Deque[Tuple[ProcessId, Any]] = deque()
         #: Optional structured-event hub (:class:`repro.obs.Observer`),
@@ -100,7 +100,7 @@ class NodeNetwork:
         # ``source`` is advisory here exactly as in the simulator: the
         # transport attributes traffic to the node's own pid, so a stack
         # (or a Byzantine behavior) cannot forge another identity.
-        self.metrics.record_send(self.pid, payload)
+        self.sent_by_kind[payload_kind(payload)] += 1
         if self.observer is None:
             self.outbox.append((dest, payload))
         else:
@@ -116,7 +116,7 @@ class NodeNetwork:
             for dest in range(n):
                 self.send(source, dest, payload)
             return
-        self.metrics.record_send(self.pid, payload, n)
+        self.sent_by_kind[payload_kind(payload)] += n
         self.outbox.extend([(dest, payload) for dest in range(n)])
 
     def now(self) -> float:
@@ -124,7 +124,6 @@ class NodeNetwork:
         return time.monotonic() - self._clock_zero
 
     def trace_note(self, pid: Optional[ProcessId], detail: Any) -> None:
-        self.trace.note(self.now(), pid, detail)
         if self.observer is not None:
             self.observer.emit("note", node=pid, detail=detail)
 

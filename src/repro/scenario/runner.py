@@ -104,6 +104,8 @@ def repeat(
     A ``seed`` override replaces the scenario's own seed as the base the
     per-trial seeds derive from.
     """
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
     base_seed = overrides.pop("seed", scenario.seed)
     return [
         run(scenario, check=check, seed=derive_seed(base_seed, "trial", i),
@@ -124,7 +126,7 @@ class SimRun:
     White-box callers ``start()`` and step ``sim`` themselves, reading
     the live objects on the way: ``stacks`` (correct pid → decision
     modules, one per instance), ``behaviors`` (faulty pid → behavior),
-    ``restart_nodes``, ``sim.metrics``, ``sim.pending``.  ``until`` is
+    ``restart_nodes``, ``sim.network``, ``sim.pending``.  ``until`` is
     the scenario's stop predicate (``None`` for ``quiescent``).
     """
 
@@ -291,7 +293,8 @@ class SimRun:
         )
         reports = [
             NodeReport.from_modules(
-                pid, readout.get(pid), sim.metrics,
+                pid, readout.get(pid), sim.network.sent_by_kind[pid],
+                delivered=sim.network.delivered[pid],
                 decide_time=self.decide_times.get(pid),
                 module_decisions=len(self.decided_modules.get(pid, ())),
             )
@@ -317,7 +320,6 @@ class SimRun:
             faulty=self.behaviors, proposals=self.proposals,
             params=scenario.params, check=check, elapsed=sim.now,
             registry=registry, meta=meta, failures=failures,
-            messages_by_kind=sim.metrics.sent_by_kind,
         )
         return _stamp(result, scenario, observer, summary)
 

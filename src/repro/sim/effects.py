@@ -59,7 +59,7 @@ class Broadcast:
     Fanned out at drain time into ``n`` point-to-point messages in pid
     order — by the fabric network's ``broadcast``, or by a ``send`` loop
     on a network that has none; the two are indistinguishable in uids,
-    metrics, traces and events.
+    tallies and events.
     """
 
     payload: Any

@@ -13,15 +13,28 @@ itself guarantees nothing about ordering, matching the paper's model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Protocol, Tuple
+from collections import Counter, defaultdict
+from typing import Any, Callable, DefaultDict, Dict, Iterable, Optional, Protocol, Tuple
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
 from .effects import CausalStamper
 from .events import PendingSet
-from .metrics import Metrics
 from .rng import SplitRng
-from .trace import Trace
+
+
+def payload_kind(payload: Any) -> str:
+    """A short classification label for a message payload.
+
+    Payloads are routed tuples ``(module_id, inner)``; the kind combines
+    the module with the inner message's class name so per-primitive
+    message counts (VALUE vs ECHO vs READY vs step messages) fall out of
+    one counter.
+    """
+    if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[0], str):
+        module, inner = payload
+        return f"{module}/{type(inner).__name__}"
+    return type(payload).__name__
 
 
 class Deliverable(Protocol):
@@ -40,7 +53,9 @@ class NetworkAPI(Protocol):
     Both the simulator's :class:`Network` and the asyncio runtime's
     :class:`~repro.runtime.node.NodeNetwork` satisfy this structural
     interface, which is what lets the protocol stacks run unmodified in
-    either world.  Protocol code must never rely on anything beyond it.
+    either world.  Protocol code must never rely on anything beyond it:
+    a test or attack double needs ``rng``, ``register``, ``send``,
+    ``now`` and ``trace_note``, and nothing else.
 
     The two fabric networks additionally define ``broadcast(source,
     payload)`` — ``n`` sends in pid order with the shared work done once
@@ -69,15 +84,25 @@ class Network:
     the message (allowed only for traffic touching faulty processes —
     the model forbids dropping correct-to-correct traffic, and the
     default filter enforces nothing so the *harness* checks this).
+
+    The paper's complexity claims (O(n²) messages per broadcast, O(n³)
+    per consensus round) are read off the tallies kept here, so
+    protocols cannot forget to report and Byzantine traffic counts like
+    any other: ``sent_by_kind[pid]`` is the ``kind -> count`` table of
+    the envelopes ``pid`` put in flight, ``delivered[pid]`` the
+    deliveries made to it — a :class:`~repro.outcome.NodeReport`'s
+    ``sent_by_kind`` and ``delivered`` as they stand — and ``dropped``
+    the sends ``outbound_filter`` refused.
     """
 
-    def __init__(self, rng: SplitRng, pending: PendingSet, metrics: Metrics, trace: Trace):
+    def __init__(self, rng: SplitRng, pending: PendingSet):
         self.rng = rng
         self.pending = pending
-        self.metrics = metrics
-        self.trace = trace
         self.processes: Dict[ProcessId, Deliverable] = {}
         self.outbound_filter: Optional[Callable[[Envelope], bool]] = None
+        self.sent_by_kind: DefaultDict[ProcessId, Counter] = defaultdict(Counter)
+        self.delivered: Counter = Counter()
+        self.dropped = 0
         #: Optional structured-event hub (:class:`repro.obs.Observer`).
         #: One ``is not None`` check per send/deliver when disabled.
         self.observer: Optional[Any] = None
@@ -106,10 +131,13 @@ class Network:
         return self._now_fn()
 
     def trace_note(self, pid: Optional[ProcessId], detail: Any) -> None:
-        now = self._now_fn()
-        self.trace.note(now, pid, detail)
         if self.observer is not None:
-            self.observer.emit("note", node=pid, detail=detail, time=now)
+            self.observer.emit("note", node=pid, detail=detail, time=self._now_fn())
+
+    @property
+    def sent(self) -> int:
+        """Every envelope put in flight so far, all sources and kinds."""
+        return sum(sum(table.values()) for table in self.sent_by_kind.values())
 
     # -- registry ---------------------------------------------------------
 
@@ -147,7 +175,6 @@ class Network:
         now = self._now_fn()
         processes, add = self.processes, self.pending.add
         outbound_filter, on_send = self.outbound_filter, self._on_send
-        trace = self.trace if self.trace.enabled else None
         observer = self.observer
         sent = 0
         try:
@@ -157,12 +184,10 @@ class Network:
                 self._uid = uid = self._uid + 1
                 env = Envelope(uid, source, dest, payload, now)
                 if outbound_filter is not None and not outbound_filter(env):
-                    self.metrics.record_drop()
+                    self.dropped += 1
                     continue
                 add(env)
                 sent += 1
-                if trace is not None:
-                    trace.send(now, env)
                 if observer is not None:
                     mid = self.stamper.stamp(source)
                     classified = observer.message(
@@ -172,22 +197,15 @@ class Network:
                 if on_send is not None:
                     on_send(env)
         finally:
-            # Also when a destination is unknown: the counters cover
+            # Also when a destination is unknown: the tally covers
             # exactly the envelopes that entered the pending set.
             if sent:
-                self.metrics.record_send(source, payload, sent)
+                self.sent_by_kind[source][payload_kind(payload)] += sent
 
     def deliver(self, env: Envelope, time: float) -> None:
-        """Deliver an in-flight envelope to its destination (runner only).
-
-        One delivery is one step of the run, which is what an enabled
-        trace numbers its records by.
-        """
+        """Deliver an in-flight envelope to its destination (runner only)."""
         self.pending.remove(env)
-        self.metrics.record_delivery(env.dest, env.payload)
-        if self.trace.enabled:
-            self.trace.advance_step()
-            self.trace.deliver(time, env)
+        self.delivered[env.dest] += 1
         if self.observer is not None:
             # Sent before the observer was attached: no id, classify now.
             mid, classified = self._mids.pop(env.uid, (None, None))

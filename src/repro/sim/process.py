@@ -97,7 +97,7 @@ class Context:
         return self._process.network.now()
 
     def note(self, detail: Any) -> None:
-        """Write an annotation into the simulation trace."""
+        """Write an annotation into the run's event log (if observed)."""
         self._process.enqueue(Note(detail))
 
 

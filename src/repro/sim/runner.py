@@ -1,10 +1,10 @@
 """The simulation loop.
 
-A :class:`Simulation` owns the pending-message set, the scheduler, the
-network, metrics, and the trace.  Running proceeds one delivery at a
-time: ask the scheduler for the next envelope, deliver it, repeat — until
-a caller-supplied predicate holds, the system is quiescent (no messages
-in flight), or the step budget runs out.
+A :class:`Simulation` owns the pending-message set, the scheduler and
+the network.  Running proceeds one delivery at a time: ask the scheduler
+for the next envelope, deliver it, repeat — until a caller-supplied
+predicate holds, the system is quiescent (no messages in flight), or the
+step budget runs out.
 
 Each delivery step drains the target process's effect outbox as one
 batch: the callback buffers its sends (see :mod:`repro.sim.effects`)
@@ -26,11 +26,9 @@ from typing import Callable, Optional
 
 from ..errors import EventBudgetExceeded, SimulationError
 from .events import PendingSet
-from .metrics import Metrics
 from .network import Network
 from .rng import SplitRng
 from .scheduler import RandomScheduler, Scheduler
-from .trace import NullTrace, Trace
 
 
 class Simulation:
@@ -39,7 +37,6 @@ class Simulation:
     Args:
         seed: master seed; fixes every random choice in the run.
         scheduler: delivery scheduler (default :class:`RandomScheduler`).
-        trace: pass ``True`` for a full event trace (default: disabled).
 
     Typical use::
 
@@ -50,22 +47,12 @@ class Simulation:
         sim.run(until=lambda: all(p.decided for p in correct))
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        scheduler: Optional[Scheduler] = None,
-        trace: bool | Trace = False,
-    ):
+    def __init__(self, seed: int = 0, scheduler: Optional[Scheduler] = None):
         self.rng = SplitRng(seed)
         self.pending = PendingSet()
         self.scheduler = scheduler if scheduler is not None else RandomScheduler()
         self.scheduler.attach(self.rng.stream("scheduler"), self.pending)
-        if isinstance(trace, Trace):
-            self.trace = trace
-        else:
-            self.trace = Trace() if trace else NullTrace()
-        self.metrics = Metrics()
-        self.network = Network(self.rng, self.pending, self.metrics, self.trace)
+        self.network = Network(self.rng, self.pending)
         self.network.bind_clock(lambda: self.now)
         # ``on_send`` is an optional hook: a scheduler that keeps the base
         # class's no-op is not called once per message to do nothing.

@@ -14,10 +14,8 @@ from typing import Any, List, Optional, Tuple
 import pytest
 
 from repro.params import ProtocolParams
-from repro.sim.metrics import Metrics
 from repro.sim.process import Process
 from repro.sim.rng import SplitRng
-from repro.sim.trace import NullTrace
 
 
 class StubNetwork:
@@ -26,8 +24,6 @@ class StubNetwork:
     def __init__(self, n: int, seed: int = 0):
         self.n = n
         self.rng = SplitRng(seed)
-        self.metrics = Metrics()
-        self.trace = NullTrace()
         self.processes: dict[int, Any] = {}
         self.sent: List[Tuple[int, int, Any]] = []  # (source, dest, payload)
 

@@ -62,7 +62,10 @@ class TestHaltingAblation:
             Scenario(n=4, proposals=[0, 1, 0, 1], seed=5), amplify_decides=False
         ).run()
         assert handle.until()
-        assert "bracha/DecideMsg" not in handle.sim.metrics.sent_by_kind
+        assert all(
+            "bracha/DecideMsg" not in kinds
+            for kinds in handle.sim.network.sent_by_kind.values()
+        )
 
     def test_safety_unaffected_by_either_switch(self):
         # unanimous: safe even without validation

@@ -67,6 +67,16 @@ class TestCrashFaults:
         with pytest.raises(ConfigError):
             run_broadcast(n=4, sender=0, silent=[1, 2], seed=0)
 
+    def test_pids_outside_the_system_rejected(self):
+        # At the parent both ran a broadcast nobody starts and returned
+        # four ``None`` outcomes.
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=r"\[9\] are outside 0\.\.3"):
+            run_broadcast(n=4, sender=9)
+        with pytest.raises(ConfigError, match=r"\[-1, 9\]"):
+            run_broadcast(n=4, sender=0, silent=[9, -1])
+
 
 class TestSchedulers:
     @pytest.mark.parametrize(

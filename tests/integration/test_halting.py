@@ -53,10 +53,11 @@ class TestHaltedProcessesStayQuiet:
         sim.run_to_quiescence(max_steps=2_000_000)
         # Deliveries to halted consensus modules must not generate new
         # consensus traffic (RBC echoes for stragglers are allowed).
-        decide_like = [
-            kind for kind in sim.metrics.sent_by_kind if "DecideMsg" in kind
-        ]
-        assert decide_like == ["bracha/DecideMsg"]
+        decide_like = {
+            kind for kinds in sim.network.sent_by_kind.values()
+            for kind in kinds if "DecideMsg" in kind
+        }
+        assert decide_like == {"bracha/DecideMsg"}
 
     def test_rounds_do_not_run_away(self):
         """Decided-but-not-halted processes keep participating, but the

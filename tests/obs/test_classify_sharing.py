@@ -244,7 +244,7 @@ def test_filtered_message_leaves_no_side_table_entry():
     network.outbound_filter = lambda env: env.dest != N - 1
     sim.start()
     assert len(network._mids) == len(network.pending) == N - 1
-    assert sim.metrics.dropped == 1
+    assert network.dropped == 1
     sim.run_to_quiescence()
     assert len(network._mids) == 0
     assert [e.kind for e in observer.events()].count("send") == N - 1

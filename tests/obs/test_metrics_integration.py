@@ -7,16 +7,13 @@ pins the integration contracts:
 * the framing counters live on the registry only — the historical
   ``meta[...]`` mirror is gone;
 * ring-mode observation lands events on ``meta["obs_events"]``;
-* the grid METRICS read the snapshot; and the capped simulator trace
-  surfaces its ``dropped`` count instead of posing as complete.
+* the grid METRICS read the snapshot.
 """
 
 import pytest
 
 from repro.obs import MetricsSnapshot
 from repro.scenario import Scenario, ScenarioGrid, run
-from repro.sim.trace import Trace
-from repro.types import Envelope
 
 
 @pytest.mark.parametrize("fabric", ["sim", "local", "tcp"])
@@ -96,23 +93,3 @@ def test_grid_metrics_read_the_snapshot():
     maximum = cell.metric("decision_latency_max").mean
     assert 0.0 <= p95 <= maximum
     assert "decisions" in sweep.table(metric="decisions")
-
-
-def test_capped_trace_surfaces_dropped_records():
-    trace = Trace(max_records=2)
-    for i in range(5):
-        trace.send(float(i), Envelope(uid=i, source=0, dest=1, payload=i,
-                                      send_time=float(i)))
-    assert len(trace.records) == 2
-    assert trace.dropped == 3
-    snapshot = trace.snapshot()
-    assert snapshot["dropped"] == 3
-    assert snapshot["records"] == 2
-    assert "3 record(s) dropped" in trace.render()
-
-
-def test_uncapped_trace_render_has_no_truncation_banner():
-    trace = Trace()
-    trace.note(0.0, 0, ("hello",))
-    assert trace.dropped == 0
-    assert "dropped" not in trace.render()

@@ -10,6 +10,7 @@ enabled.
 
 import pytest
 
+from repro.obs import build_observer
 from repro.params import for_system
 from repro.scenario import Scenario, run
 from repro.sim.process import Process
@@ -60,10 +61,12 @@ class TestSimTraceIdentical:
     @pytest.mark.parametrize("protocol", ["bracha", "benor"])
     def test_full_trace_is_bit_identical(self, protocol):
         """Eager vs per-step outbox draining: every send, delivery, and
-        note lands at the same step, same time, same order."""
+        note lands at the same time, in the same order."""
 
         def run_traced(eager):
-            sim = Simulation(seed=5, trace=True)
+            sim = Simulation(seed=5)
+            observer = sim.network.observer = build_observer("ring")
+            observer.bind_clock(lambda: sim.now)
             params = for_system(4, None)
             plan = ProtocolPlan(protocol, params, "local", 5, 1)
             stacks = {}
@@ -77,11 +80,13 @@ class TestSimTraceIdentical:
                 plan.decided(m) for m in stacks.values()
             ))
             decisions = {pid: m[0].decision for pid, m in stacks.items()}
-            return sim.trace.render(), decisions
+            assert observer.close()["dropped"] == 0
+            return observer.events(), decisions
 
         trace_eager, decisions_eager = run_traced(eager=True)
         trace_step, decisions_step = run_traced(eager=False)
         assert decisions_eager == decisions_step
+        assert {e.kind for e in trace_eager} >= {"send", "deliver", "note"}
         assert trace_eager == trace_step
 
 

@@ -118,6 +118,11 @@ class TestRepeat:
         # Different derived seeds should (generically) give different runs.
         assert len({r.steps for r in results}) > 1
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_repeat_needs_at_least_one_trial(self, trials):
+        with pytest.raises(ConfigError, match="at least one trial"):
+            repeat(Scenario(n=4), trials=trials)
+
 
 def test_liveness_failure_surfaces_on_runtime_timeout():
     scenario = Scenario(n=4, fabric="local", timeout=0.05, seed=1,

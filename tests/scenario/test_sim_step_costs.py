@@ -10,7 +10,7 @@ the step a poll of every stack would.
 
 import pytest
 
-import repro.sim.metrics as metrics_module
+import repro.sim.network as network_module
 from repro.recovery.restart import RestartBehavior
 from repro.scenario import Scenario, run
 from repro.sim.effects import Broadcast, Send
@@ -24,9 +24,9 @@ def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001)
     classified = []
-    kind_of = metrics_module.payload_kind
+    kind_of = network_module.payload_kind
     monkeypatch.setattr(
-        metrics_module, "payload_kind",
+        network_module, "payload_kind",
         lambda payload: classified.append(1) or kind_of(payload))
     applied = []
     apply_effect = Process._apply

@@ -18,7 +18,6 @@ from repro.params import ProtocolParams
 from repro.runtime.node import NodeNetwork
 from repro.sim.process import Process, ProtocolModule
 from repro.sim.runner import Simulation
-from repro.sim.trace import Trace
 
 N = 7
 PAYLOAD = ("gossip", "hello")
@@ -59,7 +58,7 @@ class Gossip(ProtocolModule):
 def fan_out(use_broadcast, pids=range(N), drop_odd=False, observed=False):
     """One fan-out from pid 1 at virtual time 2.5, by either route; returns
     everything a send leaves behind."""
-    sim = Simulation(seed=5, trace=Trace())
+    sim = Simulation(seed=5)
     net = sim.network
     for pid in pids:
         net.register(Sink(pid))
@@ -86,11 +85,9 @@ def fan_out(use_broadcast, pids=range(N), drop_odd=False, observed=False):
         "uid": net._uid,
         "pending": list(sim.pending),
         "hooked": hooked,
-        "sent": sim.metrics.sent,
-        "dropped": sim.metrics.dropped,
-        "by_kind": dict(sim.metrics.sent_by_kind),
-        "by_source": dict(sim.metrics.sent_by_source),
-        "trace": sim.trace.records,
+        "sent": net.sent,
+        "dropped": net.dropped,
+        "by_source": {pid: dict(kinds) for pid, kinds in net.sent_by_kind.items()},
         "events": observer.events() if observed else None,
         "mids": dict(net._mids),
     }
@@ -109,8 +106,7 @@ def test_broadcast_equals_n_sends(drop_odd, observed):
     assert {env.send_time for env in one["pending"]} == {2.5}
     assert one["hooked"] == one["pending"]
     assert one["sent"] == len(kept) and one["dropped"] == N - len(kept)
-    assert one["by_kind"] == {"gossip/str": len(kept)}
-    assert one["by_source"] == {1: len(kept)}
+    assert one["by_source"] == {1: {"gossip/str": len(kept)}}
     if observed:
         assert [e.kind for e in one["events"]] == ["send"] * len(kept)
         assert sorted(one["mids"]) == [env.uid for env in one["pending"]]
@@ -125,7 +121,7 @@ def test_unknown_destination_leaves_the_counters_consistent(observed):
     assert one == many
     assert one["error"] == "send to unknown process 2"
     assert one["uid"] == 2 == one["sent"] == len(one["pending"])
-    assert one["by_kind"] == {"gossip/str": 2} and one["by_source"] == {1: 2}
+    assert one["by_source"] == {1: {"gossip/str": 2}}
 
 
 def test_process_hands_a_broadcast_effect_to_the_fabric_network_whole():
@@ -147,7 +143,7 @@ def test_process_hands_a_broadcast_effect_to_the_fabric_network_whole():
     sim.run_to_quiescence()
     assert calls == [(0, ("gossip", "hi"))]
     assert all(m.got == [(0, "hi")] for m in modules)
-    assert sim.metrics.sent == sim.metrics.delivered == N
+    assert sim.network.sent == sum(sim.network.delivered.values()) == N
 
 
 # -- NodeNetwork.broadcast is n sends -------------------------------------------
@@ -168,14 +164,12 @@ def test_node_network_broadcast_equals_n_sends(observed):
         events = [
             (e.kind, e.node, e.detail) for e in net.observer.events()
         ] if observed else None
-        return (list(net.outbox), net.metrics.sent,
-                dict(net.metrics.sent_by_kind),
-                dict(net.metrics.sent_by_source), events)
+        return list(net.outbox), dict(net.sent_by_kind), events
 
     assert queue(True) == queue(False)
-    outbox, sent, by_kind, by_source, _ = queue(True)
+    outbox, by_kind, _ = queue(True)
     assert [dest for dest, _ in outbox] == list(range(N))
-    assert sent == N and by_kind == {"gossip/str": N} and by_source == {3: N}
+    assert by_kind == {"gossip/str": N}
 
 
 # -- shims see every per-destination send ---------------------------------------
@@ -214,4 +208,4 @@ def test_a_two_faced_process_shows_each_group_only_its_own_face():
     assert honest[0].got == honest[1].got == [(3, "face-a")]
     assert honest[2].got == [(3, "face-b")]
     # Four sends survive the faces' filters: a to {0, 1}, b to {2, 3}.
-    assert sim.metrics.sent == 4
+    assert sim.network.sent == 4

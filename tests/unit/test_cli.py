@@ -123,6 +123,15 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["broadcast", "-n", "4", "--sender", "9"], "[9] are outside 0..3"),
+        (["sweep", "-n", "4", "--trials", "0"], "at least one trial"),
+    ])
+    def test_bad_pid_or_trial_count_is_an_error_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestRunSubcommand:
     def test_run_by_catalog_name(self, capsys):

@@ -50,8 +50,11 @@ class TestNetwork:
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
         sim.run_to_quiescence()
-        assert sim.metrics.sent == 2  # ping + pong
-        assert sim.metrics.delivered == 2
+        net = sim.network
+        assert net.sent == 2  # ping + pong
+        assert net.sent_by_kind == {0: {"echo/str": 1}, 1: {"echo/str": 1}}
+        assert net.delivered == {0: 1, 1: 1}
+        assert net.dropped == 0
 
     def test_outbound_filter_can_drop(self):
         sim, modules = two_process_sim()
@@ -59,7 +62,8 @@ class TestNetwork:
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
         sim.run_to_quiescence()
-        assert sim.metrics.dropped == 1
+        assert sim.network.dropped == 1
+        assert sim.network.sent_by_kind[1] == {}  # a refused send is not a send
         assert modules[0].got == []  # the pong never came back
 
     def test_replace_swaps_implementation(self):
@@ -178,7 +182,7 @@ class TestSimulationLoop:
         with pytest.raises(SimulationError, match=f"uid {genuine.uid}"):
             sim.step()
         assert modules[0].got == modules[1].got == []
-        assert sim.metrics.delivered == 0
+        assert not sim.network.delivered
         assert list(sim.pending) == [genuine]
         assert sim.pending.at(0) is genuine
 

@@ -1,12 +1,6 @@
-"""Trace recording and message accounting."""
+"""How a network labels a payload for its per-kind send tally."""
 
-from repro.sim.metrics import Metrics, payload_kind
-from repro.sim.trace import NullTrace, Trace
-from repro.types import Envelope
-
-
-def env(uid=1, source=0, dest=1, payload=("mod", "x")):
-    return Envelope(uid=uid, source=source, dest=dest, payload=payload, send_time=0.0)
+from repro.sim.network import payload_kind
 
 
 class TestPayloadKind:
@@ -22,89 +16,3 @@ class TestPayloadKind:
 
         msg = RbcMessage(("i",), 0, Phase.ECHO, 1)
         assert payload_kind(("rbc", msg)) == "rbc/RbcMessage"
-
-
-class TestMetrics:
-    def test_send_and_delivery_counts(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        metrics.record_send(1, ("m", "b"))
-        metrics.record_delivery(2, ("m", "a"))
-        assert metrics.sent == 2
-        assert metrics.delivered == 1
-        assert metrics.sent_by_source[0] == 1
-
-    def test_kind_breakdown(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("rbc", 1))
-        metrics.record_send(0, ("rbc", 2))
-        metrics.record_send(0, ("consensus", "s"))
-        assert metrics.sent_by_kind["rbc/int"] == 2
-        assert metrics.sent_by_kind["consensus/str"] == 1
-
-    def test_snapshot_is_plain_data(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        snap = metrics.snapshot()
-        assert snap["sent"] == 1
-        assert isinstance(snap["sent_by_kind"], dict)
-
-    def test_reset(self):
-        metrics = Metrics()
-        metrics.record_send(0, ("m", "a"))
-        metrics.record_drop()
-        metrics.reset()
-        assert metrics.sent == 0 and metrics.dropped == 0
-        assert not metrics.sent_by_kind
-
-
-class TestTrace:
-    def test_records_send_and_delivery(self):
-        trace = Trace()
-        trace.send(1.0, env())
-        trace.deliver(2.0, env(uid=2))
-        kinds = [r.kind for r in trace.records]
-        assert kinds == ["send", "deliver"]
-
-    def test_notes(self):
-        trace = Trace()
-        trace.note(0.0, 3, "decided 1")
-        assert trace.notes()[0].detail == "decided 1"
-
-    def test_filter_by_process(self):
-        trace = Trace()
-        trace.send(0.0, env(source=0))
-        trace.send(0.0, env(uid=2, source=1))
-        assert len(trace.filter(kind="send", process=1)) == 1
-
-    def test_render_contains_route(self):
-        trace = Trace()
-        trace.send(0.0, env())
-        assert "p 1" in trace.render() or "p1" in trace.render().replace(" ", "")
-
-    def test_render_limit(self):
-        trace = Trace()
-        for i in range(10):
-            trace.note(0.0, 0, f"n{i}")
-        assert "n9" in trace.render(limit=2)
-        assert "n0" not in trace.render(limit=2)
-
-    def test_size_cap(self):
-        trace = Trace(max_records=3)
-        for i in range(10):
-            trace.note(0.0, 0, i)
-        assert len(trace) == 3
-
-    def test_step_counter(self):
-        trace = Trace()
-        trace.note(0.0, 0, "a")
-        trace.advance_step()
-        trace.note(0.0, 0, "b")
-        assert trace.records[0].step == 0
-        assert trace.records[1].step == 1
-
-    def test_null_trace_records_nothing(self):
-        trace = NullTrace()
-        trace.send(0.0, env())
-        trace.note(0.0, 0, "x")
-        assert len(trace) == 0
