@@ -114,7 +114,9 @@ class AcsInstance:
         tag, epoch, proposer = instance
         if tag != "acs-prop" or epoch != self.epoch:
             return
-        if proposer != delivery.originator or not 0 <= proposer < self.n:
+        if proposer != delivery.originator:
+            return
+        if not (isinstance(proposer, int) and 0 <= proposer < self.n):
             return
         if proposer in self.proposals:
             return

@@ -42,7 +42,7 @@ from typing import Dict, Optional
 
 from ..core.coin import CoinSource
 from ..sim.process import ProtocolModule
-from ..types import BINARY_VALUES, Bit, ProcessId, Round
+from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,11 @@ class BenOrConsensus(ProtocolModule):
     def on_message(self, sender: ProcessId, payload: object) -> None:
         if self._halted:
             return
-        if isinstance(payload, RVote) and payload.bit in BINARY_VALUES:
+        if (isinstance(payload, RVote) and payload.bit in BINARY_VALUES
+                and valid_round(payload.round)):
             self._record(("R", payload.round), sender, payload.bit)
-        elif isinstance(payload, PVote) and payload.bit in (None, 0, 1):
+        elif (isinstance(payload, PVote) and payload.bit in (None, 0, 1)
+                and valid_round(payload.round)):
             self._record(("P", payload.round), sender, payload.bit)
         elif isinstance(payload, BenOrDecide) and payload.bit in BINARY_VALUES:
             if sender not in self._decide_votes:

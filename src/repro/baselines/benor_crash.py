@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 from ..core.coin import CoinSource
 from ..sim.process import ProtocolModule
-from ..types import BINARY_VALUES, Bit, ProcessId, Round
+from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 from .benor import BenOrDecide, PVote, RVote
 
 
@@ -107,11 +107,13 @@ class BenOrCrashConsensus(ProtocolModule):
     def on_message(self, sender: ProcessId, payload: object) -> None:
         if self._halted:
             return
-        if isinstance(payload, RVote) and payload.bit in BINARY_VALUES:
+        if (isinstance(payload, RVote) and payload.bit in BINARY_VALUES
+                and valid_round(payload.round)):
             self._votes.setdefault(("R", payload.round), {}).setdefault(
                 sender, payload.bit
             )
-        elif isinstance(payload, PVote) and payload.bit in (None, 0, 1):
+        elif (isinstance(payload, PVote) and payload.bit in (None, 0, 1)
+                and valid_round(payload.round)):
             self._votes.setdefault(("P", payload.round), {}).setdefault(
                 sender, payload.bit
             )

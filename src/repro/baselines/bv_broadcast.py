@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 from ..sim.process import ProtocolModule
-from ..types import BINARY_VALUES, Bit, ProcessId, Round
+from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class BinaryValueBroadcast(ProtocolModule):
     def on_message(self, sender: ProcessId, payload: object) -> None:
         if not isinstance(payload, BvValue) or payload.bit not in BINARY_VALUES:
             return
-        if not isinstance(payload.round, int) or payload.round < 1:
+        if not valid_round(payload.round):
             return
         supporters = self._seen.setdefault(payload.round, {}).setdefault(
             payload.bit, set()

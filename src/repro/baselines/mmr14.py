@@ -47,7 +47,7 @@ from typing import Dict, Optional, Set
 
 from ..core.coin import CoinSource
 from ..sim.process import ProtocolModule
-from ..types import BINARY_VALUES, Bit, ProcessId, Round
+from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 from .bv_broadcast import BinaryValueBroadcast, BvDeliver
 
 
@@ -137,7 +137,7 @@ class Mmr14Consensus(ProtocolModule):
         if self._halted:
             return
         if isinstance(payload, AuxMsg) and payload.bit in BINARY_VALUES:
-            if isinstance(payload.round, int) and payload.round >= 1:
+            if valid_round(payload.round):
                 self._aux.setdefault(payload.round, {}).setdefault(
                     sender, set()
                 ).add(payload.bit)

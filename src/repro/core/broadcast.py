@@ -34,15 +34,26 @@ amplification threshold, giving totality.
 A single :class:`BroadcastLayer` module multiplexes any number of
 concurrent instances, addressed by hashable instance identifiers; the
 consensus layer runs ``n`` instances per step.  Cost per instance:
-``n`` INIT + ``n²`` ECHO + ``n²`` READY messages.
+``n`` INIT + ``n²`` ECHO + ``n²`` READY messages — handling an ECHO or
+a READY is the engine's inner loop, so each is counted in
+``on_message``'s own frame against thresholds read once at ``bind``.
+
+**What the tallies mean.**  ``instance_state(i).echoes`` / ``.readies``
+map a value to the senders heard *while their message could still
+change an outcome*.  Once this process has sent READY for ``i`` an ECHO
+can trigger nothing further, and once it has accepted, neither can a
+READY: such a message returns before it is tallied.  A tally is thus
+complete up to the point the instance stopped listening in that phase
+(at most the quorum that tripped it, for the value that won), not a
+log of every sender that ever spoke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set
 
-from ..sim.process import ProtocolModule
+from ..sim.process import Context, ProtocolModule
 from ..types import Phase, ProcessId
 
 
@@ -88,8 +99,9 @@ class BroadcastLayer(ProtocolModule):
 
     Upper layers call :meth:`broadcast` to originate and subscribe to
     :class:`RbcDelivery` events for acceptances.  The layer is a pure
-    state machine over (sender, message) inputs — all thresholds come
-    from the process's :class:`~repro.params.ProtocolParams`.
+    state machine over (sender, message) inputs — the three thresholds
+    are read from the process's :class:`~repro.params.ProtocolParams`
+    once, at :meth:`bind`.
     """
 
     MODULE_ID = "rbc"
@@ -97,7 +109,15 @@ class BroadcastLayer(ProtocolModule):
     def __init__(self, module_id: str = MODULE_ID):
         super().__init__(module_id)
         self._instances: Dict[Hashable, _InstanceState] = {}
-        self._init_value_seen: Dict[Hashable, Any] = {}
+        # tag -> listeners that only want instances named ``(tag, ...)``
+        self._tagged: Dict[Hashable, List[Callable[[RbcDelivery], None]]] = {}
+
+    def bind(self, ctx: Context) -> None:
+        super().bind(ctx)
+        params = ctx.params
+        self._echo_quorum = params.echo_quorum
+        self._ready_amplify = params.ready_amplify
+        self._accept_quorum = params.accept_quorum
 
     # -- public API ------------------------------------------------------
 
@@ -110,6 +130,28 @@ class BroadcastLayer(ProtocolModule):
         assert self.ctx is not None, "module not bound to a process"
         self.ctx.broadcast(RbcMessage(instance, self.ctx.pid, Phase.INIT, value))
 
+    def subscribe(
+        self, listener: Callable[[RbcDelivery], None], tag: Hashable = None
+    ) -> None:
+        """Register an acceptance listener.
+
+        With a ``tag``, the listener hears only acceptances whose
+        instance is a tuple starting with that tag — how a consensus
+        module claims its own broadcasts among the many sharing one
+        layer.  Untagged listeners hear every acceptance.
+        """
+        if tag is None:
+            super().subscribe(listener)
+        else:
+            self._tagged.setdefault(tag, []).append(listener)
+
+    def emit(self, event: RbcDelivery) -> None:
+        super().emit(event)
+        instance = event.instance
+        if type(instance) is tuple and instance:
+            for listener in self._tagged.get(instance[0], ()):
+                listener(event)
+
     def accepted(self, instance: Hashable) -> bool:
         """Whether this process has accepted a value for ``instance``."""
         state = self._instances.get(instance)
@@ -118,67 +160,74 @@ class BroadcastLayer(ProtocolModule):
     def forget(self, instance: Hashable) -> None:
         """Drop all state for a finished instance (long-running apps)."""
         self._instances.pop(instance, None)
-        self._init_value_seen.pop(instance, None)
 
     # -- state machine ------------------------------------------------------
 
     def on_message(self, sender: ProcessId, payload: Any) -> None:
+        # One frame per delivered ECHO / READY: this is the engine's
+        # inner loop (n² of each per instance, against n INITs).
         if not isinstance(payload, RbcMessage):
             return  # garbage from a Byzantine process
-        if payload.phase is Phase.INIT:
-            self._on_init(sender, payload)
-        elif payload.phase is Phase.ECHO:
-            self._on_echo(sender, payload)
-        elif payload.phase is Phase.READY:
-            self._on_ready(sender, payload)
-
-    def _state(self, instance: Hashable) -> _InstanceState:
-        state = self._instances.get(instance)
-        if state is None:
-            state = _InstanceState()
-            self._instances[instance] = state
-        return state
+        phase = payload.phase
+        if phase is Phase.ECHO:
+            echo = True
+        elif phase is Phase.READY:
+            echo = False
+        else:
+            if phase is Phase.INIT:
+                self._on_init(sender, payload)
+            return
+        instance = payload.instance
+        value = payload.value
+        instances = self._instances
+        try:
+            state = instances.get(instance)
+            if state is None:
+                state = instances[instance] = _InstanceState()
+            if echo:
+                if state.ready_sent:
+                    return  # spent: all an echo quorum does is send READY
+                tally = state.echoes
+            else:
+                if state.accepted:
+                    return  # spent: READY went out at t+1, before 2t+1 accepted
+                tally = state.readies
+            supporters = tally.get(value)
+            if supporters is None:
+                supporters = tally[value] = set()
+        except TypeError:
+            return  # an instance or value that cannot key a dict: garbage
+        supporters.add(sender)
+        count = len(supporters)
+        assert self.ctx is not None
+        # READY goes out once: on an echo quorum, or on t+1 READYs.
+        needed = self._echo_quorum if echo else self._ready_amplify
+        if count >= needed and not state.ready_sent:
+            state.ready_sent = True
+            self.ctx.broadcast(
+                RbcMessage(instance, payload.originator, Phase.READY, value)
+            )
+        if not echo and count >= self._accept_quorum:
+            state.accepted = True
+            self.emit(RbcDelivery(instance, payload.originator, value))
 
     def _on_init(self, sender: ProcessId, msg: RbcMessage) -> None:
         if sender != msg.originator:
             return  # forged INIT: only the originator may start its instance
-        if msg.instance in self._init_value_seen:
-            return  # equivocating originator: echo only the first INIT
-        self._init_value_seen[msg.instance] = msg.value
-        state = self._state(msg.instance)
+        instance = msg.instance
+        try:
+            state = self._instances.get(instance)
+            if state is None:
+                state = self._instances[instance] = _InstanceState()
+        except TypeError:
+            return  # unhashable instance: garbage
         if state.echoed:
-            return
+            return  # equivocating originator: echo only the first INIT
         state.echoed = True
         assert self.ctx is not None
         self.ctx.broadcast(
-            RbcMessage(msg.instance, msg.originator, Phase.ECHO, msg.value)
+            RbcMessage(instance, msg.originator, Phase.ECHO, msg.value)
         )
-
-    def _on_echo(self, sender: ProcessId, msg: RbcMessage) -> None:
-        state = self._state(msg.instance)
-        supporters = state.echoes.setdefault(msg.value, set())
-        supporters.add(sender)
-        assert self.ctx is not None
-        if not state.ready_sent and len(supporters) >= self.ctx.params.echo_quorum:
-            state.ready_sent = True
-            self.ctx.broadcast(
-                RbcMessage(msg.instance, msg.originator, Phase.READY, msg.value)
-            )
-
-    def _on_ready(self, sender: ProcessId, msg: RbcMessage) -> None:
-        state = self._state(msg.instance)
-        supporters = state.readies.setdefault(msg.value, set())
-        supporters.add(sender)
-        assert self.ctx is not None
-        params = self.ctx.params
-        if not state.ready_sent and len(supporters) >= params.ready_amplify:
-            state.ready_sent = True
-            self.ctx.broadcast(
-                RbcMessage(msg.instance, msg.originator, Phase.READY, msg.value)
-            )
-        if not state.accepted and len(supporters) >= params.accept_quorum:
-            state.accepted = True
-            self.emit(RbcDelivery(msg.instance, msg.originator, msg.value))
 
     # -- inspection (tests and debugging) ---------------------------------
 

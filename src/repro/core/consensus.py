@@ -46,10 +46,12 @@ Two deliberate engineering choices beyond the bare paper text:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..params import ProtocolParams
-from ..types import Bit, BINARY_VALUES, ProcessId, Round, Step, StepValue
+from ..types import (
+    Bit, BINARY_VALUES, ProcessId, Round, Step, StepValue, valid_round,
+)
 from ..sim.process import ProtocolModule
 from .broadcast import BroadcastLayer, RbcDelivery
 from .coin import CoinSource
@@ -112,7 +114,7 @@ class BrachaConsensus(ProtocolModule):
         self.amplify_decides = amplify_decides
         self.broadcast_layer = broadcast
         self.coin = coin
-        broadcast.subscribe(self._on_rbc)
+        broadcast.subscribe(self._on_rbc, tag=module_id)
 
         self.validator: Optional["StepValidator"] = None
         self.round: Round = 0  # 0 = not proposed yet
@@ -173,18 +175,20 @@ class BrachaConsensus(ProtocolModule):
             return  # another protocol's broadcast
         if origin != delivery.originator:
             return  # instance name forged by a non-originator
-        if not (isinstance(round_, int) and round_ >= 1):
+        if not valid_round(round_):
             return
         if step_no not in (1, 2, 3):
             return
         value = delivery.value
         if not isinstance(value, StepValue) or value.bit not in BINARY_VALUES:
             return
-        if value.decide and Step(step_no) is not Step.THREE:
+        step = Step(step_no)
+        if value.decide and step is not Step.THREE:
             return  # decide marks exist only in step 3
         assert self.validator is not None
-        self.validator.add(round_, Step(step_no), origin, value)
-        self._progress()
+        changed = self.validator.add(round_, step, origin, value)
+        if changed:  # nothing newly validated, nothing new to act on
+            self._progress([r for r, s in changed if s is Step.THREE])
 
     def on_message(self, sender: ProcessId, payload: object) -> None:
         if isinstance(payload, DecideMsg) and payload.bit in BINARY_VALUES:
@@ -214,13 +218,20 @@ class BrachaConsensus(ProtocolModule):
             self._coin_requested.add(round_)
             self.coin.request(round_, self._on_coin)
 
-    def _progress(self) -> None:
-        """Run every applicable upon-rule to fixpoint."""
+    def _progress(self, rounds: Optional[Iterable[Round]] = None) -> None:
+        """Run every applicable upon-rule to fixpoint.
+
+        ``rounds`` are the rounds whose validated step-3 set just grew —
+        the only ones where the monotone decide rule can newly fire;
+        ``None`` (at ``propose``, which may follow acceptances nothing
+        has looked at yet) scans every round seen.  Step transitions do
+        not touch the validated sets, so one check per call is enough.
+        """
         if self._halted or self.validator is None or self.round == 0:
             return
-        self._check_monotone_decide()
+        self._check_monotone_decide(rounds)
         while not self._halted and self._advance_step():
-            self._check_monotone_decide()
+            pass
 
     def _step_set(self) -> Optional[Dict[ProcessId, StepValue]]:
         """The first ``n−t`` validated messages of the current position.
@@ -304,12 +315,14 @@ class BrachaConsensus(ProtocolModule):
 
     # -- deciding and halting ----------------------------------------------
 
-    def _check_monotone_decide(self) -> None:
+    def _check_monotone_decide(self, rounds: Optional[Iterable[Round]]) -> None:
         """Decide on cumulative evidence: ``2t+1`` validated decide
-        proposals for one bit in any round."""
+        proposals for one bit in any of ``rounds`` (``None``: all)."""
         if self.decided or self.validator is None:
             return
-        for round_ in self.validator.rounds_seen():
+        if rounds is None:
+            rounds = self.validator.rounds_seen()
+        for round_ in rounds:
             support = self.validator.decide_support(round_)
             for bit in BINARY_VALUES:
                 if support[bit] >= self.params.decide_quorum:

@@ -92,7 +92,18 @@ class CoinDealer:
 
     def verify(self, signed: SignedShare) -> bool:
         """Check the dealer MAC on a share (receivers call this)."""
-        expected = self._tag(signed.holder, signed.round, signed.share)
+        share = signed.share
+        if not (
+            isinstance(share, Share)
+            and all(isinstance(field, int) for field in
+                    (signed.holder, signed.round, share.x, share.y))
+            and isinstance(signed.tag, bytes)
+        ):
+            # Wire input of the wrong shape.  The MAC covers a *rendering*
+            # of the fields, so ``x="3"`` would carry the tag issued for
+            # ``x=3`` into the interpolation; only ints get that far.
+            return False
+        expected = self._tag(signed.holder, signed.round, share)
         return hmac.compare_digest(expected, signed.tag)
 
     def require(self, signed: SignedShare) -> None:

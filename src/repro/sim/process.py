@@ -282,20 +282,28 @@ class Process:
                 f"process {self.pid} received unroutable payload {payload!r}"
             )
         module_id, inner = payload
-        module = self.modules.get(module_id)
+        try:
+            module = self.modules.get(module_id)
+        except TypeError:
+            module = None  # an unhashable id names no module
         if module is None:
             # A message for a module this process does not run (e.g. sent
             # by a Byzantine process inventing protocol tags) is ignored,
             # exactly as an unknown message type would be in a real system.
             return
         # One activation window, as in buffered(), without the generator
-        # context manager: this runs once per delivered message.
+        # context manager: this runs once per delivered message, and most
+        # deliveries (an ECHO or READY short of its quorum) enqueue
+        # nothing — the outbox is empty between activations, so an
+        # unmoved ``appended`` means there is nothing to flush.
+        outbox = self.outbox
+        mark = outbox.appended
         self._depth += 1
         try:
             module.on_message(sender, inner)
         finally:
             self._depth -= 1
-            if self._depth == 0:
+            if outbox.appended != mark and self._depth == 0:
                 self.flush_outbox()
 
     def __repr__(self) -> str:

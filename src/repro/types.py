@@ -25,6 +25,13 @@ InstanceId = Tuple[Hashable, ...]
 BINARY_VALUES: Tuple[Bit, Bit] = (0, 1)
 
 
+def valid_round(round_: object) -> bool:
+    """Is ``round_`` usable as a round number?  A message's round is wire
+    input (the codec checks no field types), and only an ``int >= 1`` may
+    key a per-round table."""
+    return isinstance(round_, int) and round_ >= 1
+
+
 def other_bit(b: Bit) -> Bit:
     """Return the complement of a binary value."""
     return 1 - b

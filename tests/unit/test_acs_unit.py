@@ -39,6 +39,15 @@ class TestProposalIngestion:
         acs._on_rbc(RbcDelivery(("acs-prop", 0, 1), 2, "tx"))
         assert acs.proposals == {}
 
+    def test_proposer_that_is_not_a_pid_ignored(self):
+        """A delivery carries the originator field of the READY that
+        completed it — wire input; ordering it against ``n`` must not
+        raise."""
+        acs, _rbc, _outputs, _stub = build_acs()
+        for proposer in ("x", None, (1,), 1.5, 9, -1):
+            acs._on_rbc(proposal_delivery(0, proposer, "tx"))
+        assert acs.proposals == {}
+
     def test_duplicate_proposal_ignored(self):
         acs, _rbc, _outputs, _stub = build_acs()
         acs._on_rbc(proposal_delivery(0, 1, "tx"))

@@ -1,5 +1,7 @@
 """Crash-fault Ben-Or state machine (n=5, t=2: quorum 3, majority 3)."""
 
+import pytest
+
 from repro.baselines.benor import BenOrDecide, PVote, RVote
 from repro.baselines.benor_crash import BenOrCrashConsensus
 
@@ -102,3 +104,13 @@ class TestHalting:
         consensus.on_message(1, "junk")
         consensus.on_message(1, RVote(1, 9))
         assert consensus.round == 1
+
+    @pytest.mark.parametrize("round_", [[1], {"r": 1}, 0, -1, "1", None, 1.0])
+    def test_a_round_that_is_not_a_positive_int_is_garbage(self, round_):
+        consensus, stub = make_crash()
+        consensus.propose(0)
+        for sender in range(1, 5):
+            consensus.on_message(sender, RVote(round_, 0))
+            consensus.on_message(sender, PVote(round_, 0))
+        assert consensus._votes == {}
+        assert consensus.round == 1 and len(sent_of(stub, PVote)) == 0

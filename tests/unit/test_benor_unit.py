@@ -3,6 +3,8 @@
 n=6, t=1: quorum n−t=5, super-majority >(n+t)/2 → ≥ 4.
 """
 
+import pytest
+
 from repro.baselines.benor import BenOrConsensus, BenOrDecide, PVote, RVote
 
 from ..conftest import make_member
@@ -109,6 +111,18 @@ class TestVoteBookkeeping:
         consensus.on_message(1, "junk")
         consensus.on_message(1, RVote(1, 5))
         consensus.on_message(1, PVote(1, 9))
+        assert consensus.round == 1 and len(sent_of(stub, PVote)) == 0
+
+    @pytest.mark.parametrize("round_", [[1], {"r": 1}, 0, -1, "1", None, 1.0])
+    def test_a_round_that_is_not_a_positive_int_is_garbage(self, round_):
+        """``RVote([1], 1)`` survives the wire codec; a vote table cannot
+        be keyed by it, and raising would crash the receiver."""
+        consensus, stub = make_benor()
+        consensus.propose(1)
+        for sender in range(1, 6):
+            consensus.on_message(sender, RVote(round_, 1))
+            consensus.on_message(sender, PVote(round_, 1))
+        assert consensus._votes == {}
         assert consensus.round == 1 and len(sent_of(stub, PVote)) == 0
 
 

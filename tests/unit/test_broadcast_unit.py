@@ -3,6 +3,8 @@
 n=4, t=1 throughout: echo quorum 3, ready amplification 2, accept 3.
 """
 
+import pytest
+
 from repro.core.broadcast import BroadcastLayer, RbcDelivery, RbcMessage
 from repro.types import Phase
 
@@ -142,6 +144,93 @@ class TestInstanceIsolation:
         layer.on_message(1, "garbage")
         layer.on_message(1, 42)
         assert deliveries == [] and stub.sent == []
+
+    @pytest.mark.parametrize("phase", list(Phase))
+    @pytest.mark.parametrize("hostile", [
+        dict(value=[1, 2]), dict(value={"a": 1}), dict(instance=[1, 2]),
+        dict(instance=("x", [1])),
+    ], ids=["list-value", "dict-value", "list-instance", "nested-instance"])
+    def test_unhashable_instance_or_value_is_garbage(self, phase, hostile):
+        """The wire codec delivers lists and dicts in any field intact; a
+        tally cannot be keyed by one, and raising would crash the
+        *receiver*.  (An INIT's value keys nothing: it is echoed.)"""
+        layer, deliveries, stub = make_layer()
+        for sender in (1, 2, 3):
+            layer.on_message(sender, rbc(phase, **hostile))
+        assert deliveries == []
+        echoed = phase is Phase.INIT and "value" in hostile
+        assert sent_phases(stub) == [Phase.ECHO] * 4 * echoed
+
+
+class TestSpentInstances:
+    """Once READY is out no ECHO matters; once accepted, no READY does."""
+
+    def test_echo_after_ready_sent_is_not_tallied(self):
+        layer, _dels, stub = make_layer()
+        for sender in (0, 1, 2):
+            layer.on_message(sender, rbc(Phase.ECHO))
+        assert layer.instance_state(INSTANCE).ready_sent
+        stub.take_sent()
+        layer.on_message(3, rbc(Phase.ECHO))
+        layer.on_message(3, rbc(Phase.ECHO, value="other"))
+        assert layer.instance_state(INSTANCE).echoes == {"v": {0, 1, 2}}
+        assert stub.sent == []
+
+    def test_ready_after_acceptance_is_not_tallied(self):
+        layer, deliveries, stub = make_layer()
+        for sender in (0, 1, 2):
+            layer.on_message(sender, rbc(Phase.READY))
+        assert len(deliveries) == 1
+        stub.take_sent()
+        layer.on_message(3, rbc(Phase.READY))
+        assert layer.instance_state(INSTANCE).readies == {"v": {0, 1, 2}}
+        assert len(deliveries) == 1 and stub.sent == []
+
+    def test_ready_after_ready_sent_still_counts_toward_acceptance(self):
+        layer, deliveries, _stub = make_layer()
+        for sender in (0, 1, 2):
+            layer.on_message(sender, rbc(Phase.ECHO))
+        for sender in (0, 1, 2):
+            layer.on_message(sender, rbc(Phase.READY))
+        assert len(deliveries) == 1
+
+
+class TestOriginatorBinding:
+    @pytest.mark.xfail(strict=True, reason=(
+        "open hole, ROADMAP 1(e): tallies are keyed by value alone and a "
+        "delivery takes the originator field of whichever READY completes "
+        "the quorum, so one Byzantine READY renames the sender"))
+    def test_the_completing_ready_cannot_rename_the_originator(self):
+        """p3 INITs an instance named after p2 under its own pid — legal,
+        the layer does not read instance names — then completes the READY
+        quorum with ``originator=2``: the upper layer's ``origin ==
+        delivery.originator`` guard passes and p3 has spoken as p2."""
+        layer, deliveries, _stub = make_layer()
+        named_after_p2 = ("bracha", 1, 1, 2)
+        layer.on_message(3, rbc(Phase.INIT, originator=3, instance=named_after_p2))
+        for sender in (0, 1, 3):
+            layer.on_message(
+                sender, rbc(Phase.ECHO, originator=3, instance=named_after_p2))
+        for sender in (0, 1):
+            layer.on_message(
+                sender, rbc(Phase.READY, originator=3, instance=named_after_p2))
+        layer.on_message(
+            3, rbc(Phase.READY, originator=2, instance=named_after_p2))
+        assert [d.originator for d in deliveries] == [3]
+
+
+class TestTagRouting:
+    def test_tagged_listener_hears_only_its_own_instances(self):
+        layer, everything, _stub = make_layer()
+        mine, theirs = [], []
+        layer.subscribe(mine.append, tag="mine")
+        layer.subscribe(theirs.append, tag="theirs")
+        for instance in (("mine", 1), ("theirs", 1), "mine", ()):
+            for sender in (0, 1, 2):
+                layer.on_message(sender, rbc(Phase.READY, instance=instance))
+        assert [d.instance for d in mine] == [("mine", 1)]
+        assert [d.instance for d in theirs] == [("theirs", 1)]
+        assert len(everything) == 4  # the untagged listener hears them all
 
 
 class TestThresholdScaling:

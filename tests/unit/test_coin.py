@@ -139,6 +139,21 @@ class TestShareCoinModule:
         module.on_message(2, CoinShareMsg(1, dealer.share_for(2, 1)))
         assert got == []  # forged share did not count
 
+    def test_share_with_a_retyped_coordinate_never_reaches_interpolation(self):
+        """p1's own share with ``x`` as text renders to the same MAC
+        input; counted, it would raise out of the reconstruction at the
+        receiver."""
+        module, dealer, _ = self._module()
+        got = []
+        module.request(1, lambda r, b: got.append(b))
+        own = dealer.share_for(1, 1)
+        retyped = SignedShare(1, 1, Share(str(own.share.x), own.share.y), own.tag)
+        module.on_message(1, CoinShareMsg(1, retyped))
+        module.on_message(2, CoinShareMsg(1, dealer.share_for(2, 1)))
+        assert got == []  # one legitimate share so far
+        module.on_message(3, CoinShareMsg(1, dealer.share_for(3, 1)))
+        assert got == [dealer.coin_value(1)]
+
     def test_share_submitted_by_wrong_holder_rejected(self):
         """p3 relaying p1's (valid) share must not count as p3's."""
         module, dealer, _ = self._module()

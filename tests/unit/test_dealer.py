@@ -54,6 +54,27 @@ class TestVerification:
         replay = SignedShare(good.holder, 4, good.share, good.tag)
         assert not dealer.verify(replay)
 
+    @pytest.mark.parametrize("hostile", [
+        dict(share="not-a-share"), dict(share=[1, 2]), dict(tag="text"),
+        dict(tag=[0] * 32), dict(holder="1"), dict(round="3"),
+        dict(x=str), dict(y=str),
+    ], ids=["str-share", "list-share", "str-tag", "list-tag", "str-holder",
+            "str-round", "str-x", "str-y"])
+    def test_wire_shaped_garbage_is_rejected_not_raised(self, dealer, hostile):
+        """The wire codec checks no field types, and the MAC covers a
+        rendering — ``x="3"`` renders as ``x=3`` does, and would reach
+        the interpolation with the genuine tag."""
+        good = dealer.share_for(1, 3)
+        fields = dict(holder=good.holder, round=good.round,
+                      share=good.share, tag=good.tag)
+        for axis in ("x", "y"):
+            if axis in hostile:
+                coords = dict(x=good.share.x, y=good.share.y)
+                coords[axis] = hostile.pop(axis)(coords[axis])
+                fields["share"] = Share(**coords)
+        fields.update(hostile)
+        assert not dealer.verify(SignedShare(**fields))
+
     def test_require_raises(self, dealer):
         good = dealer.share_for(1, 3)
         bad = SignedShare(good.holder, good.round, good.share, b"\x00" * 32)

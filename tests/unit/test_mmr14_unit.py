@@ -117,6 +117,7 @@ class TestDefenses:
         consensus.on_message(1, AuxMsg(1, 7))
         consensus.on_message(1, AuxMsg(0, 1))
         consensus.on_message(1, AuxMsg("x", 1))
+        consensus.on_message(1, AuxMsg([1], 1))  # unhashable, off the wire
         assert consensus.round == 1
 
     def test_double_propose_rejected(self):

@@ -69,6 +69,13 @@ class TestRouting:
         process.add_module(Recorder("a"))
         process.deliver(1, ("nope", "x"))  # must not raise
 
+    def test_unhashable_module_id_names_no_module(self):
+        process, _ = make_member()
+        module = process.add_module(Recorder("a"))
+        process.deliver(1, (["a"], "x"))  # must not raise
+        process.deliver(1, ({"a": 1}, "x"))
+        assert module.inbox == []
+
     def test_unroutable_payload_raises(self):
         process, _ = make_member()
         with pytest.raises(SimulationError):
