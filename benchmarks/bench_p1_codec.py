@@ -10,12 +10,13 @@ and the retransmission layer's timer-wheel scan cost at 1 000 pending
 frames.
 
 Floors committed in ``benchmarks/floors.json`` hold the headline
-numbers as absolute ceilings: frame encode and frame ingest µs, bytes
-per frame, the batched tcp run end to end, and the idle timer-wheel
-sweep.  (The rows were ratios over the JSON wire format until that
-format was removed; the last measured ratios — encode 5.4x, decode
-3.1x, bytes −78% — are in docs/performance.md.)  Run with ``--smoke``
-for the CI-sized subset.
+numbers as absolute ceilings: frame encode µs, frame ingest µs for a
+body the receiver has not seen (MAC verify + full decode) and for one
+it has (MAC verify + a memo hit), bytes per frame, the batched tcp run
+end to end, and the idle timer-wheel sweep.  (The rows were ratios over
+the JSON wire format until that format was removed; the last measured
+ratios — encode 5.4x, decode 3.1x, bytes −78% — are in
+docs/performance.md.)  Run with ``--smoke`` for the CI-sized subset.
 """
 
 import asyncio
@@ -32,11 +33,13 @@ from repro.scenario import Scenario, run
 from repro.types import Phase
 
 
-def _batched_pipeline_frame():
+def _batched_pipeline_frame(salt=0):
     """One wire frame as the batched multi-instance Bracha pipeline
-    coalesces it: 16 routed broadcast messages for one destination."""
+    coalesces it: 16 routed broadcast messages for one destination.
+    ``salt`` names the first message's instance, so every salt is a
+    body no receiver has decoded before."""
     return WireBatch(tuple(
-        (f"bracha:{i}", RbcMessage(f"rbc{i}", i % 4, Phase.ECHO, i % 2))
+        (f"bracha:{i}", RbcMessage(f"rbc{i or salt}", i % 4, Phase.ECHO, i % 2))
         for i in range(16)
     ))
 
@@ -61,8 +64,18 @@ def test_p1_codec_wire_path(benchmark, table_sink, bench_sink, smoke):
         encode_us = _time_us(lambda: encode_binary_frame(auth, 1, payload), reps)
         # The receive path (MAC verify + decode), driven synchronously:
         # _ingest is the exact per-frame work the serve task performs.
-        decode_us = _time_us(lambda: receiver._ingest(frame), reps)
-        assert receiver.accepted == reps and receiver.rejected == 0
+        # The receiver decodes a body once, so the cost of a decode is
+        # read on ``reps`` distinct frames and the cost of a repeat on
+        # one frame ``reps`` times over.
+        distinct = iter([
+            encode_binary_frame(auth, 1, _batched_pipeline_frame(salt))
+            for salt in range(1, reps + 1)
+        ])
+        decode_us = _time_us(lambda: receiver._ingest(next(distinct)), reps)
+        receiver._ingest(frame)
+        hit_us = _time_us(lambda: receiver._ingest(frame), reps)
+        assert receiver.accepted == 2 * reps + 1 and receiver.rejected == 0
+        assert (receiver.memo.misses, receiver.memo.hits) == (reps + 1, reps)
 
         # End-to-end: the batched pipeline over real sockets.
         start = time.perf_counter()
@@ -76,6 +89,7 @@ def test_p1_codec_wire_path(benchmark, table_sink, bench_sink, smoke):
         return {
             "encode_us": encode_us,
             "decode_us": decode_us,
+            "hit_us": hit_us,
             "bytes": len(frame),
             "e2e_ms": e2e_ms,
         }
@@ -85,10 +99,11 @@ def test_p1_codec_wire_path(benchmark, table_sink, bench_sink, smoke):
     table_sink(
         "p1_codec",
         format_table(
-            ["encode us/frame", "decode us/frame", "bytes/frame",
+            ["encode us/frame", "ingest us/frame (new body)",
+             "ingest us/frame (seen body)", "bytes/frame",
              "e2e ms (tcp, batched)"],
-            [[round(m["encode_us"], 2), round(m["decode_us"], 2), m["bytes"],
-              round(m["e2e_ms"], 1)]],
+            [[round(m["encode_us"], 2), round(m["decode_us"], 2),
+              round(m["hit_us"], 2), m["bytes"], round(m["e2e_ms"], 1)]],
             title="P1. The wire format on the batched-pipeline frame "
                   "(WireBatch of 16 Bracha messages, MAC included)",
         ),
@@ -99,6 +114,7 @@ def test_p1_codec_wire_path(benchmark, table_sink, bench_sink, smoke):
         {
             "encode_bin_us": round(m["encode_us"], 2),
             "decode_bin_us": round(m["decode_us"], 2),
+            "ingest_hit_us": round(m["hit_us"], 2),
             "bin_bytes_per_frame": m["bytes"],
             "e2e_binary_tcp_ms": round(m["e2e_ms"], 1),
         },

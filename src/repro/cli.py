@@ -118,7 +118,7 @@ def _print_result(scenario: Scenario, result: Any) -> None:
               f"(batching: {result.meta.get('batching', 'off')})")
     if snapshot is not None and snapshot.counter("frames_rejected"):
         print(f"rejected  : {snapshot.counter('frames_rejected')} "
-              f"unauthenticated frames")
+              f"unauthenticated, undecodable or unroutable frames")
     recovery = result.meta.get("recovery")
     if recovery or result.meta.get("restarted"):
         snapshot = result.metrics

@@ -122,7 +122,9 @@ class NodeReport:
             report.activations = node.activations
             report.frames_sent = node.frames_sent
             report.wire_messages_sent = node.wire_messages_sent
-            report.frames_rejected = getattr(transport, "rejected", 0)
+            report.frames_rejected = (
+                getattr(transport, "rejected", 0) + node.unroutable
+            )
         if policy is not None:
             report.netem_per_link = {
                 name: stats for name, stats in policy.per_link().items()

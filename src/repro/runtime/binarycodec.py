@@ -44,7 +44,9 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 from . import codec
 from .codec import CodecError
 
-__all__ = ["MAX_NESTING", "dumps", "loads", "registry_tables"]
+__all__ = [
+    "MAX_NESTING", "MEMO_BYTES", "BodyMemo", "dumps", "loads", "registry_tables",
+]
 
 # Type tags (one byte on the wire).
 _T_NONE = 0x00
@@ -499,3 +501,79 @@ def loads(raw: Any, start: int = 0) -> Any:
             f"{end - pos} trailing bytes after the decoded value"
         )
     return value
+
+
+# -- decode once per distinct body -------------------------------------------
+
+#: Body bytes one :class:`BodyMemo` may retain — one ``MAX_FRAME``.
+#: Past it the whole table is cleared (no LRU: a run's working set is a
+#: few hundred bodies of a few hundred bytes); a single body over the cap
+#: is never retained.
+MEMO_BYTES = 1 << 20
+
+_MISS = object()  # ``None`` is a decodable value
+
+
+class BodyMemo:
+    """One receiving endpoint's table of bodies it has already decoded.
+
+    ``loads(raw, start)`` returns what ``loads(raw[start:])`` of this
+    module returns, or raises the same :class:`CodecError` — but a body
+    seen before is answered from the table instead of unpacked again.
+    What keeps that equal to decoding every time:
+
+    * the key is the exact body bytes — never the sender, which the
+      transport authenticates per frame *before* it asks;
+    * one memo per endpoint, never per process: a node must not be
+      served by another node's decode just because a test or a
+      benchmark hosts both in one interpreter;
+    * only a value ``hash()`` accepts is retained.  The wire types are
+      frozen dataclasses, tuples, enums and scalars, which hash exactly
+      when nothing mutable (a list, a dict, a non-frozen message) is
+      inside — so a retained value can be handed to any number of
+      deliveries, and anything else is decoded afresh each time;
+    * a failed decode is never retained, and the table is dropped when
+      :func:`registry_tables` rebuilds (the same bytes may then name
+      another type).
+    """
+
+    def __init__(self) -> None:
+        self._values: Dict[bytes, Any] = {}
+        self._msg_types: Optional[_MsgTypes] = None
+        #: Body bytes currently retained (at most :data:`MEMO_BYTES`).
+        self.retained = 0
+        #: Lookups answered from the table / by a full decode.
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        self._values.clear()
+        self.retained = 0
+
+    def loads(self, raw: Any, start: int = 0) -> Any:
+        msg_types = registry_tables()[1]
+        if msg_types is not self._msg_types:
+            self.clear()
+            self._msg_types = msg_types
+        body = (raw if raw.__class__ is bytes else bytes(raw))[start:]
+        value = self._values.get(body, _MISS)
+        if value is not _MISS:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = loads(body)
+        size = len(body)
+        if size > MEMO_BYTES:
+            return value
+        try:
+            hash(value)
+        except TypeError:
+            return value
+        if self.retained + size > MEMO_BYTES:
+            self.clear()
+        self._values[body] = value
+        self.retained += size
+        return value

@@ -176,6 +176,9 @@ class Node:
         self.frames_sent = 0
         self.wire_messages_sent = 0
         self.messages_delivered = 0
+        #: Inbound messages that were not a routed ``(module_id, body)``
+        #: pair; read out with the transport's ``frames_rejected``.
+        self.unroutable = 0
         self.crashed: Optional[BaseException] = None
         #: Optional :class:`~repro.recovery.wal.WalWriter`.  Each inbound
         #: protocol message is logged *before* it reaches the target, so
@@ -243,6 +246,13 @@ class Node:
         mid: Optional[str] = None
         if isinstance(message, Stamped):
             mid, message = message.mid, message.payload
+        if not (isinstance(message, tuple) and len(message) == 2):
+            # Authenticated, decodable, and addressed to no module: what
+            # ``Process.deliver`` raises on as a simulator programming
+            # error is, off a real link, one more shape of garbage a
+            # Byzantine peer may send.  Count it and carry on.
+            self.unroutable += 1
+            return
         self.messages_delivered += 1
         if self.wal is not None:
             profiler = self.profiler

@@ -7,15 +7,19 @@ One wire format, one frame per payload::
 
 The magic byte and the version byte pin the layout, so a future format
 change (or a corrupted header) is rejected instead of misparsed.
-Receive is zero-copy: the MAC is verified by feeding a
-:class:`memoryview` of the body straight to the HMAC, and
-:mod:`repro.runtime.binarycodec` decodes the frame's own ``bytes`` from
-the body offset — no intermediate copy between the socket read and the
-decoded payload.  Send packs a payload *object* once: every message of
-Bracha's protocol is a broadcast, so the node hands the same payload
-object to ``send`` once per destination, and only the header and the
-MAC — the parts that name the link — are redone for each (see
-:meth:`TcpTransport._pack`).
+Receive authenticates every frame and decodes every *distinct body
+once*: the MAC is verified by feeding a :class:`memoryview` of the body
+straight to the HMAC, and then the endpoint's
+:class:`~repro.runtime.binarycodec.BodyMemo` is asked for the body —
+sliced out of the frame once, as the table key — and runs the full
+decode only for bytes it has not seen.  Bracha's ECHO and READY for an
+instance are the same bytes from every sender (the link names the
+sender, not the message), so of the 2n+1 frames a broadcast hands a
+process 3 are decoded.  Send packs a payload *object* once: every
+message of Bracha's protocol is a broadcast, so the node hands the same
+payload object to ``send`` once per destination, and only the header
+and the MAC — the parts that name the link — are redone for each (see
+:meth:`~repro.runtime.transport.InboxTransport._body`).
 
 The MAC comes from :mod:`repro.net.auth` — the same pairwise-key
 machinery the link-layer tests exercise — computed over the raw body
@@ -155,8 +159,6 @@ class TcpTransport(InboxTransport):
         #: has ``profile: on``.  For a frame whose body is shared with
         #: the previous one the span covers header + MAC only.
         self.profiler: Optional[Any] = None
-        #: The last payload object packed and its body (see :meth:`_pack`).
-        self._packed: Optional[Tuple[Any, bytes]] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -254,7 +256,7 @@ class TcpTransport(InboxTransport):
             # own messages under the same wire constraints as everyone
             # else's.  It never touches the netem policy: a process's
             # channel to itself is not network.
-            self._push(self.pid, binarycodec.loads(self._pack(dest, payload)))
+            self._push(self.pid, self.memo.loads(self._pack(dest, payload)))
             return
         if self.policy is not None:
             verdict = self.policy.plan(self.pid, dest, self.clock.now())
@@ -274,26 +276,14 @@ class TcpTransport(InboxTransport):
         await self._transmit(dest, self._encode_body(dest, payload))
 
     def _pack(self, dest: ProcessId, payload: Any) -> bytes:
-        """The body of ``payload``, packed once per payload *object*.
+        """The body of ``payload`` (packed once per payload object, see
+        :meth:`~repro.runtime.transport.InboxTransport._body`), held to
+        the frame cap.
 
-        A broadcast reaches this transport as consecutive sends of one
-        object — the same routed message with ``batching: off``, the
-        same :class:`~repro.runtime.codec.WireBatch` from the node's
-        flush otherwise — self-delivery included.  Remembering the last
-        object packed (by identity, with a strong reference, so the id
-        cannot be reused) turns those n codec passes into one.  Equal
-        but distinct objects are packed again: an equivocating sender
-        hands over different objects per destination and gets different
-        bytes on each link.  Payloads are immutable wire values; nothing
-        mutates one between two sends.
-
-        The frame cap is checked here, on every call, so it binds the
+        The cap is checked here, on every call, so it binds the
         self-delivery exactly as it binds a peer's frame.
         """
-        packed = self._packed
-        if packed is None or packed[0] is not payload:
-            packed = self._packed = (payload, binarycodec.dumps(payload))
-        body = packed[1]
+        body = self._body(payload)
         size = _BIN_BODY_AT + len(body)
         if size > MAX_FRAME:
             # The receiver drops the connection on an over-cap length
@@ -370,9 +360,11 @@ class TcpTransport(InboxTransport):
     def _ingest(self, frame: bytes) -> None:
         """Authenticate and decode one frame; count and drop it on any defect.
 
-        Zero-copy: the HMAC is fed a memoryview of the body and the
-        codec indexes the frame in place from the body offset — nothing
-        is copied until the decoded leaf values materialize.
+        The HMAC is fed a memoryview of the body, under the key of the
+        claimed (src, dst) link, for every frame — only then is the
+        memo asked, so a body it already knows buys a forged frame
+        nothing and the same body from two peers is two deliveries,
+        each under its own ``src``.
         """
         if len(frame) < _BIN_BODY_AT + 1:
             self.rejected += 1
@@ -389,7 +381,7 @@ class TcpTransport(InboxTransport):
             self.rejected += 1
             return
         try:
-            payload = binarycodec.loads(frame, _BIN_BODY_AT)
+            payload = self.memo.loads(frame, _BIN_BODY_AT)
         except CodecError:
             self.rejected += 1
             return

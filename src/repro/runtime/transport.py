@@ -14,6 +14,14 @@ the :mod:`~repro.runtime.binarycodec` round trip, so in-process runs
 exercise the wire representation and serialization bugs surface in fast
 tests.  The TCP implementation lives in :mod:`repro.runtime.tcp`.
 
+Both ends of that round trip do the work once per *distinct* payload,
+here for every :class:`InboxTransport`: the sender packs a payload
+object once for all its destinations (:meth:`InboxTransport._body`), and
+the receiver decodes each distinct body once
+(:attr:`InboxTransport.memo`, a
+:class:`~repro.runtime.binarycodec.BodyMemo`) — Bracha hands every
+process 2n+1 frames per broadcast, of which 3 are distinct byte strings.
+
 Transports move *wire frames* and never look inside: a payload may be a
 single protocol message or a whole :class:`~repro.runtime.codec.WireBatch`
 coalesced by the node's batching pipeline — either way it is one
@@ -76,13 +84,39 @@ class InboxTransport(Transport):
     Subclasses push inbound messages with :meth:`_push` and signal
     shutdown with :meth:`_push_closed`; ``recv`` and the close-sentinel
     semantics live here so every transport drains and closes the same
-    way.
+    way.  So do the two halves of the codec round trip: :meth:`_body`
+    on the way out, :attr:`memo` on the way in.
     """
 
     def __init__(self) -> None:
         self._inbox: asyncio.Queue = asyncio.Queue()
         self._closed = False
         self.delivered = 0
+        #: Every body this endpoint receives is decoded through here —
+        #: once per distinct body.  Per endpoint by construction: two
+        #: nodes hosted in one process never serve each other.
+        self.memo = binarycodec.BodyMemo()
+        #: The last payload object packed and its body (see :meth:`_body`).
+        self._packed: Optional[Tuple[Any, bytes]] = None
+
+    def _body(self, payload: Any) -> bytes:
+        """The body of ``payload``, packed once per payload *object*.
+
+        A broadcast reaches a transport as consecutive sends of one
+        object — the same routed message with ``batching: off``, the
+        same :class:`~repro.runtime.codec.WireBatch` from the node's
+        flush otherwise — self-delivery included.  Remembering the last
+        object packed (by identity, with a strong reference, so the id
+        cannot be reused) turns those n codec passes into one.  Equal
+        but distinct objects are packed again: an equivocating sender
+        hands over different objects per destination and gets different
+        bytes on each link.  Payloads are immutable wire values; nothing
+        mutates one between two sends.
+        """
+        packed = self._packed
+        if packed is None or packed[0] is not payload:
+            packed = self._packed = (payload, binarycodec.dumps(payload))
+        return packed[1]
 
     def _push(self, sender: ProcessId, payload: Any) -> None:
         self._inbox.put_nowait((sender, payload))
@@ -120,9 +154,11 @@ class LocalTransport(InboxTransport):
 class LocalHub:
     """Shared fabric for ``n`` in-process endpoints.
 
-    Every dispatch round-trips the payload through the wire codec; a
-    payload the codec refuses raises its
-    :class:`~repro.runtime.codec.CodecError` out of ``send``.
+    Every dispatch round-trips the payload through the wire codec — the
+    source endpoint packs it (once per payload object), the destination
+    endpoint's memo decodes the bytes (once per distinct body), so a
+    delivery is never the sender's object; a payload the codec refuses
+    raises its :class:`~repro.runtime.codec.CodecError` out of ``send``.
 
     With a :class:`~repro.netem.policy.LinkPolicy` (and its clock)
     installed, every dispatch consults the policy: dropped frames
@@ -163,7 +199,8 @@ class LocalHub:
     async def dispatch(self, source: ProcessId, dest: ProcessId, payload: Any) -> None:
         if not 0 <= dest < self.n:
             raise ReproError(f"send to unknown node {dest}")
-        payload = binarycodec.loads(binarycodec.dumps(payload))
+        receiver = self.endpoint(dest)
+        payload = receiver.memo.loads(self.endpoint(source)._body(payload))
         if self.policy is not None:
             verdict = self.policy.plan(source, dest, self.clock.now())
             if verdict.dropped:
@@ -171,7 +208,7 @@ class LocalHub:
                 return
             for delay in verdict.delays:
                 if delay <= 0:
-                    self.endpoint(dest)._push(source, payload)
+                    receiver._push(source, payload)
                 else:
                     task = asyncio.ensure_future(
                         self._deliver_later(source, dest, payload, delay)
@@ -179,7 +216,7 @@ class LocalHub:
                     self._delayed.add(task)
                     task.add_done_callback(self._delayed.discard)
         else:
-            self.endpoint(dest)._push(source, payload)
+            receiver._push(source, payload)
         # Yield to the event loop so sends interleave with other nodes'
         # progress instead of letting one node run a long synchronous
         # burst — closer to real concurrency, and it keeps any single

@@ -5,9 +5,16 @@ import tempfile
 
 import pytest
 
+import repro.runtime.cluster as cluster_module
+from repro.adversary.behaviors import ByzantineBehavior
 from repro.errors import ConfigError, LivenessFailure
+from repro.obs import Observer, RingSink
+from repro.params import for_system
 from repro.runtime import Cluster, run_cluster_sync
+from repro.runtime.codec import Stamped, WireBatch
+from repro.runtime.node import Node, NodeNetwork
 from repro.scenario import get_scenario, run
+from repro.types import StepValue
 
 
 def test_acs_over_local_transport():
@@ -83,6 +90,67 @@ def test_stop_halted_drains_decide_amplification():
         4, proposals=0, seed=9, transport="local", stop="halted"
     )
     assert result.halted == {0, 1, 2, 3}
+
+
+#: Authenticated, decodable, and not a routed ``(module_id, body)`` pair.
+UNROUTABLE = (5, "x", ("rbc", StepValue(1), "extra"))
+
+
+class UnroutableSender(ByzantineBehavior):
+    """Opens by sending every correct node each unroutable payload."""
+
+    def start(self) -> None:
+        for dest in range(self.params.n):
+            if dest != self.pid:
+                for payload in UNROUTABLE:
+                    self.send(dest, payload)
+
+
+@pytest.mark.parametrize("batching", ["off", "flush"])  # alone / in a WireBatch
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_an_unroutable_payload_is_dropped_and_counted_not_a_receiver_crash(
+        monkeypatch, transport, batching):
+    # At commit 2dbad32 the first such frame raised SimulationError out of
+    # Process.deliver and Node.run recorded it as a crash of the receiver.
+    monkeypatch.setattr(
+        cluster_module, "build_plan_behavior",
+        lambda pid, spec, network, params, plan, proposals:
+            UnroutableSender(pid, network, params),
+    )
+    result = run_cluster_sync(
+        4, instances=2, proposals=1, seed=11, transport=transport,
+        batching=batching, faults={3: "silent"},
+    )
+    assert sorted(result.decisions) == [0, 1, 2]
+    assert result.decided_values == {1}
+    assert result.metrics.counter("frames_rejected") == 3 * len(UNROUTABLE)
+
+
+def test_node_drops_an_unroutable_message_before_wal_observer_and_target():
+    class Recorder:
+        def __init__(self):
+            self.got = []
+
+        def deliver(self, sender, message):
+            self.got.append((sender, message))
+
+        append_deliver = deliver
+
+    class Endpoint:
+        pid = 0
+
+    network = NodeNetwork(0, for_system(4, 1))
+    network.observer = Observer(RingSink())
+    target, wal = Recorder(), Recorder()
+    node = Node(0, network, Endpoint(), target)
+    node.wal = wal
+    routed = ("rbc", StepValue(1))
+    node._deliver(3, WireBatch(UNROUTABLE[:2] + (routed,) + UNROUTABLE[2:]))
+    node._deliver(3, Stamped("3:1", 7))
+    node._deliver(3, ())
+    assert target.got == wal.got == [(3, routed)]
+    assert [e.kind for e in network.observer.events()] == ["deliver"]
+    assert (node.messages_delivered, node.unroutable) == (1, 5)
 
 
 class TestWalDirLifetime:
