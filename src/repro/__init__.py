@@ -41,7 +41,7 @@ from .errors import (
 )
 from .netem import LinkModel, NetemConfig, Partition
 from .params import ProtocolParams, for_system, max_faults
-from .runtime import Cluster, run_cluster, run_cluster_sync
+from .runtime import Cluster
 from .scenario import (
     CATALOG,
     Scenario,
@@ -53,7 +53,7 @@ from .scenario import run as run_scenario
 from .sim.runner import Simulation
 from .types import RunResult, StepValue
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "AgreementViolation",
@@ -87,7 +87,5 @@ __all__ = [
     "load_scenario",
     "max_faults",
     "run_broadcast",
-    "run_cluster",
-    "run_cluster_sync",
     "run_scenario",
 ]

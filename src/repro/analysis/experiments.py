@@ -3,8 +3,8 @@
 Consensus runs are declared as a :class:`~repro.scenario.Scenario` and
 executed by :func:`repro.scenario.run`.  Bare reliable broadcast is not a
 scenario protocol, so the paper's O(n²)-messages-per-broadcast claim
-(``benchmarks/bench_t1_broadcast.py``) and ``repro broadcast`` run it
-here: :func:`run_broadcast` wires one broadcast instance onto the
+(``benchmarks/bench_t1_broadcast.py``) runs it here:
+:func:`run_broadcast` wires one broadcast instance onto the
 simulator under optional equivocation / silence and checks consistency
 and totality on the way out.
 """

@@ -31,7 +31,7 @@ The pieces:
 * span profiling — the ``profile`` Scenario field attaches a
   :class:`~repro.obs.profile.SpanProfiler` that times the hot paths
   (sim step/deliver, runtime flush, codec+MAC, WAL append) into
-  ``span_*`` metrics histograms, rendered by ``repro profile``
+  ``span_*`` metrics histograms, rendered by ``repro run --set profile=on``
   (:mod:`repro.obs.profile`);
 * the perf gate — benchmarks emit ``BENCH_<name>.json`` headline
   numbers through :mod:`repro.obs.bench`, and

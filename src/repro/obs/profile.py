@@ -132,7 +132,8 @@ def span_summaries(
 
 
 def render_profile(snapshot: Optional[MetricsSnapshot]) -> str:
-    """The ``repro profile`` table: one row per span, microsecond units."""
+    """The span table ``repro run`` prints for a ``profile: on`` scenario:
+    one row per span, microsecond units."""
     from ..analysis.tables import format_table
 
     spans = span_summaries(snapshot)

@@ -15,16 +15,18 @@ the baselines, ACS) concurrently:
 * :class:`~repro.runtime.node.Node` — adapts the sim-facing
   ``deliver(sender, payload)`` / ``start()`` protocol interface onto an
   async inbox, so modules remain synchronous state machines.
-* :class:`~repro.runtime.cluster.Cluster` /
-  :func:`~repro.runtime.cluster.run_cluster` — spawns ``n`` nodes
-  (optionally with Byzantine behaviors), runs one or many consensus
-  instances to decision, and reads every node out into the same
-  :class:`~repro.outcome.NodeReport` the simulator fills.
+* :class:`~repro.runtime.cluster.Cluster` — takes a
+  :class:`~repro.scenario.Scenario`, spawns its ``n`` nodes (optionally
+  with Byzantine behaviors), runs one or many consensus instances to
+  decision, and reads every node out into the same
+  :class:`~repro.outcome.NodeReport` the simulator fills;
+  :func:`repro.scenario.run` on a ``local`` / ``tcp`` scenario is the
+  one-shot path through it.
 
 See ``docs/runtime.md`` for the design and its current limits.
 """
 
-from .cluster import Cluster, run_cluster, run_cluster_sync
+from .cluster import Cluster
 from .codec import CodecError, WireBatch, decode, encode, register_message
 from .node import Node, NodeNetwork
 from .tcp import TcpTransport
@@ -43,6 +45,4 @@ __all__ = [
     "decode",
     "encode",
     "register_message",
-    "run_cluster",
-    "run_cluster_sync",
 ]

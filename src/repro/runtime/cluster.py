@@ -1,7 +1,8 @@
-"""Cluster driver: spawn n nodes, run protocols to decision, measure.
+"""Cluster driver: spawn n nodes, run a scenario to decision, measure.
 
 :class:`Cluster` assembles the runtime analogue of
-:func:`repro.scenario.assemble`: the same protocol
+:func:`repro.scenario.assemble` from the same
+:class:`~repro.scenario.Scenario`: the same protocol
 stacks (Bracha, Ben-Or and its crash variant, MMR-14, ACS), the same
 coin schemes, and the same Byzantine behaviors — but each process lives
 on its own :class:`~repro.runtime.node.Node` with a private
@@ -30,33 +31,19 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..adversary.behaviors import ByzantineBehavior
-from ..core.coin import CoinScheme
 from ..errors import ConfigError
 from ..net.auth import KeyRing
 from ..obs import MetricsRegistry, Observer, build_profiler
 from ..outcome import NodeReport, build_result
-from ..netem import (
-    LinkPolicy,
-    NetemConfig,
-    ReliableLink,
-    TickClock,
-    WallClock,
-)
+from ..netem import LinkPolicy, ReliableLink, TickClock, WallClock
 from ..netem.clock import Clock
-from ..params import for_system
 from ..recovery.wal import WalWriter, parse_recovery, wal_filename
-from ..sim.effects import parse_batching
+from ..scenario.spec import Scenario
 from ..sim.process import Process
-from ..stacks import (
-    PROTOCOLS,
-    FaultSpec,
-    ProposalSpec,
-    ProtocolPlan,
-    build_plan_behavior,
-)
+from ..stacks import ProtocolPlan, build_plan_behavior
 from ..types import ProcessId, RunResult
 from .node import Node, NodeNetwork
 from .tcp import TcpTransport
@@ -69,68 +56,32 @@ from .transport import LocalHub, Transport
 
 
 class Cluster:
-    """n concurrently-running nodes executing one protocol to decision.
+    """n concurrently-running nodes executing one scenario to decision.
 
-    Use as an async context manager, or call :func:`run_cluster` /
-    :func:`run_cluster_sync` for the one-shot path::
+    A scenario (fabric ``local`` or ``tcp``) is the whole configuration;
+    :func:`repro.scenario.run` is the one-shot path.  White-box callers
+    hold the cluster open to read its nodes and transports::
 
-        async with Cluster(n=4, transport="tcp") as cluster:
+        async with Cluster(Scenario(fabric="tcp")) as cluster:
             result = await cluster.run()
     """
 
-    def __init__(
-        self,
-        n: int,
-        t: Optional[int] = None,
-        protocol: str = "bracha",
-        proposals: ProposalSpec = None,
-        coin: Union[str, CoinScheme] = "local",
-        faults: Optional[Mapping[ProcessId, FaultSpec]] = None,
-        transport: str = "local",
-        seed: int = 0,
-        instances: int = 1,
-        host: str = "127.0.0.1",
-        base_port: int = 0,
-        allow_excess_faults: bool = False,
-        link: Optional[Mapping[str, Any]] = None,
-        partitions: Optional[Any] = None,
-        netem: Optional[NetemConfig] = None,
-        batching: str = "off",
-        observer: Optional[Observer] = None,
-        recovery: str = "off",
-        profile: str = "off",
-    ):
-        self.params = for_system(n, t)
-        self.protocol = protocol
-        self.transport_kind = transport
-        self.seed = seed
-        self.instances = instances
-        self.batching = batching
-        parse_batching(batching)  # validate early; nodes parse again
-        self.host = host
-        self.base_port = base_port
-        self.faults = dict(faults or {})
-        for pid in self.faults:
-            if not 0 <= pid < n:
-                raise ConfigError(f"fault pid {pid} out of range")
-        if len(self.faults) > self.params.t and not allow_excess_faults:
+    def __init__(self, scenario: Scenario, observer: Optional[Observer] = None):
+        if scenario.fabric not in ("local", "tcp"):
             raise ConfigError(
-                f"{len(self.faults)} faults injected but t={self.params.t}; "
-                "pass allow_excess_faults=True if the excess is intentional"
+                "Cluster runs the 'local' and 'tcp' fabrics only, not "
+                f"{scenario.fabric!r}"
             )
-        if transport not in ("local", "tcp"):
-            raise ConfigError(f"unknown transport {transport!r}")
-        if netem is not None and (link is not None or partitions is not None):
-            raise ConfigError("pass either a NetemConfig or link/partitions specs")
-        self.netem = netem if netem is not None else NetemConfig.from_spec(
-            link, partitions
-        )
-        if self.netem is not None:
-            self.netem.validate_pids(n)
-        self.recovery_mode, self.wal_dir = parse_recovery(recovery)
+        self.scenario = scenario
+        self.params = scenario.params
+        self.faults = scenario.faults_dict()
+        self.netem = scenario.netem_config()
+        self.recovery_mode, self.wal_dir = parse_recovery(scenario.recovery)
         self._owns_wal_dir = False
-        self.plan = ProtocolPlan(protocol, self.params, coin, seed, instances)
-        self.proposals: Dict[ProcessId, Any] = self.plan.default_proposals(proposals)
+        self.plan = ProtocolPlan.for_scenario(scenario)
+        self.proposals: Dict[ProcessId, Any] = self.plan.default_proposals(
+            scenario.proposals
+        )
 
         self.nodes: Dict[ProcessId, Node] = {}
         self._wal_writers: Dict[ProcessId, WalWriter] = {}
@@ -151,7 +102,7 @@ class Cluster:
         # One cluster-wide profiler: nodes share the registry, so span
         # histograms aggregate across the whole cluster (per-node splits
         # would multiply histogram storage for no analytical gain here).
-        self.profiler = build_profiler(profile, self.registry)
+        self.profiler = build_profiler(scenario.profile, self.registry)
         if self.observer is not None:
             # One cluster-wide timeline: seconds since the run loops
             # launched (the closure reads _zero when each event fires).
@@ -168,7 +119,7 @@ class Cluster:
         await self._make_transports()
 
         for pid in range(n):
-            network = NodeNetwork(pid, self.params, seed=self.seed)
+            network = NodeNetwork(pid, self.params, seed=self.scenario.seed)
             network.observer = self.observer
             if pid in self.faults:
                 behavior = build_plan_behavior(
@@ -187,7 +138,8 @@ class Cluster:
                 target = process
             node = Node(
                 pid, network, self.transports[pid], target,
-                on_activation=self._on_activation, batching=self.batching,
+                on_activation=self._on_activation,
+                batching=self.scenario.batching,
             )
             node.profiler = self.profiler
             self.nodes[pid] = node
@@ -221,15 +173,16 @@ class Cluster:
             # shutdown() removes.  ``wal:DIR`` files are the caller's.
             self.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
             self._owns_wal_dir = True
+        scenario = self.scenario
         for pid in self.stacks:
             writer = WalWriter.open(
                 os.path.join(self.wal_dir, wal_filename(pid)),
                 {
-                    "run_id": f"{self.transport_kind}-{self.seed}",
+                    "run_id": f"{scenario.fabric}-{scenario.seed}",
                     "node": pid,
-                    "seed": self.seed,
-                    "protocol": self.protocol,
-                    "instances": self.instances,
+                    "seed": scenario.seed,
+                    "protocol": scenario.protocol,
+                    "instances": scenario.instances,
                 },
             )
             self._wal_writers[pid] = writer
@@ -242,28 +195,30 @@ class Cluster:
         self.plan.propose(modules, pid, bit)
 
     async def _make_transports(self) -> None:
-        n = self.params.n
+        n, scenario = self.params.n, self.scenario
         if self.netem is not None:
             # The local fabric runs on deterministic virtual time (one
             # tick per event-loop pass); TCP runs on the wall clock.
             # Started only after the transports are up, so bind/connect
             # latency cannot eat into scripted partition windows.
             self._clock = (
-                TickClock() if self.transport_kind == "local" else WallClock()
+                TickClock() if scenario.fabric == "local" else WallClock()
             )
             self._policy = LinkPolicy(
-                n, self.netem, seed=self.seed, observer=self.observer
+                n, self.netem, seed=scenario.seed, observer=self.observer
             )
-        if self.transport_kind == "local":
+        if scenario.fabric == "local":
             self._hub = LocalHub(n, policy=self._policy, clock=self._clock)
             self.transports = {pid: self._hub.endpoint(pid) for pid in range(n)}
         else:
-            ring = KeyRing(n, master_secret=f"cluster-setup-{self.seed}".encode())
+            ring = KeyRing(
+                n, master_secret=f"cluster-setup-{scenario.seed}".encode()
+            )
             endpoints: Dict[ProcessId, TcpTransport] = {}
             for pid in range(n):
-                port = 0 if self.base_port == 0 else self.base_port + pid
+                port = 0 if scenario.base_port == 0 else scenario.base_port + pid
                 endpoints[pid] = TcpTransport(
-                    pid, n, ring, host=self.host, port=port,
+                    pid, n, ring, host=scenario.host, port=port,
                     policy=self._policy, clock=self._clock,
                 )
                 endpoints[pid].profiler = self.profiler
@@ -317,33 +272,25 @@ class Cluster:
                 self._decision_times[node.pid] = time.monotonic() - self._zero
         self._progress.set()
 
-    def _all(self, predicate: Callable[[List[Any]], bool]) -> bool:
-        return all(predicate(modules) for modules in self.stacks.values())
-
     # -- execution -----------------------------------------------------------
 
-    async def run(
-        self,
-        timeout: float = 60.0,
-        stop: str = "decided",
-        check: bool = True,
-    ) -> RunResult:
+    async def run(self, check: bool = True) -> RunResult:
         """Wait for the stop condition, then collect and verify a result.
 
-        ``stop`` is ``"decided"`` (every correct node decided every
-        instance) or ``"halted"`` (every correct node may stop
-        participating).  A timeout raises
+        The scenario's ``stop`` is ``"decided"`` (every correct node
+        decided every instance) or ``"halted"`` (every correct node may
+        stop participating).  Running past its ``timeout`` raises
         :class:`~repro.errors.LivenessFailure` under ``check=True`` and
         is recorded as a violation otherwise.
         """
         if not self._started:
             await self.start()
-        if stop == "decided":
-            predicate = lambda: self._all(self.plan.decided)  # noqa: E731
-        elif stop == "halted":
-            predicate = lambda: self._all(self.plan.halted)  # noqa: E731
-        else:
-            raise ConfigError(f"unknown stop condition {stop!r}")
+        scenario = self.scenario
+        timeout = scenario.timeout
+        done = self.plan.decided if scenario.stop == "decided" else self.plan.halted
+
+        def predicate() -> bool:
+            return all(done(modules) for modules in self.stacks.values())
 
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -384,9 +331,9 @@ class Cluster:
             for pid, node in self.nodes.items()
         ]
         meta: Dict[str, Any] = {
-            "transport": self.transport_kind, "protocol": self.protocol,
-            "instances": self.instances, "batching": self.batching,
-            "codec": "binary",
+            "transport": scenario.fabric, "protocol": scenario.protocol,
+            "instances": scenario.instances, "batching": scenario.batching,
+            "codec": scenario.codec,
         }
         if self.recovery_mode == "wal":
             meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
@@ -430,31 +377,4 @@ class Cluster:
         await self.shutdown()
 
 
-# ---------------------------------------------------------------------------
-# One-shot entry points
-# ---------------------------------------------------------------------------
-
-
-async def run_cluster(
-    n: int,
-    t: Optional[int] = None,
-    timeout: float = 60.0,
-    stop: str = "decided",
-    check: bool = True,
-    **kwargs: Any,
-) -> RunResult:
-    """Assemble, execute to decision, tear down, and verify one run."""
-    cluster = Cluster(n, t, **kwargs)
-    try:
-        await cluster.start()
-        return await cluster.run(timeout=timeout, stop=stop, check=check)
-    finally:
-        await cluster.shutdown()
-
-
-def run_cluster_sync(n: int, **kwargs: Any) -> RunResult:
-    """Blocking wrapper around :func:`run_cluster` (CLI, tests, notebooks)."""
-    return asyncio.run(run_cluster(n, **kwargs))
-
-
-__all__ = ["Cluster", "PROTOCOLS", "run_cluster", "run_cluster_sync"]
+__all__ = ["Cluster"]

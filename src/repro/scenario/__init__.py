@@ -36,9 +36,6 @@ from .spec import (
     Scenario,
     load_scenario,
     make_scheduler,
-    parse_faults,
-    parse_link,
-    parse_proposals,
 )
 from .catalog import CATALOG, catalog_names, get_scenario
 from .grid import Cell, METRICS, ScenarioGrid, SweepResult
@@ -62,9 +59,6 @@ __all__ = [
     "get_scenario",
     "load_scenario",
     "make_scheduler",
-    "parse_faults",
-    "parse_link",
-    "parse_proposals",
     "repeat",
     "run",
 ]

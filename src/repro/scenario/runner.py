@@ -355,31 +355,18 @@ def _run_sim(scenario: Scenario, check: bool) -> RunResult:
 def _run_runtime(
     scenario: Scenario, check: bool, observer: Optional[Observer] = None
 ) -> RunResult:
-    from ..runtime.cluster import run_cluster_sync
+    import asyncio
 
-    proposals = None if scenario.protocol == "acs" else scenario.proposals
-    return run_cluster_sync(
-        scenario.n,
-        t=scenario.t,
-        protocol=scenario.protocol,
-        proposals=proposals,
-        coin=scenario.coin_name,
-        faults=scenario.faults_dict(),
-        transport=scenario.fabric,
-        seed=scenario.seed,
-        instances=scenario.instances,
-        host=scenario.host,
-        base_port=scenario.base_port,
-        timeout=scenario.timeout,
-        stop=scenario.stop,
-        check=check,
-        allow_excess_faults=scenario.allow_excess_faults,
-        netem=scenario.netem_config(),
-        batching=scenario.batching,
-        observer=observer,
-        recovery=scenario.recovery,
-        profile=scenario.profile,
-    )
+    from ..runtime.cluster import Cluster
+
+    async def execute() -> RunResult:
+        cluster = Cluster(scenario, observer)
+        try:
+            return await cluster.run(check)  # starts the cluster first
+        finally:
+            await cluster.shutdown()
+
+    return asyncio.run(execute())
 
 
 __all__ = ["SimRun", "assemble", "repeat", "run"]

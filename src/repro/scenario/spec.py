@@ -9,11 +9,8 @@ fabric, instance batching, seed, and stop condition.  Experiments are
 and executes unchanged on every fabric via
 :func:`repro.scenario.run`.
 
-All spec-parsing shared by the CLI subcommands lives here too:
-:func:`parse_faults` (the ``PID:KIND`` syntax), :func:`parse_proposals`
-(``'1'`` / ``'0110'``), and the :data:`SCHEDULERS` registry behind
-:func:`make_scheduler` — one source of truth instead of per-subcommand
-copies.
+The :data:`SCHEDULERS` registry behind :func:`make_scheduler` (the
+``sim`` fabric's network conditions) lives here too.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..adversary import (
     DelayVictimScheduler,
@@ -106,64 +103,6 @@ def make_scheduler(
 
 
 # ---------------------------------------------------------------------------
-# CLI-facing spec parsers (single source of truth for PID:KIND etc.)
-# ---------------------------------------------------------------------------
-
-
-def parse_faults(entries: Optional[Sequence[str]]) -> Dict[int, str]:
-    """Parse ``PID:KIND`` fault entries (e.g. ``["3:silent", "2:two_faced"]``)."""
-    faults: Dict[int, str] = {}
-    for entry in entries or ():
-        pid_text, _, kind = entry.partition(":")
-        try:
-            pid = int(pid_text)
-        except ValueError:
-            raise ConfigError(f"bad fault spec {entry!r}; use PID:KIND") from None
-        if not kind:
-            raise ConfigError(f"bad fault spec {entry!r}; use PID:KIND")
-        faults[pid] = kind
-    return faults
-
-
-def parse_proposals(text: Optional[str], n: int) -> Any:
-    """Parse a proposal string: ``'0'``/``'1'`` for unanimity, or an
-    ``n``-bit string like ``'0110'``; ``None`` keeps the default split."""
-    if text is None:
-        return None
-    if text in ("0", "1"):
-        return int(text)
-    bits = [c for c in text if c in "01"]
-    if len(bits) != n:
-        raise ConfigError(f"proposals need {n} bits, got {text!r}")
-    return [int(c) for c in bits]
-
-
-def parse_link(entries: Optional[Sequence[str]]) -> Dict[str, Any]:
-    """Parse ``KEY=VALUE`` link-condition entries (e.g. ``["loss=0.1",
-    "delay=0.005", "retransmit=true"]``) into a ``link`` spec mapping."""
-    link: Dict[str, Any] = {}
-    for entry in entries or ():
-        key, sep, text = entry.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"bad link spec {entry!r}; use KEY=VALUE")
-        value: Any
-        if text.lower() in ("true", "false"):
-            value = text.lower() == "true"
-        else:
-            try:
-                value = int(text)
-            except ValueError:
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad link value in {entry!r}; expected a number or bool"
-                    ) from None
-        link[key] = value
-    return link
-
-
-# ---------------------------------------------------------------------------
 # Canonicalization helpers
 # ---------------------------------------------------------------------------
 
@@ -182,32 +121,53 @@ def _thaw(value: Any) -> Any:
     return value
 
 
+def _number(
+    what: str, value: Any, low: float, high: Optional[int] = None,
+    kinds: Any = int, strict: bool = False,
+) -> None:
+    """Require an int (``kinds=(int, float)``: a number) that is not a
+    bool and is ``>= low`` (``strict``: ``> low``) and ``<= high``; a
+    :class:`ConfigError` naming ``what`` otherwise."""
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if ok:
+        ok = value > low if strict else value >= low
+    if ok and high is not None:
+        ok = value <= high
+    if not ok:
+        bound = f"in {low}..{high}" if high is not None else (
+            f"> {low}" if strict else f">= {low}")
+        noun = "an integer" if kinds is int else "a number"
+        raise ConfigError(f"need {what} {bound} ({noun}), got {value!r}")
+
+
+def _pairs(field: str, value: Any) -> Dict[Any, Any]:
+    """A mapping, or a sequence of ``(key, value)`` pairs, as a dict."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{field} must be a mapping (or a sequence of (key, value) "
+            f"pairs), got {value!r}"
+        ) from None
+
+
 def _canonical_fault(spec: Any) -> CanonicalFault:
     if isinstance(spec, str):
         return (("kind", spec),)
-    if isinstance(spec, Mapping):
-        table = dict(spec)
-    elif isinstance(spec, (tuple, list)):  # already (key, value) pairs
-        table = dict(spec)
-    else:
-        raise ConfigError(f"fault spec must be a kind string or mapping: {spec!r}")
+    table = _pairs("a non-string fault spec", spec)
     kind = table.pop("kind", None)
     if not isinstance(kind, str) or not kind:
         raise ConfigError(f"fault spec needs a 'kind': {spec!r}")
     return (("kind", kind),) + tuple(
-        (key, _freeze(table[key])) for key in sorted(table)
+        (key, _freeze(table[key])) for key in sorted(table, key=str)
     )
 
 
 def _canonical_faults(faults: Any) -> Tuple[Tuple[int, CanonicalFault], ...]:
     if faults is None:
         return ()
-    if isinstance(faults, Mapping):
-        items = faults.items()
-    else:
-        items = tuple(faults)
     table = {}
-    for pid, spec in items:
+    for pid, spec in _pairs("faults", faults).items():
         try:
             pid = int(pid)
         except (TypeError, ValueError):
@@ -216,14 +176,13 @@ def _canonical_faults(faults: Any) -> Tuple[Tuple[int, CanonicalFault], ...]:
     return tuple(sorted(table.items()))
 
 
-def _canonical_args(args: Any) -> Tuple[Tuple[str, Any], ...]:
+def _canonical_args(field: str, args: Any) -> Tuple[Tuple[str, Any], ...]:
     if args is None:
         return ()
-    if isinstance(args, Mapping):
-        items = args.items()
-    else:
-        items = tuple(args)
-    return tuple(sorted((str(k), _freeze(v)) for k, v in items))
+    return tuple(sorted(
+        ((str(k), _freeze(v)) for k, v in _pairs(field, args).items()),
+        key=lambda pair: pair[0],
+    ))
 
 
 def _canonical_partitions(partitions: Any) -> Tuple[Tuple[Tuple[str, Any], ...], ...]:
@@ -231,18 +190,24 @@ def _canonical_partitions(partitions: Any) -> Tuple[Tuple[Tuple[str, Any], ...],
     window canonicalizes to sorted ``(key, value)`` pairs."""
     if partitions is None:
         return ()
-    if isinstance(partitions, Mapping):
+    if not isinstance(partitions, (list, tuple)):
         raise ConfigError(
             "partitions must be a list of {'start', 'stop', 'groups'} "
-            f"mappings, got a single mapping: {partitions!r}"
+            f"mappings, got {partitions!r}"
         )
-    return tuple(_canonical_args(spec) for spec in partitions)
+    return tuple(_canonical_args("a partitions entry", spec) for spec in partitions)
 
 
 def _canonical_proposals(proposals: Any, n: int) -> Any:
     if proposals is None:
         return None
-    table = normalize_proposals(proposals, n)  # validates coverage and bits
+    try:
+        table = normalize_proposals(proposals, n)  # validates coverage and bits
+    except TypeError:
+        raise ConfigError(
+            "proposals must be a bit, a sequence of n bits or a pid -> bit "
+            f"mapping, got {proposals!r}"
+        ) from None
     if isinstance(proposals, int):
         return proposals
     return tuple(table[pid] for pid in range(n))
@@ -251,6 +216,17 @@ def _canonical_proposals(proposals: Any, n: int) -> Any:
 # ---------------------------------------------------------------------------
 # The scenario
 # ---------------------------------------------------------------------------
+
+
+def _known_fields(names: Any) -> None:
+    """Reject a name that is no :class:`Scenario` field, so a typo in a
+    scenario file or an override fails loudly instead of being ignored."""
+    known = {field.name for field in dataclasses.fields(Scenario)}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown scenario field(s) {unknown}; known fields: {sorted(known)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -303,7 +279,7 @@ class Scenario:
         profile: hot-path span profiling — ``off`` (default, hot paths
             pay one ``None`` check) or ``on`` (wall-clock span timers
             recorded into the run's metrics histograms as ``span_*``
-            entries, rendered by ``repro profile``).  Profiling never
+            entries, rendered by ``repro run``).  Profiling never
             touches virtual time, the rng, or the event stream, so a
             fixed-seed sim run stays bit-identical.  Not available on
             ``mp`` (node-side registries stay in the node processes);
@@ -346,6 +322,13 @@ class Scenario:
     allow_excess_faults: bool = False
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            if isinstance(field.default, str):  # name, fabric, observe, host, ...
+                value = getattr(self, field.name)
+                if not isinstance(value, str):
+                    raise ConfigError(
+                        f"{field.name} must be a string, got {value!r}"
+                    )
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; choose from {sorted(PROTOCOLS)}"
@@ -362,21 +345,14 @@ class Scenario:
             raise ConfigError(
                 f"unknown coin scheme {self.coin!r}; choose from {list(COINS)}"
             )
-        if self.instances < 1:
-            raise ConfigError(f"need at least one instance, got {self.instances}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or self.seed < 0:
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, int) \
-                or self.max_steps < 1:
-            raise ConfigError(
-                f"max_steps must be an integer >= 1, got {self.max_steps!r}"
-            )
-        if isinstance(self.timeout, bool) \
-                or not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
-            raise ConfigError(f"timeout must be a number > 0, got {self.timeout!r}")
+        _number("n", self.n, 1)
+        if self.t is not None:
+            _number("t", self.t, 0)
+        _number("instances", self.instances, 1)
+        _number("seed", self.seed, 0)
+        _number("max_steps", self.max_steps, 1)
+        _number("timeout", self.timeout, 0, kinds=(int, float), strict=True)
+        _number("base_port", self.base_port, 0, 65535)
         parse_batching(self.batching)  # validates off | flush | size:N
         if self.codec != "binary":
             raise ConfigError(
@@ -400,9 +376,10 @@ class Scenario:
 
         object.__setattr__(self, "faults", _canonical_faults(self.faults))
         object.__setattr__(
-            self, "scheduler_args", _canonical_args(self.scheduler_args)
+            self, "scheduler_args",
+            _canonical_args("scheduler_args", self.scheduler_args),
         )
-        object.__setattr__(self, "link", _canonical_args(self.link))
+        object.__setattr__(self, "link", _canonical_args("link", self.link))
         object.__setattr__(
             self, "partitions", _canonical_partitions(self.partitions)
         )
@@ -444,12 +421,8 @@ class Scenario:
                 # Both are scheduled crashes of a real node: SIGKILL after
                 # 'after' seconds on mp ('restart' on sim counts
                 # deliveries instead — the discrete-event clock).
-                after = table.get("after", 0.0)
-                if isinstance(after, bool) or not isinstance(after, (int, float)) \
-                        or after < 0:
-                    raise ConfigError(
-                        f"{kind} fault needs 'after' >= 0, got {after!r}"
-                    )
+                _number(f"{kind} fault 'after'", table.get("after", 0.0), 0,
+                        kinds=(int, float))
             if kind == "restart":
                 restart_pids.append(pid)
                 allowed = {"kind", "after", "down", "max_restarts"}
@@ -459,22 +432,12 @@ class Scenario:
                         f"restart fault has unknown field(s) {unknown}; "
                         f"allowed: {sorted(allowed - {'kind'})}"
                     )
-                down = table.get("down")
-                if down is not None and (
-                        isinstance(down, bool)
-                        or not isinstance(down, (int, float)) or down <= 0):
-                    raise ConfigError(
-                        f"restart fault needs 'down' > 0, got {down!r}"
-                    )
-                max_restarts = table.get("max_restarts")
-                if max_restarts is not None and (
-                        isinstance(max_restarts, bool)
-                        or not isinstance(max_restarts, int)
-                        or max_restarts < 1):
-                    raise ConfigError(
-                        f"restart fault needs 'max_restarts' >= 1, "
-                        f"got {max_restarts!r}"
-                    )
+                if table.get("down") is not None:
+                    _number("restart fault 'down'", table["down"], 0,
+                            kinds=(int, float), strict=True)
+                if table.get("max_restarts") is not None:
+                    _number("restart fault 'max_restarts'",
+                            table["max_restarts"], 1)
         recovery_mode, _ = parse_recovery(self.recovery)
         if recovery_mode != "off" and self.fabric == "sim":
             raise ConfigError(
@@ -586,10 +549,8 @@ class Scenario:
 
     def replace(self, **changes: Any) -> "Scenario":
         """A copy with fields changed — revalidated and recanonicalized."""
-        try:
-            return dataclasses.replace(self, **changes)
-        except TypeError as exc:
-            raise ConfigError(f"unknown scenario field: {exc}") from exc
+        _known_fields(changes)
+        return dataclasses.replace(self, **changes)
 
     # -- serialization -------------------------------------------------------
 
@@ -622,12 +583,7 @@ class Scenario:
         """
         if not isinstance(data, Mapping):
             raise ConfigError(f"scenario spec must be a mapping, got {type(data).__name__}")
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown scenario field(s) {unknown}; known fields: {sorted(known)}"
-            )
+        _known_fields(data)
         return cls(**dict(data))
 
     def to_json(self, indent: int = 2) -> str:
@@ -670,7 +626,4 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "make_scheduler",
-    "parse_faults",
-    "parse_link",
-    "parse_proposals",
 ]

@@ -414,7 +414,7 @@ def test_standalone_nodes_dealt_by_the_cli_decide_and_print_their_result(
     cli = [sys.executable, "-m", "repro"]
     subprocess.run(
         cli + ["dealer", "--name", "mp-smoke", "--out", str(tmp_path),
-               "--base-port", str(_free_base_port(4))],
+               "--set", f"base_port={_free_base_port(4)}"],
         env=ENV, check=True, capture_output=True, timeout=60,
     )
     nodes = [

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.runtime import binarycodec, codec
-from repro.runtime.cluster import Cluster, run_cluster_sync
+from repro.scenario import Scenario, run
 from repro.runtime.codec import WireBatch
 from repro.types import Phase
 from repro.core.broadcast import RbcMessage
@@ -45,16 +45,15 @@ class TestWireBatchCodec:
             binarycodec.loads(prefix + bytes([binarycodec._T_TUPLE, 0]))
 
 
-def _batched_run(**kwargs):
-    return run_cluster_sync(
-        kwargs.pop("n", 4), protocol="bracha", proposals=1,
-        instances=kwargs.pop("instances", 4), **kwargs,
-    )
+def _batched_run(**fields):
+    return run(Scenario(
+        protocol="bracha", proposals=1, **{"instances": 4, **fields}
+    ))
 
 
 class TestBatchedCluster:
     def test_local_flush_compresses_frames(self):
-        result = _batched_run(transport="local", batching="flush", seed=3)
+        result = _batched_run(fabric="local", batching="flush", seed=3)
         assert result.decided_values == {1}
         assert result.meta["batching"] == "flush"
         snap = result.metrics
@@ -66,19 +65,19 @@ class TestBatchedCluster:
         )
 
     def test_unbatched_is_one_message_per_frame(self):
-        result = _batched_run(transport="local", batching="off", seed=3)
+        result = _batched_run(fabric="local", batching="off", seed=3)
         snap = result.metrics
         assert snap.counter("frames_sent") == snap.counter("wire_messages_sent")
         assert snap.gauges["messages_per_frame"] == 1.0
 
     def test_size_mode_caps_messages_per_frame(self):
-        result = _batched_run(transport="local", batching="size:2", seed=5)
+        result = _batched_run(fabric="local", batching="size:2", seed=5)
         assert result.decided_values == {1}
         assert result.metrics.gauges["messages_per_frame"] <= 2.0
         assert result.metrics.gauges["messages_per_frame"] > 1.0
 
     def test_tcp_flush_decides_and_compresses(self):
-        result = _batched_run(transport="tcp", batching="flush", seed=7)
+        result = _batched_run(fabric="tcp", batching="flush", seed=7)
         assert result.decided_values == {1}
         # The acceptance bound: >= 3x fewer TCP frames than messages on
         # the multi-instance Bracha pipeline.
@@ -89,7 +88,7 @@ class TestBatchedCluster:
 
     def test_batched_with_byzantine_peer(self):
         result = _batched_run(
-            transport="local", batching="flush", seed=9,
+            fabric="local", batching="flush", seed=9,
             faults={3: "two_faced"},
         )
         assert result.decided_values.issubset({0, 1})
@@ -99,7 +98,7 @@ class TestBatchedCluster:
         # Batches are the retransmission unit: the seq/ack layer resends
         # whole frames and consensus still completes under loss.
         result = _batched_run(
-            transport="local", batching="flush", seed=11,
+            fabric="local", batching="flush", seed=11,
             link={"loss": 0.1, "delay": 0.001},
         )
         assert result.decided_values == {1}
@@ -107,7 +106,7 @@ class TestBatchedCluster:
 
     def test_bad_batching_spec_rejected_up_front(self):
         with pytest.raises(ConfigError):
-            Cluster(4, batching="size:0")
+            Scenario(fabric="local", batching="size:0")
 
 
 class TestNodeFlushGrouping:

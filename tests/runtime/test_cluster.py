@@ -10,25 +10,25 @@ from repro.adversary.behaviors import ByzantineBehavior
 from repro.errors import ConfigError, LivenessFailure
 from repro.obs import Observer, RingSink
 from repro.params import for_system
-from repro.runtime import Cluster, run_cluster_sync
+from repro.runtime import Cluster
 from repro.runtime.codec import Stamped, WireBatch
 from repro.runtime.node import Node, NodeNetwork
-from repro.scenario import get_scenario, run
+from repro.scenario import Scenario, get_scenario, run
 from repro.types import StepValue
 
 
 def test_acs_over_local_transport():
-    result = run_cluster_sync(4, protocol="acs", transport="local", seed=3)
+    result = run(Scenario(protocol="acs", fabric="local", seed=3))
     (pids,) = result.decided_values
     assert len(pids) >= 3, "common subset has at least n-t elements"
     assert len(result.decisions) == 4
 
 
 def test_many_instances_share_one_broadcast_layer():
-    result = run_cluster_sync(
-        4, protocol="bracha", instances=4, proposals=[0, 1, 1, 0],
-        transport="local", seed=4,
-    )
+    result = run(Scenario(
+        protocol="bracha", instances=4, proposals=[0, 1, 1, 0],
+        fabric="local", seed=4,
+    ))
     per_node = result.meta["instance_decisions"]
     assert len(per_node) == 4
     # Agreement per instance: all nodes hold the same decision vector.
@@ -38,7 +38,7 @@ def test_many_instances_share_one_broadcast_layer():
 
 
 def test_metrics_are_sim_compatible():
-    result = run_cluster_sync(4, proposals=1, transport="local", seed=5)
+    result = run(Scenario(proposals=1, fabric="local", seed=5))
     # The same fields the simulator's RunResult carries, usable by the
     # same analysis/table code.
     assert result.messages_sent > 0
@@ -50,45 +50,41 @@ def test_metrics_are_sim_compatible():
 
 
 def test_dealer_coin_and_two_faced_fault():
-    result = run_cluster_sync(
-        7, protocol="bracha", coin="dealer", transport="local", seed=6,
+    result = run(Scenario(
+        n=7, protocol="bracha", coin="dealer", fabric="local", seed=6,
         faults={2: "two_faced"},
-    )
+    ))
     assert len(result.decided_values) == 1
     assert sorted(result.decisions) == [0, 1, 3, 4, 5, 6]
 
 
-def test_fault_budget_is_enforced():
-    with pytest.raises(ConfigError):
-        run_cluster_sync(4, faults={1: "silent", 2: "silent"})
-
-
 def test_unknown_transport_and_protocol_are_rejected():
-    with pytest.raises(ConfigError):
-        Cluster(4, transport="carrier-pigeon")
-    with pytest.raises(ConfigError):
-        Cluster(4, protocol="paxos")
-    with pytest.raises(ConfigError):
-        Cluster(4, protocol="mmr14", instances=2)
-    with pytest.raises(ConfigError):
-        Cluster(4, protocol="acs", coin="shares")
+    # A cluster runs 'local' and 'tcp' only — the mirror of SimRun's
+    # check.  An unknown fabric never gets that far, nor do an unknown
+    # protocol, two mmr14 instances or an over-budget fault table:
+    # Scenario rejects them (tests/scenario/test_spec.py).
+    for fabric in ("sim", "mp"):
+        with pytest.raises(ConfigError, match="'local' and 'tcp' fabrics only"):
+            Cluster(Scenario(fabric=fabric))
+    with pytest.raises(ConfigError, match="unknown fabric 'carrier-pigeon'"):
+        Cluster(Scenario(fabric="carrier-pigeon"))
+    with pytest.raises(ConfigError, match="share-based coin"):
+        Cluster(Scenario(fabric="local", protocol="acs", coin="shares"))
 
 
 def test_timeout_surfaces_as_liveness_failure():
     # All-silent "correct" nodes can never decide; with an aggressive
     # timeout the driver must fail loudly rather than hang.
     with pytest.raises(LivenessFailure):
-        run_cluster_sync(
-            4, t=1, proposals=1, seed=8, transport="local",
+        run(Scenario(
+            t=1, proposals=1, seed=8, fabric="local",
             faults={0: "silent", 1: "silent"}, allow_excess_faults=True,
-            timeout=0.3, check=True,
-        )
+            timeout=0.3,
+        ), check=True)
 
 
 def test_stop_halted_drains_decide_amplification():
-    result = run_cluster_sync(
-        4, proposals=0, seed=9, transport="local", stop="halted"
-    )
+    result = run(Scenario(proposals=0, seed=9, fabric="local", stop="halted"))
     assert result.halted == {0, 1, 2, 3}
 
 
@@ -117,10 +113,10 @@ def test_an_unroutable_payload_is_dropped_and_counted_not_a_receiver_crash(
         lambda pid, spec, network, params, plan, proposals:
             UnroutableSender(pid, network, params),
     )
-    result = run_cluster_sync(
-        4, instances=2, proposals=1, seed=11, transport=transport,
+    result = run(Scenario(
+        instances=2, proposals=1, seed=11, fabric=transport,
         batching=batching, faults={3: "silent"},
-    )
+    ))
     assert sorted(result.decisions) == [0, 1, 2]
     assert result.decided_values == {1}
     assert result.metrics.counter("frames_rejected") == 3 * len(UNROUTABLE)

@@ -374,11 +374,14 @@ def test_an_observed_run_has_zero_hits_and_the_same_decide_stream():
     # per frame there and saves nothing (docs/observability.md).
     async def scenario():
         observer = Observer(RingSink())
-        cluster = Cluster(7, protocol="bracha", transport="local", instances=8,
-                          batching="flush", seed=1001, observer=observer)
+        cluster = Cluster(
+            Scenario(n=7, protocol="bracha", fabric="local", instances=8,
+                     batching="flush", seed=1001, timeout=120.0),
+            observer=observer,
+        )
         try:
             await cluster.start()
-            await cluster.run(timeout=120.0)
+            await cluster.run()
         finally:
             await cluster.shutdown()
         return cluster, observer

@@ -17,7 +17,6 @@ over real transports.  These tests hold it to that:
 
 import pytest
 
-from repro.runtime import run_cluster_sync
 from repro.scenario import Scenario
 from repro.scenario import run as run_scenario
 
@@ -29,10 +28,10 @@ SEEDS = [0, 1, 2]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unanimous_decisions_match_the_simulator(protocol, bit, seed):
     sim = run_scenario(Scenario(protocol=protocol, n=4, proposals=bit, seed=seed))
-    run = run_cluster_sync(
-        4, protocol=protocol, proposals=bit, seed=seed,
-        transport="local", timeout=30.0,
-    )
+    run = run_scenario(Scenario(
+        protocol=protocol, proposals=bit, seed=seed,
+        fabric="local", timeout=30.0,
+    ))
     assert sim.decided_values == run.decided_values == {bit}
     assert len(run.decisions) == 4, "every node decides"
 
@@ -45,10 +44,10 @@ def test_split_proposals_agree_in_both_worlds(protocol):
     )
     # run() applies build_result's checks: agreement + validity +
     # integrity + liveness, same checker as the sim fabric.
-    run = run_cluster_sync(
-        4, protocol=protocol, proposals=[0, 1, 0, 1], seed=seed,
-        transport="local", timeout=30.0,
-    )
+    run = run_scenario(Scenario(
+        protocol=protocol, proposals=[0, 1, 0, 1], seed=seed,
+        fabric="local", timeout=30.0,
+    ))
     assert len(sim.decided_values) == 1
     assert len(run.decided_values) == 1
     assert run.decided_values <= {0, 1}
@@ -85,9 +84,9 @@ def test_local_coin_bits_are_identical_across_worlds():
 
 
 def test_runtime_with_silent_fault_matches_fault_free_validity():
-    run = run_cluster_sync(
-        4, t=1, proposals=1, seed=7, faults={3: "silent"},
-        transport="local", timeout=30.0,
-    )
+    run = run_scenario(Scenario(
+        t=1, proposals=1, seed=7, faults={3: "silent"},
+        fabric="local", timeout=30.0,
+    ))
     assert run.decided_values == {1}
     assert sorted(run.decisions) == [0, 1, 2]

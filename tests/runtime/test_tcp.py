@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.net.auth import KeyRing
-from repro.runtime import TcpTransport, binarycodec, run_cluster_sync
+from repro.runtime import TcpTransport, binarycodec
 from repro.runtime.codec import WireBatch
+from repro.scenario import Scenario, run
 from repro.runtime.tcp import (
     _BIN_BODY_AT, _BIN_HEADER, _MAC_LEN, BINARY_MAGIC, MAX_FRAME, WIRE_VERSION,
     encode_binary_frame,
@@ -26,9 +27,9 @@ from repro.types import StepValue
 
 
 def test_tcp_loopback_consensus_n4_t1():
-    result = run_cluster_sync(
-        4, t=1, protocol="bracha", transport="tcp", seed=0, timeout=30.0
-    )
+    result = run(Scenario(
+        t=1, protocol="bracha", fabric="tcp", seed=0, timeout=30.0
+    ))
     assert len(result.decided_values) == 1
     assert len(result.decisions) == 4
     assert result.metrics.counter("frames_rejected") == 0
@@ -36,18 +37,18 @@ def test_tcp_loopback_consensus_n4_t1():
 
 
 def test_tcp_loopback_with_silent_fault():
-    result = run_cluster_sync(
-        4, t=1, protocol="bracha", transport="tcp", seed=1,
+    result = run(Scenario(
+        t=1, protocol="bracha", fabric="tcp", seed=1,
         faults={2: "silent"}, timeout=30.0,
-    )
+    ))
     assert len(result.decided_values) == 1
     assert sorted(result.decisions) == [0, 1, 3]
 
 
 def test_tcp_loopback_benor():
-    result = run_cluster_sync(
-        4, protocol="benor", transport="tcp", seed=2, timeout=30.0
-    )
+    result = run(Scenario(
+        protocol="benor", fabric="tcp", seed=2, timeout=30.0
+    ))
     assert len(result.decided_values) == 1
 
 

@@ -117,12 +117,10 @@ class TestValidation:
             Scenario(proposals=scalar)
 
     def test_non_bit_scalar_never_reaches_a_cluster_node(self):
-        """``run_cluster_sync(4, proposals=2)`` used to die with a bare
+        """A ``local`` run with ``proposals=2`` used to die with a bare
         ValueError from inside a node."""
-        from repro.runtime import run_cluster_sync
-
         with pytest.raises(ConfigError, match="scalar proposal must be 0 or 1"):
-            run_cluster_sync(4, proposals=2, transport="local")
+            Scenario(proposals=2, fabric="local")
 
     @pytest.mark.parametrize("fabric", ["sim", "local", "tcp", "mp"])
     def test_unknown_fault_kind_rejected_at_construction(self, fabric):
@@ -181,8 +179,18 @@ class TestCanonicalization:
             s.replace(n=4)  # 2 faults exceed t=1
 
     def test_replace_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown scenario field\(s\) \['fabrics'\]"):
             Scenario().replace(fabrics="tcp")
+
+    def test_replace_names_the_field_a_wrong_type_was_given_for(self):
+        # Used to read "unknown scenario field: '<' not supported ...":
+        # replace() took any TypeError for a misspelt field name.
+        with pytest.raises(ConfigError, match="need n >= 1"):
+            Scenario().replace(n="4")
+        with pytest.raises(ConfigError, match="need base_port in 0..65535"):
+            Scenario().replace(base_port=65536)
+        with pytest.raises(ConfigError, match="host must be a string"):
+            Scenario().replace(host=5)
 
     def test_coin_defaults_follow_protocol(self):
         assert Scenario(protocol="bracha").coin_name == "local"
