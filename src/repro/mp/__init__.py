@@ -5,7 +5,7 @@ Four pieces (see docs/deployment.md):
 * :mod:`repro.mp.bundle` — the ``repro dealer`` bootstrap: per-node
   JSON bundles (pairwise MAC keys, coin seeds, dealer shares) plus a
   shared run manifest (addresses, scenario hash);
-* :mod:`repro.mp.noderunner` — the ``repro node`` entry point: one
+* :mod:`repro.mp.noderunner` — what ``repro node`` runs: one
   :class:`~repro.runtime.node.Node` over
   :class:`~repro.runtime.tcp.TcpTransport` per process;
 * :mod:`repro.mp.orchestrator` — makes ``fabric: "mp"`` a first-class

@@ -22,9 +22,13 @@ Lifecycle:
 5. on deciding (or halting, per the scenario's stop condition) send
    ``done``; on ``stop`` send the full ``result`` readout and exit.
 
-Under the orchestrator this module is imported once by the run's fork
-server (:mod:`repro.mp.zygote`) and :func:`main` runs in a forked child
-per node; ``repro node`` execs the same code for standalone use.
+The node itself is built by :func:`~repro.runtime.node.assemble_node`,
+the code :class:`~repro.runtime.cluster.Cluster` builds its nodes with;
+the runner keeps what is the mp fabric's own: the bundle and manifest
+checks, bind and dial, the control channel and WAL replay.  ``repro
+node`` (:mod:`repro.cli`) is the one entry point: the run's fork server
+(:mod:`repro.mp.zygote`) runs it in a forked child per node, and a
+standalone node execs it.
 
 Without a control endpoint the runner is standalone (manual multi-host
 operation): it proposes as soon as its peers are dialled, prints the
@@ -40,25 +44,21 @@ node only consults the streams of its own outbound links.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import json
 import sys
 import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
-from ..netem import LinkPolicy, ReliableLink, WallClock
-from ..netem.reliable import SEQ_EPOCH_SPAN
+from ..netem import LinkPolicy, WallClock
 from ..recovery.wal import WalWriter, read_wal, replay, validate_header
 from ..obs import Observer
 from ..obs.observer import DEFAULT_RING_CAPACITY, parse_observe
 from ..obs.sinks import RingSink
-from ..outcome import NodeReport
-from ..runtime.node import Node, NodeNetwork
+from ..runtime.node import Node, assemble_node
 from ..runtime.tcp import TcpTransport
-from ..sim.effects import CausalStamper
-from ..sim.process import Process
-from ..stacks import ProtocolPlan, build_plan_behavior
+from ..stacks import ProtocolPlan
 from .bundle import NodeBundle, RunManifest, load_bundle, load_manifest
 from .control import MAX_CONTROL_LINE, parse_endpoint, read_msg, send_msg
 
@@ -81,7 +81,6 @@ class NodeRunner:
         self.wal_path = wal_path
         self.recovering = recover
         self.attempt = int(attempt)
-        self._wal_writer: Optional[WalWriter] = None
         self._wal_records: Optional[List[Dict[str, Any]]] = None
         self.replay_stats: Dict[str, Any] = {}
         self._replayed = asyncio.Event()
@@ -102,21 +101,6 @@ class NodeRunner:
             )
         self.plan = ProtocolPlan.for_scenario(self.scenario)
         self.proposals = self.plan.default_proposals(self.scenario.proposals)
-        faults = self.scenario.faults_dict()
-        spec = faults.get(self.pid)
-        kind = spec if isinstance(spec, str) else (spec or {}).get("kind")
-        # 'kill' and 'restart' faults are the orchestrator's job (SIGKILL
-        # mid-run, and for restart a later WAL-recovered respawn); until
-        # the signal lands this node is simply honest — which is exactly
-        # what a real crash fault means.
-        self.fault_spec = None if kind in ("kill", "restart") else spec
-        self.network = NodeNetwork(self.pid, self.params, seed=self.scenario.seed)
-        if self.attempt:
-            # A respawned incarnation restarts its per-sender sequence
-            # counters; a fresh causal-id epoch keeps its stamps disjoint
-            # from any still-on-the-wire messages of the dead incarnation
-            # (same move as the link-layer seq_base below).
-            self.network.stamper = CausalStamper(epoch=self.attempt)
         self.observer: Optional[Observer] = None
         mode, arg = parse_observe(self.scenario.observe)
         if mode != "off":
@@ -125,19 +109,12 @@ class NodeRunner:
             # shipped events into it.
             capacity = arg if mode == "ring" else DEFAULT_RING_CAPACITY
             self.observer = Observer(RingSink(capacity))
-            self.network.observer = self.observer
 
-        self.modules: Optional[List[Any]] = None
         self.node: Optional[Node] = None
-        self.transport: Any = None
         self._tcp: Optional[TcpTransport] = None
         self._policy: Optional[LinkPolicy] = None
         self._clock: Optional[WallClock] = None
         self._zero = time.monotonic()
-        self._decide_time: Optional[float] = None
-        self._decide_count = 0
-        self._stopped = asyncio.Event()
-        self._satisfied = asyncio.Event()  # the scenario's stop predicate
 
     # -- assembly ------------------------------------------------------------
 
@@ -158,74 +135,33 @@ class NodeRunner:
         await self._tcp.start()
 
     async def connect(self, retry_for: float = CONNECT_RETRY) -> None:
-        """Dial every peer (retrying while they boot) and build the node."""
-        netem = self.scenario.netem_config()
+        """Dial every peer (retrying while they boot) and build the node,
+        its proposal (or, recovering, its WAL replay) queued."""
         self._tcp.set_peers(self.manifest.addresses)
         await self._tcp.connect(retry_for=retry_for)
         if self._clock is not None:
             self._clock.start()
-        self.transport = self._tcp
-        if netem is not None and netem.retransmit:
-            policy, src = self._policy, self.pid
-            self.transport = ReliableLink(
-                self._tcp, self._clock,
-                rto=netem.rto, max_retries=netem.max_retries,
-                severed=lambda dest, now: policy.severed(src, dest, now),
-                observer=self.observer,
-                # A recovered incarnation must not reuse link sequence
-                # numbers its peers already filtered: one epoch per
-                # restart attempt keeps every new frame above the old
-                # incarnation's reachable range.
-                seq_base=self.attempt * SEQ_EPOCH_SPAN,
-            )
-            self.transport.start_scan()
-
-        if self.fault_spec is not None:
-            target: Any = build_plan_behavior(
-                self.pid, self.fault_spec, self.network, self.params,
-                self.plan, self.proposals,
-            )
-        else:
-            process = Process(self.pid, self.network, self.params)  # type: ignore[arg-type]
-            process.on_decide = self._on_decide
-            self.modules = self.plan.build(process)
-            target = process
-        self.node = Node(
-            self.pid, self.network, self.transport, target,
-            on_activation=self._on_activation,
-            batching=self.scenario.batching,
+        self.node = assemble_node(
+            self.scenario, self.pid, self._tcp, self.plan, self.proposals,
+            self._elapsed, observer=self.observer, policy=self._policy,
+            clock=self._clock, attempt=self.attempt,
+            wal_path=None if self.recovering else self.wal_path,
+            wal_header={"run_id": self.manifest.run_id,
+                        "scenario_hash": self.manifest.digest},
+            propose=not self.recovering,
         )
-        if self.wal_path is not None and not self.recovering:
-            self._wal_writer = WalWriter.open(self.wal_path, {
-                "run_id": self.manifest.run_id,
-                "scenario_hash": self.manifest.digest,
-                "node": self.pid,
-                "seed": self.scenario.seed,
-                "protocol": self.scenario.protocol,
-                "instances": self.scenario.instances,
-            })
-            self.node.wal = self._wal_writer
+        if self.recovering and self.node.modules is not None:
+            self._schedule_replay()
 
     def start_clock(self) -> None:
         """Zero the run timeline (called at the ``go`` barrier)."""
         self._zero = time.monotonic()
         if self.observer is not None:
-            self.observer.bind_clock(lambda: time.monotonic() - self._zero)
+            self.observer.bind_clock(self._elapsed)
 
-    def propose(self) -> None:
-        if self.modules is None:
-            return
-        if self.recovering:
-            self._schedule_replay()
-            return
-        modules, pid, bit = self.modules, self.pid, self.proposals[self.pid]
-
-        def action() -> None:
-            if self._wal_writer is not None:
-                self._wal_writer.append_propose(bit)
-            self.plan.propose(modules, pid, bit)
-
-        self.node.queue_action(action)
+    def _elapsed(self) -> float:
+        """Seconds since the ``go`` barrier: this node's run timeline."""
+        return time.monotonic() - self._zero
 
     def _schedule_replay(self) -> None:
         """Queue the WAL replay as the node task's first action.
@@ -236,23 +172,23 @@ class NodeRunner:
         twice.
         """
         records = self._wal_records or []
-        modules, pid = self.modules, self.pid
+        node, pid = self.node, self.pid
+        modules = node.modules
 
         def action() -> None:
             started = time.monotonic()
             stats = replay(
                 records,
                 lambda value: self.plan.propose(modules, pid, value),
-                self.node.target.deliver,
+                node.target.deliver,
             )
-            self._wal_writer = WalWriter.resume(
+            node.wal = WalWriter.resume(
                 self.wal_path, len(records) + 1  # + the header record
             )
-            self.node.wal = self._wal_writer
             if not stats["proposed"]:
                 # Killed before the proposal was logged: propose fresh.
                 bit = self.proposals[pid]
-                self._wal_writer.append_propose(bit)
+                node.wal.append_propose(bit)
                 self.plan.propose(modules, pid, bit)
             self.replay_stats = {
                 "replayed": stats["replayed"],
@@ -265,48 +201,14 @@ class NodeRunner:
                 )
             self._replayed.set()
 
-        self.node.queue_action(action)
-
-    # -- progress ------------------------------------------------------------
-
-    def _on_decide(self, effect: Any) -> None:
-        self._decide_count += 1
-        if self._decide_time is None:
-            self._decide_time = time.monotonic() - self._zero
-        if self.observer is not None:
-            self.observer.emit(
-                "decide", node=self.pid, instance=effect.module,
-                round=effect.round, detail=effect.value,
-            )
-
-    def _on_activation(self, _node: Node) -> None:
-        if self.modules is None or self._satisfied.is_set():
-            return
-        check = (
-            self.plan.halted if self.scenario.stop == "halted"
-            else self.plan.decided
-        )
-        if check(self.modules):
-            self._satisfied.set()
-
-    # -- readout -------------------------------------------------------------
-
-    def report(self) -> NodeReport:
-        """This node's readout — ``report().to_dict()`` is the ``result``
-        control message."""
-        return NodeReport.from_modules(
-            self.pid, self.modules, self.network.sent_by_kind,
-            delivered=self.node.messages_delivered,
-            decide_time=self._decide_time,
-            module_decisions=self._decide_count,
-            node=self.node, transport=self.transport, policy=self._policy,
-        )
+        node.queue_action(action)
 
     async def shutdown(self, task: Optional[asyncio.Task]) -> None:
-        if self._wal_writer is not None:
-            self._wal_writer.close()
-        if self.transport is not None:
-            await self.transport.close()
+        node = self.node
+        if node is not None and node.wal is not None:
+            node.wal.close()
+        if node is not None:
+            await node.transport.close()
         elif self._tcp is not None:
             await self._tcp.close()
         if self._clock is not None:
@@ -370,15 +272,14 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
         # not the boot-time retry budget — the send path redials later.
         await runner.connect(retry_for=0.0)
         runner.start_clock()
-        runner.propose()
         task = asyncio.ensure_future(runner.node.run())
 
         async def report_done() -> None:
-            await runner._satisfied.wait()
+            await runner.node.done.wait()
             async with send_lock:
                 await send_msg(writer, {
                     "type": "done", "node": runner.pid,
-                    "decide_time": runner._decide_time,
+                    "decide_time": runner.node.decide_time,
                 })
 
         side_tasks = [asyncio.ensure_future(report_done())]
@@ -409,7 +310,7 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
                 side.cancel()
             await asyncio.gather(*side_tasks, return_exceptions=True)
         if message is not None:  # a real 'stop', not an orphaning EOF
-            result = runner.report().to_dict()
+            result = runner.node.report().to_dict()
             if runner.observer is not None:
                 # The captured ring rides along for the orchestrator's
                 # merged event stream; it is not part of the report.
@@ -437,68 +338,26 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
 
 
 async def _run_standalone(runner: NodeRunner, linger: float) -> int:
-    import json as _json
-
     await runner.bind()
     host, port = runner._tcp.address
     print(f"node {runner.pid} listening on {host}:{port}", file=sys.stderr)
     await runner.connect()
     runner.start_clock()
-    runner.propose()
     task = asyncio.ensure_future(runner.node.run())
     try:
         timeout = runner.scenario.timeout
         try:
-            await asyncio.wait_for(runner._satisfied.wait(), timeout)
+            await asyncio.wait_for(runner.node.done.wait(), timeout)
         except asyncio.TimeoutError:
             print(f"node {runner.pid}: timeout after {timeout}s",
                   file=sys.stderr)
             return 1
         # Keep serving peers that are still catching up before exiting.
         await asyncio.sleep(linger)
-        print(_json.dumps(runner.report().to_dict(), sort_keys=True))
+        print(json.dumps(runner.node.report().to_dict(), sort_keys=True))
         return 0
     finally:
         await runner.shutdown(task)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro node",
-        description="run one consensus node (one OS process) from a dealt bundle",
-    )
-    parser.add_argument("--manifest", required=True, help="manifest.json path")
-    parser.add_argument("--bundle", required=True, help="node-<pid>.json path")
-    parser.add_argument("--control", default=None, metavar="HOST:PORT",
-                        help="orchestrator control endpoint (omit for "
-                             "standalone operation)")
-    parser.add_argument("--linger", type=float, default=5.0,
-                        help="standalone: seconds to keep serving peers "
-                             "after deciding")
-    parser.add_argument("--wal", default=None, metavar="FILE",
-                        help="write a crash-recovery WAL to FILE")
-    parser.add_argument("--recover", default=None, metavar="FILE",
-                        help="boot by replaying the WAL at FILE, then "
-                             "keep appending to it")
-    parser.add_argument("--attempt", type=int, default=0,
-                        help="restart attempt number (with --recover); "
-                             "selects the link-layer sequence epoch")
-    args = parser.parse_args(argv)
-    if args.wal is not None and args.recover is not None:
-        parser.error("--wal and --recover are mutually exclusive")
-    try:
-        return asyncio.run(run_node(
-            args.manifest, args.bundle, control=args.control,
-            linger=args.linger, wal=args.wal, recover=args.recover,
-            attempt=args.attempt,
-        ))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
-
-
-__all__ = ["NodeRunner", "main", "run_node"]
+__all__ = ["NodeRunner", "run_node"]

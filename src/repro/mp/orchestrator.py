@@ -165,20 +165,17 @@ class MpOrchestrator:
         # are built (identically) inside each node process.
         self.plan = ProtocolPlan.for_scenario(scenario)
         self.proposals = self.plan.default_proposals(scenario.proposals)
-        faults = scenario.faults_dict()
-        self.kills: Dict[ProcessId, float] = {}
-        for pid, spec in faults.items():
-            kind = spec if isinstance(spec, str) else spec.get("kind")
-            if kind == "kill":
-                after = 0.0 if isinstance(spec, str) else spec.get("after", 0.0)
-                self.kills[pid] = float(after)
+        self.kills: Dict[ProcessId, float] = {
+            pid: float(spec.get("after", 0.0))
+            for pid, spec in scenario.fault_specs("kill").items()
+        }
         #: pid -> {"after", "down", "max_restarts"} for restart faults.
         #: A restart node is *correct* — it is SIGKILLed, recovered from
         #: its WAL, and then held to the same outcome checks as every
         #: other correct node (it still counts toward the t budget).
-        self.restarts: Dict[ProcessId, Dict[str, Any]] = scenario.restart_specs()
+        self.restarts = scenario.fault_specs("restart")
         self.recovery_mode, self.wal_dir = parse_recovery(scenario.recovery)
-        self.faulty: Set[ProcessId] = set(faults) - set(self.restarts)
+        self.faulty = set(scenario.faults_dict()) - set(self.restarts)
         self.correct: Set[ProcessId] = set(range(scenario.n)) - self.faulty
 
         self.procs: Dict[ProcessId, _NodeProc] = {}
@@ -434,8 +431,8 @@ class MpOrchestrator:
 
     async def _spawn(self, pid: ProcessId,
                      extra: Optional[List[str]] = None) -> _NodeProc:
-        """Have the zygote fork node ``pid`` running
-        ``noderunner.main(argv)``; its handle, once ``spawned`` is in."""
+        """Have the zygote fork node ``pid`` running ``repro node`` with
+        these arguments; its handle, once ``spawned`` is in."""
         spawned = asyncio.get_running_loop().create_future()
         self._forking[pid] = spawned
         try:

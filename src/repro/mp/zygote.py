@@ -1,11 +1,11 @@
 """The mp fabric's fork server: import once, fork n.
 
 ``python -m repro.mp.zygote`` is exec'd fresh by the orchestrator, once
-per run.  It imports :mod:`repro.mp.noderunner` (the ~0.2 s every node
-used to pay for itself), freezes the heap, and then turns each
-``spawn`` line on stdin into a forked child that runs the unchanged
-``noderunner.main(argv)``.  The vocabulary, in the newline-JSON framing
-of :mod:`repro.mp.control`:
+per run.  It imports :mod:`repro.cli` and :mod:`repro.mp.noderunner`
+(the ~0.2 s every node used to pay for itself), freezes the heap, and
+then turns each ``spawn`` line on stdin into a forked child that runs
+``repro node`` — ``cli.main(["node", *argv])``.  The vocabulary, in the
+newline-JSON framing of :mod:`repro.mp.control`:
 
 orchestrator → zygote (stdin)
     ``spawn``    ``{node, argv, stderr}``: fork one node whose fd 2 is
@@ -78,7 +78,7 @@ def _run_child(main: Any, request: Dict[str, Any],
             start = sorted(allowed)[request["node"] % len(allowed)]
             os.sched_setaffinity(0, {start})
             os.sched_setaffinity(0, allowed)
-        rc = main(request["argv"])
+        rc = main(["node", *request["argv"]])
     except SystemExit as exc:  # argparse rejections leave through here
         rc = exc.code if isinstance(exc.code, int) else 1
     except BaseException:  # noqa: BLE001 - reported, then the process ends
@@ -90,7 +90,8 @@ def _run_child(main: Any, request: Dict[str, Any],
 
 
 def main() -> int:
-    from . import noderunner
+    from .. import cli
+    from . import noderunner  # noqa: F401 - what ``repro node`` imports lazily
 
     # Everything imported so far is shared with every child; moving it
     # to the permanent generation keeps a child's first collections from
@@ -131,7 +132,7 @@ def main() -> int:
                     request = json.loads(line)
                     os_pid = os.fork()
                     if os_pid == 0:
-                        _run_child(noderunner.main, request, (wake_r, wake_w))
+                        _run_child(cli.main, request, (wake_r, wake_w))
                     children.add(os_pid)
                     _send({"type": "spawned", "node": request["node"],
                            "os_pid": os_pid})

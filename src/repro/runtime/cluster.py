@@ -9,7 +9,10 @@ on its own :class:`~repro.runtime.node.Node` with a private
 :class:`~repro.runtime.node.NodeNetwork`, pumped concurrently over a
 real :class:`~repro.runtime.transport.Transport` ("local" asyncio
 queues or authenticated "tcp"), both carrying the one binary wire
-format.
+format.  Every node is built by
+:func:`~repro.runtime.node.assemble_node`, the code that builds an
+``mp`` node too; the cluster owns only what is shared — the hub or the
+tcp endpoints, the netem clock and policy, the progress wait, shutdown.
 
 The driver can run *many* consensus instances per node in one execution
 (``instances > 1``): Bracha instances share one reliable-broadcast
@@ -33,19 +36,17 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
-from ..adversary.behaviors import ByzantineBehavior
 from ..errors import ConfigError
 from ..net.auth import KeyRing
 from ..obs import MetricsRegistry, Observer, build_profiler
-from ..outcome import NodeReport, build_result
-from ..netem import LinkPolicy, ReliableLink, TickClock, WallClock
+from ..outcome import build_result
+from ..netem import LinkPolicy, TickClock, WallClock
 from ..netem.clock import Clock
-from ..recovery.wal import WalWriter, parse_recovery, wal_filename
+from ..recovery.wal import parse_recovery, wal_filename
 from ..scenario.spec import Scenario
-from ..sim.process import Process
-from ..stacks import ProtocolPlan, build_plan_behavior
+from ..stacks import ProtocolPlan
 from ..types import ProcessId, RunResult
-from .node import Node, NodeNetwork
+from .node import Node, assemble_node
 from .tcp import TcpTransport
 from .transport import LocalHub, Transport
 
@@ -74,7 +75,6 @@ class Cluster:
             )
         self.scenario = scenario
         self.params = scenario.params
-        self.faults = scenario.faults_dict()
         self.netem = scenario.netem_config()
         self.recovery_mode, self.wal_dir = parse_recovery(scenario.recovery)
         self._owns_wal_dir = False
@@ -84,17 +84,12 @@ class Cluster:
         )
 
         self.nodes: Dict[ProcessId, Node] = {}
-        self._wal_writers: Dict[ProcessId, WalWriter] = {}
-        self.stacks: Dict[ProcessId, List[Any]] = {}  # correct nodes only
-        self.behaviors: Dict[ProcessId, ByzantineBehavior] = {}
         self.transports: Dict[ProcessId, Transport] = {}
         self._tasks: List[asyncio.Task] = []
         self._hub: Optional[LocalHub] = None
         self._policy: Optional[LinkPolicy] = None
         self._clock: Optional[Clock] = None
         self._progress = asyncio.Event()
-        self._decision_times: Dict[ProcessId, float] = {}
-        self._decide_counts: Dict[ProcessId, int] = {}
         self._zero = 0.0
         self._started = False
         self.observer = observer
@@ -104,56 +99,37 @@ class Cluster:
         # would multiply histogram storage for no analytical gain here).
         self.profiler = build_profiler(scenario.profile, self.registry)
         if self.observer is not None:
-            # One cluster-wide timeline: seconds since the run loops
-            # launched (the closure reads _zero when each event fires).
-            self.observer.bind_clock(lambda: time.monotonic() - self._zero)
+            self.observer.bind_clock(self._elapsed)
 
     # -- assembly ------------------------------------------------------------
 
     async def start(self) -> "Cluster":
-        """Bind transports, build nodes, and launch every run loop."""
+        """Bind transports, assemble every node, and launch the run loops."""
         if self._started:
             raise ConfigError("cluster already started")
         self._started = True
-        n = self.params.n
         await self._make_transports()
-
-        for pid in range(n):
-            network = NodeNetwork(pid, self.params, seed=self.scenario.seed)
-            network.observer = self.observer
-            if pid in self.faults:
-                behavior = build_plan_behavior(
-                    pid, self.faults[pid], network, self.params,
-                    self.plan, self.proposals,
-                )
-                self.behaviors[pid] = behavior
-                target: Any = behavior
-            else:
-                process = Process(pid, network, self.params)  # type: ignore[arg-type]
-                process.on_decide = (
-                    lambda effect, p=pid: self._handle_decide(p, effect)
-                )
-                modules = self.plan.build(process)
-                self.stacks[pid] = modules
-                target = process
-            node = Node(
-                pid, network, self.transports[pid], target,
-                on_activation=self._on_activation,
-                batching=self.scenario.batching,
+        if self.recovery_mode == "wal" and self.wal_dir is None:
+            # ``recovery: "wal"`` names no directory: log into a temp dir
+            # shutdown() removes.  ``wal:DIR`` files are the caller's.
+            self.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
+            self._owns_wal_dir = True
+        scenario = self.scenario
+        for pid, transport in list(self.transports.items()):
+            node = assemble_node(
+                scenario, pid, transport, self.plan, self.proposals,
+                self._elapsed, observer=self.observer, policy=self._policy,
+                clock=self._clock,
+                wal_path=(
+                    None if self.wal_dir is None
+                    else os.path.join(self.wal_dir, wal_filename(pid))
+                ),
+                wal_header={"run_id": f"{scenario.fabric}-{scenario.seed}"},
+                on_activation=lambda _node: self._progress.set(),
             )
             node.profiler = self.profiler
             self.nodes[pid] = node
-
-        if self.recovery_mode == "wal":
-            self._attach_wals()
-
-        # Queue proposals before the run loops start so every correct
-        # node proposes immediately after its modules' start() hooks.
-        for pid, modules in self.stacks.items():
-            bit = self.proposals[pid]
-            self.nodes[pid].queue_action(
-                lambda m=modules, p=pid, b=bit: self._propose(p, m, b)
-            )
+            self.transports[pid] = node.transport
 
         self._zero = time.monotonic()
         self._tasks = [
@@ -161,38 +137,10 @@ class Cluster:
         ]
         return self
 
-    def _attach_wals(self) -> None:
-        """Open one WAL per correct node and hook it into the pump.
-
-        The header binds each file to this exact run (seed, protocol,
-        instances), so a recovery boot against the wrong scenario is
-        refused rather than replayed into nonsense.
-        """
-        if self.wal_dir is None:
-            # ``recovery: "wal"`` names no directory: log into a temp dir
-            # shutdown() removes.  ``wal:DIR`` files are the caller's.
-            self.wal_dir = tempfile.mkdtemp(prefix="repro-wal-")
-            self._owns_wal_dir = True
-        scenario = self.scenario
-        for pid in self.stacks:
-            writer = WalWriter.open(
-                os.path.join(self.wal_dir, wal_filename(pid)),
-                {
-                    "run_id": f"{scenario.fabric}-{scenario.seed}",
-                    "node": pid,
-                    "seed": scenario.seed,
-                    "protocol": scenario.protocol,
-                    "instances": scenario.instances,
-                },
-            )
-            self._wal_writers[pid] = writer
-            self.nodes[pid].wal = writer
-
-    def _propose(self, pid: ProcessId, modules: List[Any], bit: Any) -> None:
-        writer = self._wal_writers.get(pid)
-        if writer is not None:
-            writer.append_propose(bit)
-        self.plan.propose(modules, pid, bit)
+    def _elapsed(self) -> float:
+        """Seconds since the run loops launched: the one cluster-wide
+        timeline of decide times and events."""
+        return time.monotonic() - self._zero
 
     async def _make_transports(self) -> None:
         n, scenario = self.params.n, self.scenario
@@ -231,46 +179,6 @@ class Cluster:
             self.transports = dict(endpoints)
         if self.netem is not None:
             self._clock.start()
-        if self.netem is not None and self.netem.retransmit:
-            # Every node gets the link layer (uniform framing); the
-            # eventual-delivery guarantee it provides only binds between
-            # correct endpoints — a faulty peer may ignore the
-            # discipline, and its unacked frames die after max_retries.
-            # Resends pause for scripted partitions (severed) so the
-            # retry budget is spent on unresponsive peers, not windows
-            # the scenario promised would heal.
-            policy = self._policy
-            self.transports = {
-                pid: ReliableLink(
-                    t, self._clock,
-                    rto=self.netem.rto, max_retries=self.netem.max_retries,
-                    severed=(
-                        lambda dest, now, src=pid: policy.severed(src, dest, now)
-                    ),
-                    observer=self.observer,
-                )
-                for pid, t in self.transports.items()
-            }
-            for t in self.transports.values():
-                t.start_scan()
-
-    # -- progress tracking ---------------------------------------------------
-
-    def _handle_decide(self, pid: ProcessId, effect: Any) -> None:
-        """A module surfaced a Decide effect: count it, emit the event."""
-        self._decide_counts[pid] = self._decide_counts.get(pid, 0) + 1
-        if self.observer is not None:
-            self.observer.emit(
-                "decide", node=pid, instance=effect.module,
-                round=effect.round, detail=effect.value,
-            )
-
-    def _on_activation(self, node: Node) -> None:
-        modules = self.stacks.get(node.pid)
-        if modules is not None and node.pid not in self._decision_times:
-            if self.plan.decided(modules):
-                self._decision_times[node.pid] = time.monotonic() - self._zero
-        self._progress.set()
 
     # -- execution -----------------------------------------------------------
 
@@ -287,15 +195,11 @@ class Cluster:
             await self.start()
         scenario = self.scenario
         timeout = scenario.timeout
-        done = self.plan.decided if scenario.stop == "decided" else self.plan.halted
-
-        def predicate() -> bool:
-            return all(done(modules) for modules in self.stacks.values())
-
+        correct = [node for node in self.nodes.values() if node.modules is not None]
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         timed_out = False
-        while not predicate():
+        while not all(node.done.is_set() for node in correct):
             self._crash_check()
             remaining = deadline - loop.time()
             if remaining <= 0:
@@ -313,23 +217,13 @@ class Cluster:
 
         failures = []
         if timed_out:
-            missing = sorted(
-                pid for pid, modules in self.stacks.items()
-                if not self.plan.decided(modules)
-            )
+            missing = [
+                node.pid for node in correct
+                if not self.plan.decided(node.modules)
+            ]
             failures.append(
                 f"timeout after {timeout}s; nodes still undecided: {missing}"
             )
-        reports = [
-            NodeReport.from_modules(
-                pid, self.stacks.get(pid), node.network.sent_by_kind,
-                delivered=node.messages_delivered,
-                decide_time=self._decision_times.get(pid),
-                module_decisions=self._decide_counts.get(pid, 0),
-                node=node, transport=self.transports[pid], policy=self._policy,
-            )
-            for pid, node in self.nodes.items()
-        ]
         meta: Dict[str, Any] = {
             "transport": scenario.fabric, "protocol": scenario.protocol,
             "instances": scenario.instances, "batching": scenario.batching,
@@ -337,14 +231,15 @@ class Cluster:
         }
         if self.recovery_mode == "wal":
             meta["recovery"] = {"mode": "wal", "dir": self.wal_dir}
-            self.registry.count(
-                "wal_records",
-                sum(w.next_seq for w in self._wal_writers.values()),
-            )
+            self.registry.count("wal_records", sum(
+                node.wal.next_seq for node in correct
+            ))
         return build_result(
-            reports, correct=self.stacks, faulty=self.behaviors,
+            [node.report() for node in self.nodes.values()],
+            correct=[node.pid for node in correct],
+            faulty=[pid for pid, node in self.nodes.items() if node.modules is None],
             proposals=self.proposals, params=self.params, check=check,
-            elapsed=time.monotonic() - self._zero, registry=self.registry,
+            elapsed=self._elapsed(), registry=self.registry,
             meta=meta, failures=failures,
         )
 
@@ -355,8 +250,9 @@ class Cluster:
 
     async def shutdown(self) -> None:
         """Close transports, netem machinery, WALs, and all node tasks."""
-        for writer in self._wal_writers.values():
-            writer.close()
+        for node in self.nodes.values():
+            if node.wal is not None:
+                node.wal.close()
         if self._owns_wal_dir:
             shutil.rmtree(self.wal_dir, ignore_errors=True)
         await asyncio.gather(

@@ -35,6 +35,11 @@ the simulator's shared :class:`~repro.sim.rng.SplitRng` does — so a
 seeded local-coin sequence is identical under the simulator and under
 any runtime transport, which is what makes the sim-vs-runtime parity
 tests meaningful.
+
+**Assembly.**  :func:`assemble_node` builds one node of a scenario, and
+it is the only place that does: :class:`~repro.runtime.cluster.Cluster`
+calls it n times in one interpreter (``local``, ``tcp``), and
+:class:`~repro.mp.noderunner.NodeRunner` once per OS process (``mp``).
 """
 
 from __future__ import annotations
@@ -42,17 +47,29 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Mapping, Optional, Set,
+    Tuple,
+)
 
 from ..errors import ReproError
+from ..netem import ReliableLink
+from ..netem.reliable import SEQ_EPOCH_SPAN
+from ..outcome import NodeReport
 from ..params import ProtocolParams
+from ..recovery.wal import WalWriter
 from ..sim.effects import CausalStamper, parse_batching
 from ..sim.network import payload_kind
 from ..sim.process import Process
 from ..sim.rng import SplitRng
+from ..stacks import ProtocolPlan, build_plan_behavior
 from ..types import ProcessId
 from .codec import Stamped, WireBatch
 from .transport import Transport, TransportClosed
+
+if TYPE_CHECKING:
+    from ..netem import Clock, LinkPolicy
+    from ..scenario.spec import Scenario
 
 
 class NodeNetwork:
@@ -82,8 +99,8 @@ class NodeNetwork:
         #: :class:`~repro.runtime.codec.Stamped` so the id survives the
         #: wire; the receiving node strips it before the protocol sees
         #: the message.  Crash-recovered incarnations get a fresh epoch
-        #: (:mod:`repro.mp.noderunner`) so their ids cannot collide with
-        #: ones the dead incarnation already sent.
+        #: (``attempt`` in :func:`assemble_node`) so their ids cannot
+        #: collide with ones the dead incarnation already sent.
         self.stamper = CausalStamper()
         self._clock_zero = time.monotonic()
 
@@ -188,6 +205,17 @@ class Node:
         #: Optional :class:`~repro.obs.profile.SpanProfiler` timing the
         #: flush path and WAL appends (``profile: on``).
         self.profiler: Optional[Any] = None
+        #: Filled in by :func:`assemble_node` and read out by
+        #: :meth:`report`: a correct node's decision modules (``None``
+        #: for a Byzantine target), the netem policy its links run
+        #: through, its first-Decide time on the run's timeline and the
+        #: modules that have decided.
+        self.modules: Optional[List[Any]] = None
+        self.policy: Optional[Any] = None
+        self.decide_time: Optional[float] = None
+        self.decided_modules: Set[Any] = set()
+        #: Set once the scenario's ``stop`` condition holds at this node.
+        self.done = asyncio.Event()
         self._proposals: Deque[Callable[[], None]] = deque()
 
     # -- cluster-side controls ------------------------------------------------
@@ -196,6 +224,17 @@ class Node:
         """Schedule a synchronous protocol action (e.g. ``propose``) to run
         inside the node's own task, before it consumes its inbox."""
         self._proposals.append(action)
+
+    def report(self) -> NodeReport:
+        """This node's readout for :func:`~repro.outcome.build_result`;
+        its ``to_dict()`` is the mp fabric's ``result`` message."""
+        return NodeReport.from_modules(
+            self.pid, self.modules, self.network.sent_by_kind,
+            delivered=self.messages_delivered,
+            decide_time=self.decide_time,
+            module_decisions=len(self.decided_modules),
+            node=self, transport=self.transport, policy=self.policy,
+        )
 
     # -- the run loop ---------------------------------------------------------
 
@@ -336,4 +375,133 @@ class Node:
                 await self.transport.send(dest, batch)
 
 
-__all__ = ["Node", "NodeNetwork"]
+def assemble_node(
+    scenario: "Scenario",
+    pid: ProcessId,
+    transport: Transport,
+    plan: ProtocolPlan,
+    proposals: Mapping[ProcessId, Any],
+    elapsed: Callable[[], float],
+    *,
+    observer: Optional[Any] = None,
+    policy: Optional["LinkPolicy"] = None,
+    clock: Optional["Clock"] = None,
+    attempt: int = 0,
+    wal_path: Optional[str] = None,
+    wal_header: Optional[Mapping[str, Any]] = None,
+    propose: bool = True,
+    on_activation: Optional[Callable[[Node], None]] = None,
+) -> Node:
+    """Build node ``pid`` of ``scenario`` over a bound, connected transport.
+
+    The node runs an honest :class:`~repro.sim.process.Process` with the
+    ``plan``'s stack, or the Byzantine behavior its fault spec names.
+    With netem retransmission on, ``transport`` is wrapped in a
+    :class:`~repro.netem.ReliableLink` (``clock`` and ``policy`` are the
+    caller's netem machinery).  ``attempt`` numbers a crash-recovered
+    incarnation: it selects a fresh causal-id epoch and link-sequence
+    range.  ``elapsed`` is the run's timeline, which stamps the node's
+    first Decide and its ``decide`` events.
+
+    A correct node logs into a WAL at ``wal_path`` (the header is
+    ``wal_header``, naming the run, plus this node's binding fields)
+    and, unless ``propose`` is false (a recovering node replays its
+    logged proposal instead), has its proposal queued — logged before
+    it is applied.  :attr:`Node.done` is set once the scenario's
+    ``stop`` condition holds; ``on_activation`` is called after every
+    activation, after that check.
+    """
+    params = scenario.params
+    network = NodeNetwork(pid, params, seed=scenario.seed)
+    network.observer = observer
+    if attempt:
+        # A respawned incarnation restarts its per-sender sequence
+        # counters; a fresh causal-id epoch keeps its stamps disjoint
+        # from any still-on-the-wire messages of the dead incarnation.
+        network.stamper = CausalStamper(epoch=attempt)
+    netem = scenario.netem_config()
+    if netem is not None and netem.retransmit:
+        # Every node gets the link layer (uniform framing); the
+        # eventual-delivery guarantee it provides only binds between
+        # correct endpoints — a faulty peer may ignore the discipline,
+        # and its unacked frames die after max_retries.  Resends pause
+        # for scripted partitions (severed) so the retry budget is spent
+        # on unresponsive peers, not windows the scenario promised would
+        # heal.
+        transport = ReliableLink(
+            transport, clock, rto=netem.rto, max_retries=netem.max_retries,
+            severed=lambda dest, now: policy.severed(pid, dest, now),
+            observer=observer,
+            # A recovered incarnation must not reuse link sequence
+            # numbers its peers already filtered: one epoch per restart
+            # attempt keeps every new frame above the old incarnation's
+            # reachable range.
+            seq_base=attempt * SEQ_EPOCH_SPAN,
+        )
+        transport.start_scan()
+
+    # 'kill' and 'restart' faults are signals from outside (SIGKILL, and
+    # for restart a WAL-recovered respawn); until one lands the node is
+    # simply honest — which is exactly what a real crash fault means.
+    crashes = {**scenario.fault_specs("kill"), **scenario.fault_specs("restart")}
+    spec = None if pid in crashes else scenario.faults_dict().get(pid)
+    modules: Optional[List[Any]] = None
+    if spec is None:
+        target: Any = Process(pid, network, params)  # type: ignore[arg-type]
+
+        def on_decide(effect: Any) -> None:
+            # The simulator's rule: a node decides at its first Decide,
+            # and each module's decision counts once.
+            if effect.module in node.decided_modules:
+                return
+            node.decided_modules.add(effect.module)
+            now = elapsed()
+            if node.decide_time is None:
+                node.decide_time = now
+            if observer is not None:
+                observer.emit(
+                    "decide", node=pid, instance=effect.module,
+                    round=effect.round, detail=effect.value, time=now,
+                )
+
+        target.on_decide = on_decide
+        modules = plan.build(target)
+    else:
+        target = build_plan_behavior(
+            pid, spec, network, params, plan, proposals
+        )
+    stop = plan.decided if scenario.stop == "decided" else plan.halted
+
+    def activated(node: Node) -> None:
+        if modules is not None and not node.done.is_set() and stop(modules):
+            node.done.set()
+        if on_activation is not None:
+            on_activation(node)
+
+    node = Node(
+        pid, network, transport, target,
+        on_activation=activated, batching=scenario.batching,
+    )
+    node.modules, node.policy = modules, policy
+    if modules is None:
+        return node
+    if wal_path is not None:
+        # The header binds the file to this exact run, so a recovery
+        # boot against the wrong scenario is refused, not replayed.
+        node.wal = WalWriter.open(wal_path, {
+            **(wal_header or {}), "node": pid, "seed": scenario.seed,
+            "protocol": scenario.protocol, "instances": scenario.instances,
+        })
+    if propose:
+        bit = proposals[pid]
+
+        def proposal() -> None:
+            if node.wal is not None:
+                node.wal.append_propose(bit)
+            plan.propose(modules, pid, bit)
+
+        node.queue_action(proposal)
+    return node
+
+
+__all__ = ["Node", "NodeNetwork", "assemble_node"]

@@ -181,7 +181,7 @@ class SimRun:
         stacks: Dict[ProcessId, List[Any]] = {}
         behaviors: Dict[ProcessId, Any] = {}
         restart_nodes: Dict[ProcessId, RestartBehavior] = {}
-        restart_specs = scenario.restart_specs()
+        restart_specs = scenario.fault_specs("restart")
         # ``batching="off"`` flushes each effect eagerly (the historical
         # inline-send path); any other mode drains the outbox per delivery
         # step.  Both produce the same event order for a fixed seed — the

@@ -515,12 +515,14 @@ class Scenario:
                 out[pid] = {k: _thaw(v) for k, v in table.items()}
         return out
 
-    def restart_specs(self) -> Dict[int, Dict[str, Any]]:
-        """The ``restart`` faults only: pid → ``{"after", "down", ...}``."""
+    def fault_specs(self, kind: str) -> Dict[int, Dict[str, Any]]:
+        """The faults of one ``kind`` only: pid → their other fields
+        (``{"after", "down", ...}`` for ``restart``; ``{}`` for a bare
+        kind string)."""
         out: Dict[int, Dict[str, Any]] = {}
         for pid, spec in self.faults:
             table = {k: _thaw(v) for k, v in spec}
-            if table.pop("kind") == "restart":
+            if table.pop("kind") == kind:
                 out[pid] = table
         return out
 

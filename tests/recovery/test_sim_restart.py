@@ -123,7 +123,7 @@ class TestRestartValidation:
             Scenario(n=4, fabric="mp", faults=faults, recovery="wal")
         ok = Scenario(n=4, fabric="mp", faults=faults, recovery="wal",
                       link={"retransmit": True, "rto": 0.1})
-        assert ok.restart_specs() == {3: {"after": 0.1, "down": 0.5}}
+        assert ok.fault_specs("restart") == {3: {"after": 0.1, "down": 0.5}}
 
     def test_restart_scenario_round_trips_through_json(self):
         scenario = Scenario(
@@ -135,4 +135,4 @@ class TestRestartValidation:
         again = Scenario.from_json(scenario.to_json())
         assert again == scenario
         assert again.recovery == "wal"
-        assert again.restart_specs()[3]["max_restarts"] == 2
+        assert again.fault_specs("restart")[3]["max_restarts"] == 2

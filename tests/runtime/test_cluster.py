@@ -5,7 +5,7 @@ import tempfile
 
 import pytest
 
-import repro.runtime.cluster as cluster_module
+import repro.runtime.node as node_module
 from repro.adversary.behaviors import ByzantineBehavior
 from repro.errors import ConfigError, LivenessFailure
 from repro.obs import Observer, RingSink
@@ -109,7 +109,7 @@ def test_an_unroutable_payload_is_dropped_and_counted_not_a_receiver_crash(
     # At commit 2dbad32 the first such frame raised SimulationError out of
     # Process.deliver and Node.run recorded it as a crash of the receiver.
     monkeypatch.setattr(
-        cluster_module, "build_plan_behavior",
+        node_module, "build_plan_behavior",
         lambda pid, spec, network, params, plan, proposals:
             UnroutableSender(pid, network, params),
     )

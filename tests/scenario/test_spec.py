@@ -145,6 +145,13 @@ class TestValidation:
         for kind in BEHAVIOR_KINDS:
             assert Scenario(n=4, faults={3: kind}).faults_dict() == {3: kind}
 
+    def test_fault_specs_selects_one_kind_in_either_spelling(self):
+        s = Scenario(n=10, fabric="mp", faults={
+            1: "kill", 2: {"kind": "kill", "after": 0.5}, 3: "silent"})
+        assert s.fault_specs("kill") == {1: {}, 2: {"after": 0.5}}
+        assert s.fault_specs("silent") == {3: {}}
+        assert s.fault_specs("restart") == {}
+
     @pytest.mark.parametrize("value", [0, -5, True, 1.5, "100"])
     def test_max_steps_must_be_a_positive_integer(self, value):
         with pytest.raises(ConfigError, match="max_steps"):

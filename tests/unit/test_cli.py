@@ -353,6 +353,16 @@ class TestDealerSubcommand:
         assert "one scenario" in capsys.readouterr().err
 
 
+class TestNodeSubcommand:
+    def test_wal_and_recover_together_are_an_error_line(self, capsys):
+        # Refused before either file is opened, on the one `repro node`
+        # parser the mp fork server's children also go through.
+        assert main(["node", "--manifest", "m.json", "--bundle", "b.json",
+                     "--wal", "A", "--recover", "B"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mutually exclusive" in err
+
+
 class TestTraceFileSubcommands:
     @pytest.fixture
     def trace_file(self, tmp_path, capsys):
