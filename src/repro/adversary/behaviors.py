@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from ..params import ProtocolParams
 from ..sim.network import NetworkAPI
 from ..sim.process import Process
-from ..types import Phase, ProcessId
+from ..types import Phase, ProcessId, StepValue
 
 ProcessFactory = Callable[[Process], None]
 """Installs a full protocol stack on a (possibly unregistered) process."""
@@ -260,7 +260,6 @@ class StubbornBidder(ByzantineBehavior):
 
     def start(self) -> None:
         from ..core.broadcast import RbcMessage
-        from ..types import StepValue
 
         for round_ in range(1, self.horizon + 1):
             for step in (1, 2, 3):
@@ -275,6 +274,65 @@ class StubbornBidder(ByzantineBehavior):
         # plausible: echo whatever arrives back as its own READY vote is
         # unnecessary — the n−t correct processes complete every wave.
         pass
+
+
+#: The consensus module whose broadcast names :class:`SquatBehavior`
+#: claims, and how many of its rounds.
+_SQUAT_MODULE = "bracha"
+_SQUAT_HORIZON = 12
+
+
+class SquatBehavior(ByzantineBehavior):
+    """Claims the next process's Bracha consensus broadcasts by name.
+
+    The names ``("bracha", round, step, victim)`` are predictable, so for
+    rounds ``1.._SQUAT_HORIZON`` the squatter INITs each of its victim's
+    — ``(pid + 1) % n`` — under its *own* pid with ``bit``, before the
+    victim can, and answers the first ECHO of each with a READY claiming
+    ``originator=victim``.  Keyed by name alone, a broadcast layer would
+    leave the victim's own INITs unechoed and could accept the
+    squatter's value as the victim's; keyed by ``(instance,
+    originator)``, both are inert.
+    """
+
+    def __init__(
+        self, pid: ProcessId, network: NetworkAPI, params: ProtocolParams,
+        bit: int,
+    ):
+        super().__init__(pid, network, params)
+        self.victim = (pid + 1) % params.n
+        #: Squatted name -> its value, until that name's READY is out.
+        self._unreadied = {
+            (_SQUAT_MODULE, round_, step, self.victim):
+                StepValue(bit, decide=(step == 3))
+            for round_ in range(1, _SQUAT_HORIZON + 1) for step in (1, 2, 3)
+        }
+
+    def start(self) -> None:
+        from ..core.broadcast import RbcMessage
+
+        for instance, value in self._unreadied.items():
+            self.broadcast(
+                ("rbc", RbcMessage(instance, self.pid, Phase.INIT, value))
+            )
+
+    def deliver(self, sender: ProcessId, payload: Any) -> None:
+        from ..core.broadcast import RbcMessage
+
+        if not (isinstance(payload, tuple) and len(payload) == 2):
+            return
+        message = payload[1]
+        if (not isinstance(message, RbcMessage)
+                or message.phase is not Phase.ECHO
+                or message.originator != self.pid):
+            return  # only the echoes of its own squatting INITs
+        try:
+            value = self._unreadied.pop(message.instance, None)
+        except TypeError:
+            return  # an unhashable name is none of ours
+        if value is not None:
+            self.broadcast(("rbc", RbcMessage(
+                message.instance, self.victim, Phase.READY, value)))
 
 
 class FuzzerBehavior(ByzantineBehavior):
@@ -309,7 +367,6 @@ class FuzzerBehavior(ByzantineBehavior):
 
     def _mutate(self, payload: Any, rng: random.Random) -> Any:
         from ..core.broadcast import RbcMessage
-        from ..types import StepValue
 
         choice = rng.randrange(4)
         if choice == 0:
@@ -330,7 +387,9 @@ class FuzzerBehavior(ByzantineBehavior):
 
 
 #: Every fault kind :func:`dispatch_behavior` builds, on every fabric.
-BEHAVIOR_KINDS = ("silent", "crash", "two_faced", "fuzzer", "stubborn")
+BEHAVIOR_KINDS = (
+    "silent", "crash", "two_faced", "fuzzer", "stubborn", "squat",
+)
 
 
 def dispatch_behavior(
@@ -390,6 +449,10 @@ def dispatch_behavior(
         return FuzzerBehavior(pid, network, params, **config)
     if kind == "stubborn":
         return StubbornBidder(pid, network, params, **config)
+    if kind == "squat":
+        # Squat with the bit this process was not dealt.
+        bit = 0 if default_proposal == 1 else 1
+        return SquatBehavior(pid, network, params, bit, **config)
     raise ConfigError(
         f"unknown fault kind {kind!r}; choose from {list(BEHAVIOR_KINDS)}"
     )

@@ -270,6 +270,11 @@ def cmd_dealer(args: argparse.Namespace) -> int:
             f"a dealer run sets up one scenario, got {len(scenarios)}"
         )
     (scenario,) = scenarios
+    if scenario.base_port <= 0:
+        # Port 0 is for nodes an orchestrator readdresses; these are
+        # started by hand, so every peer's port must be in the manifest.
+        raise ReproError("dealing for standalone nodes needs a positive "
+                         "base_port (--set base_port=7000)")
     manifest_path, bundles = deal(scenario, args.out)
     manifest = load_manifest(manifest_path)
     print(f"run       : {manifest.run_id}")

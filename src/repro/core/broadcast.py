@@ -32,26 +32,28 @@ READYs reach everyone and push every correct process past the ``t+1``
 amplification threshold, giving totality.
 
 A single :class:`BroadcastLayer` module multiplexes any number of
-concurrent instances, addressed by hashable instance identifiers; the
+concurrent instances, each kept per ``(instance, originator)`` pair:
+names are predictable, so one process INITing another's name opens a
+pair of its own, and a READY counts toward the pair it names only.  The
 consensus layer runs ``n`` instances per step.  Cost per instance:
 ``n`` INIT + ``n²`` ECHO + ``n²`` READY messages — handling an ECHO or
 a READY is the engine's inner loop, so each is counted in
 ``on_message``'s own frame against thresholds read once at ``bind``.
 
-**What the tallies mean.**  ``instance_state(i).echoes`` / ``.readies``
-map a value to the senders heard *while their message could still
-change an outcome*.  Once this process has sent READY for ``i`` an ECHO
-can trigger nothing further, and once it has accepted, neither can a
-READY: such a message returns before it is tallied.  A tally is thus
-complete up to the point the instance stopped listening in that phase
-(at most the quorum that tripped it, for the value that won), not a
-log of every sender that ever spoke.
+**What the tallies mean.**  ``instance_state(i, o).echoes`` /
+``.readies`` map a value to the senders heard *while their message
+could still change an outcome*.  Once this process has sent READY for
+``(i, o)`` an ECHO can trigger nothing further, and once it has
+accepted, neither can a READY: such a message returns before it is
+tallied.  A tally is thus complete up to the point the instance stopped
+listening in that phase (at most the quorum that tripped it, for the
+value that won), not a log of every sender that ever spoke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..sim.process import Context, ProtocolModule
 from ..types import Phase, ProcessId
@@ -63,8 +65,10 @@ class RbcMessage:
 
     ``instance`` names the broadcast; by convention it is a tuple whose
     last component is the originator's pid, but the layer does not rely
-    on that: ``originator`` is carried explicitly and INIT messages are
-    only honored when the network-level sender *is* the originator.
+    on that: ``originator`` is carried explicitly, INIT messages are
+    only honored when the network-level sender *is* the originator, and
+    every receiver keeps one state per ``(instance, originator)`` pair —
+    a message counts only toward the pair it names.
     """
 
     instance: Hashable
@@ -75,7 +79,7 @@ class RbcMessage:
 
 @dataclass(frozen=True)
 class RbcDelivery:
-    """Upcall event: ``value`` was accepted for ``instance``."""
+    """Upcall event: ``value`` was accepted for ``(instance, originator)``."""
 
     instance: Hashable
     originator: ProcessId
@@ -84,7 +88,7 @@ class RbcDelivery:
 
 @dataclass
 class _InstanceState:
-    """Per-instance bookkeeping at one process."""
+    """Per-``(instance, originator)`` bookkeeping at one process."""
 
     echoed: bool = False
     ready_sent: bool = False
@@ -108,7 +112,7 @@ class BroadcastLayer(ProtocolModule):
 
     def __init__(self, module_id: str = MODULE_ID):
         super().__init__(module_id)
-        self._instances: Dict[Hashable, _InstanceState] = {}
+        self._instances: Dict[Tuple[Hashable, ProcessId], _InstanceState] = {}
         # tag -> listeners that only want instances named ``(tag, ...)``
         self._tagged: Dict[Hashable, List[Callable[[RbcDelivery], None]]] = {}
 
@@ -152,14 +156,14 @@ class BroadcastLayer(ProtocolModule):
             for listener in self._tagged.get(instance[0], ()):
                 listener(event)
 
-    def accepted(self, instance: Hashable) -> bool:
-        """Whether this process has accepted a value for ``instance``."""
-        state = self._instances.get(instance)
+    def accepted(self, instance: Hashable, originator: ProcessId) -> bool:
+        """Whether this process has accepted a value for the pair."""
+        state = self._instances.get((instance, originator))
         return state is not None and state.accepted
 
-    def forget(self, instance: Hashable) -> None:
-        """Drop all state for a finished instance (long-running apps)."""
-        self._instances.pop(instance, None)
+    def forget(self, instance: Hashable, originator: ProcessId) -> None:
+        """Drop all state for a finished pair (long-running apps)."""
+        self._instances.pop((instance, originator), None)
 
     # -- state machine ------------------------------------------------------
 
@@ -178,12 +182,13 @@ class BroadcastLayer(ProtocolModule):
                 self._on_init(sender, payload)
             return
         instance = payload.instance
+        originator = payload.originator
         value = payload.value
         instances = self._instances
         try:
-            state = instances.get(instance)
+            state = instances.get((instance, originator))
             if state is None:
-                state = instances[instance] = _InstanceState()
+                state = instances[instance, originator] = _InstanceState()
             if echo:
                 if state.ready_sent:
                     return  # spent: all an echo quorum does is send READY
@@ -196,7 +201,7 @@ class BroadcastLayer(ProtocolModule):
             if supporters is None:
                 supporters = tally[value] = set()
         except TypeError:
-            return  # an instance or value that cannot key a dict: garbage
+            return  # a field that cannot key a dict: garbage
         supporters.add(sender)
         count = len(supporters)
         assert self.ctx is not None
@@ -205,20 +210,20 @@ class BroadcastLayer(ProtocolModule):
         if count >= needed and not state.ready_sent:
             state.ready_sent = True
             self.ctx.broadcast(
-                RbcMessage(instance, payload.originator, Phase.READY, value)
+                RbcMessage(instance, originator, Phase.READY, value)
             )
         if not echo and count >= self._accept_quorum:
             state.accepted = True
-            self.emit(RbcDelivery(instance, payload.originator, value))
+            self.emit(RbcDelivery(instance, originator, value))
 
     def _on_init(self, sender: ProcessId, msg: RbcMessage) -> None:
         if sender != msg.originator:
             return  # forged INIT: only the originator may start its instance
-        instance = msg.instance
+        key = (msg.instance, sender)
         try:
-            state = self._instances.get(instance)
+            state = self._instances.get(key)
             if state is None:
-                state = self._instances[instance] = _InstanceState()
+                state = self._instances[key] = _InstanceState()
         except TypeError:
             return  # unhashable instance: garbage
         if state.echoed:
@@ -226,13 +231,15 @@ class BroadcastLayer(ProtocolModule):
         state.echoed = True
         assert self.ctx is not None
         self.ctx.broadcast(
-            RbcMessage(instance, msg.originator, Phase.ECHO, msg.value)
+            RbcMessage(msg.instance, sender, Phase.ECHO, msg.value)
         )
 
     # -- inspection (tests and debugging) ---------------------------------
 
-    def instance_state(self, instance: Hashable) -> Optional[_InstanceState]:
-        return self._instances.get(instance)
+    def instance_state(
+        self, instance: Hashable, originator: ProcessId
+    ) -> Optional[_InstanceState]:
+        return self._instances.get((instance, originator))
 
     def open_instances(self) -> int:
         return len(self._instances)

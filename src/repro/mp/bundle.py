@@ -10,7 +10,8 @@ directory:
 
 * ``manifest.json`` — the :class:`RunManifest`: run id, the full
   scenario spec, its hash, and the pid → ``host:port`` listen address
-  table.  The manifest is public; every node reads it.
+  table (port 0: the node binds any free port).  The manifest is
+  public; every node reads it.
 * ``node-<pid>.json`` — one :class:`NodeBundle` per node: the node's
   pairwise MAC keys (only its own — a node can never tag traffic as
   anyone else), the derived per-instance coin seeds, and (for the
@@ -316,24 +317,20 @@ def deal(
     scenario: Scenario,
     out_dir: str,
     addresses: Optional[Mapping[ProcessId, Tuple[str, int]]] = None,
-    base_port: Optional[int] = None,
 ) -> Tuple[str, Dict[ProcessId, str]]:
     """Materialise one run's trusted setup into ``out_dir``.
 
     Either pass explicit ``addresses`` (pid → ``(host, port)``) or let
-    the dealer assign ``scenario.host`` with consecutive ports from
-    ``base_port`` (defaulting to the scenario's ``base_port``).
+    the dealer assign ``scenario.host`` with consecutive ports from the
+    scenario's ``base_port`` — or, when that is 0, port 0 ("bind any
+    free port", for nodes an orchestrator readdresses) for every node.
     Returns ``(manifest_path, {pid: bundle_path})``.
     """
     n = scenario.n
     if addresses is None:
-        first = base_port if base_port is not None else scenario.base_port
-        if first <= 0:
-            raise ConfigError(
-                "dealing needs listen addresses: pass addresses= or a "
-                "positive base_port (port 0 cannot be published in a manifest)"
-            )
-        addresses = {pid: (scenario.host, first + pid) for pid in range(n)}
+        first = scenario.base_port
+        addresses = {pid: (scenario.host, first + pid if first else 0)
+                     for pid in range(n)}
     else:
         addresses = {int(pid): (host, int(port))
                      for pid, (host, port) in addresses.items()}

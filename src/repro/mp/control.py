@@ -5,8 +5,9 @@ band from the protocol's own authenticated links.  The vocabulary is
 deliberately tiny:
 
 node → orchestrator
-    ``hello``     the node is bound, connected, and ready to propose;
-                  a WAL-recovered respawn adds ``recovered: true`` and
+    ``hello``     the node has bound its protocol listener (it dials no
+                  peer before ``go``); carries the ``port`` it bound.
+                  A WAL-recovered respawn adds ``recovered: true`` and
                   its ``attempt`` number
     ``done``      the node's stop predicate (decided/halted) holds
     ``result``    the node's :meth:`~repro.outcome.NodeReport.to_dict`
@@ -17,9 +18,12 @@ node → orchestrator
     ``pong``      liveness probe answer, echoing the ping's ``seq``
 
 orchestrator → node
-    ``go``       the start barrier: every node said hello, propose now
-                 (sent again, alone, to a recovered node's new hello —
+    ``go``       the start barrier: every node said hello; ``peers``
+                 maps every pid to its ``[host, port]``, dial them and
+                 propose now (sent again, alone, to a respawn's hello —
                  the re-barrier of one)
+    ``peer``     a respawned node bound a new port: ``peers`` maps its
+                 pid to its new ``[host, port]``; redial it there
     ``stop``     report your result and exit
     ``ping``     liveness probe; answer with ``pong`` carrying ``seq``
 

@@ -15,12 +15,14 @@ Lifecycle:
 1. read the manifest and this node's bundle; **validate** the bundle
    against the manifest (scenario hash, MAC-key coverage, coin-seed
    derivation, dealer shares) — mismatched setup refuses to boot;
-2. bind the TCP listener at the manifest-assigned address;
-3. connect the control channel, say ``hello``, and wait for ``go``
-   (the orchestrator's start barrier);
+2. bind the TCP listener at the manifest's address (port 0, and any
+   respawn: any free port);
+3. connect the control channel, say ``hello`` with the bound port, and
+   wait for ``go`` (the start barrier, with every peer's address);
 4. dial every peer, start the pump, propose;
 5. on deciding (or halting, per the scenario's stop condition) send
-   ``done``; on ``stop`` send the full ``result`` readout and exit.
+   ``done``; redial a peer a ``peer`` line readdresses; on ``stop``
+   send the full ``result`` readout and exit.
 
 The node itself is built by :func:`~repro.runtime.node.assemble_node`,
 the code :class:`~repro.runtime.cluster.Cluster` builds its nodes with;
@@ -31,9 +33,10 @@ node`` (:mod:`repro.cli`) is the one entry point: the run's fork server
 standalone node execs it.
 
 Without a control endpoint the runner is standalone (manual multi-host
-operation): it proposes as soon as its peers are dialled, prints the
-``result`` JSON to stdout when its stop condition holds, lingers a
-grace period so slower peers can still read from it, and exits.
+operation) and refuses a manifest with a port 0 in it.  It proposes as
+soon as its peers are dialled, prints the ``result`` JSON to stdout
+when its stop condition holds, lingers a grace period so slower peers
+can still read from it, and exits.
 
 Determinism note: every node seeds its :class:`NodeNetwork` and
 :class:`LinkPolicy` from the scenario seed exactly as the in-process
@@ -48,7 +51,7 @@ import asyncio
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..netem import LinkPolicy, WallClock
@@ -59,6 +62,7 @@ from ..obs.sinks import RingSink
 from ..runtime.node import Node, assemble_node
 from ..runtime.tcp import TcpTransport
 from ..stacks import ProtocolPlan
+from ..types import ProcessId
 from .bundle import NodeBundle, RunManifest, load_bundle, load_manifest
 from .control import MAX_CONTROL_LINE, parse_endpoint, read_msg, send_msg
 
@@ -118,8 +122,9 @@ class NodeRunner:
 
     # -- assembly ------------------------------------------------------------
 
-    async def bind(self) -> None:
-        """Start the listener at the manifest-assigned address."""
+    async def bind(self, port: Optional[int] = None) -> None:
+        """Start the listener on the manifest's host, at ``port`` (0: any
+        free port) or else the manifest's port."""
         netem = self.scenario.netem_config()
         if netem is not None:
             self._clock = WallClock()
@@ -127,17 +132,20 @@ class NodeRunner:
                 self.params.n, netem, seed=self.scenario.seed,
                 observer=self.observer,
             )
-        host, port = self.manifest.addresses[self.pid]
+        host, listed = self.manifest.addresses[self.pid]
         self._tcp = TcpTransport(
             self.pid, self.params.n, self.bundle.keyring(self.params.n),
-            host=host, port=port, policy=self._policy, clock=self._clock,
+            host=host, port=listed if port is None else port,
+            policy=self._policy, clock=self._clock,
         )
         await self._tcp.start()
 
-    async def connect(self, retry_for: float = CONNECT_RETRY) -> None:
-        """Dial every peer (retrying while they boot) and build the node,
-        its proposal (or, recovering, its WAL replay) queued."""
-        self._tcp.set_peers(self.manifest.addresses)
+    async def connect(self, peers: Mapping[ProcessId, Tuple[str, int]],
+                      retry_for: float = CONNECT_RETRY) -> None:
+        """Dial every peer at its address in ``peers`` (retrying while
+        they boot) and build the node, its proposal (or, recovering, its
+        WAL replay) queued."""
+        self._tcp.set_peers(peers)
         await self._tcp.connect(retry_for=retry_for)
         if self._clock is not None:
             self._clock.start()
@@ -246,17 +254,26 @@ async def run_node(
     return await _run_controlled(runner, control)
 
 
+def _peers(message: Dict[str, Any]) -> Dict[ProcessId, Tuple[str, int]]:
+    """The pid -> (host, port) table of a ``go`` or ``peer`` line."""
+    return {int(pid): (str(host), int(port))
+            for pid, (host, port) in message["peers"].items()}
+
+
 async def _run_controlled(runner: NodeRunner, control: str) -> int:
     host, port = parse_endpoint(control)
     send_lock = asyncio.Lock()
     task: Optional[asyncio.Task] = None
     writer: Optional[asyncio.StreamWriter] = None
     try:
-        await runner.bind()
+        # A respawn binds a fresh port: the orchestrator readdresses its
+        # peers, so it never races anyone for the dead incarnation's.
+        await runner.bind(0 if runner.recovering else None)
         reader, writer = await asyncio.open_connection(
             host, port, limit=MAX_CONTROL_LINE
         )
-        hello: Dict[str, Any] = {"type": "hello", "node": runner.pid}
+        hello: Dict[str, Any] = {"type": "hello", "node": runner.pid,
+                                 "port": runner._tcp.address[1]}
         if runner.recovering:
             hello["recovered"] = True
             hello["attempt"] = runner.attempt
@@ -270,7 +287,7 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
         # Past the barrier every live peer has bound, so a refused dial
         # is a dead peer (a ``kill`` fault at the barrier): one attempt,
         # not the boot-time retry budget — the send path redials later.
-        await runner.connect(retry_for=0.0)
+        await runner.connect(_peers(message), retry_for=0.0)
         runner.start_clock()
         task = asyncio.ensure_future(runner.node.run())
 
@@ -299,7 +316,9 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
                 message = await read_msg(reader)
                 if message is None or message.get("type") == "stop":
                     break
-                if message.get("type") == "ping":
+                if message.get("type") == "peer":
+                    runner._tcp.set_peers(_peers(message))
+                elif message.get("type") == "ping":
                     async with send_lock:
                         await send_msg(writer, {
                             "type": "pong", "node": runner.pid,
@@ -338,10 +357,16 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
 
 
 async def _run_standalone(runner: NodeRunner, linger: float) -> int:
+    addresses = runner.manifest.addresses
+    if any(port == 0 for _host, port in addresses.values()):
+        raise ReproError(
+            "a standalone node needs every node's port in the manifest; "
+            "deal it with a positive base_port (--set base_port=7000)"
+        )
     await runner.bind()
     host, port = runner._tcp.address
     print(f"node {runner.pid} listening on {host}:{port}", file=sys.stderr)
-    await runner.connect()
+    await runner.connect(addresses)
     runner.start_clock()
     task = asyncio.ensure_future(runner.node.run())
     try:

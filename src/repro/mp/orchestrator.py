@@ -17,15 +17,20 @@ Every node is a real OS process, so crash faults are real: a fault spec
 ``{"kind": "kill", "after": S}`` SIGKILLs that node ``S`` seconds after
 the start barrier, and the run succeeds iff the surviving correct
 majority still decides.
+
+Nodes pick their own protocol ports (any free one unless ``base_port``
+is set) and report them in ``hello``; ``go`` carries the pid → address
+table and a respawn's new port reaches its peers in one ``peer`` line,
+so no port is ever reserved for someone else.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import shutil
 import signal
-import socket
 import sys
 import tempfile
 import time
@@ -35,7 +40,6 @@ from ..errors import ConfigError, ReproError
 from ..obs import MetricsRegistry, Observer
 from ..obs.events import Event
 from ..outcome import NodeReport, build_result
-from ..recovery.supervisor import RestartPolicy
 from ..recovery.wal import parse_recovery, wal_filename
 from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
@@ -60,28 +64,9 @@ PING_TIMEOUT = 2.0
 #: not as the scenario's full liveness timeout.
 PING_RETRIES = 3
 
-
-def _reserve_ports(host: str, n: int) -> List[int]:
-    """Pick n distinct free ports by binding them all at once.
-
-    The sockets close before the node processes bind, so this is
-    best-effort (the standard race); simultaneous reservation at least
-    guarantees the n ports are distinct and free *now*.  The caller
-    reserves only once the zygote is ready, so the window is a fork,
-    not an interpreter boot.
-    """
-    sockets, ports = [], []
-    try:
-        for _ in range(n):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, 0))
-            sockets.append(sock)
-            ports.append(sock.getsockname()[1])
-    finally:
-        for sock in sockets:
-            sock.close()
-    return ports
+#: Cap on the doubling wait between respawns of a restart node that
+#: keeps dying.
+RESPAWN_MAX_DELAY = 10.0
 
 
 def _last_lines(stderr: bytes) -> str:
@@ -140,6 +125,15 @@ class _NodeProc:
             return b"", b""
 
 
+async def _await_until(awaitable: Any, deadline: float) -> None:
+    """Await ``awaitable``, giving up at loop time ``deadline``."""
+    try:
+        await asyncio.wait_for(
+            awaitable, deadline - asyncio.get_running_loop().time())
+    except asyncio.TimeoutError:
+        pass
+
+
 class MpOrchestrator:
     """One multi-process run, start to verified result."""
 
@@ -180,17 +174,18 @@ class MpOrchestrator:
 
         self.procs: Dict[ProcessId, _NodeProc] = {}
         self.writers: Dict[ProcessId, asyncio.StreamWriter] = {}
+        #: pid -> the (host, port) it reported binding; ``go`` carries it.
+        self.addresses: Dict[ProcessId, Tuple[str, int]] = {}
         self.results: Dict[ProcessId, NodeReport] = {}
         self.node_events: List[Dict[str, Any]] = []
         self.done: Dict[ProcessId, Optional[float]] = {}
-        self.crashes: Dict[ProcessId, str] = {}
-        self.unexpected_exits: Dict[ProcessId, int] = {}
-        self.unresponsive: Dict[ProcessId, str] = {}
+        #: pid -> the named error its crash, death or hang fails the run
+        #: with (if the node is correct); the first cause wins.
+        self.casualties: Dict[ProcessId, str] = {}
         self.restart_attempts: Dict[ProcessId, int] = {}
         self.kill_times: Dict[ProcessId, float] = {}
         self.recovery_times: Dict[ProcessId, float] = {}
         self.recovered: Dict[ProcessId, Dict[str, Any]] = {}
-        self._down: Set[ProcessId] = set()  # killed, respawn in flight
         self._pongs: Dict[ProcessId, int] = {}
         self._spawn_argv: Dict[ProcessId, List[str]] = {}
         self._zygote: Optional[asyncio.subprocess.Process] = None
@@ -217,49 +212,42 @@ class MpOrchestrator:
         if message is None or message.get("type") != "hello":
             writer.close()
             return
-        pid = message.get("node")
-        if not isinstance(pid, int) or not 0 <= pid < self.scenario.n:
+        pid, port = message.get("node"), message.get("port")
+        if not (isinstance(pid, int) and 0 <= pid < self.scenario.n
+                and isinstance(port, int) and 0 < port < 65536):
             writer.close()
             return
-        superseded = self.writers.get(pid)
-        if superseded is not None:
-            # A respawn's hello: our end of the dead incarnation's
-            # channel is still open, and nothing else will close it.
-            superseded.close()
         self.writers[pid] = writer
-        if message.get("recovered") and self._hello.is_set():
-            # Re-barrier of one: the run is already going, so a
-            # WAL-recovered respawn gets its go immediately.
-            try:
-                await send_msg(writer, {"type": "go"})
-            except (ConnectionError, OSError):
-                writer.close()
-                return
-        if len(self.writers) == self.scenario.n:
+        self.addresses[pid] = (self.scenario.host, port)
+        if self._hello.is_set():
+            # A respawn's hello: a re-barrier of one, and one line to
+            # each live peer with its new port.
+            await self._send(pid, {"type": "go", "peers": self.addresses})
+            peer = {"type": "peer", "peers": {pid: self.addresses[pid]}}
+            for other in [other for other in self.writers if other != pid]:
+                await self._send(other, peer)
+        elif len(self.writers) == self.scenario.n:
             self._hello.set()
         while True:
             try:
                 message = await read_msg(reader)
+                if message is None or self.writers.get(pid) is not writer:
+                    break  # EOF, or a dead incarnation's last words
+                kind = message.get("type")
+                if kind == "result":
+                    self.results[pid] = NodeReport.from_dict(message)
+                    self.node_events.extend(message.get("events", ()))
             except ReproError as exc:
-                self.crashes.setdefault(pid, f"bad control message: {exc}")
+                self._casualty(pid, f"node {pid} crashed: bad control "
+                                    f"message: {exc}")
                 break
-            if message is None:
-                break
-            kind = message.get("type")
             if kind == "done":
                 self.done[pid] = message.get("decide_time")
-            elif kind == "result":
-                try:
-                    self.results[pid] = NodeReport.from_dict(message)
-                except ReproError as exc:
-                    self.crashes.setdefault(pid, f"bad control message: {exc}")
-                    break
-                self.node_events.extend(message.get("events", ()))
             elif kind == "crash":
-                self.crashes[pid] = str(message.get("error", "unknown"))
+                self._casualty(pid, f"node {pid} crashed: "
+                                    f"{message.get('error', 'unknown')}")
             elif kind == "recovered":
                 self.recovered[pid] = message
-                self._down.discard(pid)
                 killed_at = self.kill_times.get(pid)
                 if killed_at is not None:
                     self.recovery_times[pid] = time.monotonic() - killed_at
@@ -288,16 +276,7 @@ class MpOrchestrator:
         self._scratch_dir = bundle_dir
         try:
             await self._start_zygote()
-            if scenario.base_port > 0:
-                ports = [scenario.base_port + pid for pid in range(scenario.n)]
-            else:
-                ports = _reserve_ports(scenario.host, scenario.n)
-            addresses = {
-                pid: (scenario.host, ports[pid]) for pid in range(scenario.n)
-            }
-            manifest_path, bundle_paths = deal(
-                scenario, bundle_dir, addresses=addresses
-            )
+            manifest_path, bundle_paths = deal(scenario, bundle_dir)
 
             self._server = await asyncio.start_server(
                 self._serve, scenario.host, 0, limit=MAX_CONTROL_LINE
@@ -316,9 +295,6 @@ class MpOrchestrator:
                     extra = ["--wal",
                              os.path.join(self.wal_dir, wal_filename(pid))]
                 self.procs[pid] = await self._spawn(pid, extra)
-                self._tasks.append(
-                    asyncio.ensure_future(self._monitor(pid, self.procs[pid]))
-                )
 
             hello = asyncio.ensure_future(self._hello.wait())
             self._tasks.append(hello)
@@ -336,17 +312,13 @@ class MpOrchestrator:
                 )
 
             self._zero = time.monotonic()
-            for writer in self.writers.values():
-                await send_msg(writer, {"type": "go"})
-            for pid, after in self.kills.items():
-                self._tasks.append(
-                    asyncio.ensure_future(self._kill_later(pid, after))
-                )
-            for pid, spec in self.restarts.items():
-                self._tasks.append(
-                    asyncio.ensure_future(self._supervise(pid, spec))
-                )
-            self._tasks.append(asyncio.ensure_future(self._probe_loop()))
+            go = {"type": "go", "peers": self.addresses}
+            for pid in range(scenario.n):
+                await self._send(pid, go)
+            self._tasks.extend(
+                asyncio.ensure_future(self._watch(pid))
+                for pid in range(scenario.n)
+            )
 
             timed_out = not await self._wait_for_completion()
             elapsed = time.monotonic() - self._zero
@@ -445,135 +417,127 @@ class MpOrchestrator:
             pass  # the reader's EOF fails ``spawned`` with the named error
         return await spawned
 
-    async def _monitor(self, pid: ProcessId, proc: _NodeProc) -> None:
-        rc = await proc.wait()
-        if (not self._stopping and pid not in self.kills
-                and pid not in self.restarts):
-            self.unexpected_exits[pid] = rc
+    async def _send(self, pid: ProcessId, message: Dict[str, Any]) -> bool:
+        """One control line to node ``pid``; False if its channel is gone."""
+        writer = self.writers.get(pid)
+        if writer is None or writer.is_closing():
+            return False
+        try:
+            await send_msg(writer, message)
+        except (ConnectionError, OSError):
+            return False
+        return True
+
+    def _casualty(self, pid: ProcessId, error: str) -> None:
+        self.casualties.setdefault(pid, error)
         self._wake.set()
 
-    async def _kill_later(self, pid: ProcessId, after: float) -> None:
-        await asyncio.sleep(after)
-        proc = self.procs.get(pid)
-        if proc is not None and proc.returncode is None:
-            proc.kill()
+    # -- supervision: one loop per node ---------------------------------------
 
-    async def _supervise(self, pid: ProcessId, spec: Dict[str, Any]) -> None:
-        """SIGKILL a restart node, then respawn it within a bounded budget.
+    async def _watch(self, pid: ProcessId) -> None:
+        """Supervise node ``pid`` from the start barrier to the run's end.
 
-        The first respawn comes ``down`` seconds after the kill; if the
-        respawned process dies again, further attempts back off
-        exponentially until ``max_restarts`` is exhausted — then the
-        failure surfaces as a named harness error instead of a silent
-        liveness timeout.
+        One loop waits on whichever comes first: the process exits, its
+        ``kill`` or ``restart`` deadline arrives, or a probe is due.  A
+        ``restart`` node's exit or deadline goes to :meth:`_respawn`, a
+        correct node's exit fails the run, a faulty node's is its own
+        business.  Probes go only to a correct, not-yet-done node over a
+        live control channel (a respawn closes the dead one's): one
+        ``ping`` sent up to ``PING_RETRIES + 1`` times with doubling
+        waits, then ``node N unresponsive`` with its stderr tail.
         """
-        down = float(spec.get("down", 1.0))
-        policy = RestartPolicy(
-            max_restarts=int(spec.get("max_restarts", 3)), base_delay=down,
-        )
-        await asyncio.sleep(float(spec.get("after", 0.0)))
-        proc = self.procs.get(pid)
-        if proc is None or self._stopping:
-            return
-        if proc.returncode is None:
-            self._down.add(pid)
-            proc.kill()
-        self.kill_times[pid] = time.monotonic()
-        attempt = 0
-        while not self._stopping:
-            await proc.wait()
-            if self._stopping or pid in self.results:
+        loop = asyncio.get_running_loop()
+        restart = self.restarts.get(pid)
+        after = (self.kills.get(pid) if restart is None
+                 else float(restart.get("after", 0.0)))
+        # ``after`` counts from the barrier; ``_zero`` is on the loop's
+        # clock (both are ``time.monotonic``).
+        crash_at = math.inf if after is None else self._zero + after
+        proc = self.procs[pid]
+        seq = sent = 0  # the current probe's seq, and how often it went out
+        wake = loop.time() + PING_INTERVAL
+        while True:
+            await _await_until(proc.wait(), min(wake, crash_at))
+            exited = proc.returncode is not None
+            if self._stopping:
                 return
-            delay = policy.delay(attempt + 1)
-            if delay is None:
-                self.crashes[pid] = (
-                    f"restart budget exhausted after {attempt} attempts "
+            if exited or loop.time() >= crash_at:
+                if restart is not None:
+                    proc = await self._respawn(pid, restart, proc)
+                    if proc is None:
+                        return
+                    crash_at, sent = math.inf, 0
+                    wake = loop.time() + PING_INTERVAL
+                    continue
+                if not exited:
+                    proc.kill()  # a kill fault: the exit is the point
+                elif pid in self.correct:
+                    self._casualty(pid, f"node {pid} exited unexpectedly "
+                                        f"(rc={proc.returncode})")
+                return
+            now = loop.time()
+            if not sent:  # idle: start a probe, if this node is owed one
+                if (pid in self.correct and pid not in self.done
+                        and await self._send(pid, {"type": "ping",
+                                                   "seq": seq + 1})):
+                    seq, sent, wake = seq + 1, 1, now + PING_TIMEOUT
+                else:
+                    wake = now + PING_INTERVAL
+            elif self._pongs.get(pid, 0) >= seq or pid in self.done:
+                sent, wake = 0, now + PING_INTERVAL  # answered, or moot
+            elif sent > PING_RETRIES:
+                self._casualty(pid, (
+                    f"node {pid} unresponsive: no pong after "
+                    f"{PING_RETRIES + 1} control-channel probes "
                     f"({await self._stderr_tail([pid])})"
-                )
-                self._wake.set()
+                ))
                 return
-            attempt += 1
-            await asyncio.sleep(delay)
-            if self._stopping:
-                return
-            self._down.add(pid)
-            self.restart_attempts[pid] = attempt
-            wal_path = os.path.join(self.wal_dir, wal_filename(pid))
-            proc = await self._spawn(
-                pid, ["--recover", wal_path, "--attempt", str(attempt)]
-            )
-            self.procs[pid] = proc
-            if self.observer is not None:
-                self.observer.emit(
-                    "restart", node=pid, detail={"attempt": attempt},
-                    time=time.monotonic() - self._zero,
-                )
+            elif await self._send(pid, {"type": "ping", "seq": seq}):
+                sent, wake = sent + 1, now + PING_TIMEOUT * 2 ** sent
+            else:
+                sent, wake = 0, now + PING_INTERVAL  # its exit is coming
 
-    # -- liveness probing ------------------------------------------------------
+    async def _respawn(self, pid: ProcessId, spec: Dict[str, Any],
+                       proc: _NodeProc) -> Optional[_NodeProc]:
+        """SIGKILL restart node ``pid`` and fork it again from its WAL.
 
-    async def _probe_loop(self) -> None:
-        seq = 0
-        while not self._stopping:
-            await asyncio.sleep(PING_INTERVAL)
-            if self._stopping:
-                return
-            seq += 1
-            await self._ping_round(seq)
-
-    async def _ping_round(
-        self, seq: int,
-        timeout: float = PING_TIMEOUT,
-        retries: int = PING_RETRIES,
-    ) -> List[ProcessId]:
-        """Probe every live, not-yet-done correct node once.
-
-        A node that accepts pings but never answers after ``retries``
-        re-probes (with doubling waits) is killed and recorded in
-        :attr:`unresponsive`; :meth:`_raise_on_casualties` turns that
-        into a ``node N unresponsive`` error carrying its stderr tail.
-        Returns the pids declared unresponsive this round.
+        The first respawn comes ``down`` seconds after the kill, each
+        later one after twice the last wait (at most
+        :data:`RESPAWN_MAX_DELAY`); past ``max_restarts`` the run fails
+        as ``restart budget exhausted``.  Returns the new incarnation,
+        or ``None``.
         """
-        pending: Dict[ProcessId, asyncio.StreamWriter] = {}
-        for pid in sorted(self.correct):
-            if pid in self.done or pid in self._down:
-                continue
-            proc = self.procs.get(pid)
-            if proc is None or proc.returncode is not None:
-                continue
-            writer = self.writers.get(pid)
-            if writer is None or writer.is_closing():
-                continue
-            pending[pid] = writer
-        for attempt in range(retries + 1):
-            if not pending:
-                return []
-            for pid, writer in list(pending.items()):
-                try:
-                    await send_msg(writer, {"type": "ping", "seq": seq})
-                except (ConnectionError, OSError):
-                    # The connection died; the monitor/supervisor owns
-                    # dead processes — unresponsiveness is about hangs.
-                    pending.pop(pid)
-            await asyncio.sleep(timeout * (2 ** attempt))
-            for pid in list(pending):
-                if (self._pongs.get(pid, 0) >= seq or pid in self.done
-                        or pid in self._down):
-                    pending.pop(pid)
-        flagged = []
-        for pid in sorted(pending):
-            # A node that died mid-round is the monitor's or the
-            # supervisor's business; unresponsiveness means a *live*
-            # process that stopped answering.
-            proc = self.procs.get(pid)
-            if (pid in self._down or proc is None
-                    or proc.returncode is not None or self._stopping):
-                continue
-            flagged.append(pid)
-        for pid in flagged:
-            self.unresponsive[pid] = await self._stderr_tail([pid])
-        if flagged:
-            self._wake.set()
-        return flagged
+        proc.kill()
+        self.kill_times.setdefault(pid, time.monotonic())
+        # A dead incarnation's ``done`` cannot answer ``stop``: the run
+        # waits for the respawn to replay its way to its own.
+        self.done.pop(pid, None)
+        writer = self.writers.pop(pid, None)
+        if writer is not None:
+            writer.close()  # the respawn says hello on a channel of its own
+        await proc.wait()
+        attempt = self.restart_attempts.get(pid, 0) + 1
+        if attempt > int(spec.get("max_restarts", 3)):
+            self._casualty(pid, (
+                f"node {pid} crashed: restart budget exhausted after "
+                f"{attempt - 1} attempts ({await self._stderr_tail([pid])})"
+            ))
+            return None
+        down = float(spec.get("down", 1.0))
+        await asyncio.sleep(min(down * 2 ** (attempt - 1), RESPAWN_MAX_DELAY))
+        if self._stopping:
+            return None
+        self.restart_attempts[pid] = attempt
+        wal_path = os.path.join(self.wal_dir, wal_filename(pid))
+        proc = self.procs[pid] = await self._spawn(
+            pid, ["--recover", wal_path, "--attempt", str(attempt)]
+        )
+        if self.observer is not None:
+            self.observer.emit(
+                "restart", node=pid, detail={"attempt": attempt},
+                time=time.monotonic() - self._zero,
+            )
+        return proc
 
     async def _wait_for_completion(self) -> bool:
         """Until every correct node reported ``done``; False on timeout."""
@@ -581,14 +545,10 @@ class MpOrchestrator:
         deadline = loop.time() + self.scenario.timeout
         while not self.correct <= set(self.done):
             self._raise_on_casualties()
-            remaining = deadline - loop.time()
-            if remaining <= 0:
+            if loop.time() >= deadline:
                 return False
             self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), remaining)
-            except asyncio.TimeoutError:
-                return False
+            await _await_until(self._wake.wait(), deadline)
         self._raise_on_casualties()
         return True
 
@@ -597,34 +557,17 @@ class MpOrchestrator:
         a result."""
         if self._zygote_error is not None:
             raise ReproError(self._zygote_error)
-        for pid, tail in sorted(self.unresponsive.items()):
+        for pid in sorted(self.casualties):
             if pid in self.correct:
-                raise ReproError(
-                    f"node {pid} unresponsive: no pong after "
-                    f"{PING_RETRIES + 1} control-channel probes ({tail})"
-                )
-        for pid in sorted(self.crashes):
-            if pid in self.correct:
-                raise ReproError(
-                    f"node {pid} crashed: {self.crashes[pid]}"
-                )
-        for pid, rc in sorted(self.unexpected_exits.items()):
-            if pid in self.correct and pid not in self.results:
-                raise ReproError(
-                    f"node {pid} exited unexpectedly (rc={rc})"
-                )
+                raise ReproError(self.casualties[pid])
 
     async def _stop_nodes(self) -> None:
         """Ask every live node for its result; wait RESULT_TIMEOUT at most."""
         self._stopping = True
         asked: Set[ProcessId] = set()
         for pid, proc in self.procs.items():
-            writer = self.writers.get(pid)
-            if proc.returncode is None and writer and not writer.is_closing():
-                try:
-                    await send_msg(writer, {"type": "stop"})
-                except (ConnectionError, OSError):
-                    continue
+            if proc.returncode is None and await self._send(
+                    pid, {"type": "stop"}):
                 asked.add(pid)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + RESULT_TIMEOUT
@@ -632,10 +575,7 @@ class MpOrchestrator:
             if self._zygote_error is not None:  # the askees died with it
                 raise ReproError(self._zygote_error)
             self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), deadline - loop.time())
-            except asyncio.TimeoutError:
-                break
+            await _await_until(self._wake.wait(), deadline)
 
     async def _stderr_tail(self, pids: List[ProcessId]) -> str:
         parts = []

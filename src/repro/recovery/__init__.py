@@ -1,6 +1,6 @@
 """Crash recovery: durable WALs, deterministic replay, restart supervision.
 
-The subsystem has three parts, one per execution world:
+The subsystem has two parts:
 
 * :mod:`repro.recovery.wal` — the durable write-ahead log and its
   strict reader/replayer.  Because the protocol engines are sans-I/O
@@ -10,15 +10,15 @@ The subsystem has three parts, one per execution world:
   code changes.
 * :mod:`repro.recovery.restart` — the simulator's in-memory analogue
   (suspend, buffer, rebuild, replay) behind the ``restart`` fault kind.
-* :mod:`repro.recovery.supervisor` — the bounded restart budget the mp
-  orchestrator applies when respawning a killed node.
+
+The mp fabric's respawn loop, with its bounded restart budget, is
+:meth:`repro.mp.orchestrator.MpOrchestrator._respawn`.
 
 See ``docs/recovery.md`` for the format, the replay invariants, and the
 per-fabric restart semantics.
 """
 
 from .restart import RestartBehavior
-from .supervisor import RestartPolicy
 from .wal import (
     RECOVERY_MODES,
     WAL_VERSION,
@@ -35,7 +35,6 @@ __all__ = [
     "RECOVERY_MODES",
     "WAL_VERSION",
     "RestartBehavior",
-    "RestartPolicy",
     "WalError",
     "WalWriter",
     "parse_recovery",

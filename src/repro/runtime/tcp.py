@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..net.auth import Authenticator, KeyRing
@@ -167,9 +167,17 @@ class TcpTransport(InboxTransport):
         host, port = sock.getsockname()[:2]
         return (host, port)
 
-    def set_peers(self, peers: Dict[ProcessId, Tuple[str, int]]) -> None:
-        """Install the full pid -> (host, port) map before :meth:`connect`."""
-        self._peers = dict(peers)
+    def set_peers(self, peers: Mapping[ProcessId, Tuple[str, int]]) -> None:
+        """Install pid -> (host, port) entries before :meth:`connect`, or
+        readdress a peer later: its old stream closes and the next send
+        dials the new address without a reconnect cooldown."""
+        for pid, address in peers.items():
+            if self._peers.get(pid, address) != address:
+                stale = self._writers.pop(pid, None)
+                if stale is not None:
+                    stale.close()
+                self._retry_after.pop(pid, None)
+            self._peers[pid] = address
 
     # -- lifecycle -----------------------------------------------------------
 

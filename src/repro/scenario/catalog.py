@@ -116,6 +116,17 @@ _entry(Scenario(
     scheduler="victim", scheduler_args={"victims": (0,)}, seed=31,
 ))
 
+_entry(Scenario(
+    name="squat-originator",
+    description="n=4: node 3 INITs node 0's predictable consensus broadcast "
+                "names under its own pid with the opposite bit, then READYs "
+                "them as node 0's.  Broadcast state keyed by (instance, "
+                "originator) keeps node 0's own broadcasts live and the "
+                "squatter's value out; keyed by name alone, no seed "
+                "decides.",
+    protocol="bracha", n=4, proposals=1, faults={3: "squat"}, seed=73,
+))
+
 # -- runtime-fabric entries -------------------------------------------------
 
 _entry(Scenario(

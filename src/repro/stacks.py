@@ -41,7 +41,7 @@ from .types import Bit, ProcessId
 PROTOCOLS = ("bracha", "benor", "benor-crash", "mmr14", "acs")
 
 #: A fault is a behavior kind (``"silent"``, ``"crash"``, ``"two_faced"``,
-#: ``"fuzzer"``, ``"stubborn"``) or ``{"kind": ..., **kwargs}``.
+#: ``"fuzzer"``, ``"stubborn"``, ``"squat"``) or ``{"kind": ..., **kwargs}``.
 FaultSpec = Union[str, Mapping[str, Any]]
 #: ``None`` (split ``pid % 2``), one bit (unanimous), a sequence indexed
 #: by pid, or a pid → bit mapping.

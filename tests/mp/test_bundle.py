@@ -30,7 +30,7 @@ MP_SHARES = MP.replace(coin="shares", seed=17)
 
 def _dealt(tmp_path, scenario=MP):
     manifest_path, bundle_paths = deal(
-        scenario, str(tmp_path), base_port=7100
+        scenario.replace(base_port=7100), str(tmp_path)
     )
     return load_manifest(manifest_path), bundle_paths
 
@@ -38,8 +38,8 @@ def _dealt(tmp_path, scenario=MP):
 class TestDealRoundTrip:
     def test_manifest_round_trips(self, tmp_path):
         manifest, bundles = _dealt(tmp_path)
-        assert manifest.scenario == MP
-        assert manifest.digest == scenario_hash(MP)
+        assert manifest.scenario == MP.replace(base_port=7100)
+        assert manifest.digest == scenario_hash(manifest.scenario)
         assert manifest.run_id == f"mp-{manifest.digest[:12]}-s{MP.seed}"
         assert sorted(manifest.addresses) == [0, 1, 2, 3]
         assert manifest.addresses[2] == (MP.host, 7102)
@@ -79,9 +79,11 @@ class TestDealRoundTrip:
         _m2, b2 = _dealt(tmp_path / "b", MP.replace(seed=14))
         assert load_bundle(b1[0]).mac_keys != load_bundle(b2[0]).mac_keys
 
-    def test_dealing_without_ports_is_refused(self, tmp_path):
-        with pytest.raises(ConfigError, match="base_port"):
-            deal(MP, str(tmp_path))
+    def test_base_port_zero_deals_port_zero_for_every_node(self, tmp_path):
+        # "Bind any free port": nodes under an orchestrator report the
+        # port they bound, so the manifest needs none.
+        manifest = load_manifest(deal(MP, str(tmp_path))[0])
+        assert manifest.addresses == {pid: (MP.host, 0) for pid in range(4)}
 
 
 def _edit_json(path, mutate):
@@ -94,7 +96,7 @@ def _edit_json(path, mutate):
 
 class TestTamperRejection:
     def test_edited_scenario_breaks_the_manifest_hash(self, tmp_path):
-        manifest_path, _bundles = deal(MP, str(tmp_path), base_port=7100)
+        manifest_path, _bundles = deal(MP.replace(base_port=7100), str(tmp_path))
         _edit_json(manifest_path,
                    lambda d: d["scenario"].__setitem__("seed", 99))
         with pytest.raises(ConfigError, match="scenario_hash"):
@@ -130,7 +132,7 @@ class TestTamperRejection:
             load_bundle(other_bundles[0]).validate(manifest)
 
     def test_unknown_version_refused(self, tmp_path):
-        manifest_path, bundles = deal(MP, str(tmp_path), base_port=7100)
+        manifest_path, bundles = deal(MP.replace(base_port=7100), str(tmp_path))
         _edit_json(bundles[0], lambda d: d.__setitem__("version", 2))
         with pytest.raises(ConfigError, match="version"):
             load_bundle(bundles[0])

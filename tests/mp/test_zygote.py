@@ -170,10 +170,7 @@ class TestZygoteProtocol:
             control.bind(("127.0.0.1", 0))
             control.listen(8)
             endpoint = "127.0.0.1:%d" % control.getsockname()[1]
-            ports = orch_mod._reserve_ports("127.0.0.1", 4)
-            manifest, bundles = deal(
-                SCENARIO, str(tmp_path),
-                addresses={p: ("127.0.0.1", ports[p]) for p in range(4)})
+            manifest, bundles = deal(SCENARIO, str(tmp_path))  # port 0
             pids = []
             for node in (0, 1):
                 zygote.spawn(node, ["--manifest", manifest,
@@ -240,13 +237,11 @@ class TestZygoteLifetime:
     def test_boot_failure_names_the_node_from_its_stderr_file(
             self, monkeypatch):
         monkeypatch.setattr(orch_mod, "BOOT_TIMEOUT", 1.5)
-        ports = orch_mod._reserve_ports("127.0.0.1", 4)
+        base = _free_base_port(4)
         with socket.socket() as squatter:
-            squatter.bind(("127.0.0.1", ports[1]))
+            squatter.bind(("127.0.0.1", base + 1))
             squatter.listen(1)
-            monkeypatch.setattr(
-                orch_mod, "_reserve_ports", lambda host, n: ports)
-            orch = MpOrchestrator(SCENARIO)
+            orch = MpOrchestrator(SCENARIO.replace(base_port=base))
             _result, error = _run(orch)
         assert error is not None
         assert "mp boot failed: nodes [1] never reported in (node 1: " in str(error)

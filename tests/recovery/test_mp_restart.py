@@ -5,9 +5,9 @@ processes: every protocol decides on ``fabric: "mp"`` with one correct
 node SIGKILLed mid-run and respawned from its write-ahead log, the
 recovered run's *logical* decide stream matches the simulator's for
 the same unanimous scenario, the recovery metrics land on the result,
-and the supervision machinery (liveness probes, scratch lifecycle) is
-unit-tested against the real control-channel server without spawning
-anything.
+and the supervision machinery (the per-node loop's liveness probes,
+scratch lifecycle) is unit-tested against the real control-channel
+server without spawning anything.
 """
 
 import asyncio
@@ -19,6 +19,7 @@ import warnings
 import pytest
 
 from repro.errors import ReproError
+from repro.mp import orchestrator as orch_mod
 from repro.mp.control import read_msg, send_msg
 from repro.mp.orchestrator import PING_RETRIES, MpOrchestrator
 from repro.scenario import Scenario, run
@@ -131,38 +132,53 @@ class TestScratchLifecycle:
 
 
 class _FakeProc:
-    """Stands in for an asyncio subprocess in the ping unit tests."""
+    """Stands in for a forked node in the probe tests."""
 
     def __init__(self):
         self.returncode = None
         self.killed = False
+        self._exited = asyncio.Event()
 
     def kill(self):
         self.killed = True
         self.returncode = -9
+        self._exited.set()
+
+    async def wait(self):
+        await self._exited.wait()
+        return self.returncode
 
     async def communicate(self):
         return b"", b"stack dump\nwedged in a syscall\n"
 
 
 class TestPingProbe:
-    """`_ping_round` against the real `_serve`, over real sockets, with
-    fake node clients — no subprocess spawn."""
+    """The per-node supervision loop (`_watch`) probing against the real
+    `_serve`, over real sockets, with fake node clients — no subprocess
+    spawn, and the probe cadence shrunk to milliseconds."""
 
     SCENARIO = Scenario(protocol="bracha", n=2, t=0, proposals=1,
                         fabric="mp", seed=3)
 
-    async def _probe(self, responsive_pids):
-        orch = MpOrchestrator(self.SCENARIO)
+    @pytest.fixture(autouse=True)
+    def fast_probes(self, monkeypatch):
+        monkeypatch.setattr(orch_mod, "PING_INTERVAL", 0.05)
+        monkeypatch.setattr(orch_mod, "PING_TIMEOUT", 0.02)
+
+    async def _watch(self, scenario, responsive, done=(), window=1.0):
+        """Run the loops of fake nodes 0 and 1 for up to ``window``
+        seconds; the orchestrator and how many pings each node got."""
+        orch = MpOrchestrator(scenario)
         server = await asyncio.start_server(orch._serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        clients = []
-        pumps = []
+        pings = {0: 0, 1: 0}
+        clients, tasks = [], []
         try:
             for pid in range(2):
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", port)
-                await send_msg(writer, {"type": "hello", "node": pid})
+                await send_msg(writer, {"type": "hello", "node": pid,
+                                        "port": 7000 + pid})
                 clients.append(writer)
 
                 async def pump(r=reader, w=writer, p=pid):
@@ -170,35 +186,42 @@ class TestPingProbe:
                         message = await read_msg(r)
                         if message is None:
                             return
-                        if (message.get("type") == "ping"
-                                and p in responsive_pids):
-                            await send_msg(w, {
-                                "type": "pong", "node": p,
-                                "seq": message["seq"]})
+                        if message.get("type") == "ping":
+                            pings[p] += 1
+                            if p in responsive:
+                                await send_msg(w, {
+                                    "type": "pong", "node": p,
+                                    "seq": message["seq"]})
 
-                pumps.append(asyncio.ensure_future(pump()))
+                tasks.append(asyncio.ensure_future(pump()))
                 orch.procs[pid] = _FakeProc()
             await asyncio.sleep(0.05)  # both hellos land
-            flagged = await orch._ping_round(1, timeout=0.05, retries=2)
-            return orch, flagged
+            orch.done.update(dict.fromkeys(done, 1.0))
+            watchers = [asyncio.ensure_future(orch._watch(pid))
+                        for pid in range(2)]
+            tasks.extend(watchers)
+            await asyncio.wait(watchers, timeout=window)
+            return orch, pings
         finally:
-            for task in pumps:
+            for task in tasks:
                 task.cancel()
-            for writer in clients:
+            await asyncio.gather(*tasks, return_exceptions=True)
+            for writer in clients + list(orch.writers.values()):
                 writer.close()
             server.close()
             await server.wait_closed()
 
     def test_all_responsive_nodes_pass(self):
-        orch, flagged = asyncio.run(self._probe({0, 1}))
-        assert flagged == []
-        assert not orch.unresponsive
+        orch, pings = asyncio.run(self._watch(self.SCENARIO, {0, 1}))
+        assert min(pings.values()) >= 2  # probed, round after round
+        assert orch.casualties == {}
 
     def test_a_hung_node_is_flagged_with_its_stderr_tail(self):
-        orch, flagged = asyncio.run(self._probe({0}))
-        assert flagged == [1]
+        orch, pings = asyncio.run(self._watch(self.SCENARIO, {0}))
+        assert sorted(orch.casualties) == [1]
+        assert pings[1] == PING_RETRIES + 1
         assert not orch.procs[0].killed  # the healthy node is untouched
-        assert "wedged in a syscall" in orch.unresponsive[1]
+        assert "wedged in a syscall" in orch.casualties[1]
         with pytest.raises(
                 ReproError,
                 match=rf"node 1 unresponsive: no pong after "
@@ -206,26 +229,53 @@ class TestPingProbe:
             orch._raise_on_casualties()
 
     def test_done_and_respawning_nodes_are_exempt(self):
-        async def probe():
-            orch = MpOrchestrator(self.SCENARIO)
-            server = await asyncio.start_server(orch._serve, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            writers = []
-            try:
-                for pid in range(2):
-                    _, writer = await asyncio.open_connection(
-                        "127.0.0.1", port)
-                    await send_msg(writer, {"type": "hello", "node": pid})
-                    writers.append(writer)
-                    orch.procs[pid] = _FakeProc()
-                await asyncio.sleep(0.05)
-                orch.done[0] = 1.0      # reported done: nothing to probe
-                orch._down.add(1)       # killed, respawn in flight
-                return await orch._ping_round(1, timeout=0.02, retries=0)
-            finally:
-                for writer in writers:
-                    writer.close()
-                server.close()
-                await server.wait_closed()
+        # Node 0 reported done: nothing to probe.  Node 1 is a restart
+        # node killed at the barrier, its respawn a minute away: its
+        # loop closed the dead incarnation's channel and waits — and
+        # forgot that incarnation's ``done``, which the respawn owes.
+        scenario = Scenario(
+            protocol="bracha", n=4, proposals=1, fabric="mp", seed=3,
+            faults={1: {"kind": "restart", "after": 0.0, "down": 60}},
+            recovery="wal", link=RESTART_LINK,
+        )
+        orch, pings = asyncio.run(
+            self._watch(scenario, responsive=(), done={0, 1}, window=0.5))
+        assert pings == {0: 0, 1: 0}
+        assert orch.casualties == {}
+        assert orch.procs[1].killed and 1 not in orch.writers
+        assert sorted(orch.done) == [0]
 
-        assert asyncio.run(probe()) == []
+
+class TestRespawnBudget:
+    def test_a_node_that_keeps_dying_exhausts_its_budget_by_name(self):
+        scenario = Scenario(
+            protocol="bracha", n=4, proposals=1, fabric="mp", seed=3,
+            faults={1: {"kind": "restart", "after": 0.0, "down": 0.01,
+                        "max_restarts": 2}},
+            recovery="wal", link=RESTART_LINK,
+        )
+
+        async def watch():
+            orch = MpOrchestrator(scenario)
+            orch.wal_dir = "wal"
+            respawns = []
+
+            async def spawn(pid, extra):
+                respawns.append(extra)
+                proc = _FakeProc()
+                proc.kill()  # every incarnation dies at once
+                return proc
+
+            orch._spawn = spawn
+            orch.procs[1] = _FakeProc()
+            await asyncio.wait_for(orch._watch(1), 5.0)
+            return orch, respawns
+
+        orch, respawns = asyncio.run(watch())
+        assert [argv[-2:] for argv in respawns] == [
+            ["--attempt", "1"], ["--attempt", "2"]]
+        with pytest.raises(
+                ReproError,
+                match=r"node 1 crashed: restart budget exhausted after 2 "
+                      r"attempts \(node 1: stack dump \| wedged"):
+            orch._raise_on_casualties()

@@ -186,7 +186,7 @@ class TestHeaderBinding:
         scenario = Scenario(protocol="bracha", n=4, proposals=1,
                             fabric="mp", seed=31)
         manifest_path, bundle_paths = deal(
-            scenario, str(tmp_path / "deal"), base_port=7900)
+            scenario.replace(base_port=7900), str(tmp_path / "deal"))
         manifest = load_manifest(manifest_path)
         bundle = load_bundle(bundle_paths[0])
 

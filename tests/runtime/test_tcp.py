@@ -95,6 +95,31 @@ def test_authentic_frame_is_delivered():
     asyncio.run(scenario())
 
 
+def test_a_readdressed_peer_is_dialled_at_its_new_port_at_once():
+    """A respawned mp node binds a fresh port; one ``set_peers`` entry
+    moves its peers' next send there — past a live stream to the old
+    address and past the reconnect cooldown a refused dial leaves."""
+    async def scenario():
+        ring = KeyRing(2, master_secret=b"test-setup")
+        a, b = await _connected_pair(ring)
+        respawn = TcpTransport(1, 2, ring)
+        try:
+            await a.send(1, ("mod", StepValue(0)))
+            await asyncio.wait_for(b.recv(), 5.0)
+            await b.close()
+            await a.send(1, ("mod", StepValue(0)))  # lost to the dead peer
+            await respawn.start()
+            a.set_peers({1: respawn.address})
+            await a.send(1, ("mod", StepValue(1)))
+            sender, payload = await asyncio.wait_for(respawn.recv(), 5.0)
+            assert (sender, payload) == (0, ("mod", StepValue(1)))
+        finally:
+            for transport in (a, b, respawn):
+                await transport.close()
+
+    asyncio.run(scenario())
+
+
 def _prefixed(raw: bytes) -> bytes:
     return struct.pack(">I", len(raw)) + raw
 

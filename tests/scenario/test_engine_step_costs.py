@@ -29,7 +29,7 @@ THRESHOLDS = ("echo_quorum", "ready_amplify", "accept_quorum")
 
 def _spent(layer, message):
     """Can ``message`` still change what its instance does at ``layer``?"""
-    state = layer.instance_state(message.instance)
+    state = layer.instance_state(message.instance, message.originator)
     if state is None:
         return False
     return (state.ready_sent if message.phase is Phase.ECHO
@@ -87,7 +87,8 @@ def probe():
                      and isinstance(message, RbcMessage)
                      and _spent(layer, message))
             if spent:
-                before = copy.deepcopy(layer.instance_state(message.instance))
+                pair = (message.instance, message.originator)
+                before = copy.deepcopy(layer.instance_state(*pair))
             appended, drains, emitted = (
                 process.outbox.appended, seen.drains, seen.emitted)
             deliver(process, sender, payload)
@@ -96,7 +97,7 @@ def probe():
                 seen.idle_drains += 1
             if spent:
                 seen.spent += 1
-                if (layer.instance_state(message.instance) != before
+                if (layer.instance_state(*pair) != before
                         or enqueued or seen.emitted != emitted):
                     seen.disturbed.append(message)
 

@@ -6,8 +6,10 @@ from repro.adversary.behaviors import (
     CrashBehavior,
     FuzzerBehavior,
     SilentBehavior,
+    SquatBehavior,
     StubbornBidder,
     TwoFacedBehavior,
+    dispatch_behavior,
     make_behavior,
 )
 from repro.adversary.benor_attack import run_benor_equivocation_attack
@@ -167,6 +169,26 @@ class TestMakeBehavior:
         except ConfigError:
             raised = True
         assert raised
+
+
+class TestSquat:
+    def test_squat_claims_the_next_pids_names_with_the_other_bit(self):
+        def honest(process, bit):
+            raise AssertionError("no honest stack expected")
+
+        squat = dispatch_behavior(3, "squat", stub(), PARAMS, honest, 1)  # type: ignore[arg-type]
+        assert isinstance(squat, SquatBehavior) and squat.victim == 0
+        squat.start()
+        inits = [m for _s, _d, (_mod, m) in squat.network.sent]
+        assert {m.instance[3] for m in inits} == {0}
+        assert {(m.originator, m.value.bit) for m in inits} == {(3, 0)}
+        # The first echo of a squatted INIT gets one READY, as node 0's.
+        squat.network.take_sent()
+        echo = RbcMessage(inits[0].instance, 3, Phase.ECHO, inits[0].value)
+        for sender in (1, 2):
+            squat.deliver(sender, ("rbc", echo))
+        readies = [m for _s, _d, (_mod, m) in squat.network.sent]
+        assert [(m.phase, m.originator) for m in readies] == [(Phase.READY, 0)] * 4
 
 
 class TestHoldbackSchedulers:

@@ -118,10 +118,10 @@ class TestReadyWave:
 
     def test_accepted_flag(self):
         layer, _dels, _stub = make_layer()
-        assert not layer.accepted(INSTANCE)
+        assert not layer.accepted(INSTANCE, 1)
         for sender in (1, 2, 3):
             layer.on_message(sender, rbc(Phase.READY))
-        assert layer.accepted(INSTANCE)
+        assert layer.accepted(INSTANCE, 1)
 
 
 class TestInstanceIsolation:
@@ -136,7 +136,7 @@ class TestInstanceIsolation:
         layer, _dels, _stub = make_layer()
         layer.on_message(1, rbc(Phase.ECHO))
         assert layer.open_instances() == 1
-        layer.forget(INSTANCE)
+        layer.forget(INSTANCE, 1)
         assert layer.open_instances() == 0
 
     def test_garbage_payload_ignored(self):
@@ -169,11 +169,11 @@ class TestSpentInstances:
         layer, _dels, stub = make_layer()
         for sender in (0, 1, 2):
             layer.on_message(sender, rbc(Phase.ECHO))
-        assert layer.instance_state(INSTANCE).ready_sent
+        assert layer.instance_state(INSTANCE, 1).ready_sent
         stub.take_sent()
         layer.on_message(3, rbc(Phase.ECHO))
         layer.on_message(3, rbc(Phase.ECHO, value="other"))
-        assert layer.instance_state(INSTANCE).echoes == {"v": {0, 1, 2}}
+        assert layer.instance_state(INSTANCE, 1).echoes == {"v": {0, 1, 2}}
         assert stub.sent == []
 
     def test_ready_after_acceptance_is_not_tallied(self):
@@ -183,7 +183,7 @@ class TestSpentInstances:
         assert len(deliveries) == 1
         stub.take_sent()
         layer.on_message(3, rbc(Phase.READY))
-        assert layer.instance_state(INSTANCE).readies == {"v": {0, 1, 2}}
+        assert layer.instance_state(INSTANCE, 1).readies == {"v": {0, 1, 2}}
         assert len(deliveries) == 1 and stub.sent == []
 
     def test_ready_after_ready_sent_still_counts_toward_acceptance(self):
@@ -196,15 +196,18 @@ class TestSpentInstances:
 
 
 class TestOriginatorBinding:
-    @pytest.mark.xfail(strict=True, reason=(
-        "open hole, ROADMAP 1(e): tallies are keyed by value alone and a "
-        "delivery takes the originator field of whichever READY completes "
-        "the quorum, so one Byzantine READY renames the sender"))
+    """State is per ``(instance, originator)``: instance names can be
+    predicted, so a name alone must not let one process speak for, or
+    silence, another."""
+
     def test_the_completing_ready_cannot_rename_the_originator(self):
         """p3 INITs an instance named after p2 under its own pid — legal,
-        the layer does not read instance names — then completes the READY
-        quorum with ``originator=2``: the upper layer's ``origin ==
-        delivery.originator`` guard passes and p3 has spoken as p2."""
+        the layer does not read instance names — then sends the READY
+        that would complete the quorum with ``originator=2``.  Were it
+        counted, the upper layer's ``origin == delivery.originator``
+        guard would pass and p3 would have spoken as p2; it counts toward
+        the ``(instance, 2)`` pair instead, and only an honest third
+        READY completes p3's own."""
         layer, deliveries, _stub = make_layer()
         named_after_p2 = ("bracha", 1, 1, 2)
         layer.on_message(3, rbc(Phase.INIT, originator=3, instance=named_after_p2))
@@ -216,7 +219,29 @@ class TestOriginatorBinding:
                 sender, rbc(Phase.READY, originator=3, instance=named_after_p2))
         layer.on_message(
             3, rbc(Phase.READY, originator=2, instance=named_after_p2))
+        assert deliveries == []
+        layer.on_message(
+            2, rbc(Phase.READY, originator=3, instance=named_after_p2))
         assert [d.originator for d in deliveries] == [3]
+
+    def test_a_squatted_name_does_not_silence_its_owner(self):
+        """p3 INITs ``("bracha", 1, 1, 2)`` under its own pid before p2
+        does: p2's own INIT for its own name is still echoed, and p2's
+        value is accepted as p2's."""
+        layer, deliveries, stub = make_layer()
+        named_after_p2 = ("bracha", 1, 1, 2)
+        layer.on_message(3, rbc(Phase.INIT, value="squat", originator=3,
+                                instance=named_after_p2))
+        stub.take_sent()
+        layer.on_message(2, rbc(Phase.INIT, value="mine", originator=2,
+                                instance=named_after_p2))
+        assert [(m.phase, m.originator, m.value)
+                for _s, _d, (_m, m) in stub.sent] == [
+            (Phase.ECHO, 2, "mine")] * 4
+        for sender in (0, 1, 2):
+            layer.on_message(sender, rbc(Phase.READY, value="mine",
+                                         originator=2, instance=named_after_p2))
+        assert [(d.originator, d.value) for d in deliveries] == [(2, "mine")]
 
 
 class TestTagRouting:
