@@ -4,9 +4,8 @@ The asynchronous adversary's one constraint is *eventual delivery*: it
 may reorder and delay arbitrarily, but every message between correct
 processes arrives in the end.  All strategies here honor that constraint
 structurally — each holds disfavored messages back for at most
-``holdback`` delivery steps, after which they become eligible again (and
-the simulation runner additionally falls back to the oldest pending
-message whenever a scheduler declines to choose).
+``holdback`` delivery steps, after which they become eligible again, and
+delivers the oldest pending message (rank 0) when nothing is eligible.
 
 Strategies:
 
@@ -35,8 +34,9 @@ from ..types import Envelope, ProcessId
 class _HoldbackScheduler(Scheduler):
     """Shared machinery: classify each envelope as favored or delayed.
 
-    Delayed envelopes become eligible after ``holdback`` further
-    deliveries.  Subclasses implement :meth:`disfavored`.
+    Virtual time is the delivery count, so a delayed envelope is
+    ``now - env.send_time`` deliveries old and becomes eligible at
+    ``holdback``.  Subclasses implement :meth:`disfavored`.
     """
 
     def __init__(self, holdback: int = 200):
@@ -44,34 +44,20 @@ class _HoldbackScheduler(Scheduler):
         if holdback < 1:
             raise ValueError("holdback must be at least 1")
         self.holdback = holdback
-        self._birth: dict[int, int] = {}
-        self._tick = 0
-
-    def on_send(self, env: Envelope) -> None:
-        self._birth[env.uid] = self._tick
 
     def disfavored(self, env: Envelope) -> bool:
         raise NotImplementedError
 
-    def _eligible(self, env: Envelope) -> bool:
-        if not self.disfavored(env):
-            return True
-        return self._tick - self._birth.get(env.uid, self._tick) >= self.holdback
-
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
-        self._tick += 1
-        eligible = self.pending.filter(self._eligible)
+    def choose(self) -> Tuple[int, float]:
+        now, holdback, disfavored = self._advance(), self.holdback, self.disfavored
+        eligible = self.pending.ranks(
+            lambda env: not disfavored(env) or now - env.send_time >= holdback
+        )
         if not eligible:
             # Nothing favored: release the oldest disfavored message so
             # the execution stays admissible.
-            oldest = self.pending.peek_oldest()
-            if oldest is None:
-                return None
-            self._birth.pop(oldest.uid, None)
-            return oldest, self._advance()
-        env = eligible[self.rng.randrange(len(eligible))]
-        self._birth.pop(env.uid, None)
-        return env, self._advance()
+            return 0, now
+        return eligible[self.rng.randrange(len(eligible))], now
 
 
 class DelayVictimScheduler(_HoldbackScheduler):
@@ -112,9 +98,8 @@ class PartitionScheduler(Scheduler):
     deliveries have happened, or (b) no intra-partition message remains
     deliverable — the moment both sides have gone quiet, which is when a
     real operator would also observe the stall.  Healing early on
-    exhaustion keeps every execution admissible (nothing is delayed past
-    the end of the run) without the runner's oldest-first fallback
-    punching holes in the partition.
+    exhaustion keeps every execution admissible: nothing is delayed past
+    the end of the run.
 
     ``heal_step`` records the delivery count at which the merge
     happened, so tests can assert that no decision predates it.
@@ -136,27 +121,17 @@ class PartitionScheduler(Scheduler):
     def _crosses(self, env: Envelope) -> bool:
         return (env.source in self.group_a) != (env.dest in self.group_a)
 
-    def _maybe_heal(self) -> None:
-        if self.heal_step is None:
-            self.heal_step = self._delivered
-
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
-        if not self.healed and self._delivered >= self.heal_after:
-            self._maybe_heal()
+    def choose(self) -> Tuple[int, float]:
+        intra: list[int] = []
         if not self.healed:
-            intra = self.pending.filter(lambda e: not self._crosses(e))
-            if intra:
-                self._delivered += 1
-                env = intra[self.rng.randrange(len(intra))]
-                return env, self._advance()
-            if self.pending:
-                self._maybe_heal()  # both sides quiet: merge
-        pending = self.pending
-        if not pending:
-            return None
+            if self._delivered < self.heal_after:
+                intra = self.pending.ranks(lambda e: not self._crosses(e))
+            if not intra:  # heal_after reached, or both sides quiet: merge
+                self.heal_step = self._delivered
         self._delivered += 1
-        env = pending.at(self.rng.randrange(len(pending)))
-        return env, self._advance()
+        if intra:
+            return intra[self.rng.randrange(len(intra))], self._advance()
+        return self.rng.randrange(len(self.pending)), self._advance()
 
 
 class CoinRushScheduler(_HoldbackScheduler):

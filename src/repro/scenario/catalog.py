@@ -127,6 +127,18 @@ _entry(Scenario(
     protocol="bracha", n=4, proposals=1, faults={3: "squat"}, seed=73,
 ))
 
+_entry(Scenario(
+    name="scripted-schedule",
+    description="A delivery order as data: n=4 with a two-faced process; "
+                "the first 32 deliveries are pending-set ranks (the digits "
+                "of pi, 0 = oldest), the rest oldest first.",
+    protocol="bracha", n=4, faults={3: "two_faced"}, seed=79,
+    scheduler="script", scheduler_args={"ranks": (
+        3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3,
+        2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5,
+    )},
+))
+
 # -- runtime-fabric entries -------------------------------------------------
 
 _entry(Scenario(

@@ -26,7 +26,7 @@ from ..adversary import (
     SplitBrainScheduler,
 )
 from ..adversary.behaviors import BEHAVIOR_KINDS
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..netem import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
 from ..params import ProtocolParams, for_system
@@ -37,6 +37,7 @@ from ..sim.scheduler import (
     RandomDelayScheduler,
     RoundRobinScheduler,
     Scheduler,
+    ScriptedScheduler,
 )
 from ..stacks import DEFAULT_COIN, PROTOCOLS, normalize_proposals
 
@@ -65,19 +66,31 @@ CanonicalFault = Tuple[Tuple[str, Any], ...]
 # Scheduler registry (the "network conditions" knob)
 # ---------------------------------------------------------------------------
 
+
+def _pids(n: int, pids: Any) -> frozenset:
+    """``pids`` as a set, every one of them in ``range(n)``."""
+    outside = sorted(frozenset(pids) - frozenset(range(n)), key=repr)
+    if outside:
+        raise ValueError(f"pid(s) {outside} out of range for n={n}")
+    return frozenset(pids)
+
+
 #: name -> factory(n, **args) -> Scheduler | None (None = fair random).
 SCHEDULERS: Dict[str, Any] = {
     "random": lambda n, **args: None,
     "fifo": lambda n, **args: FifoScheduler(**args),
     "round-robin": lambda n, **args: RoundRobinScheduler(**args),
     "delay": lambda n, **args: RandomDelayScheduler(**args),
-    "victim": lambda n, victims=(0,), **args: DelayVictimScheduler(victims, **args),
+    "victim": lambda n, victims=(0,), **args: DelayVictimScheduler(
+        _pids(n, victims), **args
+    ),
     "split": lambda n, group_a=None, **args: SplitBrainScheduler(
-        group_a if group_a is not None else range(n // 2), **args
+        _pids(n, group_a if group_a is not None else range(n // 2)), **args
     ),
     "partition": lambda n, group_a=None, **args: PartitionScheduler(
-        group_a if group_a is not None else range(n // 2), **args
+        _pids(n, group_a if group_a is not None else range(n // 2)), **args
     ),
+    "script": lambda n, **args: ScriptedScheduler(**args),
 }
 
 
@@ -87,7 +100,8 @@ def make_scheduler(
     """Resolve a scheduler name (plus keyword arguments) to an instance.
 
     ``None``/``"random"`` return ``None`` — the simulator's fair default.
-    Unknown names and argument mismatches raise
+    Unknown names and every argument the constructor refuses (a missing
+    or unknown keyword, a bad value, a pid outside ``range(n)``) raise
     :class:`~repro.errors.ConfigError`.
     """
     name = name or "random"
@@ -98,8 +112,8 @@ def make_scheduler(
         )
     try:
         return factory(n, **args)
-    except TypeError as exc:
-        raise ConfigError(f"bad arguments for scheduler {name!r}: {exc}") from exc
+    except (TypeError, ValueError, SimulationError) as exc:
+        raise ConfigError(f"bad scheduler_args for scheduler {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,8 @@ class Scenario:
             protocol's default (dealer for MMR-14, local otherwise).
         faults: pid → behavior spec (kind string or ``{"kind": ..., **kw}``).
         scheduler, scheduler_args: network conditions; ``sim`` fabric only
-            (real transports schedule themselves).
+            (real transports schedule themselves), built once here to
+            validate; ``script`` replays a ``sim.schedule`` as ``ranks``.
         link: netem link conditions for the runtime fabrics — a flat
             mapping of :class:`~repro.netem.LinkModel` fields (``delay``,
             ``jitter``, ``loss``, ``duplicate``, ``reorder``,
@@ -482,6 +497,8 @@ class Scenario:
                 "with the 'link' / 'partitions' netem spec instead "
                 "(e.g. link={'loss': 0.1, 'delay': 0.005}; see docs/netem.md)"
             )
+        if self.fabric == "sim":
+            self.build_scheduler()  # its constructor's refusals, as ConfigError
         if self.fabric == "sim" and (self.link or self.partitions):
             raise ConfigError(
                 "'link' / 'partitions' model real-transport conditions and "

@@ -23,6 +23,7 @@ from .scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
     Scheduler,
+    ScriptedScheduler,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "RandomScheduler",
     "RoundRobinScheduler",
     "Scheduler",
+    "ScriptedScheduler",
     "Simulation",
     "SplitRng",
     "parse_batching",

@@ -1,19 +1,21 @@
 """The in-flight message set of a simulation.
 
 A :class:`PendingSet` holds every envelope that has been sent but not yet
-delivered.  Schedulers query it to choose the next delivery; adversarial
-schedulers additionally filter and reorder it.  The structure preserves
-insertion order (whatever the order of the ``uid`` values) so that
-deterministic schedulers have a canonical iteration order, and it
-answers "the k-th oldest pending envelope" without a scan, which is
-what the uniform-random pickers ask on every delivery.
+delivered.  A scheduler names the next delivery by its *rank* — its
+position in the set, oldest first — so the set's questions are about
+ranks: :meth:`~PendingSet.at` (rank → envelope, without a scan, which
+is what the uniform-random pickers ask on every delivery),
+:meth:`~PendingSet.rank` (its inverse), :meth:`~PendingSet.ranks` (of
+the envelopes satisfying a predicate) and
+:meth:`~PendingSet.oldest_per_link`.  Ranks follow insertion order,
+whatever the order of the ``uid`` values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
@@ -36,8 +38,8 @@ class PendingSet:
     within the block); ``in`` / ``len`` are O(1).  A block left small
     is folded into its neighbour: adjacent blocks always total more
     than ``BLOCK / 2``, so there are at most ``4 P / BLOCK + 2`` blocks
-    and every whole-set pass (iteration, :meth:`filter`,
-    :meth:`oldest_per_link`, :meth:`snapshot`) is O(P).  ``uid``
+    and every whole-set pass (iteration, :meth:`ranks`,
+    :meth:`oldest_per_link`) is O(P).  ``uid``
     uniqueness is enforced: the simulator assigns uids, so a duplicate
     indicates a harness bug.
     """
@@ -131,40 +133,27 @@ class PendingSet:
             rank -= size
         raise AssertionError("block lengths disagree with the uid index")
 
-    def peek_oldest(self) -> Optional[Envelope]:
-        """The first-inserted pending envelope, or None when empty."""
-        return self.at(0) if self._seq_of else None
+    def rank(self, env: Envelope) -> int:
+        """The rank of the pending envelope of ``env``'s uid — the
+        inverse of :meth:`at`, in O(P / BLOCK)."""
+        seq = self._seq_of.get(env.uid)
+        if seq is None:
+            raise SimulationError(f"envelope uid {env.uid} is not pending")
+        b = bisect_right(self._firsts, seq) - 1
+        return sum(map(len, self._blocks[:b])) + bisect_left(self._seqs[b], seq)
 
-    def filter(self, predicate: Callable[[Envelope], bool]) -> list[Envelope]:
-        """All pending envelopes satisfying ``predicate``, oldest first."""
+    def ranks(self, predicate: Callable[[Envelope], bool]) -> list[int]:
+        """The ranks of the pending envelopes satisfying ``predicate``,
+        ascending."""
         return [
-            env for block in self._blocks for env in block if predicate(env)
+            k for k, env in enumerate(chain.from_iterable(self._blocks))
+            if predicate(env)
         ]
 
-    def to_dest(self, dest: ProcessId) -> list[Envelope]:
-        """All pending envelopes addressed to ``dest``, oldest first."""
-        return self.filter(lambda env: env.dest == dest)
-
-    def from_source(self, source: ProcessId) -> list[Envelope]:
-        """All pending envelopes sent by ``source``, oldest first."""
-        return self.filter(lambda env: env.source == source)
-
-    def between(self, source: ProcessId, dest: ProcessId) -> list[Envelope]:
-        """Pending envelopes on the (source, dest) link, oldest first."""
-        return self.filter(lambda env: env.source == source and env.dest == dest)
-
-    def oldest_per_link(self) -> list[Envelope]:
-        """For each (source, dest) pair, the oldest pending envelope.
-
-        This is the candidate set for FIFO-per-link delivery.
-        """
-        seen: dict[tuple[ProcessId, ProcessId], Envelope] = {}
-        for env in chain.from_iterable(self._blocks):
-            key = (env.source, env.dest)
-            if key not in seen:
-                seen[key] = env
-        return list(seen.values())
-
-    def snapshot(self) -> Iterable[Envelope]:
-        """A stable copy of the current contents (oldest first)."""
-        return tuple(chain.from_iterable(self._blocks))
+    def oldest_per_link(self) -> list[int]:
+        """For each (source, dest) pair, the rank of its oldest pending
+        envelope, ascending: the candidates of FIFO-per-link delivery."""
+        heads: dict[tuple[ProcessId, ProcessId], int] = {}
+        for k, env in enumerate(chain.from_iterable(self._blocks)):
+            heads.setdefault((env.source, env.dest), k)
+        return list(heads.values())

@@ -2,9 +2,9 @@
 
 A :class:`Simulation` owns the pending-message set, the scheduler and
 the network.  Running proceeds one delivery at a time: ask the scheduler
-for the next envelope, deliver it, repeat — until a caller-supplied
-predicate holds, the system is quiescent (no messages in flight), or the
-step budget runs out.
+for the rank of the next envelope, record the rank, deliver the
+envelope, repeat — until a caller-supplied predicate holds, the system
+is quiescent (no messages in flight), or the step budget runs out.
 
 Each delivery step drains the target process's effect outbox as one
 batch: the callback buffers its sends (see :mod:`repro.sim.effects`)
@@ -13,11 +13,13 @@ network when the activation ends — in issue order, at the same virtual
 time, so event order per seed is identical to inline sending and the
 runner needs no batching awareness of its own.
 
-Fairness guarantee: if the scheduler declines to choose (returns
-``None``) while messages are pending, the runner delivers the oldest
-pending envelope.  Adversarial schedulers can therefore *reorder*
-arbitrarily but never violate eventual delivery, keeping every execution
-admissible in the sense of the asynchronous model.
+A rank can only name a pending envelope, so whatever the scheduler
+does, it reorders and never drops or forges; eventual delivery — every
+execution admissible in the sense of the asynchronous model — is the
+scheduler's contract (the adversarial ones release what they hold back).
+The ranks of a run are its schedule, :attr:`Simulation.schedule`:
+replayed under :class:`~repro.sim.scheduler.ScriptedScheduler` with the
+same seed, they repeat the run.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class Simulation:
             self.network.bind_send_hook(self.scheduler.on_send)
         self.now: float = 0.0
         self.steps: int = 0
+        #: The pending-set rank of every delivery so far, in order.
+        self.schedule: list[int] = []
         #: Optional :class:`~repro.obs.profile.SpanProfiler` timing the
         #: step loop (``sim_step``) and the deliver-plus-effects-drain
         #: path (``sim_deliver``).  Profiling reads the wall clock into
@@ -94,17 +98,9 @@ class Simulation:
     def _step(self) -> bool:
         if not self.pending:
             return False
-        choice = self.scheduler.choose()
-        if choice is None:
-            env = self.pending.peek_oldest()
-            assert env is not None  # pending was non-empty above
-            time = self.now + 1.0
-        else:
-            env, time = choice
-            if env not in self.pending:
-                raise SimulationError(
-                    f"scheduler chose an envelope that is not pending: {env!r}"
-                )
+        rank, time = self.scheduler.choose()
+        env = self.pending.at(rank)
+        self.schedule.append(rank)
         if time > self.now:
             self.now = time
         self.steps += 1

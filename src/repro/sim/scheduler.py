@@ -3,8 +3,10 @@
 In the asynchronous model the network controls the order in which messages
 arrive; the only guarantee is that every message between correct processes
 is *eventually* delivered.  A :class:`Scheduler` embodies one such network:
-at every simulation step it picks the next in-flight envelope to deliver
-and assigns it a delivery (virtual) time.
+at every simulation step it names the next delivery by its *rank* in the
+pending set (0 = oldest) and assigns it a delivery (virtual) time.  The
+runner records the ranks (``Simulation.schedule``), and
+:class:`ScriptedScheduler` replays them.
 
 Built-in benign schedulers:
 
@@ -18,6 +20,8 @@ Built-in benign schedulers:
   (the standard "FIFO reliable links" assumption).
 * :class:`RoundRobinScheduler` — deterministically cycles destinations;
   useful for reproducible unit tests.
+* :class:`ScriptedScheduler` — replays a list of ranks, then delivers
+  oldest first.
 
 Adversarial schedulers (message reordering attacks, coin-aware rushing)
 live in :mod:`repro.adversary.strategies` and subclass :class:`Scheduler`.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import abc
 import heapq
 import random
-from typing import Optional, Tuple
+from typing import Iterable, Tuple
 
 from ..errors import SimulationError
 from ..types import Envelope
@@ -40,11 +44,11 @@ class Scheduler(abc.ABC):
 
     Lifecycle: the :class:`~repro.sim.runner.Simulation` calls
     :meth:`attach` once, then alternates :meth:`on_send` notifications and
-    :meth:`choose` calls.  ``choose`` must return an envelope currently in
-    the pending set together with its delivery time, or ``None`` if it
-    declines to schedule (the runner then falls back to the oldest pending
-    envelope so that executions remain *admissible*: nothing is delayed
-    forever).
+    :meth:`choose` calls.  ``choose`` runs only while messages are
+    pending and returns the rank of the next delivery in the pending set
+    (:meth:`~repro.sim.events.PendingSet.at`) with its delivery time.
+    Keeping executions admissible — nothing delayed forever — is the
+    scheduler's own job.
     """
 
     def __init__(self) -> None:
@@ -62,8 +66,8 @@ class Scheduler(abc.ABC):
         """Notification that ``env`` entered the pending set (optional hook)."""
 
     @abc.abstractmethod
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
-        """Return ``(envelope, delivery_time)`` or ``None`` to defer."""
+    def choose(self) -> Tuple[int, float]:
+        """Return ``(rank, delivery_time)``; the pending set is not empty."""
 
     def _advance(self, delta: float = 1.0) -> float:
         self.now += delta
@@ -79,23 +83,16 @@ class RandomScheduler(Scheduler):
     message is delivered eventually with probability 1.
     """
 
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
-        pending = self.pending
-        if not pending:
-            return None
-        env = pending.at(self.rng.randrange(len(pending)))
-        return env, self._advance()
+    def choose(self) -> Tuple[int, float]:
+        return self.rng.randrange(len(self.pending)), self._advance()
 
 
 class FifoScheduler(Scheduler):
     """Random across links, strictly FIFO within each (source, dest) link."""
 
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
+    def choose(self) -> Tuple[int, float]:
         heads = self.pending.oldest_per_link()
-        if not heads:
-            return None
-        env = heads[self.rng.randrange(len(heads))]
-        return env, self._advance()
+        return heads[self.rng.randrange(len(heads))], self._advance()
 
 
 class RoundRobinScheduler(Scheduler):
@@ -109,18 +106,32 @@ class RoundRobinScheduler(Scheduler):
         super().__init__()
         self._next_dest = 0
 
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
-        if not self.pending:
-            return None
-        dests = sorted({env.dest for env in self.pending})
-        for dest in dests:
-            if dest >= self._next_dest:
-                break
-        else:
-            dest = dests[0]
+    def choose(self) -> Tuple[int, float]:
+        oldest: dict = {}  # dest -> rank of its oldest pending envelope
+        for k, env in enumerate(self.pending):
+            oldest.setdefault(env.dest, k)
+        later = [dest for dest in oldest if dest >= self._next_dest]
+        dest = min(later or oldest)
         self._next_dest = dest + 1
-        batch = self.pending.to_dest(dest)
-        return batch[0], self._advance()
+        return oldest[dest], self._advance()
+
+
+class ScriptedScheduler(Scheduler):
+    """Replays a schedule: delivery ``i`` is rank ``ranks[i] % len(pending)``,
+    and past the end of the list the oldest pending envelope.  Every list
+    of ints is a valid schedule, so shrinking one needs no repair.
+    """
+
+    def __init__(self, ranks: Iterable[int]):
+        super().__init__()
+        self.ranks = tuple(ranks)
+        for rank in self.ranks:
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise ValueError(f"ranks must be integers, got {rank!r}")
+        self._script = iter(self.ranks)
+
+    def choose(self) -> Tuple[int, float]:
+        return next(self._script, 0) % len(self.pending), self._advance()
 
 
 class RandomDelayScheduler(Scheduler):
@@ -148,29 +159,17 @@ class RandomDelayScheduler(Scheduler):
         self._heap: list[Tuple[float, int, Envelope]] = []
         self._sent = 0
 
-    def _push(self, due: float, env: Envelope) -> None:
-        self._sent += 1
-        heapq.heappush(self._heap, (due, self._sent, env))
-
     def on_send(self, env: Envelope) -> None:
         latency = self.min_delay + self.rng.expovariate(1.0 / self.mean_delay)
-        self._push(max(self.now, env.send_time) + latency, env)
+        self._sent += 1
+        heapq.heappush(
+            self._heap, (max(self.now, env.send_time) + latency, self._sent, env)
+        )
 
-    def _adopt_unannounced(self) -> None:
-        """Envelopes that entered the pending set without :meth:`on_send`
-        are due at their send time."""
-        known = {env.uid for _due, _order, env in self._heap}
-        for env in self.pending:
-            if env.uid not in known:
-                self._push(env.send_time, env)
-
-    def choose(self) -> Optional[Tuple[Envelope, float]]:
+    def choose(self) -> Tuple[int, float]:
         pending, heap = self.pending, self._heap
-        while pending:
-            if len(heap) < len(pending):
-                self._adopt_unannounced()
+        while True:
             due, _order, env = heapq.heappop(heap)
             if env in pending:
                 self.now = max(self.now, due)
-                return env, self.now
-        return None
+                return pending.rank(env), self.now

@@ -293,6 +293,27 @@ class TestSchedulers:
         with pytest.raises(ConfigError):
             make_scheduler("fifo", 4, bogus_arg=1)
 
+    @pytest.mark.parametrize("scheduler, args, why", [
+        ("partition", {"heal_after": -3}, "heal_after must be non-negative"),
+        ("delay", {"mean_delay": 0}, "mean_delay must be positive"),
+        ("victim", {"victims": [9]}, r"pid\(s\) \[9\] out of range for n=4"),
+        ("split", {"group_a": [7, 8]}, r"\[7, 8\] out of range"),
+        ("partition", {"group_a": [0, "1"]}, r"\['1'\] out of range"),
+        ("victim", {"holdback": 0}, "holdback must be at least 1"),
+        ("victim", {"victims": 3}, "not iterable"),
+        ("script", {"ranks": [0, True]}, "ranks must be integers, got True"),
+        ("script", {"ranks": [1.5]}, "ranks must be integers"),
+        ("script", {}, "ranks"),
+        ("fifo", {"bogus_arg": 1}, "bogus_arg"),
+    ])
+    def test_bad_scheduler_args_rejected_at_construction(self, scheduler, args, why):
+        """Each used to surface only when the run started (a ValueError
+        traceback, a SimulationError) or not at all (a pid outside the
+        system silently starved nobody)."""
+        with pytest.raises(ConfigError, match="bad scheduler_args") as exc:
+            Scenario(n=4, scheduler=scheduler, scheduler_args=args)
+        assert exc.match(why)
+
     def test_scenario_builds_its_scheduler(self):
         s = Scenario(scheduler="victim", scheduler_args={"victims": [2]})
         sched = s.build_scheduler()

@@ -192,18 +192,19 @@ class TestSquat:
 
 
 class TestHoldbackSchedulers:
-    def _env(self, uid, source, dest):
-        return Envelope(uid=uid, source=source, dest=dest, payload="m", send_time=0.0)
+    def _env(self, uid, source, dest, send_time=0.0):
+        return Envelope(uid=uid, source=source, dest=dest, payload="m",
+                        send_time=send_time)
 
     def _drain(self, scheduler, envelopes):
         pending = PendingSet()
         scheduler.attach(random.Random(0), pending)
         for env in envelopes:
             pending.add(env)
-            scheduler.on_send(env)
         order = []
         while pending:
-            env, _t = scheduler.choose()
+            rank, _t = scheduler.choose()
+            env = pending.at(rank)
             pending.remove(env)
             order.append(env.uid)
         return order
@@ -227,6 +228,18 @@ class TestHoldbackSchedulers:
         only_victim = [self._env(i, 0, 3) for i in range(1, 4)]
         order = self._drain(scheduler, only_victim)
         assert sorted(order) == [1, 2, 3]  # nothing is starved forever
+
+    def test_age_is_deliveries_since_the_send_time(self):
+        """Virtual time is the delivery count: an envelope sent at time
+        ``s`` is eligible from delivery ``s + holdback`` on."""
+        scheduler = DelayVictimScheduler([3], holdback=3)
+        late = self._env(10, 0, 3, send_time=1.0)
+        early = self._env(11, 0, 3, send_time=0.0)
+        favored = [self._env(1, 0, 1), self._env(2, 0, 1)]
+        order = self._drain(scheduler, [late, *favored, early])
+        # Delivery 3 releases `early` alone; the oldest-first fallback
+        # would have released `late`, the oldest pending envelope.
+        assert sorted(order[:2]) == [1, 2] and order[2:] == [11, 10]
 
 
 class TestScriptedAttack:

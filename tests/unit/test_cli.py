@@ -172,6 +172,16 @@ class TestSetOverrides:
         assert code == 1
         assert "'link' / 'partitions'" in capsys.readouterr().err
 
+    def test_bad_scheduler_args_are_an_error_line(self, capsys, built):
+        # Used to print a ValueError traceback from inside the run.
+        code = main(["run", "--set", "scheduler=partition",
+                     "--set", 'scheduler_args={"heal_after": -3}'])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "scheduler_args" in err and "heal_after" in err
+        assert built == []
+
     def test_fault_budget_is_an_error_line(self, capsys):
         code = main(["run", "--set", 'faults={"2": "silent", "3": "silent"}'])
         assert code == 1

@@ -1,4 +1,4 @@
-"""PendingSet: the in-flight message structure schedulers query."""
+"""PendingSet: the in-flight message structure schedulers name ranks in."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,6 @@ class TestBasics:
         pending = PendingSet()
         assert len(pending) == 0
         assert not pending
-        assert pending.peek_oldest() is None
 
     def test_add_and_len(self):
         pending = PendingSet()
@@ -64,12 +63,11 @@ class TestBasics:
             pending.add(env(uid))
         assert [e.uid for e in pending] == [3, 1, 2]
 
-    def test_peek_oldest_is_first_inserted(self):
+    def test_rank_zero_is_first_inserted(self):
         pending = PendingSet()
         pending.add(env(5))
         pending.add(env(2))
-        oldest = pending.peek_oldest()
-        assert oldest is not None and oldest.uid == 5
+        assert pending.at(0).uid == 5
 
     def test_rank_fetch_follows_insertion_order(self):
         pending = PendingSet()
@@ -138,28 +136,34 @@ class TestQueries:
         pending.add(env(4, source=0, dest=1))
         return pending
 
-    def test_to_dest(self):
-        assert [e.uid for e in self._loaded().to_dest(1)] == [1, 4]
+    def test_ranks_of_a_destination(self):
+        assert self._loaded().ranks(lambda e: e.dest == 1) == [0, 3]
 
-    def test_from_source(self):
-        assert [e.uid for e in self._loaded().from_source(0)] == [1, 2, 4]
-
-    def test_between(self):
-        assert [e.uid for e in self._loaded().between(0, 1)] == [1, 4]
-
-    def test_filter(self):
-        evens = self._loaded().filter(lambda e: e.uid % 2 == 0)
-        assert [e.uid for e in evens] == [2, 4]
+    def test_ranks_of_a_predicate(self):
+        assert self._loaded().ranks(lambda e: e.uid % 2 == 0) == [1, 3]
+        assert self._loaded().ranks(lambda e: False) == []
 
     def test_oldest_per_link(self):
         heads = self._loaded().oldest_per_link()
-        assert sorted(e.uid for e in heads) == [1, 2, 3]  # uid 4 shadowed by 1
+        assert heads == [0, 1, 2]  # uid 4 (rank 3) shadowed by uid 1
 
-    def test_snapshot_is_stable_copy(self):
+    def test_rank_inverts_at(self):
         pending = self._loaded()
-        snap = pending.snapshot()
-        pending.remove(pending.peek_oldest())
-        assert [e.uid for e in snap] == [1, 2, 3, 4]
+        assert [pending.rank(env(uid)) for uid in (1, 2, 3, 4)] == [0, 1, 2, 3]
+        pending.remove(pending.at(1))
+        assert [pending.rank(pending.at(k)) for k in range(3)] == [0, 1, 2]
+
+    def test_rank_of_an_envelope_that_is_not_pending_rejected(self):
+        pending = self._loaded()
+        pending.remove(pending.at(0))
+        with pytest.raises(SimulationError, match="uid 1 is not pending"):
+            pending.rank(env(1))
+
+    def test_iteration_is_a_stable_copy(self):
+        pending = self._loaded()
+        walk = iter(pending)
+        pending.remove(pending.at(0))
+        assert [e.uid for e in walk] == [1, 2, 3, 4]
 
 
 OPS = ("add", "add_burst", "remove", "remove_burst", "remove_unknown",
@@ -219,30 +223,28 @@ class TestAgainstListModel:
             elif op == "remove_unknown":
                 with pytest.raises(SimulationError, match="unknown"):
                     pending.remove(env(-1))
+                with pytest.raises(SimulationError, match="not pending"):
+                    pending.rank(env(-1))
             elif op == "bad_rank":
                 for rank in (-1, len(model), len(model) + arg):
                     with pytest.raises(IndexError):
                         pending.at(rank)
             else:
                 link = (arg % 3, (arg // 3) % 3)
-                assert list(pending.snapshot()) == model
-                assert pending.filter(lambda e: e.uid % 2 == 0) == [
-                    e for e in model if e.uid % 2 == 0
+                assert pending.ranks(lambda e: e.uid % 2 == 0) == [
+                    k for k, e in enumerate(model) if e.uid % 2 == 0
                 ]
-                assert pending.to_dest(link[1]) == [
-                    e for e in model if e.dest == link[1]
-                ]
-                assert pending.between(*link) == [
-                    e for e in model if (e.source, e.dest) == link
+                assert pending.ranks(lambda e: (e.source, e.dest) == link) == [
+                    k for k, e in enumerate(model) if (e.source, e.dest) == link
                 ]
                 heads = {}
-                for e in model:
-                    heads.setdefault((e.source, e.dest), e)
+                for k, e in enumerate(model):
+                    heads.setdefault((e.source, e.dest), k)
                 assert pending.oldest_per_link() == list(heads.values())
+                assert [pending.rank(e) for e in model] == list(range(len(model)))
             assert within_block_bound(pending)
             assert len(pending) == len(model)
             assert bool(pending) == bool(model)
             assert list(pending) == model
-            assert pending.peek_oldest() is (model[0] if model else None)
             assert all(e in pending for e in model)
             assert [pending.at(k) for k in range(len(model))] == model

@@ -6,7 +6,7 @@ from repro.errors import EventBudgetExceeded, SimulationError
 from repro.params import ProtocolParams
 from repro.sim.process import Process, ProtocolModule
 from repro.sim.runner import Simulation
-from repro.sim.scheduler import RoundRobinScheduler, Scheduler
+from repro.sim.scheduler import RoundRobinScheduler, ScriptedScheduler
 
 
 class Echoer(ProtocolModule):
@@ -144,47 +144,34 @@ class TestSimulationLoop:
         sim = three_sends()
         assert sim.run(until=lambda: False, max_steps=3) == 3
 
-    def test_scheduler_choice_must_be_pending(self):
-        class Replayer(Scheduler):
-            """Keeps choosing the first envelope it ever saw."""
-
-            first = None
-
-            def on_send(self, env):
-                if self.first is None:
-                    self.first = env
-
-            def choose(self):
-                return self.first, self._advance()
-
-        sim, modules = two_process_sim(scheduler=Replayer())
-        sim.start()
-        sim.network.send(0, 1, ("echo", "ping"))
-        assert sim.step()  # delivers the ping; the pong is now pending
-        with pytest.raises(SimulationError, match="not pending"):
-            sim.step()
-        assert modules[1].got == [(0, "ping")]
-
-    def test_scheduler_cannot_forge_a_delivery(self):
+    def test_network_refuses_a_forged_delivery(self):
         """The network adversary reorders; the links are authenticated,
         so a pending uid with another destination or payload is refused."""
-
-        class Forger(Scheduler):
-            def choose(self):
-                env = self.pending.peek_oldest()
-                forged = env._replace(dest=0, payload=("echo", "FORGED"))
-                return forged, self._advance()
-
-        sim, modules = two_process_sim(scheduler=Forger())
+        sim, modules = two_process_sim()
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
-        genuine = sim.pending.peek_oldest()
+        genuine = sim.pending.at(0)
+        forged = genuine._replace(dest=0, payload=("echo", "FORGED"))
         with pytest.raises(SimulationError, match=f"uid {genuine.uid}"):
-            sim.step()
+            sim.network.deliver(forged, sim.now)
         assert modules[0].got == modules[1].got == []
         assert not sim.network.delivered
         assert list(sim.pending) == [genuine]
         assert sim.pending.at(0) is genuine
+
+    def test_every_delivery_is_recorded_by_rank_and_replays(self):
+        def transcript(scheduler=None):
+            sim, modules = two_process_sim(seed=5, scheduler=scheduler)
+            sim.start()
+            for i in range(6):
+                sim.network.send(0, 1, ("echo", "ping"))
+                sim.network.send(1, 0, ("echo", f"m{i}"))
+            sim.run_to_quiescence()
+            return [m.got for m in modules], sim.schedule
+
+        got, schedule = transcript()
+        assert len(schedule) == 18  # 12 sends + 6 pongs
+        assert transcript(ScriptedScheduler(schedule)) == (got, schedule)
 
     def test_double_start_rejected(self):
         sim, _ = two_process_sim()

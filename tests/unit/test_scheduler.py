@@ -1,4 +1,8 @@
-"""Delivery schedulers: fairness, determinism, and ordering contracts."""
+"""Delivery schedulers: fairness, determinism, and ordering contracts.
+
+A scheduler names each delivery by its rank in the pending set; the
+helpers here drain a set the way the runner does, through ``at``.
+"""
 
 import random
 
@@ -12,6 +16,7 @@ from repro.sim.scheduler import (
     RandomDelayScheduler,
     RandomScheduler,
     RoundRobinScheduler,
+    ScriptedScheduler,
 )
 from repro.types import Envelope
 
@@ -32,27 +37,28 @@ def feed(scheduler, pending, envelopes):
         scheduler.on_send(e)
 
 
+def deliver(scheduler, pending):
+    """One step of the runner: choose a rank, take that envelope out."""
+    rank, time = scheduler.choose()
+    chosen = pending.at(rank)
+    pending.remove(chosen)
+    return chosen, time
+
+
 def drain(scheduler, pending):
     order = []
     while pending:
-        choice = scheduler.choose()
-        assert choice is not None
-        chosen, _time = choice
-        pending.remove(chosen)
+        chosen, _time = deliver(scheduler, pending)
         order.append(chosen.uid)
     return order
 
 
 class TestRandomScheduler:
-    def test_empty_returns_none(self):
-        scheduler, _ = make(RandomScheduler())
-        assert scheduler.choose() is None
-
-    def test_chooses_only_pending(self):
+    def test_chooses_a_pending_rank(self):
         scheduler, pending = make(RandomScheduler())
         feed(scheduler, pending, [env(1), env(2)])
-        chosen, _ = scheduler.choose()
-        assert chosen.uid in (1, 2)
+        rank, _ = scheduler.choose()
+        assert rank in (0, 1)
 
     def test_delivers_everything(self):
         scheduler, pending = make(RandomScheduler())
@@ -62,9 +68,8 @@ class TestRandomScheduler:
     def test_time_advances_per_delivery(self):
         scheduler, pending = make(RandomScheduler())
         feed(scheduler, pending, [env(1), env(2)])
-        _, t1 = scheduler.choose()
-        pending.remove(pending.peek_oldest())
-        _, t2 = scheduler.choose()
+        _, t1 = deliver(scheduler, pending)
+        _, t2 = deliver(scheduler, pending)
         assert t2 > t1
 
     def test_deterministic_under_seed(self):
@@ -112,10 +117,15 @@ class TestRoundRobinScheduler:
     def test_cycles_destinations(self):
         scheduler, pending = make(RoundRobinScheduler())
         feed(scheduler, pending, [env(1, 0, 0), env(2, 0, 1), env(3, 0, 2)])
-        first, _ = scheduler.choose()
-        pending.remove(first)
-        second, _ = scheduler.choose()
+        first, _ = deliver(scheduler, pending)
+        second, _ = deliver(scheduler, pending)
         assert first.dest != second.dest
+
+    def test_oldest_message_of_the_next_destination_first(self):
+        scheduler, pending = make(RoundRobinScheduler())
+        feed(scheduler, pending, [env(1, 0, 2), env(2, 0, 1), env(3, 1, 1),
+                                  env(4, 0, 0), env(5, 1, 2)])
+        assert drain(scheduler, pending) == [4, 2, 1, 3, 5]
 
 
 class TestRandomDelayScheduler:
@@ -128,8 +138,7 @@ class TestRandomDelayScheduler:
         feed(scheduler, pending, [env(i) for i in range(1, 20)])
         last = 0.0
         while pending:
-            chosen, time = scheduler.choose()
-            pending.remove(chosen)
+            _chosen, time = deliver(scheduler, pending)
             assert time >= last
             last = time
 
@@ -144,8 +153,7 @@ class TestRandomDelayScheduler:
             feed(scheduler, pending, [env(i) for i in range(1, 40)])
             last = 0.0
             while pending:
-                chosen, last = scheduler.choose()
-                pending.remove(chosen)
+                _chosen, last = deliver(scheduler, pending)
             return last
 
         assert final_time(10.0) > final_time(0.1)
@@ -161,15 +169,6 @@ class TestRandomDelayScheduler:
         feed(scheduler, pending, [env(uid) for uid in (5, 3, 9, 1)])
         assert drain(scheduler, pending) == [5, 3, 9, 1]
 
-    def test_unannounced_envelope_is_due_at_its_send_time(self):
-        scheduler, pending = make(RandomDelayScheduler(), seed=8)
-        feed(scheduler, pending, [env(1, send_time=5.0), env(2, send_time=5.0)])
-        pending.add(env(3, send_time=0.5))  # no on_send
-        chosen, time = scheduler.choose()
-        assert (chosen.uid, time) == (3, 0.5)
-        pending.remove(chosen)
-        assert sorted(drain(scheduler, pending)) == [1, 2]
-
     def test_envelopes_removed_elsewhere_are_skipped(self):
         scheduler, pending = make(RandomDelayScheduler(), seed=8)
         envelopes = [env(i) for i in range(1, 11)]
@@ -177,7 +176,6 @@ class TestRandomDelayScheduler:
         for gone in envelopes[::2]:
             pending.remove(gone)
         assert sorted(drain(scheduler, pending)) == [2, 4, 6, 8, 10]
-        assert scheduler.choose() is None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_min_scan_reference(self, seed):
@@ -197,13 +195,11 @@ class TestRandomDelayScheduler:
 
             def choose(self):
                 best, best_due = None, float("inf")
-                for e in self.pending:
-                    due = self._due.get(e.uid, e.send_time)
+                for k, e in enumerate(self.pending):
+                    due = self._due[e.uid]
                     if due < best_due:
-                        best, best_due = e, due
-                if best is None:
-                    return None
-                self._due.pop(best.uid, None)
+                        best, best_due = k, due
+                self._due.pop(self.pending.at(best).uid)
                 self.now = max(self.now, best_due)
                 return best, self.now
 
@@ -216,8 +212,7 @@ class TestRandomDelayScheduler:
                     uid += 1
                     feed(scheduler, pending, [env(uid, send_time=scheduler.now)])
                 else:
-                    chosen, time = scheduler.choose()
-                    pending.remove(chosen)
+                    chosen, time = deliver(scheduler, pending)
                     out.append((chosen.uid, time))
             return out + [(u, None) for u in drain(scheduler, pending)]
 
@@ -230,7 +225,7 @@ class _NoScanPendingSet(PendingSet):
     def _scanned(self, *args):
         raise AssertionError("the scheduler scanned the pending set")
 
-    __iter__ = filter = snapshot = _scanned
+    __iter__ = ranks = oldest_per_link = _scanned
 
 
 class _CountingRandom(random.Random):
@@ -265,3 +260,21 @@ class TestUniformPickersDoNotScan:
             items.pop(reference.randrange(len(items))).uid for _ in envelopes
         ]
         assert order == expected
+
+
+class TestScriptedScheduler:
+    def test_delivers_the_scripted_ranks_then_oldest_first(self):
+        scheduler, pending = make(ScriptedScheduler([2, 0, 1]))
+        feed(scheduler, pending, [env(uid) for uid in range(1, 7)])
+        assert drain(scheduler, pending) == [3, 1, 4, 2, 5, 6]
+
+    def test_out_of_range_ranks_wrap(self):
+        scheduler, pending = make(ScriptedScheduler([7, -1, 10**9 + 1]))
+        feed(scheduler, pending, [env(uid) for uid in range(1, 5)])
+        # 7 % 4 = 3, -1 % 3 = 2, (10**9 + 1) % 2 = 1
+        assert drain(scheduler, pending)[:3] == [4, 3, 2]
+
+    @pytest.mark.parametrize("ranks", [[0, True], [1.0], ["2"], [None]])
+    def test_non_integer_ranks_rejected(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            ScriptedScheduler(ranks)
