@@ -25,7 +25,6 @@ from .behaviors import (
     SilentBehavior,
     StubbornBidder,
     TwoFacedBehavior,
-    make_behavior,
 )
 from .benor_attack import AttackReport, attack_success_rate, run_benor_equivocation_attack
 from .strategies import (
@@ -49,6 +48,5 @@ __all__ = [
     "StubbornBidder",
     "TwoFacedBehavior",
     "attack_success_rate",
-    "make_behavior",
     "run_benor_equivocation_attack",
 ]

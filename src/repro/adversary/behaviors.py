@@ -24,7 +24,7 @@ the mechanism that defeats it.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..params import ProtocolParams
 from ..sim.network import NetworkAPI
@@ -386,10 +386,16 @@ class FuzzerBehavior(ByzantineBehavior):
         return ("no-such-module", rng.random())
 
 
-#: Every fault kind :func:`dispatch_behavior` builds, on every fabric.
-BEHAVIOR_KINDS = (
-    "silent", "crash", "two_faced", "fuzzer", "stubborn", "squat",
-)
+#: Every fault kind :func:`dispatch_behavior` builds, on every fabric,
+#: with the options its spec may carry besides ``kind``.
+BEHAVIOR_KINDS: Dict[str, Tuple[str, ...]] = {
+    "silent": (),
+    "crash": ("crash_after", "proposal"),
+    "two_faced": ("group_a", "bit_a", "bit_b"),
+    "fuzzer": ("mutate_p", "fanout"),
+    "stubborn": ("bit", "horizon", "module_id"),
+    "squat": (),
+}
 
 
 def dispatch_behavior(
@@ -432,17 +438,10 @@ def dispatch_behavior(
         if group_a is None:
             others = [q for q in range(params.n) if q != pid]
             group_a = others[: len(others) // 2]
-        # Explicit face factories (the legacy make_behavior surface)
-        # override the honest-stack-per-bit construction.
-        factory_a = config.pop("factory_a", None) or (
-            lambda process: honest_factory(process, bit_a)
-        )
-        factory_b = config.pop("factory_b", None) or (
-            lambda process: honest_factory(process, bit_b)
-        )
         return TwoFacedBehavior(
             pid, network, params,
-            factory_a=factory_a, factory_b=factory_b,
+            factory_a=lambda process: honest_factory(process, bit_a),
+            factory_b=lambda process: honest_factory(process, bit_b),
             group_a=group_a, **config,
         )
     if kind == "fuzzer":
@@ -455,43 +454,4 @@ def dispatch_behavior(
         return SquatBehavior(pid, network, params, bit, **config)
     raise ConfigError(
         f"unknown fault kind {kind!r}; choose from {list(BEHAVIOR_KINDS)}"
-    )
-
-
-def make_behavior(
-    kind: str,
-    pid: ProcessId,
-    network: NetworkAPI,
-    params: ProtocolParams,
-    factory: Optional[ProcessFactory] = None,
-    **kwargs: Any,
-) -> ByzantineBehavior:
-    """Construct a behavior by name — thin wrapper over
-    :func:`dispatch_behavior` keeping the historical positional surface.
-
-    Supported kinds: ``silent``, ``crash`` (honest then crash after
-    ``crash_after`` deliveries, default 0 = crash at start; needs
-    ``factory``), ``two_faced`` (needs ``factory_a`` and ``factory_b``;
-    ``group_a`` defaults to the first half of the other pids),
-    ``fuzzer``, ``stubborn``.  Raises
-    :class:`~repro.errors.ConfigError` on unknown kinds or missing
-    factories.
-    """
-    from ..errors import ConfigError
-
-    if kind == "crash":
-        if factory is None:
-            raise ConfigError("crash behavior needs an honest-stack factory")
-        # dispatch_behavior carries the *harness* default of 50; this
-        # surface historically crashed at time zero unless told later.
-        kwargs.setdefault("crash_after", 0)
-    if kind == "two_faced" and not ("factory_a" in kwargs and "factory_b" in kwargs):
-        raise ConfigError("two_faced behavior needs factory_a and factory_b")
-
-    def honest_factory(process: Process, _bit: Any) -> None:
-        assert factory is not None  # guarded above for the kinds that use it
-        factory(process)
-
-    return dispatch_behavior(
-        pid, {"kind": kind, **kwargs}, network, params, honest_factory, None
     )

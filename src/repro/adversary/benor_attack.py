@@ -38,8 +38,9 @@ contrast end to end.
 
 The implementation below hand-delivers messages in exactly this order
 (any delivery order is admissible in the asynchronous model) and reports
-what happened; delayed messages are delivered at the end, which can only
-add a "second decision" flag to the already-broken execution.
+what happened.  The run stops once two correct processes have decided:
+the messages still held back would make the execution admissible, but
+no later delivery can undo a decision, so they are never delivered.
 """
 
 from __future__ import annotations
@@ -56,17 +57,17 @@ from ..types import Bit
 
 
 class _ScriptNet:
-    """Minimal network double recording sends for hand-scheduling."""
+    """Network double for hand-scheduling: every delivery is scripted,
+    so what the processes send goes nowhere."""
 
     def __init__(self, seed: int):
         self.rng = SplitRng(seed)
-        self.sent: List[Tuple[int, int, object]] = []
 
     def register(self, process: object) -> None:  # never used here
         raise AssertionError("scripted processes are not registered")
 
     def send(self, source: int, dest: int, payload: object) -> None:
-        self.sent.append((source, dest, payload))
+        pass
 
     def now(self) -> float:
         return 0.0
@@ -145,11 +146,6 @@ def run_benor_equivocation_attack(seed: int = 0) -> AttackReport:
             deliver(dest, 2, PVote(2, 0))
             deliver(dest, 3, PVote(2, 0))   # p1 and p2 decide 0
 
-    # --- eventual delivery of everything that was delayed -----------------
-    # (Safety was already determined; this keeps the execution admissible.)
-    for source, dest, payload in list(net.sent):
-        if dest in processes and not isinstance(payload, tuple):
-            continue
     decisions = {pid: modules[pid].decision for pid in (0, 1, 2)}
     flags = [flag for m in modules.values() for flag in m.invariant_flags]
 

@@ -29,19 +29,23 @@ opposite values then needs ``(n+t)/2 + (n+t)/2 − n > 2t``, i.e.
 experiment shows the two-faced adversary inducing disagreement or
 stalls outside it, while Bracha's protocol shrugs the same attack off.
 
-The implementation mirrors :class:`~repro.core.consensus.BrachaConsensus`'s
-engineering (monotone upon-rules over cumulative vote sets, decide
-amplification for halting) so that measured differences are due to the
-*protocol*, not the plumbing.
+Ben-Or's paper gives a second protocol, for ``t < n/2`` *crash* faults
+(processes stop, but never lie): the same two phases with five
+thresholds changed — :class:`BenOrCrashConsensus`.
+
+Deciding, DECIDE amplification and halting are the
+:class:`~repro.core.consensus.BinaryAgreement` shell Bracha's protocol
+uses too, so measured differences are due to the *protocol*, not the
+plumbing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.coin import CoinSource
-from ..sim.process import ProtocolModule
+from ..core.consensus import BinaryAgreement
 from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 
 
@@ -68,67 +72,53 @@ class BenOrDecide:
     bit: Bit
 
 
-class BenOrConsensus(ProtocolModule):
-    """One Ben-Or instance at one process.
+Votes = Dict[ProcessId, Optional[Bit]]
 
-    Interface mirrors :class:`~repro.core.consensus.BrachaConsensus`:
-    ``propose``, ``decided``/``decision``/``decision_round``, ``stats``,
-    and DECIDE-based halting, so the two are drop-in comparable in the
-    harness.
-    """
+
+def _tally(votes: Votes) -> List[int]:
+    """Per-bit counts of the non-⊥ votes."""
+    counts = [0, 0]
+    for bit in votes.values():
+        if bit in BINARY_VALUES:
+            counts[bit] += 1  # type: ignore[index]
+    return counts
+
+
+class BenOrConsensus(BinaryAgreement):
+    """One Ben-Or instance at one process (Byzantine faults, ``t < n/5``)."""
 
     MODULE_ID = "benor"
+    DECIDE = BenOrDecide
+    NOTE = "ben-or decide"
 
     def __init__(self, coin: CoinSource, module_id: str = MODULE_ID):
-        super().__init__(module_id)
-        self.coin = coin
-        self.round: Round = 0
+        super().__init__(module_id, coin)
         self.phase: str = "R"  # "R" or "P"
         self.value: Optional[Bit] = None
-        self.proposal: Optional[Bit] = None
+        # votes[(phase, round)][sender] = bit (or None for ⊥ in phase P)
+        self._votes: Dict[tuple, Votes] = {}
 
-        # votes[(round, phase)][sender] = bit (or None for ⊥ in phase P)
-        self._votes: Dict[tuple, Dict[ProcessId, Optional[Bit]]] = {}
-        self._coin_values: Dict[Round, Bit] = {}
-        self._coin_requested: set[Round] = set()
-
-        self.decided = False
-        self.decision: Optional[Bit] = None
-        self.decision_round: Round = 0
-        self._sent_decide = False
-        self._decide_votes: Dict[ProcessId, Bit] = {}
-        self._halted = False
-
-        self.stats = {"rounds": 0, "coin_flips": 0, "adoptions": 0}
-        self.invariant_flags: list[str] = []
-
-    # -- thresholds -------------------------------------------------------
-
-    @property
-    def _n(self) -> int:
-        assert self.ctx is not None
-        return self.ctx.params.n
-
-    @property
-    def _t(self) -> int:
-        assert self.ctx is not None
-        return self.ctx.params.t
-
-    def _quorum(self) -> int:
-        return self._n - self._t
+    # -- thresholds (Ben-Or's Byzantine analysis) ----------------------------
 
     def _super_majority(self) -> int:
-        """Strictly more than (n+t)/2 — Ben-Or's Byzantine majority."""
-        return (self._n + self._t) // 2 + 1
+        """Strictly more than (n+t)/2."""
+        return (self.params.n + self.params.t) // 2 + 1
 
-    # -- lifecycle ----------------------------------------------------------
+    def propose_at(self) -> int:
+        """R reports for one bit that make it the P proposal."""
+        return self._super_majority()
 
-    def propose(self, bit: Bit) -> None:
-        if bit not in BINARY_VALUES:
-            raise ValueError(f"can only propose 0 or 1, got {bit!r}")
-        if self.proposal is not None:
-            raise RuntimeError("propose() called twice")
-        self.proposal = bit
+    def decide_at(self) -> int:
+        """P proposals for one bit that decide it."""
+        return self._super_majority()
+
+    def adopt_at(self) -> int:
+        """P proposals for one bit that make it the next estimate."""
+        return self.params.t + 1
+
+    # -- rounds ---------------------------------------------------------------
+
+    def _begin(self, bit: Bit) -> None:
         self.value = bit
         self._enter_round(1)
 
@@ -138,92 +128,58 @@ class BenOrConsensus(ProtocolModule):
         self.phase = "R"
         self.stats["rounds"] = max(self.stats["rounds"], round_)
         self.ctx.broadcast(RVote(round_, self.value))
-        if round_ not in self._coin_requested:
-            self._coin_requested.add(round_)
-            self.coin.request(round_, self._on_coin)
-
-    # -- message handling --------------------------------------------------
+        self._request_coin(round_)
 
     def on_message(self, sender: ProcessId, payload: object) -> None:
         if self._halted:
             return
         if (isinstance(payload, RVote) and payload.bit in BINARY_VALUES
                 and valid_round(payload.round)):
-            self._record(("R", payload.round), sender, payload.bit)
+            key: tuple = ("R", payload.round)
         elif (isinstance(payload, PVote) and payload.bit in (None, 0, 1)
                 and valid_round(payload.round)):
-            self._record(("P", payload.round), sender, payload.bit)
-        elif isinstance(payload, BenOrDecide) and payload.bit in BINARY_VALUES:
-            if sender not in self._decide_votes:
-                self._decide_votes[sender] = payload.bit
-                self._check_decide_votes()
-            return
+            key = ("P", payload.round)
         else:
+            super().on_message(sender, payload)  # DECIDE, or garbage
             return
+        # The first vote per sender per phase counts.
+        self._votes.setdefault(key, {}).setdefault(sender, payload.bit)
         self._progress()
-
-    def _record(self, key: tuple, sender: ProcessId, bit: Optional[Bit]) -> None:
-        votes = self._votes.setdefault(key, {})
-        if sender not in votes:  # first vote per sender per phase counts
-            votes[sender] = bit
-
-    def _on_coin(self, round_: Round, bit: Bit) -> None:
-        self._coin_values[round_] = bit
-        self._progress()
-
-    # -- the protocol -----------------------------------------------------
 
     def _progress(self) -> None:
-        if self._halted or self.round == 0:
+        if self.round == 0:
             return
-        while self._advance():
+        while not self._halted and self._advance():
             pass
 
     def _advance(self) -> bool:
-        if self._halted or self.proposal is None:
+        votes = self._votes.get((self.phase, self.round), {})
+        if len(votes) < self.params.step_quorum:
             return False
+        counts = _tally(votes)
         if self.phase == "R":
-            return self._finish_phase_r()
-        return self._finish_phase_p()
-
-    def _finish_phase_r(self) -> bool:
-        votes = self._votes.get(("R", self.round), {})
-        if len(votes) < self._quorum():
-            return False
-        counts = {0: 0, 1: 0}
-        for bit in votes.values():
-            if bit in BINARY_VALUES:
-                counts[bit] += 1
-        proposal: Optional[Bit] = None
-        for bit in BINARY_VALUES:
-            if counts[bit] >= self._super_majority():
-                proposal = bit
-        assert self.ctx is not None
-        self.phase = "P"
-        self.ctx.broadcast(PVote(self.round, proposal))
-        return True
-
-    def _finish_phase_p(self) -> bool:
-        votes = self._votes.get(("P", self.round), {})
-        if len(votes) < self._quorum():
-            return False
-        counts = {0: 0, 1: 0}
-        for bit in votes.values():
-            if bit in BINARY_VALUES:
-                counts[bit] += 1
-        top_bit: Bit = 0 if counts[0] >= counts[1] else 1
-        top = counts[top_bit]
+            proposal: Optional[Bit] = None
+            for bit in BINARY_VALUES:
+                if counts[bit] >= self.propose_at():
+                    proposal = bit
+            assert self.ctx is not None
+            self.phase = "P"
+            self.ctx.broadcast(PVote(self.round, proposal))
+            return True
         if counts[0] and counts[1]:
             # Correct processes cannot propose both bits in one round
-            # when n > 5t; seeing both is evidence of equivocation that
-            # this protocol, unlike Bracha's, cannot filter out.
+            # inside the fault model; seeing both is evidence of
+            # equivocation that this protocol, unlike Bracha's, cannot
+            # filter out.
             self.invariant_flags.append(
                 f"conflicting P-proposals in round {self.round}"
             )
-        if top >= self._super_majority():
+        top_bit: Bit = 0 if counts[0] >= counts[1] else 1
+        top = counts[top_bit]
+        if top >= self.decide_at():
             self._decide(top_bit, self.round)
             next_bit = top_bit
-        elif top >= self._t + 1:
+        elif top >= self.adopt_at():
             next_bit = top_bit
             self.stats["adoptions"] += 1
         else:
@@ -238,43 +194,40 @@ class BenOrConsensus(ProtocolModule):
         self._enter_round(self.round + 1)
         return True
 
-    # -- deciding and halting ----------------------------------------------
 
-    def _decide(self, bit: Bit, round_: Round) -> None:
-        if self.decided:
-            if self.decision != bit:
-                self.invariant_flags.append(
-                    f"second decision {bit} != {self.decision}"
-                )
-            return
-        assert self.ctx is not None
-        self.decided = True
-        self.decision = bit
-        self.decision_round = round_
-        self.ctx.note(f"ben-or decide {bit} in round {round_}")
-        self.ctx.decide(bit, round=round_)
-        if not self._sent_decide:
-            self._sent_decide = True
-            self.ctx.broadcast(BenOrDecide(bit))
-        self._check_decide_votes()
+class BenOrCrashConsensus(BenOrConsensus):
+    """Ben-Or's crash-fault protocol: ``t < n/2``, benign faults only.
 
-    def _check_decide_votes(self) -> None:
-        if self._halted:
-            return
-        assert self.ctx is not None
-        counts = {0: 0, 1: 0}
-        for bit in self._decide_votes.values():
-            counts[bit] += 1
-        for bit in BINARY_VALUES:
-            if counts[bit] >= self._t + 1 and not self._sent_decide:
-                self._sent_decide = True
-                self.ctx.broadcast(BenOrDecide(bit))
-        for bit in BINARY_VALUES:
-            if counts[bit] >= 2 * self._t + 1:
-                self._decide(bit, self.round)
-                self._halted = True
-                return
+    The lower anchor of the comparison suite — no broadcast, no
+    validation, and against Byzantine behavior no guarantees whatsoever.
+    Phase R proposes ``v`` on a strict majority of *all* processes
+    (``> n/2``); phase P decides ``v`` on more than ``t`` proposals and
+    adopts it on one.  Two non-⊥ proposals in a round agree because two
+    ``> n/2`` report sets intersect; a decision on ``> t`` proposals
+    means every other process received at least one of them (only ``t``
+    processes can be missing from its quorum) and adopted ``v``, so the
+    next round is unanimous.  Nobody lies, so one DECIDE is proof enough
+    to relay, and ``t+1`` guarantee that a decider's message survives
+    any crash set.
+    """
 
-    @property
-    def halted(self) -> bool:
-        return self._halted
+    MODULE_ID = "benor-crash"
+    NOTE = "ben-or-crash decide"
+
+    def __init__(self, coin: CoinSource, module_id: str = MODULE_ID):
+        super().__init__(coin, module_id)
+
+    def propose_at(self) -> int:
+        return self.params.majority
+
+    def decide_at(self) -> int:
+        return self.params.t + 1
+
+    def adopt_at(self) -> int:
+        return 1
+
+    def relay_at(self) -> int:
+        return 1
+
+    def halt_at(self) -> int:
+        return self.params.t + 1

@@ -35,9 +35,9 @@ it terminates in constant expected rounds, and
 ``benchmarks/bench_f2_adversary.py`` contrasts its behavior with
 Bracha's under the coin-rushing scheduler.
 
-This module keeps the same engineering conventions as the other
-consensus implementations (monotone upon-rules, DECIDE amplification for
-halting) so cross-protocol measurements compare protocols, not plumbing.
+Deciding, DECIDE amplification and halting are the
+:class:`~repro.core.consensus.BinaryAgreement` shell Bracha's protocol
+uses too, so cross-protocol measurements compare protocols, not plumbing.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from ..core.coin import CoinSource
-from ..sim.process import ProtocolModule
+from ..core.consensus import BinaryAgreement
 from ..types import BINARY_VALUES, Bit, ProcessId, Round, valid_round
 from .bv_broadcast import BinaryValueBroadcast, BvDeliver
 
@@ -66,10 +66,12 @@ class MmrDecide:
     bit: Bit
 
 
-class Mmr14Consensus(ProtocolModule):
+class Mmr14Consensus(BinaryAgreement):
     """One MMR-14 binary-agreement instance at one process."""
 
     MODULE_ID = "mmr14"
+    DECIDE = MmrDecide
+    NOTE = "mmr14 decide"
 
     def __init__(
         self,
@@ -77,38 +79,14 @@ class Mmr14Consensus(ProtocolModule):
         coin: CoinSource,
         module_id: str = MODULE_ID,
     ):
-        super().__init__(module_id)
+        super().__init__(module_id, coin)
         self.bv = bv
-        self.coin = coin
         bv.subscribe(self._on_bv_deliver)
-
-        self.round: Round = 0
         self.est: Optional[Bit] = None
-        self.proposal: Optional[Bit] = None
-
         self._aux: Dict[Round, Dict[ProcessId, Set[Bit]]] = {}
         self._aux_sent: Dict[Round, Set[Bit]] = {}
-        self._coin_values: Dict[Round, Bit] = {}
-        self._coin_requested: set[Round] = set()
 
-        self.decided = False
-        self.decision: Optional[Bit] = None
-        self.decision_round: Round = 0
-        self._sent_decide = False
-        self._decide_votes: Dict[ProcessId, Bit] = {}
-        self._halted = False
-
-        self.stats = {"rounds": 0, "coin_flips": 0, "adoptions": 0}
-        self.invariant_flags: list[str] = []
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def propose(self, bit: Bit) -> None:
-        if bit not in BINARY_VALUES:
-            raise ValueError(f"can only propose 0 or 1, got {bit!r}")
-        if self.proposal is not None:
-            raise RuntimeError("propose() called twice")
-        self.proposal = bit
+    def _begin(self, bit: Bit) -> None:
         self.est = bit
         self._enter_round(1)
         self._progress()
@@ -142,14 +120,8 @@ class Mmr14Consensus(ProtocolModule):
                     sender, set()
                 ).add(payload.bit)
                 self._progress()
-        elif isinstance(payload, MmrDecide) and payload.bit in BINARY_VALUES:
-            if sender not in self._decide_votes:
-                self._decide_votes[sender] = payload.bit
-                self._check_decide_votes()
-
-    def _on_coin(self, round_: Round, bit: Bit) -> None:
-        self._coin_values[round_] = bit
-        self._progress()
+        else:
+            super().on_message(sender, payload)  # DECIDE, or garbage
 
     # -- the protocol --------------------------------------------------------
 
@@ -187,9 +159,7 @@ class Mmr14Consensus(ProtocolModule):
         vals = self._aux_support(self.round)
         if vals is None:
             return False
-        if self.round not in self._coin_requested:
-            self._coin_requested.add(self.round)
-            self.coin.request(self.round, self._on_coin)
+        self._request_coin(self.round)
         coin = self._coin_values.get(self.round)
         if coin is None:
             return False
@@ -208,44 +178,3 @@ class Mmr14Consensus(ProtocolModule):
         self.est = next_bit
         self._enter_round(self.round + 1)
         return True
-
-    # -- deciding and halting ----------------------------------------------
-
-    def _decide(self, bit: Bit, round_: Round) -> None:
-        if self.decided:
-            if self.decision != bit:
-                self.invariant_flags.append(
-                    f"second decision {bit} != {self.decision}"
-                )
-            return
-        assert self.ctx is not None
-        self.decided = True
-        self.decision = bit
-        self.decision_round = round_
-        self.ctx.note(f"mmr14 decide {bit} in round {round_}")
-        self.ctx.decide(bit, round=round_)
-        if not self._sent_decide:
-            self._sent_decide = True
-            self.ctx.broadcast(MmrDecide(bit))
-        self._check_decide_votes()
-
-    def _check_decide_votes(self) -> None:
-        if self._halted or self.ctx is None:
-            return
-        params = self.ctx.params
-        counts = {0: 0, 1: 0}
-        for bit in self._decide_votes.values():
-            counts[bit] += 1
-        for bit in BINARY_VALUES:
-            if counts[bit] >= params.adopt_threshold and not self._sent_decide:
-                self._sent_decide = True
-                self.ctx.broadcast(MmrDecide(bit))
-        for bit in BINARY_VALUES:
-            if counts[bit] >= params.decide_quorum:
-                self._decide(bit, self.round)
-                self._halted = True
-                return
-
-    @property
-    def halted(self) -> bool:
-        return self._halted

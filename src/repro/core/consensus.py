@@ -41,10 +41,16 @@ Two deliberate engineering choices beyond the bare paper text:
   halt, so laggards are never starved of step quorums; once any correct
   process halts, at least ``t+1`` correct ``DECIDE``s are in flight and
   every correct process eventually reaches the halting quorum.
+
+Everything outside the round rules — the outcome, the coin request,
+deciding, DECIDE amplification and halting — is :class:`BinaryAgreement`,
+the shell the Ben-Or and MMR-14 baselines share with this protocol, so
+that measured differences between them are differences of round rules.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -73,7 +79,163 @@ class DecisionEvent:
     round: Round
 
 
-class BrachaConsensus(ProtocolModule):
+@dataclass(frozen=True)
+class HaltEvent:
+    """Upcall emitted when the instance reaches its halting quorum."""
+
+    pid: ProcessId
+
+
+class BinaryAgreement(ProtocolModule):
+    """What every binary-agreement engine shares, written once.
+
+    The shell holds the outcome (``decided`` / ``decision`` /
+    ``decision_round``, ``stats``, ``invariant_flags``), rejects a
+    second or non-bit ``propose``, requests each round's coin once, and
+    runs deciding, DECIDE amplification and halting: a decider sends
+    ``DECIDE v`` to all, ``relay_at()`` matching DECIDEs (default
+    ``t+1``: one correct decider) make a process relay, and
+    ``halt_at()`` (default ``2t+1``) make it decide and halt.  A decided
+    process keeps running rounds with its value pinned until it halts,
+    so laggards are never starved of quorums.
+
+    An engine supplies its round rules: ``_begin(bit)`` starts round 1,
+    ``_progress()`` runs its upon-rules to fixpoint (again whenever a
+    coin arrives), ``DECIDE`` is its amplification message type and
+    ``NOTE`` the event-log label of its decisions; it overrides
+    ``relay_at`` / ``halt_at`` when its fault model differs.
+    """
+
+    #: The engine's DECIDE wire type, built as ``DECIDE(bit)``.
+    DECIDE: type
+    #: Event-log label of a decision: ``"<NOTE> <bit> in round <r>"``.
+    NOTE: str
+    #: False removes DECIDE amplification and halting (an ablation).
+    amplify_decides = True
+
+    def __init__(self, module_id: str, coin: CoinSource):
+        super().__init__(module_id)
+        self.coin = coin
+        self.round: Round = 0  # 0 = not proposed yet
+        self.proposal: Optional[Bit] = None
+
+        self.decided = False
+        self.decision: Optional[Bit] = None
+        self.decision_round: Round = 0
+        self.stats = {"rounds": 0, "coin_flips": 0, "adoptions": 0}
+        self.invariant_flags: list[str] = []
+
+        self._coin_values: Dict[Round, Bit] = {}
+        self._coin_requested: set[Round] = set()
+        self._sent_decide = False
+        self._decide_votes: Dict[ProcessId, Bit] = {}
+        self._halted = False
+
+    @property
+    def params(self) -> ProtocolParams:
+        assert self.ctx is not None
+        return self.ctx.params
+
+    def propose(self, bit: Bit) -> None:
+        """Start the protocol with input ``bit``."""
+        if bit not in BINARY_VALUES:
+            raise ValueError(f"can only propose 0 or 1, got {bit!r}")
+        if self.proposal is not None:
+            raise RuntimeError("propose() called twice")
+        self.proposal = bit
+        self._begin(bit)
+
+    @abc.abstractmethod
+    def _begin(self, bit: Bit) -> None:
+        """Enter round 1 with estimate ``bit``."""
+
+    @abc.abstractmethod
+    def _progress(self) -> None:
+        """Run every applicable upon-rule to fixpoint."""
+
+    def on_message(self, sender: ProcessId, payload: object) -> None:
+        if isinstance(payload, self.DECIDE):
+            self._on_decide_vote(sender, payload.bit)  # type: ignore[attr-defined]
+
+    # -- the coin -----------------------------------------------------------
+
+    def _request_coin(self, round_: Round) -> None:
+        """Ask for the round-``round_`` coin, once per round."""
+        if round_ not in self._coin_requested:
+            self._coin_requested.add(round_)
+            self.coin.request(round_, self._on_coin)
+
+    def _on_coin(self, round_: Round, bit: Bit) -> None:
+        self._coin_values[round_] = bit
+        self._progress()
+
+    # -- deciding and halting ----------------------------------------------
+
+    def relay_at(self) -> int:
+        """Matching DECIDEs proving a correct decider: ``t+1``."""
+        return self.params.adopt_threshold
+
+    def halt_at(self) -> int:
+        """Matching DECIDEs that let this process decide and halt: ``2t+1``."""
+        return self.params.decide_quorum
+
+    def _on_decide_vote(self, sender: ProcessId, bit: object) -> None:
+        """Count the first DECIDE from each sender."""
+        if bit in BINARY_VALUES and sender not in self._decide_votes:
+            self._decide_votes[sender] = bit  # type: ignore[assignment]
+            self._check_decide_votes()
+
+    def _send_decide(self, bit: Bit) -> None:
+        if self.amplify_decides and not self._sent_decide:
+            self._sent_decide = True
+            assert self.ctx is not None
+            self.ctx.broadcast(self.DECIDE(bit))
+
+    def _decide(self, bit: Bit, round_: Round) -> None:
+        if self.decided:
+            if self.decision != bit:
+                self.invariant_flags.append(
+                    f"second decision {bit} != {self.decision}"
+                )
+            return
+        assert self.ctx is not None
+        self.decided = True
+        self.decision = bit
+        self.decision_round = round_
+        self.ctx.note(f"{self.NOTE} {bit} in round {round_}")
+        self.ctx.decide(bit, round=round_)
+        self.emit(DecisionEvent(self.ctx.pid, bit, round_))
+        self._send_decide(bit)
+        self._check_decide_votes()
+
+    def _check_decide_votes(self) -> None:
+        if self._halted or not self.amplify_decides:
+            return
+        counts = [0, 0]
+        for bit in self._decide_votes.values():
+            counts[bit] += 1
+        relay, halt = self.relay_at(), self.halt_at()
+        for bit in BINARY_VALUES:
+            if counts[bit] >= relay:
+                # At least one correct process decided `bit`; relaying is
+                # safe and lets everyone reach the halting quorum.
+                self._send_decide(bit)
+        for bit in BINARY_VALUES:
+            if counts[bit] >= halt:
+                self._decide(bit, self.round)
+                self._halt()
+                return
+
+    def _halt(self) -> None:
+        """Stop participating entirely (safe: a halting quorum exists)."""
+        self._halted = True
+
+    @property
+    def halted(self) -> bool:
+        return self._halted
+
+
+class BrachaConsensus(BinaryAgreement):
     """One binary-consensus instance at one process.
 
     Args:
@@ -91,12 +253,13 @@ class BrachaConsensus(ProtocolModule):
             halting layer — the textbook protocol, which runs rounds
             forever.  Also an ablation switch.
 
-    Outputs: a :class:`DecisionEvent` via ``emit`` on decision.  The
-    attributes ``decided``/``decision``/``decision_round`` expose the
-    outcome; ``stats`` counts rounds and coin uses for the benchmarks.
+    Outputs: the :class:`BinaryAgreement` outcome and
+    :class:`DecisionEvent` upcall, plus a :class:`HaltEvent` on halting.
     """
 
     MODULE_ID = "bracha"
+    DECIDE = DecideMsg
+    NOTE = "decide"
 
     def __init__(
         self,
@@ -106,34 +269,18 @@ class BrachaConsensus(ProtocolModule):
         validate: bool = True,
         amplify_decides: bool = True,
     ):
-        super().__init__(module_id)
+        super().__init__(module_id, coin)
         # Import here to avoid a cycle at package-load time.
         from .validation import PermissiveValidator, StepValidator
 
         self._validator_cls = StepValidator if validate else PermissiveValidator
         self.amplify_decides = amplify_decides
         self.broadcast_layer = broadcast
-        self.coin = coin
         broadcast.subscribe(self._on_rbc, tag=module_id)
 
         self.validator: Optional["StepValidator"] = None
-        self.round: Round = 0  # 0 = not proposed yet
         self.step: Step = Step.ONE
         self.value: Optional[StepValue] = None
-        self.proposal: Optional[Bit] = None
-
-        self.decided = False
-        self.decision: Optional[Bit] = None
-        self.decision_round: Round = 0
-        self._sent_decide = False
-        self._decide_votes: Dict[ProcessId, Bit] = {}
-        self._halted = False
-
-        self._coin_values: Dict[Round, Bit] = {}
-        self._coin_requested: set[Round] = set()
-
-        self.stats = {"rounds": 0, "coin_flips": 0, "adoptions": 0}
-        self.invariant_flags: list[str] = []
         #: Estimate held on entering each round: {round: bit}.  Drives the
         #: convergence-dynamics figure (F5) and is handy when debugging.
         self.round_history: Dict[Round, Bit] = {}
@@ -144,18 +291,7 @@ class BrachaConsensus(ProtocolModule):
         super().bind(ctx)
         self.validator = self._validator_cls(ctx.params)
 
-    @property
-    def params(self) -> ProtocolParams:
-        assert self.ctx is not None
-        return self.ctx.params
-
-    def propose(self, bit: Bit) -> None:
-        """Start the protocol with input ``bit``."""
-        if bit not in BINARY_VALUES:
-            raise ValueError(f"can only propose 0 or 1, got {bit!r}")
-        if self.proposal is not None:
-            raise RuntimeError("propose() called twice")
-        self.proposal = bit
+    def _begin(self, bit: Bit) -> None:
         self.value = StepValue(bit)
         self._enter(1, Step.ONE)
         self._progress()
@@ -190,16 +326,6 @@ class BrachaConsensus(ProtocolModule):
         if changed:  # nothing newly validated, nothing new to act on
             self._progress([r for r, s in changed if s is Step.THREE])
 
-    def on_message(self, sender: ProcessId, payload: object) -> None:
-        if isinstance(payload, DecideMsg) and payload.bit in BINARY_VALUES:
-            if sender not in self._decide_votes:
-                self._decide_votes[sender] = payload.bit
-                self._check_decide_votes()
-
-    def _on_coin(self, round_: Round, bit: Bit) -> None:
-        self._coin_values[round_] = bit
-        self._progress()
-
     # -- the protocol -----------------------------------------------------
 
     def _enter(self, round_: Round, step: Step) -> None:
@@ -214,9 +340,8 @@ class BrachaConsensus(ProtocolModule):
         self.broadcast_layer.broadcast(
             self._instance(round_, step, self.ctx.pid), payload
         )
-        if step is Step.THREE and round_ not in self._coin_requested:
-            self._coin_requested.add(round_)
-            self.coin.request(round_, self._on_coin)
+        if step is Step.THREE:
+            self._request_coin(round_)
 
     def _progress(self, rounds: Optional[Iterable[Round]] = None) -> None:
         """Run every applicable upon-rule to fixpoint.
@@ -329,60 +454,12 @@ class BrachaConsensus(ProtocolModule):
                     self._decide(bit, round_)
                     return
 
-    def _decide(self, bit: Bit, round_: Round) -> None:
-        if self.decided:
-            if self.decision != bit:
-                self.invariant_flags.append(
-                    f"second decision {bit} != {self.decision}"
-                )
-            return
-        assert self.ctx is not None
-        self.decided = True
-        self.decision = bit
-        self.decision_round = round_
-        self.ctx.note(f"decide {bit} in round {round_}")
-        self.ctx.decide(bit, round=round_)
-        self.emit(DecisionEvent(self.ctx.pid, bit, round_))
-        if self.amplify_decides and not self._sent_decide:
-            self._sent_decide = True
-            self.ctx.broadcast(DecideMsg(bit))
-        self._check_decide_votes()
-
-    def _check_decide_votes(self) -> None:
-        if self._halted or not self.amplify_decides:
-            return
-        assert self.ctx is not None
-        counts = {0: 0, 1: 0}
-        for bit in self._decide_votes.values():
-            counts[bit] += 1
-        for bit in BINARY_VALUES:
-            if counts[bit] >= self.params.adopt_threshold and not self._sent_decide:
-                # At least one correct process decided `bit`; relaying is
-                # safe and lets everyone reach the halting quorum.
-                self._sent_decide = True
-                self.ctx.broadcast(DecideMsg(bit))
-        for bit in BINARY_VALUES:
-            if counts[bit] >= self.params.decide_quorum:
-                self._decide(bit, self.round)
-                self._halt()
-                return
-
     def _halt(self) -> None:
-        """Stop participating entirely (safe: a halting quorum exists)."""
+        # Guarded: halting from inside _decide's own vote check returns
+        # here twice, and the note and upcall must appear once.
         if self._halted:
             return
-        self._halted = True
+        super()._halt()
         assert self.ctx is not None
         self.ctx.note(f"halt after deciding {self.decision}")
         self.emit(HaltEvent(self.ctx.pid))
-
-    @property
-    def halted(self) -> bool:
-        return self._halted
-
-
-@dataclass(frozen=True)
-class HaltEvent:
-    """Upcall emitted when the instance reaches its halting quorum."""
-
-    pid: ProcessId

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..adversary import (
     DelayVictimScheduler,
@@ -56,6 +56,13 @@ FAULT_KIND_FABRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
         "crash a correct node, then bring it back via recovery replay",
         "crash",
     ),
+}
+
+#: Every fault kind -> the options its spec may carry besides ``kind``.
+FAULT_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    **BEHAVIOR_KINDS,
+    "kill": ("after",),
+    "restart": ("after", "down", "max_restarts"),
 }
 
 #: Canonical in-object form of one fault spec: ``(("kind", k), ...)``.
@@ -152,6 +159,58 @@ def _number(
             f"> {low}" if strict else f">= {low}")
         noun = "an integer" if kinds is int else "a number"
         raise ConfigError(f"need {what} {bound} ({noun}), got {value!r}")
+
+
+def _bit(what: str, value: Any, n: int) -> None:
+    _number(what, value, 0, 1)
+
+
+def _pid_list(what: str, value: Any, n: int) -> None:
+    if not (isinstance(value, tuple) and all(
+            isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n
+            for p in value)):
+        raise ConfigError(
+            f"need {what} a list of pids in range({n}), got {_thaw(value)!r}"
+        )
+
+
+def _text(what: str, value: Any, n: int) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"need {what} a string, got {value!r}")
+
+
+#: Fault-spec option -> ``check(what, value, n)``, a :class:`ConfigError`
+#: naming ``what`` on a bad value.
+_FAULT_OPTION_CHECKS: Dict[str, Callable[[str, Any, int], None]] = {
+    # kill / restart: seconds on mp; deliveries for restart on sim.
+    "after": lambda what, v, n: _number(what, v, 0, kinds=(int, float)),
+    "down": lambda what, v, n: _number(
+        what, v, 0, kinds=(int, float), strict=True),
+    "max_restarts": lambda what, v, n: _number(what, v, 1),
+    "crash_after": lambda what, v, n: _number(what, v, 0),
+    "mutate_p": lambda what, v, n: _number(what, v, 0, 1, kinds=(int, float)),
+    "fanout": lambda what, v, n: _number(what, v, 0),
+    "horizon": lambda what, v, n: _number(what, v, 0),
+    "proposal": _bit, "bit": _bit, "bit_a": _bit, "bit_b": _bit,
+    "group_a": _pid_list,
+    "module_id": _text,
+}
+
+
+def _check_fault_options(kind: str, table: Dict[str, Any], n: int) -> None:
+    """Refuse an option ``kind`` does not take, or a bad option value —
+    here, not at build time: on ``mp`` a fault is built inside the
+    faulty node's own process, whose death the orchestrator tolerates."""
+    allowed = FAULT_OPTIONS[kind]
+    unknown = sorted(set(table) - {"kind"} - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{kind} fault has unknown field(s) {unknown}; "
+            f"allowed: {list(allowed)}"
+        )
+    for key in allowed:
+        if key in table:
+            _FAULT_OPTION_CHECKS[key](f"{kind} fault {key!r}", table[key], n)
 
 
 def _pairs(field: str, value: Any) -> Dict[Any, Any]:
@@ -414,15 +473,13 @@ class Scenario:
                 raise ConfigError(f"fault pid {pid} out of range")
             table = dict(spec)
             kind = table["kind"]
-            constraint = FAULT_KIND_FABRICS.get(kind)
-            if constraint is None and kind not in BEHAVIOR_KINDS:
-                # Caught here, not at build time: on 'mp' the build
-                # happens inside the faulty node's own process, whose
-                # death the orchestrator rightly tolerates.
+            if kind not in FAULT_OPTIONS:
                 raise ConfigError(
                     f"unknown fault kind {kind!r}; choose from "
-                    f"{sorted(BEHAVIOR_KINDS + tuple(FAULT_KIND_FABRICS))}"
+                    f"{sorted(FAULT_OPTIONS)}"
                 )
+            _check_fault_options(kind, table, self.n)
+            constraint = FAULT_KIND_FABRICS.get(kind)
             if constraint is not None:
                 fabrics, what, nearest = constraint
                 if self.fabric not in fabrics:
@@ -432,27 +489,8 @@ class Scenario:
                         f"{names}, not {self.fabric!r}; the nearest kind "
                         f"supported there is {nearest!r}"
                     )
-            if kind in ("kill", "restart"):
-                # Both are scheduled crashes of a real node: SIGKILL after
-                # 'after' seconds on mp ('restart' on sim counts
-                # deliveries instead — the discrete-event clock).
-                _number(f"{kind} fault 'after'", table.get("after", 0.0), 0,
-                        kinds=(int, float))
             if kind == "restart":
                 restart_pids.append(pid)
-                allowed = {"kind", "after", "down", "max_restarts"}
-                unknown = sorted(set(table) - allowed)
-                if unknown:
-                    raise ConfigError(
-                        f"restart fault has unknown field(s) {unknown}; "
-                        f"allowed: {sorted(allowed - {'kind'})}"
-                    )
-                if table.get("down") is not None:
-                    _number("restart fault 'down'", table["down"], 0,
-                            kinds=(int, float), strict=True)
-                if table.get("max_restarts") is not None:
-                    _number("restart fault 'max_restarts'",
-                            table["max_restarts"], 1)
         recovery_mode, _ = parse_recovery(self.recovery)
         if recovery_mode != "off" and self.fabric == "sim":
             raise ConfigError(

@@ -24,8 +24,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from .adversary.behaviors import ByzantineBehavior, dispatch_behavior
 from .app.acs import AcsInstance
-from .baselines.benor import BenOrConsensus
-from .baselines.benor_crash import BenOrCrashConsensus
+from .baselines.benor import BenOrConsensus, BenOrCrashConsensus
 from .baselines.bv_broadcast import BinaryValueBroadcast
 from .baselines.mmr14 import Mmr14Consensus
 from .core.broadcast import BroadcastLayer

@@ -86,19 +86,14 @@ class TestMmr14:
 
 
 class TestRabinConfiguration:
-    def test_is_bracha_with_dealer_coin(self):
-        from repro.baselines import rabin_configuration
+    """Rabin's protocol is Bracha's rounds driven by a common coin."""
 
-        result = run(Scenario(n=4, proposals=[0, 1, 0, 1], seed=2, **rabin_configuration()))
+    def test_is_bracha_with_dealer_coin(self):
+        result = run(Scenario(n=4, proposals=[0, 1, 0, 1], seed=2, coin="dealer"))
         assert len(result.decided_values) == 1
 
     def test_distributed_variant(self):
-        from repro.baselines import rabin_configuration
-
-        result = run(Scenario(
-            n=4, proposals=[0, 1, 0, 1], seed=2,
-            **rabin_configuration(distributed_coin=True),
-        ))
+        result = run(Scenario(n=4, proposals=[0, 1, 0, 1], seed=2, coin="shares"))
         assert len(result.decided_values) == 1
 
 

@@ -145,6 +145,35 @@ class TestValidation:
         for kind in BEHAVIOR_KINDS:
             assert Scenario(n=4, faults={3: kind}).faults_dict() == {3: kind}
 
+    @pytest.mark.parametrize("fabric", ["sim", "mp"])
+    @pytest.mark.parametrize("spec, named", [
+        ({"kind": "two_faced", "bogus": 1}, "unknown field(s) ['bogus']"),
+        ({"kind": "two_faced", "factory_a": "x"}, "unknown field(s) ['factory_a']"),
+        ({"kind": "silent", "bogus": 1}, "silent fault has unknown field"),
+        ({"kind": "crash", "crash_after": -5}, "crash fault 'crash_after'"),
+        ({"kind": "fuzzer", "mutate_p": 7}, "fuzzer fault 'mutate_p'"),
+        ({"kind": "two_faced", "group_a": [9]}, "two_faced fault 'group_a'"),
+        ({"kind": "two_faced", "bit_a": 2}, "two_faced fault 'bit_a'"),
+        ({"kind": "crash", "proposal": True}, "crash fault 'proposal'"),
+    ])
+    def test_bad_fault_options_rejected_at_construction(self, fabric, spec, named):
+        """Each used to reach the build: a TypeError traceback, a
+        silently accepted value, or on ``mp`` a dead Byzantine node
+        checked as if it were the declared one."""
+        with pytest.raises(ConfigError) as exc:
+            Scenario(n=4, fabric=fabric, faults={3: spec})
+        assert named in str(exc.value)
+        if "unknown" in named:
+            assert "allowed: [" in str(exc.value)
+
+    def test_every_fault_option_is_accepted_at_its_bounds(self):
+        Scenario(n=4, faults={3: {"kind": "crash", "crash_after": 0, "proposal": 1}})
+        Scenario(n=4, faults={3: {"kind": "two_faced", "group_a": [0, 1],
+                                  "bit_a": 1, "bit_b": 0}})
+        Scenario(n=4, faults={3: {"kind": "fuzzer", "mutate_p": 1.0, "fanout": 0}})
+        Scenario(n=4, faults={3: {"kind": "stubborn", "bit": 0, "horizon": 16,
+                                  "module_id": "bracha"}})
+
     def test_fault_specs_selects_one_kind_in_either_spelling(self):
         s = Scenario(n=10, fabric="mp", faults={
             1: "kill", 2: {"kind": "kill", "after": 0.5}, 3: "silent"})

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.adversary.behaviors import (
     CrashBehavior,
     FuzzerBehavior,
@@ -10,7 +12,6 @@ from repro.adversary.behaviors import (
     StubbornBidder,
     TwoFacedBehavior,
     dispatch_behavior,
-    make_behavior,
 )
 from repro.adversary.benor_attack import run_benor_equivocation_attack
 from repro.adversary.strategies import (
@@ -144,39 +145,26 @@ class TestFuzzer:
         assert net.sent == []
 
 
-class TestMakeBehavior:
+def _no_honest_stack(process, bit):
+    raise AssertionError("no honest stack expected")
+
+
+class TestDispatchBehavior:
     def test_known_kinds(self):
         net = stub()
-        assert isinstance(make_behavior("silent", 3, net, PARAMS), SilentBehavior)  # type: ignore[arg-type]
-        assert isinstance(
-            make_behavior("fuzzer", 3, net, PARAMS), FuzzerBehavior  # type: ignore[arg-type]
-        )
+        for spec, cls in (("silent", SilentBehavior),
+                          ({"kind": "fuzzer"}, FuzzerBehavior)):
+            behavior = dispatch_behavior(3, spec, net, PARAMS, _no_honest_stack, 0)  # type: ignore[arg-type]
+            assert isinstance(behavior, cls)
 
     def test_unknown_kind_rejected(self):
-        net = stub()
-        try:
-            make_behavior("gremlin", 3, net, PARAMS)  # type: ignore[arg-type]
-            raised = False
-        except ConfigError:
-            raised = True
-        assert raised
-
-    def test_crash_requires_factory(self):
-        net = stub()
-        try:
-            make_behavior("crash", 3, net, PARAMS)  # type: ignore[arg-type]
-            raised = False
-        except ConfigError:
-            raised = True
-        assert raised
+        with pytest.raises(ConfigError, match="unknown fault kind 'gremlin'"):
+            dispatch_behavior(3, "gremlin", stub(), PARAMS, _no_honest_stack, 0)  # type: ignore[arg-type]
 
 
 class TestSquat:
     def test_squat_claims_the_next_pids_names_with_the_other_bit(self):
-        def honest(process, bit):
-            raise AssertionError("no honest stack expected")
-
-        squat = dispatch_behavior(3, "squat", stub(), PARAMS, honest, 1)  # type: ignore[arg-type]
+        squat = dispatch_behavior(3, "squat", stub(), PARAMS, _no_honest_stack, 1)  # type: ignore[arg-type]
         assert isinstance(squat, SquatBehavior) and squat.victim == 0
         squat.start()
         inits = [m for _s, _d, (_mod, m) in squat.network.sent]

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.baselines.benor import BenOrDecide, PVote, RVote
-from repro.baselines.benor_crash import BenOrCrashConsensus
+from repro.baselines.benor import BenOrCrashConsensus, PVote, RVote
 
 from ..conftest import make_member
 
@@ -84,20 +83,6 @@ class TestPhases:
 
 
 class TestHalting:
-    def test_single_decide_relays_in_crash_model(self):
-        """Nobody lies: one DECIDE message is proof enough to relay."""
-        consensus, stub = make_crash()
-        consensus.propose(0)
-        consensus.on_message(1, BenOrDecide(1))
-        assert len(sent_of(stub, BenOrDecide)) == 5
-
-    def test_halt_at_t_plus_1(self):
-        consensus, _stub = make_crash()
-        consensus.propose(0)
-        for sender in (1, 2, 3):
-            consensus.on_message(sender, BenOrDecide(1))
-        assert consensus.halted and consensus.decision == 1
-
     def test_garbage_ignored(self):
         consensus, _stub = make_crash()
         consensus.propose(0)

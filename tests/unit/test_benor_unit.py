@@ -5,7 +5,7 @@ n=6, t=1: quorum n−t=5, super-majority >(n+t)/2 → ≥ 4.
 
 import pytest
 
-from repro.baselines.benor import BenOrConsensus, BenOrDecide, PVote, RVote
+from repro.baselines.benor import BenOrConsensus, PVote, RVote
 
 from ..conftest import make_member
 
@@ -124,20 +124,3 @@ class TestVoteBookkeeping:
             consensus.on_message(sender, PVote(round_, 1))
         assert consensus._votes == {}
         assert consensus.round == 1 and len(sent_of(stub, PVote)) == 0
-
-
-class TestHalting:
-    def test_decide_amplification(self):
-        consensus, stub = make_benor()
-        consensus.propose(0)
-        consensus.on_message(1, BenOrDecide(1))
-        assert sent_of(stub, BenOrDecide) == []
-        consensus.on_message(2, BenOrDecide(1))
-        assert len(sent_of(stub, BenOrDecide)) == 6
-
-    def test_halting_quorum(self):
-        consensus, _stub = make_benor()
-        consensus.propose(0)
-        for sender in (1, 2, 3):
-            consensus.on_message(sender, BenOrDecide(1))
-        assert consensus.halted and consensus.decision == 1

@@ -184,13 +184,6 @@ def test_send_filtering_shims_define_no_broadcast(stub4):
     assert hasattr(NodeNetwork(0, ProtocolParams(4, 1)), "broadcast")
 
 
-def test_a_script_net_records_every_destination_of_a_broadcast():
-    net = _ScriptNet(seed=0)
-    params = ProtocolParams(4, 1)
-    Process(2, net, params, register=False).add_module(Gossip("x")).start()
-    assert net.sent == [(2, dest, ("gossip", "x")) for dest in range(4)]
-
-
 def test_a_two_faced_process_shows_each_group_only_its_own_face():
     sim = Simulation(seed=9)
     params = ProtocolParams(4, 1)

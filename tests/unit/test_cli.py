@@ -182,6 +182,16 @@ class TestSetOverrides:
         assert "scheduler_args" in err and "heal_after" in err
         assert built == []
 
+    def test_bad_fault_option_is_an_error_line(self, capsys, built):
+        # Used to print a TypeError traceback from inside the run.
+        code = main(["run", "--set", "fabric=mp", "--set",
+                     'faults={"3": {"kind": "two_faced", "bogus": 1}}'])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "two_faced" in err and "bogus" in err and "group_a" in err
+        assert built == []
+
     def test_fault_budget_is_an_error_line(self, capsys):
         code = main(["run", "--set", 'faults={"2": "silent", "3": "silent"}'])
         assert code == 1

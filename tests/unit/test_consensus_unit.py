@@ -2,8 +2,9 @@
 
 These tests feed the consensus module reliable-broadcast *deliveries*
 directly (bypassing the wire) to pin down each transition of the state
-machine: majority, decide-proposal, decide/adopt/coin, pinning, and the
-DECIDE amplification rules.  n=4, t=1.
+machine: majority, decide-proposal, decide/adopt/coin and pinning.  n=4,
+t=1.  Proposing and DECIDE amplification, shared by every engine, are
+checked once in ``test_agreement_shell.py``.
 """
 
 from repro.core.broadcast import BroadcastLayer, RbcDelivery, RbcMessage
@@ -63,25 +64,6 @@ class TestProposal:
         consensus, _rbc, stub, _events, _coin = make_consensus()
         consensus.propose(1)
         assert my_broadcasts(stub, consensus) == [(1, 1, StepValue(1))]
-
-    def test_double_propose_rejected(self):
-        consensus, _rbc, _stub, _events, _coin = make_consensus()
-        consensus.propose(1)
-        try:
-            consensus.propose(0)
-            raised = False
-        except RuntimeError:
-            raised = True
-        assert raised
-
-    def test_non_bit_rejected(self):
-        consensus, _rbc, _stub, _events, _coin = make_consensus()
-        try:
-            consensus.propose(2)
-            raised = False
-        except ValueError:
-            raised = True
-        assert raised
 
 
 class TestStepOne:
@@ -229,33 +211,6 @@ class TestMonotoneDecide:
         # the third proposal arrives late — decide on round-1 evidence
         feed(consensus, 1, Step.THREE, 3, StepValue(1, decide=True))
         assert consensus.decided and consensus.decision_round == 1
-
-
-class TestDecideAmplification:
-    def test_t_plus_1_decides_trigger_relay(self):
-        consensus, _rbc, stub, _events, _coin = make_consensus()
-        consensus.propose(0)
-        consensus.on_message(1, DecideMsg(1))
-        before = [p for _s, _d, (_m, p) in stub.sent if isinstance(p, DecideMsg)]
-        assert before == []
-        consensus.on_message(2, DecideMsg(1))
-        after = [p for _s, _d, (_m, p) in stub.sent if isinstance(p, DecideMsg)]
-        assert len(after) == 4
-
-    def test_2t_plus_1_decides_halt(self):
-        consensus, _rbc, _stub, _events, _coin = make_consensus()
-        consensus.propose(0)
-        for sender in (1, 2, 3):
-            consensus.on_message(sender, DecideMsg(1))
-        assert consensus.decided and consensus.decision == 1
-        assert consensus.halted
-
-    def test_duplicate_decide_votes_ignored(self):
-        consensus, _rbc, _stub, _events, _coin = make_consensus()
-        consensus.propose(0)
-        for _ in range(5):
-            consensus.on_message(1, DecideMsg(1))
-        assert not consensus.decided
 
 
 class TestWireDefenses:

@@ -1,7 +1,7 @@
 """MMR-14 agreement state machine, driven directly (n=4, t=1)."""
 
 from repro.baselines.bv_broadcast import BinaryValueBroadcast, BvValue
-from repro.baselines.mmr14 import AuxMsg, Mmr14Consensus, MmrDecide
+from repro.baselines.mmr14 import AuxMsg, Mmr14Consensus
 
 from ..conftest import make_member
 
@@ -119,25 +119,3 @@ class TestDefenses:
         consensus.on_message(1, AuxMsg("x", 1))
         consensus.on_message(1, AuxMsg([1], 1))  # unhashable, off the wire
         assert consensus.round == 1
-
-    def test_double_propose_rejected(self):
-        consensus, _bv, _stub, _coin = make_mmr()
-        consensus.propose(1)
-        try:
-            consensus.propose(0)
-            raised = False
-        except RuntimeError:
-            raised = True
-        assert raised
-
-
-class TestHalting:
-    def test_amplification_and_halt(self):
-        consensus, _bv, stub, _coin = make_mmr()
-        consensus.propose(0)
-        consensus.on_message(1, MmrDecide(1))
-        assert sent_of(stub, MmrDecide) == []
-        consensus.on_message(2, MmrDecide(1))
-        assert len(sent_of(stub, MmrDecide)) == 4
-        consensus.on_message(3, MmrDecide(1))
-        assert consensus.halted and consensus.decision == 1
