@@ -13,10 +13,11 @@ Four pieces (see docs/deployment.md):
   forked, barriers them, SIGKILLs the ones a ``kill`` fault condemns,
   and assembles the same verified :class:`~repro.types.RunResult` the
   other fabrics return;
-* :mod:`repro.mp.zygote` — the per-run fork server the orchestrator
-  execs (``python -m repro.mp.zygote``): imports the node code once,
-  forks one node per request.  Run with ``-m`` only; nothing imports
-  it, this package included.
+* :mod:`repro.mp.zygote` — the fork server (``python -m
+  repro.mp.zygote``) the first mp run of an interpreter execs and every
+  later one reuses: imports the node code once, forks one node per
+  request, reaps them all at each run's end.  Run with ``-m`` only;
+  nothing imports it, this package included.
 """
 
 from .bundle import (

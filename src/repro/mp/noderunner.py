@@ -28,7 +28,7 @@ The node itself is built by :func:`~repro.runtime.node.assemble_node`,
 the code :class:`~repro.runtime.cluster.Cluster` builds its nodes with;
 the runner keeps what is the mp fabric's own: the bundle and manifest
 checks, bind and dial, the control channel and WAL replay.  ``repro
-node`` (:mod:`repro.cli`) is the one entry point: the run's fork server
+node`` (:mod:`repro.cli`) is the one entry point: the fork server
 (:mod:`repro.mp.zygote`) runs it in a forked child per node, and a
 standalone node execs it.
 

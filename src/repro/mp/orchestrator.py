@@ -2,9 +2,10 @@
 
 The orchestrator is the multi-process analogue of
 :class:`~repro.runtime.cluster.Cluster`: it deals trusted-setup bundles
-into a scratch directory (:mod:`repro.mp.bundle`), execs one fork
-server per run (:mod:`repro.mp.zygote`: import once, fork n) and has it
-fork one node process per pid, holds them at a start barrier on the
+into a scratch directory (:mod:`repro.mp.bundle`), has the
+interpreter's fork server (:mod:`repro.mp.zygote`: import once, fork n;
+exec'd by the first mp run and reused by the later ones) fork one node
+process per pid, holds them at a start barrier on the
 control channel (:mod:`repro.mp.control`), waits for every correct
 node's stop condition, then hands each node's ``result`` message (a
 :class:`~repro.outcome.NodeReport`) to the
@@ -27,10 +28,12 @@ so no port is ever reserved for someone else.
 from __future__ import annotations
 
 import asyncio
+import atexit
 import math
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,7 +48,7 @@ from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
 from ..types import ProcessId, RunResult
 from .bundle import deal
-from .control import MAX_CONTROL_LINE, read_msg, send_msg
+from .control import MAX_CONTROL_LINE, encode_msg, read_msg, send_msg
 
 #: How long the orchestrator waits for every node to bind and say hello.
 BOOT_TIMEOUT = 30.0
@@ -68,6 +71,10 @@ PING_RETRIES = 3
 #: keeps dying.
 RESPAWN_MAX_DELAY = 10.0
 
+#: How long teardown waits for the fork server's ``reaped``, and a
+#: dismissed server for its exit, before it is killed.
+REAP_TIMEOUT = 5.0
+
 
 def _last_lines(stderr: bytes) -> str:
     """The last three lines of a captured stderr, joined for one message."""
@@ -86,6 +93,134 @@ def _child_env() -> Dict[str, str]:
         pkg_root + os.pathsep + existing if existing else pkg_root
     )
     return env
+
+
+def _server_key() -> Tuple[Any, ...]:
+    """What a fork server inherits at exec, and so passes to every node
+    it forks: an idle one serves only runs that would exec its twin."""
+    return os.getpid(), sys.executable, os.getcwd(), _child_env()
+
+
+class _ForkServer:
+    """``python -m repro.mp.zygote``, exec'd by the first mp run of an
+    interpreter and checked out by each later one from :data:`_idle`.
+
+    A plain ``subprocess.Popen``, because each run has its own event
+    loop: a run attaches a reader to the server's stdout for its own
+    duration only.  Its stderr is an unlinked temporary file the server
+    holds, so a death's tail outlives the run that exec'd it.
+    """
+
+    def __init__(self) -> None:
+        self.key = _server_key()
+        self.ready = False
+        self.errfile = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.mp.zygote"], bufsize=0,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=self.errfile, env=self.key[3],
+            )
+        except OSError:
+            self.errfile.close()
+            raise
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def usable(self) -> bool:
+        return self.proc.poll() is None and self.key == _server_key()
+
+    def send(self, message: Dict[str, Any]) -> None:
+        """One request line; ``OSError`` once the server is gone."""
+        self.proc.stdin.write(encode_msg(message))
+
+    def attach(self) -> asyncio.StreamReader:
+        """The server's stdout as a stream on the running loop, until
+        :meth:`detach`."""
+        loop = self._loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader(limit=MAX_CONTROL_LINE)
+        fd = self.proc.stdout.fileno()
+
+        def pump() -> None:
+            data = os.read(fd, 1 << 16)
+            if data:
+                reader.feed_data(data)
+            else:
+                loop.remove_reader(fd)
+                reader.feed_eof()
+
+        loop.add_reader(fd, pump)
+        return reader
+
+    def detach(self) -> None:
+        if self._loop is not None:
+            self._loop.remove_reader(self.proc.stdout.fileno())
+            self._loop = None
+
+    async def death(self) -> str:
+        """The named error for a server whose stdout hit EOF or that
+        talks nonsense, with its return code and stderr tail.  EOF
+        nearly always means it is exiting; one still running a second
+        later is wedged, and is killed."""
+        deadline = time.monotonic() + 1.0
+        while self.proc.poll() is None and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+        # ``pread``: the server shares the file's offset.
+        fd = self.errfile.fileno()
+        size = os.fstat(fd).st_size
+        tail = _last_lines(os.pread(fd, 4096, max(0, size - 4096)))
+        return (f"mp zygote died (rc={self.proc.returncode}): "
+                f"{tail or 'no stderr captured'}")
+
+    def dismiss(self) -> None:
+        """Close stdin — the server kills and reaps any child and exits
+        — wait up to :data:`REAP_TIMEOUT`, then kill; close the pipes."""
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(REAP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.close()
+
+    def close(self) -> None:
+        """Let go of this process's ends of the pipes and the file."""
+        for handle in (self.proc.stdin, self.proc.stdout, self.errfile):
+            handle.close()
+
+
+#: The idle fork server between runs: a run pops it and pushes it back
+#: once its teardown reaped every node it forked.  Runs are sequential
+#: (each is one ``asyncio.run``), so it holds at most one.
+_idle: List[_ForkServer] = []
+
+
+def _checkout() -> _ForkServer:
+    """The idle fork server if it can serve this run, else a fresh one."""
+    while _idle:
+        server = _idle.pop()
+        if server.usable():
+            return server
+        server.dismiss()
+    return _ForkServer()
+
+
+@atexit.register
+def _dismiss_idle() -> None:
+    while _idle:
+        _idle.pop().dismiss()
+
+
+def _forget_idle() -> None:
+    """In a child forked from this process: the server is the parent's,
+    and a child holding its stdin open would hide the parent's death."""
+    while _idle:
+        _idle.pop().close()
+
+
+os.register_at_fork(after_in_child=_forget_idle)
 
 
 class _NodeProc:
@@ -188,8 +323,10 @@ class MpOrchestrator:
         self.recovered: Dict[ProcessId, Dict[str, Any]] = {}
         self._pongs: Dict[ProcessId, int] = {}
         self._spawn_argv: Dict[ProcessId, List[str]] = {}
-        self._zygote: Optional[asyncio.subprocess.Process] = None
+        self._zygote: Optional[_ForkServer] = None
+        self._zygote_out: Optional[asyncio.StreamReader] = None
         self._zygote_reader: Optional[asyncio.Task] = None
+        self._reaped = False
         self._forked: Dict[int, _NodeProc] = {}  # by os pid
         self._forking: Dict[ProcessId, asyncio.Future] = {}
         self._zygote_error: Optional[str] = None
@@ -334,59 +471,47 @@ class MpOrchestrator:
     # -- the fork server ------------------------------------------------------
 
     async def _start_zygote(self) -> None:
-        """Exec the run's one fork server and wait out its import."""
-        path = os.path.join(self._scratch_dir, "zygote.stderr")
-        with open(path, "wb") as stderr:
-            self._zygote = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro.mp.zygote",
-                stdin=asyncio.subprocess.PIPE,
-                stdout=asyncio.subprocess.PIPE,
-                stderr=stderr, env=_child_env(),
-            )
-        try:
-            message = await asyncio.wait_for(
-                read_msg(self._zygote.stdout), BOOT_TIMEOUT)
-        except asyncio.TimeoutError:
-            message = None
-        if message is None or message.get("type") != "ready":
-            raise ReproError(await self._zygote_failure())
+        """Check the fork server out (exec'ing one if none can be
+        reused), wait out a fresh one's import, and start reading it."""
+        self._zygote = _checkout()
+        self._zygote_out = self._zygote.attach()
+        if not self._zygote.ready:
+            try:
+                message = await asyncio.wait_for(
+                    read_msg(self._zygote_out), BOOT_TIMEOUT)
+            except asyncio.TimeoutError:
+                message = None
+            if message is None or message.get("type") != "ready":
+                raise ReproError(await self._zygote.death())
+            self._zygote.ready = True
         self._zygote_reader = asyncio.ensure_future(self._read_zygote())
         self._tasks.append(self._zygote_reader)
 
-    async def _zygote_failure(self) -> str:
-        try:
-            # EOF nearly always means it is exiting; signalling a process
-            # asyncio has not reaped yet would steal its exit status.
-            rc = await asyncio.wait_for(self._zygote.wait(), 1.0)
-        except asyncio.TimeoutError:
-            self._zygote.kill()  # wedged, or talking nonsense
-            rc = await self._zygote.wait()
-        with open(os.path.join(self._scratch_dir, "zygote.stderr"),
-                  "rb") as handle:
-            tail = _last_lines(handle.read())
-        return f"mp zygote died (rc={rc}): {tail or 'no stderr captured'}"
-
     async def _read_zygote(self) -> None:
         """File the zygote's ``spawned`` / ``exit`` lines under their
-        handles.  Teardown cancels this task before it dismisses the
-        zygote, so an EOF seen here is a death — and takes every live
-        node with it."""
+        handles, until the ``reaped`` that ends the run.  An EOF before
+        it is a death — and takes every live node with it."""
         while True:
-            message = await read_msg(self._zygote.stdout)
+            message = await read_msg(self._zygote_out)
             if message is None:
                 break
             if message["type"] == "spawned":
                 pid, os_pid = message["node"], message["os_pid"]
                 proc = _NodeProc(os_pid, self._stderr_path(pid))
                 self._forked[os_pid] = proc
-                self._forking.pop(pid).set_result(proc)
+                spawned = self._forking.pop(pid)
+                if not spawned.done():  # not abandoned by a failing run
+                    spawned.set_result(proc)
             elif message["type"] == "exit":
                 # The zygote never sends this before the ``spawned``
                 # above, so the handle is always there to take it.
                 self._forked[message["os_pid"]].exited(message["rc"])
+            elif message["type"] == "reaped":
+                self._reaped = True
+                return
         # Named before any handle reports its exit, so the run fails as
         # a zygote death and not as the first node it took along.
-        self._zygote_error = await self._zygote_failure()
+        self._zygote_error = await self._zygote.death()
         for spawned in self._forking.values():
             spawned.set_exception(ReproError(self._zygote_error))
         self._forking.clear()
@@ -408,12 +533,12 @@ class MpOrchestrator:
         spawned = asyncio.get_running_loop().create_future()
         self._forking[pid] = spawned
         try:
-            await send_msg(self._zygote.stdin, {
+            self._zygote.send({
                 "type": "spawn", "node": pid,
                 "argv": self._spawn_argv[pid] + (extra or []),
                 "stderr": self._stderr_path(pid),
             })
-        except (ConnectionError, OSError):
+        except OSError:
             pass  # the reader's EOF fails ``spawned`` with the named error
         return await spawned
 
@@ -593,21 +718,31 @@ class MpOrchestrator:
                 parts.append(f"node {pid}: " + _last_lines(err))
         return "; ".join(parts) or "no stderr captured"
 
+    async def _reap(self) -> bool:
+        """Have the zygote SIGKILL and reap every node it forked for
+        this run (a respawn in flight included); True once its
+        ``reaped`` is in, which leaves it fit for the next run."""
+        reader = self._zygote_reader
+        if reader is None or reader.done():
+            return False  # never ready, or dead
+        try:
+            self._zygote.send({"type": "reap"})
+        except OSError:
+            return False
+        await asyncio.wait({reader}, timeout=REAP_TIMEOUT)
+        return self._reaped
+
     async def _teardown(self) -> None:
         self._stopping = True
         for proc in self.procs.values():
             proc.kill()
         if self._zygote is not None:
-            # EOF dismisses the zygote: it SIGKILLs and reaps whatever
-            # is still running (a respawn in flight included) and exits.
-            if self._zygote_reader is not None:
-                self._zygote_reader.cancel()
-            self._zygote.stdin.close()
-            try:
-                await asyncio.wait_for(self._zygote.wait(), 5.0)
-            except asyncio.TimeoutError:
-                self._zygote.kill()
-                await self._zygote.wait()
+            reaped = await self._reap()
+            self._zygote.detach()
+            if reaped:
+                _idle.append(self._zygote)
+            else:
+                self._zygote.dismiss()
         for writer in self.writers.values():
             writer.close()
         if self._server is not None:

@@ -1,15 +1,18 @@
 """The mp fabric's fork server: import once, fork n.
 
-``python -m repro.mp.zygote`` is exec'd fresh by the orchestrator, once
-per run.  It imports :mod:`repro.cli` and :mod:`repro.mp.noderunner`
-(the ~0.2 s every node used to pay for itself), freezes the heap, and
-then turns each ``spawn`` line on stdin into a forked child that runs
-``repro node`` — ``cli.main(["node", *argv])``.  The vocabulary, in the
-newline-JSON framing of :mod:`repro.mp.control`:
+``python -m repro.mp.zygote`` is exec'd by the first mp run of an
+interpreter and serves every later one (:mod:`repro.mp.orchestrator`
+keeps it idle between runs).  It imports :mod:`repro.cli` and
+:mod:`repro.mp.noderunner` (the ~0.2 s every node used to pay for
+itself), freezes the heap, and then turns each ``spawn`` line on stdin
+into a forked child that runs ``repro node`` —
+``cli.main(["node", *argv])``.  The vocabulary, in the newline-JSON
+framing of :mod:`repro.mp.control`:
 
 orchestrator → zygote (stdin)
     ``spawn``    ``{node, argv, stderr}``: fork one node whose fd 2 is
                  the file ``stderr``
+    ``reap``     SIGKILL and reap every live child: the end of a run
 
 zygote → orchestrator (stdout)
     ``ready``    the import is done; spawns are now cheap
@@ -17,13 +20,17 @@ zygote → orchestrator (stdout)
     ``exit``     ``{os_pid, rc}``: the child was reaped (``rc`` is the
                  negated signal number for a signalled child, as
                  ``subprocess`` reports it); never sent before that
-                 child's ``spawned``
+                 child's ``spawned``, and exactly once per child
+    ``reaped``   answers ``reap`` after every child's ``exit``; nothing
+                 follows it until the next request, so the next run
+                 reads the pipe from a clean line boundary
 
 The server is single-threaded and runs no asyncio loop, so ``os.fork``
 is safe; it never opens a bundle, so each child still reads only its own
-setup material.  EOF on stdin — the orchestrator closed the pipe or
-died — SIGKILLs and reaps every live child, then exits 0: no node
-outlives the run that forked it.  POSIX only.
+setup material.  Children are killed at every run's end (``reap``) and
+on EOF on stdin — the orchestrator's interpreter dismissed the server
+or died — after which the server exits 0: no node outlives the run that
+forked it.  POSIX only.
 
 Nothing imports this module; it is only ever run with ``-m``.
 """
@@ -37,7 +44,7 @@ import select
 import signal
 import sys
 import traceback
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from .control import encode_msg
 
@@ -45,6 +52,18 @@ from .control import encode_msg
 def _send(message: Dict[str, Any]) -> None:
     """One control line on stdout."""
     os.write(1, encode_msg(message))
+
+
+def _kill_and_reap(children: Set[int]) -> List[Tuple[int, int]]:
+    """SIGKILL every live child and wait for each: its ``(os_pid, rc)``.
+    A child that already died is still unreaped, so its signal lands on
+    its zombie and its status is its own."""
+    for os_pid in children:
+        os.kill(os_pid, signal.SIGKILL)
+    reaped = [(os_pid, os.waitstatus_to_exitcode(os.waitpid(os_pid, 0)[1]))
+              for os_pid in children]
+    children.clear()
+    return reaped
 
 
 def _run_child(main: Any, request: Dict[str, Any],
@@ -130,6 +149,11 @@ def main() -> int:
                 *lines, pending = (pending + chunk).split(b"\n")
                 for line in lines:
                     request = json.loads(line)
+                    if request["type"] == "reap":
+                        for os_pid, rc in _kill_and_reap(children):
+                            _send({"type": "exit", "os_pid": os_pid, "rc": rc})
+                        _send({"type": "reaped"})
+                        continue
                     os_pid = os.fork()
                     if os_pid == 0:
                         _run_child(cli.main, request, (wake_r, wake_w))
@@ -139,10 +163,7 @@ def main() -> int:
     finally:
         # Whichever way the server leaves, the nodes go down with the
         # run that forked them.
-        for os_pid in children:
-            os.kill(os_pid, signal.SIGKILL)
-        for os_pid in children:
-            os.waitpid(os_pid, 0)
+        _kill_and_reap(children)
     return 0
 
 

@@ -4,14 +4,16 @@ Three layers, cheapest first:
 
 * ``python -m repro.mp.zygote`` driven by hand over its pipes — the
   ``ready → spawn → spawned → exit`` vocabulary, a child's return code
-  and stderr file, and what stdin EOF does to live children;
+  and stderr file, ``reap``, and what stdin EOF does to live children;
 * :class:`~repro.mp.orchestrator.MpOrchestrator` with the real zygote —
-  one per run and gone with it on success, boot failure, timeout and
-  zygote death; node pids distinct; ``kill`` / ``restart`` signals land
-  on exactly the scheduled pid;
+  one per interpreter, reused run after run; every run's nodes gone at
+  its end on success, boot failure, timeout and zygote death; a dead
+  idle zygote replaced; node pids distinct; ``kill`` / ``restart``
+  signals land on exactly the scheduled pid;
 * whole processes from outside — an orchestrator SIGKILLed mid-run
-  leaves nothing behind, and n standalone ``repro node`` processes
-  (the entry point the orchestrator no longer execs) still decide.
+  leaves nothing behind, a child it forks does not keep its idle
+  zygote alive, and n standalone ``repro node`` processes (the entry
+  point the orchestrator no longer execs) still decide.
 """
 
 import asyncio
@@ -93,11 +95,13 @@ class _Zygote:
         assert line, "zygote closed its stdout"
         return json.loads(line)
 
-    def spawn(self, node, argv, stderr):
-        request = {"type": "spawn", "node": node, "argv": argv,
-                   "stderr": str(stderr)}
+    def send(self, request):
         self.proc.stdin.write(json.dumps(request).encode() + b"\n")
         self.proc.stdin.flush()
+
+    def spawn(self, node, argv, stderr):
+        self.send({"type": "spawn", "node": node, "argv": argv,
+                   "stderr": str(stderr)})
 
     def dismiss(self, timeout=5.0):
         self.proc.stdin.close()
@@ -162,23 +166,60 @@ class TestZygoteProtocol:
         assert exited == announced and len(announced) == count
         assert zygote.dismiss() == 0
 
+    @staticmethod
+    def _held_nodes(zygote, tmp_path, control, nodes):
+        """Real nodes held at the barrier: the "orchestrator" listens but
+        never says go, so they stay alive until someone kills them.
+        Their os pids, and the control connections of their hellos."""
+        control.bind(("127.0.0.1", 0))
+        control.listen(8)
+        endpoint = "127.0.0.1:%d" % control.getsockname()[1]
+        manifest, bundles = deal(SCENARIO, str(tmp_path))  # port 0
+        pids = []
+        for node in nodes:
+            zygote.spawn(node, ["--manifest", manifest,
+                                "--bundle", bundles[node],
+                                "--control", endpoint],
+                         tmp_path / f"node-{node}-0.stderr")
+            pids.append(zygote.read()["os_pid"])
+        return pids, [control.accept()[0] for _ in pids]
+
+    def test_reap_reports_each_child_once_then_reaped_and_serves_on(
+            self, zygote, tmp_path):
+        with socket.socket() as control:
+            [live], held = self._held_nodes(zygote, tmp_path, control, [0])
+            try:
+                # A child that dies on its own, its ``exit`` not yet read.
+                zygote.spawn(1, ["--manifest", "/nonexistent",
+                                 "--bundle", "/nonexistent/node-1.json"],
+                             tmp_path / "node-1-0.stderr")
+                dead = zygote.read()["os_pid"]
+                assert _wait_until(lambda: _gone(dead), 10.0)
+                assert not _gone(live)
+                zygote.send({"type": "reap"})
+                exits = []
+                while (message := zygote.read())["type"] != "reaped":
+                    assert message["type"] == "exit"
+                    exits.append((message["os_pid"], message["rc"]))
+            finally:
+                for conn in held:
+                    conn.close()
+        assert sorted(exits) == sorted([(live, -signal.SIGKILL), (dead, 1)])
+        for os_pid in (live, dead):  # reaped, not just signalled
+            with pytest.raises(ProcessLookupError):
+                os.kill(os_pid, 0)
+        # The pipe is at a line boundary and the server still forks.
+        zygote.spawn(2, ["--no-such-flag"], tmp_path / "node-2-0.stderr")
+        spawned = zygote.read()
+        assert spawned["type"] == "spawned" and spawned["node"] == 2
+        assert zygote.read() == {
+            "type": "exit", "os_pid": spawned["os_pid"], "rc": 2}
+        assert zygote.dismiss() == 0
+
     def test_stdin_eof_kills_the_live_children_and_exits_zero(
             self, zygote, tmp_path):
-        # Real nodes held at the barrier: the "orchestrator" listens but
-        # never says go, so they stay alive until someone kills them.
         with socket.socket() as control:
-            control.bind(("127.0.0.1", 0))
-            control.listen(8)
-            endpoint = "127.0.0.1:%d" % control.getsockname()[1]
-            manifest, bundles = deal(SCENARIO, str(tmp_path))  # port 0
-            pids = []
-            for node in (0, 1):
-                zygote.spawn(node, ["--manifest", manifest,
-                                    "--bundle", bundles[node],
-                                    "--control", endpoint],
-                             tmp_path / f"node-{node}-0.stderr")
-                pids.append(zygote.read()["os_pid"])
-            held = [control.accept()[0] for _ in pids]  # both said hello
+            pids, held = self._held_nodes(zygote, tmp_path, control, [0, 1])
             try:
                 assert all(not _gone(os_pid) for os_pid in pids)
                 started = time.monotonic()
@@ -205,34 +246,60 @@ def _run(orch):
         return None, exc
 
 
-def _assert_nothing_left(orch):
-    assert orch._zygote.returncode is not None
-    assert _gone(orch._zygote.pid)
+def _assert_nothing_left(orch, idle=True):
+    """Every node forked for the run is gone and so is its scratch dir;
+    the zygote is alive and idle in the slot (``idle``), or dismissed."""
     for proc in orch._forked.values():
         assert _gone(proc.os_pid)
     assert not os.path.exists(orch._scratch_dir)
+    assert (orch._zygote in orch_mod._idle) == idle
+    assert (orch._zygote.proc.poll() is None) == idle
 
 
+@pytest.fixture
+def cold():
+    """No idle zygote: the next run execs one."""
+    orch_mod._dismiss_idle()
+
+
+@pytest.mark.usefixtures("cold")
 class TestZygoteLifetime:
-    def test_one_zygote_per_run_and_distinct_node_pids(self, monkeypatch):
+    def test_two_runs_exec_one_zygote_and_every_node_pid_differs(
+            self, monkeypatch):
         execs = []
-        real_exec = asyncio.create_subprocess_exec
+        real_popen = subprocess.Popen
 
-        async def counting_exec(*argv, **kw):
+        def counting_popen(argv, *args, **kw):
             execs.append(argv)
-            return await real_exec(*argv, **kw)
+            return real_popen(argv, *args, **kw)
 
-        monkeypatch.setattr(asyncio, "create_subprocess_exec", counting_exec)
-        orch = MpOrchestrator(SCENARIO)
-        result, error = _run(orch)
+        monkeypatch.setattr(subprocess, "Popen", counting_popen)
+        orchs = [MpOrchestrator(SCENARIO.replace(seed=seed))
+                 for seed in (31, 32)]
+        for orch in orchs:
+            result, error = _run(orch)
+            assert error is None and len(result.decisions) == 4
+            _assert_nothing_left(orch)
+        assert [argv[1:] for argv in execs] == [["-m", "repro.mp.zygote"]]
+        assert orchs[0]._zygote is orchs[1]._zygote
+        os_pids = [proc.os_pid for orch in orchs
+                   for proc in orch._forked.values()]
+        assert len(set(os_pids)) == len(os_pids) == 8
+        assert orchs[0]._zygote.proc.pid not in os_pids
+        assert os.getpid() not in os_pids
+
+    def test_a_zygote_killed_between_runs_is_replaced(self):
+        first = MpOrchestrator(SCENARIO)
+        assert _run(first)[1] is None
+        stale = first._zygote
+        os.kill(stale.proc.pid, signal.SIGKILL)
+        assert _wait_until(lambda: _gone(stale.proc.pid), 5.0)
+        second = MpOrchestrator(SCENARIO.replace(seed=32))
+        result, error = _run(second)
         assert error is None and len(result.decisions) == 4
-        assert [argv[1:] for argv in execs] == [("-m", "repro.mp.zygote")]
-        assert orch._zygote.returncode == 0
-        os_pids = [orch.procs[pid].os_pid for pid in range(4)]
-        assert len(set(os_pids)) == 4
-        assert orch._zygote.pid not in os_pids and os.getpid() not in os_pids
-        assert sorted(orch._forked) == sorted(os_pids)
-        _assert_nothing_left(orch)
+        assert second._zygote is not stale
+        assert stale.proc.returncode == -signal.SIGKILL
+        _assert_nothing_left(second)
 
     def test_boot_failure_names_the_node_from_its_stderr_file(
             self, monkeypatch):
@@ -263,7 +330,7 @@ class TestZygoteLifetime:
             await asyncio.wait_for(orch._hello.wait(), 20.0)
             live = [proc.os_pid for proc in orch._forked.values()]
             assert len(live) == 4 and not any(_gone(p) for p in live)
-            orch._zygote.kill()
+            orch._zygote.proc.kill()
             started = time.monotonic()
             with pytest.raises(ReproError, match=r"mp zygote died \(rc=-9\)"):
                 await task
@@ -276,7 +343,7 @@ class TestZygoteLifetime:
                    for proc in orch._forked.values())
         assert _wait_until(
             lambda: all(_gone(p.os_pid) for p in orch._forked.values()), 5.0)
-        _assert_nothing_left(orch)
+        _assert_nothing_left(orch, idle=False)
 
     def test_a_zygote_that_never_gets_ready_fails_the_run_by_name(
             self, monkeypatch):
@@ -284,7 +351,7 @@ class TestZygoteLifetime:
         orch = MpOrchestrator(SCENARIO)
         _result, error = _run(orch)
         assert str(error) == "mp zygote died (rc=1): no stderr captured"
-        assert not os.path.exists(orch._scratch_dir)
+        _assert_nothing_left(orch, idle=False)
 
 
 class TestSignalsHitTheScheduledPid:
@@ -383,6 +450,43 @@ def test_a_sigkilled_orchestrator_leaves_no_node_or_zygote_behind():
         victim.wait()
     assert _wait_until(
         lambda: all(_gone(os_pid) for os_pid in zygotes + nodes), 5.0)
+
+
+def test_a_child_forked_after_a_run_does_not_hold_the_idle_zygote():
+    # Run, fork a sleeper, die: the zygote must see its stdin close,
+    # which it would not if the sleeper had inherited the write end.
+    code = (
+        "import os, time\n"
+        "from repro.scenario import Scenario, run\n"
+        "run(Scenario(protocol='bracha', n=4, proposals=1, fabric='mp', "
+        "seed=31))\n"
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    time.sleep(60)\n"
+        "    os._exit(0)\n"
+        "print(child, flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    victim = subprocess.Popen([sys.executable, "-c", code], env=ENV,
+                              stdout=subprocess.PIPE, text=True)
+    sleeper = None
+    try:
+        sleeper = int(victim.stdout.readline())
+        zygotes = [pid for pid in _children(victim.pid) if pid != sleeper]
+        assert len(zygotes) == 1
+        victim.kill()
+        victim.wait()
+        assert not _gone(sleeper)
+        assert _wait_until(lambda: _gone(zygotes[0]), 5.0)
+    finally:
+        victim.kill()
+        victim.wait()
+        victim.stdout.close()
+        if sleeper is not None:
+            try:
+                os.kill(sleeper, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def _free_base_port(n):
