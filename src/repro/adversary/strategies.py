@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from ..core.coin import DealerCoin
-from ..sim.scheduler import Scheduler
+from ..sim.scheduler import RandomScheduler, Scheduler
 from ..types import Envelope, ProcessId
 
 
@@ -90,7 +90,7 @@ class SplitBrainScheduler(_HoldbackScheduler):
         return (env.source in self.group_a) != (env.dest in self.group_a)
 
 
-class PartitionScheduler(Scheduler):
+class PartitionScheduler(RandomScheduler):
     """A hard partition that heals, modelling a netsplit-then-merge.
 
     While the partition is up, *no* cross-partition message is delivered
@@ -102,7 +102,8 @@ class PartitionScheduler(Scheduler):
     the end of the run.
 
     ``heal_step`` records the delivery count at which the merge
-    happened, so tests can assert that no decision predates it.
+    happened, so tests can assert that no decision predates it.  Once
+    healed it is the :class:`RandomScheduler` it extends.
     """
 
     def __init__(self, group_a: Iterable[ProcessId], heal_after: int = 1000):
@@ -131,7 +132,7 @@ class PartitionScheduler(Scheduler):
         self._delivered += 1
         if intra:
             return intra[self.rng.randrange(len(intra))], self._advance()
-        return self.rng.randrange(len(self.pending)), self._advance()
+        return super().choose()
 
 
 class CoinRushScheduler(_HoldbackScheduler):

@@ -3,10 +3,10 @@
 A :class:`PendingSet` holds every envelope that has been sent but not yet
 delivered.  A scheduler names the next delivery by its *rank* — its
 position in the set, oldest first — so the set's questions are about
-ranks: :meth:`~PendingSet.at` (rank → envelope, without a scan, which
-is what the uniform-random pickers ask on every delivery),
-:meth:`~PendingSet.rank` (its inverse), :meth:`~PendingSet.ranks` (of
-the envelopes satisfying a predicate) and
+ranks: :meth:`~PendingSet.pop` (take out the rank-th envelope, without
+a scan — the runner's one call per delivery), :meth:`~PendingSet.at`
+(rank → envelope), :meth:`~PendingSet.rank` (its inverse),
+:meth:`~PendingSet.ranks` (of the envelopes satisfying a predicate) and
 :meth:`~PendingSet.oldest_per_link`.  Ranks follow insertion order,
 whatever the order of the ``uid`` values.
 """
@@ -33,10 +33,10 @@ class PendingSet:
     Envelopes live, oldest first, in blocks of at most ``BLOCK``, the
     insertion sequence number of each in a parallel list per block.
     :meth:`add` appends to the last block (O(1)), :meth:`at` walks the
-    block lengths (O(P / BLOCK)), :meth:`remove` bisects to the block
-    and the position and deletes there (O(log P) plus a ``memmove``
-    within the block); ``in`` / ``len`` are O(1).  A block left small
-    is folded into its neighbour: adjacent blocks always total more
+    block lengths (O(P / BLOCK)), :meth:`pop` takes the same walk and
+    pops there (plus a ``memmove`` within the block); ``in`` / ``len``
+    are O(1).  A block left small is folded into its neighbour:
+    adjacent blocks always total more
     than ``BLOCK / 2``, so there are at most ``4 P / BLOCK + 2`` blocks
     and every whole-set pass (iteration, :meth:`ranks`,
     :meth:`oldest_per_link`) is O(P).  ``uid``
@@ -64,8 +64,7 @@ class PendingSet:
         return iter(list(chain.from_iterable(self._blocks)))
 
     def __contains__(self, env: Envelope) -> bool:
-        """uid membership only; :meth:`remove` is what checks that
-        ``env`` is the envelope that was sent."""
+        """uid membership."""
         return env.uid in self._seq_of
 
     def add(self, env: Envelope) -> None:
@@ -83,26 +82,28 @@ class PendingSet:
             self._seqs.append([seq])
             self._firsts.append(seq)
 
-    def remove(self, env: Envelope) -> None:
-        """Take out ``env``, which must be (or equal) the pending
-        envelope of its uid: the links are authenticated, so whoever
-        picks the next delivery may reorder, never forge."""
-        seq = self._seq_of.pop(env.uid, None)
-        if seq is None:
-            raise SimulationError(f"removing unknown envelope uid {env.uid}")
+    def pop(self, rank: int) -> Envelope:
+        """Remove and return the ``rank``-th oldest pending envelope.
+
+        ``pop(k)`` equals ``list(pending).pop(k)``, in the one walk over
+        the block lengths that :meth:`at` takes.  An out-of-range rank
+        raises :class:`IndexError` and leaves the set unchanged.
+        """
+        seq_of = self._seq_of
+        if not 0 <= rank < len(seq_of):
+            raise IndexError(f"rank {rank} out of range for {len(seq_of)} pending")
         blocks = self._blocks
-        b = bisect_right(self._firsts, seq) - 1
-        block, seqs = blocks[b], self._seqs[b]
-        i = bisect_left(seqs, seq)
-        stored = block[i]
-        if stored is not env and stored != env:
-            self._seq_of[env.uid] = seq
-            raise SimulationError(
-                f"envelope uid {env.uid} is pending as {stored!r}, not {env!r}"
-            )
-        del block[i], seqs[i]
+        b, block = 0, blocks[0]
+        while rank >= len(block):
+            rank -= len(block)
+            b += 1
+            block = blocks[b]
+        env = block.pop(rank)
+        self._seqs[b].pop(rank)
+        del seq_of[env.uid]
         if len(blocks) > 1 and 2 * len(block) <= BLOCK:
             self._fold(b)
+        return env
 
     def _fold(self, b: int) -> None:
         """Restore "adjacent blocks total more than ``BLOCK / 2``" after

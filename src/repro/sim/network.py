@@ -202,9 +202,15 @@ class Network:
             if sent:
                 self.sent_by_kind[source][payload_kind(payload)] += sent
 
-    def deliver(self, env: Envelope, time: float) -> None:
-        """Deliver an in-flight envelope to its destination (runner only)."""
-        self.pending.remove(env)
+    def deliver(self, rank: int, time: float) -> None:
+        """Take the ``rank``-th oldest in-flight envelope out of the
+        pending set and deliver it to its destination (runner only).
+
+        The caller names a rank, never an envelope, so a delivery can
+        reorder but not forge; an out-of-range rank raises
+        :class:`IndexError` before anything is delivered.
+        """
+        env = self.pending.pop(rank)
         self.delivered[env.dest] += 1
         if self.observer is not None:
             # Sent before the observer was attached: no id, classify now.

@@ -1,10 +1,12 @@
 """The simulation loop.
 
 A :class:`Simulation` owns the pending-message set, the scheduler and
-the network.  Running proceeds one delivery at a time: ask the scheduler
-for the rank of the next envelope, record the rank, deliver the
-envelope, repeat — until a caller-supplied predicate holds, the system
-is quiescent (no messages in flight), or the step budget runs out.
+the network.  Running proceeds one delivery at a time, in one loop
+(:meth:`Simulation.run`; :meth:`~Simulation.step` is one pass of it):
+ask the scheduler for the rank of the next envelope, record the rank,
+have the network pop that envelope and deliver it, repeat — until a
+caller-supplied predicate holds, the system is quiescent (no messages
+in flight), or the step budget runs out.
 
 Each delivery step drains the target process's effect outbox as one
 batch: the callback buffers its sends (see :mod:`repro.sim.effects`)
@@ -87,31 +89,8 @@ class Simulation:
 
     def step(self) -> bool:
         """Deliver one message.  Returns False when nothing is in flight."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._step()
-        started = profiler.start()
-        progressed = self._step()
-        profiler.stop("sim_step", started)
-        return progressed
-
-    def _step(self) -> bool:
-        if not self.pending:
-            return False
-        rank, time = self.scheduler.choose()
-        env = self.pending.at(rank)
-        self.schedule.append(rank)
-        if time > self.now:
-            self.now = time
-        self.steps += 1
-        profiler = self.profiler
-        if profiler is None:
-            self.network.deliver(env, self.now)
-        else:
-            started = profiler.start()
-            self.network.deliver(env, self.now)
-            profiler.stop("sim_deliver", started)
-        return True
+        steps = self.steps
+        return self.run(until=lambda: self.steps > steps, max_steps=1) == 1
 
     def run(
         self,
@@ -120,6 +99,8 @@ class Simulation:
     ) -> int:
         """Deliver messages until ``until()`` holds or quiescence.
 
+        The one delivery loop: the scheduler names a rank, the rank is
+        recorded, and the network pops and delivers that envelope.
         Returns the number of steps executed in this call.  Raises
         :class:`EventBudgetExceeded` if the budget runs out first —
         which, for a correct protocol under an admissible scheduler,
@@ -127,18 +108,32 @@ class Simulation:
         """
         if not self._started:
             self.start()
-        step = self._step if self.profiler is None else self.step
+        pending, record = self.pending, self.schedule.append
+        choose, deliver = self.scheduler.choose, self.network.deliver
+        profiler = self.profiler
         executed = 0
         while True:
             if until is not None and until():
                 return executed
-            if executed >= max_steps:
-                if not self.pending:
-                    return executed  # drained on exactly the last step
-                raise EventBudgetExceeded(self.steps)
-            if not step():
+            if not pending:
                 return executed  # quiescent
+            if executed >= max_steps:
+                raise EventBudgetExceeded(self.steps)
+            if profiler is not None:
+                step_started = profiler.start()
+            rank, time = choose()
+            record(rank)
+            if time > self.now:
+                self.now = time
+            self.steps += 1
             executed += 1
+            if profiler is None:
+                deliver(rank, self.now)
+            else:
+                started = profiler.start()
+                deliver(rank, self.now)
+                profiler.stop("sim_deliver", started)
+                profiler.stop("sim_step", step_started)
 
     def run_to_quiescence(self, max_steps: int = 2_000_000) -> int:
         """Deliver every message until none are in flight."""

@@ -81,10 +81,21 @@ class RandomScheduler(Scheduler):
     equals the delivery-step count.  This is the canonical fair network:
     every pending message has equal probability of being next, hence every
     message is delivered eventually with probability 1.
+
+    The rank is drawn the way CPython's ``rng.randrange(n)`` draws it —
+    ``n.bit_length()`` random bits, drawn again while they read ``n`` or
+    more — without ``randrange``'s two Python frames, so a seed's
+    schedule is the one ``randrange`` gave (``tests/unit/
+    test_scheduler.py`` compares the two up to ``n = 2**20 + 1``).
     """
 
     def choose(self) -> Tuple[int, float]:
-        return self.rng.randrange(len(self.pending)), self._advance()
+        n = len(self.pending)
+        getrandbits, k = self.rng.getrandbits, n.bit_length()
+        rank = getrandbits(k)
+        while rank >= n:
+            rank = getrandbits(k)
+        return rank, self._advance()
 
 
 class FifoScheduler(Scheduler):

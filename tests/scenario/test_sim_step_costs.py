@@ -8,12 +8,15 @@ run's outcome — the predicate in particular must turn true on exactly
 the step a poll of every stack would.
 """
 
+from collections import Counter
+
 import pytest
 
 import repro.sim.network as network_module
 from repro.recovery.restart import RestartBehavior
 from repro.scenario import Scenario, run
 from repro.sim.effects import Broadcast, Send
+from repro.sim.events import PendingSet
 from repro.sim.process import Process
 from repro.sim.runner import Simulation
 from repro.stacks import ProtocolPlan
@@ -42,6 +45,27 @@ def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
     assert 0 < len(classified) <= len(applied)
     # The per-kind send counters still cover every message.
     assert sum(result.meta["messages_by_kind"].values()) == result.messages_sent
+
+
+def test_a_delivery_is_one_pop_and_no_lookup(monkeypatch):
+    # The benchmark's sim-bracha-n7x8 shape, seed 1001, uniform random
+    # delivery: the runner pops the rank its scheduler names and never
+    # fetches, ranks or walks the set besides.
+    scenario = Scenario(protocol="bracha", n=7, instances=8,
+                        batching="flush", seed=1001, scheduler="random")
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(pending, *args):
+            calls[name] += 1
+            return method(pending, *args)
+        return wrapper
+
+    for name in ("pop", "at", "rank", "__iter__"):
+        monkeypatch.setattr(PendingSet, name,
+                            counted(name, getattr(PendingSet, name)))
+    result = run(scenario)
+    assert calls == {"pop": result.steps}
 
 
 RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}

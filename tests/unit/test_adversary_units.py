@@ -192,9 +192,7 @@ class TestHoldbackSchedulers:
         order = []
         while pending:
             rank, _t = scheduler.choose()
-            env = pending.at(rank)
-            pending.remove(env)
-            order.append(env.uid)
+            order.append(pending.pop(rank).uid)
         return order
 
     def test_victim_traffic_comes_last(self):

@@ -44,18 +44,14 @@ class TestBasics:
         with pytest.raises(SimulationError, match="duplicate envelope uid 1"):
             pending.add(env(1))
 
-    def test_remove(self):
+    def test_pop_returns_and_removes(self):
         pending = PendingSet()
-        first = env(1)
+        first, second = env(1), env(2)
         pending.add(first)
-        pending.remove(first)
+        pending.add(second)
+        assert pending.pop(1) is second
+        assert pending.pop(0) is first
         assert not pending
-
-    def test_remove_unknown_rejected(self):
-        with pytest.raises(
-            SimulationError, match="removing unknown envelope uid 9"
-        ):
-            PendingSet().remove(env(9))
 
     def test_iteration_is_insertion_ordered(self):
         pending = PendingSet()
@@ -74,30 +70,23 @@ class TestBasics:
         for uid in (3, 1, 2):
             pending.add(env(uid))
         assert [pending.at(k).uid for k in range(3)] == [3, 1, 2]
-        pending.remove(env(1))
+        assert pending.pop(1).uid == 1
         assert [pending.at(k).uid for k in range(2)] == [3, 2]
 
+    @pytest.mark.parametrize("method", ["at", "pop"])
     @pytest.mark.parametrize("rank", [-1, 2, 10])
-    def test_rank_out_of_range_rejected(self, rank):
+    def test_rank_out_of_range_rejected(self, rank, method):
         pending = PendingSet()
         pending.add(env(1))
         pending.add(env(2))
         with pytest.raises(IndexError):
-            pending.at(rank)
+            getattr(pending, method)(rank)
+        assert [e.uid for e in pending] == [1, 2]
 
-    def test_rank_fetch_on_empty_rejected(self):
+    @pytest.mark.parametrize("method", ["at", "pop"])
+    def test_rank_fetch_on_empty_rejected(self, method):
         with pytest.raises(IndexError):
-            PendingSet().at(0)
-
-    def test_remove_rejects_a_different_envelope_with_a_pending_uid(self):
-        pending = PendingSet()
-        genuine = env(1)
-        pending.add(genuine)
-        with pytest.raises(SimulationError, match="uid 1 is pending as"):
-            pending.remove(env(1, dest=2))
-        assert list(pending) == [genuine]
-        pending.remove(env(1))  # an equal envelope is the same message
-        assert not pending
+            getattr(PendingSet(), method)(0)
 
     def test_drained_blocks_are_folded(self):
         pending = PendingSet()
@@ -105,7 +94,7 @@ class TestBasics:
         for e in envelopes:
             pending.add(e)
         for e in envelopes[:-3]:
-            pending.remove(e)
+            assert pending.pop(0) is e
             assert within_block_bound(pending)
         assert [e.uid for e in pending] == [19_997, 19_998, 19_999]
         assert pending.at(2).uid == 19_999
@@ -119,10 +108,13 @@ class TestBasics:
         for e in envelopes:
             pending.add(e)
         survivors = envelopes[::64]
+        rank = 0
         for e in envelopes:
             if e.uid % 64:
-                pending.remove(e)
+                assert pending.pop(rank) is e
                 assert within_block_bound(pending)
+            else:
+                rank += 1
         assert list(pending) == survivors
         assert [pending.at(k) for k in range(40)] == survivors
 
@@ -150,24 +142,23 @@ class TestQueries:
     def test_rank_inverts_at(self):
         pending = self._loaded()
         assert [pending.rank(env(uid)) for uid in (1, 2, 3, 4)] == [0, 1, 2, 3]
-        pending.remove(pending.at(1))
+        pending.pop(1)
         assert [pending.rank(pending.at(k)) for k in range(3)] == [0, 1, 2]
 
     def test_rank_of_an_envelope_that_is_not_pending_rejected(self):
         pending = self._loaded()
-        pending.remove(pending.at(0))
+        pending.pop(0)
         with pytest.raises(SimulationError, match="uid 1 is not pending"):
             pending.rank(env(1))
 
     def test_iteration_is_a_stable_copy(self):
         pending = self._loaded()
         walk = iter(pending)
-        pending.remove(pending.at(0))
+        pending.pop(0)
         assert [e.uid for e in walk] == [1, 2, 3, 4]
 
 
-OPS = ("add", "add_burst", "remove", "remove_burst", "remove_unknown",
-       "bad_rank", "queries")
+OPS = ("add", "add_burst", "pop", "pop_burst", "bad_rank", "queries")
 OP_LISTS = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, 5000)), max_size=80,
 )
@@ -199,8 +190,9 @@ class TestAgainstListModel:
             pending.add(e)
             model.append(e)
 
-        def remove(index):
-            pending.remove(model.pop(index % len(model)))
+        def pop(index):
+            k = index % len(model)
+            assert pending.pop(k) is model.pop(k)
 
         for _ in range(64):
             add(next(fresh))
@@ -214,21 +206,21 @@ class TestAgainstListModel:
             elif op == "add_burst":
                 for _ in range(arg % 60):
                     add(next(fresh))
-            elif op == "remove":
+            elif op == "pop":
                 if model:
-                    remove(arg)
-            elif op == "remove_burst":
+                    pop(arg)
+            elif op == "pop_burst":
                 for k in range(min(len(model), arg % 90)):
-                    remove(arg * (k + 1))
-            elif op == "remove_unknown":
-                with pytest.raises(SimulationError, match="unknown"):
-                    pending.remove(env(-1))
+                    pop(arg * (k + 1))
+            elif op == "bad_rank":
+                # Out of range: nothing is taken (the checks below
+                # compare the whole set with the model).
+                for rank in (-1, len(model), len(model) + arg):
+                    for method in (pending.at, pending.pop):
+                        with pytest.raises(IndexError):
+                            method(rank)
                 with pytest.raises(SimulationError, match="not pending"):
                     pending.rank(env(-1))
-            elif op == "bad_rank":
-                for rank in (-1, len(model), len(model) + arg):
-                    with pytest.raises(IndexError):
-                        pending.at(rank)
             else:
                 link = (arg % 3, (arg // 3) % 3)
                 assert pending.ranks(lambda e: e.uid % 2 == 0) == [

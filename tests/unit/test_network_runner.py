@@ -144,20 +144,20 @@ class TestSimulationLoop:
         sim = three_sends()
         assert sim.run(until=lambda: False, max_steps=3) == 3
 
-    def test_network_refuses_a_forged_delivery(self):
-        """The network adversary reorders; the links are authenticated,
-        so a pending uid with another destination or payload is refused."""
+    @pytest.mark.parametrize("rank", [1, -1, 5])
+    def test_network_refuses_an_out_of_range_rank(self, rank):
+        """A delivery is named by its rank, never by an envelope, so the
+        network adversary can reorder but has nothing to forge; a rank
+        past the pending set delivers nothing."""
         sim, modules = two_process_sim()
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
         genuine = sim.pending.at(0)
-        forged = genuine._replace(dest=0, payload=("echo", "FORGED"))
-        with pytest.raises(SimulationError, match=f"uid {genuine.uid}"):
-            sim.network.deliver(forged, sim.now)
+        with pytest.raises(IndexError):
+            sim.network.deliver(rank, sim.now)
         assert modules[0].got == modules[1].got == []
         assert not sim.network.delivered
         assert list(sim.pending) == [genuine]
-        assert sim.pending.at(0) is genuine
 
     def test_every_delivery_is_recorded_by_rank_and_replays(self):
         def transcript(scheduler=None):

@@ -1,10 +1,11 @@
 """Delivery schedulers: fairness, determinism, and ordering contracts.
 
 A scheduler names each delivery by its rank in the pending set; the
-helpers here drain a set the way the runner does, through ``at``.
+helpers here drain a set the way the runner does, through ``pop``.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,9 +41,7 @@ def feed(scheduler, pending, envelopes):
 def deliver(scheduler, pending):
     """One step of the runner: choose a rank, take that envelope out."""
     rank, time = scheduler.choose()
-    chosen = pending.at(rank)
-    pending.remove(chosen)
-    return chosen, time
+    return pending.pop(rank), time
 
 
 def drain(scheduler, pending):
@@ -174,7 +173,7 @@ class TestRandomDelayScheduler:
         envelopes = [env(i) for i in range(1, 11)]
         feed(scheduler, pending, envelopes)
         for gone in envelopes[::2]:
-            pending.remove(gone)
+            pending.pop(pending.rank(gone))
         assert sorted(drain(scheduler, pending)) == [2, 4, 6, 8, 10]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -229,37 +228,83 @@ class _NoScanPendingSet(PendingSet):
 
 
 class _CountingRandom(random.Random):
+    """Counts ``randrange`` calls and the ``getrandbits`` draws under
+    them or anything else."""
+
     def __init__(self, seed):
         super().__init__(seed)
-        self.randrange_calls = 0
+        self.calls = Counter()
 
     def randrange(self, *args):
-        self.randrange_calls += 1
+        self.calls["randrange"] += 1
         return super().randrange(*args)
+
+    def getrandbits(self, k):
+        self.calls["getrandbits"] += 1
+        return super().getrandbits(k)
+
+
+UNIFORM_PICKERS = [
+    RandomScheduler,
+    lambda: PartitionScheduler([0, 1], heal_after=0),  # healed at once
+]
 
 
 class TestUniformPickersDoNotScan:
     """Complexity guard without a clock: the two "uniform over
-    everything pending" pickers fetch one rank and draw one number."""
+    everything pending" pickers pop one rank per choice and draw it in
+    one ``getrandbits`` loop, the one ``randrange`` would run."""
 
-    @pytest.mark.parametrize("build", [
-        RandomScheduler,
-        lambda: PartitionScheduler([0, 1], heal_after=0),  # healed at once
-    ])
-    def test_one_randrange_and_no_scan_per_choice(self, build):
+    @pytest.mark.parametrize("build", UNIFORM_PICKERS)
+    def test_one_draw_loop_and_no_scan_per_choice(self, build):
         scheduler, pending = build(), _NoScanPendingSet()
         rng = _CountingRandom(4)
         scheduler.attach(rng, pending)
         envelopes = [env(uid, source=uid % 4, dest=uid % 3) for uid in range(1, 61)]
         feed(scheduler, pending, envelopes)
         order = drain(scheduler, pending)
-        assert rng.randrange_calls == len(envelopes)
 
-        reference, items = random.Random(4), list(envelopes)
+        reference, items = _CountingRandom(4), list(envelopes)
         expected = [
             items.pop(reference.randrange(len(items))).uid for _ in envelopes
         ]
         assert order == expected
+        assert reference.calls["randrange"] == len(envelopes)
+        assert rng.calls == {"getrandbits": reference.calls["getrandbits"]}
+
+
+class _Sized:
+    """All a uniform picker reads of its pending set: the size."""
+
+    n = 0
+
+    def __len__(self):
+        return self.n
+
+
+#: Every n up to 4096, then 2**k and 2**k ± 1 up to 2**20.
+DRAW_SIZES = sorted(set(range(1, 4097)) | {
+    2**k + d for k in range(12, 21) for d in (-1, 0, 1)
+})
+
+
+class TestDrawEquivalence:
+    """The uniform pickers' rank is ``randrange``'s number for the same
+    stream, so every recorded schedule and golden stays the one
+    ``randrange`` gave.  A CPython release that changes ``randrange``
+    fails here by name."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1001])
+    @pytest.mark.parametrize("build", UNIFORM_PICKERS)
+    def test_ranks_equal_randrange(self, build, seed):
+        scheduler, sized = build(), _Sized()
+        scheduler.attach(random.Random(seed), sized)
+        ranks = []
+        for n in DRAW_SIZES:
+            sized.n = n
+            ranks.append(scheduler.choose()[0])
+        reference = random.Random(seed)
+        assert ranks == [reference.randrange(n) for n in DRAW_SIZES]
 
 
 class TestScriptedScheduler:
