@@ -111,6 +111,10 @@ class CrashBehavior(ByzantineBehavior):
         self._delivered += 1
         self.inner.deliver(sender, payload)
 
+    def close(self) -> None:
+        """Unlink the wrapped honest stack (end of run)."""
+        self.inner.close()
+
 
 class _FaceNet:
     """Network shim for one face of a two-faced process.
@@ -180,6 +184,11 @@ class TwoFacedBehavior(ByzantineBehavior):
     def deliver(self, sender: ProcessId, payload: Any) -> None:
         self.face_a.deliver(sender, payload)
         self.face_b.deliver(sender, payload)
+
+    def close(self) -> None:
+        """Unlink both faces' honest stacks (end of run)."""
+        self.face_a.close()
+        self.face_b.close()
 
 
 class EquivocatingBroadcaster(ByzantineBehavior):

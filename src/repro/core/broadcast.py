@@ -156,6 +156,10 @@ class BroadcastLayer(ProtocolModule):
             for listener in self._tagged.get(instance[0], ()):
                 listener(event)
 
+    def close(self) -> None:
+        super().close()
+        self._tagged.clear()
+
     def accepted(self, instance: Hashable, originator: ProcessId) -> bool:
         """Whether this process has accepted a value for the pair."""
         state = self._instances.get((instance, originator))

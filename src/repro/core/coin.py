@@ -233,6 +233,10 @@ class ShareCoinModule(ProtocolModule):
         for callback in self._callbacks.pop(round_, []):
             callback(round_, bit)
 
+    def close(self) -> None:
+        super().close()
+        self._callbacks.clear()
+
     # -- inspection --------------------------------------------------------
 
     def value(self, round_: Round) -> Optional[Bit]:

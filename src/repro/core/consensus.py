@@ -180,8 +180,13 @@ class BinaryAgreement(ProtocolModule):
         return self.params.decide_quorum
 
     def _on_decide_vote(self, sender: ProcessId, bit: object) -> None:
-        """Count the first DECIDE from each sender."""
-        if bit in BINARY_VALUES and sender not in self._decide_votes:
+        """Count the first DECIDE from each sender.
+
+        A bit must be an ``int`` (a ``bool`` is one): ``0.0 == 0`` passes
+        the membership test but cannot index the vote counts.
+        """
+        if (isinstance(bit, int) and bit in BINARY_VALUES
+                and sender not in self._decide_votes):
             self._decide_votes[sender] = bit  # type: ignore[assignment]
             self._check_decide_votes()
 

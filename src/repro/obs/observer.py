@@ -73,6 +73,8 @@ def parse_observe(spec: Any) -> Tuple[str, Any]:
 #: What the memo holds before the first classification (no payload is it).
 _NO_PAYLOAD = object()
 
+_new_event = tuple.__new__
+
 
 class Observer:
     """Event emission hub for one run.
@@ -110,10 +112,12 @@ class Observer:
         detail: Any = None,
         time: Optional[float] = None,
     ) -> None:
-        self.sink.emit(Event(
+        # ``tuple.__new__`` is the NamedTuple's own constructor minus its
+        # generated Python frame: the same record, one frame fewer.
+        self.sink.emit(_new_event(Event, (
             self._clock() if time is None else time,
             kind, node, instance, round, detail,
-        ))
+        )))
 
     def message(
         self,
@@ -148,11 +152,12 @@ class Observer:
                 self._last_payload = payload
                 self._last_classified = classified
         instance, round_, detail = classified
-        self.emit(
+        # Not through :meth:`emit`: one frame per message event.
+        self.sink.emit(_new_event(Event, (
+            self._clock() if time is None else time,
             kind, node, instance, round_,
             detail if mid is None else {"msg": mid, "payload": detail},
-            time,
-        )
+        )))
         return classified
 
     # -- lifecycle -----------------------------------------------------------

@@ -13,7 +13,7 @@ per span, prefixed ``span_``), so span summaries travel on
 Selection follows the validated-Scenario-field convention: ``profile:
 off`` (the default — no profiler object exists, the hot paths pay one
 ``is None`` check) or ``profile: on`` (two clock reads, one dict lookup
-and one histogram ``record`` per span).  Profiling never touches
+and one histogram update per span).  Profiling never touches
 virtual time, the rng, or the event stream, so a fixed-seed simulator
 run with ``profile: on`` is bit-identical in its logical events to the
 same run without it (``tests/obs/test_profile.py`` holds the repository
@@ -33,11 +33,12 @@ span                what it times
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..errors import ConfigError
-from .metrics import MetricsRegistry, MetricsSnapshot
+from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 
 #: The validated profile modes of the Scenario field.
 PROFILE_MODES = ("off", "on")
@@ -70,30 +71,38 @@ class SpanProfiler:
     histogram ``span_<name>``; counts, means, and p50/p95/p99 fall out
     of the histogram summary for free.  The histogram is looked up (and
     created) at the first ``stop`` of a name; every later one is a
-    clock read, one dict lookup and the histogram's ``record``.
+    clock read, one dict lookup and the histogram update — written out
+    here rather than calling :meth:`Histogram.record
+    <repro.obs.metrics.Histogram.record>`, so a span costs one frame.
     """
 
-    __slots__ = ("registry", "clock", "_records")
+    __slots__ = ("registry", "clock", "_histograms")
 
     def __init__(
         self, registry: MetricsRegistry, clock: Any = time.perf_counter
     ):
         self.registry = registry
         self.clock = clock
-        #: span name -> bound ``record`` of its ``span_<name>`` histogram.
-        self._records: Dict[str, Callable[[float], None]] = {}
+        #: span name -> its ``span_<name>`` histogram.
+        self._histograms: Dict[str, Histogram] = {}
 
     def start(self) -> float:
         return self.clock()
 
     def stop(self, name: str, started: float) -> None:
-        elapsed = self.clock() - started
-        record = self._records.get(name)
-        if record is None:
-            record = self._records[name] = self.registry.histogram(
+        value = float(self.clock() - started)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = self.registry.histogram(
                 SPAN_PREFIX + name
-            ).record
-        record(elapsed)
+            )
+        histogram.counts[bisect_left(histogram.bounds, value)] += 1
+        histogram.count += 1
+        histogram.total += value
+        if histogram.minimum is None or value < histogram.minimum:
+            histogram.minimum = value
+        if histogram.maximum is None or value > histogram.maximum:
+            histogram.maximum = value
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

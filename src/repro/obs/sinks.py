@@ -27,9 +27,9 @@ from .events import Event
 class RingSink:
     """Bounded in-memory event buffer.
 
-    ``capacity`` caps retained events; overflow evicts the oldest and
-    increments ``dropped`` — surfaced in :meth:`summary` so truncation
-    is always visible.
+    ``capacity`` caps retained events; overflow evicts the oldest, and
+    every evicted event counts in ``dropped`` — surfaced in
+    :meth:`summary` so truncation is always visible.
     """
 
     def __init__(self, capacity: int = 100_000):
@@ -38,13 +38,15 @@ class RingSink:
         self.capacity = capacity
         self._events: Deque[Event] = deque(maxlen=capacity)
         self.total = 0
-        self.dropped = 0
 
     def emit(self, event: Event) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
         self._events.append(event)
         self.total += 1
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted so far: everything beyond ``capacity``."""
+        return max(0, self.total - self.capacity)
 
     def close(self) -> None:
         pass

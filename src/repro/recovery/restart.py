@@ -137,8 +137,16 @@ class RestartBehavior:
 
     # -- lifecycle ---------------------------------------------------------
 
+    def close(self) -> None:
+        """Unlink the running incarnation's stack (end of run)."""
+        if self.inner is not None:
+            self.inner.close()
+
     def _crash(self) -> None:
         self.crash_time = self.network.now()
+        # The discarded incarnation is unlinked now, so memory loss frees
+        # it by reference counting rather than leaving cyclic garbage.
+        self.inner.close()
         self.inner = None
         self.modules = []
 

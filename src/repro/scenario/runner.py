@@ -127,7 +127,9 @@ class SimRun:
     the live objects on the way: ``stacks`` (correct pid → decision
     modules, one per instance), ``behaviors`` (faulty pid → behavior),
     ``restart_nodes``, ``sim.network``, ``sim.pending``.  ``until`` is
-    the scenario's stop predicate (``None`` for ``quiescent``).
+    the scenario's stop predicate (``None`` for ``quiescent``).  The
+    graph stays live, and inspectable after ``result()``, until
+    :meth:`close` unlinks it.
     """
 
     def __init__(
@@ -264,7 +266,9 @@ class SimRun:
         try:
             self.sim.run(until=self.until, max_steps=self.scenario.max_steps)
         except EventBudgetExceeded as exc:
-            self.exhausted = exc
+            # Kept without its traceback, whose frames would hold this
+            # run in a reference cycle.
+            self.exhausted = exc.with_traceback(None)
         return self
 
     def result(self, check: bool = True) -> RunResult:
@@ -277,7 +281,9 @@ class SimRun:
         failures: List[str] = []
         if self.exhausted is not None:
             if check:
-                raise self.exhausted
+                # A fresh copy: raising the kept one would give it a
+                # traceback through this frame, which holds ``self``.
+                raise EventBudgetExceeded(self.exhausted.steps)
             failures.append("event budget exhausted (possible livelock)")
         # A restart node still down when the run ends has no modules to
         # read and files no report: a correct node was expected back.
@@ -323,6 +329,12 @@ class SimRun:
         )
         return _stamp(result, scenario, observer, summary)
 
+    def close(self) -> None:
+        """Unlink the run's object graph (:meth:`Simulation.close
+        <repro.sim.runner.Simulation.close>`); idempotent.  The built
+        result is plain data and is untouched."""
+        self.sim.close()
+
 
 def assemble(
     scenario: Scenario,
@@ -344,7 +356,13 @@ def assemble(
 
 
 def _run_sim(scenario: Scenario, check: bool) -> RunResult:
-    return assemble(scenario).run().result(check)
+    sim_run = assemble(scenario)
+    try:
+        return sim_run.run().result(check)
+    finally:
+        # Also when verification raises: the graph is freed on return
+        # by reference counting, not by the next run's collections.
+        sim_run.close()
 
 
 # ---------------------------------------------------------------------------

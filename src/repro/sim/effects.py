@@ -179,7 +179,10 @@ class CausalStamper:
         """The next causal id for ``sender`` (ids start at ``:1``)."""
         seq = self._seqs.get(sender, 0) + 1
         self._seqs[sender] = seq
-        return format_mid(sender, seq, self.epoch)
+        # :func:`format_mid`, inline: this runs once per observed send.
+        if self.epoch:
+            return f"{sender}.{self.epoch}:{seq}"
+        return f"{sender}:{seq}"
 
 
 def format_mid(sender: ProcessId, seq: int, epoch: int = 0) -> str:

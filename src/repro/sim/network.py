@@ -38,7 +38,12 @@ def payload_kind(payload: Any) -> str:
 
 
 class Deliverable(Protocol):
-    """What the network requires of a registered process (correct or not)."""
+    """What the network requires of a registered process (correct or not).
+
+    A process holding reference cycles may also define ``close()``;
+    :meth:`Simulation.close <repro.sim.runner.Simulation.close>` calls it
+    once the run is over.
+    """
 
     pid: ProcessId
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import abc
 import random
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -42,6 +43,14 @@ from .effects import Broadcast, Decide, Effect, Note, Outbox, Send
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .network import NetworkAPI
+
+
+def _send_to_all(network: "NetworkAPI", n: int, pid: ProcessId, payload: Any) -> None:
+    """A Broadcast as ``n`` sends in pid order, on a network without
+    ``broadcast``."""
+    send = network.send
+    for dest in range(n):
+        send(pid, dest, payload)
 
 
 class Context:
@@ -131,6 +140,15 @@ class ProtocolModule(abc.ABC):
     def start(self) -> None:
         """Hook invoked once when the simulation starts (optional)."""
 
+    def close(self) -> None:
+        """Drop the upcalls that tie this module to the modules above it.
+
+        Called by :meth:`Process.close` once the run is over: listeners
+        are bound methods of other modules, so they close reference
+        cycles.  A subclass holding further callbacks clears them too.
+        """
+        self._listeners.clear()
+
     @abc.abstractmethod
     def on_message(self, sender: ProcessId, payload: Any) -> None:
         """Handle a message addressed to this module."""
@@ -168,10 +186,11 @@ class Process:
         self._depth = 0
         # A fabric network fans a Broadcast out itself, paying the shared
         # work once; any other network (a shim filtering or recording
-        # ``send``, a test double) is handed every per-destination send.
+        # ``send``, a test double) is handed every per-destination send —
+        # bound to the network, not to this process, so no cycle forms.
         self._broadcast: Callable[[ProcessId, Any], None] = getattr(
-            network, "broadcast", self._send_to_all
-        )
+            network, "broadcast", None
+        ) or partial(_send_to_all, network, params.n)
         if register:
             network.register(self)
 
@@ -236,11 +255,6 @@ class Process:
         else:
             raise SimulationError(f"unknown effect {effect!r}")
 
-    def _send_to_all(self, pid: ProcessId, payload: Any) -> None:
-        send = self.network.send
-        for dest in range(self.params.n):
-            send(pid, dest, payload)
-
     @contextmanager
     def buffered(self) -> Iterator["Process"]:
         """Widen the atomic window across several activations.
@@ -272,6 +286,18 @@ class Process:
     def halt(self) -> None:
         """Stop reacting to messages (graceful protocol termination)."""
         self.halted = True
+
+    def close(self) -> None:
+        """Unlink this process from its modules once the run is over.
+
+        Each module is closed and the module table emptied, so the stack
+        is freed by reference counting instead of waiting for the cycle
+        collector.  The process delivers nothing afterwards; the modules'
+        outcome attributes stay readable through whoever still holds them.
+        """
+        for module in self.modules.values():
+            module.close()
+        self.modules.clear()
 
     def deliver(self, sender: ProcessId, payload: Any) -> None:
         """Route an incoming message to the addressed module."""

@@ -22,6 +22,13 @@ scheduler's contract (the adversarial ones release what they hold back).
 The ranks of a run are its schedule, :attr:`Simulation.schedule`:
 replayed under :class:`~repro.sim.scheduler.ScriptedScheduler` with the
 same seed, they repeat the run.
+
+A run's object graph is cyclic — process ↔ module ↔ context, listener
+lists, the network's registry, the clock closures — so left alone it
+would wait for a full collection to be freed, paid for by whatever runs
+next.  :meth:`Simulation.close` unlinks those cycles, after which the
+graph is freed by reference counting the moment its last holder drops
+it; ``run(scenario)`` closes every sim run it makes.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ class Simulation:
         #: stays bit-identical to an unprofiled one.
         self.profiler: Optional[object] = None
         self._started = False
+        self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -106,11 +114,16 @@ class Simulation:
         which, for a correct protocol under an admissible scheduler,
         indicates a livelock and is treated as a test failure.
         """
+        if self._closed:
+            raise SimulationError("simulation is closed: it cannot deliver again")
         if not self._started:
             self.start()
         pending, record = self.pending, self.schedule.append
         choose, deliver = self.scheduler.choose, self.network.deliver
         profiler = self.profiler
+        # The profiler's clock, called directly: a span costs the one
+        # ``stop`` frame, not a ``start`` frame as well.
+        clock = profiler.clock if profiler is not None else None
         executed = 0
         while True:
             if until is not None and until():
@@ -120,7 +133,7 @@ class Simulation:
             if executed >= max_steps:
                 raise EventBudgetExceeded(self.steps)
             if profiler is not None:
-                step_started = profiler.start()
+                step_started = clock()
             rank, time = choose()
             record(rank)
             if time > self.now:
@@ -130,10 +143,34 @@ class Simulation:
             if profiler is None:
                 deliver(rank, self.now)
             else:
-                started = profiler.start()
+                started = clock()
                 deliver(rank, self.now)
                 profiler.stop("sim_deliver", started)
                 profiler.stop("sim_step", step_started)
+
+    def close(self) -> None:
+        """Unlink the run's reference cycles; idempotent.
+
+        Every registered process is closed (its modules unlinked from
+        it and from each other) and dropped from the network, and the
+        clocks bound into the network and its observer are frozen at the
+        final virtual time, so nothing refers back to this object.  The
+        tallies, the schedule and :attr:`now` stay readable; delivering
+        again raises :class:`SimulationError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        network = self.network
+        for process in network.processes.values():
+            close = getattr(process, "close", None)
+            if close is not None:
+                close()
+        network.processes.clear()
+        final = self.now
+        network.bind_clock(lambda: final)
+        if network.observer is not None:
+            network.observer.bind_clock(lambda: final)
 
     def run_to_quiescence(self, max_steps: int = 2_000_000) -> int:
         """Deliver every message until none are in flight."""

@@ -132,6 +132,22 @@ def test_ring_sink_counts_evictions():
     assert summary["dropped"] == 2
 
 
+@pytest.mark.parametrize("capacity", [1, 4])
+def test_ring_sink_drops_exactly_what_exceeds_its_capacity(capacity):
+    sink = RingSink(capacity=capacity)
+    for i in range(capacity):
+        sink.emit(Event(time=float(i), kind="note"))
+        assert sink.summary()["dropped"] == 0
+    assert sink.summary()["retained"] == capacity
+    for k in range(1, 2 * capacity + 2):
+        sink.emit(Event(time=float(capacity + k), kind="note"))
+        summary = sink.summary()
+        assert summary["dropped"] == k
+        assert summary["retained"] == capacity
+        assert summary["events"] == capacity + k
+        assert sink.events[-1].time == float(capacity + k)
+
+
 def test_ring_sink_rejects_nonpositive_capacity():
     with pytest.raises(ConfigError):
         RingSink(capacity=0)

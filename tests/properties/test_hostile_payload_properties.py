@@ -16,14 +16,14 @@ import functools
 
 import pytest
 import hypothesis
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines.benor import BenOrDecide, PVote, RVote
 from repro.baselines.bv_broadcast import BvValue
 from repro.baselines.mmr14 import AuxMsg, MmrDecide
 from repro.core.broadcast import RbcMessage
 from repro.core.coin import CoinShareMsg
-from repro.core.consensus import DecideMsg
+from repro.core.consensus import BinaryAgreement, DecideMsg
 from repro.crypto.dealer import SignedShare
 from repro.crypto.shamir import Share
 from repro.params import ProtocolParams
@@ -167,3 +167,23 @@ def test_no_decodable_payload_raises_out_of_deliver(name, data):
         routed = binarycodec.loads(binarycodec.dumps((module_id, body)))
         for sender in senders:
             process.deliver(sender, routed)
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+@given(bit=leaves)
+@example(bit=0.0)
+@example(bit=1.0)
+@example(bit=-0.0)
+@example(bit=True)
+@settings(max_examples=25, deadline=None)
+def test_a_decide_vote_of_any_leaf_never_raises(name, bit):
+    """A DECIDE whose bit is any scalar, from every peer: ``0.0 == 0``
+    passes a membership test, and one vote counted under a float key
+    would make the tally raise; bools are bits and still count."""
+    process = stack(name)
+    for module_id, module in list(process.modules.items()):
+        if isinstance(module, BinaryAgreement):
+            routed = binarycodec.loads(
+                binarycodec.dumps((module_id, module.DECIDE(bit))))
+            for sender in range(N):
+                process.deliver(sender, routed)

@@ -247,6 +247,17 @@ class TestWireDefenses:
         )
         assert consensus.validator.validated_count(1, Step.ONE) == 0
 
+    def test_decide_votes_with_a_float_bit_are_ignored(self):
+        # 0.0 == 0, so a float passes ``bit in BINARY_VALUES``; counted,
+        # it would index the vote tally and raise out of the receiver.
+        consensus, _rbc, stub, _events, _coin = make_consensus()
+        consensus.propose(1)
+        for sender in (1, 2, 3):
+            consensus.on_message(sender, DecideMsg(0.0))
+        assert consensus._decide_votes == {}
+        assert not consensus.decided and not consensus.halted
+        assert not [p for _s, _d, (_m, p) in stub.sent if isinstance(p, DecideMsg)]
+
     def test_bad_round_or_step_ignored(self):
         consensus, _rbc, _stub, _events, _coin = make_consensus()
         consensus.propose(1)
