@@ -18,11 +18,10 @@ Subcommands:
   shares) into per-node bundle files plus a run manifest.
 * ``node`` — run one consensus node as one OS process from a dealt
   bundle (the ``mp`` fabric's per-process entry point).
-* ``report`` — analysis tables (decision latency, per-round timing)
-  from a JSONL trace produced by ``observe: jsonl``.
-* ``trace`` — causal analysis of the same JSONL trace: send→deliver
-  correlation, per-decision critical paths, phase breakdown, and the
-  queue-vs-processing split.
+* ``report`` — the one trace reader: from a JSONL trace produced by
+  ``observe: jsonl`` it prints send→deliver correlation, event totals,
+  decision latency, per-round timing, the phase breakdown,
+  per-decision critical paths and the queue-vs-processing split.
 
 Examples::
 
@@ -36,7 +35,7 @@ Examples::
         --set 'link={"loss": 0.15, "delay": 0.002}'
     python -m repro run --name batched-pipeline --set profile=on
     python -m repro run --name partition-heal && \\
-        python -m repro trace benchmarks/out/partition-heal-trace.jsonl
+        python -m repro report benchmarks/out/partition-heal-trace.jsonl
     python -m repro catalog
 
 One reliable-broadcast instance, repeated-run statistics and the
@@ -56,7 +55,6 @@ from . import __version__
 from .analysis.tables import format_table
 from .errors import ConfigError, ReproError
 from .obs import load_events
-from .obs.causality import render_trace
 from .obs.profile import SPAN_PREFIX, render_profile
 from .obs.report import render_report
 from .scenario import CATALOG, Scenario, get_scenario, load_scenario
@@ -304,14 +302,7 @@ def cmd_node(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    events = load_events(args.file)
-    print(render_report(events, rounds_limit=args.rounds))
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    events = load_events(args.file)
-    print(render_trace(events, limit=args.limit))
+    print(render_report(load_events(args.file), limit=args.limit))
     return 0
 
 
@@ -397,24 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render decision-latency and per-round tables from a JSONL trace",
+        help="read a JSONL trace: correlation, decision latency, per-round "
+             "and phase windows, critical paths, queue vs processing",
     )
     report.add_argument("file", metavar="FILE",
                         help="JSONL trace written by observe=jsonl[:PATH]")
-    report.add_argument("--rounds", type=int, default=40,
-                        help="max (instance, round) rows to print")
+    report.add_argument("--limit", type=int, default=40,
+                        help="max rows per round, phase and critical-path "
+                             "table (at least 1)")
     report.set_defaults(func=cmd_report)
-
-    trace = sub.add_parser(
-        "trace",
-        help="causal analysis of a JSONL trace: send/deliver correlation, "
-             "per-decision critical paths, phase breakdown",
-    )
-    trace.add_argument("file", metavar="FILE",
-                       help="JSONL trace written by observe=jsonl[:PATH]")
-    trace.add_argument("--limit", type=int, default=16,
-                       help="max per-decision critical-path rows to print")
-    trace.set_defaults(func=cmd_trace)
 
     return parser
 

@@ -22,12 +22,12 @@ The pieces:
   fixed-bucket histograms (p50/p95/p99 without dependencies) snapshotted
   onto every :class:`~repro.types.RunResult`
   (:mod:`repro.obs.metrics`);
-* ``repro report`` — per-instance decision-latency and per-round timing
-  tables rendered from a JSONL trace (:mod:`repro.obs.report`);
-* causal tracing — send/deliver correlation via per-sender message ids
-  (stamped at the effect boundary when observing), the delivery DAG, and
-  per-decision critical paths rendered by ``repro trace``
-  (:mod:`repro.obs.causality`);
+* ``repro report`` — the one trace reader: from a JSONL trace it builds
+  the delivery DAG (:class:`~repro.obs.report.CausalDag`, send/deliver
+  correlated by the per-sender message ids stamped at the effect
+  boundary when observing) and renders decision latency, per-round
+  timing, the phase breakdown, per-decision critical paths and the
+  queue-vs-processing split from it (:mod:`repro.obs.report`);
 * span profiling — the ``profile`` Scenario field attaches a
   :class:`~repro.obs.profile.SpanProfiler` that times the hot paths
   (sim step/deliver, runtime flush, codec+MAC, WAL append) into
@@ -44,14 +44,6 @@ follows the same validated-field convention as ``link`` and
 ``batching``.  See ``docs/observability.md``.
 """
 
-from .causality import (
-    CausalDag,
-    PathHop,
-    build_dag,
-    critical_path_stats,
-    critical_path_table,
-    render_trace,
-)
 from .events import Event, classify_payload
 from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from .observer import OBSERVE_MODES, Observer, build_observer, parse_observe
@@ -62,6 +54,7 @@ from .profile import (
     parse_profile,
     render_profile,
 )
+from .report import CausalDag, PathHop, render_report
 from .sinks import JsonlSink, RingSink, load_events, render_events
 
 __all__ = [
@@ -77,16 +70,13 @@ __all__ = [
     "PathHop",
     "RingSink",
     "SpanProfiler",
-    "build_dag",
     "build_observer",
     "build_profiler",
     "classify_payload",
-    "critical_path_stats",
-    "critical_path_table",
     "load_events",
     "parse_observe",
     "parse_profile",
     "render_events",
     "render_profile",
-    "render_trace",
+    "render_report",
 ]

@@ -77,8 +77,9 @@ class Event(NamedTuple):
     def from_dict(cls, data: Dict[str, Any]) -> "Event":
         """Rebuild an event from its :meth:`to_dict` mapping.
 
-        A ``t`` that is not a number, or a ``node``/``round`` that is
-        not an integer, raises :class:`ValueError` naming the field —
+        A ``t`` that is not a number, a ``node``/``round`` that is not
+        an integer, or an ``inst`` that is not a string raises
+        :class:`ValueError` naming the field —
         :func:`~repro.obs.sinks.load_events` turns it into a
         ``ConfigError`` with the line number.
         """
@@ -93,11 +94,14 @@ class Event(NamedTuple):
                 raise ValueError(
                     f"event {key!r} must be an integer, got {value!r}"
                 )
+        instance = data.get("inst")
+        if instance is not None and not isinstance(instance, str):
+            raise ValueError(f"event 'inst' must be a string, got {instance!r}")
         return cls(
             float(time),
             str(data.get("kind", "")),
             data.get("node"),
-            data.get("inst"),
+            instance,
             data.get("round"),
             data.get("detail"),
         )

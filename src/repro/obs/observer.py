@@ -134,7 +134,7 @@ class Observer:
         :class:`~repro.sim.effects.CausalStamper`; when present the
         event detail becomes ``{"msg": mid, "payload": <repr>}`` so a
         ``deliver`` can be correlated with the ``send`` that caused it
-        (:mod:`repro.obs.causality`).
+        (:mod:`repro.obs.report`).
 
         A payload *object* is classified once: consecutive calls with
         the same object (the n sends a ``Broadcast`` expands to) reuse

@@ -9,8 +9,7 @@ Three built-ins, selected by the scenario ``observe`` field:
 * :class:`JsonlSink` — one event per line, append-only, flushed on
   close.  The file format is the stable :meth:`Event.to_dict` shape;
   :func:`load_events` reads it back.
-* :func:`render_events` — the human timeline (used by ``repro report``
-  and by tests).
+* :func:`render_events` — the human timeline, for library callers.
 """
 
 from __future__ import annotations
@@ -134,10 +133,13 @@ def load_events(path: Union[str, Any]) -> List[Event]:
 
 
 def render_events(events: Iterable[Event], limit: Optional[int] = None) -> str:
-    """The event stream as a readable multi-line timeline."""
+    """The event stream as a readable multi-line timeline.
+
+    ``limit`` keeps the newest ``limit`` events (none when it is 0).
+    """
     rows = list(events)
     if limit is not None:
-        rows = rows[-limit:]
+        rows = rows[max(0, len(rows) - limit):]
     return "\n".join(event.render() for event in rows)
 
 

@@ -161,7 +161,7 @@ class CausalStamper:
     Because a correct process's send sequence is a pure function of the
     seed and its delivery history, the ids are deterministic per fabric
     and let ``send``/``deliver`` events be correlated into the causal
-    delivery DAG (:mod:`repro.obs.causality`).
+    delivery DAG (:mod:`repro.obs.report`).
 
     The ``epoch`` distinguishes the incarnations of a crash-recovered
     node: a respawned process restarts its counters, and without an

@@ -15,19 +15,21 @@ Three layers of guarantees:
   differently — but the structural invariants hold on both).
 """
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.obs import Event, build_observer, load_events, parse_observe
-from repro.obs.causality import (
-    build_dag,
-    critical_path_stats,
+from repro.obs.report import (
+    CausalDag,
     critical_path_table,
     event_mid,
     phase_of,
-    render_trace,
+    render_report,
+    round_timing_table,
 )
-from repro.obs.report import render_report, round_timing_table
 from repro.runtime.codec import CodecError, Stamped, WireBatch, decode, encode
 from repro.scenario import Scenario, run
 from repro.sim.effects import CausalStamper, format_mid, parse_mid
@@ -111,7 +113,7 @@ def test_dag_counts_matched_dangling_and_unstamped():
         _deliver(2.0, 1, "9:9"),  # dangling: sender's events are lost
         Event(time=3.0, kind="send", node=2, detail="unstamped-era"),
     ]
-    dag = build_dag(events)
+    dag = CausalDag(events)
     assert dag.matched_delivers() == 1
     assert dag.dangling_delivers() == 1
     assert dag.unstamped == 1
@@ -123,7 +125,7 @@ def test_dag_counts_duplicate_deliveries():
         _deliver(1.0, 1, "0:1"),
         _deliver(2.0, 1, "0:1"),  # netem duplicated the frame
     ]
-    assert build_dag(events).duplicate_delivers() == 1
+    assert CausalDag(events).duplicate_delivers() == 1
 
 
 def test_critical_path_walks_back_to_the_protocol_start():
@@ -136,7 +138,7 @@ def test_critical_path_walks_back_to_the_protocol_start():
         _deliver(2.0, 2, "1:1"),
         Event(time=2.0, kind="decide", node=2, instance="x", detail=1),
     ]
-    dag = build_dag(events)
+    dag = CausalDag(events)
     [(decide, hops)] = dag.critical_paths()
     assert decide.node == 2
     assert [(h.mid, h.src, h.dest) for h in hops] == [
@@ -151,14 +153,14 @@ def test_critical_path_ends_at_a_dangling_hop_when_the_send_is_lost():
         _deliver(1.0, 2, "5:7"),  # p5's ring never shipped
         Event(time=1.0, kind="decide", node=2, instance="x", detail=0),
     ]
-    [(_decide, hops)] = build_dag(events).critical_paths()
+    [(_decide, hops)] = CausalDag(events).critical_paths()
     assert len(hops) == 1
     assert hops[0].src == 5 and hops[0].send_time is None
 
 
 def test_critical_path_is_empty_without_a_prior_delivery():
     events = [Event(time=0.0, kind="decide", node=0, instance="x", detail=1)]
-    [(_decide, hops)] = build_dag(events).critical_paths()
+    [(_decide, hops)] = CausalDag(events).critical_paths()
     assert hops == []
 
 
@@ -231,7 +233,7 @@ def _assert_paths_well_formed(events):
     """Every decide has a non-empty path ending at the decider, with the
     hops chained (each hop's dest is the next hop's src) and causally
     ordered (send precedes deliver, hops never go back in time)."""
-    dag = build_dag(events)
+    dag = CausalDag(events)
     paths = dag.critical_paths()
     assert paths, "no decide events in trace"
     for decide, hops in paths:
@@ -273,27 +275,50 @@ def test_sim_and_local_critical_paths_agree_logically():
     assert keyed["sim"] == keyed["local"]
 
 
-def test_critical_path_stats_summarize_real_runs():
+def test_critical_paths_summarize_real_runs():
     result = run(ALL_PROTOCOLS["bracha"], observe="ring:200000")
-    stats = critical_path_stats(result.meta["obs_events"])
-    assert stats["critical_path_decides"] == 4
-    assert 1 <= stats["critical_path_hops_p50"] <= stats["critical_path_hops_max"]
-    assert stats["critical_path_ms_p50"] <= stats["critical_path_ms_max"]
+    paths = CausalDag(result.meta["obs_events"]).critical_paths()
+    lengths = sorted(len(hops) for _decide, hops in paths if hops)
+    spans = sorted(hops[-1].deliver_time - hops[0].send_time
+                   for _decide, hops in paths if hops)
+    assert len(lengths) == 4
+    assert 1 <= lengths[len(lengths) // 2] <= lengths[-1]
+    assert spans[len(spans) // 2] <= spans[-1]
 
 
-def test_critical_path_stats_empty_for_unstamped_traces():
+def test_report_degrades_on_unstamped_traces():
     legacy = [Event(time=0.0, kind="decide", node=0, instance="x", detail=1)]
-    assert critical_path_stats(legacy) == {}
+    text = render_report(legacy)
+    assert "correlation: 0 stamped sends, 0 matched delivers" in text
+    assert "(no enabling delivery)" in text
 
 
-def test_render_trace_has_every_section(tmp_path):
+def test_render_report_has_every_section(tmp_path):
     path = tmp_path / "t.jsonl"
     run(ALL_PROTOCOLS["bracha"], observe=f"jsonl:{path}")
-    text = render_trace(load_events(str(path)))
+    text = render_report(load_events(str(path)))
     assert "correlation:" in text
+    assert "Event totals" in text
+    assert "Per-instance decision latency" in text
+    assert "Per-round timing" in text
     assert "Per-decision critical paths" in text
     assert "phase breakdown" in text
     assert "Queue vs processing" in text
+
+
+def test_a_malformed_id_on_a_dangling_deliver_is_an_error_line(
+    tmp_path, capsys
+):
+    # The walk from the decide reaches a deliver whose send is missing;
+    # its id must name the sender, and a corrupt one fails loudly.
+    path = tmp_path / "corrupt.jsonl"
+    path.write_text("\n".join(json.dumps(e.to_dict()) for e in [
+        _deliver(1.0, 2, "not-an-id"),
+        Event(time=2.0, kind="decide", node=2, instance="x", detail=0),
+    ]))
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed causal message id" in err
 
 
 def test_trace_tables_survive_mp_round_trip(tmp_path):
@@ -304,7 +329,7 @@ def test_trace_tables_survive_mp_round_trip(tmp_path):
                  observe=f"jsonl:{path}", timeout=90.0))
     events = load_events(str(path))
     _assert_fully_correlated(events, 4)
-    assert "Per-decision critical paths" in critical_path_table(events)
+    assert "Per-decision critical paths" in critical_path_table(CausalDag(events))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +359,8 @@ def test_round_timing_limit_truncates_by_time_not_merge_order():
     # The late row arrives first in merge order; with limit=1 the table
     # must still be computed over the sorted stream, so both orders of
     # the input produce the same single-row table.
-    assert (round_timing_table([late, early], limit=1)
-            == round_timing_table([early, late], limit=1))
+    assert (round_timing_table(CausalDag([late, early]), limit=1)
+            == round_timing_table(CausalDag([early, late]), limit=1))
 
 
 def test_observe_jsonl_rejects_a_missing_parent_directory(tmp_path):

@@ -29,6 +29,7 @@ from repro.obs import (
 from repro.obs.bench import bench_path, emit_bench, load_bench
 from repro.obs.check_floors import check, load_floors, seed_floors
 from repro.obs.report import (
+    CausalDag,
     decision_latency_table,
     render_report,
     round_timing_table,
@@ -203,6 +204,8 @@ def test_load_events_rejects_garbage(tmp_path):
     ('{"kind": "send", "t": true}', "'t' must be a number, got True"),
     ('{"kind": "send", "t": 1.0, "node": "p3"}', "'node' must be an integer"),
     ('{"kind": "send", "t": 1.0, "round": 1.5}', "'round' must be an integer"),
+    ('{"kind": "send", "t": 1.0, "inst": ["a"]}', "'inst' must be a string"),
+    ('{"kind": "decide", "t": 1.0, "inst": 3}', "'inst' must be a string"),
 ])
 def test_load_events_names_the_line_of_a_mistyped_field(
     tmp_path, record, complaint
@@ -233,6 +236,12 @@ def test_render_events_limit():
     text = render_events(events, limit=2)
     assert len(text.splitlines()) == 2
     assert "note       3" in text and "note       4" in text
+
+
+def test_render_events_limit_zero_renders_nothing():
+    events = [Event(time=float(i), kind="note", detail=i) for i in range(5)]
+    assert render_events(events, limit=0) == ""
+    assert render_events(events, limit=9) == render_events(events)
 
 
 # -- observer + spec parsing -------------------------------------------------
@@ -292,21 +301,21 @@ def _sample_trace():
 
 
 def test_decision_latency_table_reports_per_instance_percentiles():
-    table = decision_latency_table(_sample_trace())
+    table = decision_latency_table(CausalDag(_sample_trace()))
     assert "c" in table
     assert "7.000" in table  # p50 of [5ms, 9ms] interpolates to 7ms
     assert "9.000" in table  # max
-    assert decision_latency_table([]) == "no decide events in trace"
+    assert decision_latency_table(CausalDag([])) == "no decide events in trace"
 
 
 def test_round_timing_table_windows_and_truncation():
-    table = round_timing_table(_sample_trace())
+    table = round_timing_table(CausalDag(_sample_trace()))
     assert "2.000" in table  # round 1 window spans 0..2ms
     many = [
         Event(time=float(i), kind="send", node=0, instance="c", round=i, detail=i)
         for i in range(50)
     ]
-    truncated = round_timing_table(many, limit=10)
+    truncated = round_timing_table(CausalDag(many), limit=10)
     assert "40 more" in truncated
 
 

@@ -90,6 +90,7 @@ class TestRemovedVerbParity:
 
     @pytest.mark.parametrize("verb", [
         "consensus", "run-net", "sweep", "attack", "broadcast", "profile",
+        "trace",
     ])
     def test_removed_verbs_are_argparse_errors(self, verb, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -97,14 +98,17 @@ class TestRemovedVerbParity:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_help_lists_exactly_the_six_verbs(self):
+    def test_help_lists_exactly_the_five_verbs(self):
         (verbs,) = [
             action.choices for action in build_parser()._actions
             if action.dest == "command"
         ]
-        assert list(verbs) == [
-            "run", "catalog", "dealer", "node", "report", "trace",
+        assert list(verbs) == ["run", "catalog", "dealer", "node", "report"]
+        report_flags = [
+            option for action in verbs["report"]._actions
+            for option in action.option_strings if option not in ("-h", "--help")
         ]
+        assert report_flags == ["--limit"]
 
 
 class TestSetOverrides:
@@ -393,17 +397,43 @@ class TestTraceFileSubcommands:
         return path
 
     def test_report_renders_the_jsonl_a_run_wrote(self, trace_file, capsys):
-        assert main(["report", str(trace_file), "--rounds", "1"]) == 0
+        assert main(["report", str(trace_file), "--limit", "1"]) == 0
         out = capsys.readouterr().out
         assert "Event totals (975 events)" in out
         assert "Per-instance decision latency" in out
         assert "Per-round timing" in out
 
-    def test_trace_correlates_the_jsonl_a_run_wrote(self, trace_file, capsys):
-        assert main(["trace", str(trace_file), "--limit", "2"]) == 0
+    def test_report_correlates_the_jsonl_a_run_wrote(self, trace_file, capsys):
+        assert main(["report", str(trace_file), "--limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "correlation: 512 stamped sends, 455 matched delivers" in out
         assert "Per-decision critical paths" in out
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_a_limit_below_one_is_an_error_line(
+            self, trace_file, capsys, limit):
+        assert main(["report", str(trace_file), "--limit", limit]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "limit" in captured.err
+        assert captured.out == ""
+
+    def test_the_removed_rounds_flag_is_an_argparse_error(self, trace_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(trace_file), "--rounds", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("records", [
+        [{"t": 0.0, "kind": "send", "node": 0, "inst": ["a"]}],
+        [{"t": 0.0, "kind": "decide", "node": 0, "inst": 3, "detail": 1},
+         {"t": 1.0, "kind": "decide", "node": 1, "inst": "a", "detail": 1}],
+    ], ids=["list", "int-beside-str"])
+    def test_a_non_string_instance_is_an_error_line(
+            self, tmp_path, capsys, records):
+        path = tmp_path / "inst.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ") and "'inst'" in err
 
     def test_a_missing_trace_file_is_an_error_line(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 1
