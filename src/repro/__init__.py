@@ -27,7 +27,7 @@ See docs/architecture.md for the architecture; the ``benchmarks/bench_*``
 tables reproduce every claim in the paper.
 """
 
-from .analysis.experiments import run_broadcast
+from ._lazy import lazy_exports
 from .core.broadcast import BroadcastLayer, RbcDelivery, RbcMessage
 from .core.coin import DealerCoin, LocalCoin, ShareCoinProvider
 from .core.consensus import BrachaConsensus, DecisionEvent
@@ -39,21 +39,21 @@ from .errors import (
     SafetyViolation,
     ValidityViolation,
 )
-from .netem import LinkModel, NetemConfig, Partition
+from .netem.models import LinkModel, NetemConfig, Partition
 from .params import ProtocolParams, for_system, max_faults
-from .runtime import Cluster
-from .scenario import (
-    CATALOG,
-    Scenario,
-    ScenarioGrid,
-    get_scenario,
-    load_scenario,
-)
+from .scenario import CATALOG, Scenario, get_scenario, load_scenario
 from .scenario import run as run_scenario
 from .sim.runner import Simulation
 from .types import RunResult, StepValue
 
 __version__ = "1.1.0"
+
+# Not on a simulator run's path: imported on first access.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".analysis.experiments": ("run_broadcast",),
+    ".runtime.cluster": ("Cluster",),
+    ".scenario.grid": ("ScenarioGrid",),
+})
 
 __all__ = [
     "AgreementViolation",

@@ -17,6 +17,7 @@ from other processes — the network enforces source attribution exactly as
 the authenticated-links model prescribes.
 """
 
+from .._lazy import lazy_exports
 from .behaviors import (
     ByzantineBehavior,
     CrashBehavior,
@@ -26,13 +27,17 @@ from .behaviors import (
     StubbornBidder,
     TwoFacedBehavior,
 )
-from .benor_attack import AttackReport, attack_success_rate, run_benor_equivocation_attack
 from .strategies import (
     CoinRushScheduler,
     DelayVictimScheduler,
     PartitionScheduler,
     SplitBrainScheduler,
 )
+
+# The scripted Ben-Or attack is an experiment, not a fault kind: first use loads it.
+__getattr__, __dir__ = lazy_exports(globals(), {".benor_attack": (
+    "AttackReport", "attack_success_rate", "run_benor_equivocation_attack",
+)})
 
 __all__ = [
     "AttackReport",

@@ -7,9 +7,14 @@ what lives here is the bare reliable-broadcast experiment
 helpers the benchmarks format their results with.
 """
 
-from .experiments import broadcast_stack, run_broadcast
+from .._lazy import lazy_exports
 from .stats import Summary, fit_power_law, summarize
 from .tables import format_table
+
+# The broadcast experiment builds a simulator: first use loads it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".experiments": ("broadcast_stack", "run_broadcast"),
+})
 
 __all__ = [
     "Summary",

@@ -47,18 +47,21 @@ and ``examples/liveness_attack.py``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .analysis.tables import format_table
 from .errors import ConfigError, ReproError
 from .obs import load_events
 from .obs.profile import SPAN_PREFIX, render_profile
-from .obs.report import render_report
 from .scenario import CATALOG, Scenario, get_scenario, load_scenario
 from .scenario import run as run_scenario
+
+# Each verb imports what only it needs (the trace reader, the table
+# renderer, the mp dealer and node, asyncio) where it runs, so a ``run``
+# on the simulator loads the simulator and nothing else.
 
 # ---------------------------------------------------------------------------
 # Result printing
@@ -245,6 +248,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         for name in CATALOG:
             print(name)
         return 0
+    from .analysis.tables import format_table
+
     rows = [
         [name, s.protocol, s.fabric,
          f"n={s.n}" + (f" t={s.t}" if s.t is not None else ""),
@@ -302,6 +307,8 @@ def cmd_node(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .obs.report import render_report
+
     print(render_report(load_events(args.file), limit=args.limit))
     return 0
 
@@ -401,9 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The interpreter's one ``repro`` parser, built on first use: a
+    node forked from the mp zygote inherits it ready-made."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ReproError as exc:

@@ -3,11 +3,11 @@
 ``python -m repro.mp.zygote`` is exec'd by the first mp run of an
 interpreter and serves every later one (:mod:`repro.mp.orchestrator`
 keeps it idle between runs).  It imports :mod:`repro.cli` and
-:mod:`repro.mp.noderunner` (the ~0.2 s every node used to pay for
-itself), freezes the heap, and then turns each ``spawn`` line on stdin
-into a forked child that runs ``repro node`` —
-``cli.main(["node", *argv])``.  The vocabulary, in the newline-JSON
-framing of :mod:`repro.mp.control`:
+:mod:`repro.mp.noderunner` and builds the CLI's parser (:func:`warm`:
+the ~0.2 s every node used to pay for itself), freezes the heap, and
+then turns each ``spawn`` line on stdin into a forked child that runs
+``repro node`` — ``cli.main(["node", *argv])``.  The vocabulary, in the
+newline-JSON framing of :mod:`repro.mp.control`:
 
 orchestrator → zygote (stdin)
     ``spawn``    ``{node, argv, stderr}``: fork one node whose fd 2 is
@@ -32,7 +32,7 @@ on EOF on stdin — the orchestrator's interpreter dismissed the server
 or died — after which the server exits 0: no node outlives the run that
 forked it.  POSIX only.
 
-Nothing imports this module; it is only ever run with ``-m``.
+Only its tests import this module; it is run with ``-m``.
 """
 
 from __future__ import annotations
@@ -108,12 +108,21 @@ def _run_child(main: Any, request: Dict[str, Any],
         os._exit(rc)
 
 
-def main() -> int:
+def warm() -> Any:
+    """Everything a forked node would otherwise do before it runs: the
+    imports of ``repro node`` (the CLI, the node runner, asyncio) and the
+    CLI's parser.  Returns ``cli.main``."""
     from .. import cli
     from . import noderunner  # noqa: F401 - what ``repro node`` imports lazily
 
-    # Everything imported so far is shared with every child; moving it
-    # to the permanent generation keeps a child's first collections from
+    cli._parser()
+    return cli.main
+
+
+def main() -> int:
+    node_main = warm()
+    # Everything built so far is shared with every child; moving it to
+    # the permanent generation keeps a child's first collections from
     # touching (and so copying) those pages in the middle of consensus.
     gc.collect()
     gc.freeze()
@@ -156,7 +165,7 @@ def main() -> int:
                         continue
                     os_pid = os.fork()
                     if os_pid == 0:
-                        _run_child(cli.main, request, (wake_r, wake_w))
+                        _run_child(node_main, request, (wake_r, wake_w))
                     children.add(os_pid)
                     _send({"type": "spawned", "node": request["node"],
                            "os_pid": os_pid})

@@ -22,11 +22,17 @@ Pieces:
 See ``docs/netem.md`` for the model and its guarantees.
 """
 
-from .clock import Clock, TickClock, WallClock
+from .._lazy import lazy_exports
 from .frames import LinkAck, LinkFrame
 from .models import LinkModel, NetemConfig, Partition, partition_to_spec
 from .policy import Delivery, LinkCounters, LinkPolicy
-from .reliable import ReliableLink
+
+# The clocks and the retransmission layer run on asyncio, so only a
+# runtime fabric loads them (on first use).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".clock": ("Clock", "TickClock", "WallClock"),
+    ".reliable": ("ReliableLink",),
+})
 
 __all__ = [
     "Clock",

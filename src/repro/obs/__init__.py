@@ -44,6 +44,7 @@ follows the same validated-field convention as ``link`` and
 ``batching``.  See ``docs/observability.md``.
 """
 
+from .._lazy import lazy_exports
 from .events import Event, classify_payload
 from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from .observer import OBSERVE_MODES, Observer, build_observer, parse_observe
@@ -54,8 +55,12 @@ from .profile import (
     parse_profile,
     render_profile,
 )
-from .report import CausalDag, PathHop, render_report
 from .sinks import JsonlSink, RingSink, load_events, render_events
+
+# The trace reader is for finished traces, never for a run: first use loads it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".report": ("CausalDag", "PathHop", "render_report"),
+})
 
 __all__ = [
     "CausalDag",

@@ -34,7 +34,7 @@ from .errors import (
     ReproError,
     ValidityViolation,
 )
-from .netem import LinkCounters, ReliableLink
+from .netem.policy import LinkCounters
 from .obs.metrics import MetricsRegistry
 from .params import ProtocolParams
 from .types import Decision, ProcessId, RunResult
@@ -126,6 +126,10 @@ class NodeReport:
                 getattr(transport, "rejected", 0) + node.unroutable
             )
         if policy is not None:
+            # Only a runtime fabric has a policy, and it has loaded the
+            # asyncio-based retransmission layer already.
+            from .netem.reliable import ReliableLink
+
             report.netem_per_link = {
                 name: stats for name, stats in policy.per_link().items()
                 if name.startswith(f"{pid}->")

@@ -27,6 +27,7 @@ Quickstart::
     print(result.decided_values)            # a singleton, or run() raises
 """
 
+from .._lazy import lazy_exports
 from .spec import (
     BATCHING_MODES,
     COINS,
@@ -38,8 +39,12 @@ from .spec import (
     make_scheduler,
 )
 from .catalog import CATALOG, catalog_names, get_scenario
-from .grid import Cell, METRICS, ScenarioGrid, SweepResult
 from .runner import SimRun, assemble, repeat, run
+
+# The sweep grid (and the statistics it aggregates with) loads on first use.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".grid": ("Cell", "METRICS", "ScenarioGrid", "SweepResult"),
+})
 
 __all__ = [
     "BATCHING_MODES",

@@ -20,14 +20,14 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..adversary import (
+from ..adversary.behaviors import BEHAVIOR_KINDS
+from ..adversary.strategies import (
     DelayVictimScheduler,
     PartitionScheduler,
     SplitBrainScheduler,
 )
-from ..adversary.behaviors import BEHAVIOR_KINDS
 from ..errors import ConfigError, SimulationError
-from ..netem import NetemConfig
+from ..netem.models import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
 from ..params import ProtocolParams, for_system
 from ..recovery.wal import RECOVERY_MODES, parse_recovery

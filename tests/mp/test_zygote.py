@@ -123,6 +123,41 @@ def zygote():
         server.proc.wait()
 
 
+_BOOT_FROM_WARM = """
+import json, sys
+from repro.mp import zygote
+
+zygote.warm()
+from repro import cli
+from repro.mp.bundle import load_bundle, load_manifest
+from repro.mp.noderunner import NodeRunner
+
+builds = []
+build_parser = cli.build_parser
+cli.build_parser = lambda: builds.append(1) or build_parser()
+before = set(sys.modules)
+args = cli._parser().parse_args(
+    ["node", "--manifest", sys.argv[1], "--bundle", sys.argv[2],
+     "--control", "127.0.0.1:1"])
+NodeRunner(load_manifest(args.manifest), load_bundle(args.bundle))
+print(json.dumps({"imported": sorted(set(sys.modules) - before),
+                  "parsers_built": len(builds)}))
+"""
+
+
+def test_a_forked_node_boots_from_the_zygotes_warm_state(tmp_path):
+    """What a child does before its first frame — parse ``repro node``
+    arguments, load its bundle, assemble its runner — imports nothing
+    and builds no parser that the zygote did not before ``gc.freeze``."""
+    manifest, bundles = deal(SCENARIO, str(tmp_path))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOOT_FROM_WARM, manifest, bundles[0]],
+        env=ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"imported": [], "parsers_built": 0}
+
+
 class TestZygoteProtocol:
     def test_round_trip_reports_the_childs_rc_and_fills_its_stderr_file(
             self, zygote, tmp_path):
