@@ -45,7 +45,7 @@ follows the same validated-field convention as ``link`` and
 """
 
 from .._lazy import lazy_exports
-from .events import Event, classify_payload
+from .events import Event, EventLog, classify_payload
 from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
 from .observer import OBSERVE_MODES, Observer, build_observer, parse_observe
 from .profile import (
@@ -65,6 +65,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 __all__ = [
     "CausalDag",
     "Event",
+    "EventLog",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",

@@ -6,8 +6,8 @@ start on the runtime fabrics), *who* (node pid), *where in the protocol*
 (instance/module tag and round, when extractable), *what* (kind), and a
 JSON-safe detail.
 
-The schema is deliberately flat and JSON-friendly — the record is a
-six-field ``NamedTuple``, one tuple allocation per event — and every event
+The schema is deliberately flat and JSON-friendly — an event is a
+six-field ``NamedTuple`` — and every event
 serializes to one line of JSONL (:meth:`Event.to_dict`), loads back
 losslessly (:meth:`Event.from_dict`), and projects to a *logical* key
 (:meth:`Event.logical`) that strips time so event streams can be
@@ -35,11 +35,29 @@ kind                  emitted by
 ``recovery_complete`` the recovered node rejoined; detail carries
                       ``recovery_time``
 ====================  ======================================================
+
+Recording and reading are split, as in raw-record tracers: a run hands
+its sink *raw records* and an :class:`Event` is built only when
+someone reads one (:func:`render_records`, the one renderer).  A
+``send``/``deliver`` is recorded as the plain 7-tuple ``(time, kind,
+node, instance, round, detail, mid)`` — its ``{"msg", "payload"}``
+detail is made at read time — and every other event as its six fields
+in a plain tuple.  A plain tuple of strings and numbers is untracked
+by the garbage collector at the first collection that sees it, so a
+ring of retained records is not traversed by every later one, where
+``NamedTuple`` instances (and the detail dict) would be.  The message
+record holds the payload's classification unpacked rather than the
+shared ``(instance, round, detail)`` tuple: a collection may visit a
+record before that tuple has been untracked, and the record would then
+stay tracked until the next one.
+:class:`EventLog` is the read side of a ring: a ``Sequence[Event]``
+that renders its records once, on first access to an element.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from collections.abc import Sequence
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Stable field order for the JSONL encoding — one writer, one shape.
 _FIELDS = ("t", "kind", "node", "inst", "round", "detail")
@@ -132,6 +150,75 @@ def round_time(value: float) -> float:
 #: ``(instance, round, detail)`` — what :func:`classify_payload` returns.
 Classified = Tuple[Optional[str], Optional[int], str]
 
+_new_event = tuple.__new__
+
+
+def render_records(records: Iterable[Tuple[Any, ...]]) -> List[Event]:
+    """The :class:`Event` each raw sink record stands for, in order.
+
+    A 7-tuple ``(time, kind, node, instance, round, detail, mid)`` is a
+    message record (:meth:`~repro.obs.observer.Observer.message`): its
+    detail is wrapped as ``{"msg": mid, "payload": detail}`` when the
+    message carries a causal id.  Anything else holds the six
+    :class:`Event` fields in order — an :class:`Event` comes back as it
+    is.  One comprehension, not a call per record: a ring is read in
+    one pass of tens of thousands of records.
+    """
+    return [
+        _new_event(Event, (
+            r[0], r[1], r[2], r[3], r[4],
+            r[5] if r[6] is None else {"msg": r[6], "payload": r[5]},
+        ))
+        if len(r) == 7
+        else r if type(r) is Event else _new_event(Event, r)
+        for r in records
+    ]
+
+
+class EventLog(Sequence):
+    """A read-only ``Sequence[Event]`` over raw sink records.
+
+    ``len`` and ``bool`` count the records; the first access to an
+    element (indexing, slicing, iteration, comparison) renders all of
+    them once with :func:`render_records`, and the records are dropped.
+    It compares equal to the ``list`` of the same events.
+    """
+
+    __slots__ = ("_records", "_events")
+
+    def __init__(self, records: Iterable[Tuple[Any, ...]] = ()):
+        self._records: Optional[List[Tuple[Any, ...]]] = list(records)
+        self._events: Optional[List[Event]] = None
+
+    def _rendered(self) -> List[Event]:
+        if self._events is None:
+            self._events = render_records(self._records)
+            self._records = None
+        return self._events
+
+    def __len__(self) -> int:
+        if self._events is None:
+            return len(self._records)
+        return len(self._events)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._rendered()[index]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self._rendered())
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, EventLog):
+            other = other._rendered()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._rendered() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EventLog({self._rendered()!r})"
+
 
 def classify_payload(payload: Any) -> Classified:
     """Best-effort ``(instance, round, detail)`` extraction from a payload.
@@ -174,4 +261,11 @@ def classify_payload(payload: Any) -> Classified:
     return instance, round_, repr(inner)
 
 
-__all__ = ["Classified", "Event", "classify_payload", "round_time"]
+__all__ = [
+    "Classified",
+    "Event",
+    "EventLog",
+    "classify_payload",
+    "render_records",
+    "round_time",
+]

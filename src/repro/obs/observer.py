@@ -21,10 +21,10 @@ parsed by :func:`parse_observe`:
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigError
-from .events import Classified, Event, classify_payload
+from .events import Classified, EventLog, classify_payload
 from .sinks import JsonlSink, RingSink
 
 #: The validated observe modes of the Scenario field.
@@ -73,8 +73,6 @@ def parse_observe(spec: Any) -> Tuple[str, Any]:
 #: What the memo holds before the first classification (no payload is it).
 _NO_PAYLOAD = object()
 
-_new_event = tuple.__new__
-
 
 class Observer:
     """Event emission hub for one run.
@@ -112,12 +110,11 @@ class Observer:
         detail: Any = None,
         time: Optional[float] = None,
     ) -> None:
-        # ``tuple.__new__`` is the NamedTuple's own constructor minus its
-        # generated Python frame: the same record, one frame fewer.
-        self.sink.emit(_new_event(Event, (
+        # A plain tuple in :class:`Event` field order, rendered on read.
+        self.sink.emit((
             self._clock() if time is None else time,
             kind, node, instance, round, detail,
-        )))
+        ))
 
     def message(
         self,
@@ -132,7 +129,7 @@ class Observer:
 
         ``mid`` is the causal message id assigned by the fabric's
         :class:`~repro.sim.effects.CausalStamper`; when present the
-        event detail becomes ``{"msg": mid, "payload": <repr>}`` so a
+        rendered event detail is ``{"msg": mid, "payload": <repr>}`` so a
         ``deliver`` can be correlated with the ``send`` that caused it
         (:mod:`repro.obs.report`).
 
@@ -152,19 +149,21 @@ class Observer:
                 self._last_payload = payload
                 self._last_classified = classified
         instance, round_, detail = classified
-        # Not through :meth:`emit`: one frame per message event.
-        self.sink.emit(_new_event(Event, (
+        # The raw record: :func:`~repro.obs.events.render_records` builds
+        # the event (and its ``{"msg", "payload"}`` detail) when read.
+        self.sink.emit((
             self._clock() if time is None else time,
-            kind, node, instance, round_,
-            detail if mid is None else {"msg": mid, "payload": detail},
-        )))
+            kind, node, instance, round_, detail, mid,
+        ))
         return classified
 
     # -- lifecycle -----------------------------------------------------------
 
-    def events(self) -> List[Event]:
-        """Retained events (ring sink only; empty for file sinks)."""
-        return getattr(self.sink, "events", [])
+    def events(self) -> EventLog:
+        """Retained events, rendered on first read (ring sink only;
+        empty for file sinks)."""
+        events = getattr(self.sink, "events", None)
+        return EventLog() if events is None else events
 
     def close(self) -> dict:
         """Flush and close the sink; return its summary mapping."""

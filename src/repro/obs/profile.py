@@ -13,7 +13,10 @@ per span, prefixed ``span_``), so span summaries travel on
 Selection follows the validated-Scenario-field convention: ``profile:
 off`` (the default — no profiler object exists, the hot paths pay one
 ``is None`` check) or ``profile: on`` (two clock reads, one dict lookup
-and one histogram update per span).  Profiling never touches
+and one histogram update per span; the simulator's step loop instead
+reads the clock three times per step for its two spans and appends the
+durations to fixed-size buffers that :meth:`SpanProfiler.fold` records
+in bulk).  Profiling never touches
 virtual time, the rng, or the event stream, so a fixed-seed simulator
 run with ``profile: on`` is bit-identical in its logical events to the
 same run without it (``tests/obs/test_profile.py`` holds the repository
@@ -35,7 +38,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
 from .metrics import Histogram, MetricsRegistry, MetricsSnapshot
@@ -45,6 +48,9 @@ PROFILE_MODES = ("off", "on")
 
 #: Histogram-name prefix marking span timings in a metrics snapshot.
 SPAN_PREFIX = "span_"
+
+#: Durations a hot loop buffers per span before folding them in.
+SPAN_BUFFER = 4096
 
 
 def parse_profile(spec: Any) -> str:
@@ -74,6 +80,10 @@ class SpanProfiler:
     clock read, one dict lookup and the histogram update — written out
     here rather than calling :meth:`Histogram.record
     <repro.obs.metrics.Histogram.record>`, so a span costs one frame.
+
+    A loop that times every pass can skip even that frame: it appends
+    each duration to a list and hands the list to :meth:`fold` once it
+    holds :data:`SPAN_BUFFER` of them, and once more when the loop ends.
     """
 
     __slots__ = ("registry", "clock", "_histograms")
@@ -86,6 +96,14 @@ class SpanProfiler:
         #: span name -> its ``span_<name>`` histogram.
         self._histograms: Dict[str, Histogram] = {}
 
+    def _histogram(self, name: str) -> Histogram:
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = self.registry.histogram(
+                SPAN_PREFIX + name
+            )
+        return histogram
+
     def start(self) -> float:
         return self.clock()
 
@@ -93,9 +111,7 @@ class SpanProfiler:
         value = float(self.clock() - started)
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = self.registry.histogram(
-                SPAN_PREFIX + name
-            )
+            histogram = self._histogram(name)
         histogram.counts[bisect_left(histogram.bounds, value)] += 1
         histogram.count += 1
         histogram.total += value
@@ -103,6 +119,28 @@ class SpanProfiler:
             histogram.minimum = value
         if histogram.maximum is None or value > histogram.maximum:
             histogram.maximum = value
+
+    def fold(self, name: str, durations: List[float]) -> None:
+        """Record every buffered duration of span ``name``, in order, and
+        empty the buffer: the histogram ends exactly as one :meth:`stop`
+        per value would leave it."""
+        if not durations:
+            return
+        histogram = self._histogram(name)
+        counts, bounds = histogram.counts, histogram.bounds
+        total = histogram.total
+        values = list(map(float, durations))
+        for value in values:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        histogram.count += len(values)
+        histogram.total = total
+        low, high = min(values), max(values)
+        if histogram.minimum is None or low < histogram.minimum:
+            histogram.minimum = low
+        if histogram.maximum is None or high > histogram.maximum:
+            histogram.maximum = high
+        durations.clear()
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -171,6 +209,7 @@ def render_profile(snapshot: Optional[MetricsSnapshot]) -> str:
 
 __all__ = [
     "PROFILE_MODES",
+    "SPAN_BUFFER",
     "SPAN_PREFIX",
     "SpanProfiler",
     "build_profiler",

@@ -3,13 +3,18 @@
 Three built-ins, selected by the scenario ``observe`` field:
 
 * :class:`RingSink` — bounded in-memory buffer (the default).  Keeps the
-  newest events once the capacity is reached and counts what it dropped,
-  so a long run cannot exhaust memory *and* cannot silently pretend the
-  trace is complete.
-* :class:`JsonlSink` — one event per line, append-only, flushed on
-  close.  The file format is the stable :meth:`Event.to_dict` shape;
-  :func:`load_events` reads it back.
+  newest raw records once the capacity is reached and counts what it
+  dropped, so a long run cannot exhaust memory *and* cannot silently
+  pretend the trace is complete; its events are rendered when read.
+* :class:`JsonlSink` — one event per line, rendered as it arrives,
+  append-only, flushed on close.  The file format is the stable
+  :meth:`Event.to_dict` shape; :func:`load_events` reads it back.
 * :func:`render_events` — the human timeline, for library callers.
+
+A sink's ``emit`` takes one raw record: an :class:`Event`, its six
+fields in a plain tuple, or an observer's 7-tuple message record.
+:func:`~repro.obs.events.render_records` turns any of them into the
+:class:`Event` it stands for.
 """
 
 from __future__ import annotations
@@ -17,29 +22,31 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from typing import IO, Any, Deque, Iterable, List, Optional, Union
+from typing import IO, Any, Deque, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
-from .events import Event
+from .events import Event, EventLog, render_records
 
 
 class RingSink:
     """Bounded in-memory event buffer.
 
-    ``capacity`` caps retained events; overflow evicts the oldest, and
-    every evicted event counts in ``dropped`` — surfaced in
-    :meth:`summary` so truncation is always visible.
+    ``capacity`` caps retained records; overflow evicts the oldest, and
+    every evicted record counts in ``dropped`` — surfaced in
+    :meth:`summary` so truncation is always visible.  Records are kept
+    raw; :attr:`events` renders the retained ones when they are read,
+    so an evicted record is never rendered at all.
     """
 
     def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ConfigError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._events: Deque[Event] = deque(maxlen=capacity)
+        self._events: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
         self.total = 0
 
-    def emit(self, event: Event) -> None:
-        self._events.append(event)
+    def emit(self, record: Tuple[Any, ...]) -> None:
+        self._events.append(record)
         self.total += 1
 
     @property
@@ -51,8 +58,9 @@ class RingSink:
         pass
 
     @property
-    def events(self) -> List[Event]:
-        return list(self._events)
+    def events(self) -> EventLog:
+        """The retained events, oldest first, rendered on first read."""
+        return EventLog(self._events)
 
     def summary(self) -> dict:
         return {
@@ -82,9 +90,10 @@ class JsonlSink:
                 ) from exc
         self._stream: Optional[IO[str]] = stream
 
-    def emit(self, event: Event) -> None:
+    def emit(self, record: Tuple[Any, ...]) -> None:
         if self._stream is None:
             return
+        (event,) = render_records((record,))
         self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         self.total += 1
 

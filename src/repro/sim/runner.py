@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..errors import EventBudgetExceeded, SimulationError
+from ..obs.profile import SPAN_BUFFER
 from .events import PendingSet
 from .network import Network
 from .rng import SplitRng
@@ -121,32 +122,44 @@ class Simulation:
         pending, record = self.pending, self.schedule.append
         choose, deliver = self.scheduler.choose, self.network.deliver
         profiler = self.profiler
-        # The profiler's clock, called directly: a span costs the one
-        # ``stop`` frame, not a ``start`` frame as well.
-        clock = profiler.clock if profiler is not None else None
+        if profiler is not None:
+            # Three clock reads a step; the two durations are buffered
+            # and folded into their histograms a buffer at a time.
+            clock = profiler.clock
+            step_spans: list[float] = []
+            deliver_spans: list[float] = []
         executed = 0
-        while True:
-            if until is not None and until():
-                return executed
-            if not pending:
-                return executed  # quiescent
-            if executed >= max_steps:
-                raise EventBudgetExceeded(self.steps)
+        try:
+            while True:
+                if until is not None and until():
+                    return executed
+                if not pending:
+                    return executed  # quiescent
+                if executed >= max_steps:
+                    raise EventBudgetExceeded(self.steps)
+                if profiler is not None:
+                    step_started = clock()
+                rank, time = choose()
+                record(rank)
+                if time > self.now:
+                    self.now = time
+                self.steps += 1
+                executed += 1
+                if profiler is None:
+                    deliver(rank, self.now)
+                else:
+                    started = clock()
+                    deliver(rank, self.now)
+                    ended = clock()
+                    deliver_spans.append(ended - started)
+                    step_spans.append(ended - step_started)
+                    if len(step_spans) >= SPAN_BUFFER:
+                        profiler.fold("sim_deliver", deliver_spans)
+                        profiler.fold("sim_step", step_spans)
+        finally:
             if profiler is not None:
-                step_started = clock()
-            rank, time = choose()
-            record(rank)
-            if time > self.now:
-                self.now = time
-            self.steps += 1
-            executed += 1
-            if profiler is None:
-                deliver(rank, self.now)
-            else:
-                started = clock()
-                deliver(rank, self.now)
-                profiler.stop("sim_deliver", started)
-                profiler.stop("sim_step", step_started)
+                profiler.fold("sim_deliver", deliver_spans)
+                profiler.fold("sim_step", step_spans)
 
     def close(self) -> None:
         """Unlink the run's reference cycles; idempotent.
