@@ -211,22 +211,16 @@ class NodeRunner:
 
         node.queue_action(action)
 
-    async def shutdown(self, task: Optional[asyncio.Task]) -> None:
-        node = self.node
-        if node is not None and node.wal is not None:
-            node.wal.close()
-        if node is not None:
-            await node.transport.close()
-        elif self._tcp is not None:
+    async def shutdown(self) -> None:
+        """The node's teardown (:meth:`Node.close`: pump, WAL, transport,
+        clock); before the node is built, the listener and the clock."""
+        if self.node is not None:
+            await self.node.close(self._clock)
+            return
+        if self._tcp is not None:
             await self._tcp.close()
         if self._clock is not None:
             await self._clock.close()
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,6 @@ def _peers(message: Dict[str, Any]) -> Dict[ProcessId, Tuple[str, int]]:
 async def _run_controlled(runner: NodeRunner, control: str) -> int:
     host, port = parse_endpoint(control)
     send_lock = asyncio.Lock()
-    task: Optional[asyncio.Task] = None
     writer: Optional[asyncio.StreamWriter] = None
     try:
         # A respawn binds a fresh port: the orchestrator readdresses its
@@ -289,7 +282,7 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
         # not the boot-time retry budget — the send path redials later.
         await runner.connect(_peers(message), retry_for=0.0)
         runner.start_clock()
-        task = asyncio.ensure_future(runner.node.run())
+        runner.node.launch()
 
         async def report_done() -> None:
             await runner.node.done.wait()
@@ -353,7 +346,7 @@ async def _run_controlled(runner: NodeRunner, control: str) -> int:
     finally:
         if writer is not None:
             writer.close()
-        await runner.shutdown(task)
+        await runner.shutdown()
 
 
 async def _run_standalone(runner: NodeRunner, linger: float) -> int:
@@ -368,7 +361,7 @@ async def _run_standalone(runner: NodeRunner, linger: float) -> int:
     print(f"node {runner.pid} listening on {host}:{port}", file=sys.stderr)
     await runner.connect(addresses)
     runner.start_clock()
-    task = asyncio.ensure_future(runner.node.run())
+    runner.node.launch()
     try:
         timeout = runner.scenario.timeout
         try:
@@ -382,7 +375,7 @@ async def _run_standalone(runner: NodeRunner, linger: float) -> int:
         print(json.dumps(runner.node.report().to_dict(), sort_keys=True))
         return 0
     finally:
-        await runner.shutdown(task)
+        await runner.shutdown()
 
 
 __all__ = ["NodeRunner", "run_node"]

@@ -72,41 +72,45 @@ class Authenticator:
     Holds only the keys this process legitimately owns, so an
     authenticator for a Byzantine process is *unable* to tag messages as
     originating from anyone else — the property the protocols rely on.
+
+    Each link's key is scheduled once: for every peer the authenticator
+    keeps two HMAC-SHA256 states, one per direction, with the link's
+    ``src>dst|`` prefix already absorbed.  A tag copies the state and
+    feeds it the payload, so the bytes are exactly those of one
+    ``hmac.new(key, prefix + payload)`` call, minus the key schedule.
     """
 
     def __init__(self, pid: ProcessId, keys: dict[ProcessId, bytes]):
         self.pid = pid
-        self._keys = dict(keys)
+        self._outbound = {
+            peer: hmac.new(key, f"{pid}>{peer}|".encode(), hashlib.sha256)
+            for peer, key in keys.items()
+        }
+        self._inbound = {
+            peer: hmac.new(key, f"{peer}>{pid}|".encode(), hashlib.sha256)
+            for peer, key in keys.items()
+        }
 
     def tag(self, dest: ProcessId, payload: object) -> bytes:
         """MAC tag for a message from this process to ``dest``."""
-        key = self._keys.get(dest)
-        if key is None:
-            raise AuthenticationError(f"p{self.pid} has no key for p{dest}")
-        message = f"{self.pid}>{dest}|".encode() + _canonical(payload)
-        return hmac.new(key, message, hashlib.sha256).digest()
+        return self.tag_bytes(dest, _canonical(payload))
 
     def verify(self, source: ProcessId, payload: object, tag: bytes) -> bool:
         """Check a tag on a message claimed to come from ``source``."""
-        key = self._keys.get(source)
-        if key is None:
-            return False
-        message = f"{source}>{self.pid}|".encode() + _canonical(payload)
-        expected = hmac.new(key, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, tag)
+        return self.verify_bytes(source, _canonical(payload), tag)
 
     def tag_bytes(self, dest: ProcessId, payload: "bytes | memoryview") -> bytes:
         """MAC tag over raw payload bytes (the binary wire codec's path).
 
-        Same src→dst binding prefix as :meth:`tag`, but the payload is
-        fed to the HMAC directly — a :class:`memoryview` is hashed in
-        place, so the transports' zero-copy receive path never has to
-        materialize the frame body to authenticate it.
+        The tag binds the src→dst link, so a frame cannot be redirected
+        or claimed by another sender.  A :class:`memoryview` is hashed
+        in place, so the transports' zero-copy receive path never has
+        to materialize the frame body to authenticate it.
         """
-        key = self._keys.get(dest)
-        if key is None:
+        state = self._outbound.get(dest)
+        if state is None:
             raise AuthenticationError(f"p{self.pid} has no key for p{dest}")
-        mac = hmac.new(key, f"{self.pid}>{dest}|".encode(), hashlib.sha256)
+        mac = state.copy()
         mac.update(payload)
         return mac.digest()
 
@@ -114,12 +118,12 @@ class Authenticator:
         self, source: ProcessId, payload: "bytes | memoryview", tag: "bytes | memoryview"
     ) -> bool:
         """Check a :meth:`tag_bytes`-style tag on raw payload bytes."""
-        key = self._keys.get(source)
-        if key is None:
+        state = self._inbound.get(source)
+        if state is None:
             return False
-        mac = hmac.new(key, f"{source}>{self.pid}|".encode(), hashlib.sha256)
+        mac = state.copy()
         mac.update(payload)
-        return hmac.compare_digest(mac.digest(), bytes(tag))
+        return hmac.compare_digest(mac.digest(), tag)
 
     def require(self, source: ProcessId, payload: object, tag: bytes) -> None:
         """Like :meth:`verify` but raises :class:`AuthenticationError`."""

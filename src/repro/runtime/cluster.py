@@ -34,7 +34,7 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ConfigError
 from ..net.auth import KeyRing
@@ -85,7 +85,6 @@ class Cluster:
 
         self.nodes: Dict[ProcessId, Node] = {}
         self.transports: Dict[ProcessId, Transport] = {}
-        self._tasks: List[asyncio.Task] = []
         self._hub: Optional[LocalHub] = None
         self._policy: Optional[LinkPolicy] = None
         self._clock: Optional[Clock] = None
@@ -132,9 +131,8 @@ class Cluster:
             self.transports[pid] = node.transport
 
         self._zero = time.monotonic()
-        self._tasks = [
-            asyncio.ensure_future(node.run()) for node in self.nodes.values()
-        ]
+        for node in self.nodes.values():
+            node.launch()
         return self
 
     def _elapsed(self) -> float:
@@ -249,22 +247,28 @@ class Cluster:
                 raise node.crashed
 
     async def shutdown(self) -> None:
-        """Close transports, netem machinery, WALs, and all node tasks."""
+        """Stop every node's pump, then tear each node down (its WAL and
+        transport, see :meth:`Node.close`), then the hub and the clock.
+
+        All pumps stop before the first await, so the result
+        :meth:`run` built is the run's last word: no node delivers,
+        sends or logs while the others close.
+        """
         for node in self.nodes.values():
-            if node.wal is not None:
-                node.wal.close()
-        if self._owns_wal_dir:
-            shutil.rmtree(self.wal_dir, ignore_errors=True)
+            node.stop()
         await asyncio.gather(
-            *(t.close() for t in self.transports.values()), return_exceptions=True
+            *(node.close() for node in self.nodes.values()),
+            # Transports whose node was never assembled.
+            *(t.close() for pid, t in self.transports.items()
+              if pid not in self.nodes),
+            return_exceptions=True,
         )
         if self._hub is not None:
             await self._hub.close()
         if self._clock is not None:
             await self._clock.close()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        if self._owns_wal_dir:
+            shutil.rmtree(self.wal_dir, ignore_errors=True)
 
     async def __aenter__(self) -> "Cluster":
         return await self.start()

@@ -217,6 +217,8 @@ class Node:
         #: Set once the scenario's ``stop`` condition holds at this node.
         self.done = asyncio.Event()
         self._proposals: Deque[Callable[[], None]] = deque()
+        #: :meth:`run` as a task, from :meth:`launch` on.
+        self._pump: Optional[asyncio.Task] = None
 
     # -- cluster-side controls ------------------------------------------------
 
@@ -235,6 +237,35 @@ class Node:
             module_decisions=len(self.decided_modules),
             node=self, transport=self.transport, policy=self.policy,
         )
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def launch(self) -> None:
+        """Start the pump: :meth:`run` as a task of the running loop."""
+        self._pump = asyncio.ensure_future(self.run())
+
+    def stop(self) -> None:
+        """Stop the pump where it stands.  Synchronous, so a cluster can
+        stop every node's pump before any node's teardown awaits."""
+        if self._pump is not None:
+            self._pump.cancel()
+
+    async def close(self, clock: Optional["Clock"] = None) -> None:
+        """Tear the node down in the one order every fabric uses: pump,
+        WAL, transport, then ``clock`` if the node owns one alone.
+
+        The pump goes first, so once a caller has read the node out
+        nothing more is delivered, logged, encoded, MAC'd or traced, and
+        the WAL is never closed under a running node.
+        """
+        self.stop()
+        if self._pump is not None:
+            await asyncio.gather(self._pump, return_exceptions=True)
+        if self.wal is not None:
+            self.wal.close()
+        await self.transport.close()
+        if clock is not None:
+            await clock.close()
 
     # -- the run loop ---------------------------------------------------------
 

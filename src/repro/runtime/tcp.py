@@ -19,11 +19,18 @@ process 3 are decoded.  Send packs a payload *object* once: every
 message of Bracha's protocol is a broadcast, so the node hands the same
 payload object to ``send`` once per destination, and only the header
 and the MAC — the parts that name the link — are redone for each (see
-:meth:`~repro.runtime.transport.InboxTransport._body`).
+:meth:`~repro.runtime.transport.InboxTransport._body`).  The frame
+then goes through :meth:`TcpTransport._transmit`, the one place a frame
+meets a socket.  An idle link — a live writer, no transmit in flight
+and an empty write buffer — takes the frame in the caller's pass, with
+no await.  Any other frame queues on the link's lock, and only there
+is a link (re)connected and ``drain`` awaited: connect, contention and
+backpressure are the only things a send waits for.
 
 The MAC comes from :mod:`repro.net.auth` — the same pairwise-key
 machinery the link-layer tests exercise — computed over the raw body
-bytes with the key of the (claimed source, destination) pair.  The tag
+bytes with the key of the (claimed source, destination) pair, whose
+key schedule the authenticator ran once per link.  The tag
 already binds source and destination (see
 :meth:`repro.net.auth.Authenticator.tag`), so a frame cannot be
 redirected to another link or claimed by another sender without
@@ -147,6 +154,8 @@ class TcpTransport(InboxTransport):
         self._peers: Dict[ProcessId, Tuple[str, int]] = {}
         self._writers: Dict[ProcessId, asyncio.StreamWriter] = {}
         self._send_locks: Dict[ProcessId, asyncio.Lock] = {}
+        #: dest -> transmits holding or waiting for its lock.
+        self._in_flight: Dict[ProcessId, int] = {}
         self._retry_after: Dict[ProcessId, float] = {}
         self._peer_tasks: set = set()
         self._peer_writers: set = set()
@@ -313,26 +322,52 @@ class TcpTransport(InboxTransport):
         return frame
 
     async def _transmit(self, dest: ProcessId, body: bytes) -> None:
-        # One writer task at a time per destination.  Netem delay tasks,
-        # the retransmission scan, and ack sends all transmit
-        # concurrently with the node loop; letting two tasks await
-        # drain() on one StreamWriter trips asyncio's flow-control
-        # assertion, and two racing _open() calls would leak the
-        # replaced connection.
-        lock = self._send_locks.get(dest)
-        if lock is None:
-            lock = self._send_locks[dest] = asyncio.Lock()
-        async with lock:
-            writer = await self._open(dest)
-            if writer is None:
-                self.dropped += 1
-                return
-            try:
-                writer.write(_LEN.pack(len(body)) + body)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                self.dropped += 1
-                self._writers.pop(dest, None)
+        """Write one frame to ``dest``: the one place a frame meets a socket.
+
+        An idle link — a live writer, no transmit in flight and an empty
+        write buffer — takes the frame in the caller's pass, without an
+        await.  Every other frame queues on the link's lock behind the
+        transmits in flight (netem delay tasks, the retransmission scan
+        and acks run concurrently with the node loop), and only there is
+        a link (re)connected or ``drain`` awaited.  Two tasks awaiting
+        ``drain()`` on one StreamWriter would trip asyncio's
+        flow-control assertion, and two racing ``_open()`` calls would
+        leak the replaced connection.
+        """
+        frame = _LEN.pack(len(body)) + body
+        writer = self._writers.get(dest)
+        if (writer is not None and not self._in_flight.get(dest)
+                and not writer.transport.get_write_buffer_size()
+                and not writer.is_closing()):
+            # asyncio reports a socket error on write by closing the
+            # transport, where the awaiting path's drain() would raise.
+            writer.write(frame)
+            if writer.is_closing():
+                self._lose(dest)
+            return
+        self._in_flight[dest] = self._in_flight.get(dest, 0) + 1
+        try:
+            lock = self._send_locks.get(dest)
+            if lock is None:
+                lock = self._send_locks[dest] = asyncio.Lock()
+            async with lock:
+                writer = await self._open(dest)
+                if writer is None:
+                    self.dropped += 1
+                    return
+                try:
+                    writer.write(frame)
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    self._lose(dest)
+        finally:
+            self._in_flight[dest] -= 1
+
+    def _lose(self, dest: ProcessId) -> None:
+        """A frame died with its socket: count it, forget the writer (the
+        next transmit redials)."""
+        self.dropped += 1
+        self._writers.pop(dest, None)
 
     async def _transmit_later(self, dest: ProcessId, body: bytes, delay: float) -> None:
         await self.clock.sleep(delay)
