@@ -5,7 +5,9 @@ over real concurrent transports, and the in-process asyncio fabric is
 fast enough to use as a development loop.  Regenerates: wall time and
 message cost per decision for each fabric across system sizes, plus the
 batching effect of running many consensus instances over one shared
-broadcast layer (the shape ACS and later batching work rely on).
+broadcast layer (the shape ACS and later batching work rely on).  Beside
+them it counts the ``repro`` modules a fresh ``import repro.scenario``
+loads: the simulator's cold start, as a number that repeats exactly.
 
 Both experiments are expressed as declarative scenarios: one
 :class:`repro.scenario.Scenario` per configuration, with the fabric as
@@ -15,18 +17,40 @@ would execute.
 Run with ``--smoke`` for the CI-sized subset.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 from conftest import run_once
 
+import repro
 from repro.analysis.tables import format_table
 from repro.scenario import Scenario, run
+
+_COLD_IMPORT = (
+    "import sys, repro.scenario; "
+    "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))"
+)
 
 
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return (time.perf_counter() - start) * 1000.0, result
+
+
+def _cold_import_modules():
+    """The ``repro`` modules ``import repro.scenario`` loads in a fresh
+    interpreter (this one has imported far more)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return int(done.stdout)
 
 
 def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
@@ -81,6 +105,7 @@ def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
             "local_ms": by_fabric["asyncio"][2],
             "tcp_ms": by_fabric["tcp"][2],
             "messages_n4": by_fabric["simulator"][3],
+            "sim_cold_import_modules": _cold_import_modules(),
         },
         meta={"sizes": sizes, "trials": trials},
     )

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .netem.models import LinkModel, NetemConfig, Partition
 from .params import ProtocolParams, for_system, max_faults
-from .scenario import CATALOG, Scenario, get_scenario, load_scenario
+from .scenario import Scenario, load_scenario
 from .scenario import run as run_scenario
 from .sim.runner import Simulation
 from .types import RunResult, StepValue
@@ -52,6 +52,7 @@ __version__ = "1.1.0"
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".analysis.experiments": ("run_broadcast",),
     ".runtime.cluster": ("Cluster",),
+    ".scenario.catalog": ("CATALOG", "get_scenario"),
     ".scenario.grid": ("ScenarioGrid",),
 })
 

@@ -2,9 +2,10 @@
 
 ``python -m repro.mp.zygote`` is exec'd by the first mp run of an
 interpreter and serves every later one (:mod:`repro.mp.orchestrator`
-keeps it idle between runs).  It imports :mod:`repro.cli` and
-:mod:`repro.mp.noderunner` and builds the CLI's parser (:func:`warm`:
-the ~0.2 s every node used to pay for itself), freezes the heap, and
+keeps it idle between runs).  It imports :mod:`repro.cli`,
+:mod:`repro.mp.noderunner` and every protocol stack and fault behavior
+a node may build, and builds the CLI's parser (:func:`warm`: the ~0.2 s
+every node used to pay for itself), freezes the heap, and
 then turns each ``spawn`` line on stdin into a forked child that runs
 ``repro node`` — ``cli.main(["node", *argv])``.  The vocabulary, in the
 newline-JSON framing of :mod:`repro.mp.control`:
@@ -110,8 +111,11 @@ def _run_child(main: Any, request: Dict[str, Any],
 
 def warm() -> Any:
     """Everything a forked node would otherwise do before it runs: the
-    imports of ``repro node`` (the CLI, the node runner, asyncio) and the
-    CLI's parser.  Returns ``cli.main``."""
+    imports of ``repro node`` (the CLI, the node runner, asyncio), of
+    every protocol engine and fault behavior (:mod:`repro.stacks` imports
+    each only when a node builds it) and the CLI's parser.  Returns
+    ``cli.main``."""
+    from .. import adversary, app, baselines  # noqa: F401 - every engine and behavior
     from .. import cli
     from . import noderunner  # noqa: F401 - what ``repro node`` imports lazily
 

@@ -23,14 +23,14 @@ See ``docs/netem.md`` for the model and its guarantees.
 """
 
 from .._lazy import lazy_exports
-from .frames import LinkAck, LinkFrame
 from .models import LinkModel, NetemConfig, Partition, partition_to_spec
 from .policy import Delivery, LinkCounters, LinkPolicy
 
-# The clocks and the retransmission layer run on asyncio, so only a
-# runtime fabric loads them (on first use).
+# The clocks, the link frames and the retransmission layer serve the
+# runtime fabrics only, so only they load them (on first use).
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".clock": ("Clock", "TickClock", "WallClock"),
+    ".frames": ("LinkAck", "LinkFrame"),
     ".reliable": ("ReliableLink",),
 })
 

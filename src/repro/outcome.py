@@ -23,10 +23,10 @@ in-process fabrics hand over directly.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .app.acs import AcsInstance
 from .errors import (
     AgreementViolation,
     IntegrityViolation,
@@ -144,7 +144,9 @@ class NodeReport:
                 }
         if modules is None:
             return report
-        if isinstance(modules[0], AcsInstance):
+        # Only a process that has loaded the ACS engine can hold one.
+        acs = sys.modules.get(f"{__package__}.app.acs")
+        if acs is not None and isinstance(modules[0], acs.AcsInstance):
             if modules[0].done:
                 report.acs = tuple(modules[0].output.proposals)
             return report

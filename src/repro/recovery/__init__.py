@@ -18,7 +18,7 @@ See ``docs/recovery.md`` for the format, the replay invariants, and the
 per-fabric restart semantics.
 """
 
-from .restart import RestartBehavior
+from .._lazy import lazy_exports
 from .wal import (
     RECOVERY_MODES,
     WAL_VERSION,
@@ -30,6 +30,9 @@ from .wal import (
     validate_header,
     wal_filename,
 )
+
+# Only a sim run with a ``restart`` fault executes the restart behavior.
+__getattr__, __dir__ = lazy_exports(globals(), {".restart": ("RestartBehavior",)})
 
 __all__ = [
     "RECOVERY_MODES",

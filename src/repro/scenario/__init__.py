@@ -38,11 +38,13 @@ from .spec import (
     load_scenario,
     make_scheduler,
 )
-from .catalog import CATALOG, catalog_names, get_scenario
 from .runner import SimRun, assemble, repeat, run
 
-# The sweep grid (and the statistics it aggregates with) loads on first use.
+# The catalog (whose scenarios name every protocol, fault and scheduler)
+# and the sweep grid (with the statistics it aggregates with) load on
+# first use.
 __getattr__, __dir__ = lazy_exports(globals(), {
+    ".catalog": ("CATALOG", "catalog_names", "get_scenario"),
     ".grid": ("Cell", "METRICS", "ScenarioGrid", "SweepResult"),
 })
 

@@ -27,12 +27,11 @@ comparable across fabrics::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import ConfigError, EventBudgetExceeded
 from ..obs import MetricsRegistry, Observer, build_observer, build_profiler
 from ..outcome import NodeReport, build_result
-from ..recovery.restart import RestartBehavior
 from ..sim.process import Process
 from ..sim.rng import derive_seed
 from ..sim.runner import Simulation
@@ -40,6 +39,9 @@ from ..sim.scheduler import Scheduler
 from ..stacks import ProtocolPlan, build_plan_behavior
 from ..types import ProcessId, RunResult
 from .spec import Scenario
+
+if TYPE_CHECKING:
+    from ..recovery.restart import RestartBehavior
 
 
 def run(
@@ -184,6 +186,8 @@ class SimRun:
         behaviors: Dict[ProcessId, Any] = {}
         restart_nodes: Dict[ProcessId, RestartBehavior] = {}
         restart_specs = scenario.fault_specs("restart")
+        if restart_specs:
+            from ..recovery.restart import RestartBehavior
         # ``batching="off"`` flushes each effect eagerly (the historical
         # inline-send path); any other mode drains the outbox per delivery
         # step.  Both produce the same event order for a fixed seed — the
@@ -225,17 +229,16 @@ class SimRun:
         # rebuilt on recovery (not monotone), so they are polled in full,
         # through the behavior rather than a snapshot.
         if scenario.stop in ("decided", "halted"):
-            if scenario.stop == "decided":
-                stack_done, restart_done = plan.decided, RestartBehavior.is_decided
-            else:
-                stack_done, restart_done = plan.halted, RestartBehavior.is_halted
+            decided = scenario.stop == "decided"
+            stack_done = plan.decided if decided else plan.halted
             waiting = list(stacks.values())
 
             def until() -> bool:
                 while waiting and stack_done(waiting[-1]):
                     waiting.pop()
                 return not waiting and all(
-                    restart_done(node, plan) for node in restart_nodes.values()
+                    node.is_decided(plan) if decided else node.is_halted(plan)
+                    for node in restart_nodes.values()
                 )
         else:  # "quiescent" — drain every message
             until = None

@@ -20,12 +20,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..adversary.behaviors import BEHAVIOR_KINDS
-from ..adversary.strategies import (
-    DelayVictimScheduler,
-    PartitionScheduler,
-    SplitBrainScheduler,
-)
 from ..errors import ConfigError, SimulationError
 from ..netem.models import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
@@ -48,7 +42,7 @@ COINS = ("local", "dealer", "shares")
 #: Fault kinds that exist only on some fabrics:
 #: kind -> (supported fabrics, what it does, nearest kind elsewhere).
 #: The behavior kinds (:data:`~repro.adversary.behaviors.BEHAVIOR_KINDS`)
-#: run everywhere; a kind in neither table is rejected at construction.
+#: run everywhere; a kind of neither sort is rejected at construction.
 FAULT_KIND_FABRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
     "kill": (("mp",), "SIGKILL the node's OS process", "crash"),
     "restart": (
@@ -58,9 +52,9 @@ FAULT_KIND_FABRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
     ),
 }
 
-#: Every fault kind -> the options its spec may carry besides ``kind``.
-FAULT_OPTIONS: Dict[str, Tuple[str, ...]] = {
-    **BEHAVIOR_KINDS,
+#: The fabric-only fault kinds -> the options a spec may carry besides
+#: ``kind``; a behavior kind's are in ``BEHAVIOR_KINDS`` (:func:`_fault_options`).
+FABRIC_FAULT_OPTIONS: Dict[str, Tuple[str, ...]] = {
     "kill": ("after",),
     "restart": ("after", "down", "max_restarts"),
 }
@@ -82,19 +76,27 @@ def _pids(n: int, pids: Any) -> frozenset:
     return frozenset(pids)
 
 
+def _strategies() -> Any:
+    """:mod:`repro.adversary.strategies`, imported when a scenario names
+    one of its schedulers."""
+    from ..adversary import strategies
+
+    return strategies
+
+
 #: name -> factory(n, **args) -> Scheduler | None (None = fair random).
 SCHEDULERS: Dict[str, Any] = {
     "random": lambda n, **args: None,
     "fifo": lambda n, **args: FifoScheduler(**args),
     "round-robin": lambda n, **args: RoundRobinScheduler(**args),
     "delay": lambda n, **args: RandomDelayScheduler(**args),
-    "victim": lambda n, victims=(0,), **args: DelayVictimScheduler(
+    "victim": lambda n, victims=(0,), **args: _strategies().DelayVictimScheduler(
         _pids(n, victims), **args
     ),
-    "split": lambda n, group_a=None, **args: SplitBrainScheduler(
+    "split": lambda n, group_a=None, **args: _strategies().SplitBrainScheduler(
         _pids(n, group_a if group_a is not None else range(n // 2)), **args
     ),
-    "partition": lambda n, group_a=None, **args: PartitionScheduler(
+    "partition": lambda n, group_a=None, **args: _strategies().PartitionScheduler(
         _pids(n, group_a if group_a is not None else range(n // 2)), **args
     ),
     "script": lambda n, **args: ScriptedScheduler(**args),
@@ -197,11 +199,29 @@ _FAULT_OPTION_CHECKS: Dict[str, Callable[[str, Any, int], None]] = {
 }
 
 
+def _fault_options(kind: str) -> Tuple[str, ...]:
+    """The options a ``kind`` fault spec may carry besides ``kind``; a
+    :class:`ConfigError` if ``kind`` is no fault kind.  Only a kind that
+    is not fabric-only imports the behaviors."""
+    options = FABRIC_FAULT_OPTIONS.get(kind)
+    if options is not None:
+        return options
+    from ..adversary.behaviors import BEHAVIOR_KINDS
+
+    if kind not in BEHAVIOR_KINDS:
+        raise ConfigError(
+            f"unknown fault kind {kind!r}; choose from "
+            f"{sorted({**BEHAVIOR_KINDS, **FABRIC_FAULT_OPTIONS})}"
+        )
+    return BEHAVIOR_KINDS[kind]
+
+
 def _check_fault_options(kind: str, table: Dict[str, Any], n: int) -> None:
-    """Refuse an option ``kind`` does not take, or a bad option value —
-    here, not at build time: on ``mp`` a fault is built inside the
-    faulty node's own process, whose death the orchestrator tolerates."""
-    allowed = FAULT_OPTIONS[kind]
+    """Refuse an unknown ``kind``, an option it does not take, or a bad
+    option value — here, not at build time: on ``mp`` a fault is built
+    inside the faulty node's own process, whose death the orchestrator
+    tolerates."""
+    allowed = _fault_options(kind)
     unknown = sorted(set(table) - {"kind"} - set(allowed))
     if unknown:
         raise ConfigError(
@@ -473,11 +493,6 @@ class Scenario:
                 raise ConfigError(f"fault pid {pid} out of range")
             table = dict(spec)
             kind = table["kind"]
-            if kind not in FAULT_OPTIONS:
-                raise ConfigError(
-                    f"unknown fault kind {kind!r}; choose from "
-                    f"{sorted(FAULT_OPTIONS)}"
-                )
             _check_fault_options(kind, table, self.n)
             constraint = FAULT_KIND_FABRICS.get(kind)
             if constraint is not None:

@@ -16,17 +16,19 @@ are sans-I/O engines: their sends are effects drained from the process
 outbox by whichever driver hosts them (see :mod:`repro.sim.effects`),
 so fabric-level concerns — the scenario's ``batching`` field included —
 are applied entirely by the driver, never by protocol code.
+
+Only Bracha's engine (:mod:`repro.core`) is imported with this module.
+The Ben-Or, MMR-14 and ACS engines and the Byzantine behaviors are
+imported by the builders that use them, so a process loads the code of
+the protocol and faults its scenarios name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Union,
+)
 
-from .adversary.behaviors import ByzantineBehavior, dispatch_behavior
-from .app.acs import AcsInstance
-from .baselines.benor import BenOrConsensus, BenOrCrashConsensus
-from .baselines.bv_broadcast import BinaryValueBroadcast
-from .baselines.mmr14 import Mmr14Consensus
 from .core.broadcast import BroadcastLayer
 from .core.coin import CoinScheme, DealerCoin, LocalCoin, ShareCoinProvider
 from .core.consensus import BrachaConsensus
@@ -36,6 +38,10 @@ from .sim.network import NetworkAPI
 from .sim.process import Process, ProtocolModule
 from .sim.rng import derive_seed
 from .types import Bit, ProcessId
+
+if TYPE_CHECKING:
+    from .adversary.behaviors import ByzantineBehavior
+    from .baselines.mmr14 import Mmr14Consensus
 
 PROTOCOLS = ("bracha", "benor", "benor-crash", "mmr14", "acs")
 
@@ -79,11 +85,15 @@ def ablation_stack(validate: bool = True, amplify_decides: bool = True) -> Stack
     return factory
 
 
-def voting_stack(consensus_class: Callable[[Any], Any]) -> StackFactory:
-    """The Ben-Or shape: bare links + coin, no broadcast layer."""
+def voting_stack(crash: bool = False) -> StackFactory:
+    """The Ben-Or shape: bare links + coin, no broadcast layer.
+    ``crash`` selects the crash-fault variant (``t < n/2``)."""
 
     def factory(process: Process, coin_scheme: CoinScheme) -> Any:
-        consensus = consensus_class(coin_scheme.attach(process))
+        from .baselines.benor import BenOrConsensus, BenOrCrashConsensus
+
+        engine = BenOrCrashConsensus if crash else BenOrConsensus
+        consensus = engine(coin_scheme.attach(process))
         process.add_module(consensus)
         return consensus
 
@@ -92,6 +102,9 @@ def voting_stack(consensus_class: Callable[[Any], Any]) -> StackFactory:
 
 def mmr14_stack(process: Process, coin_scheme: CoinScheme) -> Mmr14Consensus:
     """Install the MMR-14 stack: BV-broadcast + common coin + agreement."""
+    from .baselines.bv_broadcast import BinaryValueBroadcast
+    from .baselines.mmr14 import Mmr14Consensus
+
     bv = BinaryValueBroadcast()
     process.add_module(bv)
     coin_source = coin_scheme.attach(process)
@@ -105,8 +118,8 @@ def mmr14_stack(process: Process, coin_scheme: CoinScheme) -> Mmr14Consensus:
 #: between protocols are attributable to the protocols.
 STACKS: Dict[str, StackFactory] = {
     "bracha": ablation_stack(),
-    "benor": voting_stack(BenOrConsensus),
-    "benor-crash": voting_stack(BenOrCrashConsensus),  # t < n/2, benign faults
+    "benor": voting_stack(),
+    "benor-crash": voting_stack(crash=True),  # t < n/2, benign faults
     "mmr14": mmr14_stack,
 }
 
@@ -271,6 +284,8 @@ class ProtocolPlan:
     def build(self, process: Process) -> List[Any]:
         """Install the stack on ``process``; return decision modules."""
         if self.protocol == "acs":
+            from .app.acs import AcsInstance
+
             rbc = BroadcastLayer()
             process.add_module(rbc)
             acs = AcsInstance(
@@ -285,6 +300,8 @@ class ProtocolPlan:
         if self.protocol == "bracha":
             rbc = BroadcastLayer()
             process.add_module(rbc)
+        else:
+            from .baselines.benor import BenOrConsensus
         modules = []
         for i, coin in enumerate(self._coins):
             source, module_id = coin.attach(process), f"{self.protocol}-{i}"
@@ -371,6 +388,7 @@ def build_plan_behavior(
     caller owns that (the simulator registers it directly, the runtime
     wraps it in a node).
     """
+    from .adversary.behaviors import dispatch_behavior
 
     def honest_factory(process: Process, bit: Any) -> None:
         modules = plan.build(process)

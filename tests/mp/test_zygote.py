@@ -124,22 +124,29 @@ def zygote():
 
 
 _BOOT_FROM_WARM = """
-import json, sys
+import json, sys, types
 from repro.mp import zygote
 
 zygote.warm()
 from repro import cli
 from repro.mp.bundle import load_bundle, load_manifest
 from repro.mp.noderunner import NodeRunner
+from repro.runtime.node import assemble_node
 
 builds = []
 build_parser = cli.build_parser
 cli.build_parser = lambda: builds.append(1) or build_parser()
 before = set(sys.modules)
-args = cli._parser().parse_args(
-    ["node", "--manifest", sys.argv[1], "--bundle", sys.argv[2],
-     "--control", "127.0.0.1:1"])
-NodeRunner(load_manifest(args.manifest), load_bundle(args.bundle))
+for manifest, bundle in zip(sys.argv[1::2], sys.argv[2::2]):
+    args = cli._parser().parse_args(
+        ["node", "--manifest", manifest, "--bundle", bundle,
+         "--control", "127.0.0.1:1"])
+    runner = NodeRunner(load_manifest(args.manifest), load_bundle(args.bundle))
+    # The node's stack or fault behavior, as ``connect`` builds it.
+    assemble_node(
+        runner.scenario, runner.pid, types.SimpleNamespace(pid=runner.pid),
+        runner.plan, runner.proposals, runner._elapsed, propose=False,
+    ).report()
 print(json.dumps({"imported": sorted(set(sys.modules) - before),
                   "parsers_built": len(builds)}))
 """
@@ -147,11 +154,21 @@ print(json.dumps({"imported": sorted(set(sys.modules) - before),
 
 def test_a_forked_node_boots_from_the_zygotes_warm_state(tmp_path):
     """What a child does before its first frame — parse ``repro node``
-    arguments, load its bundle, assemble its runner — imports nothing
-    and builds no parser that the zygote did not before ``gc.freeze``."""
-    manifest, bundles = deal(SCENARIO, str(tmp_path))
+    arguments, load its bundle, assemble its runner and its node —
+    imports nothing and builds no parser that the zygote did not before
+    ``gc.freeze``: for a Bracha node, an ACS node and a crash-faulty
+    node alike, since the stacks import their engines and behaviors
+    only when they build them."""
+    argv = []
+    for index, (scenario, pid) in enumerate([
+        (SCENARIO, 0),
+        (Scenario(protocol="acs", n=4, fabric="mp", seed=31), 0),
+        (SCENARIO.replace(faults={3: "crash"}), 3),
+    ]):
+        manifest, bundles = deal(scenario, str(tmp_path / str(index)))
+        argv += [manifest, bundles[pid]]
     done = subprocess.run(
-        [sys.executable, "-c", _BOOT_FROM_WARM, manifest, bundles[0]],
+        [sys.executable, "-c", _BOOT_FROM_WARM, *argv],
         env=ENV, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -5,7 +5,7 @@ and Byzantine-shaped inputs — into single modules and assert the
 machine-level invariants that the distributed proofs assume.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines.bv_broadcast import BinaryValueBroadcast, BvValue
 from repro.core.broadcast import BroadcastLayer, RbcMessage
@@ -39,6 +39,10 @@ def rbc_streams(draw):
 
 
 @given(rbc_streams())
+# One acceptance per (instance, originator): two originators of one
+# instance, each READY'd by a quorum, are two acceptances, not a double.
+@example([(sender, Phase.READY, originator, "a", 0)
+          for originator in (0, 1) for sender in (0, 1, 2)])
 @MODERATE
 def test_rbc_accepts_at_most_one_value_per_instance(events):
     process, _stub = make_member()
@@ -46,8 +50,9 @@ def test_rbc_accepts_at_most_one_value_per_instance(events):
     accepted = {}
 
     def record(delivery):
-        assert delivery.instance not in accepted, "double acceptance"
-        accepted[delivery.instance] = delivery.value
+        key = (delivery.instance, delivery.originator)
+        assert key not in accepted, "double acceptance"
+        accepted[key] = delivery.value
 
     layer.subscribe(record)
     for sender, phase, originator, value, instance in events:
@@ -59,7 +64,7 @@ def test_rbc_accepts_at_most_one_value_per_instance(events):
 @MODERATE
 def test_rbc_acceptance_needs_a_ready_quorum(events):
     """However adversarial the stream, acceptance requires 2t+1 distinct
-    READY senders for that exact value."""
+    READY senders for that exact value of that exact broadcast."""
     process, _stub = make_member()
     layer = process.add_module(BroadcastLayer())
     ready_senders = {}
@@ -68,10 +73,12 @@ def test_rbc_acceptance_needs_a_ready_quorum(events):
     layer.subscribe(accepted.append)
     for sender, phase, originator, value, instance in events:
         if phase is Phase.READY:
-            ready_senders.setdefault((("i", instance), value), set()).add(sender)
+            ready_senders.setdefault(
+                (("i", instance), originator, value), set()).add(sender)
         layer.on_message(sender, RbcMessage(("i", instance), originator, phase, value))
     for delivery in accepted:
-        senders = ready_senders.get((delivery.instance, delivery.value), set())
+        senders = ready_senders.get(
+            (delivery.instance, delivery.originator, delivery.value), set())
         assert len(senders) >= 3  # 2t+1 at n=4, t=1
 
 

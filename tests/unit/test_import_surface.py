@@ -1,9 +1,11 @@
 """What an import loads, and that the lazily exported names still work.
 
 A simulator process imports the simulator: the package inits resolve
-the runtime, the trace reader, the sweep grid, the Ben-Or attack and
-the netem clocks on first access (PEP 562).  Every check runs in a
-fresh interpreter, because this one has long since imported everything.
+the runtime, the trace reader, the sweep grid, the Ben-Or attack, the
+netem clocks and frames, the sim restart fault and the catalog on first
+access (PEP 562), and a run imports the other protocol engines and the
+adversary when its scenario names them.  Every check runs in a fresh
+interpreter, because this one has long since imported everything.
 """
 
 import json
@@ -19,8 +21,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 ENV = {**os.environ,
        "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
-#: Modules a simulator run never executes.
-NOT_ON_THE_SIM_PATH = (
+#: Modules no simulator process executes.
+NOT_IN_A_SIM_PROCESS = (
     "asyncio",
     "repro.runtime",
     "repro.mp",
@@ -32,6 +34,26 @@ NOT_ON_THE_SIM_PATH = (
     "repro.adversary.benor_attack",
 )
 
+#: ... nor a Bracha simulator run without faults: each of these loads
+#: when a scenario names its protocol, fault or scheduler, or when the
+#: catalog is read.
+NOT_ON_THE_SIM_PATH = NOT_IN_A_SIM_PROCESS + (
+    "repro.adversary",
+    "repro.adversary.behaviors",
+    "repro.adversary.strategies",
+    "repro.app",
+    "repro.app.acs",
+    "repro.app.multivalue",
+    "repro.app.replicated_log",
+    "repro.baselines",
+    "repro.baselines.benor",
+    "repro.baselines.bv_broadcast",
+    "repro.baselines.mmr14",
+    "repro.recovery.restart",
+    "repro.scenario.catalog",
+    "repro.netem.frames",
+)
+
 #: The packages whose inits export names lazily.
 LAZY_PACKAGES = (
     "repro",
@@ -40,6 +62,7 @@ LAZY_PACKAGES = (
     "repro.scenario",
     "repro.adversary",
     "repro.netem",
+    "repro.recovery",
 )
 
 
@@ -78,11 +101,72 @@ print(json.dumps([name for name in json.loads(sys.argv[1])
 """
 
 
-@pytest.mark.parametrize("script", [_SIM_RUN, _CLI_CATALOG],
-                         ids=["scenario-sim-run", "cli-catalog"])
-def test_a_sim_process_imports_only_the_simulator(script):
-    loaded = _fresh(script, json.dumps(NOT_ON_THE_SIM_PATH))
+@pytest.mark.parametrize("script, unused", [
+    (_SIM_RUN, NOT_ON_THE_SIM_PATH),
+    # The catalog's scenarios name faults and attack schedulers.
+    (_CLI_CATALOG, NOT_IN_A_SIM_PROCESS),
+], ids=["scenario-sim-run", "cli-catalog"])
+def test_a_sim_process_imports_only_the_simulator(script, unused):
+    loaded = _fresh(script, json.dumps(unused))
     assert loaded == []
+
+
+_AFTER_THE_COLD_IMPORT = """
+import json, sys
+import repro.scenario as s
+
+cold = set(sys.modules)
+spec = dict(fabric="sim", n=7, instances=8, batching="flush")
+s.run(s.Scenario(**spec, seed=1))
+s.run(s.Scenario(**spec, observe="ring", profile="on", seed=2))
+print(json.dumps(sorted(name for name in set(sys.modules) - cold
+                        if name.split(".")[0] == "repro")))
+"""
+
+
+def test_a_bracha_sim_run_imports_nothing_the_cold_import_did_not():
+    """The deferred modules are removed from a Bracha run, not moved
+    into it: after ``import repro.scenario`` a plain and an observed
+    sim-bracha-n7x8 run import no ``repro`` module."""
+    assert _fresh(_AFTER_THE_COLD_IMPORT) == []
+
+
+_LAZY_PATH = """
+import json, sys
+import repro.scenario as s
+
+cold = set(sys.modules)
+exec(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - cold)))
+"""
+
+_RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}
+
+
+@pytest.mark.parametrize("action, module", [
+    ("s.run(s.Scenario(protocol='benor', n=4, proposals=1))",
+     "repro.baselines.benor"),
+    ("s.run(s.Scenario(protocol='benor-crash', n=5, t=2, proposals=1))",
+     "repro.baselines.benor"),
+    ("s.run(s.Scenario(protocol='mmr14', n=4, proposals=1))",
+     "repro.baselines.mmr14"),
+    ("s.run(s.Scenario(protocol='acs', n=4, seed=3))", "repro.app.acs"),
+    ("s.run(s.Scenario(n=4, proposals=1, faults={3: 'two_faced'}))",
+     "repro.adversary.behaviors"),
+    ("s.run(s.Scenario(n=4, proposals=1, scheduler='split'))",
+     "repro.adversary.strategies"),
+    ("s.run(s.Scenario(n=4, proposals=1, scheduler='victim'))",
+     "repro.adversary.strategies"),
+    (f"s.run(s.Scenario(n=4, proposals=1, faults={_RESTART!r}))",
+     "repro.recovery.restart"),
+    ("assert s.get_scenario('partition-heal').name == 'partition-heal'",
+     "repro.scenario.catalog"),
+    ("from repro import CATALOG; assert 'partition-heal' in CATALOG",
+     "repro.scenario.catalog"),
+], ids=["benor", "benor-crash", "mmr14", "acs", "two_faced", "split",
+        "victim", "restart", "get_scenario", "CATALOG"])
+def test_a_deferred_module_loads_when_a_scenario_names_it(action, module):
+    assert module in _fresh(_LAZY_PATH, action)
 
 
 _PUBLIC_NAMES = """
@@ -131,6 +215,8 @@ CONSTANTS = {
     "STOPS": "repro.scenario.spec",
     "OBSERVE_MODES": "repro.obs.observer",
     "PROFILE_MODES": "repro.obs.profile",
+    "RECOVERY_MODES": "repro.recovery.wal",
+    "WAL_VERSION": "repro.recovery.wal",
 }
 
 
