@@ -9,17 +9,23 @@ collect) against the in-process tcp fabric on the same scenario, plus
 the cost of a run that loses one process to SIGKILL mid-flight.
 
 The fork server lives for the interpreter, so only the first mp run in
-a process pays its ~0.2 s boot: ``mp_ms`` is that cold run (this file's
-first mp run is its process's first), ``mp_warm_ms`` the mean of the
-runs that reuse the server.  Run with ``--smoke`` for the CI-sized
-subset.
+a process pays its ~0.3 s boot (imports, then one in-process tcp run
+that warms the node path its children inherit): ``mp_ms`` is that cold
+run (this file's first mp run is its process's first), ``mp_warm_ms``
+the mean of the runs that reuse the server, and ``zygote_ready_ms`` the
+boot alone — exec to ``ready`` of a freshly exec'd fork server.  Run
+with ``--smoke`` for the CI-sized subset.
 """
 
+import json
+import subprocess
+import sys
 import time
 
 from conftest import run_once
 
 from repro.analysis.tables import format_table
+from repro.mp.orchestrator import _child_env
 from repro.scenario import Scenario, run
 
 
@@ -27,6 +33,24 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return (time.perf_counter() - start) * 1000.0, result
+
+
+def _zygote_ready_ms():
+    """Exec one fork server, time it to its ``ready`` line, dismiss it."""
+    start = time.perf_counter()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.mp.zygote"], env=_child_env(),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    )
+    try:
+        line = server.stdout.readline()
+        ms = (time.perf_counter() - start) * 1000.0
+        assert json.loads(line) == {"type": "ready"}
+    finally:
+        server.stdin.close()  # EOF: the server exits 0
+        server.wait(10)
+        server.stdout.close()
+    return round(ms, 2)
 
 
 def test_m1_multiprocess(benchmark, table_sink, bench_sink, smoke):
@@ -87,6 +111,9 @@ def test_m1_multiprocess(benchmark, table_sink, bench_sink, smoke):
             "mp_warm_ms": timings["mp_warm"],
             "mp_kill_ms": timings["mp_kill"],
             "mp_spawn_overhead_ms": round(timings["mp"] - timings["tcp"], 2),
+            # Exec to ``ready``: the once-per-interpreter cost ``mp_ms``
+            # includes.  No floor: ms floors false-fail on a busy host.
+            "zygote_ready_ms": _zygote_ready_ms(),
         },
         meta={"trials": trials, "n": 4},
     )

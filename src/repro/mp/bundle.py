@@ -404,11 +404,13 @@ def load_bundle(path: str) -> NodeBundle:
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")

@@ -421,6 +421,7 @@ class MpOrchestrator:
             chost, cport = self._server.sockets[0].getsockname()[:2]
             if self.recovery_mode == "wal" and self.wal_dir is None:
                 self.wal_dir = os.path.join(bundle_dir, "wal")
+            spawns = []
             for pid in range(scenario.n):
                 self._spawn_argv[pid] = [
                     "--manifest", manifest_path,
@@ -431,7 +432,10 @@ class MpOrchestrator:
                 if self.recovery_mode == "wal" and pid in self.correct:
                     extra = ["--wal",
                              os.path.join(self.wal_dir, wal_filename(pid))]
-                self.procs[pid] = await self._spawn(pid, extra)
+                spawns.append(self._spawn(pid, extra))
+            # Every spawn line is out before any ``spawned`` is awaited:
+            # one zygote round trip per run, not one per node.
+            self.procs = dict(enumerate(await asyncio.gather(*spawns)))
 
             hello = asyncio.ensure_future(self._hello.wait())
             self._tasks.append(hello)
@@ -526,10 +530,11 @@ class MpOrchestrator:
         attempt = self.restart_attempts.get(pid, 0)
         return os.path.join(self._scratch_dir, f"node-{pid}-{attempt}.stderr")
 
-    async def _spawn(self, pid: ProcessId,
-                     extra: Optional[List[str]] = None) -> _NodeProc:
+    def _spawn(self, pid: ProcessId,
+               extra: Optional[List[str]] = None) -> "asyncio.Future[_NodeProc]":
         """Have the zygote fork node ``pid`` running ``repro node`` with
-        these arguments; its handle, once ``spawned`` is in."""
+        these arguments; the future of its handle, set once ``spawned``
+        is in."""
         spawned = asyncio.get_running_loop().create_future()
         self._forking[pid] = spawned
         try:
@@ -540,7 +545,7 @@ class MpOrchestrator:
             })
         except OSError:
             pass  # the reader's EOF fails ``spawned`` with the named error
-        return await spawned
+        return spawned
 
     async def _send(self, pid: ProcessId, message: Dict[str, Any]) -> bool:
         """One control line to node ``pid``; False if its channel is gone."""

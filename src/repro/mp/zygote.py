@@ -4,11 +4,38 @@
 interpreter and serves every later one (:mod:`repro.mp.orchestrator`
 keeps it idle between runs).  It imports :mod:`repro.cli`,
 :mod:`repro.mp.noderunner` and every protocol stack and fault behavior
-a node may build, and builds the CLI's parser (:func:`warm`: the ~0.2 s
-every node used to pay for itself), freezes the heap, and
+a node may build, builds the CLI's parser, runs the node path once
+(:func:`warm`: ~0.3 s, once per interpreter), freezes the heap, and
 then turns each ``spawn`` line on stdin into a forked child that runs
-``repro node`` — ``cli.main(["node", *argv])``.  The vocabulary, in the
-newline-JSON framing of :mod:`repro.mp.control`:
+``repro node`` — ``cli.main(["node", *argv])``.
+
+The warm-up run is one Bracha decision among four nodes over in-process
+``tcp``: the node, transport, codec, MAC and engine code a forked node
+runs.  A child forked before any of that has run starts cold — CPython
+3.11+ specializes bytecode in place on first use, and codec tables and
+asyncio/hmac/struct caches fill on first use — and would pay for it in
+the middle of consensus, in every child, on every run.  Forked after it,
+a child inherits the warm copies.  Bracha because every mp scenario in
+tree runs it (the catalog's ``mp-*`` entries, the m1/m2 benches and the
+e2e workload); ``tcp`` because a ``sim`` or ``local`` run leaves the
+socket path cold (both were measured and paid less; see
+docs/performance.md).  It keeps four rules:
+
+* nothing live crosses the fork: when :func:`warm` returns, its event
+  loop is closed and its sockets and transports are gone; it starts no
+  thread, leaves the fd table and the SIGINT handler as it found them,
+  and writes no file (no WAL, no trace);
+* nothing reaches stdout before ``ready``: stdout is the control pipe;
+* a failed warm-up fails the boot by name: the server exits before
+  ``ready`` and the orchestrator reports ``mp zygote died (rc=…)`` with
+  the stderr tail (bounded by its boot timeout, never a hang);
+* its shape comes from the traffic in tree, not from a benchmark.
+
+The cost moves rather than vanishes: a one-shot ``repro run`` of an mp
+scenario pays the warm-up once (~40 ms) and gets it back only over
+several runs of one interpreter.
+
+The vocabulary, in the newline-JSON framing of :mod:`repro.mp.control`:
 
 orchestrator → zygote (stdin)
     ``spawn``    ``{node, argv, stderr}``: fork one node whose fd 2 is
@@ -16,7 +43,8 @@ orchestrator → zygote (stdin)
     ``reap``     SIGKILL and reap every live child: the end of a run
 
 zygote → orchestrator (stdout)
-    ``ready``    the import is done; spawns are now cheap
+    ``ready``    the import and the warm-up are done; spawns are now
+                 cheap
     ``spawned``  ``{node, os_pid}``: the child exists
     ``exit``     ``{os_pid, rc}``: the child was reaped (``rc`` is the
                  negated signal number for a signalled child, as
@@ -26,12 +54,13 @@ zygote → orchestrator (stdout)
                  follows it until the next request, so the next run
                  reads the pipe from a clean line boundary
 
-The server is single-threaded and runs no asyncio loop, so ``os.fork``
-is safe; it never opens a bundle, so each child still reads only its own
-setup material.  Children are killed at every run's end (``reap``) and
-on EOF on stdin — the orchestrator's interpreter dismissed the server
-or died — after which the server exits 0: no node outlives the run that
-forked it.  POSIX only.
+The server is single-threaded and runs no asyncio loop once the
+warm-up's is closed, so ``os.fork`` is safe; it never opens a bundle,
+so each child still reads only its own setup material.  Children are
+killed at every run's end (``reap``) and on EOF on stdin — the
+orchestrator's interpreter dismissed the server or died — after which
+the server exits 0: no node outlives the run that forked it.  POSIX
+only.
 
 Only its tests import this module; it is run with ``-m``.
 """
@@ -113,13 +142,16 @@ def warm() -> Any:
     """Everything a forked node would otherwise do before it runs: the
     imports of ``repro node`` (the CLI, the node runner, asyncio), of
     every protocol engine and fault behavior (:mod:`repro.stacks` imports
-    each only when a node builds it) and the CLI's parser.  Returns
-    ``cli.main``."""
+    each only when a node builds it) and the CLI's parser; then one
+    in-process tcp Bracha run, so the path a child runs is already
+    specialized (see the module docstring).  Returns ``cli.main``."""
     from .. import adversary, app, baselines  # noqa: F401 - every engine and behavior
     from .. import cli
+    from ..scenario import Scenario, run
     from . import noderunner  # noqa: F401 - what ``repro node`` imports lazily
 
     cli._parser()
+    run(Scenario(protocol="bracha", n=4, proposals=1, fabric="tcp", seed=0))
     return cli.main
 
 

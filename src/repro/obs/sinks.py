@@ -115,14 +115,14 @@ def load_events(path: Union[str, Any]) -> List[Event]:
     """
     events: List[Event] = []
     try:
-        with open(str(path), "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(str(path), "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     data = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # not UTF-8, or not JSON
                     raise ConfigError(
                         f"{path}:{lineno}: invalid trace line: {exc}"
                     ) from exc

@@ -178,19 +178,19 @@ def read_wal(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     peers already received.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise WalError(f"cannot read WAL {path}: {exc}") from exc
     if not raw:
         raise WalError(f"WAL {path} is empty")
-    if not raw.endswith("\n"):
+    if not raw.endswith(b"\n"):
         raise WalError(f"WAL {path} ends in a truncated record")
     records: List[Dict[str, Any]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+            entry = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise WalError(f"WAL {path} line {lineno}: malformed JSON ({exc})")
         if (not isinstance(entry, dict)
                 or set(entry) != {"seq", "sha", "rec"}

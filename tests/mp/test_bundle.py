@@ -8,6 +8,7 @@ scenario itself) is refused loudly at load or validate time.
 """
 
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,17 @@ class TestTamperRejection:
         _edit_json(manifest_path, lambda d: d.__setitem__("version", 0))
         with pytest.raises(ConfigError, match="version"):
             load_manifest(manifest_path)
+
+    def test_a_non_utf8_byte_is_a_config_error_naming_the_file(
+            self, tmp_path):
+        manifest_path, bundles = deal(MP.replace(base_port=7100), str(tmp_path))
+        for path, load in ((manifest_path, load_manifest),
+                           (bundles[1], load_bundle)):
+            with open(path, "r+b") as handle:
+                handle.seek(1)
+                handle.write(b"\xff")
+            with pytest.raises(ConfigError, match="invalid JSON in " + re.escape(path)):
+                load(path)
 
     def test_keyring_only_authenticates_its_own_node(self, tmp_path):
         _manifest, bundles = _dealt(tmp_path)

@@ -227,6 +227,14 @@ def test_load_events_names_a_truncated_last_line(tmp_path):
         load_events(path)
 
 
+def test_load_events_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "rot.jsonl"
+    whole = json.dumps(Event(time=1.0, kind="send", node=0).to_dict())
+    path.write_bytes((whole + "\n").encode() * 2 + b'{"kind": "\xff"}\n')
+    with pytest.raises(ConfigError, match=r"rot\.jsonl:3: invalid trace line"):
+        load_events(path)
+
+
 def test_event_from_dict_accepts_integer_times():
     assert Event.from_dict({"kind": "send", "t": 3}) == Event(time=3.0, kind="send")
 

@@ -159,6 +159,47 @@ class TestTamperRefusal:
         with pytest.raises(WalError, match="version"):
             read_wal(path)
 
+    def test_every_cut_and_bit_flip_is_refused_or_the_intact_prefix(
+            self, tmp_path):
+        # A torn or bit-rotted log is a WalError, never a bare
+        # exception; whatever read_wal does return is what was written.
+        path = _write_sample(tmp_path / "w.jsonl")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        header, records = read_wal(path)
+        damaged = tmp_path / "damaged.jsonl"
+
+        def read(data):
+            damaged.write_bytes(data)
+            try:
+                return read_wal(str(damaged))
+            except WalError:
+                return None
+
+        for cut in range(len(raw)):
+            got = read(raw[:cut])
+            if got is not None:
+                whole = raw[:cut].count(b"\n")
+                assert raw[:cut].endswith(b"\n")
+                assert got == (header, records[:whole - 1])
+        last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        refused = 0
+        for index in range(last, len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[index] ^= 1 << bit
+                got = read(bytes(flipped))
+                assert got in (None, (header, records))
+                refused += got is None
+        assert refused == 8 * (len(raw) - last)
+
+    def test_invalid_utf8_is_refused_by_line(self, tmp_path):
+        path = _write_sample(tmp_path / "w.jsonl")
+        with open(path, "ab") as fh:
+            fh.write(b'{"seq":4,"rec":"\xff"}\n')
+        with pytest.raises(WalError, match="line 5: malformed JSON"):
+            read_wal(path)
+
     def test_unknown_record_kind_refused_at_replay(self):
         with pytest.raises(WalError, match="kind"):
             replay([{"kind": "snapshot"}], propose=lambda v: None,
