@@ -309,6 +309,9 @@ class MpOrchestrator:
 
         self.procs: Dict[ProcessId, _NodeProc] = {}
         self.writers: Dict[ProcessId, asyncio.StreamWriter] = {}
+        #: Every control connection accepted, hello or not; teardown
+        #: closes them all.
+        self._control: List[asyncio.StreamWriter] = []
         #: pid -> the (host, port) it reported binding; ``go`` carries it.
         self.addresses: Dict[ProcessId, Tuple[str, int]] = {}
         self.results: Dict[ProcessId, NodeReport] = {}
@@ -338,6 +341,18 @@ class MpOrchestrator:
         self._zero = 0.0
 
     # -- control-channel server ----------------------------------------------
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> Any:
+        """Book a control connection the moment it is accepted.
+
+        Synchronous, so the books hold even a connection whose
+        :meth:`_serve` task is cancelled before its first step — a boot
+        that fails while a node is connecting — which no ``finally``
+        inside the handler could close.
+        """
+        self._control.append(writer)
+        return self._serve(reader, writer)
 
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
@@ -416,7 +431,7 @@ class MpOrchestrator:
             manifest_path, bundle_paths = deal(scenario, bundle_dir)
 
             self._server = await asyncio.start_server(
-                self._serve, scenario.host, 0, limit=MAX_CONTROL_LINE
+                self._accept, scenario.host, 0, limit=MAX_CONTROL_LINE
             )
             chost, cport = self._server.sockets[0].getsockname()[:2]
             if self.recovery_mode == "wal" and self.wal_dir is None:
@@ -748,7 +763,7 @@ class MpOrchestrator:
                 _idle.append(self._zygote)
             else:
                 self._zygote.dismiss()
-        for writer in self.writers.values():
+        for writer in self._control:
             writer.close()
         if self._server is not None:
             self._server.close()

@@ -32,6 +32,10 @@ too: ``dumps`` of a deeper value is a
 Decoding indexes the frame's ``bytes`` in place from an offset
 (``loads(frame, start)``) and only materializes the leaf values, so the
 TCP receive path never copies or slices out the frame body.
+
+:func:`pack` is the encoder with its verdict: ``(body, exact)``, where
+``exact`` says the decode of ``body`` would be an equal, identically
+typed, immutable copy of the payload.  ``dumps`` is its body alone.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from . import codec
 from .codec import CodecError
 
 __all__ = [
-    "MAX_NESTING", "MEMO_BYTES", "BodyMemo", "dumps", "loads", "registry_tables",
+    "MAX_NESTING", "MEMO_BYTES", "BodyMemo", "dumps", "loads", "pack",
+    "registry_tables",
 ]
 
 # Type tags (one byte on the wire).
@@ -116,15 +121,21 @@ _tables_key: Tuple[int, int] = (-1, -1)
 _pack_table: _PackTable = {}
 _msg_types: _MsgTypes = []
 _enum_members: _EnumMembers = []
+#: The pack table's entries for message classes that are not frozen.
+#: :func:`~repro.runtime.codec.register_message` refuses those, so only
+#: a direct write to the registry puts one here; the encoder packs them
+#: on its slow path and never vouches for their round trip.
+_loose_table: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
 
 
 def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
     """The (pack table, message types by id, enum member tables by id)
     triple, current as of the codec registries right now."""
-    global _tables_key, _pack_table, _msg_types, _enum_members
+    global _tables_key, _pack_table, _msg_types, _enum_members, _loose_table
     key = (len(codec._MESSAGES), len(codec._ENUMS))
     if key != _tables_key:
         pack_table: _PackTable = {}
+        loose_table: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
         msg_types: _MsgTypes = []
         for index, name in enumerate(sorted(codec._MESSAGES)):
             cls = codec._MESSAGES[name]
@@ -132,7 +143,8 @@ def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
             msg_types.append((cls, fields))
             prefix = bytearray([_T_MSG])
             _pack_varint(prefix, index)
-            pack_table[cls] = (bytes(prefix), fields)
+            frozen = cls.__dataclass_params__.frozen
+            (pack_table if frozen else loose_table)[cls] = (bytes(prefix), fields)
         enum_members: _EnumMembers = []
         for index, name in enumerate(sorted(codec._ENUMS)):
             enum_cls = codec._ENUMS[name]
@@ -151,6 +163,7 @@ def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
                 blobs[member.name] = bytes(blob + raw)
             pack_table[enum_cls] = (blobs, None)
         _pack_table, _msg_types, _enum_members = pack_table, msg_types, enum_members
+        _loose_table = loose_table
         _tables_key = key
     return _pack_table, _msg_types, _enum_members
 
@@ -158,12 +171,15 @@ def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
 # -- encoding ----------------------------------------------------------------
 
 
-def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
+def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable,
+          inexact: List[type]) -> None:
     # ``depth`` counts the containers (tuple, list, dict, message)
     # enclosing ``obj``.  Dispatch is on the exact class, most frequent
     # first, so an IntEnum member or a bool never takes the int branch
     # and a dataclass never the dict branch; subclasses of the scalar
-    # types reach the slow path at the bottom.
+    # types reach the slow path at the bottom.  A branch whose value
+    # decodes to another type or to a mutable object appends its class
+    # to ``inexact`` (see :func:`pack`); the hot branches never touch it.
     cls = obj.__class__
     if cls is int:
         if 0 <= obj <= 0x3F:  # one-byte zigzag varint
@@ -200,19 +216,23 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
         out += prefix
         depth += 1
         for name in fields:
-            _pack(out, getattr(obj, name), depth, table)
+            _pack(out, getattr(obj, name), depth, table, inexact)
         return
     if cls is tuple or cls is list:
         if depth >= MAX_NESTING:
             raise CodecError(_TOO_DEEP)
-        out.append(_T_TUPLE if cls is tuple else _T_LIST)
+        if cls is tuple:
+            out.append(_T_TUPLE)
+        else:
+            out.append(_T_LIST)
+            inexact.append(cls)
         if len(obj) <= 0x7F:
             out.append(len(obj))
         else:
             _pack_varint(out, len(obj))
         depth += 1
         for item in obj:
-            _pack(out, item, depth, table)
+            _pack(out, item, depth, table, inexact)
         return
     if obj is None:
         out.append(_T_NONE)
@@ -224,10 +244,17 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
         out.append(_T_FALSE)
         return
     if cls is float:
+        # A double round-trips bit for bit, sign of zero included, so a
+        # float is exact — except NaN: it is unequal to itself, so no
+        # decode of it can be vouched for as equal to the original.
+        if obj != obj:
+            inexact.append(cls)
         out.append(_T_FLOAT)
         out += _DOUBLE.pack(obj)
         return
     if cls is bytes or cls is bytearray:
+        if cls is bytearray:
+            inexact.append(cls)  # mutable, and decodes as bytes
         out.append(_T_BYTES)
         _pack_varint(out, len(obj))
         out += obj
@@ -237,6 +264,7 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
             raise CodecError("only string-keyed dicts are encodable")
         if depth >= MAX_NESTING:
             raise CodecError(_TOO_DEEP)
+        inexact.append(cls)
         out.append(_T_DICT)
         _pack_varint(out, len(obj))
         depth += 1
@@ -244,31 +272,54 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable) -> None:
             raw = key.encode("utf-8")
             _pack_varint(out, len(raw))
             out += raw
-            _pack(out, obj[key], depth, table)
+            _pack(out, obj[key], depth, table, inexact)
         return
-    # Slow path: subclasses of the scalar types, plus the loud failures.
+    # Slow path: subclasses of int and non-frozen messages, which decode
+    # to another type or to a mutable object, plus the loud failures.
     if isinstance(obj, enum.Enum):
         raise CodecError(
             f"enum {cls.__name__!r} is not registered for the wire"
         )
-    if isinstance(obj, bool):
-        out.append(_T_TRUE if obj else _T_FALSE)
-        return
     if isinstance(obj, int):
-        _pack(out, int(obj), depth, table)
+        inexact.append(cls)
+        _pack(out, int(obj), depth, table, inexact)
         return
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        raise CodecError(
-            f"message type {cls.__name__!r} is not registered for the wire"
-        )
+        loose = _loose_table.get(cls)
+        if loose is None:
+            raise CodecError(
+                f"message type {cls.__name__!r} is not registered for the wire"
+            )
+        if depth >= MAX_NESTING:
+            raise CodecError(_TOO_DEEP)
+        inexact.append(cls)
+        out += loose[0]
+        for name in loose[1]:
+            _pack(out, getattr(obj, name), depth + 1, table, inexact)
+        return
     raise CodecError(f"cannot encode {cls.__name__}: {obj!r}")
+
+
+def pack(obj: Any) -> Tuple[bytes, bool]:
+    """Encode a payload: ``(body, exact)``.
+
+    ``exact`` is the encoder's verdict on the round trip, given in the
+    same walk that writes the bytes: ``loads(body)`` equals ``obj`` with
+    the identical type at every node of the tree, and nothing in ``obj``
+    can be mutated — no list, dict or bytearray, no ``int`` subclass, no
+    non-frozen message, no NaN.  An exact payload may stand in for its
+    own decode (see
+    :meth:`~repro.runtime.transport.InboxTransport._loopback`).
+    """
+    out = bytearray()
+    inexact: List[type] = []
+    _pack(out, obj, 0, registry_tables()[0], inexact)
+    return bytes(out), not inexact
 
 
 def dumps(obj: Any) -> bytes:
     """Encode a payload to compact binary bytes."""
-    out = bytearray()
-    _pack(out, obj, 0, registry_tables()[0])
-    return bytes(out)
+    return pack(obj)[0]
 
 
 # -- decoding ----------------------------------------------------------------
@@ -529,9 +580,14 @@ class BodyMemo:
       benchmark hosts both in one interpreter;
     * only a value ``hash()`` accepts is retained.  The wire types are
       frozen dataclasses, tuples, enums and scalars, which hash exactly
-      when nothing mutable (a list, a dict, a non-frozen message) is
-      inside — so a retained value can be handed to any number of
-      deliveries, and anything else is decoded afresh each time;
+      when nothing mutable (a list, a dict) is inside — so a retained
+      value can be handed to any number of deliveries, and anything
+      else is decoded afresh each time;
+    * the one entry not made by a decode is a :meth:`seed`: a payload
+      this endpoint sent itself under :func:`pack`'s exact verdict,
+      which *is* what decoding its body would give.  Only the endpoint
+      that encoded a body seeds it, so a delivery here is never another
+      node's object;
     * a failed decode is never retained, and the table is dropped when
       :func:`registry_tables` rebuilds (the same bytes may then name
       another type).
@@ -545,6 +601,8 @@ class BodyMemo:
         #: Lookups answered from the table / by a full decode.
         self.hits = 0
         self.misses = 0
+        #: Bodies handed to :meth:`seed` (none of them is a decode).
+        self.seeded = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -553,11 +611,24 @@ class BodyMemo:
         self._values.clear()
         self.retained = 0
 
-    def loads(self, raw: Any, start: int = 0) -> Any:
+    def _current(self) -> None:
+        """Drop the table if the registries changed since it was filled."""
         msg_types = registry_tables()[1]
         if msg_types is not self._msg_types:
             self.clear()
             self._msg_types = msg_types
+
+    def _retain(self, body: bytes, value: Any) -> None:
+        size = len(body)
+        if size > MEMO_BYTES:
+            return
+        if self.retained + size > MEMO_BYTES:
+            self.clear()
+        self._values[body] = value
+        self.retained += size
+
+    def loads(self, raw: Any, start: int = 0) -> Any:
+        self._current()
         body = (raw if raw.__class__ is bytes else bytes(raw))[start:]
         value = self._values.get(body, _MISS)
         if value is not _MISS:
@@ -565,15 +636,22 @@ class BodyMemo:
             return value
         self.misses += 1
         value = loads(body)
-        size = len(body)
-        if size > MEMO_BYTES:
-            return value
         try:
             hash(value)
         except TypeError:
             return value
-        if self.retained + size > MEMO_BYTES:
-            self.clear()
-        self._values[body] = value
-        self.retained += size
+        self._retain(body, value)
         return value
+
+    def seed(self, body: bytes, value: Any) -> None:
+        """Retain ``value`` as the decode of ``body`` without decoding it.
+
+        The caller vouches for the pair: ``body, True`` is what
+        :func:`pack` returned for ``value``, so a later copy of ``body``
+        from a peer is a hit on the object this endpoint sent.  A body
+        already in the table keeps its entry.
+        """
+        self._current()
+        self.seeded += 1
+        if body not in self._values:
+            self._retain(body, value)

@@ -61,14 +61,22 @@ _MARKERS = (_TUPLE, _BYTES, _ENUM, _MSG)
 
 
 def register_message(cls: Type[Any]) -> Type[Any]:
-    """Allow a dataclass on the wire (usable as a decorator).
+    """Allow a frozen dataclass on the wire (usable as a decorator).
 
     Registration is by class name, so two protocols must not reuse a
     name — the registry refuses the collision loudly rather than letting
-    frames decode into the wrong type.
+    frames decode into the wrong type.  A class that is not frozen is
+    refused too: a receiver's memo hands one decoded object to many
+    deliveries, and a node's own exact message is delivered as the
+    object it sent, so a wire value must not change after it is sent.
     """
     if not dataclasses.is_dataclass(cls):
         raise CodecError(f"{cls!r} is not a dataclass")
+    if not cls.__dataclass_params__.frozen:
+        raise CodecError(
+            f"message type {cls.__name__!r} is not frozen: wire values "
+            "are shared between deliveries and must be immutable"
+        )
     name = cls.__name__
     existing = _MESSAGES.get(name)
     if existing is not None and existing is not cls:

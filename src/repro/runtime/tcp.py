@@ -46,7 +46,9 @@ behavior tests aggressively, so replay on a link is harmless.
 Each node owns one :class:`TcpTransport`: an ``asyncio`` server for
 inbound peers plus one lazily-retried outbound connection per peer.
 Sends to self short-circuit into the local inbox — a process does not
-need a socket to talk to itself.
+need a socket to talk to itself, nor a decode of a payload the encoder
+vouches round-trips exactly (see
+:meth:`~repro.runtime.transport.InboxTransport._loopback`).
 """
 
 from __future__ import annotations
@@ -269,11 +271,13 @@ class TcpTransport(InboxTransport):
         if not 0 <= dest < self.n:
             raise ReproError(f"send to unknown node {dest}")
         if dest == self.pid:
-            # Self-delivery still crosses the codec so a node counts its
-            # own messages under the same wire constraints as everyone
-            # else's.  It never touches the netem policy: a process's
-            # channel to itself is not network.
-            self._push(self.pid, self.memo.loads(self._pack(dest, payload)))
+            # Self-delivery is still encoded, so a node's own messages
+            # meet the codec's refusals and the frame cap like everyone
+            # else's; it is decoded only if the round trip is inexact.
+            # It never touches the netem policy: a process's channel to
+            # itself is not network.
+            self._pack(dest, payload)
+            self._push(self.pid, self._loopback(payload))
             return
         if self.policy is not None:
             verdict = self.policy.plan(self.pid, dest, self.clock.now())

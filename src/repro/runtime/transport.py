@@ -21,6 +21,8 @@ the receiver decodes each distinct body once
 (:attr:`InboxTransport.memo`, a
 :class:`~repro.runtime.binarycodec.BodyMemo`) — Bracha hands every
 process 2n+1 frames per broadcast, of which 3 are distinct byte strings.
+The copy a node sends itself is not decoded at all when the encoder
+vouches for an exact round trip (:meth:`InboxTransport._loopback`).
 
 Transports move *wire frames* and never look inside: a payload may be a
 single protocol message or a whole :class:`~repro.runtime.codec.WireBatch`
@@ -85,7 +87,9 @@ class InboxTransport(Transport):
     shutdown with :meth:`_push_closed`; ``recv`` and the close-sentinel
     semantics live here so every transport drains and closes the same
     way.  So do the two halves of the codec round trip: :meth:`_body`
-    on the way out, :attr:`memo` on the way in.
+    on the way out, :attr:`memo` on the way in, and the short cut
+    between them for a payload the endpoint sends itself
+    (:meth:`_loopback`).  A delivery is never another node's object.
     """
 
     def __init__(self) -> None:
@@ -96,8 +100,9 @@ class InboxTransport(Transport):
         #: once per distinct body.  Per endpoint by construction: two
         #: nodes hosted in one process never serve each other.
         self.memo = binarycodec.BodyMemo()
-        #: The last payload object packed and its body (see :meth:`_body`).
-        self._packed: Optional[Tuple[Any, bytes]] = None
+        #: The last payload object packed, its body and the encoder's
+        #: exact verdict (see :meth:`_body`).
+        self._packed: Optional[Tuple[Any, bytes, bool]] = None
 
     def _body(self, payload: Any) -> bytes:
         """The body of ``payload``, packed once per payload *object*.
@@ -111,12 +116,30 @@ class InboxTransport(Transport):
         but distinct objects are packed again: an equivocating sender
         hands over different objects per destination and gets different
         bytes on each link.  Payloads are immutable wire values; nothing
-        mutates one between two sends.
+        mutates one between two sends.  The encoder's exact verdict is
+        kept beside the body for :meth:`_loopback`.
         """
         packed = self._packed
         if packed is None or packed[0] is not payload:
-            packed = self._packed = (payload, binarycodec.dumps(payload))
+            packed = self._packed = (payload, *binarycodec.pack(payload))
         return packed[1]
+
+    def _loopback(self, payload: Any) -> Any:
+        """What this endpoint delivers when it sends ``payload`` to itself.
+
+        Bracha counts a process's own ECHO and READY toward its quorums,
+        so every broadcast includes this copy.  When the encoder
+        vouched for an exact round trip it is ``payload`` itself, never
+        decoded, and the body is seeded into this endpoint's own memo,
+        so a peer's identical body later is still a hit.  Anything else
+        is decoded through the memo as a peer's body is — a fresh object
+        with the types a decode normalises to.
+        """
+        body = self._body(payload)
+        if self._packed[2]:
+            self.memo.seed(body, payload)
+            return payload
+        return self.memo.loads(body)
 
     def _push(self, sender: ProcessId, payload: Any) -> None:
         self._inbox.put_nowait((sender, payload))
@@ -157,7 +180,9 @@ class LocalHub:
     Every dispatch round-trips the payload through the wire codec — the
     source endpoint packs it (once per payload object), the destination
     endpoint's memo decodes the bytes (once per distinct body), so a
-    delivery is never the sender's object; a payload the codec refuses
+    delivery is never another node's object; an endpoint's own exact
+    payload comes back to it as the object it sent
+    (:meth:`InboxTransport._loopback`).  A payload the codec refuses
     raises its :class:`~repro.runtime.codec.CodecError` out of ``send``.
 
     With a :class:`~repro.netem.policy.LinkPolicy` (and its clock)
@@ -200,7 +225,10 @@ class LocalHub:
         if not 0 <= dest < self.n:
             raise ReproError(f"send to unknown node {dest}")
         receiver = self.endpoint(dest)
-        payload = receiver.memo.loads(self.endpoint(source)._body(payload))
+        if source == dest:
+            payload = receiver._loopback(payload)
+        else:
+            payload = receiver.memo.loads(self.endpoint(source)._body(payload))
         if self.policy is not None:
             verdict = self.policy.plan(source, dest, self.clock.now())
             if verdict.dropped:

@@ -12,6 +12,7 @@ along.
 
 import asyncio
 import fcntl
+import gc
 import json
 import os
 import re
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import termios
 import time
+import warnings
 
 import pytest
 
@@ -162,6 +164,23 @@ def test_a_zygote_killed_with_spawn_lines_queued_is_named_and_takes_its_nodes(
     """Nodes 0 and 1 are forked and announced; the zygote is stopped
     with the lines for nodes 2 and 3 queued in its stdin, then killed.
     The run fails as its death, and the two orphans go too."""
+    _kill_the_zygote_with_spawn_lines_queued(monkeypatch)
+
+
+def test_a_failed_boot_leaves_no_unclosed_control_connection(monkeypatch):
+    """The two orphans connected and were cancelled before their hello
+    was read: the run must still close both control connections, or
+    the garbage collector reports them as unclosed transports."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _kill_the_zygote_with_spawn_lines_queued(monkeypatch)
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+
+
+def _kill_the_zygote_with_spawn_lines_queued(monkeypatch):
     orch = MpOrchestrator(SCENARIO)
     forked = []
 

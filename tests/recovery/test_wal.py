@@ -30,6 +30,16 @@ HEADER = {"run_id": "run-1", "node": 0, "seed": 9,
           "protocol": "bracha", "instances": 1}
 
 
+def _read(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_sample(path):
     writer = WalWriter.open(str(path), HEADER)
     writer.append_propose(1)
@@ -107,19 +117,19 @@ class TestTamperRefusal:
 
     def test_corrupted_checksum(self, tmp_path):
         path = _write_sample(tmp_path / "w.jsonl")
-        lines = open(path).read().splitlines()
+        lines = _read(path).splitlines()
         entry = json.loads(lines[2])
         entry["rec"]["sender"] = 99  # bit rot in the record body
         lines[2] = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
+        _write(path, "\n".join(lines) + "\n")
         with pytest.raises(WalError, match="checksum"):
             read_wal(path)
 
     def test_sequence_gap(self, tmp_path):
         path = _write_sample(tmp_path / "w.jsonl")
-        lines = open(path).read().splitlines()
+        lines = _read(path).splitlines()
         del lines[1]  # drop a middle record
-        open(path, "w").write("\n".join(lines) + "\n")
+        _write(path, "\n".join(lines) + "\n")
         with pytest.raises(WalError, match="sequence"):
             read_wal(path)
 
@@ -132,7 +142,7 @@ class TestTamperRefusal:
 
     def test_missing_header(self, tmp_path):
         path = _write_sample(tmp_path / "w.jsonl")
-        lines = open(path).read().splitlines()
+        lines = _read(path).splitlines()
         # Strip the header and renumber so only the *kind* is wrong.
         entries = [json.loads(line) for line in lines[1:]]
         out = []
@@ -142,20 +152,20 @@ class TestTamperRefusal:
                 {"seq": seq, "sha": _checksum(seq, entry["rec"]),
                  "rec": entry["rec"]},
                 sort_keys=True, separators=(",", ":")))
-        open(path, "w").write("\n".join(out) + "\n")
+        _write(path, "\n".join(out) + "\n")
         with pytest.raises(WalError, match="header"):
             read_wal(path)
 
     def test_unsupported_version(self, tmp_path):
         path = str(tmp_path / "w.jsonl")
         WalWriter.open(path, {**HEADER}).close()
-        lines = open(path).read().splitlines()
+        lines = _read(path).splitlines()
         entry = json.loads(lines[0])
         entry["rec"]["version"] = WAL_VERSION + 1
         from repro.recovery.wal import _checksum
         entry["sha"] = _checksum(0, entry["rec"])
-        open(path, "w").write(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        _write(path,
+               json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(WalError, match="version"):
             read_wal(path)
 
@@ -248,8 +258,8 @@ class TestHeaderBinding:
         })
         writer.append_propose(1)
         writer.close()
-        raw = open(torn).read()
-        open(torn, "w").write(raw[:-4])
+        raw = _read(torn)
+        _write(torn, raw[:-4])
         with pytest.raises(WalError, match="truncated"):
             NodeRunner(manifest, bundle, wal_path=torn, recover=True)
 

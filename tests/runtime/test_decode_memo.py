@@ -2,7 +2,8 @@
 
 Every receiving endpoint owns one :class:`~repro.runtime.binarycodec.BodyMemo`
 and all three decode sites (``TcpTransport._ingest``, the tcp
-self-delivery, ``LocalHub.dispatch``) go through it.  Four pins:
+self-delivery, ``LocalHub.dispatch``) go through it; a self-delivery the
+encoder vouches for is not decoded and seeds the memo instead.  Four pins:
 
 * **Differential** — over any *sequence* of bodies (valid encodings,
   truncations, mutations, arbitrary bytes, repeats, non-zero ``start``)
@@ -13,8 +14,9 @@ self-delivery, ``LocalHub.dispatch``) go through it.  Four pins:
 * **Security** — the MAC check runs per frame, before the memo is
   asked: a body the memo knows buys a forged frame nothing.
 * **Counts** — full decodes per run on the ``tcp-flush-n7x8`` shape,
-  which the program repeats exactly: 539, not 2 345 (4 368, not 19 152,
-  unbatched), same deliveries.  These fail at commit 2dbad32.
+  which the program repeats exactly: 336, not 2 345 (2 688, not 19 152,
+  unbatched), same deliveries, and none of a body its endpoint encoded
+  with an exact verdict.  These fail at commit 68ec33c.
 """
 
 import asyncio
@@ -33,7 +35,7 @@ from repro.runtime.codec import CodecError, WireBatch
 from repro.runtime.tcp import (
     _BIN_BODY_AT, _BIN_HEADER, MAX_FRAME, TcpTransport, encode_binary_frame,
 )
-from repro.runtime.transport import LocalHub
+from repro.runtime.transport import InboxTransport, LocalHub
 from repro.scenario import Scenario, run
 from repro.types import StepValue
 
@@ -283,49 +285,86 @@ def test_two_tcp_endpoints_in_one_process_never_serve_each_other():
     assert at_a == at_b == payload and at_a is not at_b
 
 
-def test_tcp_self_delivery_goes_through_the_endpoints_own_memo():
+class _Rank(int):
+    """An ``int`` subclass: encodable, but it decodes as a plain ``int``."""
+
+
+def _self_sends(payload: Any) -> Tuple[TcpTransport, Any, Any]:
     async def scenario():
         transport = TcpTransport(0, 2, KeyRing(2, master_secret=b"memo-self"))
-        payload = _routed(0)
         await transport.send(0, payload)
         await transport.send(0, payload)
-        return transport, payload
+        return transport
 
-    transport, payload = asyncio.run(scenario())
-    assert (transport.memo.misses, transport.memo.hits) == (1, 1)
+    transport = asyncio.run(scenario())
     (_, first), (_, second) = _drain(transport)
+    return transport, first, second
+
+
+def test_tcp_self_delivery_goes_through_the_endpoints_own_memo():
+    # An exact payload is delivered as the object sent, twice, with no
+    # decode; its body is seeded, so a peer's copy of it is a hit.
+    payload = _routed(0)
+    transport, first, second = _self_sends(payload)
+    memo = transport.memo
+    assert first is second is payload
+    assert (memo.misses, memo.hits, memo.seeded) == (0, 0, 2)
+    transport._ingest(encode_binary_frame(
+        KeyRing(2, master_secret=b"memo-self").authenticator(1), 0, payload))
+    assert (memo.misses, memo.hits) == (0, 1) and _drain(transport)[0][1] is payload
+
+    # An inexact payload still crosses the codec: a fresh object with
+    # the decoded types, shared through the memo when it hashes ...
+    payload = ("rbc", _Rank(3))
+    transport, first, second = _self_sends(payload)
     assert first is second and first == payload and first is not payload
+    assert type(first[1]) is int
+    assert (transport.memo.misses, transport.memo.hits, transport.memo.seeded) == (1, 1, 0)
+
+    # ... and decoded afresh each time when it carries a list.
+    payload = ("rbc", [1, 2])
+    transport, first, second = _self_sends(payload)
+    assert first == second == payload
+    assert first is not second and first is not payload and first[1] is not payload[1]
+    assert (transport.memo.misses, transport.memo.hits, transport.memo.seeded) == (2, 0, 0)
 
 
 def test_local_hub_packs_per_object_and_decodes_at_the_destination(monkeypatch):
     packed = []
-    real = binarycodec.dumps
+    real = binarycodec.pack
     monkeypatch.setattr(
-        binarycodec, "dumps", lambda obj: packed.append(obj) or real(obj))
+        binarycodec, "pack", lambda obj: packed.append(obj) or real(obj))
     n = 4
     hub = LocalHub(n)
     ends = [hub.endpoint(pid) for pid in range(n)]
-    shared = _routed(0)
+    shared, echo = _routed(0), _routed(0)  # equal bodies, distinct objects
     twins = [_routed(1) for _ in range(n)]  # an equivocator: equal, distinct
 
     async def scenario():
         for dest in range(n):
             await ends[0].send(dest, shared)   # one broadcast from 0 ...
         for dest in range(n):
-            await ends[1].send(dest, shared)   # ... echoed by 1
+            await ends[1].send(dest, echo)     # ... echoed by 1
         for dest in range(n):
             await ends[2].send(dest, twins[dest])
 
     asyncio.run(scenario())
     # One pack per payload object per sender; equal twins packed apart.
-    assert [id(obj) for obj in packed] == [id(shared)] * 2 + [id(t) for t in twins]
-    for end in ends:
-        assert (end.memo.misses, end.memo.hits) == (2, 1)
-        (s0, p0), (s1, p1), (s2, p2) = _drain(end)
-        assert (s0, s1, s2) == (0, 1, 2)
-        assert p0 is p1 and p0 == shared and p0 is not shared
-        assert p2 == twins[0] and all(p2 is not twin for twin in twins)
-    firsts = [end.memo.loads(real(shared)) for end in ends]
+    assert [id(obj) for obj in packed] == [id(shared), id(echo)] + [id(t) for t in twins]
+    d0, d1, d2, d3 = [[payload for _, payload in _drain(end)] for end in ends]
+    # An endpoint's own exact payload is the object it sent, and seeds
+    # its memo: 1's equal body is a hit on 0's own object at 0.
+    assert d0[0] is d0[1] is shared and d1[1] is echo and d2[2] is twins[2]
+    # Everything else is a decode, shared through that endpoint's memo.
+    assert d1[0] == shared and d1[0] is not shared and d1[0] is not echo
+    for decoded in (d2, d3):
+        assert decoded[0] is decoded[1] == shared
+        assert all(decoded[0] is not sent for sent in (shared, echo))
+    assert d0[2] == d3[2] == twins[0]
+    assert all(d[2] is not twin for d in (d0, d1, d3) for twin in twins)
+    counts = [(end.memo.misses, end.memo.hits, end.memo.seeded) for end in ends]
+    assert counts == [(1, 1, 1), (2, 0, 1), (1, 1, 1), (2, 1, 0)]
+    firsts = [end.memo.loads(real(shared)[0]) for end in ends]
     assert len({id(obj) for obj in firsts}) == n  # nobody was served by a peer
 
 
@@ -350,15 +389,49 @@ _TCP_N7X8 = dict(protocol="bracha", fabric="tcp", n=7, instances=8,
 
 
 @pytest.mark.parametrize("seed", (1001, 1002, 1003))
-@pytest.mark.parametrize("batching, decodes", [("flush", 539), ("off", 4368)])
+@pytest.mark.parametrize("batching, decodes", [("flush", 336), ("off", 2688)])
 def test_full_decodes_per_run_on_the_tcp_n7x8_shape(
         full_decodes, batching, decodes, seed):
     # 2 345 / 19 152 frames are decoded per run; at commit 2dbad32 each
-    # was a full decode.  Distinct (receiver, body) pairs: 539 / 4 368.
+    # was a full decode.  Distinct (receiver, body) pairs: 539 / 4 368,
+    # of which 203 / 1 680 are bodies a node sent itself, which its
+    # exact encode vouches for instead (commit 68ec33c decoded them).
     result = run(Scenario(**_TCP_N7X8, batching=batching, seed=seed))
     assert full_decodes[0] == decodes
     assert result.messages_delivered == 17_808
     assert result.metrics.counter("frames_rejected") == 0
+
+
+def test_no_endpoint_decodes_a_body_it_encoded_exactly(monkeypatch):
+    """A spy on every encode and every full decode of a tcp-flush-n7x8
+    run: once an endpoint has packed a body with an exact verdict, it
+    never runs a full decode of those bytes (a peer's copy that arrives
+    first is still decoded; the order is the network's)."""
+    exact: dict = {}    # memo -> bodies its endpoint packed exactly so far
+    decoded: list = []  # (memo, body) per full decode
+    real_body, real_loads = InboxTransport._body, BodyMemo.loads
+
+    def body(transport, payload):
+        raw = real_body(transport, payload)
+        if transport._packed[2]:
+            exact.setdefault(transport.memo, set()).add(raw)
+        return raw
+
+    def loads(memo, raw, start=0):
+        misses = memo.misses
+        value = real_loads(memo, raw, start)
+        if memo.misses != misses:
+            body = bytes(raw[start:])
+            assert body not in exact.get(memo, ()), "decoded its own exact body"
+            decoded.append((memo, body))
+        return value
+
+    monkeypatch.setattr(InboxTransport, "_body", body)
+    monkeypatch.setattr(BodyMemo, "loads", loads)
+    result = run(Scenario(**_TCP_N7X8, batching="flush", seed=1004))
+    assert len(exact) == 7 and len(decoded) == 336
+    assert sum(memo.seeded for memo in exact) == sum(map(len, exact.values())) > 0
+    assert result.messages_delivered == 17_808
 
 
 #: sha256 over the ordered ``(node, instance, round, value)`` of every
@@ -389,7 +462,7 @@ def test_an_observed_run_has_zero_hits_and_the_same_decide_stream():
     cluster, observer = asyncio.run(scenario())
     memos = [transport.memo for transport in cluster.transports.values()]
     assert sum(memo.hits for memo in memos) == 0
-    assert sum(memo.misses for memo in memos) > 2000
+    assert sum(memo.misses + memo.seeded for memo in memos) > 2000
     stream = [(e.node, e.instance, e.round, e.detail)
               for e in observer.events() if e.kind == "decide"]
     assert len(stream) == 7 * 8
