@@ -7,7 +7,9 @@ message cost per decision for each fabric across system sizes, plus the
 batching effect of running many consensus instances over one shared
 broadcast layer (the shape ACS and later batching work rely on).  Beside
 them it counts the ``repro`` modules a fresh ``import repro.scenario``
-loads: the simulator's cold start, as a number that repeats exactly.
+loads: the simulator's cold start, as a number that repeats exactly —
+and the line count of ``src/repro/**/*.py`` (``src_lines``), so that
+the package's growth is a gated number too.
 
 Both experiments are expressed as declarative scenarios: one
 :class:`repro.scenario.Scenario` per configuration, with the fabric as
@@ -18,6 +20,7 @@ Run with ``--smoke`` for the CI-sized subset.
 """
 
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -51,6 +54,12 @@ def _cold_import_modules():
         capture_output=True, text=True, timeout=60, check=True,
     )
     return int(done.stdout)
+
+
+def _src_lines():
+    """Lines in ``src/repro/**/*.py`` (what ``wc -l`` counts)."""
+    root = pathlib.Path(repro.__file__).parent
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
 
 
 def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
@@ -106,6 +115,7 @@ def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
             "tcp_ms": by_fabric["tcp"][2],
             "messages_n4": by_fabric["simulator"][3],
             "sim_cold_import_modules": _cold_import_modules(),
+            "src_lines": _src_lines(),
         },
         meta={"sizes": sizes, "trials": trials},
     )

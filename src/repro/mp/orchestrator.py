@@ -43,7 +43,8 @@ from ..errors import ConfigError, ReproError
 from ..obs import MetricsRegistry, Observer
 from ..obs.events import Event
 from ..outcome import NodeReport, build_result
-from ..recovery.wal import parse_recovery, wal_filename
+from ..recovery import parse_recovery
+from ..recovery.wal import wal_filename
 from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
 from ..types import ProcessId, RunResult

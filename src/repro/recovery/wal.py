@@ -21,12 +21,19 @@ pre-crash state, including the coin/RNG position: randomness is drawn
 from named :class:`~repro.sim.rng.SplitRng` streams seeded only by the
 master seed, so re-executing the same draws lands on the same values.
 
-Format: JSON Lines.  Each line is ``{"seq": i, "sha": "<hex>", "rec":
-{...}}`` where ``sha`` is a checksum over the canonical JSON of the
-sequence number and record.  The reader is strict: a missing header, a
-gap or repeat in the sequence, a checksum mismatch, or a truncated tail
-line all raise :class:`WalError` — recovery refuses a damaged log
-rather than replaying a silently wrong prefix.
+Format (version 2): records back to back, each a 4-byte big-endian body
+length, the body, and the first 8 bytes of SHA-256 over the body.  The
+body is :func:`~repro.runtime.binarycodec.dumps` of the record, a dict
+of its ``kind``, its fields and its ``seq`` (0, 1, 2, ... in file
+order) — the wire's value format, so a logged payload is the bytes a
+peer reads.  A body names message and enum types by their rank in the
+wire registry, so the header records
+:func:`~repro.runtime.binarycodec.registry_digest`.  The reader is
+strict: a version 1 (JSON Lines) log, a missing header, another version
+or registry digest, a truncated record, a checksum mismatch, a body
+that does not decode, or a gap or repeat in the sequence all raise
+:class:`WalError` — recovery refuses a damaged log rather than replaying
+a silently wrong prefix.
 
 Durability stance: every append is flushed to the OS (``flush``, no
 ``fsync``).  That survives ``SIGKILL`` — the failure mode the ``mp``
@@ -38,77 +45,47 @@ can ``fsync`` the file themselves between runs.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigError, ReproError
-
-
-def _codec():
-    # Imported lazily: repro.runtime's package __init__ pulls in the
-    # cluster driver, which imports this module — a top-level import
-    # here would be circular.
-    from ..runtime import codec
-    return codec
+from ..errors import ReproError
+from ..runtime.binarycodec import dumps, loads, registry_digest
+from ..runtime.codec import CodecError
 
 __all__ = [
-    "RECOVERY_MODES",
     "WAL_VERSION",
     "WalError",
     "WalWriter",
-    "parse_recovery",
     "read_wal",
     "replay",
     "validate_header",
     "wal_filename",
 ]
 
-WAL_VERSION = 1
+WAL_VERSION = 2
 
-#: Hex digits of SHA-256 kept per record.  64 bits of checksum is far
-#: beyond what torn writes or bit rot need; the point is detection, not
+#: Bytes of the big-endian body length that opens each record.
+_LENGTH_BYTES = 4
+
+#: Bytes of SHA-256 kept per record.  64 bits of checksum is far beyond
+#: what torn writes or bit rot need; the point is detection, not
 #: adversarial collision resistance (the WAL is node-local, not wire data).
-_SHA_HEX = 16
-
-#: The valid shapes of the ``recovery`` scenario field.
-RECOVERY_MODES = ("off", "wal", "wal:DIR")
+_SUM_BYTES = 8
 
 
 class WalError(ReproError):
     """A write-ahead log is damaged, truncated, or bound to another run."""
 
 
-def parse_recovery(spec: str) -> Tuple[str, Optional[str]]:
-    """Validate a ``recovery`` field; return ``(mode, directory)``.
-
-    ``"off"`` disables logging; ``"wal"`` logs into a run-scoped scratch
-    directory; ``"wal:DIR"`` logs into ``DIR`` (created if missing) and
-    leaves the logs behind as run artifacts.
-    """
-    if not isinstance(spec, str):
-        raise ConfigError(f"recovery must be a string, got {spec!r}")
-    mode, _, arg = spec.partition(":")
-    if mode == "off":
-        if arg:
-            raise ConfigError(f"recovery 'off' takes no argument: {spec!r}")
-        return "off", None
-    if mode == "wal":
-        return "wal", (arg or None)
-    raise ConfigError(
-        f"unknown recovery mode {spec!r}; expected one of {RECOVERY_MODES}"
-    )
-
-
 def wal_filename(pid: int) -> str:
     """The per-node log name inside a recovery directory."""
-    return f"wal-{pid}.jsonl"
+    return f"wal-{pid}.log"
 
 
-def _checksum(seq: int, rec: Dict[str, Any]) -> str:
-    text = json.dumps({"rec": rec, "seq": seq}, sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_SHA_HEX]
+def _frame(body: bytes) -> bytes:
+    """One record as it lies in the file: length, body, checksum."""
+    return (len(body).to_bytes(_LENGTH_BYTES, "big") + body
+            + hashlib.sha256(body).digest()[:_SUM_BYTES])
 
 
 class WalWriter:
@@ -119,47 +96,43 @@ class WalWriter:
     sequence where the log left off).
     """
 
-    def __init__(self, path: str, fh: TextIO, next_seq: int):
+    def __init__(self, path: str, fh: BinaryIO, next_seq: int):
         self.path = path
-        self._fh: Optional[TextIO] = fh
+        self._fh: Optional[BinaryIO] = fh
         self._next_seq = next_seq
 
     @classmethod
     def open(cls, path: str, header: Dict[str, Any]) -> "WalWriter":
         """Start a fresh log at ``path`` with a binding ``header``."""
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        writer = cls(path, open(path, "w", encoding="utf-8"), 0)
-        writer.append({"kind": "header", "version": WAL_VERSION, **header})
+        writer = cls(path, open(path, "wb"), 0)
+        writer.append({"kind": "header", "version": WAL_VERSION,
+                       "registry": registry_digest(), **header})
         return writer
 
     @classmethod
     def resume(cls, path: str, next_seq: int) -> "WalWriter":
         """Reopen an existing log for appending after a verified replay."""
-        return cls(path, open(path, "a", encoding="utf-8"), next_seq)
+        return cls(path, open(path, "ab"), next_seq)
 
     @property
     def next_seq(self) -> int:
         return self._next_seq
 
     def append(self, rec: Dict[str, Any]) -> None:
-        """Write one record; a single line, flushed before returning."""
+        """Write one record, flushed before returning."""
         if self._fh is None:
             raise WalError(f"append to closed WAL {self.path}")
         seq = self._next_seq
-        line = json.dumps(
-            {"seq": seq, "sha": _checksum(seq, rec), "rec": rec},
-            sort_keys=True, separators=(",", ":"),
-        )
-        self._fh.write(line + "\n")
+        self._fh.write(_frame(dumps({**rec, "seq": seq})))
         self._fh.flush()
         self._next_seq = seq + 1
 
     def append_propose(self, value: Any) -> None:
-        self.append({"kind": "propose", "value": _codec().encode(value)})
+        self.append({"kind": "propose", "value": value})
 
     def append_deliver(self, sender: int, payload: Any) -> None:
-        self.append({"kind": "deliver", "sender": sender,
-                     "payload": _codec().encode(payload)})
+        self.append({"kind": "deliver", "sender": sender, "payload": payload})
 
     def close(self) -> None:
         if self._fh is not None:
@@ -167,15 +140,31 @@ class WalWriter:
             self._fh = None
 
 
-def read_wal(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read and verify a log; return ``(header, records_after_header)``.
+def _decode(path: str, seq: int, body: bytes) -> Dict[str, Any]:
+    """Record ``seq``'s body as the record dict, ``seq`` checked and gone."""
+    try:
+        rec = loads(body)
+    except CodecError as exc:
+        raise WalError(
+            f"WAL {path} record {seq}: body does not decode ({exc})") from exc
+    if not isinstance(rec, dict) or "kind" not in rec:
+        raise WalError(f"WAL {path} record {seq}: malformed record")
+    got = rec.pop("seq", None)
+    if got != seq:
+        raise WalError(f"WAL {path} record {seq}: sequence {got!r}, expected {seq}")
+    return rec
 
-    Strict by design: any defect — unreadable file, malformed JSON, a
-    truncated tail (no trailing newline), a sequence gap, a checksum
-    mismatch, a missing or unsupported header — raises :class:`WalError`.
-    A recovery boot must refuse a damaged log loudly; replaying a wrong
-    prefix would produce a node whose outbound stream contradicts what
-    peers already received.
+
+def read_wal(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Read and verify a log; return ``(header, records_after_header)``,
+    every record decoded.
+
+    Strict by design: any defect — unreadable file, a version 1 log, a
+    truncated tail, a checksum mismatch, a body that does not decode, a
+    sequence gap, a missing or unsupported header, another registry —
+    raises :class:`WalError`.  A recovery boot must refuse a damaged log
+    loudly; replaying a wrong prefix would produce a node whose outbound
+    stream contradicts what peers already received.
     """
     try:
         with open(path, "rb") as fh:
@@ -184,35 +173,44 @@ def read_wal(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         raise WalError(f"cannot read WAL {path}: {exc}") from exc
     if not raw:
         raise WalError(f"WAL {path} is empty")
-    if not raw.endswith(b"\n"):
-        raise WalError(f"WAL {path} ends in a truncated record")
-    records: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise WalError(f"WAL {path} line {lineno}: malformed JSON ({exc})")
-        if (not isinstance(entry, dict)
-                or set(entry) != {"seq", "sha", "rec"}
-                or not isinstance(entry["rec"], dict)):
-            raise WalError(f"WAL {path} line {lineno}: malformed record")
-        seq = entry["seq"]
-        if seq != lineno - 1:
+    if raw[:1] == b"{":  # a v2 log starts with the header's length
+        raise WalError(
+            f"WAL {path} is a version 1 (JSON Lines) log, "
+            f"this library reads version {WAL_VERSION}"
+        )
+    bodies: List[bytes] = []
+    pos = 0
+    while pos < len(raw):
+        start = pos + _LENGTH_BYTES
+        stop = start + int.from_bytes(raw[pos:start], "big")
+        end = stop + _SUM_BYTES
+        if end > len(raw):  # a cut length field puts ``end`` past the file too
             raise WalError(
-                f"WAL {path} line {lineno}: sequence {seq!r}, expected {lineno - 1}"
-            )
-        if entry["sha"] != _checksum(seq, entry["rec"]):
-            raise WalError(f"WAL {path} line {lineno}: checksum mismatch")
-        records.append(entry["rec"])
-    header = records[0]
-    if header.get("kind") != "header":
+                f"WAL {path} ends in a truncated record (record {len(bodies)})")
+        body = raw[start:stop]
+        if raw[stop:end] != hashlib.sha256(body).digest()[:_SUM_BYTES]:
+            raise WalError(f"WAL {path} record {len(bodies)}: checksum mismatch")
+        bodies.append(body)
+        pos = end
+    # The header is checked before any other body is decoded: under
+    # another registry those bytes would decode to other types.
+    header = _decode(path, 0, bodies[0])
+    if header["kind"] != "header":
         raise WalError(f"WAL {path} does not start with a header record")
     if header.get("version") != WAL_VERSION:
         raise WalError(
             f"WAL {path} has version {header.get('version')!r}, "
             f"this library reads version {WAL_VERSION}"
         )
-    return header, records[1:]
+    digest = registry_digest()
+    if header.get("registry") != digest:
+        raise WalError(
+            f"WAL {path} was written under wire registry digest "
+            f"{header.get('registry')!r}, this process has {digest!r}: "
+            "its bodies name other types here"
+        )
+    return header, [_decode(path, seq, body)
+                    for seq, body in enumerate(bodies[1:], start=1)]
 
 
 def validate_header(header: Dict[str, Any], **expected: Any) -> None:
@@ -239,21 +237,21 @@ def replay(
 ) -> Dict[str, Any]:
     """Drive a fresh stack through the logged inputs, in order.
 
-    ``propose`` receives the decoded proposal; ``deliver`` receives each
-    ``(sender, payload)``.  Returns ``{"replayed": n, "proposed": bool}``.
+    ``records`` are :func:`read_wal`'s, already decoded: ``propose``
+    receives the proposal; ``deliver`` receives each ``(sender,
+    payload)``.  Returns ``{"replayed": n, "proposed": bool}``.
     Replay is *at least once*: the callbacks run with sends enabled, so
     anything the pre-crash node queued but never flushed is re-emitted —
     peers treat duplicates idempotently (quorum sets are per sender).
     """
-    codec = _codec()
     proposed = False
     for rec in records:
         kind = rec.get("kind")
         if kind == "propose":
-            propose(codec.decode(rec["value"]))
+            propose(rec["value"])
             proposed = True
         elif kind == "deliver":
-            deliver(rec["sender"], codec.decode(rec["payload"]))
+            deliver(rec["sender"], rec["payload"])
         else:
             raise WalError(f"unknown WAL record kind {kind!r}")
     return {"replayed": len(records), "proposed": proposed}

@@ -26,11 +26,18 @@ the baselines, ACS) concurrently:
 See ``docs/runtime.md`` for the design and its current limits.
 """
 
-from .cluster import Cluster
-from .codec import CodecError, WireBatch, decode, encode, register_message
-from .node import Node, NodeNetwork
-from .tcp import TcpTransport
-from .transport import LocalHub, Transport, TransportClosed
+from .._lazy import lazy_exports
+
+# Nothing loads until a name is read: the WAL imports the value format
+# (``repro.runtime.binarycodec``) without the fabrics, and the fabrics
+# import the WAL.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cluster": ("Cluster",),
+    ".codec": ("CodecError", "WireBatch", "register_message"),
+    ".node": ("Node", "NodeNetwork"),
+    ".tcp": ("TcpTransport",),
+    ".transport": ("LocalHub", "Transport", "TransportClosed"),
+})
 
 __all__ = [
     "Cluster",
@@ -42,7 +49,5 @@ __all__ = [
     "Transport",
     "TransportClosed",
     "WireBatch",
-    "decode",
-    "encode",
     "register_message",
 ]

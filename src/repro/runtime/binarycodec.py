@@ -1,11 +1,11 @@
-"""The binary wire codec for protocol messages.
+"""The binary value format for protocol messages, on the wire and on disk.
 
 The simulator hands Python objects between processes by reference; a
 real transport needs bytes.  This is the one encoding the runtime
-fabrics put on a link — a msgpack-style value encoding over the
-message/enum registries of :mod:`repro.runtime.codec` (whose tagged
-JSON stays as the WAL's value format, where field names and hex bytes
-buy readability instead of costing frame size):
+fabrics put on a link and the write-ahead log
+(:mod:`repro.recovery.wal`) puts in a record body — a msgpack-style
+value encoding over the message/enum registries of
+:mod:`repro.runtime.codec`:
 
 * one type-tag byte per value;
 * ints as zigzag LEB128 varints (seqs, pids, rounds are tiny on the
@@ -19,7 +19,9 @@ buy readability instead of costing frame size):
 Registry ids are the rank of the class name in the sorted registry, so
 both peers derive the same table from the same registrations without a
 handshake; the transport's wire-format version byte
-(:data:`repro.runtime.tcp.WIRE_VERSION`) guards against skew.
+(:data:`repro.runtime.tcp.WIRE_VERSION`) guards against skew, and a log
+records :func:`registry_digest` so that it is read back only under the
+registry it was written with.
 
 Decoding never trusts the input: every length is checked against the
 remaining buffer, varints are capped at 10 bytes, containers nest at
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import struct
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -50,7 +53,7 @@ from .codec import CodecError
 
 __all__ = [
     "MAX_NESTING", "MEMO_BYTES", "BodyMemo", "dumps", "loads", "pack",
-    "registry_tables",
+    "registry_digest", "registry_tables",
 ]
 
 # Type tags (one byte on the wire).
@@ -166,6 +169,18 @@ def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
         _loose_table = loose_table
         _tables_key = key
     return _pack_table, _msg_types, _enum_members
+
+
+def registry_digest() -> str:
+    """SHA-256 (hex) over what the registry ids mean: every message's
+    name and field names, then every enum's name and member names, in
+    id order.  Two processes with the same digest decode every body
+    alike; a registration that shifts an id changes it."""
+    _, msg_types, enum_members = registry_tables()
+    lines = [f"{cls.__name__}({','.join(fields)})" for cls, fields in msg_types]
+    lines += [f"{cls.__name__}[{','.join(name.decode() for name in members)}]"
+              for cls, members in enum_members]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # -- encoding ----------------------------------------------------------------

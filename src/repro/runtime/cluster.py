@@ -42,7 +42,8 @@ from ..obs import MetricsRegistry, Observer, build_profiler
 from ..outcome import build_result
 from ..netem import LinkPolicy, TickClock, WallClock
 from ..netem.clock import Clock
-from ..recovery.wal import parse_recovery, wal_filename
+from ..recovery import parse_recovery
+from ..recovery.wal import wal_filename
 from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
 from ..types import ProcessId, RunResult

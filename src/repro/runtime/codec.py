@@ -1,29 +1,19 @@
-"""Tagged-JSON value format for protocol messages, and the wire registry.
+"""The wire registry: which message and enum types a value may hold.
 
 Protocol payloads are deliberately *plain data* (frozen dataclasses of
-ints, strings, bytes, tuples and enums — see :mod:`repro.types`), so a
-small tagged-JSON encoding covers all of them without pickling (pickle
-would hand whoever writes the bytes a remote-code-execution primitive).
-It is the WAL's on-disk value format (:mod:`repro.recovery.wal`) and the
-readable rendering of a message; the wire itself is binary
-(:mod:`repro.runtime.binarycodec`, framed by :mod:`repro.runtime.tcp`),
-which shares the registry below.
+ints, strings, bytes, tuples and enums — see :mod:`repro.types`), so
+one value format covers all of them without pickling (pickle would hand
+whoever writes the bytes a remote-code-execution primitive).  That
+format is :mod:`repro.runtime.binarycodec`: the bytes on every link
+(framed by :mod:`repro.runtime.tcp`) and the record bodies of the
+write-ahead log (:mod:`repro.recovery.wal`).  It names a registered
+class by its rank in the registry below, and a value of any other class
+is a :class:`CodecError`.
 
-Encoding rules:
-
-* JSON scalars (``str``, ``int``, ``float``, ``bool``, ``None``) pass
-  through.
-* Tuples become ``{"__tuple__": [...]}`` — instance identifiers are
-  tuples and must stay hashable after decode.
-* Bytes become ``{"__bytes__": "<hex>"}`` (MAC tags, share tags).
-* Enum members become ``{"__enum__": "Phase", "value": "INIT"}``.
-* Registered dataclasses become
-  ``{"__msg__": "RbcMessage", "fields": {...}}``; decoding re-invokes the
-  constructor, so ``__post_init__`` validation runs on inbound data.
-
-Every message dataclass in the library is registered below; downstream
-protocols register their own via :func:`register_message`.  Unknown tags
-or malformed structures raise :class:`CodecError`.
+Every message dataclass in the library is registered here; downstream
+protocols register their own via :func:`register_message`.  The module
+also defines the two envelope messages the runtime itself puts on the
+wire: :class:`WireBatch` and :class:`Stamped`.
 """
 
 from __future__ import annotations
@@ -39,8 +29,6 @@ __all__ = [
     "Stamped",
     "WireBatch",
     "register_message",
-    "encode",
-    "decode",
 ]
 
 
@@ -52,12 +40,6 @@ class CodecError(ReproError):
 _MESSAGES: Dict[str, Type[Any]] = {}
 #: name -> enum class allowed on the wire.
 _ENUMS: Dict[str, Type[enum.Enum]] = {}
-
-_TUPLE = "__tuple__"
-_BYTES = "__bytes__"
-_ENUM = "__enum__"
-_MSG = "__msg__"
-_MARKERS = (_TUPLE, _BYTES, _ENUM, _MSG)
 
 
 def register_message(cls: Type[Any]) -> Type[Any]:
@@ -163,93 +145,6 @@ class Stamped:
         if isinstance(self.payload, WireBatch):
             # Batches carry stamped messages, never the other way round.
             raise CodecError("a stamp wraps one message, not a wire batch")
-
-
-# -- encoding ---------------------------------------------------------------
-
-
-def encode(obj: Any) -> Any:
-    """Convert a payload into JSON-serializable structures."""
-    if isinstance(obj, enum.Enum):
-        # Before the scalar pass-through: IntEnum members are ints, and
-        # letting them degrade to plain ints on the wire would make
-        # `is`/isinstance checks diverge between sim and runtime.
-        name = type(obj).__name__
-        if name not in _ENUMS:
-            raise CodecError(f"enum {name!r} is not registered for the wire")
-        return {_ENUM: name, "value": obj.name}
-    if obj is None or isinstance(obj, (str, bool, int, float)):
-        return obj
-    if isinstance(obj, tuple):
-        return {_TUPLE: [encode(item) for item in obj]}
-    if isinstance(obj, list):
-        return [encode(item) for item in obj]
-    if isinstance(obj, (bytes, bytearray)):
-        return {_BYTES: bytes(obj).hex()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        name = type(obj).__name__
-        if _MESSAGES.get(name) is not type(obj):
-            raise CodecError(f"message type {name!r} is not registered for the wire")
-        fields = {
-            f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-        return {_MSG: name, "fields": fields}
-    if isinstance(obj, dict):
-        if any(not isinstance(k, str) for k in obj):
-            raise CodecError("only string-keyed dicts are encodable")
-        if any(k in _MARKERS for k in obj):
-            raise CodecError("dict keys collide with codec markers")
-        return {k: encode(v) for k, v in obj.items()}
-    raise CodecError(f"cannot encode {type(obj).__name__}: {obj!r}")
-
-
-def decode(data: Any) -> Any:
-    """Inverse of :func:`encode`; raises :class:`CodecError` on garbage."""
-    if data is None or isinstance(data, (str, bool, int, float)):
-        return data
-    if isinstance(data, list):
-        return [decode(item) for item in data]
-    if isinstance(data, dict):
-        if _TUPLE in data:
-            items = data[_TUPLE]
-            if len(data) != 1 or not isinstance(items, list):
-                raise CodecError(f"malformed tuple frame: {data!r}")
-            return tuple(decode(item) for item in items)
-        if _BYTES in data:
-            if len(data) != 1 or not isinstance(data[_BYTES], str):
-                raise CodecError(f"malformed bytes frame: {data!r}")
-            try:
-                return bytes.fromhex(data[_BYTES])
-            except ValueError as exc:
-                raise CodecError(f"bad hex in bytes frame: {exc}") from exc
-        if _ENUM in data:
-            cls = _ENUMS.get(data.get(_ENUM))
-            if cls is None or set(data) != {_ENUM, "value"}:
-                raise CodecError(f"malformed enum frame: {data!r}")
-            try:
-                return cls[data["value"]]
-            except KeyError as exc:
-                raise CodecError(f"unknown enum member: {data!r}") from exc
-        if _MSG in data:
-            cls = _MESSAGES.get(data.get(_MSG))
-            if cls is None or set(data) != {_MSG, "fields"}:
-                raise CodecError(f"malformed message frame: {data!r}")
-            fields = data["fields"]
-            if not isinstance(fields, dict):
-                raise CodecError(f"malformed message fields: {fields!r}")
-            declared = {f.name for f in dataclasses.fields(cls)}
-            if set(fields) != declared:
-                raise CodecError(
-                    f"{data[_MSG]} fields {sorted(fields)} != declared {sorted(declared)}"
-                )
-            try:
-                return cls(**{k: decode(v) for k, v in fields.items()})
-            except CodecError:
-                raise
-            except Exception as exc:  # constructor validation rejected it
-                raise CodecError(f"rejected {data[_MSG]} payload: {exc}") from exc
-        return {k: decode(v) for k, v in data.items()}
-    raise CodecError(f"cannot decode {type(data).__name__}: {data!r}")
 
 
 # -- registry of the library's wire types ------------------------------------

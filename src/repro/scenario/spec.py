@@ -24,7 +24,7 @@ from ..errors import ConfigError, SimulationError
 from ..netem.models import NetemConfig
 from ..obs import OBSERVE_MODES, PROFILE_MODES, parse_observe, parse_profile
 from ..params import ProtocolParams, for_system
-from ..recovery.wal import RECOVERY_MODES, parse_recovery
+from ..recovery import RECOVERY_MODES, parse_recovery
 from ..sim.effects import BATCHING_MODES, parse_batching
 from ..sim.scheduler import (
     FifoScheduler,

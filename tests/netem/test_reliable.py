@@ -207,12 +207,15 @@ def test_wire_frames_round_trip_the_codec():
 
 
 def test_malformed_wire_frames_are_rejected():
-    from repro.runtime import codec
+    from repro.runtime import binarycodec
+    from repro.runtime.codec import CodecError
 
     with pytest.raises(ValueError):
         LinkFrame(-1, "x")
-    with pytest.raises(codec.CodecError):
-        codec.decode({"__msg__": "LinkAck", "fields": {"seq": -3}})
+    # A LinkAck body whose seq field is -3 (zigzag varint 5).
+    prefix = binarycodec.registry_tables()[0][LinkAck][0]
+    with pytest.raises(CodecError, match="rejected LinkAck"):
+        binarycodec.loads(prefix + bytes([binarycodec._T_INT, 5]))
 
 
 # -- the heapq timer wheel ----------------------------------------------------

@@ -30,7 +30,8 @@ from repro.obs.report import (
     render_report,
     round_timing_table,
 )
-from repro.runtime.codec import CodecError, Stamped, WireBatch, decode, encode
+from repro.runtime import binarycodec
+from repro.runtime.codec import CodecError, Stamped, WireBatch
 from repro.scenario import Scenario, run
 from repro.sim.effects import CausalStamper, format_mid, parse_mid
 
@@ -79,7 +80,7 @@ def test_malformed_mids_are_config_errors(bad):
 
 def test_stamped_survives_the_wire_codec():
     wrapped = Stamped("2:9", ("bracha", (1, 0)))
-    assert decode(encode(wrapped)) == wrapped
+    assert binarycodec.loads(binarycodec.dumps(wrapped)) == wrapped
 
 
 def test_stamped_refuses_degenerate_shapes():

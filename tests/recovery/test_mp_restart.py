@@ -22,6 +22,7 @@ from repro.errors import ReproError
 from repro.mp import orchestrator as orch_mod
 from repro.mp.control import read_msg, send_msg
 from repro.mp.orchestrator import PING_RETRIES, MpOrchestrator
+from repro.recovery.wal import wal_filename
 from repro.scenario import Scenario, run
 
 #: Unanimous fixed-seed configurations with node "restart_pid" killed
@@ -126,7 +127,7 @@ class TestScratchLifecycle:
             wal_dir = result.meta["recovery"]["dir"]
             for pid in range(4):
                 assert os.path.isfile(
-                    os.path.join(wal_dir, f"wal-{pid}.jsonl"))
+                    os.path.join(wal_dir, wal_filename(pid)))
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 

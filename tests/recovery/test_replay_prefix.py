@@ -15,13 +15,14 @@ the cluster run actually reported — tying the property to the log of a
 real run, not a synthetic one.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.recovery.wal import read_wal, replay, validate_header, wal_filename
-from repro.runtime import codec
+from repro.recovery.wal import (
+    WalError, read_wal, replay, validate_header, wal_filename,
+)
+from repro.runtime import binarycodec
 from repro.runtime.node import NodeNetwork
 from repro.scenario import Scenario, run
 from repro.sim.process import Process
@@ -61,15 +62,13 @@ class _Harness:
 
     def snapshot(self):
         """Canonical digest of everything the stack has *done* so far."""
-        sends = [
-            (dest, json.dumps(codec.encode(payload), sort_keys=True))
-            for dest, payload in self.net.outbox
-        ]
+        sends = [(dest, binarycodec.dumps(payload))
+                 for dest, payload in self.net.outbox]
         decided = self.plan.decided(self.modules)
         values = [
-            json.dumps(codec.encode(
+            binarycodec.dumps(
                 getattr(m, "decision", None) if hasattr(m, "decision")
-                else getattr(m, "outputs", None)), sort_keys=True)
+                else getattr(m, "outputs", None))
             for m in self.modules
         ]
         return (tuple(sends), decided, tuple(values))
@@ -123,17 +122,18 @@ def test_every_wal_prefix_replays_bit_identically(protocol, tmp_path):
 
 # -- the on-disk format across commits ----------------------------------------
 
-#: Node 0's log of ``SCENARIOS[protocol]`` on the ``local`` fabric,
-#: written by commit 69cb50e (both runs decided 1 there).  The tagged-JSON
-#: value format is no longer exercised by any wire test, so these files
-#: are what says a log written before a change still replays after it.
+#: Node 0's log of ``SCENARIOS[protocol]`` on the ``local`` fabric, as
+#: written by the commit that introduced WAL version 2 (both runs decided
+#: 1 there): what says a log written before a change still replays after
+#: it.  The ``.jsonl`` files are the same runs' version 1 logs, written by
+#: commit 69cb50e; this library refuses them.
 PARENT_WALS = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize("protocol", ["benor", "bracha"])
 def test_a_wal_written_at_the_parent_commit_replays_to_the_same_decision(protocol):
     header, records = read_wal(os.path.join(
-        PARENT_WALS, f"parent-{protocol}-n4-seed13-wal-0.jsonl"))
+        PARENT_WALS, f"parent-{protocol}-n4-seed13-wal-0.log"))
     validate_header(header, run_id="local-13", node=0, seed=13,
                     protocol=protocol, instances=1)
     assert records[0]["kind"] == "propose"
@@ -144,3 +144,10 @@ def test_a_wal_written_at_the_parent_commit_replays_to_the_same_decision(protoco
         harness.apply(record)
     assert harness.plan.decided(harness.modules)
     assert {m.decision for m in harness.modules} == {1}
+
+
+@pytest.mark.parametrize("protocol", ["benor", "bracha"])
+def test_a_version_1_wal_is_refused_by_its_version(protocol):
+    with pytest.raises(WalError, match="version 1"):
+        read_wal(os.path.join(
+            PARENT_WALS, f"parent-{protocol}-n4-seed13-wal-0.jsonl"))

@@ -1,10 +1,11 @@
-"""Binary wire codec: round-trips, integer edges, malformed frames.
+"""Binary value format: round-trips, integer edges, malformed frames.
 
-The compact codec must be a drop-in peer of the tagged-JSON codec: it
-round-trips every registered wire type bit-exactly, shares the JSON
-codec's registries (so a class registered once works on both wires),
-and — because its input arrives off a socket — must reject arbitrary
-garbage with :class:`~repro.runtime.codec.CodecError`, never a crash.
+The one value format of the wire and the WAL: it round-trips every
+registered wire type bit-exactly, gives every class in the
+:mod:`repro.runtime.codec` registry an id, runs each message's own
+validation on decode, and — because its input arrives off a socket —
+rejects arbitrary garbage with
+:class:`~repro.runtime.codec.CodecError`, never a crash.
 """
 
 import random
@@ -13,9 +14,11 @@ import pytest
 
 from repro.core.broadcast import RbcMessage
 from repro.crypto.shamir import Share
-from repro.runtime import binarycodec
+from repro.runtime import binarycodec, codec
 from repro.runtime.codec import CodecError, Stamped, WireBatch
 from repro.types import Phase, Step, StepValue
+
+from .test_wire_parity import CORPUS
 
 SAMPLES = [
     None,
@@ -231,11 +234,62 @@ def test_random_garbage_never_crashes(subtests=None):
     assert survived <= 20
 
 
-def test_matches_json_codec_registries():
-    # Both codecs serve the same registered wire types: everything the
-    # JSON codec can encode, the binary codec round-trips too.
-    from repro.runtime import codec as jsoncodec
-
-    for name, cls in sorted(jsoncodec._MESSAGES.items()):
+def test_every_registered_message_has_a_binary_id():
+    for name, cls in sorted(codec._MESSAGES.items()):
         fields = binarycodec.registry_tables()[0].get(cls)
         assert fields is not None, f"{name} missing from binary registry"
+
+
+def test_constructor_validation_runs_on_decode():
+    # A StepValue body claiming bit=7 (zigzag varint 14) must be
+    # rejected by __post_init__, by name.
+    prefix = binarycodec.registry_tables()[0][StepValue][0]
+
+    def body(zigzag_bit):
+        return prefix + bytes([binarycodec._T_INT, zigzag_bit, binarycodec._T_FALSE])
+
+    assert binarycodec.loads(body(2)) == StepValue(1)
+    with pytest.raises(CodecError, match="rejected StepValue"):
+        binarycodec.loads(body(14))
+
+
+def test_signed_share_round_trips_verifiably():
+    from repro.crypto.dealer import CoinDealer, SignedShare
+
+    dealer = CoinDealer(4, 1, seed=3)
+    decoded = binarycodec.loads(binarycodec.dumps(dealer.share_for(1, 7)))
+    assert isinstance(decoded, SignedShare)
+    assert isinstance(decoded.tag, bytes)
+    assert dealer.verify(decoded), "the dealer MAC must survive serialization"
+
+
+def _assert_same_types(decoded, original):
+    """Equality alone is vacuous for IntEnum vs int and tuple-like rows:
+    demand every nested value comes back as its own type."""
+    assert type(decoded) is type(original), (decoded, original)
+    if isinstance(original, (tuple, list)):
+        for got, want in zip(decoded, original):
+            _assert_same_types(got, want)
+    elif isinstance(original, dict):
+        for key in original:
+            _assert_same_types(decoded[key], original[key])
+    elif type(original) in codec._MESSAGES.values():
+        for name in binarycodec.registry_tables()[0][type(original)][1]:
+            _assert_same_types(getattr(decoded, name), getattr(original, name))
+
+
+@pytest.mark.parametrize("row", sorted(CORPUS))
+def test_every_registered_type_round_trips_as_its_own_type(row):
+    # test_corpus_covers_every_registered_wire_type (test_wire_parity.py)
+    # is what makes "every" true.
+    decoded = binarycodec.loads(binarycodec.dumps(CORPUS[row]))
+    assert decoded == CORPUS[row]
+    _assert_same_types(decoded, CORPUS[row])
+
+
+def test_step_enum_round_trips_as_members():
+    decoded = binarycodec.loads(binarycodec.dumps((Step.THREE, Step.ONE)))
+    assert decoded == (Step.THREE, Step.ONE)
+    # IntEnum == int would make the equality above vacuous; demand the
+    # actual member type survives.
+    assert all(isinstance(step, Step) for step in decoded)

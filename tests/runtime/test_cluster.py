@@ -10,6 +10,7 @@ from repro.adversary.behaviors import ByzantineBehavior
 from repro.errors import ConfigError, LivenessFailure
 from repro.obs import Observer, RingSink
 from repro.params import for_system
+from repro.recovery.wal import wal_filename
 from repro.runtime import Cluster
 from repro.runtime.codec import Stamped, WireBatch
 from repro.runtime.node import Node, NodeNetwork
@@ -166,4 +167,4 @@ class TestWalDirLifetime:
     def test_named_wal_dir_keeps_its_files(self, tmp_path):
         logs = tmp_path / "logs"
         run(get_scenario("recovery-local"), recovery=f"wal:{logs}")
-        assert sorted(os.listdir(logs)) == [f"wal-{p}.jsonl" for p in range(4)]
+        assert sorted(os.listdir(logs)) == sorted(wal_filename(p) for p in range(4))

@@ -13,10 +13,12 @@ encoder vouches for is not decoded and seeds the memo instead.  Four pins:
 * **Invariants** — what is retained and what never is.
 * **Security** — the MAC check runs per frame, before the memo is
   asked: a body the memo knows buys a forged frame nothing.
-* **Counts** — full decodes per run on the ``tcp-flush-n7x8`` shape,
-  which the program repeats exactly: 336, not 2 345 (2 688, not 19 152,
-  unbatched), same deliveries, and none of a body its endpoint encoded
-  with an exact verdict.  These fail at commit 68ec33c.
+* **Counts** — full decodes per run on the n7x8 shape.  Exact on the
+  ``local`` fabric, whose ``TickClock`` fixes the schedule: 396 (3 362
+  unbatched), generated at commit 8890032.  A ``tcp`` run stops at its
+  result with frames still unread in socket buffers, so there only what
+  the memo guarantees is pinned: no endpoint decodes a body twice, or a
+  body it seeded from its own exact encode.
 """
 
 import asyncio
@@ -35,7 +37,7 @@ from repro.runtime.codec import CodecError, WireBatch
 from repro.runtime.tcp import (
     _BIN_BODY_AT, _BIN_HEADER, MAX_FRAME, TcpTransport, encode_binary_frame,
 )
-from repro.runtime.transport import InboxTransport, LocalHub
+from repro.runtime.transport import LocalHub
 from repro.scenario import Scenario, run
 from repro.types import StepValue
 
@@ -368,7 +370,7 @@ def test_local_hub_packs_per_object_and_decodes_at_the_destination(monkeypatch):
     assert len({id(obj) for obj in firsts}) == n  # nobody was served by a peer
 
 
-# -- (e) counts the program repeats exactly -----------------------------------
+# -- (e) decode counts: exact where the schedule is, guarantees where not -----
 
 
 @pytest.fixture
@@ -384,54 +386,60 @@ def full_decodes(monkeypatch):
     return calls
 
 
-_TCP_N7X8 = dict(protocol="bracha", fabric="tcp", n=7, instances=8,
-                 stop="decided", timeout=120.0)
+_N7X8 = dict(protocol="bracha", n=7, instances=8, stop="decided",
+             timeout=120.0)
 
 
 @pytest.mark.parametrize("seed", (1001, 1002, 1003))
-@pytest.mark.parametrize("batching, decodes", [("flush", 336), ("off", 2688)])
-def test_full_decodes_per_run_on_the_tcp_n7x8_shape(
-        full_decodes, batching, decodes, seed):
-    # 2 345 / 19 152 frames are decoded per run; at commit 2dbad32 each
-    # was a full decode.  Distinct (receiver, body) pairs: 539 / 4 368,
-    # of which 203 / 1 680 are bodies a node sent itself, which its
-    # exact encode vouches for instead (commit 68ec33c decoded them).
-    result = run(Scenario(**_TCP_N7X8, batching=batching, seed=seed))
+@pytest.mark.parametrize("batching, decodes, delivered", [
+    ("flush", 396, 16_744), ("off", 3_362, 17_528),
+])
+def test_full_decodes_per_run_on_the_local_n7x8_shape(
+        full_decodes, batching, decodes, delivered, seed):
+    # ``local`` runs under TickClock, so a scenario has one schedule and
+    # these counts are exact (generated at commit 8890032).
+    result = run(Scenario(**_N7X8, fabric="local", batching=batching, seed=seed))
     assert full_decodes[0] == decodes
-    assert result.messages_delivered == 17_808
+    assert result.messages_delivered == delivered
     assert result.metrics.counter("frames_rejected") == 0
 
 
-def test_no_endpoint_decodes_a_body_it_encoded_exactly(monkeypatch):
-    """A spy on every encode and every full decode of a tcp-flush-n7x8
-    run: once an endpoint has packed a body with an exact verdict, it
-    never runs a full decode of those bytes (a peer's copy that arrives
-    first is still decoded; the order is the network's)."""
-    exact: dict = {}    # memo -> bodies its endpoint packed exactly so far
-    decoded: list = []  # (memo, body) per full decode
-    real_body, real_loads = InboxTransport._body, BodyMemo.loads
+@pytest.mark.parametrize("fabric", ["local", "tcp"])
+def test_no_endpoint_decodes_a_body_twice_or_one_it_seeded(monkeypatch, fabric):
+    """A spy on every seed and every full decode of a flush n7x8 run: an
+    endpoint never runs a full decode of bytes it decoded before, nor of
+    bytes it seeded — delivered to itself as the object it packed with
+    an exact verdict.  (A peer's equal body that arrives between the
+    pack and the self-send is still decoded; the order is the
+    network's.)"""
+    seeded: dict = {}     # memo -> bodies seeded so far
+    decoded: set = set()  # (memo, body) per full decode
+    real_seed, real_loads = BodyMemo.seed, BodyMemo.loads
 
-    def body(transport, payload):
-        raw = real_body(transport, payload)
-        if transport._packed[2]:
-            exact.setdefault(transport.memo, set()).add(raw)
-        return raw
+    def seed(memo, body, value):
+        seeded.setdefault(memo, set()).add(body)
+        real_seed(memo, body, value)
 
     def loads(memo, raw, start=0):
         misses = memo.misses
         value = real_loads(memo, raw, start)
         if memo.misses != misses:
             body = bytes(raw[start:])
-            assert body not in exact.get(memo, ()), "decoded its own exact body"
-            decoded.append((memo, body))
+            assert body not in seeded.get(memo, ()), "decoded its own exact body"
+            assert (memo, body) not in decoded, "decoded a body twice"
+            decoded.add((memo, body))
         return value
 
-    monkeypatch.setattr(InboxTransport, "_body", body)
+    monkeypatch.setattr(BodyMemo, "seed", seed)
     monkeypatch.setattr(BodyMemo, "loads", loads)
-    result = run(Scenario(**_TCP_N7X8, batching="flush", seed=1004))
-    assert len(exact) == 7 and len(decoded) == 336
-    assert sum(memo.seeded for memo in exact) == sum(map(len, exact.values())) > 0
-    assert result.messages_delivered == 17_808
+    result = run(Scenario(**_N7X8, fabric=fabric, batching="flush", seed=1004))
+    assert len(seeded) == 7
+    assert result.metrics.counter("frames_rejected") == 0
+    if fabric == "local":  # exact counts, generated at commit 8890032
+        assert len(decoded) == 396
+        assert sum(memo.seeded for memo in seeded) == 318
+        assert sum(map(len, seeded.values())) == 318  # each body seeded once
+        assert result.messages_delivered == 16_744
 
 
 #: sha256 over the ordered ``(node, instance, round, value)`` of every

@@ -25,6 +25,7 @@ ENV = {**os.environ,
 NOT_IN_A_SIM_PROCESS = (
     "asyncio",
     "repro.runtime",
+    "repro.recovery.wal",
     "repro.mp",
     "repro.netem.clock",
     "repro.netem.reliable",
@@ -63,6 +64,7 @@ LAZY_PACKAGES = (
     "repro.adversary",
     "repro.netem",
     "repro.recovery",
+    "repro.runtime",
 )
 
 
@@ -129,6 +131,23 @@ def test_a_bracha_sim_run_imports_nothing_the_cold_import_did_not():
     into it: after ``import repro.scenario`` a plain and an observed
     sim-bracha-n7x8 run import no ``repro`` module."""
     assert _fresh(_AFTER_THE_COLD_IMPORT) == []
+
+
+_WAL_FIRST = """
+import json, sys
+import repro.recovery.wal
+
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("repro.runtime"))))
+"""
+
+
+def test_the_wal_imports_the_value_format_and_not_the_fabrics():
+    """The fabrics import the WAL and the WAL imports the codec it
+    writes, never the other way round: a cold ``import
+    repro.recovery.wal`` loads no transport, node or cluster."""
+    assert _fresh(_WAL_FIRST) == [
+        "repro.runtime", "repro.runtime.binarycodec", "repro.runtime.codec"]
 
 
 _LAZY_PATH = """
@@ -215,7 +234,7 @@ CONSTANTS = {
     "STOPS": "repro.scenario.spec",
     "OBSERVE_MODES": "repro.obs.observer",
     "PROFILE_MODES": "repro.obs.profile",
-    "RECOVERY_MODES": "repro.recovery.wal",
+    "RECOVERY_MODES": "repro.recovery",
     "WAL_VERSION": "repro.recovery.wal",
 }
 
