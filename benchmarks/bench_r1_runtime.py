@@ -68,6 +68,12 @@ def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
     fabric_labels = {"sim": "simulator", "local": "asyncio", "tcp": "tcp"}
 
     def experiment():
+        # One untimed run per fabric first: a process's first run of a
+        # fabric pays its lazy imports (asyncio, the runtime), which is
+        # no part of what a decision costs.
+        warm_up = Scenario(protocol="bracha", n=sizes[0], proposals=1, seed=1)
+        for fabric in fabric_labels:
+            run(warm_up, fabric=fabric)
         rows = []
         for n in sizes:
             scenario = Scenario(protocol="bracha", n=n, proposals=1)

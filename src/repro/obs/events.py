@@ -231,10 +231,10 @@ def classify_payload(payload: Any) -> Classified:
     ``(None, None, repr(payload))``, never to an error.
 
     The ``repr`` is the cost (the whole message rendered), so this runs
-    once per payload *object*, not once per event:
-    :meth:`~repro.obs.observer.Observer.message` remembers the last
-    object it classified and fabrics that keep the object until
-    delivery hand the result back.
+    once per payload *object*, not once per event: a fabric hands the
+    result of :meth:`~repro.obs.observer.Observer.message` back for the
+    rest of a fan-out and, with the message id, for the delivery of the
+    object it classified.
     """
     instance: Optional[str] = None
     round_: Optional[int] = None

@@ -70,10 +70,6 @@ def parse_observe(spec: Any) -> Tuple[str, Any]:
     )
 
 
-#: What the memo holds before the first classification (no payload is it).
-_NO_PAYLOAD = object()
-
-
 class Observer:
     """Event emission hub for one run.
 
@@ -86,12 +82,6 @@ class Observer:
     def __init__(self, sink: Any):
         self.sink = sink
         self._clock: Callable[[], float] = lambda: 0.0
-        #: The last payload object classified and its classification:
-        #: one entry, compared with ``is``.  Holding the payload itself
-        #: (not its ``id``) keeps it alive, so a new object can never
-        #: be mistaken for it at a reused address.
-        self._last_payload: Any = _NO_PAYLOAD
-        self._last_classified: Classified = (None, None, "")
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -133,21 +123,13 @@ class Observer:
         ``deliver`` can be correlated with the ``send`` that caused it
         (:mod:`repro.obs.report`).
 
-        A payload *object* is classified once: consecutive calls with
-        the same object (the n sends a ``Broadcast`` expands to) reuse
-        the last classification, and the classification is returned so
-        a fabric that still holds the object at delivery can hand it
-        back as ``classified`` instead of having it derived again.
-        Sharing is by identity only — an equal but distinct object is
-        classified on its own.
+        The payload is classified unless ``classified`` is given, and
+        the classification is returned: a fabric hands it back for the
+        other sends of the same fan-out and, with the message id, for
+        the delivery of the very object it classified.
         """
         if classified is None:
-            if payload is self._last_payload:
-                classified = self._last_classified
-            else:
-                classified = classify_payload(payload)
-                self._last_payload = payload
-                self._last_classified = classified
+            classified = classify_payload(payload)
         instance, round_, detail = classified
         # The raw record: :func:`~repro.obs.events.render_records` builds
         # the event (and its ``{"msg", "payload"}`` detail) when read.

@@ -48,8 +48,8 @@ import asyncio
 import time
 from collections import Counter, deque
 from typing import (
-    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Mapping, Optional, Set,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Mapping,
+    Optional, Set, Tuple,
 )
 
 from ..errors import ReproError
@@ -102,6 +102,8 @@ class NodeNetwork:
         #: (``attempt`` in :func:`assemble_node`) so their ids cannot
         #: collide with ones the dead incarnation already sent.
         self.stamper = CausalStamper()
+        #: ``mid -> (payload, classification)`` of observed sends to self.
+        self.own_sends: Dict[str, Tuple[Any, Any]] = {}
         self._clock_zero = time.monotonic()
 
     # -- NetworkAPI ----------------------------------------------------------
@@ -121,20 +123,29 @@ class NodeNetwork:
         if self.observer is None:
             self.outbox.append((dest, payload))
         else:
-            mid = self.stamper.stamp(self.pid)
-            self.observer.message("send", self.pid, payload, mid=mid)
-            self.outbox.append((dest, Stamped(mid, payload)))
+            self._stamped((dest,), payload)
 
     def broadcast(self, source: ProcessId, payload: Any) -> None:
-        """``n`` :meth:`send` calls in pid order; unobserved, the fan-out
-        is counted once and queued in one go."""
+        """``n`` :meth:`send` calls in pid order, counted once; observed,
+        each send gets its own stamp and the payload is classified once."""
         n = self.params.n
-        if self.observer is not None:  # every send gets its own stamp
-            for dest in range(n):
-                self.send(source, dest, payload)
-            return
         self.sent_by_kind[payload_kind(payload)] += n
-        self.outbox.extend([(dest, payload) for dest in range(n)])
+        if self.observer is None:
+            self.outbox.extend([(dest, payload) for dest in range(n)])
+        else:
+            self._stamped(range(n), payload)
+
+    def _stamped(self, dests: Iterable[ProcessId], payload: Any) -> None:
+        """Queue observed sends, each under its own message id; the
+        payload is classified at the first and the rest reuse it."""
+        classified = None
+        for dest in dests:
+            mid = self.stamper.stamp(self.pid)
+            classified = self.observer.message(
+                "send", self.pid, payload, mid=mid, classified=classified)
+            if dest == self.pid:
+                self.own_sends[mid] = (payload, classified)
+            self.outbox.append((dest, Stamped(mid, payload)))
 
     def now(self) -> float:
         """Wall-clock seconds since this node booted (measurement only)."""
@@ -334,7 +345,11 @@ class Node:
                 profiler.stop("wal_append", started)
         observer = self.network.observer
         if observer is not None:
-            observer.message("deliver", self.pid, message, mid=mid)
+            # Its own message, delivered as the very object sent, keeps
+            # the classification made at send.
+            sent, classified = self.network.own_sends.pop(mid, (None, None))
+            observer.message("deliver", self.pid, message, mid=mid,
+                             classified=classified if sent is message else None)
         self.target.deliver(sender, message)
 
     async def _after_activation(self) -> None:

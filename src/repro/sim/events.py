@@ -52,12 +52,11 @@ class PendingSet:
         self._firsts: list[int] = [0]
         self._seq_of: dict[int, int] = {}
         self._next_seq = 0
+        #: ``len(self)`` as the uid index's own ``__len__``: a C call.
+        self.count: Callable[[], int] = self._seq_of.__len__
 
     def __len__(self) -> int:
         return len(self._seq_of)
-
-    def __bool__(self) -> bool:
-        return bool(self._seq_of)
 
     def __iter__(self) -> Iterator[Envelope]:
         # One copy, so a caller may add or remove while iterating.

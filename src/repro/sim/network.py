@@ -178,16 +178,17 @@ class Network:
     def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
         """One envelope per destination; what they share is done once."""
         now = self._now_fn()
-        processes, add = self.processes, self.pending.add
+        processes, add, new = self.processes, self.pending.add, tuple.__new__
         outbound_filter, on_send = self.outbound_filter, self._on_send
-        observer = self.observer
+        observer, classified = self.observer, None  # made at the first send
         sent = 0
         try:
             for dest in dests:
                 if dest not in processes:
                     raise SimulationError(f"send to unknown process {dest}")
                 self._uid = uid = self._uid + 1
-                env = Envelope(uid, source, dest, payload, now)
+                # ``Envelope(...)`` less the namedtuple's Python ``__new__``.
+                env = new(Envelope, (uid, source, dest, payload, now))
                 if outbound_filter is not None and not outbound_filter(env):
                     self.dropped += 1
                     continue
@@ -196,7 +197,8 @@ class Network:
                 if observer is not None:
                     mid = self.stamper.stamp(source)
                     classified = observer.message(
-                        "send", source, payload, time=now, mid=mid
+                        "send", source, payload, time=now, mid=mid,
+                        classified=classified,
                     )
                     self._mids[uid] = (mid, classified)
                 if on_send is not None:

@@ -119,7 +119,7 @@ class Simulation:
             raise SimulationError("simulation is closed: it cannot deliver again")
         if not self._started:
             self.start()
-        pending, record = self.pending, self.schedule.append
+        count, record = self.pending.count, self.schedule.append
         choose, deliver = self.scheduler.choose, self.network.deliver
         profiler = self.profiler
         if profiler is not None:
@@ -133,7 +133,7 @@ class Simulation:
             while True:
                 if until is not None and until():
                     return executed
-                if not pending:
+                if not count():
                     return executed  # quiescent
                 if executed >= max_steps:
                     raise EventBudgetExceeded(self.steps)

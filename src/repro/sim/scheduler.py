@@ -90,12 +90,13 @@ class RandomScheduler(Scheduler):
     """
 
     def choose(self) -> Tuple[int, float]:
-        n = len(self.pending)
+        n = self.pending.count()
         getrandbits, k = self.rng.getrandbits, n.bit_length()
         rank = getrandbits(k)
         while rank >= n:
             rank = getrandbits(k)
-        return rank, self._advance()
+        self.now = now = self.now + 1.0  # ``_advance()`` without its frame
+        return rank, now
 
 
 class FifoScheduler(Scheduler):

@@ -1,16 +1,14 @@
 """What an observed message shares, and what it must not.
 
-A payload *object* is classified (``repr``'d) once: the n sends a
-``Broadcast`` expands to hit the observer's one-entry identity memo, and
-on the simulator the ``uid -> (mid, classification)`` side table carries
-the classification made at ``send`` to the matching ``deliver``.
-Sharing is by identity only — equal-but-distinct objects (an
-equivocator's per-destination copies, a runtime node's decoded
-deliveries) are each classified on their own.
+A payload *object* is classified (``repr``'d) once: a fan-out hands the
+classification of its first send back for the other n - 1, and the
+classification travels with the message id to the delivery of the very
+object classified — on the simulator through the ``uid -> (mid,
+classification)`` side table, on a runtime node through its table of
+self-addressed sends.  Sharing is by identity only — equal-but-distinct
+objects (an equivocator's per-destination copies, a runtime node's
+decoded deliveries) are each classified on their own.
 """
-
-import gc
-import weakref
 
 import pytest
 
@@ -110,7 +108,7 @@ def test_runtime_broadcast_is_reprd_once_at_the_sender():
     )
 
 
-def test_local_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
+def _classifications_of_a_runtime_run(fabric, monkeypatch):
     classified = []
     real = observer_module.classify_payload
 
@@ -121,7 +119,7 @@ def test_local_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
     monkeypatch.setattr(observer_module, "classify_payload", counting)
     n = 4
     result = run(Scenario(
-        protocol="bracha", fabric="local", n=n, proposals=1, seed=29,
+        protocol="bracha", fabric=fabric, n=n, proposals=1, seed=29,
         observe="ring",
     ))
     events = result.meta["obs_events"]
@@ -129,16 +127,24 @@ def test_local_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
     delivers = sum(1 for e in events if e.kind == "deliver")
     broadcasts = sends // n
     assert broadcasts * n == sends  # every Bracha send is a broadcast
-    # A broadcast is classified once for its n sends, and every delivery
-    # on its own.  A peer's delivery is a decoded copy (the hub
-    # round-trips the wire codec, as tcp does); a node's own is the very
-    # object it sent, classified again because the observer's one-entry
-    # memo has moved on by then.  A message id is "<sender>:<seq>".
+    # A broadcast is classified once for its n sends, and a peer's
+    # delivery, a decoded copy, on its own.  A node's own delivery is the
+    # very object it sent and keeps the classification made at send.  A
+    # message id is "<sender>:<seq>".
     own = sum(1 for e in events if e.kind == "deliver"
               and e.detail["msg"].split(":")[0] == str(e.node))
     assert 0 < own <= broadcasts
-    assert len(classified) == broadcasts + delivers
-    assert len(classified) - len({id(p) for p in classified}) == own
+    assert len(classified) == broadcasts + delivers - own
+    assert len(classified) == len({id(p) for p in classified})
+
+
+def test_local_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
+    # The hub round-trips the wire codec, as tcp does.
+    _classifications_of_a_runtime_run("local", monkeypatch)
+
+
+def test_tcp_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
+    _classifications_of_a_runtime_run("tcp", monkeypatch)
 
 
 def test_benchmark_shape_classifies_once_per_payload_object(monkeypatch):
@@ -182,34 +188,7 @@ def test_an_equivocators_copies_are_classified_per_object_on_sim():
     assert len(observer.events()) == 2 * N
 
 
-# -- (c) the memo: one entry, a strong reference -----------------------------
-
-def test_memo_is_one_entry_and_reclassifies_after_eviction():
-    observer = Observer(RingSink())
-    a, b = Counted("a"), Counted("b")
-    for payload in (a, a, b, b, a):
-        observer.message("send", 0, payload, time=0.0)
-    assert (a.reprs, b.reprs) == (2, 1)
-    assert [e.detail for e in observer.events()] == [
-        "Counted('a')", "Counted('a')", "Counted('b')", "Counted('b')",
-        "Counted('a')",
-    ]
-
-
-def test_memo_keeps_its_payload_alive_so_ids_cannot_alias():
-    observer = Observer(RingSink())
-    payload = Counted("held")
-    observer.message("send", 0, payload, time=0.0)
-    alive = weakref.ref(payload)
-    del payload
-    gc.collect()
-    assert alive() is not None  # the memo holds the object, not its id
-    fresh = Counted("fresh")
-    observer.message("send", 0, fresh, time=0.0)
-    gc.collect()
-    assert alive() is None  # one entry: the newcomer evicted it
-    assert observer.events()[-1].detail == "Counted('fresh')"
-
+# -- (c) a handed-back classification ----------------------------------------
 
 def test_a_handed_back_classification_is_used_as_is():
     observer = Observer(RingSink())

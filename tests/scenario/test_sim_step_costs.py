@@ -19,7 +19,9 @@ from repro.sim.effects import Broadcast, Send
 from repro.sim.events import PendingSet
 from repro.sim.process import Process
 from repro.sim.runner import Simulation
+from repro.sim.scheduler import Scheduler
 from repro.stacks import ProtocolPlan
+from repro.types import Envelope
 
 
 def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
@@ -66,6 +68,33 @@ def test_a_delivery_is_one_pop_and_no_lookup(monkeypatch):
                             counted(name, getattr(PendingSet, name)))
     result = run(scenario)
     assert calls == {"pop": result.steps}
+
+
+def test_a_step_pays_no_python_frame_for_its_bookkeeping(monkeypatch):
+    # The benchmark's sim-bracha-n7x8 shape, seed 1001: the envelope is
+    # built without the namedtuple's ``__new__``, the pending count is
+    # the uid index's own ``__len__`` and the random scheduler's clock
+    # advances inline — and the run is the one it was.
+    scenario = Scenario(protocol="bracha", n=7, instances=8,
+                        batching="flush", seed=1001)
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Envelope, "__new__", staticmethod(
+        counted("Envelope.__new__", Envelope.__new__)))
+    monkeypatch.setattr(PendingSet, "__len__",
+                        counted("__len__", PendingSet.__len__))
+    monkeypatch.setattr(Scheduler, "_advance",
+                        counted("_advance", Scheduler._advance))
+    assert not hasattr(PendingSet, "__bool__")  # truthiness is ``__len__``
+    result = run(scenario)
+    assert calls == {}
+    assert (result.steps, result.messages_sent) == (31918, 32130)
 
 
 RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}

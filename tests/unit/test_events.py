@@ -236,6 +236,7 @@ class TestAgainstListModel:
                 assert [pending.rank(e) for e in model] == list(range(len(model)))
             assert within_block_bound(pending)
             assert len(pending) == len(model)
+            assert pending.count() == len(model)
             assert bool(pending) == bool(model)
             assert list(pending) == model
             assert all(e in pending for e in model)

@@ -274,11 +274,15 @@ class TestUniformPickersDoNotScan:
 
 
 class _Sized:
-    """All a uniform picker reads of its pending set: the size."""
+    """All a uniform picker reads of its pending set: the size, by
+    ``len()`` or by :meth:`PendingSet.count <repro.sim.events.PendingSet>`."""
 
     n = 0
 
     def __len__(self):
+        return self.n
+
+    def count(self):
         return self.n
 
 
