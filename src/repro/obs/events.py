@@ -39,17 +39,18 @@ kind                  emitted by
 Recording and reading are split, as in raw-record tracers: a run hands
 its sink *raw records* and an :class:`Event` is built only when
 someone reads one (:func:`render_records`, the one renderer).  A
-``send``/``deliver`` is recorded as the plain 7-tuple ``(time, kind,
-node, instance, round, detail, mid)`` — its ``{"msg", "payload"}``
-detail is made at read time — and every other event as its six fields
-in a plain tuple.  A plain tuple of strings and numbers is untracked
-by the garbage collector at the first collection that sees it, so a
-ring of retained records is not traversed by every later one, where
-``NamedTuple`` instances (and the detail dict) would be.  The message
-record holds the payload's classification unpacked rather than the
-shared ``(instance, round, detail)`` tuple: a collection may visit a
-record before that tuple has been untracked, and the record would then
-stay tracked until the next one.
+``send``/``deliver`` is recorded as the 5-tuple ``(time, kind, node,
+payload, mid)`` — the object sent and its causal id — and every other
+event as its six fields in a plain tuple.  The payload is classified
+(:func:`classify_payload`) only when the record is read, once per
+payload *object*, so a run itself classifies nothing.
+A message record refers to its payload, which the garbage collector
+tracks, so the record stays tracked; it holds nothing else for a
+collection to visit — no detail dict, no classification tuple.  A
+record of scalars is untracked at the first collection that sees it.
+On sim-observed-n7x8 (2-core host) collection time per run rose from
+~39 to ~50 ms (gen0 cheaper, gen1 and gen2 dearer), far less than a run
+saves.
 :class:`EventLog` is the read side of a ring: a ``Sequence[Event]``
 that renders its records once, on first access to an element.
 """
@@ -156,20 +157,24 @@ _new_event = tuple.__new__
 def render_records(records: Iterable[Tuple[Any, ...]]) -> List[Event]:
     """The :class:`Event` each raw sink record stands for, in order.
 
-    A 7-tuple ``(time, kind, node, instance, round, detail, mid)`` is a
-    message record (:meth:`~repro.obs.observer.Observer.message`): its
-    detail is wrapped as ``{"msg": mid, "payload": detail}`` when the
-    message carries a causal id.  Anything else holds the six
-    :class:`Event` fields in order — an :class:`Event` comes back as it
-    is.  One comprehension, not a call per record: a ring is read in
-    one pass of tens of thousands of records.
+    A 5-tuple ``(time, kind, node, payload, mid)`` is a message record
+    (:meth:`~repro.obs.observer.Observer.message`): its payload is
+    classified here, through a memo keyed by ``id(payload)`` that lives
+    for this one call and holds each payload it describes, so no id is
+    reused while it exists — and its detail is wrapped as ``{"msg":
+    mid, "payload": detail}`` when the message carries a causal id.  Anything else holds the six :class:`Event`
+    fields in order — an :class:`Event` comes back as it is.
     """
+    memo: Dict[int, Tuple[Any, ...]] = {}
+    # One comprehension, not a call per record: a ring is read in one
+    # pass of tens of thousands of records.
     return [
         _new_event(Event, (
-            r[0], r[1], r[2], r[3], r[4],
-            r[5] if r[6] is None else {"msg": r[6], "payload": r[5]},
+            r[0], r[1], r[2], c[0], c[1],
+            c[2] if r[4] is None else {"msg": r[4], "payload": c[2]},
         ))
-        if len(r) == 7
+        if len(r) == 5 and (c := memo.get(id(r[3])) or memo.setdefault(
+            id(r[3]), (*classify_payload(r[3]), r[3])))
         else r if type(r) is Event else _new_event(Event, r)
         for r in records
     ]
@@ -230,11 +235,9 @@ def classify_payload(payload: Any) -> Classified:
     Extraction is observational only — unknown shapes degrade to
     ``(None, None, repr(payload))``, never to an error.
 
-    The ``repr`` is the cost (the whole message rendered), so this runs
-    once per payload *object*, not once per event: a fabric hands the
-    result of :meth:`~repro.obs.observer.Observer.message` back for the
-    rest of a fan-out and, with the message id, for the delivery of the
-    object it classified.
+    The ``repr`` is the cost (the whole message rendered), so
+    :func:`render_records` calls this once per payload *object* it
+    reads, and never during a run.
     """
     instance: Optional[str] = None
     round_: Optional[int] = None

@@ -24,7 +24,7 @@ import os
 from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigError
-from .events import Classified, EventLog, classify_payload
+from .events import EventLog
 from .sinks import JsonlSink, RingSink
 
 #: The validated observe modes of the Scenario field.
@@ -113,31 +113,13 @@ class Observer:
         payload: Any,
         time: Optional[float] = None,
         mid: Optional[str] = None,
-        classified: Optional[Classified] = None,
-    ) -> Classified:
-        """Emit a ``send``/``deliver`` event, classifying the payload.
-
-        ``mid`` is the causal message id assigned by the fabric's
-        :class:`~repro.sim.effects.CausalStamper`; when present the
-        rendered event detail is ``{"msg": mid, "payload": <repr>}`` so a
-        ``deliver`` can be correlated with the ``send`` that caused it
-        (:mod:`repro.obs.report`).
-
-        The payload is classified unless ``classified`` is given, and
-        the classification is returned: a fabric hands it back for the
-        other sends of the same fan-out and, with the message id, for
-        the delivery of the very object it classified.
-        """
-        if classified is None:
-            classified = classify_payload(payload)
-        instance, round_, detail = classified
-        # The raw record: :func:`~repro.obs.events.render_records` builds
-        # the event (and its ``{"msg", "payload"}`` detail) when read.
-        self.sink.emit((
-            self._clock() if time is None else time,
-            kind, node, instance, round_, detail, mid,
-        ))
-        return classified
+    ) -> None:
+        """Record a ``send``/``deliver``: the payload object and its causal
+        id, described only when read (:func:`~repro.obs.events.render_records`).
+        With a ``mid`` the event detail is ``{"msg": mid, "payload":
+        <repr>}``, which :mod:`repro.obs.report` correlates."""
+        self.sink.emit((self._clock() if time is None else time,
+                        kind, node, payload, mid))
 
     # -- lifecycle -----------------------------------------------------------
 

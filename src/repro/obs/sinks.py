@@ -6,13 +6,14 @@ Three built-ins, selected by the scenario ``observe`` field:
   newest raw records once the capacity is reached and counts what it
   dropped, so a long run cannot exhaust memory *and* cannot silently
   pretend the trace is complete; its events are rendered when read.
-* :class:`JsonlSink` — one event per line, rendered as it arrives,
-  append-only, flushed on close.  The file format is the stable
-  :meth:`Event.to_dict` shape; :func:`load_events` reads it back.
+* :class:`JsonlSink` — one event per line, append-only, rendered in
+  chunks of :data:`JSONL_CHUNK` records and flushed on close.  The file
+  format is the stable :meth:`Event.to_dict` shape; :func:`load_events`
+  reads it back.
 * :func:`render_events` — the human timeline, for library callers.
 
 A sink's ``emit`` takes one raw record: an :class:`Event`, its six
-fields in a plain tuple, or an observer's 7-tuple message record.
+fields in a plain tuple, or an observer's 5-tuple message record.
 :func:`~repro.obs.events.render_records` turns any of them into the
 :class:`Event` it stands for.
 """
@@ -71,6 +72,11 @@ class RingSink:
         }
 
 
+#: Records a :class:`JsonlSink` renders in one call, so that the n
+#: copies of a fan-out share one classification; ``close`` writes the tail.
+JSONL_CHUNK = 1024
+
+
 class JsonlSink:
     """Append events to a JSONL file, one :meth:`Event.to_dict` per line."""
 
@@ -89,18 +95,30 @@ class JsonlSink:
                     f"cannot open observe trace file {self.path}: {exc}"
                 ) from exc
         self._stream: Optional[IO[str]] = stream
+        self._chunk: List[Tuple[Any, ...]] = []
 
     def emit(self, record: Tuple[Any, ...]) -> None:
         if self._stream is None:
             return
-        (event,) = render_records((record,))
-        self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        self._chunk.append(record)
         self.total += 1
+        if len(self._chunk) >= JSONL_CHUNK:
+            self._write()
+
+    def _write(self) -> None:
+        for event in render_records(self._chunk):
+            self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        self._chunk = []
 
     def close(self) -> None:
-        if self._stream is not None and self._owns_stream:
-            self._stream.close()
-        self._stream = None
+        if self._stream is None:
+            return
+        try:
+            self._write()
+        finally:
+            if self._owns_stream:
+                self._stream.close()
+            self._stream = None
 
     def summary(self) -> dict:
         return {"sink": "jsonl", "events": self.total, "path": self.path}

@@ -102,8 +102,6 @@ class NodeNetwork:
         #: (``attempt`` in :func:`assemble_node`) so their ids cannot
         #: collide with ones the dead incarnation already sent.
         self.stamper = CausalStamper()
-        #: ``mid -> (payload, classification)`` of observed sends to self.
-        self.own_sends: Dict[str, Tuple[Any, Any]] = {}
         self._clock_zero = time.monotonic()
 
     # -- NetworkAPI ----------------------------------------------------------
@@ -127,7 +125,7 @@ class NodeNetwork:
 
     def broadcast(self, source: ProcessId, payload: Any) -> None:
         """``n`` :meth:`send` calls in pid order, counted once; observed,
-        each send gets its own stamp and the payload is classified once."""
+        each send gets its own stamp."""
         n = self.params.n
         self.sent_by_kind[payload_kind(payload)] += n
         if self.observer is None:
@@ -136,15 +134,10 @@ class NodeNetwork:
             self._stamped(range(n), payload)
 
     def _stamped(self, dests: Iterable[ProcessId], payload: Any) -> None:
-        """Queue observed sends, each under its own message id; the
-        payload is classified at the first and the rest reuse it."""
-        classified = None
+        """Queue observed sends, each under its own message id."""
         for dest in dests:
             mid = self.stamper.stamp(self.pid)
-            classified = self.observer.message(
-                "send", self.pid, payload, mid=mid, classified=classified)
-            if dest == self.pid:
-                self.own_sends[mid] = (payload, classified)
+            self.observer.message("send", self.pid, payload, mid=mid)
             self.outbox.append((dest, Stamped(mid, payload)))
 
     def now(self) -> float:
@@ -345,11 +338,7 @@ class Node:
                 profiler.stop("wal_append", started)
         observer = self.network.observer
         if observer is not None:
-            # Its own message, delivered as the very object sent, keeps
-            # the classification made at send.
-            sent, classified = self.network.own_sends.pop(mid, (None, None))
-            observer.message("deliver", self.pid, message, mid=mid,
-                             classified=classified if sent is message else None)
+            observer.message("deliver", self.pid, message, mid=mid)
         self.target.deliver(sender, message)
 
     async def _after_activation(self) -> None:

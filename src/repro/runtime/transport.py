@@ -117,11 +117,16 @@ class InboxTransport(Transport):
         hands over different objects per destination and gets different
         bytes on each link.  Payloads are immutable wire values; nothing
         mutates one between two sends.  The encoder's exact verdict is
-        kept beside the body for :meth:`_loopback`.
+        kept beside the body for :meth:`_loopback`, and an exact body is
+        seeded into this endpoint's own memo as it is packed — before
+        the first send of it yields — so a peer's identical body is a
+        hit even when it arrives ahead of the self-send.
         """
         packed = self._packed
         if packed is None or packed[0] is not payload:
             packed = self._packed = (payload, *binarycodec.pack(payload))
+            if packed[2]:
+                self.memo.seed(packed[1], payload)
         return packed[1]
 
     def _loopback(self, payload: Any) -> Any:
@@ -130,16 +135,12 @@ class InboxTransport(Transport):
         Bracha counts a process's own ECHO and READY toward its quorums,
         so every broadcast includes this copy.  When the encoder
         vouched for an exact round trip it is ``payload`` itself, never
-        decoded, and the body is seeded into this endpoint's own memo,
-        so a peer's identical body later is still a hit.  Anything else
-        is decoded through the memo as a peer's body is — a fresh object
+        decoded (:meth:`_body` seeded its body).  Anything else is
+        decoded through the memo as a peer's body is — a fresh object
         with the types a decode normalises to.
         """
         body = self._body(payload)
-        if self._packed[2]:
-            self.memo.seed(body, payload)
-            return payload
-        return self.memo.loads(body)
+        return payload if self._packed[2] else self.memo.loads(body)
 
     def _push(self, sender: ProcessId, payload: Any) -> None:
         self._inbox.put_nowait((sender, payload))

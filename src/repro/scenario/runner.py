@@ -335,7 +335,10 @@ class SimRun:
     def close(self) -> None:
         """Unlink the run's object graph (:meth:`Simulation.close
         <repro.sim.runner.Simulation.close>`); idempotent.  The built
-        result is plain data and is untouched."""
+        result is plain data and is untouched.  The observer's sink is
+        closed first, so a run that raised still writes its trace."""
+        if self.observer is not None:
+            self.observer.sink.close()
         self.sim.close()
 
 

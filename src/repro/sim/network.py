@@ -14,11 +14,10 @@ itself guarantees nothing about ordering, matching the paper's model.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Any, Callable, DefaultDict, Dict, Iterable, Optional, Protocol, Tuple
+from typing import Any, Callable, DefaultDict, Dict, Iterable, Optional, Protocol
 
 from ..errors import SimulationError
 from ..types import Envelope, ProcessId
-from .effects import CausalStamper
 from .events import PendingSet
 from .rng import SplitRng
 
@@ -111,15 +110,14 @@ class Network:
         #: Optional structured-event hub (:class:`repro.obs.Observer`).
         #: One ``is not None`` check per send/deliver when disabled.
         self.observer: Optional[Any] = None
-        #: Causal message ids for send/deliver correlation.  Stamping
-        #: happens only under an observer; the uid side table carries
-        #: each in-flight message's id — and the classification of its
-        #: payload made at ``send`` — to its deliver event without the
-        #: envelope (or the protocol payload) ever changing shape.  One
-        #: entry per pending envelope: added at ``send``, popped at
-        #: ``deliver``.
-        self.stamper = CausalStamper()
-        self._mids: Dict[int, Tuple[str, Any]] = {}
+        #: Causal message ids ``"<sender>:<seq>"`` for send/deliver
+        #: correlation, assigned only under an observer (a
+        #: :class:`~repro.sim.effects.CausalStamper` of epoch 0, inline).
+        #: The uid side table carries each in-flight message's id to its
+        #: deliver event without the envelope (or the protocol payload)
+        #: ever changing shape: added at ``send``, popped at ``deliver``.
+        self._seqs: Dict[ProcessId, int] = {}
+        self._mids: Dict[int, str] = {}
         self._uid = 0
         self._now_fn: Callable[[], float] = lambda: 0.0
         self._on_send: Optional[Callable[[Envelope], None]] = None
@@ -176,11 +174,16 @@ class Network:
         self._fan_out(source, range(self.n), payload)
 
     def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
-        """One envelope per destination; what they share is done once."""
+        """One envelope per destination; what they share is done once.
+        Observed, each send's :meth:`~repro.obs.observer.Observer.message`
+        record goes straight into the sink."""
         now = self._now_fn()
         processes, add, new = self.processes, self.pending.add, tuple.__new__
         outbound_filter, on_send = self.outbound_filter, self._on_send
-        observer, classified = self.observer, None  # made at the first send
+        observer = self.observer
+        if observer is not None:
+            emit, mids = observer.sink.emit, self._mids
+            seq = self._seqs.get(source, 0)
         sent = 0
         try:
             for dest in dests:
@@ -195,12 +198,9 @@ class Network:
                 add(env)
                 sent += 1
                 if observer is not None:
-                    mid = self.stamper.stamp(source)
-                    classified = observer.message(
-                        "send", source, payload, time=now, mid=mid,
-                        classified=classified,
-                    )
-                    self._mids[uid] = (mid, classified)
+                    seq += 1
+                    mids[uid] = mid = f"{source}:{seq}"
+                    emit((now, "send", source, payload, mid))
                 if on_send is not None:
                     on_send(env)
         finally:
@@ -208,6 +208,8 @@ class Network:
             # exactly the envelopes that entered the pending set.
             if sent:
                 self.sent_by_kind[source][payload_kind(payload)] += sent
+                if observer is not None:
+                    self._seqs[source] = seq
 
     def deliver(self, rank: int, time: float) -> None:
         """Take the ``rank``-th oldest in-flight envelope out of the
@@ -219,13 +221,11 @@ class Network:
         """
         env = self.pending.pop(rank)
         self.delivered[env.dest] += 1
-        if self.observer is not None:
-            # Sent before the observer was attached: no id, classify now.
-            mid, classified = self._mids.pop(env.uid, (None, None))
-            self.observer.message(
-                "deliver", env.dest, env.payload, time=time,
-                mid=mid, classified=classified,
-            )
+        observer = self.observer
+        if observer is not None:
+            # Sent before the observer was attached: no id.
+            observer.sink.emit((time, "deliver", env.dest, env.payload,
+                                self._mids.pop(env.uid, None)))
         target = self.processes.get(env.dest)
         if target is not None:
             target.deliver(env.source, env.payload)

@@ -1,23 +1,26 @@
-"""What an observed message shares, and what it must not.
+"""An observed message is recorded, not described.
 
-A payload *object* is classified (``repr``'d) once: a fan-out hands the
-classification of its first send back for the other n - 1, and the
-classification travels with the message id to the delivery of the very
-object classified — on the simulator through the ``uid -> (mid,
-classification)`` side table, on a runtime node through its table of
-self-addressed sends.  Sharing is by identity only — equal-but-distinct
+A ``send``/``deliver`` record holds the payload object itself and its
+message id; :func:`~repro.obs.events.render_records` classifies
+(``repr``s) a payload when the record is read, once per payload object
+in one read.  So a run makes no classification at all, and the first
+read makes one per distinct object: a fan-out's n records and a node's
+delivery of the very object it sent share one, while equal-but-distinct
 objects (an equivocator's per-destination copies, a runtime node's
 decoded deliveries) are each classified on their own.
 """
 
+import io
+import json
+
 import pytest
 
-import repro.obs.observer as observer_module
-from repro.obs import Event, Observer, RingSink
+import repro.obs.events as events_module
+from repro.obs import Event, JsonlSink, Observer, RingSink
 from repro.params import ProtocolParams
 from repro.runtime.codec import Stamped
 from repro.runtime.node import NodeNetwork
-from repro.scenario import Scenario, run
+from repro.scenario import Scenario, assemble, get_scenario, run
 from repro.sim.process import Process, ProtocolModule
 from repro.sim.runner import Simulation
 
@@ -74,13 +77,34 @@ def observed_sim(first, replies=False):
     return sim, observer, modules
 
 
-# -- (a) one broadcast, one repr ---------------------------------------------
+@pytest.fixture
+def classified(monkeypatch):
+    """Every payload the renderer classifies, in order (strong refs, so
+    the ids of the list stay distinct)."""
+    seen = []
+    real = events_module.classify_payload
 
-def test_sim_broadcast_is_reprd_once_across_its_sends_and_delivers():
+    def counting(payload):
+        seen.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(events_module, "classify_payload", counting)
+    return seen
+
+
+def _payloads(observer):
+    """The payload object of each retained message record."""
+    return [r[3] for r in observer.sink._events if len(r) == 5]
+
+
+# -- (a) a run describes nothing; a read describes each object once -----------
+
+def test_sim_broadcast_is_reprd_once_when_read():
     payload = Counted("first")
     sim, observer, modules = observed_sim(payload)
     sim.start()
     sim.run_to_quiescence()
+    assert payload.reprs == 0
     events = observer.events()
     assert [e.kind for e in events].count("send") == N
     assert [e.kind for e in events].count("deliver") == N
@@ -93,14 +117,15 @@ def test_sim_broadcast_is_reprd_once_across_its_sends_and_delivers():
     assert len(sends) == N
 
 
-def test_runtime_broadcast_is_reprd_once_at_the_sender():
+def test_runtime_broadcast_is_reprd_once_when_read():
     payload = Counted("first")
     params = ProtocolParams(N, 2)
     network = NodeNetwork(0, params)
     network.observer = Observer(RingSink())
     Process(0, network, params).add_module(Gossip(payload)).start()
-    assert payload.reprs == 1
+    assert payload.reprs == 0
     assert [e.kind for e in network.observer.events()] == ["send"] * N
+    assert payload.reprs == 1
     assert [dest for dest, _ in network.outbox] == list(range(N))
     assert all(
         isinstance(wrapped, Stamped) and wrapped.payload[1] is payload
@@ -108,29 +133,22 @@ def test_runtime_broadcast_is_reprd_once_at_the_sender():
     )
 
 
-def _classifications_of_a_runtime_run(fabric, monkeypatch):
-    classified = []
-    real = observer_module.classify_payload
-
-    def counting(payload):
-        classified.append(payload)  # strong refs: ids stay distinct
-        return real(payload)
-
-    monkeypatch.setattr(observer_module, "classify_payload", counting)
+def _check_a_runtime_run(fabric, classified):
     n = 4
     result = run(Scenario(
         protocol="bracha", fabric=fabric, n=n, proposals=1, seed=29,
         observe="ring",
     ))
-    events = result.meta["obs_events"]
+    assert classified == []  # the run itself describes nothing
+    events = list(result.meta["obs_events"])
     sends = sum(1 for e in events if e.kind == "send")
     delivers = sum(1 for e in events if e.kind == "deliver")
     broadcasts = sends // n
     assert broadcasts * n == sends  # every Bracha send is a broadcast
-    # A broadcast is classified once for its n sends, and a peer's
-    # delivery, a decoded copy, on its own.  A node's own delivery is the
-    # very object it sent and keeps the classification made at send.  A
-    # message id is "<sender>:<seq>".
+    # A broadcast's n records hold one object; a peer's delivery is a
+    # decoded copy of its own.  A node's own delivery is the very object
+    # it sent, so it shares the send's classification.  A message id is
+    # "<sender>:<seq>".
     own = sum(1 for e in events if e.kind == "deliver"
               and e.detail["msg"].split(":")[0] == str(e.node))
     assert 0 < own <= broadcasts
@@ -138,31 +156,24 @@ def _classifications_of_a_runtime_run(fabric, monkeypatch):
     assert len(classified) == len({id(p) for p in classified})
 
 
-def test_local_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
+def test_local_fabric_classifies_each_payload_object_once_when_read(classified):
     # The hub round-trips the wire codec, as tcp does.
-    _classifications_of_a_runtime_run("local", monkeypatch)
+    _check_a_runtime_run("local", classified)
 
 
-def test_tcp_fabric_classifies_a_broadcast_once_at_the_sender(monkeypatch):
-    _classifications_of_a_runtime_run("tcp", monkeypatch)
+def test_tcp_fabric_classifies_each_payload_object_once_when_read(classified):
+    _check_a_runtime_run("tcp", classified)
 
 
-def test_benchmark_shape_classifies_once_per_payload_object(monkeypatch):
-    classified = []
-    real = observer_module.classify_payload
-
-    def counting(payload):
-        classified.append(payload)  # strong refs: ids stay distinct
-        return real(payload)
-
-    monkeypatch.setattr(observer_module, "classify_payload", counting)
+def test_benchmark_shape_classifies_once_per_payload_object(classified):
     result = run(Scenario(
         protocol="bracha", fabric="sim", n=7, instances=8, batching="flush",
         seed=1000, observe="ring", profile="on",
     ))
+    assert classified == []
     events = result.meta["obs_events"]
     messages = sum(1 for e in events if e.kind in ("send", "deliver"))
-    assert messages == 59199  # one classification each before sharing
+    assert messages == 59199
     assert len(classified) == len({id(p) for p in classified}) == 4272
 
 
@@ -174,7 +185,12 @@ def test_equal_but_distinct_payloads_are_each_classified():
     assert first == second and first is not second
     observer.message("send", 0, first, time=0.0, mid="0:1")
     observer.message("send", 0, second, time=0.0, mid="0:2")
+    observer.message("deliver", 1, first, time=1.0, mid="0:1")
+    assert (first.reprs, second.reprs) == (0, 0)
+    send, _, deliver = observer.events()
     assert (first.reprs, second.reprs) == (1, 1)
+    assert deliver.detail == send.detail == {"msg": "0:1", "payload": "Counted('same')"}
+    assert deliver.detail is not send.detail
 
 
 def test_an_equivocators_copies_are_classified_per_object_on_sim():
@@ -184,27 +200,47 @@ def test_an_equivocators_copies_are_classified_per_object_on_sim():
     for dest, copy in enumerate(copies):
         sim.network.send(0, dest, ("gossip", copy))
     sim.run_to_quiescence()
+    assert [copy.reprs for copy in copies] == [0] * N
+    assert len(list(observer.events())) == 2 * N
     assert [copy.reprs for copy in copies] == [1] * N
-    assert len(observer.events()) == 2 * N
 
 
-# -- (c) a handed-back classification ----------------------------------------
+def test_records_made_on_the_fly_never_share_a_recycled_id():
+    # A generator drops each record once rendered; the memo must keep
+    # the payloads it describes, or a new payload at a freed address
+    # would be served the old one's classification.
+    def records():
+        for i in range(100):
+            yield (0.0, "send", 0, ("m", 10**6 + i), None)
 
-def test_a_handed_back_classification_is_used_as_is():
+    events = events_module.render_records(records())
+    assert [e.detail for e in events] == [repr(10**6 + i) for i in range(100)]
+
+
+@pytest.mark.parametrize("name", ["two-faced-equivocator", "fuzzer-storm"])
+def test_catalog_byzantine_runs_classify_once_per_payload_object(name, classified):
+    # A Byzantine behavior sends one payload n times through
+    # ``Network.send``; those records share one classification too.
+    assembled = assemble(get_scenario(name).replace(observe="ring"))
+    try:
+        assembled.run().result()
+        objects = {id(p) for p in _payloads(assembled.observer)}
+        list(assembled.observer.events())
+        assert len(classified) == len(objects)
+    finally:
+        assembled.close()
+
+
+# -- (c) the record -------------------------------------------------------------
+
+def test_a_message_record_is_the_payload_and_its_id():
     observer = Observer(RingSink())
-    payload = Counted("x")
-    classified = observer.message("send", 0, ("m", payload), time=0.0, mid="0:1")
-    assert classified == ("m", None, "Counted('x')")
-    observer.message("send", 0, Counted("other"), time=0.0)
-    observer.message(
-        "deliver", 1, ("m", payload), time=1.0, mid="0:1",
-        classified=classified,
-    )
-    assert payload.reprs == 1
-    send, _, deliver = observer.events()
-    assert deliver.detail == send.detail == {"msg": "0:1", "payload": "Counted('x')"}
-    assert deliver.detail is not send.detail
-    assert (deliver.instance, deliver.round) == ("m", None)
+    observer.bind_clock(lambda: 2.0)
+    payload = ("m", Counted("x"))
+    assert observer.message("send", 0, payload, mid="0:1") is None
+    (record,) = observer.sink._events
+    assert record == (2.0, "send", 0, payload, "0:1")
+    assert record[3] is payload and payload[1].reprs == 0
 
 
 # -- (d) the uid side table tracks the pending set ---------------------------
@@ -232,9 +268,12 @@ def test_filtered_message_leaves_no_side_table_entry():
     sim.run_to_quiescence()
     assert len(network._mids) == 0
     assert [e.kind for e in observer.events()].count("send") == N - 1
+    # A dropped send takes no sequence number.
+    assert sorted(e.detail["msg"] for e in observer.events()
+                  if e.kind == "send") == [f"0:{i}" for i in range(1, N)]
 
 
-def test_message_sent_before_the_observer_attached_is_classified_at_deliver():
+def test_message_sent_before_the_observer_attached_has_no_id():
     sim, observer, _ = observed_sim(None)
     sim.network.observer = None
     payload = Counted("early")
@@ -247,7 +286,21 @@ def test_message_sent_before_the_observer_attached_is_classified_at_deliver():
     assert payload.reprs == 1
 
 
-# -- (e) the record -----------------------------------------------------------
+# -- (e) the JSONL sink renders in chunks ---------------------------------------
+
+def test_jsonl_chunks_share_a_fan_outs_classification():
+    stream = io.StringIO()
+    observer = Observer(JsonlSink("unused.jsonl", stream=stream))
+    payload = Counted("first")
+    for dest in range(N):
+        observer.message("send", 0, payload, time=0.0, mid=f"0:{dest + 1}")
+    assert stream.getvalue() == "" and payload.reprs == 0
+    assert observer.close()["events"] == N
+    assert payload.reprs == 1
+    rows = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert [row["detail"]["msg"] for row in rows] == [
+        f"0:{i}" for i in range(1, N + 1)]
+
 
 def test_event_is_immutable_keyword_constructible_and_round_trips():
     event = Event(time=1.5, kind="send", node=2, instance="rbc", round=3,

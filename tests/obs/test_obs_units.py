@@ -180,10 +180,22 @@ def test_jsonl_sink_writes_each_event_as_one_whole_line():
     sink = JsonlSink("unused.jsonl", stream=stream)
     sink.emit(Event(time=0.5, kind="send", node=1, detail="m"))
     sink.emit(Event(time=0.75, kind="decide", node=1, detail=1))
+    sink.close()  # the sink renders in chunks; close writes the tail
     assert stream.writes == [
         '{"detail": "m", "kind": "send", "node": 1, "t": 0.5}\n',
         '{"detail": 1, "kind": "decide", "node": 1, "t": 0.75}\n',
     ]
+
+
+def test_jsonl_sink_closes_its_file_when_the_tail_fails_to_render(tmp_path):
+    # Records are rendered at close: a detail JSON cannot encode raises
+    # there, and the file is closed all the same.
+    sink = JsonlSink(tmp_path / "trace.jsonl")
+    sink.emit((0.0, "note", None, None, None, object()))
+    handle = sink._stream
+    with pytest.raises(TypeError):
+        sink.close()
+    assert handle.closed
 
 
 def test_load_events_rejects_garbage(tmp_path):

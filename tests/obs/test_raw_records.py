@@ -1,12 +1,12 @@
 """Record raw, render on read: the sinks' records, EventLog, span buffers.
 
 A run hands its sink plain tuples — a ``send``/``deliver`` is
-``(time, kind, node, instance, round, detail, mid)``, every other event
-its six :class:`~repro.obs.Event` fields — and an ``Event`` is built
-only when someone reads one.  These tests hold the repository to the
-two reasons for that split (the garbage collector stops tracking the
-records, and reading the length renders nothing) and to its contract:
-whatever is read is the stream the sinks always produced.  The span
+``(time, kind, node, payload, mid)``, every other event its six
+:class:`~repro.obs.Event` fields — and an ``Event`` is built only when
+someone reads one.  These tests hold the repository to what that split
+buys (a message record holds nothing the collector must visit but the
+object sent, and reading the length renders nothing) and to its
+contract: whatever is read is the stream the sinks always produced.  The span
 buffers the simulator's step loop fills are held to the histogram one
 ``stop`` per value would give.
 """
@@ -20,11 +20,12 @@ import random
 import pytest
 
 from repro.errors import EventBudgetExceeded
-from repro.obs import Event, EventLog, JsonlSink, Observer, RingSink
+from repro.obs import Event, EventLog, JsonlSink, Observer, RingSink, load_events
 from repro.obs import events as events_module
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profile import SPAN_BUFFER, SpanProfiler
 from repro.scenario import Scenario, assemble, run
+from repro.sim.network import Network
 
 #: The sim-bracha-n7x8 benchmark shape, at one of its seeds.
 BRACHA_N7X8 = dict(
@@ -54,18 +55,33 @@ def count_renders(monkeypatch):
 # -- the garbage collector ----------------------------------------------------
 
 
-def test_message_records_are_untracked_after_one_collection():
+def test_a_message_record_refers_to_the_sent_payload_and_scalars_only(
+        monkeypatch):
+    # The collector visits a retained message record's referents: the
+    # object sent, and nothing made per record — no detail dict, no
+    # classification tuple.
+    sent = {}
+    fan_out = Network._fan_out
+
+    def spy(network, source, dests, payload):
+        sent[id(payload)] = payload
+        fan_out(network, source, dests, payload)
+
+    monkeypatch.setattr(Network, "_fan_out", spy)
     assembled = assemble(Scenario(**BRACHA_N7X8, observe="ring"))
     try:
         assembled.run().result()
-        gc.collect()
         records = [
             record for record in assembled.observer.sink._events
             if record[1] in ("send", "deliver")
         ]
         assert len(records) > 50_000
-        tracked = [record for record in records if gc.is_tracked(record)]
-        assert tracked == []
+        for record in records:
+            (payload,) = [
+                ref for ref in gc.get_referents(record)
+                if ref is not None and type(ref) not in (str, int, float)
+            ]
+            assert payload is record[3] is sent[id(payload)]
     finally:
         assembled.close()
 
@@ -90,9 +106,9 @@ def _observed_records():
     """One of each record shape, through a ring observer."""
     observer = Observer(RingSink())
     observer.bind_clock(lambda: 2.5)
-    classified = observer.message("send", 1, ("bv", "x"), mid="1:1")
-    observer.message("deliver", 2, ("bv", "x"), time=3.0, mid="1:1",
-                     classified=classified)
+    payload = ("bv", "x")
+    observer.message("send", 1, payload, mid="1:1")
+    observer.message("deliver", 2, payload, time=3.0, mid="1:1")
     observer.message("deliver", 2, "bare")
     for mid in ("0:1", "0:2"):
         observer.message("send", 0, ("bv", "y"), time=1.0, mid=mid)
@@ -132,12 +148,34 @@ def test_jsonl_sink_renders_every_record_shape_to_its_to_dict_line():
     for record in observer.sink._events:
         sink.emit(record)
     sink.emit(Event(4.0, "frame", 3, detail={"n": 2}))
+    sink.close()  # writes the tail chunk; the stream is the caller's
     expected = [e.to_dict() for e in observer.events()] + [
         {"t": 4.0, "kind": "frame", "node": 3, "detail": {"n": 2}}
     ]
     assert stream.getvalue() == "".join(
         json.dumps(row, sort_keys=True) + "\n" for row in expected
     )
+
+
+def test_a_sim_run_that_raises_still_writes_its_whole_trace(
+        tmp_path, monkeypatch):
+    # The JSONL sink renders in chunks; the records of a run that dies
+    # between two chunks reach the file all the same.
+    deliver = Network.deliver
+    delivered = []
+
+    def failing(network, rank, time):
+        deliver(network, rank, time)
+        delivered.append(rank)
+        if len(delivered) == 500:
+            raise RuntimeError("stop here")
+
+    monkeypatch.setattr(Network, "deliver", failing)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(RuntimeError, match="stop here"):
+        run(Scenario(**SMALL, observe=f"jsonl:{path}"))
+    kinds = [event.kind for event in load_events(path)]
+    assert kinds.count("deliver") == 500
 
 
 def test_the_to_dict_rows_a_node_ships_are_unchanged():

@@ -2,8 +2,9 @@
 
 Every receiving endpoint owns one :class:`~repro.runtime.binarycodec.BodyMemo`
 and all three decode sites (``TcpTransport._ingest``, the tcp
-self-delivery, ``LocalHub.dispatch``) go through it; a self-delivery the
-encoder vouches for is not decoded and seeds the memo instead.  Four pins:
+self-delivery, ``LocalHub.dispatch``) go through it; a body the encoder
+vouches for seeds its sender's memo as it is packed, and the
+self-delivery of it is not decoded.  Four pins:
 
 * **Differential** — over any *sequence* of bodies (valid encodings,
   truncations, mutations, arbitrary bytes, repeats, non-zero ``start``)
@@ -14,8 +15,8 @@ encoder vouches for is not decoded and seeds the memo instead.  Four pins:
 * **Security** — the MAC check runs per frame, before the memo is
   asked: a body the memo knows buys a forged frame nothing.
 * **Counts** — full decodes per run on the n7x8 shape.  Exact on the
-  ``local`` fabric, whose ``TickClock`` fixes the schedule: 396 (3 362
-  unbatched), generated at commit 8890032.  A ``tcp`` run stops at its
+  ``local`` fabric, whose ``TickClock`` fixes the schedule: 144 (1 302
+  unbatched).  A ``tcp`` run stops at its
   result with frames still unread in socket buffers, so there only what
   the memo guarantees is pinned: no endpoint decodes a body twice, or a
   body it seeded from its own exact encode.
@@ -305,12 +306,13 @@ def _self_sends(payload: Any) -> Tuple[TcpTransport, Any, Any]:
 
 def test_tcp_self_delivery_goes_through_the_endpoints_own_memo():
     # An exact payload is delivered as the object sent, twice, with no
-    # decode; its body is seeded, so a peer's copy of it is a hit.
+    # decode; its body is seeded once, when packed, so a peer's copy of
+    # it is a hit.
     payload = _routed(0)
     transport, first, second = _self_sends(payload)
     memo = transport.memo
     assert first is second is payload
-    assert (memo.misses, memo.hits, memo.seeded) == (0, 0, 2)
+    assert (memo.misses, memo.hits, memo.seeded) == (0, 0, 1)
     transport._ingest(encode_binary_frame(
         KeyRing(2, master_secret=b"memo-self").authenticator(1), 0, payload))
     assert (memo.misses, memo.hits) == (0, 1) and _drain(transport)[0][1] is payload
@@ -355,7 +357,8 @@ def test_local_hub_packs_per_object_and_decodes_at_the_destination(monkeypatch):
     assert [id(obj) for obj in packed] == [id(shared), id(echo)] + [id(t) for t in twins]
     d0, d1, d2, d3 = [[payload for _, payload in _drain(end)] for end in ends]
     # An endpoint's own exact payload is the object it sent, and seeds
-    # its memo: 1's equal body is a hit on 0's own object at 0.
+    # its memo as it is packed: 1's equal body is a hit on 0's own object
+    # at 0, and 2 seeds each of its four equal twins.
     assert d0[0] is d0[1] is shared and d1[1] is echo and d2[2] is twins[2]
     # Everything else is a decode, shared through that endpoint's memo.
     assert d1[0] == shared and d1[0] is not shared and d1[0] is not echo
@@ -365,7 +368,7 @@ def test_local_hub_packs_per_object_and_decodes_at_the_destination(monkeypatch):
     assert d0[2] == d3[2] == twins[0]
     assert all(d[2] is not twin for d in (d0, d1, d3) for twin in twins)
     counts = [(end.memo.misses, end.memo.hits, end.memo.seeded) for end in ends]
-    assert counts == [(1, 1, 1), (2, 0, 1), (1, 1, 1), (2, 1, 0)]
+    assert counts == [(1, 1, 1), (2, 0, 1), (1, 1, 4), (2, 1, 0)]
     firsts = [end.memo.loads(real(shared)[0]) for end in ends]
     assert len({id(obj) for obj in firsts}) == n  # nobody was served by a peer
 
@@ -392,12 +395,12 @@ _N7X8 = dict(protocol="bracha", n=7, instances=8, stop="decided",
 
 @pytest.mark.parametrize("seed", (1001, 1002, 1003))
 @pytest.mark.parametrize("batching, decodes, delivered", [
-    ("flush", 396, 16_744), ("off", 3_362, 17_528),
+    ("flush", 144, 16_744), ("off", 1_302, 17_528),
 ])
 def test_full_decodes_per_run_on_the_local_n7x8_shape(
         full_decodes, batching, decodes, delivered, seed):
     # ``local`` runs under TickClock, so a scenario has one schedule and
-    # these counts are exact (generated at commit 8890032).
+    # these counts are exact.
     result = run(Scenario(**_N7X8, fabric="local", batching=batching, seed=seed))
     assert full_decodes[0] == decodes
     assert result.messages_delivered == delivered
@@ -408,10 +411,9 @@ def test_full_decodes_per_run_on_the_local_n7x8_shape(
 def test_no_endpoint_decodes_a_body_twice_or_one_it_seeded(monkeypatch, fabric):
     """A spy on every seed and every full decode of a flush n7x8 run: an
     endpoint never runs a full decode of bytes it decoded before, nor of
-    bytes it seeded — delivered to itself as the object it packed with
-    an exact verdict.  (A peer's equal body that arrives between the
-    pack and the self-send is still decoded; the order is the
-    network's.)"""
+    bytes it seeded — every body it packed with an exact verdict, seeded
+    at the pack, so a peer's equal body that arrives before the
+    self-send is a hit too."""
     seeded: dict = {}     # memo -> bodies seeded so far
     decoded: set = set()  # (memo, body) per full decode
     real_seed, real_loads = BodyMemo.seed, BodyMemo.loads
@@ -435,10 +437,10 @@ def test_no_endpoint_decodes_a_body_twice_or_one_it_seeded(monkeypatch, fabric):
     result = run(Scenario(**_N7X8, fabric=fabric, batching="flush", seed=1004))
     assert len(seeded) == 7
     assert result.metrics.counter("frames_rejected") == 0
-    if fabric == "local":  # exact counts, generated at commit 8890032
-        assert len(decoded) == 396
-        assert sum(memo.seeded for memo in seeded) == 318
-        assert sum(map(len, seeded.values())) == 318  # each body seeded once
+    if fabric == "local":  # exact counts
+        assert len(decoded) == 144
+        assert sum(memo.seeded for memo in seeded) == 322
+        assert sum(map(len, seeded.values())) == 322  # each body seeded once
         assert result.messages_delivered == 16_744
 
 

@@ -12,10 +12,12 @@ from collections import Counter
 
 import pytest
 
+import repro.obs.events as events_module
 import repro.sim.network as network_module
+from repro.obs import Observer
 from repro.recovery.restart import RestartBehavior
 from repro.scenario import Scenario, run
-from repro.sim.effects import Broadcast, Send
+from repro.sim.effects import Broadcast, CausalStamper, Send
 from repro.sim.events import PendingSet
 from repro.sim.process import Process
 from repro.sim.runner import Simulation
@@ -95,6 +97,34 @@ def test_a_step_pays_no_python_frame_for_its_bookkeeping(monkeypatch):
     result = run(scenario)
     assert calls == {}
     assert (result.steps, result.messages_sent) == (31918, 32130)
+
+
+def test_an_observed_step_pays_one_python_frame_for_its_record(monkeypatch):
+    # The benchmark's sim-observed-n7x8 shape, seed 1001: a send or a
+    # delivery goes into the ring as a raw record through the sink's own
+    # ``emit`` — no observer method, no stamper, no classification — and
+    # the run is the one it was.
+    scenario = Scenario(protocol="bracha", n=7, instances=8,
+                        batching="flush", seed=1001, observe="ring",
+                        profile="on")
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Observer, "message",
+                        counted("message", Observer.message))
+    monkeypatch.setattr(CausalStamper, "stamp",
+                        counted("stamp", CausalStamper.stamp))
+    monkeypatch.setattr(events_module, "classify_payload", counted(
+        "classify_payload", events_module.classify_payload))
+    result = run(scenario)
+    assert calls == {}
+    assert (result.steps, result.messages_sent) == (31918, 32130)
+    assert result.meta["obs"]["events"] == 64209
 
 
 RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}

@@ -10,12 +10,15 @@ Rabin is ``coin="dealer"``; a fault spec reaches a behavior through
 ``dispatch_behavior`` only; ``repro.obs.report`` is the one trace
 reader; ``repro run`` plus a ``Scenario`` is the one spelling of a run,
 parsed by one parser; the binary codec is the one value format, on the
-wire and in the WAL.  A compat shim or alias under an old name would
+wire and in the WAL; an observed message is described once, when its
+record is read, so no classification is handed between fabric and
+observer.  A compat shim or alias under an old name would
 bring the second way back unnoticed, so each must fail to resolve.
 """
 
 import importlib
 import importlib.util
+import inspect
 import json
 
 import pytest
@@ -58,6 +61,17 @@ def test_removed_names_do_not_resolve(module, name):
         owner = getattr(owner, part)
     assert not hasattr(owner, last), f"{module}.{name} resolves again"
     assert last not in getattr(owner, "__all__", ())
+
+
+def test_removed_classification_plumbing_stays_removed():
+    from repro.obs import Observer
+    from repro.params import ProtocolParams
+    from repro.runtime.node import NodeNetwork
+    from repro.sim.runner import Simulation
+
+    assert "classified" not in inspect.signature(Observer.message).parameters
+    assert not hasattr(NodeNetwork(0, ProtocolParams(4, 1)), "own_sends")
+    assert not hasattr(Simulation(seed=1).network, "stamper")
 
 
 @pytest.mark.parametrize("verb", [
