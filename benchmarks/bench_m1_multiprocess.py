@@ -25,7 +25,7 @@ import time
 from conftest import run_once
 
 from repro.analysis.tables import format_table
-from repro.mp.orchestrator import _child_env
+from repro.mp.zygote import _child_env
 from repro.scenario import Scenario, run
 
 

@@ -9,8 +9,10 @@ scenario wall-timed under ``observe: off``, ``observe: ring`` (with
 causal stamping), and ``observe: ring`` + ``profile: on`` — and gates
 the overhead ratios in CI through ``floors.json``.
 
-Medians across trials, not means: the first trial pays interpreter
-warm-up, and CI machines jitter.
+Each trial runs the three variants back to back, after one untimed
+pass; a row is the median over trials, and a ratio is the median of the
+per-trial ratios, so drift in the machine's speed hits both sides of
+it.
 """
 
 import statistics
@@ -22,18 +24,8 @@ from repro.analysis.tables import format_table
 from repro.scenario import Scenario, run
 
 
-def _median_ms(fn, trials):
-    samples = []
-    for _ in range(trials):
-        start = time.perf_counter()
-        result = fn()
-        samples.append((time.perf_counter() - start) * 1000.0)
-        assert result.decided_values == {1}
-    return statistics.median(samples)
-
-
 def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
-    trials = 3 if smoke else 7
+    trials = 11 if smoke else 21
     scenario = Scenario(protocol="bracha", n=4, instances=2, proposals=1,
                         seed=13)
     variants = [
@@ -43,40 +35,46 @@ def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
     ]
 
     def experiment():
-        rows = []
-        for label, overrides in variants:
-            ms = _median_ms(lambda: run(scenario, **overrides), trials)
-            rows.append([label, round(ms, 2)])
-        return rows
+        samples = {label: [] for label, _ in variants}
+        for trial in range(trials + 1):
+            for label, overrides in variants:
+                start = time.perf_counter()
+                result = run(scenario, **overrides)
+                ms = (time.perf_counter() - start) * 1000.0
+                assert result.decided_values == {1}
+                if trial:  # trial 0 warms the interpreter
+                    samples[label].append(ms)
+        off = samples["observe off"]
+        return [
+            [label, round(statistics.median(ms), 2),
+             round(statistics.median(a / b for a, b in zip(ms, off)), 2)]
+            for label, ms in samples.items()
+        ]
 
     rows = run_once(benchmark, experiment)
-    baseline = rows[0][1]
-    for row in rows:
-        row.append(round(row[1] / baseline, 2) if baseline else 0.0)
     table_sink(
         "o1_tracing_overhead",
         format_table(
             ["variant", "median ms", "x baseline"],
             rows,
             title="O1. Tracing/profiling overhead, one fixed-seed sim run "
-                  f"(bracha n=4 x2 instances, {trials} trials, "
+                  f"(bracha n=4 x2 instances, {trials} interleaved trials, "
                   f"{'smoke' if smoke else 'full'} mode)",
         ),
     )
     by_label = {row[0]: row for row in rows}
-    observe_x = by_label["observe ring"][2]
-    profile_x = by_label["ring + profile"][2]
     # The stance is "cheap enough to leave on while debugging", not
     # "free": ratios are gated in floors.json, not asserted here, so a
     # noisy CI box degrades the gate margin instead of flaking the test.
     bench_sink(
         "o1_tracing",
         {
-            "observe_off_ms": baseline,
+            "observe_off_ms": by_label["observe off"][1],
             "observe_ring_ms": by_label["observe ring"][1],
             "profile_on_ms": by_label["ring + profile"][1],
-            "observe_overhead_x": observe_x,
-            "profile_overhead_x": profile_x,
+            "observe_overhead_x": by_label["observe ring"][2],
+            "profile_overhead_x": by_label["ring + profile"][2],
         },
-        meta={"trials": trials, "scenario": "bracha n=4 x2 seed=13"},
+        meta={"trials": trials, "interleaved": True,
+              "scenario": "bracha n=4 x2 seed=13"},
     )

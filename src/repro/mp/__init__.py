@@ -13,13 +13,14 @@ Four pieces (see docs/deployment.md):
   forked, barriers them, SIGKILLs the ones a ``kill`` fault condemns,
   and assembles the same verified :class:`~repro.types.RunResult` the
   other fabrics return;
-* :mod:`repro.mp.zygote` — the fork server (``python -m
-  repro.mp.zygote``) the first mp run of an interpreter execs and every
-  later one reuses: imports the node code once, forks one node per
-  request, reaps them all at each run's end.  Run with ``-m`` only;
-  nothing imports it, this package included.
+* :mod:`repro.mp.zygote` — the fork server, both ends of its pipe: the
+  server (``python -m repro.mp.zygote``) imports the node code once and
+  forks one node per request; the client end, which the orchestrator
+  imports, execs it on an interpreter's first mp run, keeps it idle
+  between runs and has it reap every run's nodes at the run's end.
 """
 
+from .._lazy import lazy_exports
 from .bundle import (
     BundleKeyRing,
     NodeBundle,
@@ -30,7 +31,11 @@ from .bundle import (
     load_manifest,
     scenario_hash,
 )
-from .orchestrator import MpOrchestrator, run_mp_sync
+
+# Loaded on first use, so ``python -m repro.mp.zygote`` runs once.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".orchestrator": ("MpOrchestrator", "run_mp_sync"),
+})
 
 __all__ = [
     "BundleKeyRing",

@@ -27,8 +27,7 @@ orchestrator → node
     ``stop``     report your result and exit
     ``ping``     liveness probe; answer with ``pong`` carrying ``seq``
 
-The same framing carries the orchestrator ↔ zygote pipe
-(:mod:`repro.mp.zygote` documents that vocabulary).
+The fork server's pipe uses the same framing (:mod:`repro.mp.zygote`).
 
 The control channel is part of the *harness*, not the protocol: a real
 Byzantine node could lie on it, which is why the orchestrator's

@@ -3,11 +3,10 @@
 The orchestrator is the multi-process analogue of
 :class:`~repro.runtime.cluster.Cluster`: it deals trusted-setup bundles
 into a scratch directory (:mod:`repro.mp.bundle`), has the
-interpreter's fork server (:mod:`repro.mp.zygote`: import once, fork n;
-exec'd by the first mp run and reused by the later ones) fork one node
-process per pid, holds them at a start barrier on the
-control channel (:mod:`repro.mp.control`), waits for every correct
-node's stop condition, then hands each node's ``result`` message (a
+interpreter's fork server (:mod:`repro.mp.zygote`) fork one node
+process per pid, holds them at a start barrier on the control channel
+(:mod:`repro.mp.control`), supervises them until every correct node's
+stop condition holds, then hands each node's ``result`` message (a
 :class:`~repro.outcome.NodeReport`) to the
 :func:`~repro.outcome.build_result` every fabric shares.  The builder
 is told the correct set, so a Byzantine node's report only adds
@@ -28,12 +27,9 @@ so no port is ever reserved for someone else.
 from __future__ import annotations
 
 import asyncio
-import atexit
 import math
 import os
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -49,7 +45,8 @@ from ..scenario.spec import Scenario
 from ..stacks import ProtocolPlan
 from ..types import ProcessId, RunResult
 from .bundle import deal
-from .control import MAX_CONTROL_LINE, encode_msg, read_msg, send_msg
+from .control import MAX_CONTROL_LINE, read_msg, send_msg
+from .zygote import Lease, NodeProc, last_lines
 
 #: How long the orchestrator waits for every node to bind and say hello.
 BOOT_TIMEOUT = 30.0
@@ -71,194 +68,6 @@ PING_RETRIES = 3
 #: Cap on the doubling wait between respawns of a restart node that
 #: keeps dying.
 RESPAWN_MAX_DELAY = 10.0
-
-#: How long teardown waits for the fork server's ``reaped``, and a
-#: dismissed server for its exit, before it is killed.
-REAP_TIMEOUT = 5.0
-
-
-def _last_lines(stderr: bytes) -> str:
-    """The last three lines of a captured stderr, joined for one message."""
-    return " | ".join(
-        stderr.decode("utf-8", "replace").strip().splitlines()[-3:])
-
-
-def _child_env() -> Dict[str, str]:
-    """The zygote's environment, with this repro package importable."""
-    import repro
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        pkg_root + os.pathsep + existing if existing else pkg_root
-    )
-    return env
-
-
-def _server_key() -> Tuple[Any, ...]:
-    """What a fork server inherits at exec, and so passes to every node
-    it forks: an idle one serves only runs that would exec its twin."""
-    return os.getpid(), sys.executable, os.getcwd(), _child_env()
-
-
-class _ForkServer:
-    """``python -m repro.mp.zygote``, exec'd by the first mp run of an
-    interpreter and checked out by each later one from :data:`_idle`.
-
-    A plain ``subprocess.Popen``, because each run has its own event
-    loop: a run attaches a reader to the server's stdout for its own
-    duration only.  Its stderr is an unlinked temporary file the server
-    holds, so a death's tail outlives the run that exec'd it.
-    """
-
-    def __init__(self) -> None:
-        self.key = _server_key()
-        self.ready = False
-        self.errfile = tempfile.TemporaryFile()
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.mp.zygote"], bufsize=0,
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=self.errfile, env=self.key[3],
-            )
-        except OSError:
-            self.errfile.close()
-            raise
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-
-    def usable(self) -> bool:
-        return self.proc.poll() is None and self.key == _server_key()
-
-    def send(self, message: Dict[str, Any]) -> None:
-        """One request line; ``OSError`` once the server is gone."""
-        self.proc.stdin.write(encode_msg(message))
-
-    def attach(self) -> asyncio.StreamReader:
-        """The server's stdout as a stream on the running loop, until
-        :meth:`detach`."""
-        loop = self._loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(limit=MAX_CONTROL_LINE)
-        fd = self.proc.stdout.fileno()
-
-        def pump() -> None:
-            data = os.read(fd, 1 << 16)
-            if data:
-                reader.feed_data(data)
-            else:
-                loop.remove_reader(fd)
-                reader.feed_eof()
-
-        loop.add_reader(fd, pump)
-        return reader
-
-    def detach(self) -> None:
-        if self._loop is not None:
-            self._loop.remove_reader(self.proc.stdout.fileno())
-            self._loop = None
-
-    async def death(self) -> str:
-        """The named error for a server whose stdout hit EOF or that
-        talks nonsense, with its return code and stderr tail.  EOF
-        nearly always means it is exiting; one still running a second
-        later is wedged, and is killed."""
-        deadline = time.monotonic() + 1.0
-        while self.proc.poll() is None and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        if self.proc.returncode is None:
-            self.proc.kill()
-            self.proc.wait()
-        # ``pread``: the server shares the file's offset.
-        fd = self.errfile.fileno()
-        size = os.fstat(fd).st_size
-        tail = _last_lines(os.pread(fd, 4096, max(0, size - 4096)))
-        return (f"mp zygote died (rc={self.proc.returncode}): "
-                f"{tail or 'no stderr captured'}")
-
-    def dismiss(self) -> None:
-        """Close stdin — the server kills and reaps any child and exits
-        — wait up to :data:`REAP_TIMEOUT`, then kill; close the pipes."""
-        self.proc.stdin.close()
-        try:
-            self.proc.wait(REAP_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        self.close()
-
-    def close(self) -> None:
-        """Let go of this process's ends of the pipes and the file."""
-        for handle in (self.proc.stdin, self.proc.stdout, self.errfile):
-            handle.close()
-
-
-#: The idle fork server between runs: a run pops it and pushes it back
-#: once its teardown reaped every node it forked.  Runs are sequential
-#: (each is one ``asyncio.run``), so it holds at most one.
-_idle: List[_ForkServer] = []
-
-
-def _checkout() -> _ForkServer:
-    """The idle fork server if it can serve this run, else a fresh one."""
-    while _idle:
-        server = _idle.pop()
-        if server.usable():
-            return server
-        server.dismiss()
-    return _ForkServer()
-
-
-@atexit.register
-def _dismiss_idle() -> None:
-    while _idle:
-        _idle.pop().dismiss()
-
-
-def _forget_idle() -> None:
-    """In a child forked from this process: the server is the parent's,
-    and a child holding its stdin open would hide the parent's death."""
-    while _idle:
-        _idle.pop().close()
-
-
-os.register_at_fork(after_in_child=_forget_idle)
-
-
-class _NodeProc:
-    """One forked node, with the ``asyncio.subprocess.Process`` surface
-    the orchestrator uses.  The zygote is the parent that reaps it, so
-    the exit status arrives as a message; signals go straight to the
-    pid, so a ``kill`` is a real SIGKILL from outside."""
-
-    def __init__(self, os_pid: int, stderr_path: str):
-        self.os_pid = os_pid
-        self.stderr_path = stderr_path
-        self.returncode: Optional[int] = None
-        self._exited = asyncio.Event()
-
-    def exited(self, rc: int) -> None:
-        self.returncode = rc
-        self._exited.set()
-
-    def kill(self) -> None:
-        if self.returncode is None:
-            try:
-                os.kill(self.os_pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # reaped; its ``exit`` is on the way
-
-    async def wait(self) -> int:
-        await self._exited.wait()
-        return self.returncode
-
-    async def communicate(self) -> Tuple[bytes, bytes]:
-        """(stdout, stderr) once the node is gone; stdout is /dev/null."""
-        await self.wait()
-        try:
-            with open(self.stderr_path, "rb") as handle:
-                return b"", handle.read()
-        except OSError:
-            return b"", b""
 
 
 async def _await_until(awaitable: Any, deadline: float) -> None:
@@ -308,7 +117,7 @@ class MpOrchestrator:
         self.faulty = set(scenario.faults_dict()) - set(self.restarts)
         self.correct: Set[ProcessId] = set(range(scenario.n)) - self.faulty
 
-        self.procs: Dict[ProcessId, _NodeProc] = {}
+        self.procs: Dict[ProcessId, NodeProc] = {}
         self.writers: Dict[ProcessId, asyncio.StreamWriter] = {}
         #: Every control connection accepted, hello or not; teardown
         #: closes them all.
@@ -327,13 +136,7 @@ class MpOrchestrator:
         self.recovered: Dict[ProcessId, Dict[str, Any]] = {}
         self._pongs: Dict[ProcessId, int] = {}
         self._spawn_argv: Dict[ProcessId, List[str]] = {}
-        self._zygote: Optional[_ForkServer] = None
-        self._zygote_out: Optional[asyncio.StreamReader] = None
-        self._zygote_reader: Optional[asyncio.Task] = None
-        self._reaped = False
-        self._forked: Dict[int, _NodeProc] = {}  # by os pid
-        self._forking: Dict[ProcessId, asyncio.Future] = {}
-        self._zygote_error: Optional[str] = None
+        self._zygote = Lease()
         self._wake = asyncio.Event()
         self._hello = asyncio.Event()
         self._stopping = False
@@ -358,15 +161,12 @@ class MpOrchestrator:
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         try:
-            message = await read_msg(reader)
+            message = await read_msg(reader) or {}
         except ReproError:
-            writer.close()
-            return
-        if message is None or message.get("type") != "hello":
-            writer.close()
-            return
+            message = {}
         pid, port = message.get("node"), message.get("port")
-        if not (isinstance(pid, int) and 0 <= pid < self.scenario.n
+        if not (message.get("type") == "hello"
+                and isinstance(pid, int) and 0 <= pid < self.scenario.n
                 and isinstance(port, int) and 0 < port < 65536):
             writer.close()
             return
@@ -428,7 +228,8 @@ class MpOrchestrator:
         bundle_dir = tempfile.mkdtemp(prefix="repro-mp-")
         self._scratch_dir = bundle_dir
         try:
-            await self._start_zygote()
+            await self._zygote.start(BOOT_TIMEOUT)
+            self._zygote.reader.add_done_callback(lambda _: self._wake.set())
             manifest_path, bundle_paths = deal(scenario, bundle_dir)
 
             self._server = await asyncio.start_server(
@@ -449,18 +250,18 @@ class MpOrchestrator:
                     extra = ["--wal",
                              os.path.join(self.wal_dir, wal_filename(pid))]
                 spawns.append(self._spawn(pid, extra))
-            # Every spawn line is out before any ``spawned`` is awaited:
-            # one zygote round trip per run, not one per node.
+            # Every request is out before any handle is awaited: one
+            # zygote round trip per run, not one per node.
             self.procs = dict(enumerate(await asyncio.gather(*spawns)))
 
             hello = asyncio.ensure_future(self._hello.wait())
             self._tasks.append(hello)
             await asyncio.wait(
-                {hello, self._zygote_reader}, timeout=BOOT_TIMEOUT,
+                {hello, self._zygote.reader}, timeout=BOOT_TIMEOUT,
                 return_when=asyncio.FIRST_COMPLETED,
             )
-            if self._zygote_error is not None:
-                raise ReproError(self._zygote_error)
+            if self._zygote.error is not None:
+                raise ReproError(self._zygote.error)
             if not self._hello.is_set():
                 missing = sorted(set(range(scenario.n)) - set(self.writers))
                 raise ReproError(
@@ -488,80 +289,14 @@ class MpOrchestrator:
             else:
                 shutil.rmtree(bundle_dir, ignore_errors=True)
 
-    # -- the fork server ------------------------------------------------------
-
-    async def _start_zygote(self) -> None:
-        """Check the fork server out (exec'ing one if none can be
-        reused), wait out a fresh one's import, and start reading it."""
-        self._zygote = _checkout()
-        self._zygote_out = self._zygote.attach()
-        if not self._zygote.ready:
-            try:
-                message = await asyncio.wait_for(
-                    read_msg(self._zygote_out), BOOT_TIMEOUT)
-            except asyncio.TimeoutError:
-                message = None
-            if message is None or message.get("type") != "ready":
-                raise ReproError(await self._zygote.death())
-            self._zygote.ready = True
-        self._zygote_reader = asyncio.ensure_future(self._read_zygote())
-        self._tasks.append(self._zygote_reader)
-
-    async def _read_zygote(self) -> None:
-        """File the zygote's ``spawned`` / ``exit`` lines under their
-        handles, until the ``reaped`` that ends the run.  An EOF before
-        it is a death — and takes every live node with it."""
-        while True:
-            message = await read_msg(self._zygote_out)
-            if message is None:
-                break
-            if message["type"] == "spawned":
-                pid, os_pid = message["node"], message["os_pid"]
-                proc = _NodeProc(os_pid, self._stderr_path(pid))
-                self._forked[os_pid] = proc
-                spawned = self._forking.pop(pid)
-                if not spawned.done():  # not abandoned by a failing run
-                    spawned.set_result(proc)
-            elif message["type"] == "exit":
-                # The zygote never sends this before the ``spawned``
-                # above, so the handle is always there to take it.
-                self._forked[message["os_pid"]].exited(message["rc"])
-            elif message["type"] == "reaped":
-                self._reaped = True
-                return
-        # Named before any handle reports its exit, so the run fails as
-        # a zygote death and not as the first node it took along.
-        self._zygote_error = await self._zygote.death()
-        for spawned in self._forking.values():
-            spawned.set_exception(ReproError(self._zygote_error))
-        self._forking.clear()
-        for proc in self._forked.values():
-            if proc.returncode is None:
-                proc.kill()  # orphaned if the zygote was itself killed
-                proc.exited(-signal.SIGKILL)
-        self._wake.set()
-
-    def _stderr_path(self, pid: ProcessId) -> str:
-        """One stderr file per incarnation: ``node-<pid>-<attempt>``."""
-        attempt = self.restart_attempts.get(pid, 0)
-        return os.path.join(self._scratch_dir, f"node-{pid}-{attempt}.stderr")
-
     def _spawn(self, pid: ProcessId,
-               extra: Optional[List[str]] = None) -> "asyncio.Future[_NodeProc]":
-        """Have the zygote fork node ``pid`` running ``repro node`` with
-        these arguments; the future of its handle, set once ``spawned``
-        is in."""
-        spawned = asyncio.get_running_loop().create_future()
-        self._forking[pid] = spawned
-        try:
-            self._zygote.send({
-                "type": "spawn", "node": pid,
-                "argv": self._spawn_argv[pid] + (extra or []),
-                "stderr": self._stderr_path(pid),
-            })
-        except OSError:
-            pass  # the reader's EOF fails ``spawned`` with the named error
-        return spawned
+               extra: Optional[List[str]] = None) -> "asyncio.Future[NodeProc]":
+        """The future handle of node ``pid``, forked by the zygote, with
+        one stderr file per incarnation: ``node-<pid>-<attempt>``."""
+        attempt = self.restart_attempts.get(pid, 0)
+        stderr = os.path.join(self._scratch_dir, f"node-{pid}-{attempt}.stderr")
+        return self._zygote.spawn(pid, self._spawn_argv[pid] + (extra or []),
+                                  stderr)
 
     async def _send(self, pid: ProcessId, message: Dict[str, Any]) -> bool:
         """One control line to node ``pid``; False if its channel is gone."""
@@ -644,7 +379,7 @@ class MpOrchestrator:
                 sent, wake = 0, now + PING_INTERVAL  # its exit is coming
 
     async def _respawn(self, pid: ProcessId, spec: Dict[str, Any],
-                       proc: _NodeProc) -> Optional[_NodeProc]:
+                       proc: NodeProc) -> Optional[NodeProc]:
         """SIGKILL restart node ``pid`` and fork it again from its WAL.
 
         The first respawn comes ``down`` seconds after the kill, each
@@ -701,8 +436,8 @@ class MpOrchestrator:
     def _raise_on_casualties(self) -> None:
         """A *correct* node dying or hanging is a harness failure, never
         a result."""
-        if self._zygote_error is not None:
-            raise ReproError(self._zygote_error)
+        if self._zygote.error is not None:
+            raise ReproError(self._zygote.error)
         for pid in sorted(self.casualties):
             if pid in self.correct:
                 raise ReproError(self.casualties[pid])
@@ -718,8 +453,8 @@ class MpOrchestrator:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + RESULT_TIMEOUT
         while not asked <= set(self.results) and loop.time() < deadline:
-            if self._zygote_error is not None:  # the askees died with it
-                raise ReproError(self._zygote_error)
+            if self._zygote.error is not None:  # the askees died with it
+                raise ReproError(self._zygote.error)
             self._wake.clear()
             await _await_until(self._wake.wait(), deadline)
 
@@ -729,41 +464,18 @@ class MpOrchestrator:
             proc = self.procs.get(pid)
             if proc is None:
                 continue
-            if proc.returncode is None:
-                proc.kill()
+            proc.kill()
             try:
                 _out, err = await asyncio.wait_for(proc.communicate(), 5.0)
             except asyncio.TimeoutError:
-                continue
+                err = b""
             if err:
-                parts.append(f"node {pid}: " + _last_lines(err))
+                parts.append(f"node {pid}: " + last_lines(err))
         return "; ".join(parts) or "no stderr captured"
-
-    async def _reap(self) -> bool:
-        """Have the zygote SIGKILL and reap every node it forked for
-        this run (a respawn in flight included); True once its
-        ``reaped`` is in, which leaves it fit for the next run."""
-        reader = self._zygote_reader
-        if reader is None or reader.done():
-            return False  # never ready, or dead
-        try:
-            self._zygote.send({"type": "reap"})
-        except OSError:
-            return False
-        await asyncio.wait({reader}, timeout=REAP_TIMEOUT)
-        return self._reaped
 
     async def _teardown(self) -> None:
         self._stopping = True
-        for proc in self.procs.values():
-            proc.kill()
-        if self._zygote is not None:
-            reaped = await self._reap()
-            self._zygote.detach()
-            if reaped:
-                _idle.append(self._zygote)
-            else:
-                self._zygote.dismiss()
+        await self._zygote.release()
         for writer in self._control:
             writer.close()
         if self._server is not None:

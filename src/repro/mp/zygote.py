@@ -1,13 +1,15 @@
-"""The mp fabric's fork server: import once, fork n.
+"""The mp fabric's fork server, both ends of its pipe: import once, fork n.
 
-``python -m repro.mp.zygote`` is exec'd by the first mp run of an
-interpreter and serves every later one (:mod:`repro.mp.orchestrator`
-keeps it idle between runs).  It imports :mod:`repro.cli`,
-:mod:`repro.mp.noderunner` and every protocol stack and fault behavior
-a node may build, builds the CLI's parser, runs the node path once
-(:func:`warm`: ~0.3 s, once per interpreter), freezes the heap, and
-then turns each ``spawn`` line on stdin into a forked child that runs
-``repro node`` — ``cli.main(["node", *argv])``.
+``python -m repro.mp.zygote`` is the server.  It imports
+:mod:`repro.cli`, :mod:`repro.mp.noderunner` and every protocol stack
+and fault behavior a node may build, builds the CLI's parser, runs the
+node path once (:func:`warm`: ~0.3 s, once per interpreter), freezes
+the heap, and then turns each ``spawn`` line on stdin into a forked
+child that runs ``repro node`` — ``cli.main(["node", *argv])``.
+
+The client end is :class:`Lease`, one run's hold on the interpreter's
+one server; :mod:`repro.mp.orchestrator` uses nothing else, so this
+module alone speaks the pipe.
 
 The warm-up run is one Bracha decision among four nodes over in-process
 ``tcp``: the node, transport, codec, MAC and engine code a forked node
@@ -19,7 +21,7 @@ a child inherits the warm copies.  Bracha because every mp scenario in
 tree runs it (the catalog's ``mp-*`` entries, the m1/m2 benches and the
 e2e workload); ``tcp`` because a ``sim`` or ``local`` run leaves the
 socket path cold (both were measured and paid less; see
-docs/performance.md).  It keeps four rules:
+docs/performance.md).  The warm-up keeps four rules:
 
 * nothing live crosses the fork: when :func:`warm` returns, its event
   loop is closed and its sockets and transports are gone; it starts no
@@ -27,22 +29,18 @@ docs/performance.md).  It keeps four rules:
   and writes no file (no WAL, no trace);
 * nothing reaches stdout before ``ready``: stdout is the control pipe;
 * a failed warm-up fails the boot by name: the server exits before
-  ``ready`` and the orchestrator reports ``mp zygote died (rc=…)`` with
-  the stderr tail (bounded by its boot timeout, never a hang);
+  ``ready`` and the run fails as ``mp zygote died (rc=…)`` with the
+  stderr tail (bounded by its boot timeout, never a hang);
 * its shape comes from the traffic in tree, not from a benchmark.
-
-The cost moves rather than vanishes: a one-shot ``repro run`` of an mp
-scenario pays the warm-up once (~40 ms) and gets it back only over
-several runs of one interpreter.
 
 The vocabulary, in the newline-JSON framing of :mod:`repro.mp.control`:
 
-orchestrator → zygote (stdin)
+client → server (stdin)
     ``spawn``    ``{node, argv, stderr}``: fork one node whose fd 2 is
                  the file ``stderr``
     ``reap``     SIGKILL and reap every live child: the end of a run
 
-zygote → orchestrator (stdout)
+server → client (stdout)
     ``ready``    the import and the warm-up are done; spawns are now
                  cheap
     ``spawned``  ``{node, os_pid}``: the child exists
@@ -57,26 +55,37 @@ zygote → orchestrator (stdout)
 The server is single-threaded and runs no asyncio loop once the
 warm-up's is closed, so ``os.fork`` is safe; it never opens a bundle,
 so each child still reads only its own setup material.  Children are
-killed at every run's end (``reap``) and on EOF on stdin — the
-orchestrator's interpreter dismissed the server or died — after which
-the server exits 0: no node outlives the run that forked it.  POSIX
-only.
-
-Only its tests import this module; it is run with ``-m``.
+killed at every run's end (``reap``) and on EOF on stdin — the client
+dismissed the server or died — after which the server exits 0: no node
+outlives the run that forked it.  POSIX only.
 """
 
 from __future__ import annotations
 
+import asyncio
+import atexit
+import contextlib
 import gc
 import json
 import os
 import select
 import signal
+import subprocess
 import sys
+import tempfile
+import time
 import traceback
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .control import encode_msg
+from ..errors import ReproError
+from .control import MAX_CONTROL_LINE, encode_msg, read_msg
+
+#: How long release waits for the server's ``reaped``, and a dismissed
+#: server for its exit, before it is killed.
+REAP_TIMEOUT = 5.0
+
+
+# -- the server ---------------------------------------------------------------
 
 
 def _send(message: Dict[str, Any]) -> None:
@@ -190,7 +199,7 @@ def main() -> int:
             if 0 in readable:
                 chunk = os.read(0, 1 << 16)
                 if not chunk:
-                    break  # dismissed, or the orchestrator is gone
+                    break  # dismissed, or the client is gone
                 *lines, pending = (pending + chunk).split(b"\n")
                 for line in lines:
                     request = json.loads(line)
@@ -210,6 +219,279 @@ def main() -> int:
         # run that forked them.
         _kill_and_reap(children)
     return 0
+
+
+# -- the client ---------------------------------------------------------------
+
+
+def last_lines(stderr: bytes) -> str:
+    """The last three lines of a captured stderr, joined for one message."""
+    return " | ".join(
+        stderr.decode("utf-8", "replace").strip().splitlines()[-3:])
+
+
+def _child_env() -> Dict[str, str]:
+    """The server's environment, with this repro package importable."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": root + os.pathsep + path if path else root}
+
+
+def _server_key() -> Tuple[Any, ...]:
+    """What a server inherits at exec, and so passes to every node it
+    forks: an idle one serves only runs that would exec its twin."""
+    return os.getpid(), sys.executable, os.getcwd(), _child_env()
+
+
+class Server:
+    """The exec'd server process, as its client holds it.
+
+    A plain ``subprocess.Popen``, because each run has its own event
+    loop and reads the server's stdout through a :class:`Lease` for its
+    own duration only.  Its stderr is an unlinked temporary file the
+    server holds, so a death's tail outlives the run that exec'd it.
+    """
+
+    def __init__(self) -> None:
+        self.key = _server_key()
+        self.errfile = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.mp.zygote"], bufsize=0,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=self.errfile, env=self.key[3],
+            )
+        except OSError:
+            self.errfile.close()
+            raise
+
+    def send(self, message: Dict[str, Any]) -> None:
+        """One request line; ``OSError`` once the server is gone."""
+        self.proc.stdin.write(encode_msg(message))
+
+    async def death(self) -> str:
+        """The named error for a server whose stdout hit EOF or that
+        talks nonsense, with its return code and stderr tail.  EOF
+        nearly always means it is exiting; one still running a second
+        later is wedged, and is killed."""
+        deadline = time.monotonic() + 1.0
+        while self.proc.poll() is None and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+        # ``pread``: the server shares the file's offset.
+        fd = self.errfile.fileno()
+        size = os.fstat(fd).st_size
+        tail = last_lines(os.pread(fd, 4096, max(0, size - 4096)))
+        return (f"mp zygote died (rc={self.proc.returncode}): "
+                f"{tail or 'no stderr captured'}")
+
+    def dismiss(self) -> None:
+        """Close stdin — the server kills and reaps any child and exits
+        — wait up to :data:`REAP_TIMEOUT`, then kill; close the pipes."""
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(REAP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.close()
+
+    def close(self) -> None:
+        """Let go of this process's ends of the pipes and the file."""
+        for handle in (self.proc.stdin, self.proc.stdout, self.errfile):
+            handle.close()
+
+
+#: The idle server between runs, always past its ``ready``: a lease
+#: takes it at :meth:`Lease.start` and puts it back at
+#: :meth:`Lease.release` once every node it forked is reaped.  Runs are
+#: sequential (each is one ``asyncio.run``).
+_idle: Optional[Server] = None
+
+
+@atexit.register
+def _dismiss_idle() -> None:
+    global _idle
+    server, _idle = _idle, None
+    if server is not None:
+        server.dismiss()
+
+
+def _forget_idle() -> None:
+    """In a child forked from this process: the server is the parent's,
+    and a child holding its stdin open would hide the parent's death."""
+    global _idle
+    server, _idle = _idle, None
+    if server is not None:
+        server.close()
+
+
+os.register_at_fork(after_in_child=_forget_idle)
+
+
+class NodeProc:
+    """One forked node, with the ``asyncio.subprocess.Process`` surface
+    the orchestrator uses.  The server is the parent that reaps it, so
+    the exit status arrives as a message; signals go straight to the
+    pid, so a ``kill`` is a real SIGKILL from outside."""
+
+    def __init__(self, os_pid: int, stderr_path: str):
+        self.os_pid = os_pid
+        self.stderr_path = stderr_path
+        self.returncode: Optional[int] = None
+        self._exited = asyncio.Event()
+
+    def exited(self, rc: int) -> None:
+        self.returncode = rc
+        self._exited.set()
+
+    def kill(self) -> None:
+        if self.returncode is None:
+            try:
+                os.kill(self.os_pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # reaped; its ``exit`` is on the way
+
+    async def wait(self) -> int:
+        await self._exited.wait()
+        return self.returncode
+
+    async def communicate(self) -> Tuple[bytes, bytes]:
+        """(stdout, stderr) once the node is gone; stdout is /dev/null."""
+        await self.wait()
+        try:
+            with open(self.stderr_path, "rb") as handle:
+                return b"", handle.read()
+        except OSError:
+            return b"", b""
+
+
+class Lease:
+    """One run's hold on the interpreter's server, on the run's loop.
+
+    :meth:`start` takes the idle server from the slot, or execs one and
+    waits for its ``ready``; :meth:`spawn` forks a node; :meth:`release`
+    reaps the run's nodes, then puts the server back or dismisses it.
+    ``nodes`` holds every node forked for the run (by os pid, each
+    incarnation of a respawned node included); ``reader`` reads the
+    server's stdout and ends at the run's ``reaped`` or at the server's
+    death, which ``error`` then names.
+    """
+
+    def __init__(self) -> None:
+        self.server: Optional[Server] = None
+        self.nodes: Dict[int, NodeProc] = {}
+        self.error: Optional[str] = None
+        self.out: Optional[asyncio.StreamReader] = None
+        self.reader: Optional[asyncio.Task] = None
+        self._forking: Dict[int, Tuple[asyncio.Future, str]] = {}
+        self._reaped = False
+
+    async def start(self, timeout: float) -> None:
+        """Take the idle server if it can serve this run, else exec a
+        fresh one and wait up to ``timeout`` for its ``ready``; then read
+        its stdout until the run ends."""
+        global _idle
+        idle, _idle = _idle, None
+        if idle is not None and (idle.proc.poll() is not None
+                                 or idle.key != _server_key()):
+            idle.dismiss()
+            idle = None
+        self.server = idle or Server()
+        loop = asyncio.get_running_loop()
+        self.out = out = asyncio.StreamReader(limit=MAX_CONTROL_LINE)
+        fd = self.server.proc.stdout.fileno()
+
+        def pump() -> None:  # the server's stdout, as a stream on this loop
+            data = os.read(fd, 1 << 16)
+            if data:
+                out.feed_data(data)
+            else:
+                loop.remove_reader(fd)
+                out.feed_eof()
+
+        loop.add_reader(fd, pump)
+        if idle is None:
+            try:
+                message = await asyncio.wait_for(read_msg(out), timeout)
+            except asyncio.TimeoutError:
+                message = None
+            if message is None or message.get("type") != "ready":
+                raise ReproError(await self.server.death())
+        self.reader = asyncio.ensure_future(self._read())
+
+    async def _read(self) -> None:
+        """File the ``spawned`` / ``exit`` lines under their handles,
+        until the ``reaped`` that ends the run.  An EOF before it is a
+        death — and takes every live node with it."""
+        while True:
+            message = await read_msg(self.out)
+            if message is None:
+                break
+            if message["type"] == "spawned":
+                spawned, stderr = self._forking.pop(message["node"])
+                node = self.nodes[message["os_pid"]] = NodeProc(
+                    message["os_pid"], stderr)
+                if not spawned.done():  # not abandoned by a failing run
+                    spawned.set_result(node)
+            elif message["type"] == "exit":
+                # The server never sends this before the ``spawned``
+                # above, so the handle is always there to take it.
+                self.nodes[message["os_pid"]].exited(message["rc"])
+            elif message["type"] == "reaped":
+                self._reaped = True
+                return
+        # Named before any handle reports its exit, so the run fails as
+        # a server death and not as the first node it took along.
+        self.error = await self.server.death()
+        for spawned, _stderr in self._forking.values():
+            spawned.set_exception(ReproError(self.error))
+        self._forking.clear()
+        for node in self.nodes.values():
+            if node.returncode is None:
+                node.kill()  # orphaned if the server was itself killed
+                node.exited(-signal.SIGKILL)
+
+    def spawn(self, pid: int, argv: List[str],
+              stderr: str) -> "asyncio.Future[NodeProc]":
+        """Have the server fork node ``pid`` running ``repro node
+        *argv`` with its fd 2 on the file ``stderr``; the future of its
+        handle, set once ``spawned`` is in."""
+        spawned = asyncio.get_running_loop().create_future()
+        self._forking[pid] = (spawned, stderr)
+        try:
+            self.server.send({"type": "spawn", "node": pid, "argv": argv,
+                              "stderr": stderr})
+        except OSError:
+            pass  # the reader's EOF fails ``spawned`` with the named error
+        return spawned
+
+    async def release(self) -> None:
+        """End the run: SIGKILL its nodes and have the server reap them
+        all (a respawn in flight included); a server whose ``reaped``
+        came back goes to the idle slot, any other is dismissed."""
+        global _idle
+        server, reader = self.server, self.reader
+        if server is None:
+            return  # the exec failed
+        for node in self.nodes.values():
+            node.kill()
+        if reader is not None:
+            if not reader.done():  # ready, and alive
+                with contextlib.suppress(OSError):  # else gone: not reaped
+                    server.send({"type": "reap"})
+                    await asyncio.wait({reader}, timeout=REAP_TIMEOUT)
+                reader.cancel()
+            await asyncio.gather(reader, return_exceptions=True)
+        asyncio.get_running_loop().remove_reader(server.proc.stdout.fileno())
+        if self._reaped:
+            _idle = server
+        else:
+            server.dismiss()
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..types import ProcessId
@@ -79,22 +80,42 @@ class _Pending:
 
 
 class _SeenWindow:
-    """Duplicate filter for one inbound link: contiguous floor + stragglers."""
+    """Duplicate filter for one inbound link: the seqs seen so far as
+    merged half-open runs, flattened into one sorted list of bounds
+    (``[start0, end0, start1, end1, ...]``, no two runs touching).
+    Memory is one run per gap, not one entry per frame: a peer's restart
+    jumps its seqs by :data:`SEQ_EPOCH_SPAN`, and a window opened
+    mid-stream (this node restarted) never hears the seqs below the
+    first one it sees; each leaves one gap for the rest of the run.
+    """
 
-    __slots__ = ("floor", "above")
+    __slots__ = ("bounds",)
 
     def __init__(self) -> None:
-        self.floor = 0  # every seq < floor has been delivered
-        self.above: Set[int] = set()
+        self.bounds: List[int] = []
+
+    @property
+    def floor(self) -> int:
+        """Every seq below it has been seen."""
+        bounds = self.bounds
+        return bounds[1] if bounds and bounds[0] == 0 else 0
 
     def add(self, seq: int) -> bool:
         """Record ``seq``; return True when it is new."""
-        if seq < self.floor or seq in self.above:
-            return False
-        self.above.add(seq)
-        while self.floor in self.above:
-            self.above.remove(self.floor)
-            self.floor += 1
+        bounds = self.bounds
+        i = bisect_right(bounds, seq)
+        if i & 1:
+            return False  # inside the run [bounds[i - 1], bounds[i])
+        joins_next = i < len(bounds) and bounds[i] == seq + 1
+        if i and bounds[i - 1] == seq:  # extends the run ending at seq
+            if joins_next:
+                del bounds[i - 1:i + 1]
+            else:
+                bounds[i - 1] = seq + 1
+        elif joins_next:
+            bounds[i] = seq
+        else:
+            bounds[i:i] = (seq, seq + 1)
         return True
 
 

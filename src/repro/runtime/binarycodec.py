@@ -124,30 +124,27 @@ _tables_key: Tuple[int, int] = (-1, -1)
 _pack_table: _PackTable = {}
 _msg_types: _MsgTypes = []
 _enum_members: _EnumMembers = []
-#: The pack table's entries for message classes that are not frozen.
-#: :func:`~repro.runtime.codec.register_message` refuses those, so only
-#: a direct write to the registry puts one here; the encoder packs them
-#: on its slow path and never vouches for their round trip.
-_loose_table: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
 
 
 def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
     """The (pack table, message types by id, enum member tables by id)
-    triple, current as of the codec registries right now."""
-    global _tables_key, _pack_table, _msg_types, _enum_members, _loose_table
+    triple, current as of the codec registries right now.  A message
+    class that is not frozen is refused by name: only a write straight
+    into the registry, past
+    :func:`~repro.runtime.codec.register_message`, can put one there."""
+    global _tables_key, _pack_table, _msg_types, _enum_members
     key = (len(codec._MESSAGES), len(codec._ENUMS))
     if key != _tables_key:
         pack_table: _PackTable = {}
-        loose_table: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
         msg_types: _MsgTypes = []
         for index, name in enumerate(sorted(codec._MESSAGES)):
             cls = codec._MESSAGES[name]
+            codec._require_frozen(cls)
             fields = tuple(f.name for f in dataclasses.fields(cls))
             msg_types.append((cls, fields))
             prefix = bytearray([_T_MSG])
             _pack_varint(prefix, index)
-            frozen = cls.__dataclass_params__.frozen
-            (pack_table if frozen else loose_table)[cls] = (bytes(prefix), fields)
+            pack_table[cls] = (bytes(prefix), fields)
         enum_members: _EnumMembers = []
         for index, name in enumerate(sorted(codec._ENUMS)):
             enum_cls = codec._ENUMS[name]
@@ -166,7 +163,6 @@ def registry_tables() -> Tuple[_PackTable, _MsgTypes, _EnumMembers]:
                 blobs[member.name] = bytes(blob + raw)
             pack_table[enum_cls] = (blobs, None)
         _pack_table, _msg_types, _enum_members = pack_table, msg_types, enum_members
-        _loose_table = loose_table
         _tables_key = key
     return _pack_table, _msg_types, _enum_members
 
@@ -289,8 +285,8 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable,
             out += raw
             _pack(out, obj[key], depth, table, inexact)
         return
-    # Slow path: subclasses of int and non-frozen messages, which decode
-    # to another type or to a mutable object, plus the loud failures.
+    # Slow path: subclasses of int, which decode to another type, plus
+    # the loud failures.
     if isinstance(obj, enum.Enum):
         raise CodecError(
             f"enum {cls.__name__!r} is not registered for the wire"
@@ -300,18 +296,9 @@ def _pack(out: bytearray, obj: Any, depth: int, table: _PackTable,
         _pack(out, int(obj), depth, table, inexact)
         return
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        loose = _loose_table.get(cls)
-        if loose is None:
-            raise CodecError(
-                f"message type {cls.__name__!r} is not registered for the wire"
-            )
-        if depth >= MAX_NESTING:
-            raise CodecError(_TOO_DEEP)
-        inexact.append(cls)
-        out += loose[0]
-        for name in loose[1]:
-            _pack(out, getattr(obj, name), depth + 1, table, inexact)
-        return
+        raise CodecError(
+            f"message type {cls.__name__!r} is not registered for the wire"
+        )
     raise CodecError(f"cannot encode {cls.__name__}: {obj!r}")
 
 
@@ -322,8 +309,7 @@ def pack(obj: Any) -> Tuple[bytes, bool]:
     same walk that writes the bytes: ``loads(body)`` equals ``obj`` with
     the identical type at every node of the tree, and nothing in ``obj``
     can be mutated — no list, dict or bytearray, no ``int`` subclass, no
-    non-frozen message, no NaN.  An exact payload may stand in for its
-    own decode (see
+    NaN.  An exact payload may stand in for its own decode (see
     :meth:`~repro.runtime.transport.InboxTransport._loopback`).
     """
     out = bytearray()

@@ -54,17 +54,21 @@ def register_message(cls: Type[Any]) -> Type[Any]:
     """
     if not dataclasses.is_dataclass(cls):
         raise CodecError(f"{cls!r} is not a dataclass")
-    if not cls.__dataclass_params__.frozen:
-        raise CodecError(
-            f"message type {cls.__name__!r} is not frozen: wire values "
-            "are shared between deliveries and must be immutable"
-        )
+    _require_frozen(cls)
     name = cls.__name__
     existing = _MESSAGES.get(name)
     if existing is not None and existing is not cls:
         raise CodecError(f"message name {name!r} already registered by {existing!r}")
     _MESSAGES[name] = cls
     return cls
+
+
+def _require_frozen(cls: Type[Any]) -> None:
+    if not cls.__dataclass_params__.frozen:
+        raise CodecError(
+            f"message type {cls.__name__!r} is not frozen: wire values "
+            "are shared between deliveries and must be immutable"
+        )
 
 
 def register_enum(cls: Type[enum.Enum]) -> Type[enum.Enum]:

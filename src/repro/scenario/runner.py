@@ -188,12 +188,6 @@ class SimRun:
         restart_specs = scenario.fault_specs("restart")
         if restart_specs:
             from ..recovery.restart import RestartBehavior
-        # ``batching="off"`` flushes each effect eagerly (the historical
-        # inline-send path); any other mode drains the outbox per delivery
-        # step.  Both produce the same event order for a fixed seed — the
-        # batching-equivalence tests compare decisions and traces bit for
-        # bit — so the knob is observable only on the runtime fabrics.
-        eager = scenario.batching == "off"
         for pid in range(scenario.n):
             if pid in restart_specs:
                 spec = restart_specs[pid]
@@ -217,7 +211,7 @@ class SimRun:
                 sim.network.register(behavior)
                 behaviors[pid] = behavior
             else:
-                process = Process(pid, sim.network, params, eager=eager)
+                process = Process(pid, sim.network, params)
                 process.on_decide = lambda effect, p=pid: _on_decide(p, effect)
                 stacks[pid] = plan.build(process)
 

@@ -357,9 +357,9 @@ class Scenario:
         batching: wire-frame coalescing — ``off`` (one frame per
             message), ``flush`` (one frame per destination per pump
             flush), or ``size:N`` (at most ``N`` messages per frame).
-            On the ``sim`` fabric the knob selects eager vs per-step
-            outbox draining, which is provably order-identical: a fixed
-            seed decides and traces bit-for-bit the same either way.
+            It is a wire setting: on the ``sim`` fabric every mode
+            drains the outbox per activation, so a fixed seed decides
+            and traces bit-for-bit the same in each.
         codec: a validated constant — ``binary`` is the only wire
             format of the runtime fabrics (docs/performance.md) and the
             only legal value; ``json`` is rejected by name.  Kept only

@@ -12,8 +12,7 @@ small set of *effect* values:
 
 A :class:`~repro.sim.process.Process` collects the effects of one
 activation in an :class:`Outbox` and applies them against its network
-when the activation ends (or immediately, in *eager* mode, which is
-byte-for-byte the historical inline-send behavior).  Drivers — the
+when the activation ends.  Drivers — the
 discrete-event simulator and the asyncio runtime's
 :class:`~repro.runtime.node.Node` — therefore see a process's traffic
 as explicit per-step batches they are free to coalesce, which is what
@@ -22,9 +21,8 @@ on.
 
 Effect order is preserved exactly: draining replays sends, notes, and
 decides in the order the module issued them, at the same virtual time,
-so a fixed-seed simulation is bit-identical whether effects flush
-eagerly or per step (``tests/scenario/test_batching_equivalence.py``
-proves this for every protocol).
+so deferring the flush to the step boundary reorders nothing
+(``tests/unit/test_outbox.py`` pins the flush boundaries).
 """
 
 from __future__ import annotations

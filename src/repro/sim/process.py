@@ -20,11 +20,8 @@ when the activation that produced it ends — the end of a
 calls made outside any activation (direct module driving in unit
 tests).  Draining replays effects in issue order at an unchanged
 virtual time, so executions are bit-identical to the historical
-inline-send behavior; ``eager=True`` flushes each effect the moment it
-is enqueued, which *is* the historical behavior, kept as the
-``batching="off"`` reference mode the equivalence tests compare
-against.  Drivers that want a wider atomic window (e.g. a runtime node
-delivering a whole wire batch) wrap the activations in
+inline-send behavior.  Drivers that want a wider atomic window (e.g. a
+runtime node delivering a whole wire batch) wrap the activations in
 :meth:`Process.buffered`.
 """
 
@@ -157,12 +154,8 @@ class ProtocolModule(abc.ABC):
 class Process:
     """A correct process: identity, parameters, and a stack of modules.
 
-    ``eager=True`` flushes every effect the instant it is enqueued
-    (the historical inline-send behavior, selected by
-    ``batching="off"``); the default defers the flush to the end of the
-    enclosing activation, handing drivers one explicit batch per step.
-    Both orders are identical on the wire — the equivalence tests hold
-    the repository to that.
+    Effects flush at the end of the enclosing activation, handing
+    drivers one explicit batch per step.
     """
 
     def __init__(
@@ -171,7 +164,6 @@ class Process:
         network: "NetworkAPI",
         params: ProtocolParams,
         register: bool = True,
-        eager: bool = False,
     ):
         if not 0 <= pid < params.n:
             raise SimulationError(f"pid {pid} out of range for n={params.n}")
@@ -180,7 +172,6 @@ class Process:
         self.params = params
         self.modules: Dict[str, ProtocolModule] = {}
         self.halted = False
-        self.eager = eager
         self.outbox = Outbox()
         self.on_decide: Optional[Callable[[Decide], None]] = None
         self._depth = 0
@@ -217,14 +208,13 @@ class Process:
     def enqueue(self, effect: Effect) -> None:
         """Record one effect; flush immediately outside an activation.
 
-        Inside an activation the effect waits for the step boundary
-        (unless the process is ``eager``); a direct module call from a
-        test or driver has no activation window, so the effect applies
-        on the spot — the compatibility shim that keeps every historical
-        call site behaving identically.
+        Inside an activation the effect waits for the step boundary; a
+        direct module call from a test or driver has no activation
+        window, so the effect applies on the spot — the compatibility
+        shim that keeps every historical call site behaving identically.
         """
         self.outbox.append(effect)
-        if self.eager or self._depth == 0:
+        if self._depth == 0:
             self.flush_outbox()
 
     def flush_outbox(self) -> None:

@@ -31,8 +31,10 @@ import pytest
 import repro
 from repro.errors import LivenessFailure, ReproError
 from repro.mp import orchestrator as orch_mod
+from repro.mp import zygote as zygote_mod
 from repro.mp.bundle import deal
-from repro.mp.orchestrator import MpOrchestrator, _NodeProc
+from repro.mp.orchestrator import MpOrchestrator
+from repro.mp.zygote import NodeProc
 from repro.scenario import Scenario
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -301,17 +303,17 @@ def _run(orch):
 def _assert_nothing_left(orch, idle=True):
     """Every node forked for the run is gone and so is its scratch dir;
     the zygote is alive and idle in the slot (``idle``), or dismissed."""
-    for proc in orch._forked.values():
+    for proc in orch._zygote.nodes.values():
         assert _gone(proc.os_pid)
     assert not os.path.exists(orch._scratch_dir)
-    assert (orch._zygote in orch_mod._idle) == idle
-    assert (orch._zygote.proc.poll() is None) == idle
+    assert (orch._zygote.server is zygote_mod._idle) == idle
+    assert (orch._zygote.server.proc.poll() is None) == idle
 
 
 @pytest.fixture
 def cold():
     """No idle zygote: the next run execs one."""
-    orch_mod._dismiss_idle()
+    zygote_mod._dismiss_idle()
 
 
 @pytest.mark.usefixtures("cold")
@@ -333,23 +335,23 @@ class TestZygoteLifetime:
             assert error is None and len(result.decisions) == 4
             _assert_nothing_left(orch)
         assert [argv[1:] for argv in execs] == [["-m", "repro.mp.zygote"]]
-        assert orchs[0]._zygote is orchs[1]._zygote
+        assert orchs[0]._zygote.server is orchs[1]._zygote.server
         os_pids = [proc.os_pid for orch in orchs
-                   for proc in orch._forked.values()]
+                   for proc in orch._zygote.nodes.values()]
         assert len(set(os_pids)) == len(os_pids) == 8
-        assert orchs[0]._zygote.proc.pid not in os_pids
+        assert orchs[0]._zygote.server.proc.pid not in os_pids
         assert os.getpid() not in os_pids
 
     def test_a_zygote_killed_between_runs_is_replaced(self):
         first = MpOrchestrator(SCENARIO)
         assert _run(first)[1] is None
-        stale = first._zygote
+        stale = first._zygote.server
         os.kill(stale.proc.pid, signal.SIGKILL)
         assert _wait_until(lambda: _gone(stale.proc.pid), 5.0)
         second = MpOrchestrator(SCENARIO.replace(seed=32))
         result, error = _run(second)
         assert error is None and len(result.decisions) == 4
-        assert second._zygote is not stale
+        assert second._zygote.server is not stale
         assert stale.proc.returncode == -signal.SIGKILL
         _assert_nothing_left(second)
 
@@ -380,9 +382,9 @@ class TestZygoteLifetime:
         async def scenario():
             task = asyncio.ensure_future(orch.run())
             await asyncio.wait_for(orch._hello.wait(), 20.0)
-            live = [proc.os_pid for proc in orch._forked.values()]
+            live = [proc.os_pid for proc in orch._zygote.nodes.values()]
             assert len(live) == 4 and not any(_gone(p) for p in live)
-            orch._zygote.proc.kill()
+            orch._zygote.server.proc.kill()
             started = time.monotonic()
             with pytest.raises(ReproError, match=r"mp zygote died \(rc=-9\)"):
                 await task
@@ -392,9 +394,10 @@ class TestZygoteLifetime:
         # SIGKILL gave the zygote no chance to take its children along:
         # the orchestrator signalled the orphans itself.
         assert all(proc.returncode == -signal.SIGKILL
-                   for proc in orch._forked.values())
+                   for proc in orch._zygote.nodes.values())
         assert _wait_until(
-            lambda: all(_gone(p.os_pid) for p in orch._forked.values()), 5.0)
+            lambda: all(_gone(p.os_pid) for p in orch._zygote.nodes.values()),
+            5.0)
         _assert_nothing_left(orch, idle=False)
 
     def test_a_zygote_that_never_gets_ready_fails_the_run_by_name(
@@ -444,7 +447,7 @@ class TestSignalsHitTheScheduledPid:
         try:
             result, error = _run(orch)
             assert error is None and len(result.decisions) == 4
-            first, second = [proc for proc in orch._forked.values()
+            first, second = [proc for proc in orch._zygote.nodes.values()
                              if proc.stderr_path.rsplit("-", 2)[-2] == "3"]
             assert kills == [(first.os_pid, signal.SIGKILL)]
             assert first.returncode == -signal.SIGKILL
@@ -468,7 +471,7 @@ class TestStderrFiles:
 
         async def tail():
             orch = MpOrchestrator(SCENARIO)
-            proc = _NodeProc(os_pid=-1, stderr_path=str(path))
+            proc = NodeProc(os_pid=-1, stderr_path=str(path))
             proc.exited(1)
             orch.procs[0] = proc
             return await orch._stderr_tail([0])

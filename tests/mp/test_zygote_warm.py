@@ -27,7 +27,7 @@ import warnings
 import pytest
 
 from repro.errors import ReproError
-from repro.mp import orchestrator as orch_mod
+from repro.mp import zygote as zygote_mod
 from repro.mp.control import encode_msg
 from repro.mp.orchestrator import MpOrchestrator
 from tests.mp.test_zygote import (
@@ -110,7 +110,7 @@ def test_a_failed_warm_up_fails_the_boot_by_name(tmp_path, monkeypatch):
     assert re.fullmatch(
         r"mp zygote died \(rc=1\): .*LivenessFailure: warm-up stalled",
         str(error))
-    assert orch._forked == {}
+    assert orch._zygote.nodes == {}
     _assert_nothing_left(orch, idle=False)
 
 
@@ -118,8 +118,8 @@ def _spy_on_zygote_traffic(monkeypatch, orch, on_send=None):
     """The spawn lines the run writes and the ``spawned`` lines its
     zygote reader reads, in the order they happen."""
     log = []
-    real_send = orch_mod._ForkServer.send
-    real_read = orch_mod.read_msg
+    real_send = zygote_mod.Server.send
+    real_read = zygote_mod.read_msg
 
     def send(server, message):
         if message["type"] == "spawn":
@@ -131,13 +131,13 @@ def _spy_on_zygote_traffic(monkeypatch, orch, on_send=None):
 
     async def read(reader):
         message = await real_read(reader)
-        if (reader is orch._zygote_out and message is not None
+        if (reader is orch._zygote.out and message is not None
                 and message["type"] == "spawned"):
             log.append(("spawned", message["node"]))
         return message
 
-    monkeypatch.setattr(orch_mod._ForkServer, "send", send)
-    monkeypatch.setattr(orch_mod, "read_msg", read)
+    monkeypatch.setattr(zygote_mod.Server, "send", send)
+    monkeypatch.setattr(zygote_mod, "read_msg", read)
     return log
 
 
@@ -213,8 +213,8 @@ def _kill_the_zygote_with_spawn_lines_queued(monkeypatch):
     assert asyncio.run(scenario()) < 5.0
     assert log == [("spawn", 0), ("spawn", 1), ("spawn", 2), ("spawn", 3),
                    ("spawned", 0), ("spawned", 1)]
-    assert sorted(proc.os_pid for proc in orch._forked.values()) == sorted(forked)
+    assert sorted(proc.os_pid for proc in orch._zygote.nodes.values()) == sorted(forked)
     assert all(proc.returncode == -signal.SIGKILL
-               for proc in orch._forked.values())
+               for proc in orch._zygote.nodes.values())
     assert _wait_until(lambda: all(_gone(os_pid) for os_pid in forked), 5.0)
     _assert_nothing_left(orch, idle=False)

@@ -8,6 +8,8 @@ These tests drive the retransmission layer directly over a lossy
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.netem import (
@@ -189,12 +191,58 @@ def test_seen_window_compacts():
 
     window = _SeenWindow()
     assert window.add(0) and window.add(1) and window.add(2)
-    assert window.floor == 3 and not window.above
+    assert window.floor == 3 and window.bounds == [0, 3]
     assert not window.add(1)        # replay below the floor
     assert window.add(5)            # straggler held above the floor
-    assert window.floor == 3 and window.above == {5}
+    assert window.floor == 3 and window.bounds == [0, 3, 5, 6]
     assert window.add(3) and window.add(4)
-    assert window.floor == 6 and not window.above
+    assert window.floor == 6 and window.bounds == [0, 6]
+
+
+def _held(window):
+    """What a window keeps, whatever its shape: the total length of its
+    collection slots (two bounds per run)."""
+    return sum(len(getattr(window, name)) for name in window.__slots__
+               if name != "floor")
+
+
+def test_seen_window_stays_one_run_above_the_floor_after_a_peers_restart():
+    # 500 frames of the old incarnation, then 2 000 of the respawn,
+    # whose seqs start one epoch span up.
+    window = reliable._SeenWindow()
+    for seq in range(500):
+        assert window.add(seq)
+    base = reliable.SEQ_EPOCH_SPAN
+    for k in range(2000):
+        assert window.add(base + k)
+    assert window.floor == 500 and _held(window) <= 4  # floor + one run
+    assert not window.add(base + 1999) and not window.add(499)
+    assert window.add(base + 2000) and _held(window) <= 4
+
+
+def test_seen_window_stays_one_run_when_opened_mid_stream():
+    # This node restarted: its fresh window meets a live peer whose
+    # counter is already at 700.
+    window = reliable._SeenWindow()
+    for seq in range(700, 2700):
+        assert window.add(seq)
+    assert window.floor == 0 and _held(window) <= 2  # one run
+    assert not window.add(700) and window.add(699)
+    assert _held(window) <= 2
+
+
+@given(st.lists(st.integers(min_value=0, max_value=60), max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_seen_window_answers_as_a_plain_set(seqs):
+    window, seen = reliable._SeenWindow(), set()
+    for seq in seqs:
+        assert window.add(seq) == (seq not in seen)
+        seen.add(seq)
+    bounds = window.bounds
+    # Sorted, non-empty runs that never touch, and exactly the seen set.
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert set().union(*map(range, bounds[::2], bounds[1::2])) == seen
+    assert window.floor == min(set(range(62)) - seen)
 
 
 def test_wire_frames_round_trip_the_codec():

