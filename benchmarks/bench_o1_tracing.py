@@ -12,16 +12,25 @@ the overhead ratios in CI through ``floors.json``.
 Each trial runs the three variants back to back, after one untimed
 pass; a row is the median over trials, and a ratio is the median of the
 per-trial ratios, so drift in the machine's speed hits both sides of
-it.
+it.  A row's times are reference milliseconds: each trial's wall time
+divided by (the host calibration taken just before the trial ÷ the e2e
+harness's reference calibration), so a host running slow for a while
+does not read as a slow run.
 """
 
+import os
 import statistics
+import sys
 import time
 
 from conftest import run_once
 
 from repro.analysis.tables import format_table
 from repro.scenario import Scenario, run
+
+# The e2e harness's host probe, so both gates share one reference speed.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "e2e"))
+from harness import REF_CALIB_MS, calibrate  # noqa: E402
 
 
 def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
@@ -37,10 +46,11 @@ def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
     def experiment():
         samples = {label: [] for label, _ in variants}
         for trial in range(trials + 1):
+            host_x = calibrate() / REF_CALIB_MS
             for label, overrides in variants:
                 start = time.perf_counter()
                 result = run(scenario, **overrides)
-                ms = (time.perf_counter() - start) * 1000.0
+                ms = (time.perf_counter() - start) * 1000.0 / host_x
                 assert result.decided_values == {1}
                 if trial:  # trial 0 warms the interpreter
                     samples[label].append(ms)
@@ -55,7 +65,7 @@ def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
     table_sink(
         "o1_tracing_overhead",
         format_table(
-            ["variant", "median ms", "x baseline"],
+            ["variant", "median ref ms", "x baseline"],
             rows,
             title="O1. Tracing/profiling overhead, one fixed-seed sim run "
                   f"(bracha n=4 x2 instances, {trials} interleaved trials, "
@@ -76,5 +86,6 @@ def test_o1_tracing_overhead(benchmark, table_sink, bench_sink, smoke):
             "profile_overhead_x": by_label["ring + profile"][2],
         },
         meta={"trials": trials, "interleaved": True,
-              "scenario": "bracha n=4 x2 seed=13"},
+              "scenario": "bracha n=4 x2 seed=13",
+              "times": f"reference ms (calibration / {REF_CALIB_MS} ms)"},
     )

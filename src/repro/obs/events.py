@@ -37,20 +37,18 @@ kind                  emitted by
 ====================  ======================================================
 
 Recording and reading are split, as in raw-record tracers: a run hands
-its sink *raw records* and an :class:`Event` is built only when
-someone reads one (:func:`render_records`, the one renderer).  A
-``send``/``deliver`` is recorded as the 5-tuple ``(time, kind, node,
-payload, mid)`` — the object sent and its causal id — and every other
-event as its six fields in a plain tuple.  The payload is classified
-(:func:`classify_payload`) only when the record is read, once per
-payload *object*, so a run itself classifies nothing.
-A message record refers to its payload, which the garbage collector
-tracks, so the record stays tracked; it holds nothing else for a
-collection to visit — no detail dict, no classification tuple.  A
-record of scalars is untracked at the first collection that sees it.
-On sim-observed-n7x8 (2-core host) collection time per run rose from
-~39 to ~50 ms (gen0 cheaper, gen1 and gen2 dearer), far less than a run
-saves.
+its sink *raw records*, kept flat, :data:`WIDTH` fields each, and an
+:class:`Event` is built only when someone reads one (:func:`read_records`,
+then :func:`render_records`, the one renderer).  A ``send``/``deliver``
+is six scalars ``(time, SEND | DELIVER, node, slot, sender, seq)``:
+``slot`` names the payload in the sink's payload table, and the id
+``"<sender>:<seq>"`` is formatted when read (with ``seq`` 0, ``sender``
+is the id, or ``None``).  Any other event is held whole.  A payload is
+classified (:func:`classify_payload`) once per object read, so a run
+classifies nothing, and a record of scalars gives the garbage collector
+nothing to track: on sim-observed-n7x8 (2-core host) an observed run
+starts ~28 gen0 collections, an unobserved one ~19 (~102 while records
+referred to their payloads).
 :class:`EventLog` is the read side of a ring: a ``Sequence[Event]``
 that renders its records once, on first access to an element.
 """
@@ -151,19 +149,41 @@ def round_time(value: float) -> float:
 #: ``(instance, round, detail)`` — what :func:`classify_payload` returns.
 Classified = Tuple[Optional[str], Optional[int], str]
 
+#: Fields per record in a sink's flat store.
+WIDTH = 6
+#: The kind field of a message record (any other record holds ``None``).
+SEND, DELIVER = 0, 1
+_MESSAGE_KINDS = ("send", "deliver")
+
 _new_event = tuple.__new__
 
 
+def read_records(fields: Iterable[Any], payloads: Dict[int, Any]) -> List[Tuple[Any, ...]]:
+    """A sink's flat store as records, oldest first.
+
+    A message record comes back as ``(time, kind, node, payload, mid)``
+    — its payload looked up in ``payloads`` by slot, its causal id
+    formatted — and any other as the record that was held.
+    """
+    return [
+        r[0] if r[1] is None else (
+            r[0], _MESSAGE_KINDS[r[1]], r[2], payloads[r[3]],
+            f"{r[4]}:{r[5]}" if r[5] else r[4],
+        )
+        for r in zip(*[iter(fields)] * WIDTH)
+    ]
+
+
 def render_records(records: Iterable[Tuple[Any, ...]]) -> List[Event]:
-    """The :class:`Event` each raw sink record stands for, in order.
+    """The :class:`Event` each record stands for, in order.
 
     A 5-tuple ``(time, kind, node, payload, mid)`` is a message record
-    (:meth:`~repro.obs.observer.Observer.message`): its payload is
-    classified here, through a memo keyed by ``id(payload)`` that lives
-    for this one call and holds each payload it describes, so no id is
-    reused while it exists — and its detail is wrapped as ``{"msg":
-    mid, "payload": detail}`` when the message carries a causal id.  Anything else holds the six :class:`Event`
-    fields in order — an :class:`Event` comes back as it is.
+    (:func:`read_records`): its payload is classified here, through a
+    memo keyed by ``id(payload)`` that lives for this one call and holds
+    each payload it describes, so no id is reused while it exists — and
+    its detail is wrapped as ``{"msg": mid, "payload": detail}`` when
+    the message carries a causal id.  Anything else holds the six
+    :class:`Event` fields in order — an :class:`Event` comes back as it is.
     """
     memo: Dict[int, Tuple[Any, ...]] = {}
     # One comprehension, not a call per record: a ring is read in one
@@ -183,28 +203,39 @@ def render_records(records: Iterable[Tuple[Any, ...]]) -> List[Event]:
 class EventLog(Sequence):
     """A read-only ``Sequence[Event]`` over raw sink records.
 
-    ``len`` and ``bool`` count the records; the first access to an
-    element (indexing, slicing, iteration, comparison) renders all of
-    them once with :func:`render_records`, and the records are dropped.
-    It compares equal to the ``list`` of the same events.
+    ``records`` holds an :class:`Event` or its six fields each, and is
+    copied — or, with ``payloads`` (copied), is a flat store
+    (:func:`read_records`) that no sink writes any more.  ``len`` and
+    ``bool`` count the records; the first access to an element
+    (indexing, slicing, iteration, comparison) renders all of them once
+    with :func:`render_records`, and the records are dropped.  It
+    compares equal to the ``list`` of the same events.
     """
 
-    __slots__ = ("_records", "_events")
+    __slots__ = ("_records", "_payloads", "_events")
 
-    def __init__(self, records: Iterable[Tuple[Any, ...]] = ()):
-        self._records: Optional[List[Tuple[Any, ...]]] = list(records)
+    def __init__(self, records: Iterable[Any] = (),
+                 payloads: Optional[Dict[int, Any]] = None):
+        if payloads is None:
+            self._records: Any = list(records)
+            self._payloads: Optional[Dict[int, Any]] = None
+        else:
+            self._records, self._payloads = records, dict(payloads)
         self._events: Optional[List[Event]] = None
 
     def _rendered(self) -> List[Event]:
         if self._events is None:
-            self._events = render_records(self._records)
-            self._records = None
+            records = self._records
+            if self._payloads is not None:
+                records = read_records(records, self._payloads)
+            self._events = render_records(records)
+            self._records = self._payloads = None
         return self._events
 
     def __len__(self) -> int:
-        if self._events is None:
-            return len(self._records)
-        return len(self._events)
+        if self._events is not None:
+            return len(self._events)
+        return len(self._records) // (1 if self._payloads is None else WIDTH)
 
     def __getitem__(self, index: Any) -> Any:
         return self._rendered()[index]
@@ -266,9 +297,13 @@ def classify_payload(payload: Any) -> Classified:
 
 __all__ = [
     "Classified",
+    "DELIVER",
     "Event",
     "EventLog",
+    "SEND",
+    "WIDTH",
     "classify_payload",
+    "read_records",
     "render_records",
     "round_time",
 ]

@@ -24,7 +24,7 @@ import os
 from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigError
-from .events import EventLog
+from .events import DELIVER, SEND, EventLog
 from .sinks import JsonlSink, RingSink
 
 #: The validated observe modes of the Scenario field.
@@ -32,6 +32,8 @@ OBSERVE_MODES = ("off", "ring", "ring:N", "jsonl", "jsonl:PATH")
 
 DEFAULT_RING_CAPACITY = 100_000
 DEFAULT_JSONL_PATH = "obs_trace.jsonl"
+
+_MESSAGE_KINDS = {"send": SEND, "deliver": DELIVER}
 
 
 def parse_observe(spec: Any) -> Tuple[str, Any]:
@@ -114,12 +116,12 @@ class Observer:
         time: Optional[float] = None,
         mid: Optional[str] = None,
     ) -> None:
-        """Record a ``send``/``deliver``: the payload object and its causal
-        id, described only when read (:func:`~repro.obs.events.render_records`).
-        With a ``mid`` the event detail is ``{"msg": mid, "payload":
-        <repr>}``, which :mod:`repro.obs.report` correlates."""
-        self.sink.emit((self._clock() if time is None else time,
-                        kind, node, payload, mid))
+        """Record a ``send``/``deliver``, its payload described only when
+        read (:func:`~repro.obs.events.render_records`).  With a ``mid``
+        the event detail is ``{"msg": mid, "payload": <repr>}``, which
+        :mod:`repro.obs.report` correlates."""
+        self.sink.message(self._clock() if time is None else time,
+                          _MESSAGE_KINDS[kind], node, payload, mid, 0)
 
     # -- lifecycle -----------------------------------------------------------
 

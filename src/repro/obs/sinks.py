@@ -12,10 +12,12 @@ Three built-ins, selected by the scenario ``observe`` field:
   reads it back.
 * :func:`render_events` — the human timeline, for library callers.
 
-A sink's ``emit`` takes one raw record: an :class:`Event`, its six
-fields in a plain tuple, or an observer's 5-tuple message record.
-:func:`~repro.obs.events.render_records` turns any of them into the
-:class:`Event` it stands for.
+Both keep raw records flat (:mod:`repro.obs.events`) and share one
+writer protocol, which the simulator's network follows inline, with no
+Python call per record: ``record`` (the store's C-level ``extend``, one
+record's :data:`~repro.obs.events.WIDTH` fields), ``payloads`` (slot →
+payload), ``recorded`` (records so far) and ``due`` (call ``settle()``
+once ``recorded`` reaches it).
 """
 
 from __future__ import annotations
@@ -23,51 +25,102 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from typing import IO, Any, Deque, Iterable, List, Optional, Tuple, Union
+from itertools import islice
+from typing import IO, Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ConfigError
-from .events import Event, EventLog, render_records
+from .events import WIDTH, Event, EventLog, read_records, render_records
 
 
-class RingSink:
+#: What a closed ring records with: nothing.
+_DISCARD = deque(maxlen=0).extend
+
+
+class _FlatSink:
+    """The flat store and payload table of a sink.  A payload-table
+    entry keeps its object alive, so a slot (``id``) names one object
+    while the entry exists; every writer sets the entry of the payload
+    it names, so ``settle`` may drop any entry no stored record names.
+    """
+
+    def _open(self, fields: Any, every: int) -> None:
+        self._fields = fields
+        self.record = fields.extend
+        self.payloads: Dict[int, Any] = {}
+        self.recorded = 0
+        self._every = every
+        self.due = every
+
+    def emit(self, record: Any) -> None:
+        """Hold one event record: an :class:`Event`, or its six fields."""
+        self.record((record, None, None, None, None, None))
+        self.recorded += 1
+        if self.recorded >= self.due:
+            self.settle()
+
+    def message(self, time: float, kind: int, node: Optional[int],
+                payload: Any, sender: Any, seq: int) -> None:
+        """Record a ``SEND``/``DELIVER`` with causal id ``"<sender>:<seq>"``
+        (``seq`` 0: ``sender`` is the id, or ``None``)."""
+        slot = id(payload)
+        self.record((time, kind, node, slot, sender, seq))
+        self.payloads[slot] = payload
+        self.recorded += 1
+        if self.recorded >= self.due:
+            self.settle()
+
+    def settle(self) -> None:
+        """Bound the store (the sink's ``_settle``), every ``_every`` records."""
+        self.due = self.recorded + self._every
+        self._settle()
+
+
+class RingSink(_FlatSink):
     """Bounded in-memory event buffer.
 
     ``capacity`` caps retained records; overflow evicts the oldest, and
     every evicted record counts in ``dropped`` — surfaced in
     :meth:`summary` so truncation is always visible.  Records are kept
     raw; :attr:`events` renders the retained ones when they are read,
-    so an evicted record is never rendered at all.
+    so an evicted record is never rendered at all.  Every ``capacity``
+    records the payload table drops the payloads no retained record
+    names, so it never holds more than ``2 * capacity``.
     """
 
     def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ConfigError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._events: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
-        self.total = 0
+        self._open(deque(maxlen=capacity * WIDTH), capacity)
 
-    def emit(self, record: Tuple[Any, ...]) -> None:
-        self._events.append(record)
-        self.total += 1
+    def _settle(self) -> None:
+        named = set(islice(self._fields, 3, None, WIDTH))
+        payloads = self.payloads
+        for slot in [slot for slot in payloads if slot not in named]:
+            del payloads[slot]
 
     @property
     def dropped(self) -> int:
-        """Events evicted so far: everything beyond ``capacity``."""
-        return max(0, self.total - self.capacity)
+        """Events recorded but no longer retained."""
+        return self.recorded - len(self._fields) // WIDTH
 
     def close(self) -> None:
-        pass
+        """Keep what the ring holds: records made later are dropped, and
+        :attr:`events` shares the store instead of copying it."""
+        self.record = _DISCARD
 
     @property
     def events(self) -> EventLog:
         """The retained events, oldest first, rendered on first read."""
-        return EventLog(self._events)
+        fields = self._fields
+        return EventLog(fields if self.record is _DISCARD else list(fields),
+                        self.payloads)
 
     def summary(self) -> dict:
         return {
             "sink": "ring",
-            "events": self.total,
-            "retained": len(self._events),
+            "events": self.recorded,
+            "retained": len(self._fields) // WIDTH,
             "dropped": self.dropped,
         }
 
@@ -77,12 +130,11 @@ class RingSink:
 JSONL_CHUNK = 1024
 
 
-class JsonlSink:
+class JsonlSink(_FlatSink):
     """Append events to a JSONL file, one :meth:`Event.to_dict` per line."""
 
     def __init__(self, path: Union[str, Any], stream: Optional[IO[str]] = None):
         self.path = str(path)
-        self.total = 0
         self._owns_stream = stream is None
         if stream is None:
             try:
@@ -95,33 +147,28 @@ class JsonlSink:
                     f"cannot open observe trace file {self.path}: {exc}"
                 ) from exc
         self._stream: Optional[IO[str]] = stream
-        self._chunk: List[Tuple[Any, ...]] = []
+        self._open([], JSONL_CHUNK)
 
-    def emit(self, record: Tuple[Any, ...]) -> None:
-        if self._stream is None:
-            return
-        self._chunk.append(record)
-        self.total += 1
-        if len(self._chunk) >= JSONL_CHUNK:
-            self._write()
-
-    def _write(self) -> None:
-        for event in render_records(self._chunk):
-            self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        self._chunk = []
+    def _settle(self) -> None:
+        """Write the pending chunk; a closed sink just discards it."""
+        if self._stream is not None:
+            for event in render_records(read_records(self._fields, self.payloads)):
+                self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        self._fields.clear()
+        self.payloads.clear()
 
     def close(self) -> None:
         if self._stream is None:
             return
         try:
-            self._write()
+            self._settle()
         finally:
             if self._owns_stream:
                 self._stream.close()
             self._stream = None
 
     def summary(self) -> dict:
-        return {"sink": "jsonl", "events": self.total, "path": self.path}
+        return {"sink": "jsonl", "events": self.recorded, "path": self.path}
 
 
 def load_events(path: Union[str, Any]) -> List[Event]:

@@ -270,6 +270,10 @@ class Cluster:
             await self._clock.close()
         if self._owns_wal_dir:
             shutil.rmtree(self.wal_dir, ignore_errors=True)
+        if self.observer is not None:
+            # The bound ``_elapsed`` would tie the observer to this cluster.
+            final = self._elapsed()
+            self.observer.bind_clock(lambda: final)
 
     async def __aenter__(self) -> "Cluster":
         return await self.start()

@@ -260,16 +260,24 @@ class Node:
 
         The pump goes first, so once a caller has read the node out
         nothing more is delivered, logged, encoded, MAC'd or traced, and
-        the WAL is never closed under a running node.
+        the WAL is never closed under a running node.  Last, the cycles
+        through the node (pump traceback, stack, registry, hooks) are
+        unlinked, so it is freed by reference counting.
         """
         self.stop()
         if self._pump is not None:
             await asyncio.gather(self._pump, return_exceptions=True)
+            self._pump = None
         if self.wal is not None:
             self.wal.close()
         await self.transport.close()
         if clock is not None:
             await clock.close()
+        close = getattr(self.target, "close", None)
+        if close is not None:
+            close()
+        self.network.processes.clear()
+        self.on_activation = None
 
     # -- the run loop ---------------------------------------------------------
 

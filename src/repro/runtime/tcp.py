@@ -249,6 +249,8 @@ class TcpTransport(InboxTransport):
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The server holds ``_handle_conn``, a method of this object.
+            self._server = None
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()

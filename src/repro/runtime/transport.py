@@ -261,12 +261,14 @@ class LocalHub:
             endpoint._push(source, payload)
 
     async def close(self) -> None:
-        """Cancel in-flight delayed deliveries (cluster teardown)."""
+        """Cancel in-flight delayed deliveries and drop the endpoints,
+        which refer back to this hub (cluster teardown)."""
         for task in list(self._delayed):
             task.cancel()
         if self._delayed:
             await asyncio.gather(*self._delayed, return_exceptions=True)
         self._delayed.clear()
+        self._endpoints.clear()
 
 
 __all__ = [

@@ -166,7 +166,12 @@ class SimRun:
         # already reported; count/emit each (node, module) decision once.
         decided_modules: Dict[ProcessId, set] = {}
 
+        # False while ``until`` (below) may answer False without polling.
+        recheck = True
+
         def _on_decide(pid: ProcessId, effect: Any) -> None:
+            nonlocal recheck
+            recheck = True
             seen = decided_modules.setdefault(pid, set())
             if effect.module in seen:
                 return
@@ -227,13 +232,27 @@ class SimRun:
             stack_done = plan.decided if decided else plan.halted
             waiting = list(stacks.values())
 
+            # A module's ``decided`` turns on in the activation that issues
+            # its Decide effect (a recovering restart node replays its
+            # decisions through the same hook), so under ``decided`` a
+            # false answer turns true only on a step on which
+            # ``_on_decide`` fired: until then, polling is skipped.  An
+            # ACS stack also waits for the accepted proposals, and
+            # ``halted`` has no hook: those are polled after every step.
+            gated = decided and plan.protocol != "acs"
+
             def until() -> bool:
+                nonlocal recheck
+                if not recheck:
+                    return False
                 while waiting and stack_done(waiting[-1]):
                     waiting.pop()
-                return not waiting and all(
+                done = not waiting and all(
                     node.is_decided(plan) if decided else node.is_halted(plan)
                     for node in restart_nodes.values()
                 )
+                recheck = done or not gated
+                return done
         else:  # "quiescent" — drain every message
             until = None
 

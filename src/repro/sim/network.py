@@ -17,6 +17,7 @@ from collections import Counter, defaultdict
 from typing import Any, Callable, DefaultDict, Dict, Iterable, Optional, Protocol
 
 from ..errors import SimulationError
+from ..obs.events import DELIVER, SEND
 from ..types import Envelope, ProcessId
 from .events import PendingSet
 from .rng import SplitRng
@@ -112,12 +113,13 @@ class Network:
         self.observer: Optional[Any] = None
         #: Causal message ids ``"<sender>:<seq>"`` for send/deliver
         #: correlation, assigned only under an observer (a
-        #: :class:`~repro.sim.effects.CausalStamper` of epoch 0, inline).
-        #: The uid side table carries each in-flight message's id to its
-        #: deliver event without the envelope (or the protocol payload)
-        #: ever changing shape: added at ``send``, popped at ``deliver``.
+        #: :class:`~repro.sim.effects.CausalStamper` of epoch 0, inline,
+        #: kept as ints).  The uid side table carries each in-flight
+        #: message's ``seq`` to its deliver record without the envelope
+        #: (or the protocol payload) ever changing shape: added at
+        #: ``send``, popped at ``deliver``.
         self._seqs: Dict[ProcessId, int] = {}
-        self._mids: Dict[int, str] = {}
+        self._mids: Dict[int, int] = {}
         self._uid = 0
         self._now_fn: Callable[[], float] = lambda: 0.0
         self._on_send: Optional[Callable[[Envelope], None]] = None
@@ -175,14 +177,15 @@ class Network:
 
     def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
         """One envelope per destination; what they share is done once.
-        Observed, each send's :meth:`~repro.obs.observer.Observer.message`
-        record goes straight into the sink."""
+        Observed, each send appends its message record to the sink's
+        store itself (:mod:`repro.obs.sinks`): six scalars, no call."""
         now = self._now_fn()
         processes, add, new = self.processes, self.pending.add, tuple.__new__
         outbound_filter, on_send = self.outbound_filter, self._on_send
         observer = self.observer
         if observer is not None:
-            emit, mids = observer.sink.emit, self._mids
+            sink = observer.sink
+            record, mids, slot = sink.record, self._mids, id(payload)
             seq = self._seqs.get(source, 0)
         sent = 0
         try:
@@ -199,8 +202,8 @@ class Network:
                 sent += 1
                 if observer is not None:
                     seq += 1
-                    mids[uid] = mid = f"{source}:{seq}"
-                    emit((now, "send", source, payload, mid))
+                    mids[uid] = seq
+                    record((now, SEND, source, slot, source, seq))
                 if on_send is not None:
                     on_send(env)
         finally:
@@ -210,6 +213,10 @@ class Network:
                 self.sent_by_kind[source][payload_kind(payload)] += sent
                 if observer is not None:
                     self._seqs[source] = seq
+                    sink.payloads[slot] = payload
+                    sink.recorded += sent
+                    if sink.recorded >= sink.due:
+                        sink.settle()
 
     def deliver(self, rank: int, time: float) -> None:
         """Take the ``rank``-th oldest in-flight envelope out of the
@@ -223,9 +230,15 @@ class Network:
         self.delivered[env.dest] += 1
         observer = self.observer
         if observer is not None:
-            # Sent before the observer was attached: no id.
-            observer.sink.emit((time, "deliver", env.dest, env.payload,
-                                self._mids.pop(env.uid, None)))
+            # Sent before the observer was attached: no id (seq 0).
+            sink, payload = observer.sink, env.payload
+            slot, seq = id(payload), self._mids.pop(env.uid, 0)
+            sink.record((time, DELIVER, env.dest, slot,
+                         env.source if seq else None, seq))
+            sink.payloads[slot] = payload
+            sink.recorded += 1
+            if sink.recorded >= sink.due:
+                sink.settle()
         target = self.processes.get(env.dest)
         if target is not None:
             target.deliver(env.source, env.payload)

@@ -280,14 +280,16 @@ class Process:
     def close(self) -> None:
         """Unlink this process from its modules once the run is over.
 
-        Each module is closed and the module table emptied, so the stack
-        is freed by reference counting instead of waiting for the cycle
-        collector.  The process delivers nothing afterwards; the modules'
-        outcome attributes stay readable through whoever still holds them.
+        Each module is closed, the module table emptied and the decide
+        hook dropped, so the stack is freed by reference counting instead
+        of waiting for the cycle collector.  The process delivers nothing
+        afterwards; the modules' outcome attributes stay readable through
+        whoever still holds them.
         """
         for module in self.modules.values():
             module.close()
         self.modules.clear()
+        self.on_decide = None
 
     def deliver(self, sender: ProcessId, payload: Any) -> None:
         """Route an incoming message to the addressed module."""

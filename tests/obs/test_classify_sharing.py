@@ -1,7 +1,8 @@
 """An observed message is recorded, not described.
 
-A ``send``/``deliver`` record holds the payload object itself and its
-message id; :func:`~repro.obs.events.render_records` classifies
+A ``send``/``deliver`` record names its payload object by slot in the
+sink's payload table and carries its message id as ints;
+:func:`~repro.obs.events.render_records` classifies
 (``repr``s) a payload when the record is read, once per payload object
 in one read.  So a run makes no classification at all, and the first
 read makes one per distinct object: a fan-out's n records and a node's
@@ -17,6 +18,7 @@ import pytest
 
 import repro.obs.events as events_module
 from repro.obs import Event, JsonlSink, Observer, RingSink
+from repro.obs.events import DELIVER, SEND, WIDTH, read_records
 from repro.params import ProtocolParams
 from repro.runtime.codec import Stamped
 from repro.runtime.node import NodeNetwork
@@ -94,7 +96,9 @@ def classified(monkeypatch):
 
 def _payloads(observer):
     """The payload object of each retained message record."""
-    return [r[3] for r in observer.sink._events if len(r) == 5]
+    sink = observer.sink
+    return [r[3] for r in read_records(sink._fields, sink.payloads)
+            if len(r) == 5]
 
 
 # -- (a) a run describes nothing; a read describes each object once -----------
@@ -233,14 +237,32 @@ def test_catalog_byzantine_runs_classify_once_per_payload_object(name, classifie
 
 # -- (c) the record -------------------------------------------------------------
 
-def test_a_message_record_is_the_payload_and_its_id():
+def test_a_message_record_is_scalars_and_a_payload_slot():
     observer = Observer(RingSink())
     observer.bind_clock(lambda: 2.0)
     payload = ("m", Counted("x"))
     assert observer.message("send", 0, payload, mid="0:1") is None
-    (record,) = observer.sink._events
-    assert record == (2.0, "send", 0, payload, "0:1")
-    assert record[3] is payload and payload[1].reprs == 0
+    sink = observer.sink
+    assert list(sink._fields) == [2.0, SEND, 0, id(payload), "0:1", 0]
+    assert sink.payloads == {id(payload): payload}
+    assert sink.payloads[id(payload)] is payload and payload[1].reprs == 0
+    assert read_records(sink._fields, sink.payloads) == [
+        (2.0, "send", 0, payload, "0:1")]
+
+
+def test_a_sim_message_record_formats_its_id_only_when_read():
+    sim, observer, _ = observed_sim(Counted("first"))
+    sim.start()
+    sim.step()
+    send = list(observer.sink._fields)[:WIDTH]
+    assert send[1:3] == [SEND, 0] and send[4:] == [0, 1]
+    deliver = list(observer.sink._fields)[-WIDTH:]
+    assert deliver[1] == DELIVER and deliver[4] == 0
+    assert all(type(field) in (int, float) for field in send + deliver)
+    sink = observer.sink
+    (read,) = [r for r in read_records(sink._fields, sink.payloads)
+               if r[1] == "deliver"]
+    assert read[4] == f"0:{deliver[5]}"
 
 
 # -- (d) the uid side table tracks the pending set ---------------------------

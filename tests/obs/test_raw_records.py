@@ -1,14 +1,16 @@
 """Record raw, render on read: the sinks' records, EventLog, span buffers.
 
-A run hands its sink plain tuples — a ``send``/``deliver`` is
-``(time, kind, node, payload, mid)``, every other event its six
-:class:`~repro.obs.Event` fields — and an ``Event`` is built only when
-someone reads one.  These tests hold the repository to what that split
-buys (a message record holds nothing the collector must visit but the
-object sent, and reading the length renders nothing) and to its
-contract: whatever is read is the stream the sinks always produced.  The span
-buffers the simulator's step loop fills are held to the histogram one
-``stop`` per value would give.
+A run hands its sink raw records, kept flat — a ``send``/``deliver`` is
+six scalars naming its payload by slot in the sink's payload table,
+every other event is held whole — and an :class:`~repro.obs.Event` is
+built only when someone reads one.  These tests hold the repository to
+what that split buys (a message record holds nothing the collector
+must visit, an observed run costs the collector little more than an
+unobserved one, a bounded ring holds a bounded payload table, and
+reading the length renders nothing) and to its contract: whatever is
+read is the stream the sinks always produced.  The span buffers the
+simulator's step loop fills are held to the histogram one ``stop`` per
+value would give.
 """
 
 import gc
@@ -22,6 +24,7 @@ import pytest
 from repro.errors import EventBudgetExceeded
 from repro.obs import Event, EventLog, JsonlSink, Observer, RingSink, load_events
 from repro.obs import events as events_module
+from repro.obs.events import WIDTH, read_records
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profile import SPAN_BUFFER, SpanProfiler
 from repro.scenario import Scenario, assemble, run
@@ -55,11 +58,10 @@ def count_renders(monkeypatch):
 # -- the garbage collector ----------------------------------------------------
 
 
-def test_a_message_record_refers_to_the_sent_payload_and_scalars_only(
-        monkeypatch):
-    # The collector visits a retained message record's referents: the
-    # object sent, and nothing made per record — no detail dict, no
-    # classification tuple.
+def test_a_message_record_holds_scalars_only(monkeypatch):
+    # A retained message record is six scalars the collector never
+    # tracks; the payload it names by slot sits once in the sink's
+    # payload table, which holds exactly the object that was sent.
     sent = {}
     fan_out = Network._fan_out
 
@@ -71,17 +73,79 @@ def test_a_message_record_refers_to_the_sent_payload_and_scalars_only(
     assembled = assemble(Scenario(**BRACHA_N7X8, observe="ring"))
     try:
         assembled.run().result()
-        records = [
-            record for record in assembled.observer.sink._events
-            if record[1] in ("send", "deliver")
-        ]
-        assert len(records) > 50_000
-        for record in records:
-            (payload,) = [
-                ref for ref in gc.get_referents(record)
-                if ref is not None and type(ref) not in (str, int, float)
-            ]
-            assert payload is record[3] is sent[id(payload)]
+        sink = assembled.observer.sink
+        fields = list(sink._fields)
+        records = list(zip(*[iter(fields)] * WIDTH))
+        messages = [record for record in records if record[1] is not None]
+        assert len(messages) > 50_000
+        assert {type(field) for record in messages for field in record} \
+            <= {int, float, type(None)}
+        assert not any(gc.is_tracked(field) for field in fields
+                       if type(field) is not tuple)
+        assert {record[3] for record in messages} == set(sink.payloads)
+        for slot, payload in sink.payloads.items():
+            assert slot == id(payload) and payload is sent[slot]
+        # Every other record is an event held whole.
+        held = [record for record in records if record[1] is None]
+        assert len(held) == len(records) - len(messages) > 0
+        assert all(record[2:] == (None,) * 4 for record in held)
+    finally:
+        assembled.close()
+
+
+def _gen0_collections(scenario):
+    """Gen0 collections the collector starts during ``run(scenario)``."""
+    run(scenario)  # warm: imports and first-run caches
+    started = []
+
+    def callback(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            started.append(1)
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        run(scenario)
+    finally:
+        gc.callbacks.remove(callback)
+    return len(started)
+
+
+def test_observing_a_run_adds_little_collector_work():
+    # Records of scalars allocate nothing the collector tracks; what an
+    # observed run keeps beyond the unobserved one is one payload per
+    # fan-out.  (Records that referred to their payloads made it 5.7x.)
+    observed = _gen0_collections(Scenario(**BRACHA_N7X8, observe="ring",
+                                          profile="on"))
+    plain = _gen0_collections(Scenario(**BRACHA_N7X8))
+    assert plain > 5
+    assert observed <= 2 * plain
+
+
+def test_a_bounded_ring_holds_a_bounded_payload_table(monkeypatch):
+    # A run far longer than the ring: the payload table is pruned every
+    # ``capacity`` records and never holds more than ``2 * capacity``
+    # payloads, so memory follows the ring, not the run.
+    capacity = 1000
+    largest = []
+    settle = RingSink.settle
+
+    def spy(sink):
+        largest.append(len(sink.payloads))
+        settle(sink)
+
+    monkeypatch.setattr(RingSink, "settle", spy)
+    assembled = assemble(Scenario(**BRACHA_N7X8, observe=f"ring:{capacity}"))
+    try:
+        assembled.run().result()
+        sink = assembled.observer.sink
+        assert sink.recorded > 50 * capacity
+        assert len(largest) >= sink.recorded // capacity - 1
+        assert max(largest) <= 2 * capacity
+        assert len(sink.payloads) <= 2 * capacity
+        objects = [ref for ref in gc.get_referents(sink._fields)
+                   if type(ref) not in (int, float, type(None))]
+        assert len(objects) <= capacity  # held records only
     finally:
         assembled.close()
 
@@ -145,7 +209,8 @@ def test_jsonl_sink_renders_every_record_shape_to_its_to_dict_line():
     observer = _observed_records()
     stream = io.StringIO()
     sink = JsonlSink("unused.jsonl", stream=stream)
-    for record in observer.sink._events:
+    ring = observer.sink
+    for record in read_records(ring._fields, ring.payloads):
         sink.emit(record)
     sink.emit(Event(4.0, "frame", 3, detail={"n": 2}))
     sink.close()  # writes the tail chunk; the stream is the caller's

@@ -14,7 +14,7 @@ import pytest
 
 import repro.obs.events as events_module
 import repro.sim.network as network_module
-from repro.obs import Observer
+from repro.obs import Observer, RingSink
 from repro.recovery.restart import RestartBehavior
 from repro.scenario import Scenario, run
 from repro.sim.effects import Broadcast, CausalStamper, Send
@@ -99,11 +99,12 @@ def test_a_step_pays_no_python_frame_for_its_bookkeeping(monkeypatch):
     assert (result.steps, result.messages_sent) == (31918, 32130)
 
 
-def test_an_observed_step_pays_one_python_frame_for_its_record(monkeypatch):
+def test_an_observed_step_pays_no_python_frame_for_its_record(monkeypatch):
     # The benchmark's sim-observed-n7x8 shape, seed 1001: a send or a
-    # delivery goes into the ring as a raw record through the sink's own
-    # ``emit`` — no observer method, no stamper, no classification — and
-    # the run is the one it was.
+    # delivery goes into the ring as six scalars through the store's own
+    # C-level ``extend`` — no sink or observer method, no stamper, no
+    # classification; only the run's other events are emitted — and the
+    # run is the one it was.
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001, observe="ring",
                         profile="on")
@@ -117,14 +118,18 @@ def test_an_observed_step_pays_one_python_frame_for_its_record(monkeypatch):
 
     monkeypatch.setattr(Observer, "message",
                         counted("message", Observer.message))
+    monkeypatch.setattr(RingSink, "message",
+                        counted("sink.message", RingSink.message))
+    monkeypatch.setattr(RingSink, "emit", counted("sink.emit", RingSink.emit))
     monkeypatch.setattr(CausalStamper, "stamp",
                         counted("stamp", CausalStamper.stamp))
     monkeypatch.setattr(events_module, "classify_payload", counted(
         "classify_payload", events_module.classify_payload))
     result = run(scenario)
-    assert calls == {}
     assert (result.steps, result.messages_sent) == (31918, 32130)
     assert result.meta["obs"]["events"] == 64209
+    messages = result.steps + result.messages_sent
+    assert calls == {"sink.emit": 64209 - messages}
 
 
 RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}
@@ -175,10 +180,17 @@ def _full_poll_steps(scenario, monkeypatch):
     {"protocol": "bracha", "instances": 2, "seed": 3},
     {"protocol": "bracha", "instances": 2, "seed": 11},
     {"protocol": "acs", "seed": 3},
-], ids=["bracha-x2-s3", "bracha-x2-s11", "acs"])
+    {"protocol": "benor", "seed": 3},
+    {"protocol": "benor", "seed": 11},
+    {"protocol": "mmr14", "seed": 3},
+    # The benchmark's sim-observed-n7x8 shape.
+    {"protocol": "bracha", "n": 7, "instances": 8, "batching": "flush",
+     "observe": "ring", "profile": "on", "seed": 1001},
+], ids=["bracha-x2-s3", "bracha-x2-s11", "acs", "benor-s3", "benor-s11",
+        "mmr14", "observed-n7x8"])
 def test_the_stop_predicate_fires_on_the_step_a_full_poll_would(
         shape, stop, faults, monkeypatch):
-    scenario = Scenario(n=4, stop=stop, faults=faults, **shape)
+    scenario = Scenario(**{"n": 4, "stop": stop, "faults": faults, **shape})
     result = run(scenario)
     assert result.steps == _full_poll_steps(scenario, monkeypatch)
-    assert len(result.decisions) == 4 - (faults == {3: "silent"})
+    assert len(result.decisions) == scenario.n - (faults == {3: "silent"})
