@@ -201,41 +201,32 @@ def render_records(records: Iterable[Tuple[Any, ...]]) -> List[Event]:
 
 
 class EventLog(Sequence):
-    """A read-only ``Sequence[Event]`` over raw sink records.
+    """A read-only ``Sequence[Event]`` over a sink's flat store.
 
-    ``records`` holds an :class:`Event` or its six fields each, and is
-    copied — or, with ``payloads`` (copied), is a flat store
-    (:func:`read_records`) that no sink writes any more.  ``len`` and
+    ``fields`` is a store (:func:`read_records`) that no sink writes any
+    more, and ``payloads`` its payload table, copied.  ``len`` and
     ``bool`` count the records; the first access to an element
     (indexing, slicing, iteration, comparison) renders all of them once
-    with :func:`render_records`, and the records are dropped.  It
-    compares equal to the ``list`` of the same events.
+    with :func:`render_records`, and the store is dropped.  It compares
+    equal to the ``list`` of the same events.
     """
 
-    __slots__ = ("_records", "_payloads", "_events")
+    __slots__ = ("_fields", "_payloads", "_events")
 
-    def __init__(self, records: Iterable[Any] = (),
-                 payloads: Optional[Dict[int, Any]] = None):
-        if payloads is None:
-            self._records: Any = list(records)
-            self._payloads: Optional[Dict[int, Any]] = None
-        else:
-            self._records, self._payloads = records, dict(payloads)
+    def __init__(self, fields: Any, payloads: Dict[int, Any]):
+        self._fields, self._payloads = fields, dict(payloads)
         self._events: Optional[List[Event]] = None
 
     def _rendered(self) -> List[Event]:
         if self._events is None:
-            records = self._records
-            if self._payloads is not None:
-                records = read_records(records, self._payloads)
-            self._events = render_records(records)
-            self._records = self._payloads = None
+            self._events = render_records(read_records(self._fields, self._payloads))
+            self._fields = self._payloads = None
         return self._events
 
     def __len__(self) -> int:
         if self._events is not None:
             return len(self._events)
-        return len(self._records) // (1 if self._payloads is None else WIDTH)
+        return len(self._fields) // WIDTH
 
     def __getitem__(self, index: Any) -> Any:
         return self._rendered()[index]

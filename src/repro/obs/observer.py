@@ -129,7 +129,7 @@ class Observer:
         """Retained events, rendered on first read (ring sink only;
         empty for file sinks)."""
         events = getattr(self.sink, "events", None)
-        return EventLog() if events is None else events
+        return EventLog((), {}) if events is None else events
 
     def close(self) -> dict:
         """Flush and close the sink; return its summary mapping."""

@@ -13,11 +13,12 @@ Three built-ins, selected by the scenario ``observe`` field:
 * :func:`render_events` — the human timeline, for library callers.
 
 Both keep raw records flat (:mod:`repro.obs.events`) and share one
-writer protocol, which the simulator's network follows inline, with no
-Python call per record: ``record`` (the store's C-level ``extend``, one
-record's :data:`~repro.obs.events.WIDTH` fields), ``payloads`` (slot →
-payload), ``recorded`` (records so far) and ``due`` (call ``settle()``
-once ``recorded`` reaches it).
+writer protocol, which the simulator's network follows with no Python
+call per record: ``record`` (the store's C-level ``extend``, one
+record's :data:`~repro.obs.events.WIDTH` fields), then ``named(slot,
+payload, n)`` once for the ``n`` records just made that name one
+payload.  A closed sink is sealed: it keeps what it holds and ignores
+every later write.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..errors import ConfigError
 from .events import WIDTH, Event, EventLog, read_records, render_records
 
 
-#: What a closed ring records with: nothing.
+#: What a sealed sink records with: nothing.
 _DISCARD = deque(maxlen=0).extend
 
 
@@ -40,7 +41,8 @@ class _FlatSink:
     """The flat store and payload table of a sink.  A payload-table
     entry keeps its object alive, so a slot (``id``) names one object
     while the entry exists; every writer sets the entry of the payload
-    it names, so ``settle`` may drop any entry no stored record names.
+    it names (:meth:`named`), so ``settle`` may drop any entry no stored
+    record names.
     """
 
     def _open(self, fields: Any, every: int) -> None:
@@ -51,8 +53,15 @@ class _FlatSink:
         self._every = every
         self.due = every
 
+    @property
+    def sealed(self) -> bool:
+        """Closed: what the sink holds stays, and later writes are ignored."""
+        return self.record is _DISCARD
+
     def emit(self, record: Any) -> None:
         """Hold one event record: an :class:`Event`, or its six fields."""
+        if self.record is _DISCARD:
+            return
         self.record((record, None, None, None, None, None))
         self.recorded += 1
         if self.recorded >= self.due:
@@ -64,8 +73,17 @@ class _FlatSink:
         (``seq`` 0: ``sender`` is the id, or ``None``)."""
         slot = id(payload)
         self.record((time, kind, node, slot, sender, seq))
+        self.named(slot, payload, 1)
+
+    def named(self, slot: int, payload: Any, n: int) -> None:
+        """Count the ``n`` records just made through ``record`` that name
+        ``payload`` by ``slot``, and keep the payload.  A writer calls
+        this once per payload, not per record; ``Network.deliver``
+        inlines it, as a call there would be a frame per record."""
+        if self.record is _DISCARD:
+            return
         self.payloads[slot] = payload
-        self.recorded += 1
+        self.recorded += n
         if self.recorded >= self.due:
             self.settle()
 
@@ -105,16 +123,15 @@ class RingSink(_FlatSink):
         return self.recorded - len(self._fields) // WIDTH
 
     def close(self) -> None:
-        """Keep what the ring holds: records made later are dropped, and
-        :attr:`events` shares the store instead of copying it."""
+        """Seal the ring: it keeps what it holds, ignores later records,
+        and :attr:`events` shares the store instead of copying it."""
         self.record = _DISCARD
 
     @property
     def events(self) -> EventLog:
         """The retained events, oldest first, rendered on first read."""
         fields = self._fields
-        return EventLog(fields if self.record is _DISCARD else list(fields),
-                        self.payloads)
+        return EventLog(fields if self.sealed else list(fields), self.payloads)
 
     def summary(self) -> dict:
         return {
@@ -150,16 +167,16 @@ class JsonlSink(_FlatSink):
         self._open([], JSONL_CHUNK)
 
     def _settle(self) -> None:
-        """Write the pending chunk; a closed sink just discards it."""
-        if self._stream is not None:
-            for event in render_records(read_records(self._fields, self.payloads)):
-                self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        """Write the pending chunk."""
+        for event in render_records(read_records(self._fields, self.payloads)):
+            self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         self._fields.clear()
         self.payloads.clear()
 
     def close(self) -> None:
         if self._stream is None:
             return
+        self.record = _DISCARD
         try:
             self._settle()
         finally:

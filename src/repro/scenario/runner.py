@@ -131,7 +131,8 @@ class SimRun:
     ``restart_nodes``, ``sim.network``, ``sim.pending``.  ``until`` is
     the scenario's stop predicate (``None`` for ``quiescent``).  The
     graph stays live, and inspectable after ``result()``, until
-    :meth:`close` unlinks it.
+    :meth:`close` unlinks it; but ``result()`` closes the observer, so a
+    step taken after it is not observed.
     """
 
     def __init__(
@@ -232,14 +233,14 @@ class SimRun:
             stack_done = plan.decided if decided else plan.halted
             waiting = list(stacks.values())
 
-            # A module's ``decided`` turns on in the activation that issues
-            # its Decide effect (a recovering restart node replays its
-            # decisions through the same hook), so under ``decided`` a
-            # false answer turns true only on a step on which
-            # ``_on_decide`` fired: until then, polling is skipped.  An
-            # ACS stack also waits for the accepted proposals, and
-            # ``halted`` has no hook: those are polled after every step.
-            gated = decided and plan.protocol != "acs"
+            # Where a module's ``decided`` turns on only in the activation
+            # that issues its Decide effect (a recovering restart node
+            # replays its decisions through the same hook), a false answer
+            # under ``decided`` turns true only on a step on which
+            # ``_on_decide`` fired: until then, polling is skipped.  Other
+            # stacks, and ``halted``, which has no hook, are polled after
+            # every step.
+            gated = decided and plan.decides_by_effect
 
             def until() -> bool:
                 nonlocal recheck
@@ -288,12 +289,18 @@ class SimRun:
         return self
 
     def result(self, check: bool = True) -> RunResult:
-        """Read every node out and verify — the end of ``run(scenario)``."""
+        """Read every node out and verify — the end of ``run(scenario)``.
+
+        The observer's sink is closed (a ring keeps what it holds) and
+        the network stops recording, so later steps leave no record."""
         scenario, sim, restart_nodes = self.scenario, self.sim, self.restart_nodes
         observer, registry = self.observer, self.registry
         # The sink is flushed before verification, so a run that fails
         # it still leaves a readable JSONL trace behind.
-        summary = observer.close() if observer is not None else None
+        summary = None
+        if observer is not None:
+            summary = observer.close()
+            sim.network.observer = None
         failures: List[str] = []
         if self.exhausted is not None:
             if check:

@@ -178,7 +178,8 @@ class Network:
     def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
         """One envelope per destination; what they share is done once.
         Observed, each send appends its message record to the sink's
-        store itself (:mod:`repro.obs.sinks`): six scalars, no call."""
+        store itself (:mod:`repro.obs.sinks`): six scalars, no call; the
+        fan-out names its payload to the sink once."""
         now = self._now_fn()
         processes, add, new = self.processes, self.pending.add, tuple.__new__
         outbound_filter, on_send = self.outbound_filter, self._on_send
@@ -213,10 +214,7 @@ class Network:
                 self.sent_by_kind[source][payload_kind(payload)] += sent
                 if observer is not None:
                     self._seqs[source] = seq
-                    sink.payloads[slot] = payload
-                    sink.recorded += sent
-                    if sink.recorded >= sink.due:
-                        sink.settle()
+                    sink.named(slot, payload, sent)
 
     def deliver(self, rank: int, time: float) -> None:
         """Take the ``rank``-th oldest in-flight envelope out of the
@@ -230,7 +228,9 @@ class Network:
         self.delivered[env.dest] += 1
         observer = self.observer
         if observer is not None:
-            # Sent before the observer was attached: no id (seq 0).
+            # Sent before the observer was attached: no id (seq 0).  The
+            # tail is ``sink.named(slot, payload, 1)`` inline: a call here
+            # would be a Python frame per record.
             sink, payload = observer.sink, env.payload
             slot, seq = id(payload), self._mids.pop(env.uid, 0)
             sink.record((time, DELIVER, env.dest, slot,

@@ -53,7 +53,10 @@ FaultSpec = Union[str, Mapping[str, Any]]
 ProposalSpec = Union[None, int, Sequence[int], Mapping[int, int]]
 #: Builds a single-instance stack on a process; returns the
 #: consensus-like module (anything with ``propose`` / ``decided`` /
-#: ``decision`` / ``halted`` / ``stats`` / ``invariant_flags``).
+#: ``decision`` / ``halted`` / ``stats`` / ``invariant_flags``).  Its
+#: ``decided`` may turn on in any activation: the sim stop predicate
+#: polls a stack passed in after every step
+#: (:attr:`ProtocolPlan.decides_by_effect`).
 StackFactory = Callable[[Process, CoinScheme], Any]
 
 
@@ -239,6 +242,11 @@ class ProtocolPlan:
                 "the share-based coin supports a single instance; "
                 "use 'local' or 'dealer' for parallel instances and ACS"
             )
+        #: Every module's ``decided`` turns on only in an activation that
+        #: issues its Decide effect (``Process.on_decide`` sees it): true
+        #: of the built-in binary stacks, not of ACS, whose output can
+        #: land on a proposal delivery, nor of a caller's ``stack``.
+        self.decides_by_effect = stack is None and protocol != "acs"
         if stack is None:
             stack = STACKS.get(protocol)
         elif instances > 1 or protocol == "acs":

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.errors import EventBudgetExceeded
-from repro.obs import Event, EventLog, JsonlSink, Observer, RingSink, load_events
+from repro.obs import Event, JsonlSink, Observer, RingSink, load_events
 from repro.obs import events as events_module
 from repro.obs.events import WIDTH, read_records
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -275,9 +275,18 @@ def test_mp_orchestrator_replays_rendered_events_into_the_sink():
 # -- EventLog -------------------------------------------------------------------
 
 
+def _log(records):
+    """The event log of a closed ring that was handed ``records``."""
+    sink = RingSink()
+    for record in records:
+        sink.emit(record)
+    sink.close()
+    return sink.events
+
+
 def test_event_log_is_a_read_only_sequence_equal_to_its_list():
     records = [(float(i), "note", i, None, None, f"d{i}") for i in range(5)]
-    log = EventLog(records)
+    log = _log(records)
     expected = [Event(*record) for record in records]
     assert len(log) == 5 and log
     assert log == expected and expected == log
@@ -287,7 +296,7 @@ def test_event_log_is_a_read_only_sequence_equal_to_its_list():
     assert list(reversed(log)) == expected[::-1]
     assert expected[2] in log
     assert log.index(expected[3]) == 3
-    assert log == EventLog(records)
+    assert log == _log(records)
     assert log != expected[:4]
     assert pickle.loads(pickle.dumps(log)) == expected
     assert not hasattr(log, "append")
@@ -296,16 +305,42 @@ def test_event_log_is_a_read_only_sequence_equal_to_its_list():
 
 
 def test_an_empty_event_log_is_falsy_and_equals_the_empty_list():
-    assert not EventLog()
-    assert EventLog() == []
+    assert not _log([])
+    assert _log([]) == []
     assert len(Observer(JsonlSink("unused", stream=io.StringIO())).events()) == 0
 
 
 def test_an_unpickled_event_log_still_renders_on_read(count_renders):
-    record = (1.0, "note", None, None, None, None)
-    log = pickle.loads(pickle.dumps(EventLog([record])))
+    log = pickle.loads(pickle.dumps(_log([(1.0, "note", None, None, None, None)])))
     assert len(log) == 1 and count_renders == []
     assert log == [Event(1.0, "note")]
+
+
+def test_a_sealed_ring_ignores_later_writes():
+    sink = RingSink(capacity=4)
+    sink.emit((1.0, "note", None, None, None, None))
+    sink.message(2.0, 0, 1, ("bv", "x"), 1, 1)
+    sink.close()
+    assert sink.sealed
+    sink.emit((3.0, "note", None, None, None, None))
+    sink.message(4.0, 1, 2, ("bv", "y"), 1, 1)
+    sink.record((5.0, 0, 1, 0, 1, 2))
+    sink.named(0, "z", 1)
+    assert sink.summary() == {
+        "sink": "ring", "events": 2, "retained": 2, "dropped": 0,
+    }
+    assert [event.time for event in sink.events] == [1.0, 2.0]
+
+
+def test_a_step_after_result_leaves_no_record():
+    sim_run = assemble(Scenario(**SMALL, observe="ring"))
+    result = sim_run.run().result()
+    sink = sim_run.observer.sink
+    before = (sink.recorded, len(sink.payloads), result.meta["obs"])
+    assert sim_run.sim.network.observer is None
+    assert sim_run.sim.step()
+    assert (sink.recorded, len(sink.payloads), sink.summary()) == before
+    sim_run.close()
 
 
 def test_a_bounded_ring_holds_the_tail_of_the_unbounded_one():

@@ -16,13 +16,13 @@ import repro.obs.events as events_module
 import repro.sim.network as network_module
 from repro.obs import Observer, RingSink
 from repro.recovery.restart import RestartBehavior
-from repro.scenario import Scenario, run
+from repro.scenario import Scenario, assemble, run
 from repro.sim.effects import Broadcast, CausalStamper, Send
 from repro.sim.events import PendingSet
 from repro.sim.process import Process
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import Scheduler
-from repro.stacks import ProtocolPlan
+from repro.stacks import STACKS, ProtocolPlan
 from repro.types import Envelope
 
 
@@ -103,8 +103,9 @@ def test_an_observed_step_pays_no_python_frame_for_its_record(monkeypatch):
     # The benchmark's sim-observed-n7x8 shape, seed 1001: a send or a
     # delivery goes into the ring as six scalars through the store's own
     # C-level ``extend`` — no sink or observer method, no stamper, no
-    # classification; only the run's other events are emitted — and the
-    # run is the one it was.
+    # classification; a fan-out names its payload to the sink once, and
+    # only the run's other events are emitted — and the run is the one
+    # it was.
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001, observe="ring",
                         profile="on")
@@ -121,6 +122,9 @@ def test_an_observed_step_pays_no_python_frame_for_its_record(monkeypatch):
     monkeypatch.setattr(RingSink, "message",
                         counted("sink.message", RingSink.message))
     monkeypatch.setattr(RingSink, "emit", counted("sink.emit", RingSink.emit))
+    monkeypatch.setattr(RingSink, "named", counted("sink.named", RingSink.named))
+    monkeypatch.setattr(network_module.Network, "_fan_out", counted(
+        "fan_out", network_module.Network._fan_out))
     monkeypatch.setattr(CausalStamper, "stamp",
                         counted("stamp", CausalStamper.stamp))
     monkeypatch.setattr(events_module, "classify_payload", counted(
@@ -129,7 +133,9 @@ def test_an_observed_step_pays_no_python_frame_for_its_record(monkeypatch):
     assert (result.steps, result.messages_sent) == (31918, 32130)
     assert result.meta["obs"]["events"] == 64209
     messages = result.steps + result.messages_sent
-    assert calls == {"sink.emit": 64209 - messages}
+    fan_outs = calls.pop("fan_out")
+    assert calls == {"sink.emit": 64209 - messages, "sink.named": fan_outs}
+    assert fan_outs * 4 < result.messages_sent
 
 
 RESTART = {0: {"kind": "restart", "after": 4, "down": 2}}
@@ -194,3 +200,22 @@ def test_the_stop_predicate_fires_on_the_step_a_full_poll_would(
     result = run(scenario)
     assert result.steps == _full_poll_steps(scenario, monkeypatch)
     assert len(result.decisions) == scenario.n - (faults == {3: "silent"})
+
+
+def test_a_stack_passed_in_is_polled_after_every_step():
+    # Its ``decided`` may turn on with no Decide effect reaching the
+    # hook: here the stack unhooks it.  The run still stops where the
+    # built-in stack's does.
+    def unhooked(process, coin):
+        process.on_decide = None
+        return STACKS["bracha"](process, coin)
+
+    scenario = Scenario(n=4, stop="decided", seed=3)
+    plan = ProtocolPlan.for_scenario(scenario, stack=unhooked)
+    assert not plan.decides_by_effect
+    assert ProtocolPlan.for_scenario(scenario).decides_by_effect
+    sim_run = assemble(scenario, plan=plan).run()
+    try:
+        assert sim_run.sim.steps == run(scenario).steps
+    finally:
+        sim_run.close()
