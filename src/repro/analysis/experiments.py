@@ -90,7 +90,7 @@ def run_broadcast(
     sim.start()
     if equivocate is None and sender in layers:
         layers[sender].broadcast(instance, value)
-    sim.run_to_quiescence(max_steps=max_steps)
+    sim.run(max_steps=max_steps)
 
     outcomes = {pid: accepted.get(pid, {}).get(instance) for pid in layers}
     accepted_values = {v for v in outcomes.values() if v is not None}

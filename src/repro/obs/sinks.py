@@ -13,7 +13,7 @@ Three built-ins, selected by the scenario ``observe`` field:
 * :func:`render_events` — the human timeline, for library callers.
 
 Both keep raw records flat (:mod:`repro.obs.events`) and share one
-writer protocol, which the simulator's network follows with no Python
+writer protocol, which the simulator follows with no Python
 call per record: ``record`` (the store's C-level ``extend``, one
 record's :data:`~repro.obs.events.WIDTH` fields), then ``named(slot,
 payload, n)`` once for the ``n`` records just made that name one
@@ -78,8 +78,8 @@ class _FlatSink:
     def named(self, slot: int, payload: Any, n: int) -> None:
         """Count the ``n`` records just made through ``record`` that name
         ``payload`` by ``slot``, and keep the payload.  A writer calls
-        this once per payload, not per record; ``Network.deliver``
-        inlines it, as a call there would be a frame per record."""
+        this once per payload, not per record; ``Simulation.run``
+        inlines it per delivery, as a call there is a frame a record."""
         if self.record is _DISCARD:
             return
         self.payloads[slot] = payload

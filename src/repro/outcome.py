@@ -9,8 +9,8 @@ same way: read each node out into a plain-data :class:`NodeReport`
 ``decisions`` / ``meta`` / the metrics snapshot, and applies the paper's
 properties — agreement, validity, integrity and liveness per instance;
 subset agreement, the ``n − t`` size bound and completion for ACS —
-directly on the report data, so one checker holds every fabric to the
-same standard.
+directly on the report data (:func:`violations`), so one checker holds
+every fabric to the same standard.
 
 The builder is *told* which pids are correct; it never infers the set
 from the reports that happened to arrive, so a correct node without a
@@ -313,43 +313,52 @@ def build_result(
     registry.gauge("virtual_time", elapsed)
     result.metrics = registry.snapshot()
 
-    # -- the paper's properties, per instance --------------------------------
-    binary = [r for r in judged if r.instances]
-    correct_proposals = {proposals[pid] for pid in correct}
+    # -- the paper's properties ----------------------------------------------
+    for exc_cls, message in violations(judged, {proposals[p] for p in correct}, params):
+        fail(exc_cls, message)
+    return result
+
+
+def violations(
+    reports: Sequence[NodeReport], correct_proposals: set, params: ProtocolParams
+) -> Iterable[Tuple[type, str]]:
+    """Each violated property of correct nodes' ``reports``, as its
+    :mod:`repro.errors` class and message, in :func:`build_result`'s
+    order.  All but :class:`LivenessFailure` hold after any step."""
+    binary = [r for r in reports if r.instances]
     for i in range(len(binary[0].instances) if binary else 0):
         where = f"instance {i}: " if i else ""
         outcomes = {r.pid: r.instances[i] for r in binary}
         decided = {p: o.value for p, o in outcomes.items() if o.decided}
         if len(set(decided.values())) > 1:
-            fail(AgreementViolation,
-                 f"{where}correct processes decided {sorted(set(decided.values()))}")
+            yield (AgreementViolation,
+                   f"{where}correct processes decided {sorted(set(decided.values()))}")
         for pid, value in decided.items():
             if value not in correct_proposals:
-                fail(ValidityViolation,
-                     f"{where}p{pid} decided {value}, "
-                     "proposed by no correct process")
+                yield (ValidityViolation,
+                       f"{where}p{pid} decided {value}, "
+                       "proposed by no correct process")
         for pid, outcome in outcomes.items():
             if outcome.invariant_flags:
-                fail(IntegrityViolation,
-                     f"{where}p{pid}: {'; '.join(outcome.invariant_flags)}")
+                yield (IntegrityViolation,
+                       f"{where}p{pid}: {'; '.join(outcome.invariant_flags)}")
         if len(decided) < len(outcomes):
-            fail(LivenessFailure,
-                 f"{where}processes never decided: "
-                 f"{sorted(set(outcomes) - set(decided))}")
+            yield (LivenessFailure,
+                   f"{where}processes never decided: "
+                   f"{sorted(set(outcomes) - set(decided))}")
 
     # -- ACS: subset agreement, n - t size bound, completion -----------------
-    acs_nodes = [r for r in judged if not r.instances]
+    acs_nodes = [r for r in reports if not r.instances]
     outputs = {r.acs for r in acs_nodes if r.acs is not None}
     if len(outputs) > 1:
-        fail(AgreementViolation, f"ACS outputs diverge: {outputs}")
+        yield AgreementViolation, f"ACS outputs diverge: {outputs}"
     if outputs and min(map(len, outputs)) < params.step_quorum:
-        fail(AgreementViolation,
-             f"ACS output has {min(map(len, outputs))} elements, "
-             f"need >= {params.step_quorum}")
+        yield (AgreementViolation,
+               f"ACS output has {min(map(len, outputs))} elements, "
+               f"need >= {params.step_quorum}")
     unfinished = sorted(r.pid for r in acs_nodes if r.acs is None)
     if unfinished:
-        fail(LivenessFailure, f"ACS never completed at: {unfinished}")
-    return result
+        yield LivenessFailure, f"ACS never completed at: {unfinished}"
 
 
-__all__ = ["InstanceOutcome", "NodeReport", "build_result"]
+__all__ = ["InstanceOutcome", "NodeReport", "build_result", "violations"]

@@ -4,11 +4,10 @@ A :class:`PendingSet` holds every envelope that has been sent but not yet
 delivered.  A scheduler names the next delivery by its *rank* — its
 position in the set, oldest first — so the set's questions are about
 ranks: :meth:`~PendingSet.pop` (take out the rank-th envelope, without
-a scan — the runner's one call per delivery), :meth:`~PendingSet.at`
-(rank → envelope), :meth:`~PendingSet.rank` (its inverse),
-:meth:`~PendingSet.ranks` (of the envelopes satisfying a predicate) and
-:meth:`~PendingSet.oldest_per_link`.  Ranks follow insertion order,
-whatever the order of the ``uid`` values.
+a scan), :meth:`~PendingSet.at` (rank → envelope), :meth:`~PendingSet.rank`
+(its inverse), :meth:`~PendingSet.ranks` (of the envelopes satisfying a
+predicate) and :meth:`~PendingSet.oldest_per_link`.  Ranks follow
+insertion order, whatever the order of the ``uid`` values.
 """
 
 from __future__ import annotations
@@ -35,13 +34,14 @@ class PendingSet:
     :meth:`add` appends to the last block (O(1)), :meth:`at` walks the
     block lengths (O(P / BLOCK)), :meth:`pop` takes the same walk and
     pops there (plus a ``memmove`` within the block); ``in`` / ``len``
-    are O(1).  A block left small is folded into its neighbour:
-    adjacent blocks always total more
-    than ``BLOCK / 2``, so there are at most ``4 P / BLOCK + 2`` blocks
-    and every whole-set pass (iteration, :meth:`ranks`,
-    :meth:`oldest_per_link`) is O(P).  ``uid``
-    uniqueness is enforced: the simulator assigns uids, so a duplicate
-    indicates a harness bug.
+    are O(1).  A block left small is folded into its neighbour: adjacent
+    blocks always total more than ``BLOCK / 2``, so there are at most
+    ``4 P / BLOCK + 2`` blocks and every whole-set pass (iteration,
+    :meth:`ranks`, :meth:`oldest_per_link`) is O(P).  ``uid`` uniqueness
+    is enforced: the simulator assigns uids, so a duplicate indicates a
+    harness bug.  With one block, ``Simulation.run`` pops in place
+    (``_blocks[0]``, ``_seqs[0]``, ``_seq_of``), leaving the set as
+    :meth:`pop` would: one block is neither walked nor folded.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from typing import Any, Callable, DefaultDict, Dict, Iterable, Optional, Protocol
 
 from ..errors import SimulationError
-from ..obs.events import DELIVER, SEND
+from ..obs.events import SEND
 from ..types import Envelope, ProcessId
 from .events import PendingSet
 from .rng import SplitRng
@@ -97,7 +97,7 @@ class Network:
     the envelopes ``pid`` put in flight, ``delivered[pid]`` the
     deliveries made to it — a :class:`~repro.outcome.NodeReport`'s
     ``sent_by_kind`` and ``delivered`` as they stand — and ``dropped``
-    the sends ``outbound_filter`` refused.
+    the sends ``outbound_filter`` refused (``Simulation.run`` delivers).
     """
 
     def __init__(self, rng: SplitRng, pending: PendingSet):
@@ -109,7 +109,7 @@ class Network:
         self.delivered: Counter = Counter()
         self.dropped = 0
         #: Optional structured-event hub (:class:`repro.obs.Observer`).
-        #: One ``is not None`` check per send/deliver when disabled.
+        #: One ``is not None`` check per fan-out and step when disabled.
         self.observer: Optional[Any] = None
         #: Causal message ids ``"<sender>:<seq>"`` for send/deliver
         #: correlation, assigned only under an observer (a
@@ -117,7 +117,7 @@ class Network:
         #: kept as ints).  The uid side table carries each in-flight
         #: message's ``seq`` to its deliver record without the envelope
         #: (or the protocol payload) ever changing shape: added at
-        #: ``send``, popped at ``deliver``.
+        #: ``send``, popped by the step loop's delivery.
         self._seqs: Dict[ProcessId, int] = {}
         self._mids: Dict[int, int] = {}
         self._uid = 0
@@ -151,16 +151,6 @@ class Network:
             raise SimulationError(f"pid {process.pid} registered twice")
         self.processes[process.pid] = process
 
-    def replace(self, process: Deliverable) -> None:
-        """Swap in a different implementation for a pid (fault injection)."""
-        if process.pid not in self.processes:
-            raise SimulationError(f"pid {process.pid} not registered")
-        self.processes[process.pid] = process
-
-    @property
-    def n(self) -> int:
-        return len(self.processes)
-
     # -- data plane ---------------------------------------------------------
 
     def send(self, source: ProcessId, dest: ProcessId, payload: Any) -> None:
@@ -173,7 +163,7 @@ class Network:
         :meth:`send` calls in pid order, with the clock read and the
         send counters paid once.
         """
-        self._fan_out(source, range(self.n), payload)
+        self._fan_out(source, range(len(self.processes)), payload)
 
     def _fan_out(self, source: ProcessId, dests: Iterable[ProcessId], payload: Any) -> None:
         """One envelope per destination; what they share is done once.
@@ -215,30 +205,3 @@ class Network:
                 if observer is not None:
                     self._seqs[source] = seq
                     sink.named(slot, payload, sent)
-
-    def deliver(self, rank: int, time: float) -> None:
-        """Take the ``rank``-th oldest in-flight envelope out of the
-        pending set and deliver it to its destination (runner only).
-
-        The caller names a rank, never an envelope, so a delivery can
-        reorder but not forge; an out-of-range rank raises
-        :class:`IndexError` before anything is delivered.
-        """
-        env = self.pending.pop(rank)
-        self.delivered[env.dest] += 1
-        observer = self.observer
-        if observer is not None:
-            # Sent before the observer was attached: no id (seq 0).  The
-            # tail is ``sink.named(slot, payload, 1)`` inline: a call here
-            # would be a Python frame per record.
-            sink, payload = observer.sink, env.payload
-            slot, seq = id(payload), self._mids.pop(env.uid, 0)
-            sink.record((time, DELIVER, env.dest, slot,
-                         env.source if seq else None, seq))
-            sink.payloads[slot] = payload
-            sink.recorded += 1
-            if sink.recorded >= sink.due:
-                sink.settle()
-        target = self.processes.get(env.dest)
-        if target is not None:
-            target.deliver(env.source, env.payload)

@@ -3,8 +3,8 @@
 A :class:`Simulation` owns the pending-message set, the scheduler and
 the network.  Running proceeds one delivery at a time, in one loop
 (:meth:`Simulation.run`; :meth:`~Simulation.step` is one pass of it):
-ask the scheduler for the rank of the next envelope, record the rank,
-have the network pop that envelope and deliver it, repeat — until a
+draw or ask for the rank of the next envelope, record it, pop that
+envelope, count it and hand it to its process, repeat — until a
 caller-supplied predicate holds, the system is quiescent (no messages
 in flight), or the step budget runs out.
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..errors import EventBudgetExceeded, SimulationError
+from ..obs.events import DELIVER
 from ..obs.profile import SPAN_BUFFER
 from .events import PendingSet
 from .network import Network
@@ -108,9 +109,11 @@ class Simulation:
     ) -> int:
         """Deliver messages until ``until()`` holds or quiescence.
 
-        The one delivery loop: the scheduler names a rank, the rank is
-        recorded, and the network pops and delivers that envelope.
-        Returns the number of steps executed in this call.  Raises
+        The one delivery loop.  The stock :class:`RandomScheduler`'s
+        draw and a one-block pop run inline, so such a step pays no
+        Python frame before ``Process.deliver``; other ranks go through
+        ``choose`` and the checked :meth:`PendingSet.pop`.  Returns the
+        number of steps executed in this call.  Raises
         :class:`EventBudgetExceeded` if the budget runs out first —
         which, for a correct protocol under an admissible scheduler,
         indicates a livelock and is treated as a test failure.
@@ -119,8 +122,12 @@ class Simulation:
             raise SimulationError("simulation is closed: it cannot deliver again")
         if not self._started:
             self.start()
-        count, record = self.pending.count, self.schedule.append
-        choose, deliver = self.scheduler.choose, self.network.deliver
+        pending, scheduler, network = self.pending, self.scheduler, self.network
+        count, pop, record = pending.count, pending.pop, self.schedule.append
+        blocks, seqs, seq_of = pending._blocks, pending._seqs, pending._seq_of
+        processes, delivered = network.processes, network.delivered
+        drawn, observer = type(scheduler) is RandomScheduler, network.observer
+        choose, getrandbits = scheduler.choose, scheduler.rng.getrandbits
         profiler = self.profiler
         if profiler is not None:
             # Three clock reads a step; the two durations are buffered
@@ -133,23 +140,47 @@ class Simulation:
             while True:
                 if until is not None and until():
                     return executed
-                if not count():
+                if not (n := count()):
                     return executed  # quiescent
                 if executed >= max_steps:
                     raise EventBudgetExceeded(self.steps)
                 if profiler is not None:
                     step_started = clock()
-                rank, time = choose()
+                if drawn:
+                    rank, k = n, n.bit_length()
+                    while rank >= n:
+                        rank = getrandbits(k)
+                    scheduler.now = time = scheduler.now + 1.0
+                else:
+                    rank, time = choose()
                 record(rank)
                 if time > self.now:
                     self.now = time
                 self.steps += 1
                 executed += 1
-                if profiler is None:
-                    deliver(rank, self.now)
-                else:
+                if profiler is not None:
                     started = clock()
-                    deliver(rank, self.now)
+                if drawn and len(blocks) == 1:
+                    env = blocks[0].pop(rank)
+                    seqs[0].pop(rank)
+                    del seq_of[env.uid]
+                else:
+                    env = pop(rank)
+                delivered[env.dest] += 1
+                if observer is not None:
+                    # ``sink.named(slot, payload, 1)`` inline (seq 0: no id).
+                    sink, payload = observer.sink, env.payload
+                    slot, seq = id(payload), network._mids.pop(env.uid, 0)
+                    sink.record((self.now, DELIVER, env.dest, slot,
+                                 env.source if seq else None, seq))
+                    sink.payloads[slot] = payload
+                    sink.recorded += 1
+                    if sink.recorded >= sink.due:
+                        sink.settle()
+                target = processes.get(env.dest)
+                if target is not None:
+                    target.deliver(env.source, env.payload)
+                if profiler is not None:
                     ended = clock()
                     deliver_spans.append(ended - started)
                     step_spans.append(ended - step_started)
@@ -184,10 +215,6 @@ class Simulation:
         network.bind_clock(lambda: final)
         if network.observer is not None:
             network.observer.bind_clock(lambda: final)
-
-    def run_to_quiescence(self, max_steps: int = 2_000_000) -> int:
-        """Deliver every message until none are in flight."""
-        return self.run(until=None, max_steps=max_steps)
 
     @property
     def quiescent(self) -> bool:

@@ -87,6 +87,7 @@ class RandomScheduler(Scheduler):
     more — without ``randrange``'s two Python frames, so a seed's
     schedule is the one ``randrange`` gave (``tests/unit/
     test_scheduler.py`` compares the two up to ``n = 2**20 + 1``).
+    ``Simulation.run`` draws the same way inline; ``choose`` is its reference.
     """
 
     def choose(self) -> Tuple[int, float]:

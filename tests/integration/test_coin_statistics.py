@@ -27,7 +27,7 @@ def reconstruct_rounds(provider_factory, n_rounds, seed, n=4, t=1):
             source.request(
                 round_, lambda r, b, pid=pid: outputs.setdefault((pid, r), b)
             )
-    sim.run_to_quiescence(max_steps=2_000_000)
+    sim.run(max_steps=2_000_000)
     return outputs
 
 

@@ -50,7 +50,7 @@ class TestHaltedProcessesStayQuiet:
         ).run()
         assert handle.until()
         sim = handle.sim
-        sim.run_to_quiescence(max_steps=2_000_000)
+        sim.run(max_steps=2_000_000)
         # Deliveries to halted consensus modules must not generate new
         # consensus traffic (RBC echoes for stragglers are allowed).
         decide_like = {

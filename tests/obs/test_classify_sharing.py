@@ -107,7 +107,7 @@ def test_sim_broadcast_is_reprd_once_when_read():
     payload = Counted("first")
     sim, observer, modules = observed_sim(payload)
     sim.start()
-    sim.run_to_quiescence()
+    sim.run()
     assert payload.reprs == 0
     events = observer.events()
     assert [e.kind for e in events].count("send") == N
@@ -203,7 +203,7 @@ def test_an_equivocators_copies_are_classified_per_object_on_sim():
     sim.start()
     for dest, copy in enumerate(copies):
         sim.network.send(0, dest, ("gossip", copy))
-    sim.run_to_quiescence()
+    sim.run()
     assert [copy.reprs for copy in copies] == [0] * N
     assert len(list(observer.events())) == 2 * N
     assert [copy.reprs for copy in copies] == [1] * N
@@ -287,7 +287,7 @@ def test_filtered_message_leaves_no_side_table_entry():
     sim.start()
     assert len(network._mids) == len(network.pending) == N - 1
     assert network.dropped == 1
-    sim.run_to_quiescence()
+    sim.run()
     assert len(network._mids) == 0
     assert [e.kind for e in observer.events()].count("send") == N - 1
     # A dropped send takes no sequence number.
@@ -302,7 +302,7 @@ def test_message_sent_before_the_observer_attached_has_no_id():
     sim.start()
     sim.network.send(0, 1, ("gossip", payload))
     sim.network.observer = observer
-    sim.run_to_quiescence()
+    sim.run()
     (deliver,) = observer.events()
     assert (deliver.kind, deliver.detail) == ("deliver", "Counted('early')")
     assert payload.reprs == 1

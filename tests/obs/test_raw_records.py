@@ -29,6 +29,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profile import SPAN_BUFFER, SpanProfiler
 from repro.scenario import Scenario, assemble, run
 from repro.sim.network import Network
+from repro.sim.process import Process
 
 #: The sim-bracha-n7x8 benchmark shape, at one of its seeds.
 BRACHA_N7X8 = dict(
@@ -226,16 +227,17 @@ def test_a_sim_run_that_raises_still_writes_its_whole_trace(
         tmp_path, monkeypatch):
     # The JSONL sink renders in chunks; the records of a run that dies
     # between two chunks reach the file all the same.
-    deliver = Network.deliver
+    deliver = Process.deliver
     delivered = []
 
-    def failing(network, rank, time):
-        deliver(network, rank, time)
-        delivered.append(rank)
+    def failing(process, sender, payload):
+        deliver(process, sender, payload)
+        delivered.append(sender)
         if len(delivered) == 500:
             raise RuntimeError("stop here")
 
-    monkeypatch.setattr(Network, "deliver", failing)
+    # Every node is correct: each delivery reaches ``Process.deliver``.
+    monkeypatch.setattr(Process, "deliver", failing)
     path = tmp_path / "trace.jsonl"
     with pytest.raises(RuntimeError, match="stop here"):
         run(Scenario(**SMALL, observe=f"jsonl:{path}"))
@@ -393,12 +395,22 @@ def test_folding_a_buffer_equals_recording_each_value():
 
 
 def test_folding_equals_one_stop_per_value():
-    ticks = iter(range(0, 4000, 2))
+    bounds = Histogram().bounds
+    rng = random.Random(11)
+    values = [2] * 100  # ints, all in one bucket
+    values += list(bounds) + list(bounds[::3])  # on the bounds, duplicated
+    values += [bounds[0] / 2, 0, bounds[-1] * 2, 7, 7]  # ends, overflow
+    values += [rng.choice(bounds) * rng.choice((1, 1 + 1e-12, 1 - 1e-12))
+               for _ in range(300)]  # at and either side of a bound
+    rng.shuffle(values)
+    # One ``stop()`` per value: the clock reads 0, then the value.
+    ticks = iter([tick for value in values for tick in (0, value)])
     stopped = SpanProfiler(MetricsRegistry(), clock=lambda: next(ticks))
-    for _ in range(100):
+    for _ in values:
         stopped.stop("work", stopped.start())
     folded = SpanProfiler(MetricsRegistry())
-    folded.fold("work", [2] * 100)
+    folded.fold("work", values[:150])
+    folded.fold("work", values[150:])
     assert _fields(folded.registry.histogram("span_work")) == _fields(
         stopped.registry.histogram("span_work")
     )

@@ -2,10 +2,12 @@
 
 The sim fabric keeps its books per broadcast and per decision, not per
 destination and per step: a payload is classified for the send counters
-once per applied effect (never at delivery), and the stop predicate
-watches only the stacks that are not yet done.  Neither may move a
-run's outcome — the predicate in particular must turn true on exactly
-the step a poll of every stack would.
+once per applied effect (never at delivery), a random step runs no
+scheduler, pending-set or network frame before the process's own, and
+the stop predicate watches only the stacks that are not yet done, after
+a step that could have finished one.  None of this may move a run's
+outcome — the predicate in particular must turn true on exactly the
+step a poll of every stack would.
 """
 
 from collections import Counter
@@ -21,7 +23,7 @@ from repro.sim.effects import Broadcast, CausalStamper, Send
 from repro.sim.events import PendingSet
 from repro.sim.process import Process
 from repro.sim.runner import Simulation
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import RandomScheduler, Scheduler
 from repro.stacks import STACKS, ProtocolPlan
 from repro.types import Envelope
 
@@ -51,10 +53,33 @@ def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
     assert sum(result.meta["messages_by_kind"].values()) == result.messages_sent
 
 
-def test_a_delivery_is_one_pop_and_no_lookup(monkeypatch):
+class _CountingIndex(dict):
+    """A uid index that counts its removals: one per envelope taken out
+    of the pending set, whichever path takes it."""
+
+    removed = 0
+
+    def __delitem__(self, uid):
+        type(self).removed += 1
+        super().__delitem__(uid)
+
+
+def _count_removals(monkeypatch):
+    init = PendingSet.__init__
+
+    def counting_init(pending):
+        init(pending)
+        pending._seq_of = _CountingIndex()
+        pending.count = pending._seq_of.__len__
+
+    monkeypatch.setattr(_CountingIndex, "removed", 0)
+    monkeypatch.setattr(PendingSet, "__init__", counting_init)
+
+
+def test_a_delivery_is_one_removal_and_no_lookup(monkeypatch):
     # The benchmark's sim-bracha-n7x8 shape, seed 1001, uniform random
-    # delivery: the runner pops the rank its scheduler names and never
-    # fetches, ranks or walks the set besides.
+    # delivery: the runner takes out the rank its scheduler names, once
+    # per step, and never fetches, ranks or walks the set besides.
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001, scheduler="random")
     calls = Counter()
@@ -65,11 +90,36 @@ def test_a_delivery_is_one_pop_and_no_lookup(monkeypatch):
             return method(pending, *args)
         return wrapper
 
-    for name in ("pop", "at", "rank", "__iter__"):
+    for name in ("at", "rank", "__iter__"):
         monkeypatch.setattr(PendingSet, name,
                             counted(name, getattr(PendingSet, name)))
+    _count_removals(monkeypatch)
     result = run(scenario)
-    assert calls == {"pop": result.steps}
+    assert calls == {}
+    assert _CountingIndex.removed == result.steps == 31918
+
+
+def test_a_random_step_pays_no_frame_before_the_process(monkeypatch):
+    # The benchmark's sim-bracha-n7x8 shape, seed 1001: the stock random
+    # draw, the one-block pop and the delivery run in the step loop, so
+    # neither ``RandomScheduler.choose`` nor ``PendingSet.pop`` is
+    # called — and the run is the one it was.
+    scenario = Scenario(protocol="bracha", n=7, instances=8,
+                        batching="flush", seed=1001)
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RandomScheduler, "choose",
+                        counted("choose", RandomScheduler.choose))
+    monkeypatch.setattr(PendingSet, "pop", counted("pop", PendingSet.pop))
+    result = run(scenario)
+    assert calls == {}
+    assert (result.steps, result.messages_sent) == (31918, 32130)
 
 
 def test_a_step_pays_no_python_frame_for_its_bookkeeping(monkeypatch):

@@ -140,7 +140,7 @@ def test_process_hands_a_broadcast_effect_to_the_fabric_network_whole():
             Gossip("hi" if pid == 0 else None))
         for pid in range(N)
     ]
-    sim.run_to_quiescence()
+    sim.run()
     assert calls == [(0, ("gossip", "hi"))]
     assert all(m.got == [(0, "hi")] for m in modules)
     assert sim.network.sent == sum(sim.network.delivered.values()) == N
@@ -197,7 +197,7 @@ def test_a_two_faced_process_shows_each_group_only_its_own_face():
         factory_b=lambda process: process.add_module(Gossip("face-b")),
         group_a=(0, 1),
     ))
-    sim.run_to_quiescence()
+    sim.run()
     assert honest[0].got == honest[1].got == [(3, "face-a")]
     assert honest[2].got == [(3, "face-b")]
     # Four sends survive the faces' filters: a to {0, 1}, b to {2, 3}.

@@ -186,7 +186,7 @@ class TestShareCoinEndToEnd:
         sim.start()
         for pid, source in enumerate(sources):
             source.request(1, lambda r, b, pid=pid: outputs.setdefault(pid, b))
-        sim.run_to_quiescence()
+        sim.run()
         assert len(outputs) == 4
         assert len(set(outputs.values())) == 1
         assert outputs[0] == provider.dealer.coin_value(1)

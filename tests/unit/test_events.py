@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim import events
 from repro.sim.events import PendingSet
+from repro.sim.runner import Simulation
 from repro.types import Envelope
 
 
@@ -158,14 +159,23 @@ class TestQueries:
         assert [e.uid for e in walk] == [1, 2, 3, 4]
 
 
-OPS = ("add", "add_burst", "pop", "pop_burst", "bad_rank", "queries")
+OPS = ("add", "add_burst", "pop", "pop_burst", "step", "bad_rank", "queries")
 OP_LISTS = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, 5000)), max_size=80,
 )
 
 
+def state(pending):
+    """Everything a :class:`PendingSet` holds."""
+    return (pending._blocks, pending._seqs, pending._firsts,
+            pending._seq_of, pending._next_seq)
+
+
 class TestAgainstListModel:
-    """Random operation sequences against a plain insertion-ordered list."""
+    """Random operation sequences against a plain insertion-ordered list,
+    and against a twin set that is only ever popped through ``pop()``:
+    a ``step`` lets ``Simulation.run`` take the envelope out (in place
+    while the set is one block), and the two sets must stay identical."""
 
     @settings(max_examples=200, deadline=None)
     @given(OP_LISTS)
@@ -182,17 +192,21 @@ class TestAgainstListModel:
 
     @staticmethod
     def check(ops):
-        pending, model = PendingSet(), []
+        # No process is registered: a step takes the envelope out of the
+        # set and delivers it to nobody.
+        sim = Simulation(seed=len(ops))
+        pending, twin, model = sim.pending, PendingSet(), []
         fresh = iter(range(10**6, 0, -1))  # descending: uid order != age
 
         def add(uid):
             e = env(uid, source=uid % 3, dest=(uid // 3) % 3)
             pending.add(e)
+            twin.add(e)
             model.append(e)
 
         def pop(index):
             k = index % len(model)
-            assert pending.pop(k) is model.pop(k)
+            assert pending.pop(k) is twin.pop(k) is model.pop(k)
 
         for _ in range(64):
             add(next(fresh))
@@ -212,6 +226,11 @@ class TestAgainstListModel:
             elif op == "pop_burst":
                 for k in range(min(len(model), arg % 90)):
                     pop(arg * (k + 1))
+            elif op == "step":
+                for _ in range(min(len(model), arg % 40)):
+                    assert sim.step()
+                    k = sim.schedule[-1]
+                    assert twin.pop(k) is model.pop(k)
             elif op == "bad_rank":
                 # Out of range: nothing is taken (the checks below
                 # compare the whole set with the model).
@@ -235,6 +254,7 @@ class TestAgainstListModel:
                 assert pending.oldest_per_link() == list(heads.values())
                 assert [pending.rank(e) for e in model] == list(range(len(model)))
             assert within_block_bound(pending)
+            assert state(pending) == state(twin)
             assert len(pending) == len(model)
             assert pending.count() == len(model)
             assert bool(pending) == bool(model)

@@ -105,5 +105,5 @@ class TestEndToEnd:
         sim.start()
         for i in range(20):
             transports[0].send_via(1, "app", i)
-        sim.run_to_quiescence()
+        sim.run()
         assert [p for (pid, _s, p) in received if pid == 1] == list(range(20))

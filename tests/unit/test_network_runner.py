@@ -6,7 +6,7 @@ from repro.errors import EventBudgetExceeded, SimulationError
 from repro.params import ProtocolParams
 from repro.sim.process import Process, ProtocolModule
 from repro.sim.runner import Simulation
-from repro.sim.scheduler import RoundRobinScheduler, ScriptedScheduler
+from repro.sim.scheduler import RoundRobinScheduler, Scheduler, ScriptedScheduler
 
 
 class Echoer(ProtocolModule):
@@ -20,6 +20,17 @@ class Echoer(ProtocolModule):
         self.got.append((sender, payload))
         if payload == "ping":
             self.ctx.send(sender, "pong")
+
+
+class FixedRank(Scheduler):
+    """Names one rank, whatever is pending."""
+
+    def __init__(self, rank):
+        super().__init__()
+        self.rank = rank
+
+    def choose(self):
+        return self.rank, self._advance()
 
 
 def two_process_sim(seed=0, scheduler=None):
@@ -49,7 +60,7 @@ class TestNetwork:
         sim, _ = two_process_sim()
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
-        sim.run_to_quiescence()
+        sim.run()
         net = sim.network
         assert net.sent == 2  # ping + pong
         assert net.sent_by_kind == {0: {"echo/str": 1}, 1: {"echo/str": 1}}
@@ -61,13 +72,14 @@ class TestNetwork:
         sim.network.outbound_filter = lambda env: env.payload[1] != "pong"
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
-        sim.run_to_quiescence()
+        sim.run()
         assert sim.network.dropped == 1
         assert sim.network.sent_by_kind[1] == {}  # a refused send is not a send
         assert modules[0].got == []  # the pong never came back
 
-    def test_replace_swaps_implementation(self):
-        sim, _ = two_process_sim()
+    def test_any_registered_deliverable_receives(self):
+        sim = Simulation()
+        Process(0, sim.network, ProtocolParams(2, 0)).add_module(Echoer())
 
         class Sink:
             pid = 1
@@ -82,10 +94,10 @@ class TestNetwork:
                 pass
 
         sink = Sink()
-        sim.network.replace(sink)
+        sim.network.register(sink)
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
-        sim.run_to_quiescence()
+        sim.run()
         assert sink.seen == [("echo", "ping")]
 
 
@@ -149,12 +161,12 @@ class TestSimulationLoop:
         """A delivery is named by its rank, never by an envelope, so the
         network adversary can reorder but has nothing to forge; a rank
         past the pending set delivers nothing."""
-        sim, modules = two_process_sim()
+        sim, modules = two_process_sim(scheduler=FixedRank(rank))
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
         genuine = sim.pending.at(0)
         with pytest.raises(IndexError):
-            sim.network.deliver(rank, sim.now)
+            sim.step()
         assert modules[0].got == modules[1].got == []
         assert not sim.network.delivered
         assert list(sim.pending) == [genuine]
@@ -166,7 +178,7 @@ class TestSimulationLoop:
             for i in range(6):
                 sim.network.send(0, 1, ("echo", "ping"))
                 sim.network.send(1, 0, ("echo", f"m{i}"))
-            sim.run_to_quiescence()
+            sim.run()
             return [m.got for m in modules], sim.schedule
 
         got, schedule = transcript()
@@ -182,7 +194,7 @@ class TestSimulationLoop:
     def test_auto_start_on_run(self):
         sim, modules = two_process_sim()
         sim.network.send(0, 1, ("echo", "ping"))
-        sim.run_to_quiescence()  # run() must start() implicitly
+        sim.run()  # run() must start() implicitly
         assert modules[1].got
 
     def test_quiescent_property(self):
@@ -191,7 +203,7 @@ class TestSimulationLoop:
         assert sim.quiescent
         sim.network.send(0, 1, ("echo", "ping"))
         assert not sim.quiescent
-        sim.run_to_quiescence()
+        sim.run()
         assert sim.quiescent
 
     def test_deterministic_replay_same_seed(self):
@@ -201,7 +213,7 @@ class TestSimulationLoop:
             for _ in range(3):
                 sim.network.send(0, 1, ("echo", "ping"))
                 sim.network.send(1, 0, ("echo", "ping"))
-            sim.run_to_quiescence()
+            sim.run()
             return [m.got for m in modules], sim.steps
 
         assert transcript(123) == transcript(123)
@@ -215,7 +227,7 @@ class TestSimulationLoop:
             for i in range(10):
                 sim.network.send(0, 1, ("echo", f"m{i}"))
                 sim.network.send(1, 0, ("echo", f"m{i}"))
-            sim.run_to_quiescence()
+            sim.run()
             return [m.got for m in modules]
 
         assert any(order(s) != order(0) for s in (1, 2, 3))
@@ -229,5 +241,5 @@ class TestSimulationLoop:
         ]
         sim.start()
         sim.network.send(0, 1, ("echo", "ping"))
-        sim.run_to_quiescence()
+        sim.run()
         assert modules[0].got == [(1, "pong")]

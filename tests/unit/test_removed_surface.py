@@ -4,7 +4,10 @@ Each name below was a second way to do something the library now does
 one way: the Observer is the one event log and ``NodeReport`` the one
 counter readout; a scheduler names a delivery by its rank, so
 ``PendingSet`` answers rank questions only, and a delivery pops that
-rank inside ``Simulation.run``, the one delivery loop; Ben-Or's crash
+rank inside ``Simulation.run``, the one delivery loop, which also
+hands it to its process (no network-level deliver) and, with no
+predicate, drains the set (no ``run_to_quiescence``); a behavior is
+registered in its pid's place, never swapped in; Ben-Or's crash
 variant is a ``BinaryAgreement`` subclass in ``baselines/benor.py`` and
 Rabin is ``coin="dealer"``; a fault spec reaches a behavior through
 ``dispatch_behavior`` only; ``repro.obs.report`` is the one trace
@@ -43,6 +46,10 @@ def test_removed_modules_do_not_resolve(module):
     ("repro.sim.events", "PendingSet.snapshot"),
     ("repro.sim.events", "PendingSet.remove"),
     ("repro.sim.runner", "Simulation._step"),
+    ("repro.sim.network", "Network.deliver"),
+    ("repro.sim.network", "Network.replace"),
+    ("repro.sim.network", "Network.n"),
+    ("repro.sim.runner", "Simulation.run_to_quiescence"),
     ("repro.adversary", "make_behavior"),
     ("repro.adversary.behaviors", "make_behavior"),
     ("repro", "run_cluster_sync"),

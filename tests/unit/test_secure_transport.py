@@ -111,7 +111,7 @@ class TestEndToEnd:
         sim.start()
         for i in range(5):
             transports[0].send_via(1, "chat", f"m{i}")
-        sim.run_to_quiescence()
+        sim.run()
         # The network may reorder (SecureTransport adds authentication,
         # not FIFO — compose with FifoTransport for that).
         assert {p for _s, p in inboxes[1]} == {f"m{i}" for i in range(5)}
