@@ -54,12 +54,12 @@ if TYPE_CHECKING:
     from ..runtime.transport import Transport
 
 
-#: Sequence numbers one incarnation may use per destination.  A node
-#: respawned for the k-th time starts at ``k * SEQ_EPOCH_SPAN`` (see
-#: ``seq_base``), so a sender that ran past its span would walk into
+#: Sequence numbers one incarnation may use per destination (~10**12).
+#: A node respawned for the k-th time starts at ``k * SEQ_EPOCH_SPAN``
+#: (see ``seq_base``), so a sender that ran past its span would walk into
 #: numbers its own next incarnation will reuse — and its peers' dedup
 #: windows would then drop real frames as duplicates.
-SEQ_EPOCH_SPAN = 1 << 20
+SEQ_EPOCH_SPAN = 1 << 40
 
 
 class _Pending:

@@ -110,8 +110,9 @@ class Simulation:
         """Deliver messages until ``until()`` holds or quiescence.
 
         The one delivery loop.  The stock :class:`RandomScheduler`'s
-        draw and a one-block pop run inline, so such a step pays no
-        Python frame before ``Process.deliver``; other ranks go through
+        draw and a one-block pop (``_blocks[0].pop``; that block's
+        length is the size) run inline, so such a step pays no Python
+        frame before ``Process.deliver``; other ranks go through
         ``choose`` and the checked :meth:`PendingSet.pop`.  Returns the
         number of steps executed in this call.  Raises
         :class:`EventBudgetExceeded` if the budget runs out first —
@@ -123,8 +124,8 @@ class Simulation:
         if not self._started:
             self.start()
         pending, scheduler, network = self.pending, self.scheduler, self.network
-        count, pop, record = pending.count, pending.pop, self.schedule.append
-        blocks, seqs, seq_of = pending._blocks, pending._seqs, pending._seq_of
+        pop, record = pending.pop, self.schedule.append
+        blocks, first = pending._blocks, pending._blocks[0]
         processes, delivered = network.processes, network.delivered
         drawn, observer = type(scheduler) is RandomScheduler, network.observer
         choose, getrandbits = scheduler.choose, scheduler.rng.getrandbits
@@ -140,7 +141,8 @@ class Simulation:
             while True:
                 if until is not None and until():
                     return executed
-                if not (n := count()):
+                one = len(blocks) == 1
+                if not (n := len(first) if one else len(pending)):
                     return executed  # quiescent
                 if executed >= max_steps:
                     raise EventBudgetExceeded(self.steps)
@@ -160,10 +162,8 @@ class Simulation:
                 executed += 1
                 if profiler is not None:
                     started = clock()
-                if drawn and len(blocks) == 1:
-                    env = blocks[0].pop(rank)
-                    seqs[0].pop(rank)
-                    del seq_of[env.uid]
+                if drawn and one:
+                    env = first.pop(rank)
                 else:
                     env = pop(rank)
                 delivered[env.dest] += 1

@@ -91,7 +91,7 @@ class RandomScheduler(Scheduler):
     """
 
     def choose(self) -> Tuple[int, float]:
-        n = self.pending.count()
+        n = len(self.pending)
         getrandbits, k = self.rng.getrandbits, n.bit_length()
         rank = getrandbits(k)
         while rank >= n:
@@ -157,10 +157,11 @@ class RandomDelayScheduler(Scheduler):
     latency measurements (e.g. decision time in "network delays") are
     meaningful.
 
-    The event list is a heap of ``(due, send order, envelope)`` filled
-    in :meth:`on_send`; on equal due times the earliest-sent message
-    wins.  Entries whose envelope left the pending set some other way
-    are dropped when they surface (lazy deletion).
+    The event list is a heap of ``(due, uid, envelope)`` filled in
+    :meth:`on_send`; uids increase in send order, so on equal due times
+    the earliest-sent message wins.  Entries whose envelope left the
+    pending set some other way are dropped when they surface (lazy
+    deletion).
     """
 
     def __init__(self, mean_delay: float = 1.0, min_delay: float = 0.01):
@@ -170,13 +171,11 @@ class RandomDelayScheduler(Scheduler):
         self.mean_delay = mean_delay
         self.min_delay = min_delay
         self._heap: list[Tuple[float, int, Envelope]] = []
-        self._sent = 0
 
     def on_send(self, env: Envelope) -> None:
         latency = self.min_delay + self.rng.expovariate(1.0 / self.mean_delay)
-        self._sent += 1
         heapq.heappush(
-            self._heap, (max(self.now, env.send_time) + latency, self._sent, env)
+            self._heap, (max(self.now, env.send_time) + latency, env.uid, env)
         )
 
     def choose(self) -> Tuple[int, float]:

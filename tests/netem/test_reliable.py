@@ -220,6 +220,30 @@ def test_seen_window_stays_one_run_above_the_floor_after_a_peers_restart():
     assert window.add(base + 2000) and _held(window) <= 4
 
 
+def test_a_link_runs_past_two_to_the_twenty_frames_to_one_peer():
+    # The epoch span is 2**40: a first incarnation's seqs go on past
+    # 2**20, a window takes them as one run, and a respawn one span up
+    # still opens a fresh range.
+    window, big = reliable._SeenWindow(), 1 << 20
+    for seq in range(big + 2000):
+        assert window.add(seq)
+    assert window.floor == big + 2000 and _held(window) == 2
+    assert not window.add(big + 1)
+    assert window.add(reliable.SEQ_EPOCH_SPAN) and _held(window) == 4
+
+    async def scenario():
+        inner = _SilentTransport()
+        link = ReliableLink(inner, TickClock())
+        link._next_seq[1] = big  # as after 2**20 frames to node 1
+        for _ in range(3):
+            await link.send(1, "payload")
+        assert [frame.seq for _dest, frame in inner.sent] == [
+            big, big + 1, big + 2]
+        assert link.outstanding == 3
+
+    run_async(scenario())
+
+
 def test_seen_window_stays_one_run_when_opened_mid_stream():
     # This node restarted: its fresh window meets a live peer whose
     # counter is already at 700.

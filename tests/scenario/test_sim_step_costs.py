@@ -53,33 +53,22 @@ def test_a_payload_is_classified_once_per_applied_effect(monkeypatch):
     assert sum(result.meta["messages_by_kind"].values()) == result.messages_sent
 
 
-class _CountingIndex(dict):
-    """A uid index that counts its removals: one per envelope taken out
-    of the pending set, whichever path takes it."""
+class _CountingBlock(list):
+    """A pending-set block that counts its removals: one per envelope
+    taken out of the set, whichever path takes it."""
 
     removed = 0
 
-    def __delitem__(self, uid):
+    def pop(self, index=-1):
         type(self).removed += 1
-        super().__delitem__(uid)
-
-
-def _count_removals(monkeypatch):
-    init = PendingSet.__init__
-
-    def counting_init(pending):
-        init(pending)
-        pending._seq_of = _CountingIndex()
-        pending.count = pending._seq_of.__len__
-
-    monkeypatch.setattr(_CountingIndex, "removed", 0)
-    monkeypatch.setattr(PendingSet, "__init__", counting_init)
+        return super().pop(index)
 
 
 def test_a_delivery_is_one_removal_and_no_lookup(monkeypatch):
     # The benchmark's sim-bracha-n7x8 shape, seed 1001, uniform random
-    # delivery: the runner takes out the rank its scheduler names, once
-    # per step, and never fetches, ranks or walks the set besides.
+    # delivery: the runner takes out the rank its scheduler names, one
+    # ``list.pop`` per step on the set's only block, and never fetches,
+    # ranks, walks or sizes the set besides; the set keeps no uid index.
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001, scheduler="random")
     calls = Counter()
@@ -90,13 +79,27 @@ def test_a_delivery_is_one_removal_and_no_lookup(monkeypatch):
             return method(pending, *args)
         return wrapper
 
-    for name in ("at", "rank", "__iter__"):
+    for name in ("at", "rank", "pop", "__iter__", "__len__", "__contains__"):
         monkeypatch.setattr(PendingSet, name,
                             counted(name, getattr(PendingSet, name)))
-    _count_removals(monkeypatch)
-    result = run(scenario)
-    assert calls == {}
-    assert _CountingIndex.removed == result.steps == 31918
+    init = PendingSet.__init__
+
+    def counting_init(pending):
+        init(pending)
+        pending._blocks = [_CountingBlock()]
+
+    monkeypatch.setattr(_CountingBlock, "removed", 0)
+    monkeypatch.setattr(PendingSet, "__init__", counting_init)
+    sim_run = assemble(scenario).run()
+    try:
+        pending = sim_run.sim.pending
+        assert calls == {}
+        assert _CountingBlock.removed == sim_run.sim.steps == 31918
+        assert type(pending._blocks[0]) is _CountingBlock
+        assert len(pending._blocks) == 1
+        assert vars(pending).keys() == {"_blocks", "_last"}  # no uid index
+    finally:
+        sim_run.close()
 
 
 def test_a_random_step_pays_no_frame_before_the_process(monkeypatch):
@@ -125,8 +128,8 @@ def test_a_random_step_pays_no_frame_before_the_process(monkeypatch):
 def test_a_step_pays_no_python_frame_for_its_bookkeeping(monkeypatch):
     # The benchmark's sim-bracha-n7x8 shape, seed 1001: the envelope is
     # built without the namedtuple's ``__new__``, the pending count is
-    # the uid index's own ``__len__`` and the random scheduler's clock
-    # advances inline — and the run is the one it was.
+    # the one block's length and the random scheduler's clock advances
+    # inline — and the run is the one it was.
     scenario = Scenario(protocol="bracha", n=7, instances=8,
                         batching="flush", seed=1001)
     calls = Counter()

@@ -204,10 +204,10 @@ class TestHoldbackSchedulers:
 
     def test_split_brain_delays_cross_traffic(self):
         scheduler = SplitBrainScheduler([0, 1], holdback=1000)
-        within = self._env(1, 0, 1)
-        cross = self._env(2, 0, 2)
+        cross = self._env(1, 0, 2)
+        within = self._env(2, 0, 1)
         order = self._drain(scheduler, [cross, within])
-        assert order == [1, 2]
+        assert order == [2, 1]
 
     def test_holdback_eventually_releases(self):
         scheduler = DelayVictimScheduler([3], holdback=2)
@@ -219,13 +219,13 @@ class TestHoldbackSchedulers:
         """Virtual time is the delivery count: an envelope sent at time
         ``s`` is eligible from delivery ``s + holdback`` on."""
         scheduler = DelayVictimScheduler([3], holdback=3)
-        late = self._env(10, 0, 3, send_time=1.0)
-        early = self._env(11, 0, 3, send_time=0.0)
-        favored = [self._env(1, 0, 1), self._env(2, 0, 1)]
+        late = self._env(1, 0, 3, send_time=1.0)
+        early = self._env(4, 0, 3, send_time=0.0)
+        favored = [self._env(2, 0, 1), self._env(3, 0, 1)]
         order = self._drain(scheduler, [late, *favored, early])
         # Delivery 3 releases `early` alone; the oldest-first fallback
         # would have released `late`, the oldest pending envelope.
-        assert sorted(order[:2]) == [1, 2] and order[2:] == [11, 10]
+        assert sorted(order[:2]) == [2, 3] and order[2:] == [4, 1]
 
 
 class TestScriptedAttack:

@@ -54,25 +54,38 @@ class TestBasics:
         assert pending.pop(0) is first
         assert not pending
 
+    @pytest.mark.parametrize("uid", [1, 2, 3, -1])
+    def test_a_uid_not_above_the_last_added_is_refused(self, uid):
+        pending = PendingSet()
+        for added in (1, 3):
+            pending.add(env(added))
+        assert pending.pop(1).uid == 3  # refused even once delivered
+        with pytest.raises(SimulationError, match=(
+                f"out-of-order or duplicate envelope uid {uid}: .* is 3$")):
+            pending.add(env(uid))
+        assert pending._blocks == [[env(1)]] and pending._last == 3
+        pending.add(env(4))
+        assert [e.uid for e in pending] == [1, 4]
+
     def test_iteration_is_insertion_ordered(self):
         pending = PendingSet()
-        for uid in (3, 1, 2):
+        for uid in (1, 2, 5):
             pending.add(env(uid))
-        assert [e.uid for e in pending] == [3, 1, 2]
+        assert [e.uid for e in pending] == [1, 2, 5]
 
     def test_rank_zero_is_first_inserted(self):
         pending = PendingSet()
-        pending.add(env(5))
         pending.add(env(2))
-        assert pending.at(0).uid == 5
+        pending.add(env(5))
+        assert pending.at(0).uid == 2
 
     def test_rank_fetch_follows_insertion_order(self):
         pending = PendingSet()
-        for uid in (3, 1, 2):
+        for uid in (1, 2, 3):
             pending.add(env(uid))
-        assert [pending.at(k).uid for k in range(3)] == [3, 1, 2]
-        assert pending.pop(1).uid == 1
-        assert [pending.at(k).uid for k in range(2)] == [3, 2]
+        assert [pending.at(k).uid for k in range(3)] == [1, 2, 3]
+        assert pending.pop(1).uid == 2
+        assert [pending.at(k).uid for k in range(2)] == [1, 3]
 
     @pytest.mark.parametrize("method", ["at", "pop"])
     @pytest.mark.parametrize("rank", [-1, 2, 10])
@@ -99,8 +112,8 @@ class TestBasics:
             assert within_block_bound(pending)
         assert [e.uid for e in pending] == [19_997, 19_998, 19_999]
         assert pending.at(2).uid == 19_999
-        pending.add(env(7))  # a uid that was live earlier
-        assert [e.uid for e in pending] == [19_997, 19_998, 19_999, 7]
+        pending.add(env(20_007))  # into the block the drain left
+        assert [e.uid for e in pending] == [19_997, 19_998, 19_999, 20_007]
 
     def test_one_survivor_per_block_is_folded(self, monkeypatch):
         monkeypatch.setattr(events, "BLOCK", 64)
@@ -152,6 +165,29 @@ class TestQueries:
         with pytest.raises(SimulationError, match="uid 1 is not pending"):
             pending.rank(env(1))
 
+    def test_rank_and_membership_across_blocks(self, monkeypatch):
+        # Uids 1, 4, 7, ... in blocks of 64; block 0 drained empty (its
+        # full neighbour keeps it from folding) and block 2 thinned.
+        monkeypatch.setattr(events, "BLOCK", 64)
+        pending = PendingSet()
+        for i in range(64 * 5):
+            pending.add(env(3 * i + 1))
+        for _ in range(64):
+            pending.pop(0)
+        for k in range(20):
+            pending.pop(64 + k)  # every other envelope of block 2
+        sizes = [len(block) for block in pending._blocks]
+        assert sizes[:3] == [0, 64, 44] and len(sizes) == 5
+        live = list(pending)
+        assert [pending.rank(e) for e in live] == list(range(len(live)))
+        assert all(e in pending for e in live)
+        live_uids = {e.uid for e in live}
+        for uid in range(-1, 3 * 64 * 5 + 3):
+            if uid not in live_uids:
+                assert env(uid) not in pending
+                with pytest.raises(SimulationError, match="not pending"):
+                    pending.rank(env(uid))
+
     def test_iteration_is_a_stable_copy(self):
         pending = self._loaded()
         walk = iter(pending)
@@ -167,13 +203,13 @@ OP_LISTS = st.lists(
 
 def state(pending):
     """Everything a :class:`PendingSet` holds."""
-    return (pending._blocks, pending._seqs, pending._firsts,
-            pending._seq_of, pending._next_seq)
+    return pending._blocks, pending._last
 
 
 class TestAgainstListModel:
-    """Random operation sequences against a plain insertion-ordered list,
-    and against a twin set that is only ever popped through ``pop()``:
+    """Random operation sequences, with increasing uids and refused
+    lower or repeated ones, against a plain insertion-ordered list, and
+    against a twin set that is only ever popped through ``pop()``:
     a ``step`` lets ``Simulation.run`` take the envelope out (in place
     while the set is one block), and the two sets must stay identical."""
 
@@ -196,30 +232,35 @@ class TestAgainstListModel:
         # set and delivers it to nobody.
         sim = Simulation(seed=len(ops))
         pending, twin, model = sim.pending, PendingSet(), []
-        fresh = iter(range(10**6, 0, -1))  # descending: uid order != age
+        last = [0]  # the last uid added
 
         def add(uid):
             e = env(uid, source=uid % 3, dest=(uid // 3) % 3)
             pending.add(e)
             twin.add(e)
             model.append(e)
+            last[0] = uid
+
+        def fresh():
+            return last[0] + 1 + len(model) % 3  # increasing, with gaps
 
         def pop(index):
             k = index % len(model)
             assert pending.pop(k) is twin.pop(k) is model.pop(k)
 
         for _ in range(64):
-            add(next(fresh))
+            add(fresh())
         for op, arg in ops:
             if op == "add":
-                if any(e.uid == arg for e in model):
+                uid = last[0] + arg % 4 - 1  # lower, repeated or higher
+                if uid <= last[0]:
                     with pytest.raises(SimulationError, match="duplicate"):
-                        pending.add(env(arg))
+                        pending.add(env(uid))
                 else:
-                    add(arg)
+                    add(uid)
             elif op == "add_burst":
                 for _ in range(arg % 60):
-                    add(next(fresh))
+                    add(fresh())
             elif op == "pop":
                 if model:
                     pop(arg)
@@ -256,7 +297,6 @@ class TestAgainstListModel:
             assert within_block_bound(pending)
             assert state(pending) == state(twin)
             assert len(pending) == len(model)
-            assert pending.count() == len(model)
             assert bool(pending) == bool(model)
             assert list(pending) == model
             assert all(e in pending for e in model)

