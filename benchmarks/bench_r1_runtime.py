@@ -14,7 +14,11 @@ the package's growth is a gated number too.
 Both experiments are expressed as declarative scenarios: one
 :class:`repro.scenario.Scenario` per configuration, with the fabric as
 just another field — the benchmark measures exactly what ``repro run``
-would execute.
+would execute.  Times are reference milliseconds, as in
+``bench_o1_tracing.py``: each trial's wall time divided by (the host
+calibration taken just before it ÷ the e2e harness's reference
+calibration), so a host running slow for a while does not read as a
+slow fabric.
 
 Run with ``--smoke`` for the CI-sized subset.
 """
@@ -32,6 +36,10 @@ import repro
 from repro.analysis.tables import format_table
 from repro.scenario import Scenario, run
 
+# The e2e harness's host probe, so every gate shares one reference speed.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "e2e"))
+from harness import REF_CALIB_MS, calibrate  # noqa: E402
+
 _COLD_IMPORT = (
     "import sys, repro.scenario; "
     "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))"
@@ -39,9 +47,11 @@ _COLD_IMPORT = (
 
 
 def _timed(fn):
+    """``fn()``'s wall time in reference ms, and its result."""
+    host_x = calibrate() / REF_CALIB_MS
     start = time.perf_counter()
     result = fn()
-    return (time.perf_counter() - start) * 1000.0, result
+    return (time.perf_counter() - start) * 1000.0 / host_x, result
 
 
 def _cold_import_modules():
@@ -101,7 +111,7 @@ def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
     table_sink(
         "r1_fabric_comparison",
         format_table(
-            ["n", "fabric", "median ms/decision", "messages"],
+            ["n", "fabric", "median ref ms/decision", "messages"],
             rows,
             title="R1a. One unanimous Bracha decision per fabric "
                   f"({'smoke' if smoke else 'full'} mode)",
@@ -126,7 +136,8 @@ def test_r1_fabric_comparison(benchmark, table_sink, bench_sink, smoke):
             "sim_cold_import_modules": _cold_import_modules(),
             "src_lines": _src_lines(),
         },
-        meta={"sizes": sizes, "trials": trials},
+        meta={"sizes": sizes, "trials": trials,
+              "times": f"reference ms (calibration / {REF_CALIB_MS} ms)"},
     )
 
 
@@ -156,7 +167,8 @@ def test_r1_instance_batching(benchmark, table_sink, bench_sink, smoke):
     table_sink(
         "r1_instance_batching",
         format_table(
-            ["instances", "ms total", "ms/instance", "messages", "msgs/instance"],
+            ["instances", "ref ms total", "ref ms/instance", "messages",
+             "msgs/instance"],
             rows,
             title="R1b. Parallel Bracha instances over one shared RBC layer "
                   "(asyncio-local, n=4)",
@@ -175,5 +187,6 @@ def test_r1_instance_batching(benchmark, table_sink, bench_sink, smoke):
             "x4_ms": per_instance[4],
             "x4_msgs_per_instance": msgs_per_instance[4],
         },
-        meta={"batches": batches, "n": n},
+        meta={"batches": batches, "n": n,
+              "times": f"reference ms (calibration / {REF_CALIB_MS} ms)"},
     )

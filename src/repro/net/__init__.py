@@ -1,16 +1,14 @@
-"""Link-layer functionalities: message authentication and FIFO transport.
+"""Link-layer functionality: pairwise message authentication.
 
 Bracha's model assumes *authenticated* reliable point-to-point links: the
 receiver of a message knows which process sent it, and faulty processes
 cannot forge messages on behalf of correct ones.  The simulator passes the
-true sender out of band (the usual idealization); :mod:`repro.net.auth`
-implements the MAC machinery explicitly so the idealization is backed by
-working code, and :mod:`repro.net.links` provides a FIFO transport built
-from sequence numbers and a reorder buffer — the standard construction
-referenced in the literature.
+true sender out of band (the usual idealization); on the tcp and mp
+fabrics every frame carries an HMAC over its wire bytes, computed by
+:mod:`repro.net.auth` (``Authenticator.tag_bytes`` / ``verify_bytes``),
+so the idealization is backed by working code on the wire.
 """
 
 from .auth import AuthenticationError, Authenticator, KeyRing
-from .links import FifoTransport
 
-__all__ = ["AuthenticationError", "Authenticator", "FifoTransport", "KeyRing"]
+__all__ = ["AuthenticationError", "Authenticator", "KeyRing"]

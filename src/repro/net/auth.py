@@ -1,4 +1,4 @@
-"""Pairwise message authentication (simulated MACs).
+"""Pairwise message authentication over wire bytes.
 
 Bracha's protocol is *signature-free*: it needs only authenticated
 channels, i.e. symmetric MACs between each pair of processes, and remains
@@ -8,15 +8,16 @@ interface).
 
 A trusted setup (:class:`KeyRing`) derives one shared key per unordered
 pair of processes from a master secret.  :class:`Authenticator` binds a
-key ring to one process and produces/verifies per-message tags.  The tag
-covers (source, dest, payload) so messages cannot be redirected or
-replayed across links undetected.
+key ring to one process and produces/verifies per-frame tags.  A tag is
+computed over the frame's wire bytes (its :mod:`~repro.runtime.binarycodec`
+body) and covers (source, dest, body), so frames cannot be redirected or
+replayed across links undetected.  There is no other MAC path.
 
 The simulator's network layer delivers the true sender identity out of
 band — the standard idealization of exactly this machinery.  The tests in
-``tests/unit/test_auth.py`` validate that the concrete machinery enforces
-what the idealization assumes: no forgery across identities, no tampering,
-no cross-link replay.
+``tests/unit/test_auth.py`` and ``tests/unit/test_link_macs.py`` validate
+that the concrete machinery enforces what the idealization assumes: no
+forgery across identities, no tampering, no cross-link replay.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ from ..errors import AuthenticationError
 from ..types import ProcessId
 
 __all__ = ["AuthenticationError", "Authenticator", "KeyRing"]
-
-
-def _canonical(payload: object) -> bytes:
-    """A canonical byte encoding of a payload for MAC computation.
-
-    ``repr`` of the plain-data message dataclasses is deterministic and
-    injective for the payload types used by the library (frozen
-    dataclasses of ints, strings, tuples).
-    """
-    return repr(payload).encode()
 
 
 class KeyRing:
@@ -91,16 +82,8 @@ class Authenticator:
             for peer, key in keys.items()
         }
 
-    def tag(self, dest: ProcessId, payload: object) -> bytes:
-        """MAC tag for a message from this process to ``dest``."""
-        return self.tag_bytes(dest, _canonical(payload))
-
-    def verify(self, source: ProcessId, payload: object, tag: bytes) -> bool:
-        """Check a tag on a message claimed to come from ``source``."""
-        return self.verify_bytes(source, _canonical(payload), tag)
-
     def tag_bytes(self, dest: ProcessId, payload: "bytes | memoryview") -> bytes:
-        """MAC tag over raw payload bytes (the binary wire codec's path).
+        """MAC tag over a frame's wire bytes to ``dest``.
 
         The tag binds the src→dst link, so a frame cannot be redirected
         or claimed by another sender.  A :class:`memoryview` is hashed
@@ -117,17 +100,10 @@ class Authenticator:
     def verify_bytes(
         self, source: ProcessId, payload: "bytes | memoryview", tag: "bytes | memoryview"
     ) -> bool:
-        """Check a :meth:`tag_bytes`-style tag on raw payload bytes."""
+        """Check a :meth:`tag_bytes` tag on wire bytes claimed from ``source``."""
         state = self._inbound.get(source)
         if state is None:
             return False
         mac = state.copy()
         mac.update(payload)
         return hmac.compare_digest(mac.digest(), tag)
-
-    def require(self, source: ProcessId, payload: object, tag: bytes) -> None:
-        """Like :meth:`verify` but raises :class:`AuthenticationError`."""
-        if not self.verify(source, payload, tag):
-            raise AuthenticationError(
-                f"p{self.pid}: bad tag on message claimed from p{source}"
-            )

@@ -16,7 +16,7 @@ asynchrony now comes from task/socket interleaving instead of a seeded
 scheduler.
 
 **Batching.**  The flush is where the batched message pipeline lives:
-with ``batching="flush"`` (or ``"size:N"``) everything queued for one
+with ``batching="flush"`` everything queued for one
 destination during a pump iteration is coalesced into a single
 :class:`~repro.runtime.codec.WireBatch` payload — one MAC and one
 length-prefixed TCP write per destination instead of one per message.
@@ -169,9 +169,8 @@ class Node:
     predicates without polling.
 
     ``batching`` is a spec accepted by
-    :func:`~repro.sim.effects.parse_batching` (``off`` | ``flush`` |
-    ``size:N``) selecting how the per-iteration outbox maps to wire
-    frames.
+    :func:`~repro.sim.effects.parse_batching` (``off`` | ``flush``)
+    selecting how the per-iteration outbox maps to wire frames.
     """
 
     def __init__(

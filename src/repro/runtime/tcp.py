@@ -27,14 +27,12 @@ no await.  Any other frame queues on the link's lock, and only there
 is a link (re)connected and ``drain`` awaited: connect, contention and
 backpressure are the only things a send waits for.
 
-The MAC comes from :mod:`repro.net.auth` — the same pairwise-key
-machinery the link-layer tests exercise — computed over the raw body
-bytes with the key of the (claimed source, destination) pair, whose
-key schedule the authenticator ran once per link.  The tag
-already binds source and destination (see
-:meth:`repro.net.auth.Authenticator.tag`), so a frame cannot be
-redirected to another link or claimed by another sender without
-detection.  Tampered, malformed, or misaddressed frames increment
+The MAC is :meth:`repro.net.auth.Authenticator.tag_bytes`, an
+HMAC-SHA256 over the raw body bytes with the key of the (claimed
+source, destination) pair, whose key schedule the authenticator ran
+once per link.  The tag binds source and destination, so a frame
+cannot be redirected to another link or claimed by another sender
+without detection.  Tampered, malformed, or misaddressed frames increment
 ``rejected`` and are dropped silently, which is precisely what the
 protocols' authenticated-link assumption permits a real network to do
 to garbage.
@@ -314,7 +312,7 @@ class TcpTransport(InboxTransport):
             raise ReproError(
                 f"node {self.pid}: frame for node {dest} is {size} bytes, "
                 f"over the {MAX_FRAME}-byte frame cap (MAX_FRAME) — send "
-                "smaller payloads or lower the batching 'size:N'"
+                "smaller payloads"
             )
         return body
 

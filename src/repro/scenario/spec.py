@@ -355,8 +355,8 @@ class Scenario:
             bootstrapped by a dealer bundle — see docs/deployment.md).
         instances: parallel consensus instances per process (batching).
         batching: wire-frame coalescing — ``off`` (one frame per
-            message), ``flush`` (one frame per destination per pump
-            flush), or ``size:N`` (at most ``N`` messages per frame).
+            message) or ``flush`` (one frame per destination per pump
+            flush, at most 64 messages a frame).
             It is a wire setting: on the ``sim`` fabric every mode
             drains the outbox per activation, so a fixed seed decides
             and traces bit-for-bit the same in each.
@@ -447,7 +447,7 @@ class Scenario:
         _number("max_steps", self.max_steps, 1)
         _number("timeout", self.timeout, 0, kinds=(int, float), strict=True)
         _number("base_port", self.base_port, 0, 65535)
-        parse_batching(self.batching)  # validates off | flush | size:N
+        parse_batching(self.batching)  # validates off | flush
         if self.codec != "binary":
             raise ConfigError(
                 f"unknown wire codec {self.codec!r}: binary is the only wire "

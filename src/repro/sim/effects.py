@@ -39,7 +39,7 @@ from ..types import ProcessId
 FLUSH_BATCH_LIMIT = 64
 
 #: The validated batching modes of the Scenario field / cluster knob.
-BATCHING_MODES = ("off", "flush", "size:N")
+BATCHING_MODES = ("off", "flush")
 
 
 @dataclass(frozen=True)
@@ -205,41 +205,18 @@ def parse_mid(mid: str) -> Tuple[int, int, int]:
 
 
 def parse_batching(spec: Any) -> Tuple[str, int]:
-    """Validate a batching spec; return ``(mode, limit)``.
+    """Validate a batching spec; return ``(mode, messages per frame)``.
 
     ``"off"`` (or ``None``) disables wire coalescing — one frame per
     message, the historical behavior.  ``"flush"`` coalesces everything
     queued for a destination at each pump flush (capped at
-    :data:`FLUSH_BATCH_LIMIT` messages per frame).  ``"size:N"`` caps
-    frames at ``N`` messages, ``2 <= N <= FLUSH_BATCH_LIMIT``.  Anything
-    else raises :class:`~repro.errors.ConfigError`.
+    :data:`FLUSH_BATCH_LIMIT` messages per frame).  Anything else raises
+    :class:`~repro.errors.ConfigError`.
     """
     if spec is None or spec == "off":
         return ("off", 1)
     if spec == "flush":
         return ("flush", FLUSH_BATCH_LIMIT)
-    if isinstance(spec, str) and spec.startswith("size:"):
-        text = spec[len("size:"):]
-        try:
-            size = int(text)
-        except ValueError:
-            raise ConfigError(
-                f"bad batching spec {spec!r}: {text!r} is not an integer"
-            ) from None
-        if size < 2:
-            raise ConfigError(
-                f"batching 'size:N' needs N >= 2 (N=1 is 'off'), got {size}"
-            )
-        if size > FLUSH_BATCH_LIMIT:
-            # An unbounded N could build frames past the transports' hard
-            # 1 MiB cap; the receiver drops the connection on such frames
-            # and the retransmission layer would resend the same
-            # oversized frame forever, severing the link.
-            raise ConfigError(
-                f"batching 'size:N' is capped at N <= {FLUSH_BATCH_LIMIT} "
-                f"(the flush limit), got {size}"
-            )
-        return ("size", size)
     raise ConfigError(
         f"unknown batching spec {spec!r}; choose from {list(BATCHING_MODES)}"
     )

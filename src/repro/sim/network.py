@@ -4,8 +4,8 @@ The network implements *authenticated reliable point-to-point links*: a
 message sent between two correct processes is delivered exactly once,
 unmodified, and the receiver learns the true sender identity (the
 simulator passes the authentic ``source`` out of band, which is the
-standard idealization of MACs; :mod:`repro.net.auth` additionally
-implements the MAC machinery explicitly for the link-layer tests).
+standard idealization of MACs; on tcp and mp every frame carries the
+:mod:`repro.net.auth` HMAC over its wire bytes instead).
 
 Delivery order is entirely up to the attached scheduler — the network
 itself guarantees nothing about ordering, matching the paper's model.

@@ -156,13 +156,13 @@ class TestTamperRejection:
         _manifest, bundles = _dealt(tmp_path)
         ring = load_bundle(bundles[2]).keyring(4)
         auth = ring.authenticator(2)
-        tag = auth.tag(3, "payload")
+        tag = auth.tag_bytes(3, b"payload")
         with pytest.raises(ConfigError, match="cannot authenticate"):
             ring.authenticator(3)
         peer = load_bundle(bundles[3]).keyring(4).authenticator(3)
-        assert peer.verify(2, "payload", tag)
+        assert peer.verify_bytes(2, b"payload", tag)
         # A tampered pairwise key means the peer rejects every tag.
         tampered = load_bundle(bundles[3])
         tampered.mac_keys[2] = b"\x00" * 32
         bad_peer = tampered.keyring(4).authenticator(3)
-        assert not bad_peer.verify(2, "payload", tag)
+        assert not bad_peer.verify_bytes(2, b"payload", tag)

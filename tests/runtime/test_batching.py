@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.runtime import binarycodec, codec
 from repro.scenario import Scenario, run
 from repro.runtime.codec import WireBatch
+from repro.sim.effects import FLUSH_BATCH_LIMIT
 from repro.types import Phase
 from repro.core.broadcast import RbcMessage
 
@@ -70,12 +71,6 @@ class TestBatchedCluster:
         assert snap.counter("frames_sent") == snap.counter("wire_messages_sent")
         assert snap.gauges["messages_per_frame"] == 1.0
 
-    def test_size_mode_caps_messages_per_frame(self):
-        result = _batched_run(fabric="local", batching="size:2", seed=5)
-        assert result.decided_values == {1}
-        assert result.metrics.gauges["messages_per_frame"] <= 2.0
-        assert result.metrics.gauges["messages_per_frame"] > 1.0
-
     def test_tcp_flush_decides_and_compresses(self):
         result = _batched_run(fabric="tcp", batching="flush", seed=7)
         assert result.decided_values == {1}
@@ -106,7 +101,7 @@ class TestBatchedCluster:
 
     def test_bad_batching_spec_rejected_up_front(self):
         with pytest.raises(ConfigError):
-            Scenario(fabric="local", batching="size:0")
+            Scenario(fabric="local", batching="size:2")
 
 
 class TestNodeFlushGrouping:
@@ -168,18 +163,19 @@ class TestNodeFlushGrouping:
             network = NodeNetwork(0, params)
             transport = RecordingTransport(0)
             node = Node(0, network, transport,
-                        target=object(), batching="size:2")
-            for i in range(5):
+                        target=object(), batching="flush")
+            for i in range(count):
                 network.send(0, 1, f"m{i}")
             await node._after_activation()
             return transport.frames
 
+        count = 2 * FLUSH_BATCH_LIMIT + 1
+        sent = [f"m{i}" for i in range(count)]
         frames = asyncio.run(scenario())
+        # Past the limit, one destination's flush splits into frames of
+        # at most FLUSH_BATCH_LIMIT messages; a one-message tail goes bare.
         assert frames == [
-            (1, WireBatch(("m0", "m1"))),
-            (1, WireBatch(("m2", "m3"))),
-            (1, "m4"),
+            (1, WireBatch(tuple(sent[:FLUSH_BATCH_LIMIT]))),
+            (1, WireBatch(tuple(sent[FLUSH_BATCH_LIMIT:-1]))),
+            (1, sent[-1]),
         ]
-        assert sum(
-            len(p) if isinstance(p, WireBatch) else 1 for _d, p in frames
-        ) == 5

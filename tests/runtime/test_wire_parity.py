@@ -34,12 +34,12 @@ from repro.core.coin import CoinShareMsg
 from repro.core.consensus import DecideMsg
 from repro.crypto.dealer import SignedShare
 from repro.crypto.shamir import Share
-from repro.net.links import FifoPacket
-from repro.net.secure import SealedPacket
 from repro.netem.frames import LinkAck, LinkFrame
 from repro.params import for_system
 from repro.runtime import binarycodec, codec, tcp
-from repro.runtime.codec import CodecError, Stamped, WireBatch
+from repro.runtime.codec import (
+    CodecError, FifoPacket, SealedPacket, Stamped, WireBatch,
+)
 from repro.runtime.node import Node, NodeNetwork
 from repro.runtime.transport import Transport
 from repro.scenario import get_scenario, run
@@ -666,8 +666,8 @@ def test_chunks_past_the_flush_limit_share_only_identical_chunks():
     assert (node.frames_sent, node.wire_messages_sent) == (2 * N, N * count)
 
 
-def test_size_mode_shifts_a_link_with_an_extra_send_out_of_the_sharing():
-    step = [_routed(i) for i in range(4)]
+def test_a_link_with_an_extra_send_is_chunked_out_of_the_sharing():
+    step = [_routed(i) for i in range(FLUSH_BATCH_LIMIT)]
     private = ("rbc", DecideMsg(0))
 
     def enqueue(net):
@@ -676,7 +676,7 @@ def test_size_mode_shifts_a_link_with_an_extra_send_out_of_the_sharing():
             _broadcast(net, message)
 
     transport = RecordingTransport(0)
-    _flush(transport, "size:2", enqueue)
+    _flush(transport, "flush", enqueue)
     links = _per_link(transport.frames)
     assert links.pop(2) == [private] + step
     assert all(link == step for link in links.values())
@@ -684,7 +684,7 @@ def test_size_mode_shifts_a_link_with_an_extra_send_out_of_the_sharing():
     for dest, payload in transport.frames:
         by_dest.setdefault(dest, []).append(payload)
     shifted = by_dest.pop(2)
-    assert [len(_messages(p)) for p in shifted] == [2, 2, 1]
+    assert [len(_messages(p)) for p in shifted] == [FLUSH_BATCH_LIMIT, 1]
     reference = by_dest.pop(0)
     for payloads in by_dest.values():
         assert all(a is b for a, b in zip(payloads, reference))

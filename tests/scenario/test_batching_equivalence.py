@@ -32,12 +32,11 @@ def _fingerprint(result):
 
 class TestSimBitIdentical:
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SYSTEMS))
-    @pytest.mark.parametrize("mode", ["flush", "size:4"])
-    def test_batched_run_equals_unbatched(self, protocol, mode):
+    def test_batched_run_equals_unbatched(self, protocol):
         spec = PROTOCOL_SYSTEMS[protocol]
         base = Scenario(protocol=protocol, seed=13, **spec)
         off = run(base, batching="off")
-        batched = run(base, batching=mode)
+        batched = run(base, batching="flush")
         assert _fingerprint(off) == _fingerprint(batched)
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_SYSTEMS))
@@ -74,9 +73,9 @@ class TestRuntimeFabricsDecide:
 class TestSpecValidation:
     def test_round_trips_through_json(self):
         scenario = Scenario(protocol="bracha", fabric="local",
-                            batching="size:8", instances=4, proposals=1)
+                            batching="flush", instances=4, proposals=1)
         assert Scenario.from_json(scenario.to_json()) == scenario
-        assert scenario.to_dict()["batching"] == "size:8"
+        assert scenario.to_dict()["batching"] == "flush"
 
     def test_default_is_omitted_from_dict(self):
         assert "batching" not in Scenario().to_dict()
@@ -84,7 +83,7 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self):
         from repro.errors import ConfigError
 
-        for bad in ("on", "size:1", "batch"):
+        for bad in ("on", "size:8", "batch"):
             with pytest.raises(ConfigError):
                 Scenario(batching=bad)
 

@@ -15,8 +15,11 @@ reader; ``repro run`` plus a ``Scenario`` is the one spelling of a run,
 parsed by one parser; the binary codec is the one value format, on the
 wire and in the WAL; an observed message is described once, when its
 record is read, so no classification is handed between fabric and
-observer.  A compat shim or alias under an old name would
-bring the second way back unnoticed, so each must fail to resolve.
+observer; a MAC is computed over wire bytes, one way
+(``Authenticator.tag_bytes`` / ``verify_bytes`` on a frame's body), so
+no link layer seals or reorders payload objects on the simulator.  A
+compat shim or alias under an old name would bring the second way back
+unnoticed, so each must fail to resolve.
 """
 
 import importlib
@@ -35,6 +38,8 @@ from repro.cli import main
     "repro.baselines.benor_crash",
     "repro.baselines.rabin",
     "repro.obs.causality",
+    "repro.net.secure",
+    "repro.net.links",
 ])
 def test_removed_modules_do_not_resolve(module):
     assert importlib.util.find_spec(module) is None
@@ -60,6 +65,12 @@ def test_removed_modules_do_not_resolve(module):
     ("repro.runtime", "encode"),
     ("repro.runtime", "decode"),
     ("repro.recovery.wal", "_codec"),
+    ("repro.net", "SecureTransport"),
+    ("repro.net", "FifoTransport"),
+    ("repro.net.auth", "_canonical"),
+    ("repro.net.auth", "Authenticator.tag"),
+    ("repro.net.auth", "Authenticator.verify"),
+    ("repro.net.auth", "Authenticator.require"),
 ])
 def test_removed_names_do_not_resolve(module, name):
     owner = importlib.import_module(module)
