@@ -186,6 +186,92 @@ def test_unframed_payloads_pass_through():
     run_async(scenario())
 
 
+async def raw_senders_into_a_link(n=2):
+    """Node ``n - 1`` behind a ReliableLink; every other node a raw
+    endpoint that writes LinkFrames and LinkAcks by hand."""
+    clock = TickClock()
+    clock.start()
+    hub = LocalHub(n)
+    raws = [hub.endpoint(pid) for pid in range(n - 1)]
+    link = ReliableLink(hub.endpoint(n - 1), clock)
+    link.start_scan()
+    return clock, raws, link
+
+
+async def close_raw_senders(clock, raws, link):
+    await link.close()
+    for raw in raws:
+        await raw.close()
+    await clock.close()
+
+
+def test_a_replayed_frame_is_delivered_once_and_acked_again():
+    async def scenario():
+        clock, (raw,), link = await raw_senders_into_a_link()
+        try:
+            await raw.send(1, LinkFrame(0, ("msg", "a")))
+            await raw.send(1, LinkFrame(0, ("msg", "a-replayed")))
+            await raw.send(1, LinkFrame(1, ("msg", "b")))
+            got = [await asyncio.wait_for(link.recv(), 5.0) for _ in range(2)]
+            assert got == [(0, ("msg", "a")), (0, ("msg", "b"))]
+            assert link.duplicates_filtered == 1
+            acks = [await asyncio.wait_for(raw.recv(), 5.0) for _ in range(3)]
+            assert acks == [(1, LinkAck(0)), (1, LinkAck(0)), (1, LinkAck(1))]
+        finally:
+            await close_raw_senders(clock, (raw,), link)
+
+    run_async(scenario())
+
+
+def test_sequence_windows_are_per_sender():
+    async def scenario():
+        clock, (raw0, raw1), link = await raw_senders_into_a_link(n=3)
+        try:
+            await raw0.send(2, LinkFrame(0, ("msg", "from p0")))
+            await raw1.send(2, LinkFrame(0, ("msg", "from p1")))
+            got = {await asyncio.wait_for(link.recv(), 5.0) for _ in range(2)}
+            assert got == {(0, ("msg", "from p0")), (1, ("msg", "from p1"))}
+            assert link.duplicates_filtered == 0
+        finally:
+            await close_raw_senders(clock, (raw0, raw1), link)
+
+    run_async(scenario())
+
+
+def test_frames_are_delivered_on_arrival_without_a_reorder_buffer():
+    # The protocols assume no FIFO links, so a gap in the sequence holds
+    # nothing back: the later seq is delivered first, as it arrived.
+    async def scenario():
+        clock, (raw,), link = await raw_senders_into_a_link()
+        try:
+            await raw.send(1, LinkFrame(3, ("msg", "late seq")))
+            first = await asyncio.wait_for(link.recv(), 5.0)
+            assert first == (0, ("msg", "late seq"))
+            await raw.send(1, LinkFrame(0, ("msg", "early seq")))
+            second = await asyncio.wait_for(link.recv(), 5.0)
+            assert second == (0, ("msg", "early seq"))
+            assert link.duplicates_filtered == 0
+        finally:
+            await close_raw_senders(clock, (raw,), link)
+
+    run_async(scenario())
+
+
+def test_an_unsolicited_ack_is_swallowed():
+    async def scenario():
+        clock, (raw,), link = await raw_senders_into_a_link()
+        try:
+            await raw.send(1, LinkAck(7))
+            await raw.send(1, LinkFrame(0, ("msg", "after the ack")))
+            got = await asyncio.wait_for(link.recv(), 5.0)
+            assert got == (0, ("msg", "after the ack"))
+            assert link.delivered == 1 and link.outstanding == 0
+        finally:
+            await close_raw_senders(clock, (raw,), link)
+
+    run_async(scenario())
+
+
 def test_seen_window_compacts():
     from repro.netem.reliable import _SeenWindow
 

@@ -8,6 +8,7 @@ from repro.errors import ConfigError
 from repro.runtime import binarycodec, codec
 from repro.scenario import Scenario, run
 from repro.runtime.codec import WireBatch
+from repro.sim import effects
 from repro.sim.effects import FLUSH_BATCH_LIMIT
 from repro.types import Phase
 from repro.core.broadcast import RbcMessage
@@ -48,7 +49,7 @@ class TestWireBatchCodec:
 
 def _batched_run(**fields):
     return run(Scenario(
-        protocol="bracha", proposals=1, **{"instances": 4, **fields}
+        proposals=1, **{"protocol": "bracha", "instances": 4, **fields}
     ))
 
 
@@ -70,6 +71,20 @@ class TestBatchedCluster:
         snap = result.metrics
         assert snap.counter("frames_sent") == snap.counter("wire_messages_sent")
         assert snap.gauges["messages_per_frame"] == 1.0
+
+    @pytest.mark.parametrize("fabric", ["local", "tcp"])
+    @pytest.mark.parametrize("protocol", ["bracha", "benor"])
+    def test_flush_caps_messages_per_frame_at_the_limit(
+        self, monkeypatch, fabric, protocol
+    ):
+        # The cap, lowered so a four-instance run's flushes split: every
+        # frame holds at most that many messages, and the run decides.
+        monkeypatch.setattr(effects, "FLUSH_BATCH_LIMIT", 2)
+        result = _batched_run(fabric=fabric, protocol=protocol,
+                              batching="flush", seed=5)
+        assert result.decided_values == {1}
+        assert result.metrics.gauges["messages_per_frame"] <= 2.0
+        assert result.metrics.gauges["messages_per_frame"] > 1.0
 
     def test_tcp_flush_decides_and_compresses(self):
         result = _batched_run(fabric="tcp", batching="flush", seed=7)
@@ -143,39 +158,71 @@ class TestNodeFlushGrouping:
         ]
 
     def test_size_limit_chunks_frames(self):
-        from repro.params import for_system
-        from repro.runtime.node import Node, NodeNetwork
-        from repro.runtime.transport import Transport
-
-        class RecordingTransport(Transport):
-            def __init__(self, pid):
-                self.pid = pid
-                self.frames = []
-
-            async def send(self, dest, payload):
-                self.frames.append((dest, payload))
-
-            async def recv(self):  # pragma: no cover
-                await asyncio.Event().wait()
-
-        async def scenario():
-            params = for_system(4, 1)
-            network = NodeNetwork(0, params)
-            transport = RecordingTransport(0)
-            node = Node(0, network, transport,
-                        target=object(), batching="flush")
-            for i in range(count):
-                network.send(0, 1, f"m{i}")
-            await node._after_activation()
-            return transport.frames
-
         count = 2 * FLUSH_BATCH_LIMIT + 1
         sent = [f"m{i}" for i in range(count)]
-        frames = asyncio.run(scenario())
         # Past the limit, one destination's flush splits into frames of
         # at most FLUSH_BATCH_LIMIT messages; a one-message tail goes bare.
-        assert frames == [
+        assert _flushed([(1, m) for m in sent]) == [
             (1, WireBatch(tuple(sent[:FLUSH_BATCH_LIMIT]))),
             (1, WireBatch(tuple(sent[FLUSH_BATCH_LIMIT:-1]))),
             (1, sent[-1]),
         ]
+
+    def test_a_flush_of_exactly_the_limit_is_one_frame(self):
+        sent = [f"m{i}" for i in range(FLUSH_BATCH_LIMIT)]
+        assert _flushed([(1, m) for m in sent]) == [
+            (1, WireBatch(tuple(sent))),
+        ]
+
+    def test_one_past_the_limit_leaves_a_bare_tail(self):
+        sent = [f"m{i}" for i in range(FLUSH_BATCH_LIMIT + 1)]
+        assert _flushed([(1, m) for m in sent]) == [
+            (1, WireBatch(tuple(sent[:-1]))),
+            (1, sent[-1]),
+        ]
+
+    def test_the_limit_binds_each_destination_on_its_own(self):
+        to_1 = [f"a{i}" for i in range(FLUSH_BATCH_LIMIT + 2)]
+        sends = [(1, m) for m in to_1]
+        sends[1:1] = [(2, "b0"), (2, "b1")]  # interleaved on the queue
+        assert _flushed(sends) == [
+            (1, WireBatch(tuple(to_1[:FLUSH_BATCH_LIMIT]))),
+            (1, WireBatch(tuple(to_1[FLUSH_BATCH_LIMIT:]))),
+            (2, WireBatch(("b0", "b1"))),
+        ]
+
+    def test_batching_off_sends_every_message_bare(self):
+        sent = [f"m{i}" for i in range(FLUSH_BATCH_LIMIT + 1)]
+        frames = _flushed([(1, m) for m in sent], batching="off")
+        assert frames == [(1, m) for m in sent]
+
+
+def _flushed(sends, batching="flush"):
+    """The frames node 0's flush writes after queuing ``(dest, message)``
+    pairs in order."""
+    from repro.params import for_system
+    from repro.runtime.node import Node, NodeNetwork
+    from repro.runtime.transport import Transport
+
+    class RecordingTransport(Transport):
+        def __init__(self, pid):
+            self.pid = pid
+            self.frames = []
+
+        async def send(self, dest, payload):
+            self.frames.append((dest, payload))
+
+        async def recv(self):  # pragma: no cover
+            await asyncio.Event().wait()
+
+    async def scenario():
+        network = NodeNetwork(0, for_system(4, 1))
+        transport = RecordingTransport(0)
+        node = Node(0, network, transport,
+                    target=object(), batching=batching)
+        for dest, message in sends:
+            network.send(0, dest, message)
+        await node._after_activation()
+        return transport.frames
+
+    return asyncio.run(scenario())

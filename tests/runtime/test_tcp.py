@@ -185,6 +185,32 @@ def test_frame_from_wrong_keyring_is_rejected():
     asyncio.run(scenario())
 
 
+def test_a_frame_relabelled_with_another_sender_is_rejected():
+    """p2 holds the keys of its own links only: its frame to p1,
+    relabelled as p0's, fails p1's check, while the same frame under
+    its true source is delivered as p2's."""
+    async def scenario():
+        ring = KeyRing(3, master_secret=b"test-setup")
+        b = TcpTransport(1, 3, ring)
+        await b.start()
+        try:
+            genuine = encode_binary_frame(
+                ring.authenticator(2), 1, ("mod", StepValue(1)))
+            forged = _header(0, 1) + genuine[_BIN_HEADER.size:]
+            writer = await _inject(b, [forged], 1)
+            assert b.accepted == 0
+            writer.write(_prefixed(genuine))  # same connection
+            await writer.drain()
+            sender, payload = await asyncio.wait_for(b.recv(), 5.0)
+            assert (sender, payload) == (2, ("mod", StepValue(1)))
+            assert (b.accepted, b.rejected) == (1, 1)
+            writer.close()
+        finally:
+            await b.close()
+
+    asyncio.run(scenario())
+
+
 def test_misaddressed_and_malformed_frames_are_rejected():
     async def scenario():
         a, b = await _connected_pair()

@@ -58,6 +58,26 @@ class TestAuthenticator:
         tag = sender.tag_bytes(2, b"hello")
         assert not other_receiver.verify_bytes(0, b"hello", tag)
 
+    def test_truncated_tag_rejected(self, ring):
+        sender = ring.authenticator(0)
+        receiver = ring.authenticator(2)
+        tag = sender.tag_bytes(2, b"hello")
+        assert not receiver.verify_bytes(0, b"hello", tag[:-1])
+        assert not receiver.verify_bytes(0, b"hello", b"")
+
+    def test_empty_body_is_authenticated(self, ring):
+        sender = ring.authenticator(0)
+        receiver = ring.authenticator(2)
+        tag = sender.tag_bytes(2, b"")
+        assert receiver.verify_bytes(0, b"", tag)
+        assert not receiver.verify_bytes(0, b"\x00", tag)
+
+    def test_another_trusted_setup_cannot_tag_for_this_one(self, ring):
+        outsider = KeyRing(4, master_secret=b"other-setup").authenticator(0)
+        receiver = ring.authenticator(2)
+        tag = outsider.tag_bytes(2, b"hello")
+        assert not receiver.verify_bytes(0, b"hello", tag)
+
     def test_tag_needs_known_destination(self, ring):
         auth = Authenticator(0, {1: b"k" * 32})
         with pytest.raises(AuthenticationError):

@@ -8,7 +8,10 @@ prefixed body, and stay bound to their link.
 
 import hashlib
 import hmac
+import re
+from pathlib import Path
 
+import repro
 from repro.net.auth import KeyRing
 
 N = 7
@@ -59,3 +62,14 @@ def test_a_body_with_one_flipped_bit_is_rejected():
                 for body in (bytes(flipped), memoryview(flipped)):
                     assert not auths[dst].verify_bytes(src, body, tag)
             assert auths[dst].verify_bytes(src, memoryview(BODY), tag)
+
+
+def test_no_other_module_computes_a_link_mac():
+    """``hmac`` is imported by the link MAC and by the dealer's share
+    signatures, nowhere else: there is no second link MAC path."""
+    src = Path(repro.__file__).parent
+    importers = sorted(
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if re.search(r"^\s*(import|from)\s+hmac\b", path.read_text(), re.M)
+    )
+    assert importers == ["crypto/dealer.py", "net/auth.py"]

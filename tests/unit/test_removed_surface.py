@@ -26,6 +26,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,27 @@ def test_removed_names_do_not_resolve(module, name):
     assert last not in getattr(owner, "__all__", ())
 
 
+def test_repro_net_holds_only_the_mac_machinery():
+    import repro.net
+
+    assert sorted(repro.net.__all__) == [
+        "AuthenticationError", "Authenticator", "KeyRing"]
+    assert [m.name for m in pkgutil.iter_modules(repro.net.__path__)] == ["auth"]
+
+
+def test_the_retired_link_packets_are_only_registry_placeholders():
+    # FifoPacket and SealedPacket keep their registry ids (and so every
+    # golden frame and WAL file) stable; nothing in the library builds one.
+    import repro
+
+    src = Path(repro.__file__).parent
+    users = sorted(
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if re.search(r"\b(FifoPacket|SealedPacket)\b", path.read_text())
+    )
+    assert users == ["runtime/codec.py"]
+
+
 def test_removed_classification_plumbing_stays_removed():
     from repro.obs import Observer
     from repro.params import ProtocolParams
@@ -108,3 +132,11 @@ def test_the_removed_json_wire_format_is_rejected_not_ignored(tmp_path, capsys):
         {"protocol": "bracha", "n": 4, "fabric": "tcp", "codec": "json"}))
     assert main(["run", "--check", str(path)]) == 1
     assert "JSON wire format was removed" in capsys.readouterr().err
+
+
+def test_the_removed_size_batching_mode_is_rejected_not_ignored(tmp_path, capsys):
+    path = tmp_path / "size-batching.json"
+    path.write_text(json.dumps(
+        {"protocol": "bracha", "n": 4, "fabric": "local", "batching": "size:4"}))
+    assert main(["run", "--check", str(path)]) == 1
+    assert "unknown batching spec 'size:4'" in capsys.readouterr().err
