@@ -106,7 +106,7 @@ def _print_result(scenario: Scenario, result: Any) -> None:
         snapshot = result.metrics
         restarts = snapshot.counter("restarts") if snapshot else 0
         mode = (f"{recovery['mode']} ({recovery['dir']})" if recovery
-                else "in-memory replay")
+                else "in-memory wal")
         line = f"recovery  : {mode}"
         if restarts:
             rt = (snapshot.gauges.get("recovery_time") or 0.0)

@@ -30,8 +30,8 @@ kind                  emitted by
 ``abandon``           the reliable link gave up on a frame (faulty peer)
 ``netem``             a link-policy verdict dropped/duplicated a frame
 ``restart``           a restart-fault node went down / was respawned
-``recovery_replayed`` a recovered node finished replaying its WAL (or, on
-                      the simulator, its in-memory delivery log)
+``recovery_replayed`` a recovered node finished replaying its WAL (kept
+                      in memory on the simulator); detail ``replayed``
 ``recovery_complete`` the recovered node rejoined; detail carries
                       ``recovery_time``
 ====================  ======================================================

@@ -8,8 +8,8 @@ The subsystem has two parts:
   messages) is a complete checkpoint: replaying them through a freshly
   built stack reconstructs the exact pre-crash state with no protocol
   code changes.
-* :mod:`repro.recovery.restart` — the simulator's in-memory analogue
-  (suspend, buffer, rebuild, replay) behind the ``restart`` fault kind.
+* :mod:`repro.recovery.restart` — the sim ``restart`` fault kind: the
+  same log in memory, recovered through the same reader and replay.
 
 The mp fabric's respawn loop, with its bounded restart budget, is
 :meth:`repro.mp.orchestrator.MpOrchestrator._respawn`.

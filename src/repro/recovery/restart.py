@@ -2,30 +2,31 @@
 
 On the ``mp`` fabric a ``restart`` fault is a real SIGKILL followed by a
 respawn that replays a durable WAL (:mod:`repro.recovery.wal`).  The
-simulator models the same lifecycle without processes or files: the node
-runs an honest stack, "crashes" by discarding it (memory loss), buffers
-the traffic that arrives while it is down (delayed, not lost — held
-messages are exactly what ReliableLink retransmission recovers in the
-real fabrics), then rebuilds a fresh stack and replays its in-memory
-delivery log before consuming the buffered backlog.
+simulator runs the same lifecycle without processes or files: the node
+logs its proposal and every delivery through a ``WalWriter`` into an
+in-memory buffer, "crashes" by discarding its stack (memory loss), and
+holds the traffic that arrives while it is down (delayed, not lost —
+what ReliableLink retransmission recovers on the real fabrics).  It then
+recovers as an mp respawn does: ``parse_wal`` verifies the log's bytes
+(a damaged log raises ``WalError``), ``replay`` drives a fresh stack
+through them, and the held backlog follows.
 
 The simulator has no wall clock, so the fault's ``after``/``down``
-parameters are counted in *deliveries* — the discrete-event analogue,
-matching the ``crash`` fault's ``crash_after`` convention: crash when
-``after`` messages have been processed, recover once ``down`` further
-messages have queued up while down.
+parameters are counted in *deliveries*, as the ``crash`` fault's
+``crash_after`` is: crash when ``after`` messages have been processed,
+recover once ``down`` further messages have queued up while down.
 
 Replay is bit-exact: before rebuilding, the node's private RNG streams
 (named ``("process", pid, ...)``) are reset to their derived initial
 states (:meth:`~repro.sim.rng.SplitRng.reset`), so the replayed
 execution draws the same coin values the pre-crash execution drew.
-Replayed sends go back to the network — at-least-once semantics, the
-same contract the mp fabric has — and peers absorb the duplicates
-idempotently.
+Replayed sends go back to the network — at-least-once, as on mp — and
+peers absorb the duplicates idempotently.
 """
 
 from __future__ import annotations
 
+import io
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -33,12 +34,9 @@ from ..params import ProtocolParams
 from ..sim.network import NetworkAPI
 from ..sim.process import Process
 from ..types import ProcessId
+from .wal import WalWriter, parse_wal, replay
 
 __all__ = ["RestartBehavior"]
-
-#: (kind, node, detail) — how the behavior reports lifecycle events to
-#: the harness, which forwards them to the observer/metrics layers.
-RestartEventHook = Callable[[str, ProcessId, Dict[str, Any]], None]
 
 
 class RestartBehavior:
@@ -54,9 +52,9 @@ class RestartBehavior:
             list — called once at boot and once per recovery.
         after: deliveries processed before the crash.
         down: deliveries buffered while down before recovering (>= 1).
-        on_event: optional hook receiving ``restart`` /
-            ``recovery_replayed`` / ``recovery_complete`` lifecycle
-            events.
+
+    Its ``restart`` / ``recovery_replayed`` / ``recovery_complete``
+    events go to the network's observer, if it has one.
     """
 
     kind = "restart"
@@ -69,7 +67,6 @@ class RestartBehavior:
         factory: Callable[[Process], List[Any]],
         after: int = 8,
         down: int = 1,
-        on_event: Optional[RestartEventHook] = None,
     ):
         if down < 1:
             raise ConfigError(f"restart 'down' must be >= 1 delivery, got {down!r}")
@@ -79,11 +76,13 @@ class RestartBehavior:
         self.factory = factory
         self.after = int(after)
         self.down = int(down)
-        self.on_event = on_event
         self.inner: Optional[Process] = Process(pid, network, params, register=False)
         self.modules: List[Any] = factory(self.inner)
-        #: Every (sender, payload) processed so far — the in-memory WAL.
-        self.log: List[Tuple[ProcessId, Any]] = []
+        #: The node's WAL bytes: its proposal and every delivery, each
+        #: logged before the stack sees it.
+        self.wal_bytes = io.BytesIO()
+        self.wal = WalWriter.open(f"<sim wal p{pid}>", {"node": pid},
+                                  self.wal_bytes)
         self.held: List[Tuple[ProcessId, Any]] = []
         self.restarts = 0
         self.replayed = 0
@@ -91,8 +90,6 @@ class RestartBehavior:
         self.recovery_time: Optional[float] = None
         self._delivered = 0
         self._plan: Any = None
-        self._proposal: Any = None
-        self._proposed = False
 
     @property
     def is_faulty(self) -> bool:
@@ -105,10 +102,9 @@ class RestartBehavior:
     # -- harness surface -------------------------------------------------
 
     def propose(self, plan: Any, proposal: Any) -> None:
-        """Feed the node's proposal; re-applied automatically on recovery."""
+        """Feed the node's proposal, logged first so recovery replays it."""
         self._plan = plan
-        self._proposal = proposal
-        self._proposed = True
+        self.wal.append_propose(proposal)
         plan.propose(self.modules, self.pid, proposal)
 
     def is_decided(self, plan: Any) -> bool:
@@ -131,7 +127,7 @@ class RestartBehavior:
             if len(self.held) >= self.down:
                 self._recover()
             return
-        self.log.append((sender, payload))
+        self.wal.append_deliver(sender, payload)
         self._delivered += 1
         self.inner.deliver(sender, payload)
 
@@ -152,33 +148,32 @@ class RestartBehavior:
 
     def _recover(self) -> None:
         self.restarts += 1
-        now = self.network.now()
         self._emit("restart", {"attempt": self.restarts,
                                "held": len(self.held)})
+        # A damaged log is refused before a stack is built: the node
+        # stays down, as an mp respawn refuses to boot.
+        _header, records = parse_wal(self.wal.path, self.wal_bytes.getvalue())
         # Reset this pid's private streams so the replayed execution
         # draws the same randomness the pre-crash execution drew.
         self.network.rng.reset("process", self.pid)
         self.inner = Process(self.pid, self.network, self.params, register=False)
         self.modules = self.factory(self.inner)
         self.inner.start()
-        if self._proposed:
-            self._plan.propose(self.modules, self.pid, self._proposal)
-        for sender, payload in self.log:
-            self.inner.deliver(sender, payload)
-        self.replayed = len(self.log)
-        self._emit("recovery_replayed", {"records": self.replayed})
+        self.replayed = replay(
+            records, lambda value: self._plan.propose(self.modules, self.pid, value),
+            self.inner.deliver,
+        )["replayed"]
+        self._emit("recovery_replayed", {"replayed": self.replayed})
         held, self.held = self.held, []
         for sender, payload in held:
-            self.log.append((sender, payload))
-            self._delivered += 1
-            self.inner.deliver(sender, payload)
-        crash_time = self.crash_time if self.crash_time is not None else now
-        self.recovery_time = self.network.now() - crash_time
+            self.deliver(sender, payload)
+        self.recovery_time = self.network.now() - self.crash_time
         self._emit("recovery_complete", {"recovery_time": self.recovery_time})
 
     def _emit(self, kind: str, detail: Dict[str, Any]) -> None:
-        if self.on_event is not None:
-            self.on_event(kind, self.pid, detail)
+        observer = self.network.observer
+        if observer is not None:
+            observer.emit(kind, node=self.pid, detail=detail)
 
     def __repr__(self) -> str:
         state = "down" if self.down_now else "up"

@@ -56,6 +56,7 @@ __all__ = [
     "WAL_VERSION",
     "WalError",
     "WalWriter",
+    "parse_wal",
     "read_wal",
     "replay",
     "validate_header",
@@ -102,10 +103,13 @@ class WalWriter:
         self._next_seq = next_seq
 
     @classmethod
-    def open(cls, path: str, header: Dict[str, Any]) -> "WalWriter":
-        """Start a fresh log at ``path`` with a binding ``header``."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        writer = cls(path, open(path, "wb"), 0)
+    def open(cls, path: str, header: Dict[str, Any],
+             fh: Optional[BinaryIO] = None) -> "WalWriter":
+        """Start a log with a binding ``header`` in ``fh``, else at ``path``."""
+        if fh is None:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            fh = open(path, "wb")
+        writer = cls(path, fh, 0)
         writer.append({"kind": "header", "version": WAL_VERSION,
                        "registry": registry_digest(), **header})
         return writer
@@ -156,21 +160,26 @@ def _decode(path: str, seq: int, body: bytes) -> Dict[str, Any]:
 
 
 def read_wal(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read and verify a log; return ``(header, records_after_header)``,
-    every record decoded.
-
-    Strict by design: any defect — unreadable file, a version 1 log, a
-    truncated tail, a checksum mismatch, a body that does not decode, a
-    sequence gap, a missing or unsupported header, another registry —
-    raises :class:`WalError`.  A recovery boot must refuse a damaged log
-    loudly; replaying a wrong prefix would produce a node whose outbound
-    stream contradicts what peers already received.
-    """
+    """:func:`parse_wal` the log at ``path``; an unreadable file is a
+    :class:`WalError` too."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return parse_wal(path, fh.read())
     except OSError as exc:
         raise WalError(f"cannot read WAL {path}: {exc}") from exc
+
+
+def parse_wal(path: str, raw: bytes) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Verify a log's bytes; return ``(header, records_after_header)``,
+    every record decoded, with ``path`` naming the log in errors.
+
+    Strict by design: any defect — a version 1 log, a truncated tail, a
+    checksum mismatch, a body that does not decode, a sequence gap, a
+    missing or unsupported header, another registry — raises
+    :class:`WalError`.  A recovery must refuse a damaged log loudly;
+    replaying a wrong prefix would produce a node whose outbound stream
+    contradicts what peers already received.
+    """
     if not raw:
         raise WalError(f"WAL {path} is empty")
     if raw[:1] == b"{":  # a v2 log starts with the header's length

@@ -184,10 +184,6 @@ class SimRun:
                     round=effect.round, detail=effect.value,
                 )
 
-        def _on_restart_event(kind: str, pid: ProcessId, detail: Dict[str, Any]) -> None:
-            if observer is not None:
-                observer.emit(kind, node=pid, detail=dict(detail))
-
         stacks: Dict[ProcessId, List[Any]] = {}
         behaviors: Dict[ProcessId, Any] = {}
         restart_nodes: Dict[ProcessId, RestartBehavior] = {}
@@ -206,7 +202,6 @@ class SimRun:
                     pid, sim.network, params, _factory,
                     after=int(spec.get("after", 8)),
                     down=int(spec.get("down", 1)),
-                    on_event=_on_restart_event,
                 )
                 sim.network.register(node)
                 restart_nodes[pid] = node
